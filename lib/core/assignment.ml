@@ -38,7 +38,7 @@ let latest_in ?(since = 0) t ~mask p =
     if i < since then None
     else
       let id = Vec.get t.trail i in
-      if mask.(id) && p id then Some id else go (i - 1)
+      if mask id && p id then Some id else go (i - 1)
   in
   go (Vec.length t.trail - 1)
 

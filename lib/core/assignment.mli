@@ -27,11 +27,13 @@ val rollback : t -> int -> unit
 
 val num_assigned : t -> int
 
-val latest_in : ?since:int -> t -> mask:bool array -> (int -> bool) -> int option
+val latest_in :
+  ?since:int -> t -> mask:(int -> bool) -> (int -> bool) -> int option
 (** [latest_in t ~mask p] scans the trail from the most recent assignment
-    backwards and returns the first node that is inside [mask] and
-    satisfies [p]. [since] (a checkpoint, default 0) bounds the scan:
-    entries older than the mark are not considered. *)
+    backwards and returns the first node that satisfies both [mask] (the
+    current target's cone, {!Engine.in_cone}) and [p]. [since] (a
+    checkpoint, default 0) bounds the scan: entries older than the mark
+    are not considered. *)
 
 val iter_since : t -> int -> (int -> unit) -> unit
 (** Iterate over the nodes assigned after a checkpoint, oldest first. *)

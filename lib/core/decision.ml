@@ -6,31 +6,42 @@ module Rng = Simgen_base.Rng
 type t = {
   engine : Engine.t;
   rng : Rng.t;
+  mutable fanin_depths : float array array;
+      (* per gate, the MFFC depths of its fanins; [||] until first use *)
   mutable mffc : Mffc.cache option;
   mutable decisions : int;
 }
 
 let create ?rng engine =
   let rng = match rng with Some r -> r | None -> Rng.create 0x5157 in
-  { engine; rng; mffc = None; decisions = 0 }
+  { engine; rng; fanin_depths = [||]; mffc = None; decisions = 0 }
 
-let mffc_cache t =
-  match t.mffc with
-  | Some c -> c
-  | None ->
-      let c = Mffc.cache (Engine.network t.engine) in
-      t.mffc <- Some c;
-      c
+let fanin_depths t gate =
+  let net = Engine.network t.engine in
+  let cache =
+    match t.mffc with
+    | Some c -> c
+    | None ->
+        let c = Mffc.cache net in
+        t.mffc <- Some c;
+        t.fanin_depths <- Array.make (N.num_nodes net) [||];
+        c
+  in
+  match t.fanin_depths.(gate) with
+  | [||] ->
+      let depths = Array.map (Mffc.cached_depth cache) (N.fanins net gate) in
+      t.fanin_depths.(gate) <- depths;
+      depths
+  | depths -> depths
 
 let mffc_rank t gate (row : Cube.t) =
-  let fanins = N.fanins (Engine.network t.engine) gate in
-  let cache = mffc_cache t in
+  let depths = fanin_depths t gate in
   let total = ref 0.0 in
   Array.iteri
     (fun i l ->
       match l with
       | Cube.DC -> ()
-      | Cube.T | Cube.F -> total := !total +. Mffc.cached_depth cache fanins.(i))
+      | Cube.T | Cube.F -> total := !total +. depths.(i))
     row.Cube.lits;
   !total
 

@@ -3,7 +3,9 @@
     Wraps a network, a row cache and a ternary {!Assignment}. Assigning a
     value seeds a worklist; {!propagate} drains it, examining each touched
     gate against the matching rows of its function and applying simple or
-    advanced implication (paper §4) until a fixpoint or a conflict. In
+    advanced implication (paper §4) until a fixpoint or a conflict. Rows
+    are matched as bit sets (see {!Rows}), so an examination is a few
+    word operations per fanin and allocates nothing. In
     [Backward_only] mode a gate is examined only when its own output value
     arrives — the reverse-simulation baseline of §1.1. *)
 
@@ -18,18 +20,32 @@ val network : t -> Simgen_network.Network.t
 val assignment : t -> Assignment.t
 val config : t -> Config.t
 val rows_of : t -> Simgen_network.Network.node_id -> Simgen_network.Cube.t array
-(** Rows of a gate's function (cached). *)
+(** Rows of a gate's function (cached per function). *)
 
 val matching_rows :
   t -> Simgen_network.Network.node_id -> Simgen_network.Cube.t list
 (** Rows of the gate compatible with the current values of its fanins and
-    output. *)
+    output, in row order. *)
 
-val set_scope : t -> bool array option -> unit
-(** Restrict propagation to the masked nodes (typically the current
-    target's fanin cone, Algorithm 1's [listDfs]); [None] lifts the
-    restriction. Values already assigned outside a new scope are still
-    read during row matching — only gate (re)examination is confined. *)
+val set_scope_cones : t -> Simgen_network.Network.node_id list -> unit
+(** Restrict propagation to the union of the roots' fanin cones (during
+    Algorithm 1, the cones of the class's targets), replacing any earlier
+    scope. Values already assigned outside the scope are still read
+    during row matching — only gate (re)examination is confined. Marking
+    stamps an array the engine owns and allocates nothing per call. *)
+
+val clear_scope : t -> unit
+(** Lift the restriction of {!set_scope_cones}: every gate is in scope,
+    as after {!create}. *)
+
+val mark_cone : t -> Simgen_network.Network.node_id -> unit
+(** Mark the fanin cone of one node (Algorithm 1's [listDfs] of the
+    current target), replacing the previous mark. Independent of the
+    scope. *)
+
+val in_cone : t -> Simgen_network.Network.node_id -> bool
+(** Whether the node lies in the cone of the last {!mark_cone}; [false]
+    everywhere before the first. *)
 
 val set : t -> Simgen_network.Network.node_id -> bool -> unit
 (** Assign a node value and schedule the affected gates. The engine must be

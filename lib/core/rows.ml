@@ -9,14 +9,44 @@ module Table = Hashtbl.Make (struct
   let hash = TT.hash
 end)
 
-type t = Cube.t array Table.t
+type table = { cubes : Cube.t array; words : int; sets : int array }
+
+let bits_per_word = 63
+let all_rows = 0
+let on_rows = 1
+let t_rows i = 2 + (2 * i)
+let f_rows i = 3 + (2 * i)
+
+let table_of f =
+  let cubes = Array.of_list (Isop.rows f) in
+  let words = (Array.length cubes + bits_per_word - 1) / bits_per_word in
+  let sets = Array.make ((2 + (2 * TT.nvars f)) * words) 0 in
+  let add set r =
+    let k = (set * words) + (r / bits_per_word) in
+    sets.(k) <- sets.(k) lor (1 lsl (r mod bits_per_word))
+  in
+  Array.iteri
+    (fun r (c : Cube.t) ->
+      add all_rows r;
+      if c.Cube.out then add on_rows r;
+      Array.iteri
+        (fun i l ->
+          match l with
+          | Cube.T -> add (t_rows i) r
+          | Cube.F -> add (f_rows i) r
+          | Cube.DC -> ())
+        c.Cube.lits)
+    cubes;
+  { cubes; words; sets }
+
+type t = table Table.t
 
 let create () = Table.create 64
 
-let get cache f =
+let find cache f =
   match Table.find_opt cache f with
-  | Some rows -> rows
+  | Some table -> table
   | None ->
-      let rows = Array.of_list (Isop.rows f) in
-      Table.replace cache f rows;
-      rows
+      let table = table_of f in
+      Table.replace cache f table;
+      table

@@ -3,11 +3,37 @@
     SimGen repeatedly consults the "truth table rows" of node functions
     (paper §4). Rows — ISOP cubes of the on-set and off-set — are computed
     once per distinct truth table and shared across all LUTs with that
-    function. *)
+    function, together with row sets that let the engine match and imply
+    rows with word operations instead of comparing them cube by cube. *)
+
+type table = private {
+  cubes : Simgen_network.Cube.t array;
+      (** on-set cubes first, then off-set cubes *)
+  words : int;  (** words per row set *)
+  sets : int array;
+      (** Row sets of [words] words each, set [s] starting at
+          [s * words]. Row [r] is bit [r mod bits_per_word] of word
+          [r / bits_per_word]; bits past the last row are clear. *)
+}
+
+val bits_per_word : int
+(** 63: every bit of an OCaml [int]. *)
+
+val all_rows : int
+(** Set index of every row. *)
+
+val on_rows : int
+(** Set index of the rows with output 1. *)
+
+val t_rows : int -> int
+(** [t_rows i]: set index of the rows with literal [T] at input [i]. *)
+
+val f_rows : int -> int
+(** [f_rows i]: set index of the rows with literal [F] at input [i]. *)
 
 type t
 
 val create : unit -> t
 
-val get : t -> Simgen_network.Truth_table.t -> Simgen_network.Cube.t array
-(** On-set cubes first, then off-set cubes. *)
+val find : t -> Simgen_network.Truth_table.t -> table
+(** The function's rows and row sets, built on first use. *)

@@ -1,5 +1,4 @@
 module N = Simgen_network.Network
-module Cone = Simgen_network.Cone
 module Level = Simgen_network.Level
 module Rng = Simgen_base.Rng
 
@@ -11,6 +10,13 @@ type report = {
   decisions : int;
   useful : bool;
 }
+
+let has_open_fanin assignment fanins =
+  let n = Array.length fanins and i = ref 0 in
+  while !i < n && Assignment.is_assigned assignment fanins.(!i) do
+    incr i
+  done;
+  !i < n
 
 (* One target of Algorithm 1's outer loop: assign OUTgold, then alternate
    implication-to-fixpoint and decisions until every assigned cone gate is
@@ -24,8 +30,7 @@ let process_target engine decision target gold =
       (* Pinned by a previous target's propagation. *)
       if existing = gold then `Satisfied else `Conflict
   | None ->
-      let cone = Cone.fanin_cone net target in
-      let mask = Cone.member_mask net cone in
+      Engine.mark_cone engine target;
       (* Candidates on which a decision already made no progress carry a
          justifying cube whose non-DC inputs are all assigned; they are
          skipped, which also makes the loop terminate. *)
@@ -33,9 +38,7 @@ let process_target engine decision target gold =
       let is_candidate id =
         (not (N.is_pi net id))
         && (not (Hashtbl.mem exhausted id))
-        && Array.exists
-             (fun fi -> not (Assignment.is_assigned assignment fi))
-             (N.fanins net id)
+        && has_open_fanin assignment (N.fanins net id)
       in
       Engine.set engine target gold;
       let rec loop () =
@@ -52,7 +55,8 @@ let process_target engine decision target gold =
               (* Nodes assigned before this target's checkpoint were
                  justified by earlier, already-successful targets; only
                  values added for this goal can need justification. *)
-              Assignment.latest_in ~since:init assignment ~mask is_candidate
+              Assignment.latest_in ~since:init assignment
+                ~mask:(Engine.in_cone engine) is_candidate
             with
             | None -> `Satisfied
             | Some candidate -> (
@@ -77,11 +81,7 @@ let generate_with engine decision ~rng ~levels outgold =
      wide enough for cross-target implications (the values of one target
      constraining its class siblings), narrow enough to keep the paper's
      small runtime overhead over reverse simulation. *)
-  let class_scope =
-    Cone.member_mask net
-      (Cone.fanin_cone_many net (List.map fst outgold))
-  in
-  Engine.set_scope engine (Some class_scope);
+  Engine.set_scope_cones engine (List.map fst outgold);
   (* Line 2 of Algorithm 1: order targets by decreasing network depth. *)
   let ordered =
     List.sort
@@ -111,7 +111,7 @@ let generate_with engine decision ~rng ~levels outgold =
     List.exists (fun (_, g) -> g) satisfied
     && List.exists (fun (_, g) -> not g) satisfied
   in
-  Engine.set_scope engine None;
+  Engine.clear_scope engine;
   Engine.rollback engine 0;
   {
     vector;

@@ -10,6 +10,21 @@ val fanin_cone : Network.t -> Network.node_id -> Network.node_id list
 val fanin_cone_many : Network.t -> Network.node_id list -> Network.node_id list
 (** Union of fanin cones, each node listed once, fanins first. *)
 
+val mark_fanin_cones :
+  ?post:int Simgen_base.Vec.t ->
+  Network.t ->
+  stamp:int array ->
+  epoch:int ->
+  stack:int Simgen_base.Vec.t ->
+  Network.node_id list ->
+  unit
+(** Allocation-free cone marking for callers that mark many cones over
+    one network: sets [stamp.(id) <- epoch] on every node of the roots'
+    fanin cones. A node already stamped [epoch] is treated as visited, so
+    a fresh epoch per call marks exactly the union of the cones. [stack]
+    is scratch space. When [post] is given, the newly marked nodes are
+    appended to it in the order of {!fanin_cone_many}. *)
+
 val cone_pis : Network.t -> Network.node_id -> Network.node_id list
 (** Primary inputs inside the target's fanin cone. *)
 

@@ -53,5 +53,3 @@ let to_string c =
   Printf.sprintf "%s -> %c" body (if c.out then '1' else '0')
 
 let pp fmt c = Format.pp_print_string fmt (to_string c)
-
-let lit_equal (a : lit) (b : lit) = a = b

@@ -32,5 +32,3 @@ val to_string : t -> string
 (** E.g. ["1-0 -> 1"]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val lit_equal : lit -> lit -> bool

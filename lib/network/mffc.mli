@@ -12,18 +12,17 @@ val compute : Network.t -> Network.node_id -> Network.node_id list
     as a primary output is never an interior member: the PO is an external
     observation of its value. *)
 
-val leaves : Network.t -> Network.node_id list -> Network.node_id list
-(** Members with no fanin inside the cone — the first cone nodes met on any
-    PI-to-cone path. For the singleton cone this is the root itself. *)
-
 val depth : Network.t -> int array -> Network.node_id -> float
-(** Equation (2): average over the MFFC's leaves of
-    [level(root) - level(leaf)], given precomputed levels. A PI (empty
-    MFFC) has depth [0.]. *)
+(** Equation (2): average over the MFFC's leaves — members with no fanin
+    inside the MFFC — of [level(root) - level(leaf)], given precomputed
+    levels. A PI (empty MFFC) has depth [0.]. *)
 
 type cache
 
 val cache : Network.t -> cache
-(** Memoizes per-node MFFC depths against a fixed network/level snapshot. *)
+(** Memoizes per-node MFFC depths against a fixed network/level snapshot.
+    The cache owns its workspace (the PO-tap set and an epoch-stamped
+    membership array), so computing a depth allocates no per-node
+    array. *)
 
 val cached_depth : cache -> Network.node_id -> float

@@ -5,9 +5,10 @@
 
     - {b random simulation}: batches of 64 random vectors refine the
       classes ({!random_round});
-    - {b guided simulation}: per iteration, one equivalence class is handed
-      to the pattern generator (SimGen or reverse simulation); a useful
-      vector is simulated and refines the classes ({!guided_round});
+    - {b guided simulation}: per iteration, the equivalence classes are
+      handed to the pattern generator (SimGen or reverse simulation),
+      largest first; up to 64 useful vectors are simulated together and
+      refine the classes ({!guided_round});
     - {b SAT sweeping}: remaining candidate pairs go to the solver; UNSAT
       merges the pair (substitution shrinks later miters), SAT yields a
       counter-example vector that is fed back into simulation
@@ -110,10 +111,11 @@ val apply_vectors : t -> bool array list -> unit
 
 val guided_round :
   t -> Simgen_core.Strategy.t -> guided_stats
-(** One guided iteration: walk the classes from the largest down, generate
-    a vector for the first class yielding a useful one, simulate it.
-    Returns the accumulated guided statistics (also stored in the
-    sweeper). *)
+(** One guided iteration: walk the classes from the largest down, handing
+    each to the pattern generator, until 64 useful vectors fill a
+    simulation word or the classes run out; simulate them and refine. Returns this round's own
+    statistics; they are also added to the sweeper's running total
+    ({!guided_stats}). *)
 
 val run_guided : Sweep_options.t -> t -> guided_stats
 (** [guided_iterations] rounds of {!guided_round} with strategy and stop
@@ -126,7 +128,8 @@ val run_guided : Sweep_options.t -> t -> guided_stats
 val guided_round_config : t -> Simgen_core.Config.t -> guided_stats
 (** Like {!guided_round} with an explicit configuration instead of a named
     strategy — the entry point for ablation studies over the raw knobs
-    (alpha/beta of Eq. 4, implication and direction switches). *)
+    (alpha/beta of Eq. 4, implication and direction switches). Returns the
+    round's own statistics, as {!guided_round} does. *)
 
 val sat_guided_round : t -> guided_stats
 (** One batched iteration of the SAT-based vector-generation baseline

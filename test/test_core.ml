@@ -83,9 +83,7 @@ let test_assignment_double_assign () =
 
 let test_assignment_latest_in () =
   let a = Assignment.create 10 in
-  let mask = Array.make 10 false in
-  mask.(2) <- true;
-  mask.(5) <- true;
+  let mask id = id = 2 || id = 5 in
   Assignment.assign a 2 true;
   Assignment.assign a 9 true;
   Assignment.assign a 5 false;
@@ -112,14 +110,14 @@ let test_assignment_iter_since () =
 
 let test_rows_cache_sharing () =
   let cache = Rows.create () in
-  let r1 = Rows.get cache tt_and2 in
-  let r2 = Rows.get cache tt_and2 in
+  let r1 = Rows.find cache tt_and2 in
+  let r2 = Rows.find cache tt_and2 in
   Alcotest.(check bool) "physically shared" true (r1 == r2);
-  Alcotest.(check int) "and rows: 1 on + 2 off" 3 (Array.length r1)
+  Alcotest.(check int) "and rows: 1 on + 2 off" 3 (Array.length r1.Rows.cubes)
 
 let test_rows_onset_first () =
   let cache = Rows.create () in
-  let rows = Rows.get cache tt_nand2 in
+  let rows = (Rows.find cache tt_nand2).Rows.cubes in
   let rec onset_prefix seen_off = function
     | [] -> true
     | (c : Cube.t) :: rest ->
@@ -352,10 +350,8 @@ let test_scope_confines_propagation () =
   N.add_po net left;
   N.add_po net right2;
   let engine = Engine.create ~config:Config.default net in
-  let mask = Array.make (N.num_nodes net) false in
-  mask.(a) <- true;
-  mask.(left) <- true;
-  Engine.set_scope engine (Some mask);
+  (* The scope {a, left} is the fanin cone of [left]. *)
+  Engine.set_scope_cones engine [ left ];
   Engine.set engine a true;
   (match Engine.propagate engine with
    | Engine.Fixpoint -> ()
@@ -366,7 +362,7 @@ let test_scope_confines_propagation () =
   Alcotest.(check bool) "out-of-scope gate untouched" true
     (Assignment.value asg right = Value.Unknown);
   (* Lifting the scope and re-seeding resumes propagation everywhere. *)
-  Engine.set_scope engine None;
+  Engine.clear_scope engine;
   Engine.set engine right false;
   ignore (Engine.propagate engine);
   Alcotest.(check bool) "propagates after unscoping" true
@@ -427,6 +423,137 @@ let prop_engine_forward_soundness =
                  | Some v -> if vals.(id) <> v then ok := false
                  | None -> ());
              !ok))
+
+(* ------------------------------------------------------------------ *)
+(* Row sets against the cube-by-cube definitions                       *)
+(* ------------------------------------------------------------------ *)
+
+let tt_parity n =
+  List.fold_left (fun acc i -> TT.xor acc (TT.var i n)) (TT.var 0 n)
+    (List.init (n - 1) (fun i -> i + 1))
+
+let test_rows_sets_xor7 () =
+  (* Parity has no don't-cares: one row per minterm, so 128 rows spill
+     over three 63-row words. *)
+  let table = Rows.find (Rows.create ()) (tt_parity 7) in
+  Alcotest.(check int) "rows" 128 (Array.length table.Rows.cubes);
+  Alcotest.(check int) "words" 3 table.Rows.words;
+  let bit set r =
+    table.Rows.sets.((set * table.Rows.words) + (r / Rows.bits_per_word))
+    land (1 lsl (r mod Rows.bits_per_word))
+    <> 0
+  in
+  Array.iteri
+    (fun r (c : Cube.t) ->
+      Alcotest.(check bool) "all rows" true (bit Rows.all_rows r);
+      Alcotest.(check bool) "on rows" c.Cube.out (bit Rows.on_rows r);
+      Array.iteri
+        (fun i l ->
+          Alcotest.(check bool) "T rows" (l = Cube.T) (bit (Rows.t_rows i) r);
+          Alcotest.(check bool) "F rows" (l = Cube.F) (bit (Rows.f_rows i) r))
+        c.Cube.lits)
+    table.Rows.cubes;
+  Alcotest.(check bool) "no row past the last" false (bit Rows.all_rows 128)
+
+(* Reference Def. 2.2 / Def. 4.1 on one gate, cube by cube: the values
+   of the output and of each fanin after one examination, or [None] on a
+   conflict. *)
+let reference_examine (cfg : Config.t) rows out ins =
+  let matching =
+    List.filter
+      (fun (c : Cube.t) ->
+        Value.compatible out (if c.Cube.out then Cube.T else Cube.F)
+        && Array.for_all2 Value.compatible ins c.Cube.lits)
+      (Array.to_list rows)
+  in
+  let agreed = function
+    | first :: rest when first <> Cube.DC && List.for_all (( = ) first) rest ->
+        Value.of_bool (first = Cube.T)
+    | _ -> Value.Unknown
+  in
+  let fill v implied = if Value.is_assigned v then v else implied in
+  if cfg.Config.direction = Config.Backward_only && out = Value.Unknown then
+    Some (out, ins)
+  else
+    match matching with
+    | [] -> None
+    | _ :: _ :: _ when cfg.Config.implication = Config.Simple -> Some (out, ins)
+    | _ ->
+        let lit (c : Cube.t) = if c.Cube.out then Cube.T else Cube.F in
+        Some
+          ( fill out (agreed (List.map lit matching)),
+            Array.mapi
+              (fun i v ->
+                fill v (agreed (List.map (fun (c : Cube.t) -> c.Cube.lits.(i)) matching)))
+              ins )
+
+let prop_row_sets_match_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"row sets agree with cube-by-cube matching and implication"
+       ~count:1000 ~print:string_of_int
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Rng.create seed in
+         let n = 1 + Rng.int rng 8 in
+         let f, n =
+           if Rng.int rng 4 = 0 then (tt_parity 7, 7) else (TT.random rng n, n)
+         in
+         let random_value () =
+           match Rng.int rng 3 with
+           | 0 -> Value.Unknown
+           | 1 -> Value.Zero
+           | _ -> Value.One
+         in
+         let net = N.create () in
+         let pis = Array.init n (fun _ -> N.add_pi net) in
+         let g = N.add_gate net f pis in
+         N.add_po net g;
+         let cfg =
+           {
+             Config.default with
+             Config.implication =
+               (if Rng.bool rng then Config.Advanced else Config.Simple);
+             direction =
+               (if Rng.int rng 4 = 0 then Config.Backward_only
+                else Config.Bidirectional);
+           }
+         in
+         let engine = Engine.create ~config:cfg net in
+         let ins = Array.init n (fun _ -> random_value ()) in
+         (* A gate is examined when one of its values arrives. *)
+         let out =
+           match random_value () with
+           | Value.Unknown when Array.for_all (( = ) Value.Unknown) ins ->
+               Value.of_bool (Rng.bool rng)
+           | v -> v
+         in
+         let seed_value id v =
+           Option.iter (Engine.set engine id) (Value.to_bool v)
+         in
+         Array.iteri (fun i v -> seed_value pis.(i) v) ins;
+         seed_value g out;
+         let rows = Engine.rows_of engine g in
+         let expected_matching =
+           List.filter
+             (fun (c : Cube.t) ->
+               Value.compatible out (if c.Cube.out then Cube.T else Cube.F)
+               && Array.for_all2 Value.compatible ins c.Cube.lits)
+             (Array.to_list rows)
+         in
+         let matching = Engine.matching_rows engine g in
+         let asg = Engine.assignment engine in
+         (* One gate over distinct PIs: examining it again after its own
+            implications finds the same matching rows, so the fixpoint is
+            the result of a single examination. *)
+         let actual =
+           match Engine.propagate engine with
+           | Engine.Conflict_at _ -> None
+           | Engine.Fixpoint ->
+               Some (Assignment.value asg g, Array.map (Assignment.value asg) pis)
+         in
+         matching = expected_matching
+         && actual = reference_examine cfg rows out ins))
 
 (* ------------------------------------------------------------------ *)
 (* Decision: Figure 4 heuristics                                       *)
@@ -689,6 +816,8 @@ let () =
         [
           Alcotest.test_case "cache sharing" `Quick test_rows_cache_sharing;
           Alcotest.test_case "onset first" `Quick test_rows_onset_first;
+          Alcotest.test_case "row sets (xor7)" `Quick test_rows_sets_xor7;
+          prop_row_sets_match_reference;
         ] );
       ( "engine-figure1",
         [
