@@ -695,11 +695,11 @@ module Serve_server = Simgen_serve.Server
 module Serve_protocol = Simgen_serve.Protocol
 module Fun_cache = Simgen_sweep.Fun_cache
 
-(* The daemon's value proposition is the cross-request function cache:
-   the SECOND submission of a workload should spend fewer SAT calls than
-   the first. Each bench contributes one sweep and one self-CEC job; the
-   whole list runs twice against one in-process server (cold, then warm)
-   plus once against a deliberately tiny cache to exercise eviction. *)
+(* Each bench contributes one sweep and one self-CEC job; the whole list
+   runs twice against one in-process server (cold, then warm). Only the
+   pattern cache carries state from the first pass to the second; the
+   cut-local check stores nothing, so its hit rate is the same in both.
+   Verdicts must agree between the passes. *)
 
 let serve_requests ~stacked benches =
   let s = if stacked then " stacked=true" else "" in
@@ -793,43 +793,18 @@ let serve_compare ~benches ~stacked ~out_file title =
      -> %.3f warm, verdicts %s\n"
     (sum cold_times) (sum warm_times) warm_speedup cold_rate warm_rate
     (if parity then "identical" else "DIFFER");
-  (* Rerun the same workload against an 8 KiB cache: the workload's
-     resident set is orders of magnitude larger, so LRU+cost eviction
-     must engage while every verdict stays intact. *)
-  let small = Fun_cache.create ~max_bytes:(8 * 1024) () in
-  let small_server =
-    Serve_server.create ~workers:1 ~fun_cache:small
-      ~pattern_cache:(Simgen_runner.Pattern_cache.create ())
-      ()
-  in
-  let evicted = serve_phase small_server reqs in
-  let se = Fun_cache.stats small in
-  let eviction_parity =
-    List.for_all2
-      (fun (_, _, st_c, _) (_, _, st_e, _) -> st_c = st_e)
-      cold evicted
-  in
-  Printf.printf
-    "eviction: 8 KiB bound -> %d evictions, %d entries / %d bytes resident, \
-     verdicts %s\n"
-    se.Fun_cache.evictions se.Fun_cache.entries se.Fun_cache.bytes
-    (if eviction_parity then "identical" else "DIFFER");
-  (* Service-level counters from the daemon's own stats response, plus
-     the cache's persistence counters: all zero in this in-process
-     harness (nothing queues or journals here) but printed so the table
-     matches what a socket deployment reports. *)
+  (* Service-level counters from the daemon's own stats response: all
+     zero in this in-process harness (nothing queues here) but printed so
+     the table matches what a socket deployment reports. *)
   (match Serve_server.handle server Serve_protocol.Stats with
    | Serve_protocol.Result fields ->
        let obj = Serve_protocol.Obj fields in
        let intf name =
          match Serve_protocol.int_member name obj with Some i -> i | None -> 0
        in
-       Printf.printf
-         "service: queue depth %d/%d, shed %d, deadline-expired %d, journal \
-          appends %d replayed %d, checkpoints %d\n"
+       Printf.printf "service: queue depth %d/%d, shed %d, deadline-expired %d\n"
          (intf "queue_depth") (intf "max_queue") (intf "shed")
-         (intf "deadline_expired") s2.Fun_cache.journal_appends
-         s2.Fun_cache.journal_replayed s2.Fun_cache.checkpoints
+         (intf "deadline_expired")
    | Serve_protocol.Failed _ | Serve_protocol.Event _
    | Serve_protocol.Overloaded _ -> ());
   (* Hand-rolled JSON, same convention as the other experiments. *)
@@ -852,22 +827,18 @@ let serve_compare ~benches ~stacked ~out_file title =
   in
   Buffer.add_string buf
     (Printf.sprintf
-       "],%s,%s,\"warm_speedup\":%.4f,\"fun_cache\":{\"consults\":%d,\"hits\":%d,\"local_proofs\":%d,\"local_cexes\":%d,\"pattern_hits\":%d,\"collisions\":%d,\"inserts\":%d,\"entries\":%d,\"bytes\":%d},\"eviction\":{\"max_bytes\":%d,\"evictions\":%d,\"entries\":%d,\"bytes\":%d,\"parity\":%b},\"parity\":%b}"
+       "],%s,%s,\"warm_speedup\":%.4f,\"fun_cache\":{\"consults\":%d,\"hits\":%d,\"local_proofs\":%d,\"local_cexes\":%d},\"parity\":%b}"
        (phase_json "cold" cold_rate cold_times)
        (phase_json "warm" warm_rate warm_times)
        warm_speedup s2.Fun_cache.consults s2.Fun_cache.hits
-       s2.Fun_cache.local_proofs s2.Fun_cache.local_cexes
-       s2.Fun_cache.pattern_hits s2.Fun_cache.collisions s2.Fun_cache.inserts
-       s2.Fun_cache.entries s2.Fun_cache.bytes (8 * 1024)
-       se.Fun_cache.evictions se.Fun_cache.entries se.Fun_cache.bytes
-       eviction_parity parity);
+       s2.Fun_cache.local_proofs s2.Fun_cache.local_cexes parity);
   let oc = open_out out_file in
   output_string oc (Buffer.contents buf);
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n" out_file;
-  if not (parity && eviction_parity) then begin
-    Printf.eprintf "serve: warm or evicted verdicts differ from cold\n";
+  if not parity then begin
+    Printf.eprintf "serve: warm verdicts differ from cold\n";
     exit 1
   end
 
@@ -1156,27 +1127,18 @@ let solver_audit () =
 module Fault = Simgen_fault.Fault
 module Serve_client = Simgen_serve.Client
 
-(* Two phases, recovery first because it forks (fork is only safe before
-   this process has spawned any domain, which is also why soak is not in
-   the default experiment list):
-
-   1. Recovery: fork a real journaled daemon on a Unix socket, push jobs
-      through it, SIGKILL it mid-life, then restore snapshot + journal
-      in-process and require warm hits from the replayed entries with
-      zero corrupt-entry acceptances. A torn final append is planted so
-      the truncation path always runs.
-   2. Burst: an in-process daemon on a real socket, driven by more
-      client domains than workers with conn-drop/slow-client/disk-full
-      faults and the concurrency sanitizer armed. Gates: completion
-      without deadlock, queue depth bounded by --max-queue, bounded RSS
-      growth, verdict parity with a fault-free baseline, tiny-deadline
-      jobs never answered with a normal verdict, zero race diagnostics. *)
+(* Burst: an in-process daemon on a real socket, driven by more client
+   domains than workers with conn-drop/slow-client faults and the
+   concurrency sanitizer armed. Gates: completion without deadlock, queue
+   depth bounded by --max-queue, bounded RSS growth, verdict parity with
+   a fault-free baseline, tiny-deadline jobs never answered with a normal
+   verdict, zero race diagnostics. *)
 
 let rm_f path = try Sys.remove path with Sys_error _ -> ()
 
-(* Soak scratch artifacts (sockets, snapshots, journals) live under the
-   system temp directory, never the working tree: a bench run must not
-   litter the repo root. The pid keeps concurrent runs apart. *)
+(* Soak sockets live under the system temp directory, never the working
+   tree: a bench run must not litter the repo root. The pid keeps
+   concurrent runs apart. *)
 let scratch_path name =
   Filename.concat
     (Filename.get_temp_dir_name ())
@@ -1227,108 +1189,8 @@ let await_daemon sock =
   in
   go 100
 
-let soak_recovery ~bench =
-  Printf.printf "--- phase 1: SIGKILL recovery through the journal ---\n%!";
-  let sock = scratch_path "soak.sock"
-  and snap = scratch_path "soak-cache.snap" in
-  let jpath = snap ^ ".journal" in
-  List.iter rm_f [ sock; snap; jpath ];
-  let jobs = [ bench; bench ^ " seed=2" ] in
-  match Unix.fork () with
-  | 0 ->
-      (* Child: a real journaled daemon. No checkpoint schedule fires
-         (huge thresholds), so every insertion lives only in the journal
-         — exactly what a SIGKILL is allowed to threaten. A rare torn
-         append is armed so mid-journal tears are also represented. *)
-      Fault.arm ~prob:0.02 ~seed "journal-torn-write";
-      let fc = Fun_cache.create () in
-      (match
-         Fun_cache.enable_journal fc ~snapshot:snap ~journal:jpath
-           ~checkpoint_entries:1_000_000 ~checkpoint_seconds:1e9 ()
-       with
-      | Ok () -> ()
-      | Error msg -> Printf.eprintf "soak daemon: %s\n%!" msg);
-      let server =
-        Serve_server.create ~workers:1 ~max_queue:8 ~fun_cache:fc
-          ~pattern_cache:(Simgen_runner.Pattern_cache.create ())
-          ~cache_save:snap ()
-      in
-      Serve_server.serve server ~socket:sock;
-      exit 0
-  | pid ->
-      if not (await_daemon sock) then begin
-        Printf.eprintf "soak: daemon did not come up\n";
-        Unix.kill pid Sys.sigkill;
-        ignore (Unix.waitpid [] pid);
-        exit 1
-      end;
-      let statuses =
-        List.map
-          (fun args ->
-            client_status
-              (Serve_client.call ~socket:sock
-                 (Serve_protocol.Job
-                    { cmd = "sweep"; args; deadline_ms = None })))
-          jobs
-      in
-      Unix.kill pid Sys.sigkill;
-      ignore (Unix.waitpid [] pid);
-      rm_f sock;
-      (* Plant a half-written final append — the bytes an interrupted
-         write(2) leaves — so recovery must truncate a torn tail. *)
-      (try
-         let oc =
-           open_out_gen [ Open_append; Open_creat ] 0o644 jpath
-         in
-         output_string oc "9999 0123456789abcd";
-         close_out oc
-       with Sys_error _ -> ());
-      let fc2 = Fun_cache.create () in
-      let loaded =
-        match Fun_cache.load fc2 snap with Ok n -> n | Error _ -> 0
-      in
-      let replayed, corrupt = Fun_cache.replay_journal fc2 jpath in
-      let s_restored = Fun_cache.stats fc2 in
-      (* Serve the same workload from the recovered cache and require
-         warm hits out of the replayed entries. *)
-      let server2 =
-        Serve_server.create ~workers:1 ~fun_cache:fc2
-          ~pattern_cache:(Simgen_runner.Pattern_cache.create ())
-          ()
-      in
-      let warm_statuses =
-        List.map
-          (fun args ->
-            frame_status
-              (Serve_server.handle server2
-                 (Serve_protocol.Job
-                    { cmd = "sweep"; args; deadline_ms = None })))
-          jobs
-      in
-      let s_after = Fun_cache.stats fc2 in
-      let warm_hits = s_after.Fun_cache.hits - s_restored.Fun_cache.hits in
-      let corrupt_accepted = s_after.Fun_cache.dropped in
-      let parity = statuses = warm_statuses in
-      Printf.printf
-        "pre-kill: %s | snapshot %d + journal %d entries restored (%d \
-         corrupt truncated) | warm: %s, %d hits, %d corrupt accepted\n"
-        (String.concat " " statuses) loaded replayed corrupt
-        (String.concat " " warm_statuses)
-        warm_hits corrupt_accepted;
-      let ok =
-        replayed > 0 && corrupt > 0 && warm_hits > 0 && corrupt_accepted = 0
-        && parity
-      in
-      if not ok then
-        Printf.eprintf
-          "soak recovery FAILED (replayed %d, corrupt %d, warm hits %d, \
-           corrupt accepted %d, parity %b)\n"
-          replayed corrupt warm_hits corrupt_accepted parity;
-      (ok, loaded, replayed, corrupt, warm_hits, corrupt_accepted)
-
 let soak_burst ~benches ~workers ~max_queue ~clients =
-  Printf.printf
-    "--- phase 2: burst at %dx worker capacity with faults armed ---\n%!"
+  Printf.printf "--- burst at %dx worker capacity with faults armed ---\n%!"
     (clients / workers);
   let module Shared = Simgen_base.Shared in
   let module Race_check = Simgen_check.Race_check in
@@ -1360,20 +1222,18 @@ let soak_burst ~benches ~workers ~max_queue ~clients =
             Some (label, frame_status (Serve_server.handle baseline_server req)))
       reqs
   in
-  let sock = scratch_path "soak-burst.sock"
-  and snap = scratch_path "soak-burst.snap" in
-  List.iter rm_f [ sock; snap ];
+  let sock = scratch_path "soak-burst.sock" in
+  rm_f sock;
   let rss_before = rss_kb () in
   Shared.reset_trace ();
   Shared.arm ();
   Fault.arm ~prob:0.01 ~seed "conn-drop";
   Fault.arm ~prob:0.02 ~seed "slow-client";
-  Fault.arm ~prob:1.0 ~seed "disk-full";
   let fun_cache = Fun_cache.create () in
   let server =
     Serve_server.create ~workers ~max_queue ~fun_cache
       ~pattern_cache:(Simgen_runner.Pattern_cache.create ())
-      ~cache_save:snap ()
+      ()
   in
   let server_domain =
     Shared.spawn ~loc:(Shared.here __POS__) (fun () ->
@@ -1523,13 +1383,10 @@ let soak_burst ~benches ~workers ~max_queue ~clients =
     List.length diags,
     rss_growth_kb )
 
-let soak_run ~bench ~burst_benches ~clients title =
+let soak_run ~burst_benches ~clients title =
   header title;
   let workers = 2 and max_queue = 4 in
-  let r_ok, loaded, replayed, corrupt, warm_hits, corrupt_accepted =
-    soak_recovery ~bench
-  in
-  let ( b_ok,
+  let ( ok,
         wall,
         max_depth,
         shed_answers,
@@ -1544,24 +1401,22 @@ let soak_run ~bench ~burst_benches ~clients title =
   in
   let oc = open_out "BENCH_SOAK.json" in
   Printf.fprintf oc
-    "{\"experiment\":\"soak\",\"seed\":%d,\"recovery\":{\"snapshot_entries\":%d,\"journal_replayed\":%d,\"journal_corrupt\":%d,\"warm_hits\":%d,\"corrupt_accepted\":%d,\"ok\":%b},\"burst\":{\"workers\":%d,\"max_queue\":%d,\"clients\":%d,\"wall_time\":%.3f,\"max_queue_depth\":%d,\"overloaded_answers\":%d,\"dropped_answers\":%d,\"parity_checked\":%d,\"parity_bad\":%d,\"shed\":%d,\"deadline_expired\":%d,\"race_diagnostics\":%d,\"rss_growth_kb\":%s,\"ok\":%b},\"ok\":%b}\n"
-    seed loaded replayed corrupt warm_hits corrupt_accepted r_ok workers
-    max_queue clients wall max_depth shed_answers dropped parity_checked
-    parity_bad shed deadline_expired races
+    "{\"experiment\":\"soak\",\"seed\":%d,\"burst\":{\"workers\":%d,\"max_queue\":%d,\"clients\":%d,\"wall_time\":%.3f,\"max_queue_depth\":%d,\"overloaded_answers\":%d,\"dropped_answers\":%d,\"parity_checked\":%d,\"parity_bad\":%d,\"shed\":%d,\"deadline_expired\":%d,\"race_diagnostics\":%d,\"rss_growth_kb\":%s,\"ok\":%b},\"ok\":%b}\n"
+    seed workers max_queue clients wall max_depth shed_answers dropped
+    parity_checked parity_bad shed deadline_expired races
     (match rss_growth_kb with Some kb -> string_of_int kb | None -> "null")
-    b_ok (r_ok && b_ok);
+    ok ok;
   close_out oc;
   Printf.printf "wrote BENCH_SOAK.json\n";
-  if not (r_ok && b_ok) then exit 1
+  if not ok then exit 1
 
 let soak () =
-  soak_run ~bench:"apex2" ~burst_benches:[ "apex2"; "square" ] ~clients:4
-    "Soak: SIGKILL recovery + burst overload with faults and sanitizer armed"
+  soak_run ~burst_benches:[ "apex2"; "square" ] ~clients:4
+    "Soak: burst overload with faults and sanitizer armed"
 
 let soak_smoke () =
-  soak_run ~bench:"apex2" ~burst_benches:[ "apex2" ] ~clients:4
-    "Soak (smoke): SIGKILL recovery + burst overload with faults and \
-     sanitizer armed"
+  soak_run ~burst_benches:[ "apex2" ] ~clients:4
+    "Soak (smoke): burst overload with faults and sanitizer armed"
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure           *)
@@ -1674,10 +1529,9 @@ let () =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names
     (* The smoke variant is a CI alias for sat-session; running both by
-       default would just overwrite the same JSON. race and solver-audit
-       are gated pass/fail checks (they can exit 1 on a noisy machine),
-       so they only run when requested explicitly; soak additionally forks, which is
-       only safe before any other experiment has spawned domains. *)
+       default would just overwrite the same JSON. race, solver-audit
+       and soak are gated pass/fail checks (they can exit 1 on a noisy
+       machine), so they only run when requested explicitly. *)
     | _ ->
         List.filter_map
           (fun (name, _) ->

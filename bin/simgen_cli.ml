@@ -673,47 +673,7 @@ let socket_arg =
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
 
 let serve_cmd =
-  let run socket workers max_queue cache_mb no_cache cache_load cache_save
-      journal checkpoint_every checkpoint_seconds telemetry tsan tsan_trace =
-    if cache_mb < 1 then begin
-      Printf.eprintf "--cache-mb must be at least 1\n";
-      exit 1
-    end;
-    let fun_cache =
-      if no_cache then None
-      else Some (Fun_cache.create ~max_bytes:(cache_mb * 1024 * 1024) ())
-    in
-    (match (fun_cache, cache_load) with
-     | Some fc, Some path -> (
-         match Fun_cache.load fc path with
-         | Ok n -> Printf.printf "fun-cache: restored %d entries from %s\n%!" n path
-         | Error msg -> Printf.eprintf "fun-cache: %s (starting cold)\n%!" msg)
-     | Some _, None | None, Some _ | None, None -> ());
-    (* Crash-safe persistence: with --cache-save, run journaled — replay
-       the previous process's journal over the restored snapshot (so a
-       SIGKILL lost at most the unsynced tail), then append insertions
-       and checkpoint on a size/time schedule. *)
-    (match (fun_cache, cache_save) with
-     | Some fc, Some snap -> (
-         let jpath =
-           match journal with Some p -> p | None -> snap ^ ".journal"
-         in
-         let replayed, corrupt = Fun_cache.replay_journal fc jpath in
-         if replayed > 0 || corrupt > 0 then
-           Printf.printf
-             "fun-cache: replayed %d journal entries from %s%s\n%!" replayed
-             jpath
-             (if corrupt > 0 then
-                Printf.sprintf " (%d corrupt lines truncated)" corrupt
-              else "");
-         match
-           Fun_cache.enable_journal fc ~snapshot:snap ~journal:jpath
-             ~checkpoint_entries:checkpoint_every ~checkpoint_seconds ()
-         with
-         | Ok () -> ()
-         | Error msg ->
-             Printf.eprintf "fun-cache: journal disabled: %s\n%!" msg)
-     | Some _, None | None, Some _ | None, None -> ());
+  let run socket workers max_queue telemetry tsan tsan_trace =
     let telemetry_oc = Option.map open_out telemetry in
     let events =
       match telemetry_oc with
@@ -722,8 +682,8 @@ let serve_cmd =
     in
     let pattern_cache = Runner.Pattern_cache.create () in
     let server =
-      Serve.Server.create ?workers ~max_queue ?fun_cache ~pattern_cache
-        ?cache_save ~telemetry:events ()
+      Serve.Server.create ?workers ~max_queue ~fun_cache:(Fun_cache.create ())
+        ~pattern_cache ~telemetry:events ()
     in
     Printf.printf "simgen daemon: listening on %s (pid %d)\n%!" socket
       (Unix.getpid ());
@@ -742,70 +702,6 @@ let serve_cmd =
           ~doc:
             "Worker domains executing jobs (default: the recommended \
              domain count minus one).")
-  in
-  let cache_mb =
-    Arg.(
-      value & opt int 64
-      & info [ "cache-mb" ] ~docv:"MB"
-          ~doc:
-            "Resident size bound of the cross-request NPN function cache; \
-             LRU+cost eviction keeps the estimate under it.")
-  in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:
-            "Disable the NPN function cache (verdicts are unchanged — the \
-             cache only skips SAT work — so this exists for parity checks \
-             and measurement).")
-  in
-  let cache_load =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-load" ] ~docv:"FILE"
-          ~doc:
-            "Warm-start the function cache from a snapshot; corrupted \
-             lines are dropped, a missing file starts cold.")
-  in
-  let cache_save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-save" ] ~docv:"FILE"
-          ~doc:
-            "Snapshot the function cache here on graceful shutdown, and \
-             run journaled persistence while serving: insertions are \
-             appended to a checksummed journal and checkpointed on a \
-             size/time schedule, so even SIGKILL loses at most the \
-             unsynced journal tail.")
-  in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "Journal path for crash-safe persistence (default: the \
-             --cache-save path with a .journal suffix; ignored without \
-             --cache-save). On startup a journal left by a crashed \
-             process is replayed over the snapshot; a torn tail is \
-             truncated with a warning, never a refused start.")
-  in
-  let checkpoint_every =
-    Arg.(
-      value & opt int 128
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:
-            "Checkpoint (atomic snapshot + journal truncation) after N \
-             journal appends.")
-  in
-  let checkpoint_seconds =
-    Arg.(
-      value & opt float 30.0
-      & info [ "checkpoint-seconds" ] ~docv:"S"
-          ~doc:"Also checkpoint when S seconds have passed since the last.")
   in
   let max_queue =
     Arg.(
@@ -830,15 +726,13 @@ let serve_cmd =
        ~doc:
          "Run the persistent sweep daemon: a Unix-domain-socket JSONL \
           service dispatching sweep/cec/certify/lint jobs onto a worker \
-          pool, with a cross-request NPN function cache shared by every \
-          request, bounded-queue admission control, per-request \
-          deadlines, and journaled crash-safe cache persistence. SIGTERM \
-          or a shutdown request drains in-flight jobs (the batch SIGINT \
-          path), flushes telemetry, checkpoints the cache, and exits 0.")
+          pool, with a cut-local truth-table check before every SAT query, \
+          bounded-queue admission control and per-request deadlines. \
+          SIGTERM or a shutdown request drains in-flight jobs (the batch \
+          SIGINT path), flushes telemetry, and exits 0.")
     Term.(
-      const run $ socket_arg $ workers $ max_queue $ cache_mb $ no_cache
-      $ cache_load $ cache_save $ journal $ checkpoint_every
-      $ checkpoint_seconds $ telemetry $ tsan_arg $ tsan_trace_arg)
+      const run $ socket_arg $ workers $ max_queue $ telemetry $ tsan_arg
+      $ tsan_trace_arg)
 
 let submit_cmd =
   let run socket cmd args deadline_ms timeout show_events =

@@ -26,14 +26,11 @@ let sites =
     "session-corrupt";
     "parse";
     "cache-poison";
-    "serve-cache-poison";
     "gen-giveup";
     "worker-crash";
     "worker-stall";
     "conn-drop";
-    "disk-full";
     "slow-client";
-    "journal-torn-write";
   ]
 
 let mutex = Shared.Mutex.create ~loc:(Shared.here __POS__) "fault.registry.lock"

@@ -24,17 +24,11 @@ exception Injected of string
 val sites : string list
 (** All registered site names, in ladder order:
     ["sat-budget"]; ["session-corrupt"]; ["parse"]; ["cache-poison"];
-    ["serve-cache-poison"]; ["gen-giveup"]; ["worker-crash"];
-    ["worker-stall"]; ["conn-drop"]; ["disk-full"]; ["slow-client"];
-    ["journal-torn-write"]. ["serve-cache-poison"] corrupts a
-    function-cache entry after its checksum was computed
-    ({!Simgen_sweep.Fun_cache}) — the next lookup must drop it. The last
-    four are service-level sites exercised by the soak harness:
-    ["conn-drop"] severs a daemon client connection mid-stream,
-    ["disk-full"] fails a cache snapshot write as ENOSPC would,
-    ["slow-client"] stalls a response write as a slow reader would, and
-    ["journal-torn-write"] truncates a cache-journal append mid-line as a
-    crash during [write(2)] would. *)
+    ["gen-giveup"]; ["worker-crash"]; ["worker-stall"]; ["conn-drop"];
+    ["slow-client"]. The last two are service-level sites exercised by
+    the soak harness: ["conn-drop"] severs a daemon client connection
+    mid-stream, and ["slow-client"] stalls a response write as a slow
+    reader would. *)
 
 val arm : ?times:int -> ?prob:float -> ?seed:int -> string -> unit
 (** [arm site] arms a site. [prob] (default [1.0]) is the chance each

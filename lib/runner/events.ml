@@ -39,15 +39,6 @@ type payload =
       hits : int;
       misses : int;
       local_proofs : int;
-      pattern_hits : int;
-      collisions : int;
-      evictions : int;
-      dropped : int;
-      entries : int;
-      bytes : int;
-      journal_appends : int;
-      journal_replayed : int;
-      checkpoints : int;
     }
   | Certificate of {
       queries : int;
@@ -187,16 +178,7 @@ let to_json { job; label; at; payload } =
        int_field "consults" s.consults;
        int_field "hits" s.hits;
        int_field "misses" s.misses;
-       int_field "local_proofs" s.local_proofs;
-       int_field "pattern_hits" s.pattern_hits;
-       int_field "collisions" s.collisions;
-       int_field "evictions" s.evictions;
-       int_field "dropped" s.dropped;
-       int_field "entries" s.entries;
-       int_field "bytes" s.bytes;
-       int_field "journal_appends" s.journal_appends;
-       int_field "journal_replayed" s.journal_replayed;
-       int_field "checkpoints" s.checkpoints
+       int_field "local_proofs" s.local_proofs
    | Certificate c ->
        int_field "queries" c.queries;
        int_field "proved" c.proved;

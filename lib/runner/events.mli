@@ -58,20 +58,9 @@ type payload =
       hits : int;
       misses : int;
       local_proofs : int;
-      pattern_hits : int;
-      collisions : int;
-      evictions : int;
-      dropped : int;
-      entries : int;
-      bytes : int;
-      journal_appends : int;
-      journal_replayed : int;
-      checkpoints : int;
     }
-      (** per-job delta of the cross-request NPN function cache
-          ({!Simgen_sweep.Fun_cache}), except [entries]/[bytes] and the
-          journal/checkpoint persistence counters, which are the cache's
-          resident totals at job finish; emitted only when a cache was
+      (** per-job counters of the cut-local check
+          ({!Simgen_sweep.Fun_cache}); emitted only when the check was
           attached to the job *)
   | Certificate of {
       queries : int;

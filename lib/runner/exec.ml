@@ -7,6 +7,7 @@ module Sweeper = Simgen_sweep.Sweeper
 module Cec = Simgen_sweep.Cec
 module Sat_session = Simgen_sweep.Sat_session
 module Sweep_options = Simgen_sweep.Sweep_options
+module Fun_cache = Simgen_sweep.Fun_cache
 module Solver = Simgen_sat.Solver
 module Strategy = Simgen_core.Strategy
 
@@ -50,9 +51,7 @@ let run ?cache ?fun_cache ?cancel ~events ~worker (spec : Job.spec) : Job.result
   let t0 = Timer.now () in
   let emit payload = Events.emit events ~job:spec.id ~label:spec.label payload in
   emit (Started { worker });
-  let fc_before =
-    Option.map Simgen_sweep.Fun_cache.stats fun_cache
-  in
+  let fc_before = Option.map Fun_cache.stats fun_cache in
   let cache_hits = ref 0 and cache_added = ref 0 in
   let po_calls = ref 0 in
   (* PO-phase solver-counter deltas, kept apart from the sweep's own
@@ -95,37 +94,18 @@ let run ?cache ?fun_cache ?cancel ~events ~worker (spec : Job.spec) : Job.result
             (List.rev d.Sweeper.quarantined);
           d.Sweeper.quarantined
     in
-    (* Function-cache telemetry: this job's consult/hit deltas plus the
-       cache's resident totals. The cache outlives the job (it is the
-       serving layer's cross-request asset), hence the delta. *)
+    (* Cut-check telemetry: this job's deltas. One check value serves
+       every job of a daemon, hence the delta. *)
     (match (fun_cache, fc_before) with
-     | Some fc, Some b ->
-         let s = Simgen_sweep.Fun_cache.stats fc in
+     | Some fc, Some (b : Fun_cache.stats) ->
+         let s = Fun_cache.stats fc in
          emit
            (Fun_cache_stats
               {
-                consults = s.Simgen_sweep.Fun_cache.consults - b.Simgen_sweep.Fun_cache.consults;
-                hits = s.Simgen_sweep.Fun_cache.hits - b.Simgen_sweep.Fun_cache.hits;
-                misses = s.Simgen_sweep.Fun_cache.misses - b.Simgen_sweep.Fun_cache.misses;
-                local_proofs =
-                  s.Simgen_sweep.Fun_cache.local_proofs
-                  - b.Simgen_sweep.Fun_cache.local_proofs;
-                pattern_hits =
-                  s.Simgen_sweep.Fun_cache.pattern_hits
-                  - b.Simgen_sweep.Fun_cache.pattern_hits;
-                collisions =
-                  s.Simgen_sweep.Fun_cache.collisions
-                  - b.Simgen_sweep.Fun_cache.collisions;
-                evictions =
-                  s.Simgen_sweep.Fun_cache.evictions
-                  - b.Simgen_sweep.Fun_cache.evictions;
-                dropped =
-                  s.Simgen_sweep.Fun_cache.dropped - b.Simgen_sweep.Fun_cache.dropped;
-                entries = s.Simgen_sweep.Fun_cache.entries;
-                bytes = s.Simgen_sweep.Fun_cache.bytes;
-                journal_appends = s.Simgen_sweep.Fun_cache.journal_appends;
-                journal_replayed = s.Simgen_sweep.Fun_cache.journal_replayed;
-                checkpoints = s.Simgen_sweep.Fun_cache.checkpoints;
+                consults = s.consults - b.consults;
+                hits = s.hits - b.hits;
+                misses = s.misses - b.misses;
+                local_proofs = s.local_proofs - b.local_proofs;
               })
      | _ -> ());
     let result =

@@ -11,8 +11,8 @@ val run :
   worker:int ->
   Job.spec ->
   Job.result
-(** [fun_cache] attaches the serving layer's cross-request NPN function
-    cache: {!Simgen_sweep.Sweeper.verify_pair} consults it before any
-    SAT query and populates it on every verdict, and a [fun-cache]
-    telemetry event with the job's hit/miss deltas is emitted at
-    finish. *)
+(** [fun_cache] turns on the cut-local check
+    ({!Simgen_sweep.Fun_cache}) that
+    {!Simgen_sweep.Sweeper.verify_pair} runs before any SAT query, and
+    emits a [fun-cache] telemetry event with the job's consult and hit
+    counts at finish. The serving layer passes it; batch runs do not. *)

@@ -17,7 +17,6 @@ type t = {
   max_queue : int;  (* admission bound on queued (not in-flight) jobs *)
   fun_cache : Fun_cache.t option;
   pattern_cache : Pattern_cache.t option;
-  cache_save : string option;
   telemetry : Events.sink;
   started : float;
   stop : bool Shared.Atomic.t;  (* drain flag: refuse new work *)
@@ -31,7 +30,7 @@ type t = {
       (* jobs whose deadline passed: shed before dispatch or cut short *)
 }
 
-let create ?workers ?(max_queue = 64) ?fun_cache ?pattern_cache ?cache_save
+let create ?workers ?(max_queue = 64) ?fun_cache ?pattern_cache
     ?(telemetry = Events.null) () =
   let workers =
     match workers with
@@ -43,7 +42,6 @@ let create ?workers ?(max_queue = 64) ?fun_cache ?pattern_cache ?cache_save
     max_queue = max 1 max_queue;
     fun_cache;
     pattern_cache;
-    cache_save;
     telemetry;
     started = Timer.now ();
     stop = Shared.Atomic.make ~loc:(Shared.here __POS__) "serve.stop" false;
@@ -69,15 +67,6 @@ let shutting_down t = Shared.Atomic.get t.stop
 let request_shutdown t =
   Shared.Atomic.silent_set t.stop true;
   Shared.Atomic.silent_set t.cancel true
-
-(* With a journal enabled, persistence goes through a checkpoint (atomic
-   snapshot + journal truncation) so the pair on disk stays consistent;
-   otherwise a plain (still atomic) snapshot. *)
-let snapshot t =
-  match (t.fun_cache, t.cache_save) with
-  | Some fc, _ when Fun_cache.journal_enabled fc -> Fun_cache.checkpoint fc
-  | Some fc, Some path -> Fun_cache.save fc path
-  | Some _, None | None, Some _ | None, None -> Ok ()
 
 (* Fold a wire deadline into a job spec: the job's effective budget
    deadline is the smaller of what the manifest args asked for and what
@@ -241,20 +230,8 @@ let stats_fields t =
                 ("consults", Int s.Fun_cache.consults);
                 ("hits", Int s.Fun_cache.hits);
                 ("misses", Int s.Fun_cache.misses);
-                ("unsupported", Int s.Fun_cache.unsupported);
                 ("local_proofs", Int s.Fun_cache.local_proofs);
                 ("local_cexes", Int s.Fun_cache.local_cexes);
-                ("pattern_hits", Int s.Fun_cache.pattern_hits);
-                ("collisions", Int s.Fun_cache.collisions);
-                ("inserts", Int s.Fun_cache.inserts);
-                ("evictions", Int s.Fun_cache.evictions);
-                ("dropped", Int s.Fun_cache.dropped);
-                ("entries", Int s.Fun_cache.entries);
-                ("bytes", Int s.Fun_cache.bytes);
-                ("journal_appends", Int s.Fun_cache.journal_appends);
-                ("journal_replayed", Int s.Fun_cache.journal_replayed);
-                ("journal_corrupt", Int s.Fun_cache.journal_corrupt);
-                ("checkpoints", Int s.Fun_cache.checkpoints);
               ] );
         ]
   in
@@ -275,10 +252,7 @@ let handle t ?on_event req =
     | Stats -> Result (stats_fields t)
     | Shutdown ->
         request_shutdown t;
-        let saved =
-          match snapshot t with Ok () -> true | Error _ -> false
-        in
-        Result [ ("status", String "shutting-down"); ("cache_saved", Bool saved) ]
+        Result [ ("status", String "shutting-down") ]
     | Lint { target } -> Result (lint_fields target)
     | Job { cmd; args; deadline_ms } ->
         if Shared.Atomic.get t.stop then Failed "server is shutting down"
@@ -582,5 +556,4 @@ let serve t ~socket =
   List.iter Shared.join domains;
   List.iter close_conn !conns;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ());
-  match snapshot t with Ok () -> () | Error _ -> ()
+  try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ()

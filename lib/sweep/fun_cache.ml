@@ -1,356 +1,34 @@
-(* Cross-request function cache keyed by NPN-canonical cone signatures.
-
-   Soundness does not rest on the store: Equal is only ever served when
-   the two cone functions agree pointwise over a shared cut computed
-   right now, and every counterexample is validated by direct cone
-   evaluation (or read off a differing minterm of an all-PI cut) before
-   it leaves. The store contributes pattern blocks, cost accounting and
-   advisory proof slices; a poisoned or colliding entry can cost a SAT
-   call, never a verdict. *)
+(* The cut-local check: the rung of [Sweeper.verify_pair] that runs
+   before any SAT query. It grows a small cut shared by the pair,
+   composes both cone functions over it and compares the tables. Nothing
+   is stored between consults; the only state is four counters. *)
 
 module N = Simgen_network.Network
 module TT = Simgen_network.Truth_table
-module Npn = Simgen_network.Npn
 module Rng = Simgen_base.Rng
-module Timer = Simgen_base.Timer
-module Fault = Simgen_fault.Fault
 module Shared = Simgen_base.Shared
 
-type entry = {
-  key_a : TT.t;  (* canonical signature pair, sorted *)
-  key_b : TT.t;
-  mutable proved : bool;  (* a SAT Equal was filed here (advisory) *)
-  mutable cost : int;  (* conflicts spent on the proof *)
-  mutable patterns : bool array list;  (* full PI vectors, newest first *)
-  mutable proof : int list list option;  (* trimmed DRUP slice *)
-  mutable sum : int;  (* FNV-1a over the serialised payload *)
-  mutable last_use : int;
-  mutable uses : int;
-  mutable bytes : int;
-}
-
-(* Append-only journal of verdict insertions between checkpoints. The
-   record itself is only reachable through the [journal] cell of a cache
-   and only touched with the cache mutex held (the same discipline as
-   [entry] fields), so plain mutable fields are safe. *)
-type journal = {
-  jpath : string;
-  snapshot_path : string;
-  checkpoint_entries : int;  (* appends between automatic checkpoints *)
-  checkpoint_seconds : float;  (* wall-clock between automatic checkpoints *)
-  mutable oc : out_channel;
-  mutable appends_since : int;
-  mutable last_checkpoint : float;
-}
+(* The cut width, i.e. the arity of the compared tables, and the number
+   of gate expansions spent growing one cut. *)
+let max_support = 8
+let max_interior = 48
 
 type t = {
-  max_bytes : int;
-  max_support : int;
-  max_interior : int;
-  patterns_per_entry : int;
-  table : (string, entry) Hashtbl.t;
-  mutex : Shared.Mutex.t;
-  (* counters, all guarded by [mutex]; declared as [Shared.Cell]s so the
-     race detector can prove that claim. Entry fields stay plain mutable:
-     entries are only reachable through [table], which is only touched
-     with the mutex held. *)
-  bytes : int Shared.Cell.t;
-  tick : int Shared.Cell.t;
-  consults : int Shared.Cell.t;
-  hits : int Shared.Cell.t;
-  misses : int Shared.Cell.t;
-  unsupported : int Shared.Cell.t;
-  local_proofs : int Shared.Cell.t;
-  local_cexes : int Shared.Cell.t;
-  pattern_hits : int Shared.Cell.t;
-  collisions : int Shared.Cell.t;
-  inserts : int Shared.Cell.t;
-  evictions : int Shared.Cell.t;
-  dropped : int Shared.Cell.t;
-  journal : journal option Shared.Cell.t;
-  journal_appends : int Shared.Cell.t;
-  journal_replayed : int Shared.Cell.t;
-  journal_corrupt : int Shared.Cell.t;
-  checkpoints : int Shared.Cell.t;
+  consults : int Shared.Atomic.t;
+  misses : int Shared.Atomic.t;
+  local_proofs : int Shared.Atomic.t;
+  local_cexes : int Shared.Atomic.t;
 }
 
-let create ?(max_bytes = 64 * 1024 * 1024) ?(max_support = 8)
-    ?(max_interior = 48) ?(patterns_per_entry = 8) () =
+let create () =
   let loc = Shared.here __POS__ in
-  let cell name v = Shared.Cell.make ~loc ("sweep.fun-cache." ^ name) v in
+  let counter name = Shared.Atomic.make ~loc ("sweep.fun-cache." ^ name) 0 in
   {
-    max_bytes = max max_bytes 4096;
-    max_support = min (max max_support 2) 12;
-    max_interior = max max_interior 4;
-    patterns_per_entry = max patterns_per_entry 1;
-    table = Hashtbl.create 1024;
-    mutex = Shared.Mutex.create ~loc "sweep.fun-cache.lock";
-    bytes = cell "bytes" 0;
-    tick = cell "tick" 0;
-    consults = cell "consults" 0;
-    hits = cell "hits" 0;
-    misses = cell "misses" 0;
-    unsupported = cell "unsupported" 0;
-    local_proofs = cell "local-proofs" 0;
-    local_cexes = cell "local-cexes" 0;
-    pattern_hits = cell "pattern-hits" 0;
-    collisions = cell "collisions" 0;
-    inserts = cell "inserts" 0;
-    evictions = cell "evictions" 0;
-    dropped = cell "dropped" 0;
-    journal = cell "journal" None;
-    journal_appends = cell "journal-appends" 0;
-    journal_replayed = cell "journal-replayed" 0;
-    journal_corrupt = cell "journal-corrupt" 0;
-    checkpoints = cell "checkpoints" 0;
+    consults = counter "consults";
+    misses = counter "misses";
+    local_proofs = counter "local-proofs";
+    local_cexes = counter "local-cexes";
   }
-
-let locked t f = Shared.Mutex.with_lock t.mutex f
-
-(* ---------------- checksums and serialisation ---------------- *)
-
-(* Same FNV-1a flavour as [Pattern_cache.checksum]: byte-folded with the
-   length mixed in at the end. *)
-let fnv s =
-  let h = ref 0x3bf29ce484222325 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x100000001b3)
-    s;
-  !h lxor String.length s
-
-let bits_of_vec v =
-  String.init (Array.length v) (fun i -> if v.(i) then '1' else '0')
-
-let vec_of_bits s = Array.init (String.length s) (fun i -> s.[i] = '1')
-
-(* The checksummed payload: every field that matters, one line, space
-   separated. Shared between the in-memory checksum and the snapshot
-   format so corruption is caught identically in both places. *)
-let payload e =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (string_of_int (TT.nvars e.key_a));
-  Buffer.add_char b ' ';
-  Buffer.add_string b (TT.to_string e.key_a);
-  Buffer.add_char b ' ';
-  Buffer.add_string b (TT.to_string e.key_b);
-  Buffer.add_char b ' ';
-  Buffer.add_string b (if e.proved then "1" else "0");
-  Buffer.add_char b ' ';
-  Buffer.add_string b (string_of_int e.cost);
-  Buffer.add_char b ' ';
-  Buffer.add_string b (string_of_int (List.length e.patterns));
-  List.iter
-    (fun p ->
-      Buffer.add_char b ' ';
-      Buffer.add_string b (bits_of_vec p))
-    e.patterns;
-  (match e.proof with
-   | None -> Buffer.add_string b " 0"
-   | Some clauses ->
-       Buffer.add_char b ' ';
-       Buffer.add_string b (string_of_int (List.length clauses));
-       List.iter
-         (fun c ->
-           Buffer.add_char b ' ';
-           Buffer.add_string b (string_of_int (List.length c));
-           List.iter
-             (fun l ->
-               Buffer.add_char b ' ';
-               Buffer.add_string b (string_of_int l))
-             c)
-         clauses);
-  Buffer.contents b
-
-let refresh e =
-  let p = payload e in
-  e.sum <- fnv p;
-  let old = e.bytes in
-  e.bytes <- String.length p + 64;
-  e.bytes - old
-
-let key_string ka kb = TT.to_string ka ^ "|" ^ TT.to_string kb
-
-(* ---------------- crash-safe snapshot writing ---------------- *)
-
-let magic = "simgen-fun-cache 1"
-let journal_magic = "simgen-fun-journal 1"
-
-(* One checksummed line per resident entry. Mutex held. *)
-let snapshot_lines t =
-  Hashtbl.fold
-    (fun _ e acc ->
-      let p = payload e in
-      Printf.sprintf "%s %d" p (fnv p) :: acc)
-    t.table []
-
-let remove_noerr path = try Sys.remove path with Sys_error _ -> ()
-
-(* Tmp file + fsync + atomic rename: a crash mid-write leaves either the
-   previous snapshot or the new one, never a truncated hybrid. The
-   [disk-full] fault fails the write the way ENOSPC would. *)
-let write_snapshot_file ~lines path =
-  if Fault.enabled () && Fault.fire "disk-full" then
-    Error (path ^ ": no space left on device (injected)")
-  else
-    let tmp = path ^ ".tmp" in
-    match open_out tmp with
-    | exception Sys_error msg -> Error msg
-    | oc -> (
-        match
-          output_string oc magic;
-          output_char oc '\n';
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            lines;
-          flush oc;
-          Unix.fsync (Unix.descr_of_out_channel oc)
-        with
-        | () -> (
-            close_out_noerr oc;
-            match Unix.rename tmp path with
-            | () -> Ok ()
-            | exception Unix.Unix_error (e, _, _) ->
-                remove_noerr tmp;
-                Error (path ^ ": " ^ Unix.error_message e))
-        | exception Sys_error msg ->
-            close_out_noerr oc;
-            remove_noerr tmp;
-            Error msg
-        | exception Unix.Unix_error (e, _, _) ->
-            close_out_noerr oc;
-            remove_noerr tmp;
-            Error (tmp ^ ": " ^ Unix.error_message e))
-
-(* Snapshot to the journal's snapshot path, then truncate the journal back
-   to its header: everything the journal covered is now durable in the
-   snapshot. A failed snapshot (disk full) leaves the journal intact — it
-   still covers every insertion since the last good snapshot — and the
-   next scheduled checkpoint retries. Mutex held. *)
-let checkpoint_locked t j =
-  j.appends_since <- 0;
-  j.last_checkpoint <- Timer.now ();
-  match write_snapshot_file ~lines:(snapshot_lines t) j.snapshot_path with
-  | Error _ as err -> err
-  | Ok () ->
-      (match
-         close_out_noerr j.oc;
-         let oc = open_out j.jpath in
-         j.oc <- oc;
-         output_string oc journal_magic;
-         output_char oc '\n';
-         flush oc
-       with
-      | () -> ()
-      | exception Sys_error _ -> ());
-      Shared.Cell.incr t.checkpoints;
-      Ok ()
-
-(* Append one entry's checksummed payload line to the journal, then
-   checkpoint if the size/time schedule says so. Journaling is best-effort
-   durability: a write failure degrades crash-safety, never the service.
-   The [journal-torn-write] fault leaves a prefix of the line, the way a
-   crash between [write(2)] and the next flush would. Mutex held. *)
-let journal_entry t e =
-  match Shared.Cell.get t.journal with
-  | None -> ()
-  | Some j ->
-      let p = payload e in
-      let line = Printf.sprintf "%s %d\n" p (fnv p) in
-      (try
-         if Fault.enabled () && Fault.fire "journal-torn-write" then
-           output_string j.oc (String.sub line 0 (String.length line / 2))
-         else output_string j.oc line;
-         flush j.oc;
-         Shared.Cell.incr t.journal_appends;
-         j.appends_since <- j.appends_since + 1
-       with Sys_error _ -> ());
-      if
-        j.appends_since >= j.checkpoint_entries
-        || Timer.now () -. j.last_checkpoint >= j.checkpoint_seconds
-      then ignore (checkpoint_locked t j)
-
-(* ---------------- eviction ---------------- *)
-
-(* LRU biased by proof cost: recency dominates, but an entry whose proof
-   burned many conflicts earns extra ticks of grace, as does one that
-   keeps serving. *)
-let score e = e.last_use + min (e.cost / 64) 4096 + min (e.uses * 8) 512
-
-let evict_until_fit t =
-  while Shared.Cell.get t.bytes > t.max_bytes && Hashtbl.length t.table > 0 do
-    let worst =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, best) when score best <= score e -> acc
-          | _ -> Some (k, e))
-        t.table None
-    in
-    match worst with
-    | None -> ()
-    | Some (k, e) ->
-        Hashtbl.remove t.table k;
-        Shared.Cell.add t.bytes (-e.bytes);
-        Shared.Cell.incr t.evictions
-  done
-
-(* ---------------- store access (mutex held) ---------------- *)
-
-(* Lookup with checksum validation: an entry whose payload no longer
-   matches its recorded FNV-1a sum (bit-rot, a poisoned write, a bad
-   snapshot) is dropped on the spot rather than consulted. *)
-let find_valid t key =
-  match Hashtbl.find_opt t.table key with
-  | None -> None
-  | Some e ->
-      if fnv (payload e) = e.sum then Some e
-      else begin
-        Hashtbl.remove t.table key;
-        Shared.Cell.add t.bytes (-e.bytes);
-        Shared.Cell.incr t.dropped;
-        None
-      end
-
-(* The poison fault corrupts an entry *after* its checksum was computed,
-   modelling a torn write or memory corruption in a long-lived daemon;
-   the next lookup must detect and drop it. *)
-let maybe_poison e =
-  if Fault.enabled () && Fault.fire "serve-cache-poison" then
-    match e.patterns with
-    | p :: _ when Array.length p > 0 -> p.(0) <- not p.(0)
-    | _ -> e.proved <- not e.proved
-
-let touch t e =
-  Shared.Cell.incr t.tick;
-  e.last_use <- Shared.Cell.get t.tick;
-  e.uses <- e.uses + 1
-
-let insert t key e =
-  Shared.Cell.incr t.tick;
-  e.last_use <- Shared.Cell.get t.tick;
-  ignore (refresh e);
-  (* journal before the poison probe: the journal line carries what the
-     checksum was computed over, so a poisoned resident entry is caught
-     on lookup while the durable copy stays valid *)
-  journal_entry t e;
-  maybe_poison e;
-  Hashtbl.replace t.table key e;
-  Shared.Cell.add t.bytes e.bytes;
-  Shared.Cell.incr t.inserts;
-  evict_until_fit t
-
-let update t e f =
-  f e;
-  Shared.Cell.add t.bytes (refresh e);
-  journal_entry t e;
-  maybe_poison e;
-  evict_until_fit t
-
-(* ---------------- shared-cut cone functions ---------------- *)
 
 module IS = Set.Make (Int)
 
@@ -362,7 +40,7 @@ let rec rep subst i = if subst.(i) = i then i else rep subst subst.(i)
    gates become interior; expansion stops when nothing fits or the
    interior budget is spent. The cut is exact when only PIs remain on
    the frontier. *)
-let shared_cut t ~subst net a b =
+let shared_cut ~subst net a b =
   let frontier = ref (IS.add a (IS.singleton b)) in
   let interior = ref IS.empty in
   let steps = ref 0 in
@@ -379,10 +57,10 @@ let shared_cut t ~subst net a b =
             IS.empty (N.fanins net id)
         in
         let size' = IS.cardinal !frontier - 1 + IS.cardinal fresh in
-        if size' <= t.max_support then Some fresh else None
+        if size' <= max_support then Some fresh else None
   in
   let continue = ref true in
-  while !continue && !steps < t.max_interior do
+  while !continue && !steps < max_interior do
     (* largest-id gate first: ids are topological, so this peels the
        pair's own logic before touching shared fanin structure *)
     let rec pick = function
@@ -432,25 +110,6 @@ let cut_functions ~subst net frontier interior a b =
     interior;
   (Hashtbl.find tts a, Hashtbl.find tts b, s)
 
-(* Scalar cone evaluation used to validate a replayed pattern against
-   the live network before serving it. *)
-let eval_pair ~subst net a b vec =
-  let memo = Hashtbl.create 64 in
-  let rec ev id =
-    let id = rep subst id in
-    match Hashtbl.find_opt memo id with
-    | Some v -> v
-    | None ->
-        let v =
-          match N.kind net id with
-          | N.Pi k -> vec.(k)
-          | N.Gate f -> TT.eval f (Array.map ev (N.fanins net id))
-        in
-        Hashtbl.replace memo id v;
-        v
-  in
-  (ev a, ev b)
-
 (* A full PI vector realising cut minterm [m]: the (all-PI) frontier
    pins its bits, every other input is randomised. *)
 let vector_of_minterm ~rng net frontier m =
@@ -471,400 +130,54 @@ let first_differing_minterm tt_a tt_b s =
   in
   go 0
 
-(* ---------------- the public protocol ---------------- *)
-
-type slot = { ka : TT.t; kb : TT.t }
-
-type outcome =
-  | Equal
-  | Counterexample of bool array
-  | Miss of slot
-  | Unsupported
-
-type verdict =
-  | Proved of { conflicts : int; proof : int list list option }
-  | Refuted of bool array
-
-let push_pattern t e vec =
-  e.patterns <-
-    vec
-    :: (if List.length e.patterns >= t.patterns_per_entry then
-          List.filteri (fun i _ -> i < t.patterns_per_entry - 1) e.patterns
-        else e.patterns)
-
-let fresh_entry ka kb =
-  {
-    key_a = ka;
-    key_b = kb;
-    proved = false;
-    cost = 0;
-    patterns = [];
-    proof = None;
-    sum = 0;
-    last_use = 0;
-    uses = 0;
-    bytes = 0;
-  }
+type outcome = Equal | Counterexample of bool array | Miss
 
 let consult t ?(serve_equal = true) ~rng ~subst net a b =
   let a = rep subst a and b = rep subst b in
-  (* cut growth and truth tables run outside the mutex: they read only
-     the (per-job) network and this sweeper's substitution *)
-  let frontier, interior, exact = shared_cut t ~subst net a b in
-  if List.length frontier > t.max_support then
-    locked t (fun () ->
-        Shared.Cell.incr t.consults;
-        Shared.Cell.incr t.unsupported;
-        Unsupported)
-  else begin
-    let tt_a, tt_b, s = cut_functions ~subst net frontier interior a b in
-    let ca = Npn.canonical_key tt_a and cb = Npn.canonical_key tt_b in
-    let ka, kb = if TT.compare ca cb <= 0 then (ca, cb) else (cb, ca) in
-    let slot = { ka; kb } in
-    let key = key_string ka kb in
-    if TT.equal tt_a tt_b then begin
-      (* Sound independently of the store: agreement over the free cut
-         variables implies agreement over every PI assignment. *)
-      locked t (fun () ->
-          Shared.Cell.incr t.consults;
-          (match find_valid t key with
-           | Some e -> touch t e
-           | None ->
-               let e = fresh_entry ka kb in
-               e.proved <- true;
-               insert t key e);
-          if serve_equal then begin
-            Shared.Cell.incr t.hits;
-            Shared.Cell.incr t.local_proofs;
-            Equal
-          end
-          else begin
-            (* certification: the SAT route must run so the merge can
-               cite a DRUP proof *)
-            Shared.Cell.incr t.misses;
-            Miss slot
-          end)
-    end
-    else if exact then begin
-      (* The cut is the pair's true PI support: a differing minterm is a
-         genuine counterexample. *)
-      match first_differing_minterm tt_a tt_b s with
-      | Some m ->
-          let vec = vector_of_minterm ~rng net frontier m in
-          locked t (fun () ->
-              Shared.Cell.incr t.consults;
-              Shared.Cell.incr t.hits;
-              Shared.Cell.incr t.local_cexes;
-              (match find_valid t key with
-               | Some e ->
-                   touch t e;
-                   update t e (fun e -> push_pattern t e vec)
-               | None ->
-                   let e = fresh_entry ka kb in
-                   e.patterns <- [ Array.copy vec ];
-                   insert t key e);
-              Counterexample vec)
-      | None ->
-          (* unequal tables must differ somewhere *)
-          assert false
+  Shared.Atomic.incr t.consults;
+  let frontier, interior, exact = shared_cut ~subst net a b in
+  let tt_a, tt_b, s = cut_functions ~subst net frontier interior a b in
+  if TT.equal tt_a tt_b then
+    (* agreement over the free cut variables implies agreement over every
+       PI assignment; under certification the SAT route must still run so
+       the merge can cite a DRUP proof *)
+    if serve_equal then begin
+      Shared.Atomic.incr t.local_proofs;
+      Equal
     end
     else begin
-      (* Inexact cut and the functions differ over it: the difference
-         may be unreachable, so only a validated stored pattern can be
-         served; otherwise SAT decides. *)
-      let npis = N.num_pis net in
-      let stored =
-        locked t (fun () ->
-            Shared.Cell.incr t.consults;
-            match find_valid t key with
-            | Some e ->
-                touch t e;
-                Some (List.filter (fun p -> Array.length p = npis) e.patterns)
-            | None -> None)
-      in
-      let validated =
-        match stored with
-        | None -> None
-        | Some patterns ->
-            List.find_opt
-              (fun p ->
-                let va, vb = eval_pair ~subst net a b p in
-                va <> vb)
-              patterns
-      in
-      match validated with
-      | Some vec ->
-          locked t (fun () ->
-              Shared.Cell.incr t.hits;
-              Shared.Cell.incr t.pattern_hits);
-          Counterexample (Array.copy vec)
-      | None ->
-          locked t (fun () ->
-              if stored <> None then Shared.Cell.incr t.collisions;
-              Shared.Cell.incr t.misses);
-          Miss slot
+      Shared.Atomic.incr t.misses;
+      Miss
     end
+  else if exact then
+    (* the cut is the pair's true PI support: a differing minterm is a
+       genuine counterexample *)
+    match first_differing_minterm tt_a tt_b s with
+    | Some m ->
+        Shared.Atomic.incr t.local_cexes;
+        Counterexample (vector_of_minterm ~rng net frontier m)
+    | None -> (* unequal tables must differ somewhere *) assert false
+  else begin
+    (* an inexact cut: the difference may be unreachable, so SAT decides *)
+    Shared.Atomic.incr t.misses;
+    Miss
   end
-
-let file_verdict t e verdict =
-  match verdict with
-  | Proved { conflicts; proof } ->
-      e.proved <- true;
-      e.cost <- max e.cost conflicts;
-      (match proof with Some _ -> e.proof <- proof | None -> ())
-  | Refuted vec -> push_pattern t e (Array.copy vec)
-
-let record t slot verdict =
-  let key = key_string slot.ka slot.kb in
-  locked t (fun () ->
-      match find_valid t key with
-      | Some e ->
-          touch t e;
-          update t e (fun e -> file_verdict t e verdict)
-      | None ->
-          let e = fresh_entry slot.ka slot.kb in
-          file_verdict t e verdict;
-          insert t key e)
 
 type stats = {
   consults : int;
   hits : int;
   misses : int;
-  unsupported : int;
   local_proofs : int;
   local_cexes : int;
-  pattern_hits : int;
-  collisions : int;
-  inserts : int;
-  evictions : int;
-  dropped : int;
-  entries : int;
-  bytes : int;
-  journal_appends : int;
-  journal_replayed : int;
-  journal_corrupt : int;
-  checkpoints : int;
 }
 
-let stats t =
-  locked t (fun () ->
-      {
-        consults = Shared.Cell.get t.consults;
-        hits = Shared.Cell.get t.hits;
-        misses = Shared.Cell.get t.misses;
-        unsupported = Shared.Cell.get t.unsupported;
-        local_proofs = Shared.Cell.get t.local_proofs;
-        local_cexes = Shared.Cell.get t.local_cexes;
-        pattern_hits = Shared.Cell.get t.pattern_hits;
-        collisions = Shared.Cell.get t.collisions;
-        inserts = Shared.Cell.get t.inserts;
-        evictions = Shared.Cell.get t.evictions;
-        dropped = Shared.Cell.get t.dropped;
-        entries = Hashtbl.length t.table;
-        bytes = Shared.Cell.get t.bytes;
-        journal_appends = Shared.Cell.get t.journal_appends;
-        journal_replayed = Shared.Cell.get t.journal_replayed;
-        journal_corrupt = Shared.Cell.get t.journal_corrupt;
-        checkpoints = Shared.Cell.get t.checkpoints;
-      })
-
-(* ---------------- snapshot / restore ---------------- *)
-
-let save t path =
-  let lines = locked t (fun () -> snapshot_lines t) in
-  write_snapshot_file ~lines path
-
-(* Parse one snapshot line back into an entry. The checksum is the last
-   field; it must match the FNV of everything before it. *)
-let entry_of_line line =
-  match String.rindex_opt line ' ' with
-  | None -> None
-  | Some i -> (
-      let p = String.sub line 0 i in
-      let sum = String.sub line (i + 1) (String.length line - i - 1) in
-      match int_of_string_opt sum with
-      | Some sum when fnv p = sum -> (
-          try
-            let fields =
-              String.split_on_char ' ' p |> List.filter (fun s -> s <> "")
-            in
-            match fields with
-            | _nvars :: sa :: sb :: proved :: cost :: npat :: rest ->
-                let ka = TT.of_string sa and kb = TT.of_string sb in
-                let npat = int_of_string npat in
-                let rec take n acc = function
-                  | rest when n = 0 -> (List.rev acc, rest)
-                  | x :: rest -> take (n - 1) (x :: acc) rest
-                  | [] -> failwith "short"
-                in
-                let pats, rest = take npat [] rest in
-                let proof, rest =
-                  match rest with
-                  | nclauses :: rest ->
-                      let n = int_of_string nclauses in
-                      if n = 0 then (None, rest)
-                      else
-                        let rec clauses n acc rest =
-                          if n = 0 then (List.rev acc, rest)
-                          else
-                            match rest with
-                            | len :: rest ->
-                                let lits, rest =
-                                  take (int_of_string len) [] rest
-                                in
-                                clauses (n - 1)
-                                  (List.map int_of_string lits :: acc)
-                                  rest
-                            | [] -> failwith "short"
-                        in
-                        let cs, rest = clauses n [] rest in
-                        (Some cs, rest)
-                  | [] -> failwith "short"
-                in
-                if rest <> [] then None
-                else
-                  let e = fresh_entry ka kb in
-                  e.proved <- proved = "1";
-                  e.cost <- int_of_string cost;
-                  e.patterns <- List.map vec_of_bits pats;
-                  e.proof <- proof;
-                  Some e
-            | _ -> None
-          with _ -> None)
-      | _ -> None)
-
-let load t path =
-  try
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let header = try input_line ic with End_of_file -> "" in
-        if header <> magic then
-          Error (Printf.sprintf "%s: not a fun-cache snapshot" path)
-        else begin
-          let restored = ref 0 in
-          (try
-             while true do
-               let line = input_line ic in
-               if String.trim line <> "" then
-                 locked t (fun () ->
-                     match entry_of_line line with
-                     | Some e ->
-                         let key = key_string e.key_a e.key_b in
-                         if not (Hashtbl.mem t.table key) then begin
-                           insert t key e;
-                           incr restored
-                         end
-                     | None -> Shared.Cell.incr t.dropped)
-             done
-           with End_of_file -> ());
-          Ok !restored
-        end)
-  with Sys_error msg -> Error msg
-
-(* ---------------- journal: replay, append, checkpoint ---------------- *)
-
-let truncate_noerr path len =
-  try Unix.truncate path len with Unix.Unix_error _ -> ()
-
-(* Journal lines are strictly newer than whatever a snapshot restored, so
-   a replayed entry replaces a resident one under the same key. Mutex
-   held. *)
-let replay_insert t e =
-  let key = key_string e.key_a e.key_b in
-  (match Hashtbl.find_opt t.table key with
-   | Some old ->
-       Hashtbl.remove t.table key;
-       Shared.Cell.add t.bytes (-old.bytes)
-   | None -> ());
-  insert t key e;
-  Shared.Cell.incr t.journal_replayed
-
-let replay_journal t path =
-  match open_in path with
-  | exception Sys_error _ -> (0, 0) (* no journal: a cold (or clean) start *)
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let header = try input_line ic with End_of_file -> "" in
-          if header <> journal_magic then begin
-            (* corrupt from byte 0 (or an empty torn file): drop the whole
-               journal rather than refuse to start *)
-            locked t (fun () -> Shared.Cell.incr t.journal_corrupt);
-            close_in_noerr ic;
-            truncate_noerr path 0;
-            (0, 1)
-          end
-          else begin
-            let valid_bytes = ref (String.length header + 1) in
-            let replayed = ref 0 and corrupt = ref 0 in
-            (try
-               while true do
-                 let line = input_line ic in
-                 match
-                   if String.trim line = "" then None else entry_of_line line
-                 with
-                 | Some e ->
-                     locked t (fun () -> replay_insert t e);
-                     incr replayed;
-                     valid_bytes := !valid_bytes + String.length line + 1
-                 | None ->
-                     (* A checksum mismatch marks the torn tail: everything
-                        from here on is untrusted. Truncate the file back to
-                        the last valid line and stop. *)
-                     incr corrupt;
-                     (try
-                        while true do
-                          ignore (input_line ic);
-                          incr corrupt
-                        done
-                      with End_of_file -> ());
-                     raise End_of_file
-               done
-             with End_of_file -> ());
-            if !corrupt > 0 then begin
-              locked t (fun () -> Shared.Cell.add t.journal_corrupt !corrupt);
-              close_in_noerr ic;
-              truncate_noerr path !valid_bytes
-            end;
-            (!replayed, !corrupt)
-          end)
-
-let journal_enabled t =
-  locked t (fun () -> Shared.Cell.get t.journal <> None)
-
-let enable_journal t ~snapshot ~journal:jpath ?(checkpoint_entries = 128)
-    ?(checkpoint_seconds = 30.0) () =
-  match open_out jpath with
-  | exception Sys_error msg -> Error msg
-  | oc ->
-      output_string oc journal_magic;
-      output_char oc '\n';
-      flush oc;
-      locked t (fun () ->
-          let j =
-            {
-              jpath;
-              snapshot_path = snapshot;
-              checkpoint_entries = max 1 checkpoint_entries;
-              checkpoint_seconds = Float.max 0.1 checkpoint_seconds;
-              oc;
-              appends_since = 0;
-              last_checkpoint = Timer.now ();
-            }
-          in
-          Shared.Cell.set t.journal (Some j);
-          (* Initial checkpoint: make everything restored so far (snapshot
-             plus replayed journal) durable in one place before appending.
-             A failure (e.g. disk full) is tolerated — the journal still
-             captures every insertion from here on. *)
-          ignore (checkpoint_locked t j);
-          Ok ())
-
-let checkpoint t =
-  locked t (fun () ->
-      match Shared.Cell.get t.journal with
-      | None -> Error "no journal enabled"
-      | Some j -> checkpoint_locked t j)
+let stats (t : t) =
+  let local_proofs = Shared.Atomic.get t.local_proofs
+  and local_cexes = Shared.Atomic.get t.local_cexes in
+  {
+    consults = Shared.Atomic.get t.consults;
+    hits = local_proofs + local_cexes;
+    misses = Shared.Atomic.get t.misses;
+    local_proofs;
+    local_cexes;
+  }

@@ -1,73 +1,34 @@
-(** Cross-request function cache keyed by NPN-canonical cone signatures.
+(** The cut-local check: the rung {!Sweeper.verify_pair} tries before
+    any SAT query.
 
-    The per-batch pattern cache ({!Simgen_runner.Pattern_cache}) shares
-    raw counter-example vectors between jobs with the same PI count; this
-    cache generalises it into a semantic, cross-request asset for the
-    serving layer ([lib/serve]): entries are keyed by the NPN-canonical
-    truth tables ({!Simgen_network.Npn}) of the two cone functions of a
-    candidate pair, computed over a small shared cut, and hold proved
-    equivalences, distinguishing pattern blocks, and trimmed DRUP proof
-    slices.
+    For one candidate pair it grows a small cut shared by both nodes (at
+    most 8 cut nodes, at most 48 gate expansions), composes both cone
+    functions over it as truth tables, and compares them. Nothing is
+    stored between consults, so a consult's answer depends only on the
+    live network and the sweeper's substitution:
 
-    {b Trust boundary — a hit can never change a verdict.} NPN keys
-    collide: two inequivalent pairs can canonicalise to the same
-    signature pair (e.g. [(x, x)] and [(x, not x)] — both sides of each
-    pair share one canonical form). The cache therefore never serves a
-    verdict on key equality alone; every answer is re-established
-    locally, in ways that are sound by construction:
+    - {b Equal} when the two tables are pointwise equal: agreement over
+      the free cut variables implies agreement over every input
+      assignment.
+    - {b Counterexample} when they differ over an {e exact} cut (one whose
+      nodes are all PIs): the first differing minterm, extended to a full
+      PI vector.
+    - {b Miss} otherwise (the tables differ over a cut with internal
+      nodes, where the difference may be unreachable): SAT decides.
 
-    - {b Equal} is served only when the two cone functions, computed
-      over the {e same} cut, are pointwise equal — agreement over the
-      free cut variables implies agreement over every reachable input
-      assignment, independently of anything stored.
-    - {b Counterexample} is served either from a differing minterm of an
-      exact (all-PI) cut, or by replaying a stored pattern block entry
-      that is first {e validated} by direct cone evaluation on the live
-      network. A stored vector that fails validation is ignored.
-    - Anything else is a {b miss}: the caller runs the SAT ladder and
-      {!record}s the verdict, so colliding-but-inequivalent pairs are
-      always separated by SAT, never by the cache.
-
-    Proved-equal facts from SAT are stored {e advisory-only} (statistics,
-    warm-start cost accounting, and their trimmed proof slices for
-    auditing); they are deliberately never served as verdicts because a
-    cut-level SAT proof can depend on the reachability of the specific
-    network it was posed in.
-
-    Entries carry an FNV-1a checksum validated on every lookup; a
-    corrupted entry (e.g. via the [serve-cache-poison] fault site) is
-    dropped — counted in [dropped] — rather than served. Eviction is
-    LRU biased by proof cost under a byte bound. The store is
-    mutex-protected and safe to share across runner Domains. *)
+    The module keeps its historical name because the serving layer and
+    its benchmark still construct it as [Fun_cache.create ()]. The
+    counters are atomics, so one value may be shared across runner
+    Domains. *)
 
 type t
 
-val create :
-  ?max_bytes:int ->
-  ?max_support:int ->
-  ?max_interior:int ->
-  ?patterns_per_entry:int ->
-  unit ->
-  t
-(** [max_bytes] bounds the resident size estimate (default 64 MiB);
-    [max_support] the shared-cut width, i.e. the arity of the cached
-    functions (default 8, capped at 12); [max_interior] the number of
-    gate expansions spent growing a cut (default 48);
-    [patterns_per_entry] the distinguishing vectors kept per entry
-    (default 8). *)
-
-type slot
-(** A prepared cache position for one consulted pair: carries the
-    canonical signature pair so {!record} can file the SAT verdict
-    without recomputing the cut. *)
+val create : unit -> t
 
 type outcome =
   | Equal  (** proven locally: both cones equal over the shared cut *)
-  | Counterexample of bool array
-      (** a validated full-PI distinguishing vector *)
-  | Miss of slot  (** no sound answer; run SAT, then {!record} *)
-  | Unsupported
-      (** the pair's shared cut exceeds [max_support]; not cacheable *)
+  | Counterexample of bool array  (** a full-PI distinguishing vector *)
+  | Miss  (** no sound local answer; run SAT *)
 
 val consult :
   t ->
@@ -78,93 +39,20 @@ val consult :
   Simgen_network.Network.node_id ->
   Simgen_network.Network.node_id ->
   outcome
-(** Consult the cache for one candidate pair (resolved through [subst]
-    like every miter). [serve_equal:false] (used under certification,
-    where every merge must cite a DRUP proof) makes a locally-proven
-    [Equal] come back as a [Miss] so the SAT route still runs and
-    records a proof; counterexamples are still served — a disproof
-    carries no certificate obligation. [rng] fills the PIs outside an
-    exact cut when materialising a counterexample. *)
-
-type verdict =
-  | Proved of { conflicts : int; proof : int list list option }
-      (** SAT said Equal; [proof] is a trimmed DRUP slice (learned
-          clauses only), advisory *)
-  | Refuted of bool array  (** SAT counterexample: a full PI vector *)
-
-val record : t -> slot -> verdict -> unit
-(** File a SAT verdict into the slot a {!Miss} returned. *)
+(** Check one candidate pair (resolved through [subst] like every
+    miter). [serve_equal:false] (used under certification, where every
+    merge must cite a DRUP proof) turns a locally proven [Equal] into a
+    [Miss], so the SAT route still runs and records a proof;
+    counterexamples are still served, since a disproof carries no
+    certificate obligation. [rng] fills the PIs outside an exact cut when
+    building a counterexample. *)
 
 type stats = {
   consults : int;
   hits : int;  (** consults answered without SAT *)
   misses : int;
-  unsupported : int;
   local_proofs : int;  (** Equal answers proven over the shared cut *)
   local_cexes : int;  (** counterexamples from exact-cut minterms *)
-  pattern_hits : int;  (** counterexamples replayed from stored blocks *)
-  collisions : int;
-      (** lookups that found an entry under the key but could not serve
-          anything from it — NPN signature collisions resolved by SAT *)
-  inserts : int;
-  evictions : int;
-  dropped : int;  (** entries discarded on checksum mismatch *)
-  entries : int;
-  bytes : int;  (** resident size estimate *)
-  journal_appends : int;  (** insertions appended to the live journal *)
-  journal_replayed : int;  (** entries restored by {!replay_journal} *)
-  journal_corrupt : int;
-      (** journal lines discarded as a torn/corrupt tail *)
-  checkpoints : int;  (** snapshot+truncate cycles completed *)
 }
 
 val stats : t -> stats
-
-val save : t -> string -> (unit, string) result
-(** Snapshot every entry to [path] (text, one checksummed line per
-    entry). The write is crash-safe: the snapshot is built in
-    [path ^ ".tmp"], fsynced, then atomically renamed over [path], so a
-    crash mid-save leaves the previous snapshot intact. *)
-
-val load : t -> string -> (int, string) result
-(** Restore entries from a snapshot into the cache, skipping (and
-    counting in [dropped]) every line whose checksum does not match.
-    Returns the number of entries restored. A missing file is an
-    [Error]. *)
-
-val replay_journal : t -> string -> int * int
-(** [replay_journal t path] restores verdict insertions from an
-    append-only journal written by a previous process (call it after
-    {!load}, before {!enable_journal}). Returns
-    [(replayed, corrupt)]: journal entries are newer than the snapshot,
-    so a valid line {e replaces} any resident entry under its key; the
-    first line whose checksum fails marks the torn tail — it and
-    everything after it are discarded, counted in [corrupt], and the
-    file is physically truncated back to the last valid line. A missing
-    file is a clean start, [(0, 0)]. Replay never refuses to start. *)
-
-val enable_journal :
-  t ->
-  snapshot:string ->
-  journal:string ->
-  ?checkpoint_entries:int ->
-  ?checkpoint_seconds:float ->
-  unit ->
-  (unit, string) result
-(** Switch the cache into journaled persistence: every subsequent
-    insertion is appended (checksummed, flushed) to [journal], and a
-    checkpoint — atomic snapshot to [snapshot], then journal truncation
-    — runs whenever [checkpoint_entries] appends (default 128) or
-    [checkpoint_seconds] (default 30.) have accumulated, and on
-    {!checkpoint}. After a [SIGKILL], at most the unsynced tail of the
-    journal is lost; {!load} + {!replay_journal} recover the rest. An
-    initial checkpoint makes everything already resident durable;
-    its failure (e.g. disk full) is tolerated — the journal still
-    captures insertions from then on. *)
-
-val checkpoint : t -> (unit, string) result
-(** Force a checkpoint now (snapshot + journal truncation). [Error] if
-    no journal is enabled or the snapshot write failed (in which case
-    the journal keeps accumulating — nothing is lost). *)
-
-val journal_enabled : t -> bool

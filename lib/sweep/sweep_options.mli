@@ -62,10 +62,10 @@ type t = {
   on_cex : (bool array -> unit) option;
       (** observer for every counter-example found *)
   fun_cache : Fun_cache.t option;
-      (** cross-request NPN function cache consulted by
-          {!Sweeper.verify_pair} before any SAT query and populated on
-          every SAT verdict (the serving layer's shared asset). [None]
-          (the default) disables consultation entirely. *)
+      (** the cut-local check {!Sweeper.verify_pair} runs before any
+          SAT query (see {!Fun_cache}); the serving layer sets it, the
+          one-shot [cec] and [batch] flows leave it unset. [None] (the
+          default) skips the check entirely *)
 }
 
 val default : t

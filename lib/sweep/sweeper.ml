@@ -566,27 +566,6 @@ let session_query ?max_conflicts t a b acc =
    | Sat_session.Counterexample _ | Sat_session.Unknown -> ());
   verdict
 
-(* Trimmed DRUP slice of the most recent Equal proof: learned clauses
-   only, capped so cache entries stay small. Advisory — a cut-level
-   proof is context-dependent; see {!Fun_cache}'s trust boundary. *)
-let proof_slice t =
-  match t.cert_queries with
-  | [] | Certificate.Rebuild :: _ | Certificate.Session { equal = false; _ } :: _
-    ->
-      None
-  | (Certificate.Session { events; equal = true; _ }
-    | Certificate.Fresh { events; _ })
-    :: _ ->
-      let clauses =
-        List.filter_map
-          (function
-            | Solver.Learn c -> Some (Array.to_list c)
-            | Solver.Delete _ -> None)
-          events
-      in
-      let total = List.fold_left (fun n c -> n + List.length c) 0 clauses in
-      if clauses = [] || total > 2048 then None else Some clauses
-
 (* Verify one candidate pair, degrading instead of hanging or dying:
      session query at the base conflict budget
      -> same query at 4x the budget, [escalations] times
@@ -606,12 +585,9 @@ let verify_pair (opts : Sweep_options.t) t a b =
   if a = b then (Sat_session.Equal, !acc)
   else begin
     let certify = t.certify || opts.Sweep_options.certify in
-    (* Consult the function cache before any SAT work. Equal answers are
-       proven locally over a shared cut (and withheld under certification,
-       where the merge must cite a DRUP proof); counterexamples are
-       validated full-PI vectors. A Miss leaves a slot the SAT verdict is
-       recorded into below. *)
-    let cache_slot = ref None in
+    (* The cut-local check runs before any SAT work. Equal is proven over
+       a shared cut (and withheld under certification, where the merge
+       must cite a DRUP proof); a counterexample comes from an exact cut. *)
     let served =
       match opts.Sweep_options.fun_cache with
       | None -> None
@@ -622,10 +598,7 @@ let verify_pair (opts : Sweep_options.t) t a b =
           with
           | Fun_cache.Equal -> Some Sat_session.Equal
           | Fun_cache.Counterexample vec -> Some (Sat_session.Counterexample vec)
-          | Fun_cache.Miss slot ->
-              cache_slot := Some (fc, slot);
-              None
-          | Fun_cache.Unsupported -> None)
+          | Fun_cache.Miss -> None)
     in
     match served with
     | Some v -> (v, !acc)
@@ -721,19 +694,6 @@ let verify_pair (opts : Sweep_options.t) t a b =
         fresh_query ~rung:0 ()
       else climb 0
     in
-    (* Populate the cache on every SAT verdict, attaching the trimmed
-       proof slice when one was recorded. *)
-    (match !cache_slot with
-     | None -> ()
-     | Some (fc, slot) -> (
-         match verdict with
-         | Sat_session.Equal ->
-             let proof = if certify then proof_slice t else None in
-             Fun_cache.record fc slot
-               (Fun_cache.Proved { conflicts = (!acc).Solver.conflicts; proof })
-         | Sat_session.Counterexample vec ->
-             Fun_cache.record fc slot (Fun_cache.Refuted vec)
-         | Sat_session.Unknown -> ()));
     (verdict, !acc)
   end
 

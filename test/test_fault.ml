@@ -51,14 +51,13 @@ let pair_net () =
 (* ------------------------------------------------------------------ *)
 
 let test_sites () =
-  Alcotest.(check int) "twelve sites" 12 (List.length Fault.sites);
+  Alcotest.(check int) "nine sites" 9 (List.length Fault.sites);
   List.iter
     (fun s ->
       Alcotest.(check bool) ("registered: " ^ s) true (List.mem s Fault.sites))
     [
-      "sat-budget"; "session-corrupt"; "parse"; "cache-poison";
-      "serve-cache-poison"; "gen-giveup"; "worker-crash"; "worker-stall";
-      "conn-drop"; "disk-full"; "slow-client"; "journal-torn-write";
+      "sat-budget"; "session-corrupt"; "parse"; "cache-poison"; "gen-giveup";
+      "worker-crash"; "worker-stall"; "conn-drop"; "slow-client";
     ]
 
 let test_disarmed_inert () =

@@ -1,10 +1,7 @@
-(* The serving layer: the JSONL protocol codec, the cross-request NPN
-   function cache (trust boundary: a hit can never change a verdict),
-   and the daemon's request handler exercised in-process.
-
-   The adversarial NPN-collision cases — equal canonical signatures over
-   inequivalent functions — live in test_npn.ml next to the
-   canonicalisation they attack. *)
+(* The serving layer: the JSONL protocol codec, the cut-local check the
+   daemon runs before every SAT query (it may answer Equal only for
+   equivalent pairs, and every counterexample it serves must distinguish
+   the pair), and the daemon's request handler exercised in-process. *)
 
 module N = Simgen_network.Network
 module TT = Simgen_network.Truth_table
@@ -38,10 +35,6 @@ let eval net vec id =
         v
   in
   ev id
-
-let with_faults f =
-  Fault.reset ();
-  Fun.protect ~finally:Fault.reset f
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -129,8 +122,10 @@ let test_frame_roundtrip () =
   check (Protocol.Overloaded { retry_after = 0.25 })
 
 (* ------------------------------------------------------------------ *)
-(* Function cache: serving rules                                       *)
+(* Cut-local check                                                     *)
 (* ------------------------------------------------------------------ *)
+
+let tt_xor2 = TT.xor (TT.var 0 2) (TT.var 1 2)
 
 (* x1 = and(a,b), x2 = and(b,a) (equal), y1 = or(a,b) (distinct). *)
 let pair_net () =
@@ -153,8 +148,7 @@ let test_local_proof () =
    | _ -> Alcotest.fail "equal cones must be served locally");
   let s = Fun_cache.stats fc in
   Alcotest.(check int) "hits" 1 s.Fun_cache.hits;
-  Alcotest.(check int) "local proofs" 1 s.Fun_cache.local_proofs;
-  Alcotest.(check int) "entries" 1 s.Fun_cache.entries
+  Alcotest.(check int) "local proofs" 1 s.Fun_cache.local_proofs
 
 let test_exact_cut_cex () =
   let fc = Fun_cache.create () in
@@ -175,337 +169,197 @@ let test_certify_never_serves_equal () =
   let net, x1, x2, _ = pair_net () in
   let rng = Rng.create 1 in
   let subst = identity_subst net in
-  let slot =
-    match Fun_cache.consult fc ~serve_equal:false ~rng ~subst net x1 x2 with
-    | Fun_cache.Miss slot -> slot
-    | _ -> Alcotest.fail "under certification Equal must come back as Miss"
-  in
-  Fun_cache.record fc slot
-    (Fun_cache.Proved { conflicts = 17; proof = Some [ [ 1; -2 ]; [ 2 ] ] });
-  (* outside certification the same pair is again proven locally *)
+  (match Fun_cache.consult fc ~serve_equal:false ~rng ~subst net x1 x2 with
+   | Fun_cache.Miss -> ()
+   | _ -> Alcotest.fail "under certification Equal must come back as Miss");
+  (* outside certification the same pair is proven locally *)
   (match Fun_cache.consult fc ~rng ~subst net x1 x2 with
    | Fun_cache.Equal -> ()
    | _ -> Alcotest.fail "local proof must still serve");
   let s = Fun_cache.stats fc in
-  Alcotest.(check int) "one miss, one hit" 1 s.Fun_cache.misses;
-  Alcotest.(check int) "hit" 1 s.Fun_cache.hits
+  Alcotest.(check int) "one miss" 1 s.Fun_cache.misses;
+  Alcotest.(check int) "one hit" 1 s.Fun_cache.hits
 
-(* An inexact cut: with max_support=2 the frontier stays {a, b} (both
-   gates), so nothing can be proven locally and only validated stored
-   patterns may be served. *)
-let inexact_net () =
+(* Node values of every node under one PI vector; ids are topological. *)
+let node_values net vec =
+  let v = Array.make (N.num_nodes net) false in
+  for id = 0 to N.num_nodes net - 1 do
+    v.(id) <-
+      (match N.kind net id with
+       | N.Pi k -> vec.(k)
+       | N.Gate f -> TT.eval f (Array.map (fun i -> v.(i)) (N.fanins net id)))
+  done;
+  v
+
+(* The oracle: [a] and [b] agree under every PI vector. *)
+let equivalent net a b =
+  let n = N.num_pis net in
+  let rec go m =
+    m >= 1 lsl n
+    ||
+    let v = node_values net (Array.init n (fun i -> (m lsr i) land 1 = 1)) in
+    v.(a) = v.(b) && go (m + 1)
+  in
+  go 0
+
+(* Two gates computing [f] and [g] over the same [n] PIs. *)
+let two_gate_net f g n =
   let net = N.create () in
-  let p0 = N.add_pi net in
-  let p1 = N.add_pi net in
-  let p2 = N.add_pi net in
-  let g = N.add_gate net tt_and2 [| p0; p1 |] in
-  let a = N.add_gate net tt_and2 [| g; p2 |] in
-  let b = N.add_gate net tt_or2 [| g; p2 |] in
+  let pis = Array.init n (fun _ -> N.add_pi net) in
+  let a = N.add_gate net f pis in
+  let b = N.add_gate net g pis in
   N.add_po net a;
   N.add_po net b;
   (net, a, b)
 
-let test_pattern_replay () =
-  let fc = Fun_cache.create ~max_support:2 () in
-  let net, a, b = inexact_net () in
-  let rng = Rng.create 1 in
-  let subst = identity_subst net in
-  let slot =
-    match Fun_cache.consult fc ~rng ~subst net a b with
-    | Fun_cache.Miss slot -> slot
-    | _ -> Alcotest.fail "inexact cut with no patterns must miss"
+(* [f] with its inputs permuted and negated and, at random, its output
+   negated: the variants an NPN-keyed store could not tell apart. *)
+let npn_variant rng f n =
+  let perm = Array.init n Fun.id in
+  Rng.shuffle rng perm;
+  let neg = Rng.int rng (1 lsl n) and out = Rng.bool rng in
+  let image m =
+    let y = ref 0 in
+    for i = 0 to n - 1 do
+      if ((m lxor neg) lsr i) land 1 = 1 then y := !y lor (1 lsl perm.(i))
+    done;
+    !y
   in
-  (* p0=1 p1=1 p2=0: g=1, a=0, b=1 — a genuine SAT counterexample *)
-  Fun_cache.record fc slot (Fun_cache.Refuted [| true; true; false |]);
-  (match Fun_cache.consult fc ~rng ~subst net a b with
-   | Fun_cache.Counterexample vec ->
-       Alcotest.(check bool) "distinguishes" true
-         (eval net vec a <> eval net vec b)
-   | _ -> Alcotest.fail "recorded pattern must replay");
-  let s = Fun_cache.stats fc in
-  Alcotest.(check int) "pattern hit" 1 s.Fun_cache.pattern_hits
+  TT.of_minterms n
+    (List.filter (fun m -> TT.get_bit f (image m) <> out) (List.init (1 lsl n) Fun.id))
 
-let test_invalid_pattern_not_served () =
-  let fc = Fun_cache.create ~max_support:2 () in
-  let net, a, b = inexact_net () in
-  let rng = Rng.create 1 in
-  let subst = identity_subst net in
-  let slot =
-    match Fun_cache.consult fc ~rng ~subst net a b with
-    | Fun_cache.Miss slot -> slot
-    | _ -> Alcotest.fail "expected a miss"
+let parity n =
+  List.fold_left
+    (fun acc i -> TT.xor acc (TT.var i n))
+    (TT.create_const n false) (List.init n Fun.id)
+
+(* Ten PIs. [h1] is the parity of p0..p8 as one 9-input gate, [h2] the
+   same parity (negated if [negate]) as xor(x1, x2) over a 5-input and a
+   4-input gate; a = h1 & p9 and b = h2 & p9. The cut grown from {a, b}
+   stops at {h1, x1, p5..p9}: expanding h1 or x1 would need more than 8
+   cut nodes. h1 and x1 stay free, so the tables of [a] and [b] over the
+   cut differ whether or not the pair is equivalent. *)
+let inexact_net ~negate =
+  let net = N.create () in
+  let p = Array.init 10 (fun _ -> N.add_pi net) in
+  let h1 = N.add_gate net (parity 9) (Array.sub p 0 9) in
+  let x1 = N.add_gate net (parity 5) (Array.sub p 0 5) in
+  let x2 = N.add_gate net (parity 4) (Array.sub p 5 4) in
+  let h2 =
+    N.add_gate net (if negate then TT.not_ tt_xor2 else tt_xor2) [| x1; x2 |]
   in
-  (* p0=p1=p2=0: a=0, b=0 — does NOT distinguish the pair. A colliding
-     entry could hold exactly this; validation must refuse to serve it. *)
-  Fun_cache.record fc slot (Fun_cache.Refuted [| false; false; false |]);
-  (match Fun_cache.consult fc ~rng ~subst net a b with
-   | Fun_cache.Miss _ -> ()
-   | Fun_cache.Counterexample _ ->
-       Alcotest.fail "a non-distinguishing stored vector was served"
-   | _ -> Alcotest.fail "expected a miss");
-  let s = Fun_cache.stats fc in
-  Alcotest.(check int) "counted as collision" 1 s.Fun_cache.collisions
+  let a = N.add_gate net tt_and2 [| h1; p.(9) |] in
+  let b = N.add_gate net tt_and2 [| h2; p.(9) |] in
+  N.add_po net a;
+  N.add_po net b;
+  (net, a, b)
 
-(* ------------------------------------------------------------------ *)
-(* Function cache: eviction, snapshots, poison                         *)
-(* ------------------------------------------------------------------ *)
+(* Pairs the check must not get wrong, each with its group and the answer
+   it must give: "counterexample" for inequivalent pairs over an exact
+   cut, "miss" over an inexact one. Whatever the answer, Equal is only
+   ever allowed for an equivalent pair and every counterexample must
+   distinguish the pair. Each group is one test case. *)
+let collision_cases () =
+  let rng = Rng.create 77 in
+  let x = TT.var 0 1 in
+  let xor2 = tt_xor2 in
+  let variants ~group ~count ~width =
+    List.filter_map
+      (fun _ ->
+        let n = width () in
+        let f = TT.random rng n in
+        let g = npn_variant rng f n in
+        if TT.equal f g then None
+        else Some (group, group, two_gate_net f g n, "counterexample"))
+      (List.init count Fun.id)
+  in
+  [
+    ("buf vs not", "buf vs buf", two_gate_net x x 1, "equal");
+    ("buf vs not", "buf vs not", two_gate_net x (TT.not_ x) 1, "counterexample");
+    ("xor vs xnor", "xor vs xnor", two_gate_net xor2 (TT.not_ xor2) 2,
+     "counterexample");
+    ("xor vs xnor", "xnor vs xor", two_gate_net (TT.not_ xor2) xor2 2,
+     "counterexample");
+    ("inexact cut", "equivalent", inexact_net ~negate:false, "miss");
+    ("inexact cut", "inequivalent", inexact_net ~negate:true, "miss");
+  ]
+  @ variants ~group:"negated/permuted" ~count:80
+      ~width:(fun () -> 1 + Rng.int rng 4)
+  @ variants ~group:"wide cones" ~count:120 ~width:(fun () -> 6)
 
-(* Fill a cache with entries for random 4-input function pairs. Exact
-   cuts make most consults insert a local-counterexample entry on their
-   own; a Miss (equal canonical keys colliding, or equal functions under
-   serve_equal:false) is filed as a SAT verdict. *)
-let fill_random fc ~pairs seed =
-  let rng = Rng.create seed in
-  for _ = 1 to pairs do
-    let net = N.create () in
-    let pis = Array.init 4 (fun _ -> N.add_pi net) in
-    let f = TT.random rng 4 and g = TT.random rng 4 in
-    let a = N.add_gate net f pis in
-    let b = N.add_gate net g pis in
-    N.add_po net a;
-    N.add_po net b;
-    let subst = identity_subst net in
-    match Fun_cache.consult fc ~rng ~subst net a b with
-    | Fun_cache.Miss slot ->
-        Fun_cache.record fc slot
-          (Fun_cache.Proved { conflicts = 100; proof = Some [ [ 1; 2; -3 ] ] })
-    | _ -> ()
-  done
-
-let test_eviction_under_bound () =
-  (* create clamps max_bytes up to 4096: a few dozen entries fit *)
-  let fc = Fun_cache.create ~max_bytes:1 () in
-  fill_random fc ~pairs:400 5;
-  let s = Fun_cache.stats fc in
-  Alcotest.(check bool) "evictions happened" true (s.Fun_cache.evictions > 0);
-  Alcotest.(check bool) "bound respected" true (s.Fun_cache.bytes <= 4096);
-  Alcotest.(check bool) "entries resident" true (s.Fun_cache.entries > 0);
-  Alcotest.(check int) "accounting" s.Fun_cache.entries
-    (s.Fun_cache.inserts - s.Fun_cache.evictions)
-
-let test_snapshot_roundtrip () =
-  let fc = Fun_cache.create ~max_support:2 () in
-  let net, a, b = inexact_net () in
-  let rng = Rng.create 1 in
-  let subst = identity_subst net in
-  (match Fun_cache.consult fc ~rng ~subst net a b with
-   | Fun_cache.Miss slot ->
-       Fun_cache.record fc slot (Fun_cache.Refuted [| true; true; false |])
-   | _ -> Alcotest.fail "expected a miss");
-  fill_random fc ~pairs:10 7;
-  let before = Fun_cache.stats fc in
-  let path = Filename.temp_file "simgen-fc" ".snap" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      (match Fun_cache.save fc path with
-       | Ok () -> ()
-       | Error msg -> Alcotest.failf "save: %s" msg);
-      let fc' = Fun_cache.create ~max_support:2 () in
-      (match Fun_cache.load fc' path with
-       | Ok n ->
-           Alcotest.(check int) "all entries restored"
-             before.Fun_cache.entries n
-       | Error msg -> Alcotest.failf "load: %s" msg);
-      let after = Fun_cache.stats fc' in
-      Alcotest.(check int) "entries" before.Fun_cache.entries
-        after.Fun_cache.entries;
-      (* the restored pattern block still replays — and still validates *)
-      match Fun_cache.consult fc' ~rng ~subst net a b with
-      | Fun_cache.Counterexample vec ->
-          Alcotest.(check bool) "distinguishes" true
-            (eval net vec a <> eval net vec b)
-      | _ -> Alcotest.fail "restored pattern must replay")
-
-let test_snapshot_corruption_dropped () =
+let test_collisions group ~min_cases () =
   let fc = Fun_cache.create () in
-  fill_random fc ~pairs:8 11;
-  Alcotest.(check bool) "filled some" true
-    ((Fun_cache.stats fc).Fun_cache.entries >= 4);
-  let path = Filename.temp_file "simgen-fc" ".snap" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      (match Fun_cache.save fc path with
-       | Ok () -> ()
-       | Error msg -> Alcotest.failf "save: %s" msg);
-      (* flip one payload character of the second entry line *)
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
-      let corrupted =
-        List.mapi
-          (fun i line ->
-            if i = 2 && String.length line > 3 then begin
-              let b = Bytes.of_string line in
-              Bytes.set b 2 (if Bytes.get b 2 = '1' then '0' else '1');
-              Bytes.to_string b
-            end
-            else line)
-          lines
+  let cases = List.filter (fun (g, _, _, _) -> g = group) (collision_cases ()) in
+  Alcotest.(check bool) "enough pairs" true (List.length cases >= min_cases);
+  List.iter
+    (fun (_, what, (net, a, b), expect) ->
+      let outcome =
+        Fun_cache.consult fc ~rng:(Rng.create 3) ~subst:(identity_subst net) net
+          a b
       in
-      let oc = open_out path in
-      List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        corrupted;
-      close_out oc;
-      let fc' = Fun_cache.create () in
-      let entries = (Fun_cache.stats fc).Fun_cache.entries in
-      match Fun_cache.load fc' path with
-      | Ok n ->
-          Alcotest.(check int) "one entry lost" (entries - 1) n;
-          Alcotest.(check int) "counted as dropped" 1
-            (Fun_cache.stats fc').Fun_cache.dropped
-      | Error msg -> Alcotest.failf "load: %s" msg)
+      let got =
+        match outcome with
+        | Fun_cache.Equal ->
+            if not (equivalent net a b) then
+              Alcotest.failf "%s: Equal served for an inequivalent pair" what;
+            "equal"
+        | Fun_cache.Counterexample vec ->
+            Alcotest.(check bool) (what ^ ": counterexample distinguishes") true
+              (eval net vec a <> eval net vec b);
+            "counterexample"
+        | Fun_cache.Miss -> "miss"
+      in
+      Alcotest.(check string) (what ^ ": answer") expect got)
+    cases
 
-let test_snapshot_bad_header () =
-  let path = Filename.temp_file "simgen-fc" ".snap" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "not a snapshot\n";
-      close_out oc;
-      let fc = Fun_cache.create () in
-      match Fun_cache.load fc path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "bad header accepted")
+let test_collision_inexact_cut () =
+  Alcotest.(check bool) "the inexact equivalent pair is equivalent" true
+    (let net, a, b = inexact_net ~negate:false in
+     equivalent net a b);
+  test_collisions "inexact cut" ~min_cases:2 ()
 
-(* ------------------------------------------------------------------ *)
-(* Function cache: crash-safe persistence                              *)
-(* ------------------------------------------------------------------ *)
+let random_net rng npis ngates =
+  let net = N.create () in
+  let ids = ref [] in
+  for _ = 1 to npis do
+    ids := N.add_pi net :: !ids
+  done;
+  for _ = 1 to ngates do
+    let pool = Array.of_list !ids in
+    let arity = 1 + Rng.int rng (min 4 (Array.length pool)) in
+    let fanins = Array.init arity (fun _ -> Rng.choose rng pool) in
+    ids := N.add_gate net (TT.random rng arity) fanins :: !ids
+  done;
+  net
 
-let rm_f path = if Sys.file_exists path then Sys.remove path
-
-(* A cache with a journal whose checkpoint thresholds are unreachable:
-   everything inserted after [enable_journal] lives only in the journal,
-   so replay is guaranteed to do real work. *)
-let with_journaled_cache f =
-  let snap = Filename.temp_file "simgen-fc" ".snap" in
-  let jpath = Filename.temp_file "simgen-fc" ".journal" in
-  Fun.protect
-    ~finally:(fun () -> List.iter rm_f [ snap; jpath ])
-    (fun () ->
-      let fc = Fun_cache.create () in
-      fill_random fc ~pairs:3 19;
-      (match
-         Fun_cache.enable_journal fc ~snapshot:snap ~journal:jpath
-           ~checkpoint_entries:1_000_000 ~checkpoint_seconds:1e9 ()
-       with
-       | Ok () -> ()
-       | Error msg -> Alcotest.failf "enable_journal: %s" msg);
-      Alcotest.(check bool) "journal enabled" true
-        (Fun_cache.journal_enabled fc);
-      fill_random fc ~pairs:8 23;
-      f ~snap ~jpath ~fc)
-
-let recover ~snap ~jpath =
-  let fc = Fun_cache.create () in
-  (match Fun_cache.load fc snap with
-   | Ok _ -> ()
-   | Error msg -> Alcotest.failf "load: %s" msg);
-  let replayed, corrupt = Fun_cache.replay_journal fc jpath in
-  (fc, replayed, corrupt)
-
-let test_journal_replay () =
-  with_journaled_cache (fun ~snap ~jpath ~fc ->
-      let s = Fun_cache.stats fc in
-      Alcotest.(check bool) "insertions journaled" true
-        (s.Fun_cache.journal_appends > 0);
-      let fc', replayed, corrupt = recover ~snap ~jpath in
-      Alcotest.(check bool) "journal replayed" true (replayed > 0);
-      Alcotest.(check int) "clean tail" 0 corrupt;
-      Alcotest.(check int) "entry parity" s.Fun_cache.entries
-        (Fun_cache.stats fc').Fun_cache.entries)
-
-let test_journal_torn_tail () =
-  with_journaled_cache (fun ~snap ~jpath ~fc ->
-      let live = (Fun_cache.stats fc).Fun_cache.entries in
-      (* a torn write: half an entry, no newline, as a SIGKILL mid-append
-         would leave behind *)
-      let oc = open_out_gen [ Open_append ] 0o644 jpath in
-      output_string oc "9999 0123456789abcd";
-      close_out oc;
-      let fc1, replayed, corrupt = recover ~snap ~jpath in
-      Alcotest.(check bool) "valid prefix replayed" true (replayed > 0);
-      Alcotest.(check bool) "torn tail detected" true (corrupt > 0);
-      Alcotest.(check int) "no torn entry admitted" live
-        (Fun_cache.stats fc1).Fun_cache.entries;
-      (* the bad tail was physically truncated: a second recovery over
-         the same file is clean and agrees *)
-      let fc2, replayed', corrupt' = recover ~snap ~jpath in
-      Alcotest.(check int) "tail truncated" 0 corrupt';
-      Alcotest.(check int) "same entries replayed" replayed replayed';
-      Alcotest.(check int) "stable entry count" live
-        (Fun_cache.stats fc2).Fun_cache.entries)
-
-let test_journal_checkpoint () =
-  with_journaled_cache (fun ~snap ~jpath ~fc ->
-      (match Fun_cache.checkpoint fc with
-       | Ok () -> ()
-       | Error msg -> Alcotest.failf "checkpoint: %s" msg);
-      Alcotest.(check bool) "checkpoint counted" true
-        ((Fun_cache.stats fc).Fun_cache.checkpoints > 0);
-      (* everything moved into the snapshot; the journal is empty *)
-      let fc', replayed, corrupt = recover ~snap ~jpath in
-      Alcotest.(check int) "journal truncated" 0 replayed;
-      Alcotest.(check int) "clean tail" 0 corrupt;
-      Alcotest.(check int) "entry parity" (Fun_cache.stats fc).Fun_cache.entries
-        (Fun_cache.stats fc').Fun_cache.entries)
-
-let test_atomic_save_disk_full () =
-  with_faults (fun () ->
-      let fc = Fun_cache.create () in
-      fill_random fc ~pairs:6 29;
-      let path = Filename.temp_file "simgen-fc" ".snap" in
-      Fun.protect
-        ~finally:(fun () -> List.iter rm_f [ path; path ^ ".tmp" ])
-        (fun () ->
-          (match Fun_cache.save fc path with
-           | Ok () -> ()
-           | Error msg -> Alcotest.failf "save: %s" msg);
-          let entries = (Fun_cache.stats fc).Fun_cache.entries in
-          (* grow the cache, then fail the re-save with a full disk *)
-          fill_random fc ~pairs:6 31;
-          Fault.arm ~times:1 "disk-full";
-          (match Fun_cache.save fc path with
-           | Error _ -> ()
-           | Ok () -> Alcotest.fail "injected disk-full must fail the save");
-          Alcotest.(check bool) "no tmp residue" false
-            (Sys.file_exists (path ^ ".tmp"));
-          (* the previous snapshot was never touched: it still loads whole *)
-          let fc' = Fun_cache.create () in
-          match Fun_cache.load fc' path with
-          | Ok n -> Alcotest.(check int) "old snapshot intact" entries n
-          | Error msg -> Alcotest.failf "load: %s" msg))
-
-let test_poison_dropped_never_served () =
-  with_faults (fun () ->
-      Fault.arm ~times:1 "serve-cache-poison";
-      let fc = Fun_cache.create () in
-      let net, x1, x2, _ = pair_net () in
-      let rng = Rng.create 1 in
-      let subst = identity_subst net in
-      (* first consult inserts an entry; the armed fault corrupts it
-         after its checksum was taken — the verdict is local and stays
-         correct regardless *)
-      (match Fun_cache.consult fc ~rng ~subst net x1 x2 with
-       | Fun_cache.Equal -> ()
-       | _ -> Alcotest.fail "poison must not change a verdict");
-      (* next lookup detects the corruption and drops the entry *)
-      (match Fun_cache.consult fc ~rng ~subst net x1 x2 with
-       | Fun_cache.Equal -> ()
-       | _ -> Alcotest.fail "poison must not change a verdict");
-      let s = Fun_cache.stats fc in
-      Alcotest.(check int) "poisoned entry dropped" 1 s.Fun_cache.dropped;
-      Alcotest.(check int) "reinserted" 2 s.Fun_cache.inserts)
+(* Random LUT networks of at most 8 PIs, one gate given a structural twin
+   so equivalent pairs occur: every Equal must be a true equivalence and
+   every counterexample must distinguish, by exhaustive evaluation. *)
+let prop_cut_check_sound =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"cut check agrees with exhaustive evaluation"
+       ~count:200 ~print:string_of_int
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Rng.create seed in
+         let npis = 1 + Rng.int rng 8 in
+         let net = random_net rng npis (2 + Rng.int rng 30) in
+         let g = N.num_pis net + Rng.int rng (N.num_nodes net - N.num_pis net) in
+         let twin = N.add_gate net (N.func net g) (N.fanins net g) in
+         let n = N.num_nodes net in
+         let pairs =
+           (g, twin) :: List.init 10 (fun _ -> (Rng.int rng n, Rng.int rng n))
+         in
+         let fc = Fun_cache.create () in
+         let subst = identity_subst net in
+         List.for_all
+           (fun (a, b) ->
+             match Fun_cache.consult fc ~rng ~subst net a b with
+             | Fun_cache.Equal -> equivalent net a b
+             | Fun_cache.Counterexample vec ->
+                 Array.length vec = npis && eval net vec a <> eval net vec b
+             | Fun_cache.Miss -> true)
+           pairs))
 
 (* ------------------------------------------------------------------ *)
 (* Server.handle: in-process daemon semantics                          *)
@@ -638,35 +492,24 @@ let test_handle_lint () =
       | _ -> Alcotest.fail "lint must answer with a result")
 
 let test_shutdown_drains () =
-  let dir = Filename.temp_file "simgen-fc" ".snap" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then Sys.remove dir)
-    (fun () ->
-      let fc = Fun_cache.create () in
-      fill_random fc ~pairs:5 3;
-      let server = Server.create ~workers:1 ~fun_cache:fc ~cache_save:dir () in
-      Alcotest.(check bool) "running" false (Server.shutting_down server);
-      Alcotest.(check string) "shutdown ack" "shutting-down"
-        (result_status (Server.handle server Protocol.Shutdown));
-      Alcotest.(check bool) "draining" true (Server.shutting_down server);
-      (* jobs are refused during the drain *)
-      (match
-         Server.handle server
-           (Protocol.Job { cmd = "sweep"; args = "x"; deadline_ms = None })
-       with
-       | Protocol.Failed _ -> ()
-       | _ -> Alcotest.fail "jobs must be refused while shutting down");
-      (* the cache was snapshotted *)
-      let fc' = Fun_cache.create () in
-      match Fun_cache.load fc' dir with
-      | Ok n ->
-          Alcotest.(check int) "snapshot complete"
-            (Fun_cache.stats fc).Fun_cache.entries n
-      | Error msg -> Alcotest.failf "snapshot: %s" msg)
+  let server = Server.create ~workers:1 ~fun_cache:(Fun_cache.create ()) () in
+  Alcotest.(check bool) "running" false (Server.shutting_down server);
+  Alcotest.(check string) "shutdown ack" "shutting-down"
+    (result_status (Server.handle server Protocol.Shutdown));
+  Alcotest.(check bool) "draining" true (Server.shutting_down server);
+  (* jobs are refused during the drain *)
+  match
+    Server.handle server
+      (Protocol.Job { cmd = "sweep"; args = "x"; deadline_ms = None })
+  with
+  | Protocol.Failed _ -> ()
+  | _ -> Alcotest.fail "jobs must be refused while shutting down"
 
 (* ------------------------------------------------------------------ *)
 (* Client hardening and the socket daemon under load                   *)
 (* ------------------------------------------------------------------ *)
+
+let rm_f path = if Sys.file_exists path then Sys.remove path
 
 let temp_socket () =
   let path = Filename.temp_file "simgen-serve" ".sock" in
@@ -751,26 +594,16 @@ let test_client_overload_retry () =
 (* The drain contract, end to end over a real socket: pin the single
    worker with a slow job, fill the queue past [max_queue], then request
    shutdown. Every admitted job must be answered (the overflow one with
-   [Overloaded], the expired one as shed), telemetry must survive, and
-   the snapshot+journal pair on disk must reload to the live cache. *)
+   [Overloaded], the expired one as shed), and telemetry must survive. *)
 let test_drain_under_load () =
   with_two_circuits (fun a _ ->
       let sock = temp_socket () in
-      let snap = Filename.temp_file "simgen-fc" ".snap" in
-      let jpath = snap ^ ".journal" in
       Fun.protect
-        ~finally:(fun () -> List.iter rm_f [ sock; snap; jpath ])
+        ~finally:(fun () -> rm_f sock)
         (fun () ->
-          let fc = Fun_cache.create () in
-          (match
-             Fun_cache.enable_journal fc ~snapshot:snap ~journal:jpath
-               ~checkpoint_entries:1_000_000 ~checkpoint_seconds:1e9 ()
-           with
-           | Ok () -> ()
-           | Error msg -> Alcotest.failf "enable_journal: %s" msg);
           let server =
-            Server.create ~workers:1 ~max_queue:4 ~fun_cache:fc
-              ~cache_save:snap ()
+            Server.create ~workers:1 ~max_queue:4
+              ~fun_cache:(Fun_cache.create ()) ()
           in
           let d = Shared.spawn (fun () -> Server.serve server ~socket:sock) in
           let rec await n =
@@ -864,14 +697,7 @@ let test_drain_under_load () =
                  (counter "deadline_expired" >= 1);
                Alcotest.(check int) "queue drained" 0 (counter "queue_depth")
            | Protocol.Failed _ | Protocol.Event _ | Protocol.Overloaded _ ->
-               Alcotest.fail "stats must answer");
-          (* the checkpoint left a snapshot+journal pair that reloads to
-             exactly the live resident set *)
-          let live = (Fun_cache.stats fc).Fun_cache.entries in
-          let fc', _replayed, corrupt = recover ~snap ~jpath in
-          Alcotest.(check int) "clean journal tail" 0 corrupt;
-          Alcotest.(check int) "recovered entry parity" live
-            (Fun_cache.stats fc').Fun_cache.entries))
+               Alcotest.fail "stats must answer")))
 
 let () =
   Alcotest.run "simgen-serve"
@@ -890,26 +716,19 @@ let () =
           Alcotest.test_case "exact-cut cex" `Quick test_exact_cut_cex;
           Alcotest.test_case "certify never serves equal" `Quick
             test_certify_never_serves_equal;
-          Alcotest.test_case "pattern replay" `Quick test_pattern_replay;
-          Alcotest.test_case "invalid pattern not served" `Quick
-            test_invalid_pattern_not_served;
-          Alcotest.test_case "eviction under bound" `Quick
-            test_eviction_under_bound;
-          Alcotest.test_case "snapshot roundtrip" `Quick
-            test_snapshot_roundtrip;
-          Alcotest.test_case "snapshot corruption dropped" `Quick
-            test_snapshot_corruption_dropped;
-          Alcotest.test_case "snapshot bad header" `Quick
-            test_snapshot_bad_header;
-          Alcotest.test_case "poison dropped, never served" `Quick
-            test_poison_dropped_never_served;
-          Alcotest.test_case "journal replay" `Quick test_journal_replay;
-          Alcotest.test_case "journal torn tail truncated" `Quick
-            test_journal_torn_tail;
-          Alcotest.test_case "journal checkpoint" `Quick
-            test_journal_checkpoint;
-          Alcotest.test_case "atomic save under disk-full" `Quick
-            test_atomic_save_disk_full;
+          prop_cut_check_sound;
+        ] );
+      ( "collisions",
+        [
+          Alcotest.test_case "buf vs not" `Quick
+            (test_collisions "buf vs not" ~min_cases:2);
+          Alcotest.test_case "xor vs xnor" `Quick
+            (test_collisions "xor vs xnor" ~min_cases:2);
+          Alcotest.test_case "negated/permuted" `Quick
+            (test_collisions "negated/permuted" ~min_cases:40);
+          Alcotest.test_case "wide cones" `Quick
+            (test_collisions "wide cones" ~min_cases:100);
+          Alcotest.test_case "inexact cut" `Quick test_collision_inexact_cut;
         ] );
       ( "server",
         [
@@ -921,8 +740,7 @@ let () =
           Alcotest.test_case "certify forced" `Quick test_handle_certify_forced;
           Alcotest.test_case "request errors" `Quick test_handle_errors;
           Alcotest.test_case "lint" `Quick test_handle_lint;
-          Alcotest.test_case "shutdown drains and snapshots" `Quick
-            test_shutdown_drains;
+          Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
         ] );
       ( "daemon",
         [
