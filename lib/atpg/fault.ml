@@ -37,30 +37,16 @@ let faulty_eval net fault vec =
 
 let detects net fault vec = N.eval_pos net vec <> faulty_eval net fault vec
 
-(* Word-parallel faulty simulation: evaluate each LUT by Shannon expansion
-   over the fanin words, forcing the fault site to its stuck constant. *)
+(* Word-parallel faulty simulation: the simulator's LUT kernel, with the
+   fault site forced to its stuck constant. *)
 let faulty_simulate_word net fault pi_words =
   let words = Array.make (N.num_nodes net) 0L in
-  let eval_lut f fanin_words =
-    let rec go f j =
-      match TT.is_const f with
-      | Some false -> 0L
-      | Some true -> -1L
-      | None ->
-          let w = fanin_words.(j) in
-          let hi = go (TT.cofactor f j true) (j - 1)
-          and lo = go (TT.cofactor f j false) (j - 1) in
-          Int64.logor (Int64.logand w hi)
-            (Int64.logand (Int64.lognot w) lo)
-    in
-    go f (Array.length fanin_words - 1)
-  in
+  let s = Simulator.scratch () in
   N.iter_nodes net (fun id ->
       let w =
         match N.kind net id with
         | N.Pi idx -> pi_words.(idx)
-        | N.Gate f ->
-            eval_lut f (Array.map (fun fi -> words.(fi)) (N.fanins net id))
+        | N.Gate f -> Simulator.eval_lut s f (N.fanins net id) words
       in
       words.(id) <- (if id = fault.node then (if fault.stuck then -1L else 0L) else w));
   words

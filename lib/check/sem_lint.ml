@@ -107,22 +107,6 @@ let encode_xor ctx y a b =
   addc ctx Sat.Literal.[ pos y; neg a; pos b ];
   addc ctx Sat.Literal.[ pos y; pos a; neg b ]
 
-(* --------------------- simulation signatures ---------------------- *)
-
-(* Word-evaluate a truth table over fanin words (Shannon expansion,
-   skipping don't-care inputs). *)
-let tt_word tt fanins =
-  let rec go tt v =
-    if v < 0 then match TT.is_const tt with Some true -> -1L | _ -> 0L
-    else if not (TT.depends_on tt v) then go tt (v - 1)
-    else
-      let w = fanins.(v) in
-      Int64.logor
-        (Int64.logand w (go (TT.cofactor tt v true) (v - 1)))
-        (Int64.logand (Int64.lognot w) (go (TT.cofactor tt v false) (v - 1)))
-  in
-  go tt (TT.nvars tt - 1)
-
 (* ------------------------------ run ------------------------------- *)
 
 let run ?(seed = 1) ?(budget = 2000) ?(bdd_nodes = 50_000) ?(rounds = 4) net
@@ -143,6 +127,7 @@ let run ?(seed = 1) ?(budget = 2000) ?(bdd_nodes = 50_000) ?(rounds = 4) net
         Simulator.simulate_word net (Simulator.random_word rng net))
   in
   let rounds = Array.length node_words in
+  let sim = Simulator.scratch () in
   let signature id = Array.init rounds (fun r -> node_words.(r).(id)) in
   let sig_const b id =
     let w = if b then -1L else 0L in
@@ -218,8 +203,8 @@ let run ?(seed = 1) ?(budget = 2000) ?(bdd_nodes = 50_000) ?(rounds = 4) net
               let sim_differs =
                 Array.exists
                   (fun nw ->
-                    let fws = Array.map (fun f -> nw.(f)) fanins in
-                    tt_word c0 fws <> tt_word c1 fws)
+                    Simulator.eval_lut sim c0 fanins nw
+                    <> Simulator.eval_lut sim c1 fanins nw)
                   node_words
               in
               if not sim_differs then begin
@@ -372,8 +357,8 @@ let run ?(seed = 1) ?(budget = 2000) ?(bdd_nodes = 50_000) ?(rounds = 4) net
                 for id = g + 1 to nn - 1 do
                   if tfo.(id) then
                     flipped.(id) <-
-                      tt_word (N.func net id)
-                        (Array.map (fun f -> flipped.(f)) (N.fanins net id))
+                      Simulator.eval_lut sim (N.func net id) (N.fanins net id)
+                        flipped
                 done;
                 Array.exists (fun p -> flipped.(p) <> nw.(p)) pos)
               node_words

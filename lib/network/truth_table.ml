@@ -8,7 +8,7 @@ let nvars t = t.nvars
 let nbits n = 1 lsl n
 let nwords n = if n <= 6 then 1 else 1 lsl (n - 6)
 
-let last_mask n =
+let[@inline] last_mask n =
   if n >= 6 then -1L else Int64.sub (Int64.shift_left 1L (nbits n)) 1L
 
 let normalize t =
@@ -87,12 +87,17 @@ let hash t =
       (acc * 1000003) lxor Int64.to_int w lxor (Int64.to_int (Int64.shift_right_logical w 32)))
     t.nvars t.words
 
+let word t i = t.words.(i)
+
+let rec all_equal words w i =
+  i < 0 || (Int64.equal words.(i) w && all_equal words w (i - 1))
+
 let is_const t =
-  let all_zero = Array.for_all (fun w -> w = 0L) t.words in
-  if all_zero then Some false
-  else
-    let ones = create_const t.nvars true in
-    if t.words = ones.words then Some true else None
+  let w0 = t.words.(0) in
+  if not (all_equal t.words w0 (Array.length t.words - 1)) then None
+  else if Int64.equal w0 0L then Some false
+  else if Int64.equal w0 (last_mask t.nvars) then Some true
+  else None
 
 let cofactor t i b =
   if i < 0 || i >= t.nvars then invalid_arg "Truth_table.cofactor";

@@ -41,6 +41,12 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
+val word : t -> int -> int64
+(** [word t w] is word [w] of the table, without copying: bit [b] is the
+    output on minterm [64 w + b]. A table over [n] variables has
+    [2^(n-6)] words when [n > 6] and one otherwise, whose bits from [2^n]
+    up are zero. *)
+
 val is_const : t -> bool option
 (** [Some b] if the table is the constant [b], else [None]. *)
 

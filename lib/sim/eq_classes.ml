@@ -3,25 +3,21 @@ module N = Simgen_network.Network
 type t = {
   net : N.t;
   mutable groups : int list list;  (* classes of size >= 2, members sorted *)
-  (* node id -> its current class; absent for singletons and PIs. Rebuilt
-     on every refinement so [class_of] is a lookup, not a scan — the
+  (* node id -> its class, [] for singletons and PIs. Only the members of
+     a class that splits are re-indexed, so [class_of] is one lookup — the
      sweeper's worklist consults it once per SAT call. *)
-  by_node : (int, int list) Hashtbl.t;
+  by_node : int list array;
 }
 
-let reindex t =
-  Hashtbl.reset t.by_node;
-  List.iter
-    (fun group -> List.iter (fun id -> Hashtbl.replace t.by_node id group) group)
-    t.groups
+let index t group = List.iter (fun id -> t.by_node.(id) <- group) group
 
 let create net =
   let gates = ref [] in
   N.iter_gates net (fun id -> gates := id :: !gates);
   let members = List.rev !gates in
   let groups = if List.length members >= 2 then [ members ] else [] in
-  let t = { net; groups; by_node = Hashtbl.create 256 } in
-  reindex t;
+  let t = { net; groups; by_node = Array.make (N.num_nodes net) [] } in
+  List.iter (index t) groups;
   t
 
 let split_group key group =
@@ -39,18 +35,36 @@ let split_group key group =
       | ms -> List.rev ms :: acc)
     tbl []
 
-let refine_with_key t key =
-  t.groups <-
-    List.concat_map (split_group key) t.groups
-    |> List.sort (fun a b ->
-           match (a, b) with
-           | x :: _, y :: _ -> compare x y
-           | _ -> assert false);
-  reindex t
+let rec agree same r = function
+  | [] -> true
+  | id :: rest -> same r id && agree same r rest
 
-let refine_word t words = refine_with_key t (fun id -> words.(id))
+let uniform same = function [] -> true | r :: rest -> agree same r rest
 
-let refine_vector t values = refine_with_key t (fun id -> values.(id))
+(* A class whose members agree on the new [values] is kept as it is; the
+   list is rebuilt and re-sorted only when some class splits. *)
+let refine_with t equal values =
+  let same a b = equal values.(a) values.(b) in
+  if not (List.for_all (uniform same) t.groups) then
+    t.groups <-
+      List.concat_map
+        (fun group ->
+          if uniform same group then [ group ]
+          else begin
+            List.iter (fun id -> t.by_node.(id) <- []) group;
+            let parts = split_group (fun id -> values.(id)) group in
+            List.iter (index t) parts;
+            parts
+          end)
+        t.groups
+      |> List.sort (fun a b ->
+             match (a, b) with
+             | x :: _, y :: _ -> compare x y
+             | _ -> assert false)
+
+let refine_word t words = refine_with t Int64.equal words
+
+let refine_vector t values = refine_with t Bool.equal values
 
 let classes t = t.groups
 
@@ -59,8 +73,6 @@ let num_classes t = List.length t.groups
 let cost t =
   List.fold_left (fun acc g -> acc + List.length g - 1) 0 t.groups
 
-let class_of t id =
-  Option.value ~default:[] (Hashtbl.find_opt t.by_node id)
+let class_of t id = t.by_node.(id)
 
-let copy t =
-  { net = t.net; groups = t.groups; by_node = Hashtbl.copy t.by_node }
+let copy t = { t with by_node = Array.copy t.by_node }

@@ -3,7 +3,11 @@
     Nodes whose outputs agree on every simulated vector so far share a
     class. Classes only ever split as more vectors arrive (refinement).
     The candidate set is the network's gates (LUTs) — the paper separates
-    "LUTs from the same equivalence class". *)
+    "LUTs from the same equivalence class".
+
+    Refinement works in place: a class whose members all agree on the new
+    values is kept as it is, only the members of a class that splits are
+    re-indexed, and the class list is re-sorted only when one split. *)
 
 type t
 
@@ -32,6 +36,7 @@ val cost : t -> int
 
 val class_of : t -> Simgen_network.Network.node_id -> Simgen_network.Network.node_id list
 (** The class containing a node ([] if the node is a singleton/PI).
-    Constant-time lookup against an index maintained across refinements. *)
+    Constant-time lookup: a per-node index kept up to date by each
+    refinement. *)
 
 val copy : t -> t

@@ -82,6 +82,38 @@ let test_detects_word_matches_scalar () =
       faults
   done
 
+let test_detects_word_wide_gates () =
+  (* Same check in all 64 lanes, on networks of 6- and 7-input gates:
+     the single-word kernel at full width and the mux tree across table
+     words, both with the fault site forced. *)
+  let rng = Rng.create 47 in
+  for _ = 1 to 6 do
+    let net = N.create () in
+    let ids = ref (List.init 8 (fun _ -> N.add_pi net)) in
+    for _ = 1 to 12 do
+      let pool = Array.of_list !ids in
+      let arity = 6 + Rng.int rng 2 in
+      let fanins = Array.init arity (fun _ -> Rng.choose rng pool) in
+      ids := N.add_gate net (TT.random rng arity) fanins :: !ids
+    done;
+    List.iteri (fun i id -> if i < 3 then N.add_po net id) !ids;
+    let pi_words = Simulator.random_word rng net in
+    List.iter
+      (fun fault ->
+        let word = Fault.detects_word net fault pi_words in
+        for lane = 0 to 63 do
+          let vec =
+            Array.init 8 (fun k ->
+                Int64.logand (Int64.shift_right_logical pi_words.(k) lane) 1L
+                = 1L)
+          in
+          Alcotest.(check bool) "wide word lane = scalar"
+            (Fault.detects net fault vec)
+            (Int64.logand (Int64.shift_right_logical word lane) 1L = 1L)
+        done)
+      (Fault.all_gate_faults net)
+  done
+
 let test_masked_fault_undetectable () =
   (* g = x OR (NOT x) is constant 1; a SA1 on it changes nothing. *)
   let net = N.create () in
@@ -170,6 +202,8 @@ let () =
           Alcotest.test_case "and gate" `Quick test_detects_and_gate;
           Alcotest.test_case "word = scalar" `Quick
             test_detects_word_matches_scalar;
+          Alcotest.test_case "word = scalar, wide gates" `Quick
+            test_detects_word_wide_gates;
         ] );
       ( "tpg",
         [

@@ -26,15 +26,38 @@ let random_net rng npis ngates =
 (* Simulator                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Gates of every arity from 0 to 8, plus the odd 12-input one, so both
+   the single-word kernel and the mux tree across table words run; fanins
+   are drawn with replacement (repeats included) and a quarter of the
+   tables are constant. *)
+let wide_net rng npis ngates =
+  let net = N.create () in
+  let ids = ref [] in
+  for _ = 1 to npis do
+    ids := N.add_pi net :: !ids
+  done;
+  for _ = 1 to ngates do
+    let pool = Array.of_list !ids in
+    let arity = if Rng.int rng 10 = 0 then 12 else Rng.int rng 9 in
+    let fanins = Array.init arity (fun _ -> Rng.choose rng pool) in
+    let f =
+      if Rng.int rng 4 = 0 then TT.create_const arity (Rng.bool rng)
+      else TT.random rng arity
+    in
+    ids := N.add_gate net f fanins :: !ids
+  done;
+  net
+
 let test_word_vs_scalar () =
-  (* Word simulation bit k must equal scalar simulation of vector k. *)
+  (* Word simulation bit k must equal scalar simulation of vector k, in
+     all 64 lanes. *)
   let rng = Rng.create 101 in
   for _ = 1 to 15 do
     let npis = 3 + Rng.int rng 5 in
-    let net = random_net rng npis 25 in
+    let net = wide_net rng npis 25 in
     let words = Sim.random_word rng net in
     let node_words = Sim.simulate_word net words in
-    for k = 0 to 7 do
+    for k = 0 to 63 do
       let vec =
         Array.init npis (fun i ->
             Int64.logand (Int64.shift_right_logical words.(i) k) 1L = 1L)
@@ -161,12 +184,72 @@ let test_singletons_dropped () =
   Alcotest.(check (list int)) "xor gate is singleton" [] (Eq.class_of eq n)
 
 let test_copy_isolated () =
-  let net, _, _, _, _, _ = redundant_net () in
+  let net, _, _, _, _, n = redundant_net () in
   let eq = Eq.create net in
   let snapshot = Eq.copy eq in
+  (* a=1, b=0 splits the ANDs (0) from the ORs and the XOR (1) *)
+  Eq.refine_vector eq (N.eval net [| true; false |]);
+  let refined = Eq.copy eq in
+  let before = Eq.classes eq and n_class = Eq.class_of eq n in
   exhaustive_refine net eq;
   Alcotest.(check int) "copy untouched" 1 (Eq.num_classes snapshot);
+  Alcotest.(check (list (list int))) "refined copy untouched" before
+    (Eq.classes refined);
+  Alcotest.(check (list int)) "refined copy index untouched" n_class
+    (Eq.class_of refined n);
+  Alcotest.(check (list int)) "original split the XOR off" [] (Eq.class_of eq n);
   Alcotest.(check bool) "original refined" true (Eq.num_classes eq > 1)
+
+(* After every step of a random sequence of word and vector refinements,
+   the classes are exactly the groups of gates with equal value
+   histories, and [class_of] names each gate's group. *)
+let prop_refine_matches_history =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"refinement = grouping by value history"
+       ~count:100
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Rng.create seed in
+         let net = random_net rng (2 + Rng.int rng 4) (5 + Rng.int rng 25) in
+         let eq = Eq.create net in
+         let history = Array.make (N.num_nodes net) [] in
+         let ok = ref true in
+         for _ = 1 to 1 + Rng.int rng 8 do
+           (if Rng.bool rng then begin
+              let words = Sim.simulate_word net (Sim.random_word rng net) in
+              Eq.refine_word eq words;
+              Array.iteri (fun id w -> history.(id) <- `W w :: history.(id)) words
+            end
+            else begin
+              let vec = Array.init (N.num_pis net) (fun _ -> Rng.bool rng) in
+              let values = N.eval net vec in
+              Eq.refine_vector eq values;
+              Array.iteri (fun id v -> history.(id) <- `V v :: history.(id)) values
+            end);
+           let tbl = Hashtbl.create 16 in
+           N.iter_gates net (fun id ->
+               let h = history.(id) in
+               Hashtbl.replace tbl h
+                 (id :: Option.value ~default:[] (Hashtbl.find_opt tbl h)));
+           let expected =
+             Hashtbl.fold
+               (fun _ ids acc ->
+                 if List.length ids >= 2 then List.rev ids :: acc else acc)
+               tbl []
+             |> List.sort compare
+           in
+           let group_of id =
+             Option.value ~default:[]
+               (List.find_opt (List.mem id) expected)
+           in
+           ok :=
+             !ok
+             && Eq.classes eq = expected
+             && List.for_all
+                  (fun id -> Eq.class_of eq id = group_of id)
+                  (List.init (N.num_nodes net) Fun.id)
+         done;
+         !ok))
 
 let test_pis_excluded () =
   let net, _, _, _, _, _ = redundant_net () in
@@ -198,5 +281,6 @@ let () =
           Alcotest.test_case "singletons dropped" `Quick test_singletons_dropped;
           Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
           Alcotest.test_case "PIs excluded" `Quick test_pis_excluded;
+          prop_refine_matches_history;
         ] );
     ]
