@@ -7,6 +7,8 @@ let create n = { vals = Array.make n Value.Unknown; trail = Vec.create ~dummy:(-
 
 let value t id = t.vals.(id)
 
+let values t = t.vals
+
 let is_assigned t id = Value.is_assigned t.vals.(id)
 
 let assign t id b =

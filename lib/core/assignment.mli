@@ -13,6 +13,11 @@ val create : int -> t
 val value : t -> int -> Value.t
 val is_assigned : t -> int -> bool
 
+val values : t -> Value.t array
+(** The live value of every node, indexed by node id, without copying:
+    for readers on a hot path (the propagation engine). Writing to it
+    desynchronises the trail; assign through {!assign}. *)
+
 val assign : t -> int -> bool -> unit
 (** @raise Invalid_argument if the node is already assigned. *)
 

@@ -16,12 +16,14 @@ module Worklist = struct
       Queue.push id t.q
     end
 
+  (* The oldest gate, or [-1] when empty. *)
   let pop t =
-    match Queue.pop t.q with
-    | id ->
-        t.flags.(id) <- false;
-        Some id
-    | exception Queue.Empty -> None
+    if Queue.is_empty t.q then -1
+    else begin
+      let id = Queue.pop t.q in
+      t.flags.(id) <- false;
+      id
+    end
 
   let clear t =
     Queue.iter (fun id -> t.flags.(id) <- false) t.q;
@@ -35,18 +37,26 @@ type t = {
   cfg : Config.t;
   rows : Rows.t;
   node_rows : Rows.table option array;  (* per-node view of [rows] *)
+  (* [N.fanins] of every node and the network's fanout lists, read once:
+     the network is fixed for the engine's lifetime. *)
+  fanins : N.node_id array array;
+  fanouts : N.node_id list array;
   assignment : Assignment.t;
+  vals : Value.t array;  (* [Assignment.values assignment] *)
   queue : Worklist.t;
   mutable matching : int array;  (* row-set scratch of [examine] *)
-  (* Cone scopes: a node is in the class scope when [scope.(id)] holds
-     [scope_epoch] ([no_scope]: everything is), and in the target cone when
-     [cone.(id)] holds [cone_epoch]. Each marking takes a fresh epoch, so
-     neither array is ever cleared. *)
+  (* Epoch stamps: a node is in the class scope when [scope.(id)] holds
+     [scope_epoch] ([no_scope]: everything is), in the target cone when
+     [cone.(id)] holds [cone_epoch], and exhausted when [exhausted.(id)]
+     holds [exhausted_epoch]. Each marking takes a fresh epoch, so no
+     array is ever cleared. *)
   scope : int array;
   cone : int array;
+  exhausted : int array;
   mutable epoch : int;
   mutable scope_epoch : int;
   mutable cone_epoch : int;
+  mutable exhausted_epoch : int;
   stack : int Vec.t;
   mutable pending_conflict : N.node_id option;
   mutable implications : int;
@@ -55,19 +65,25 @@ type t = {
 
 let create ?(config = Config.default) net =
   let n = N.num_nodes net in
+  let assignment = Assignment.create n in
   {
     net;
     cfg = config;
     rows = Rows.create ();
     node_rows = Array.make n None;
-    assignment = Assignment.create n;
+    fanins = Array.init n (N.fanins net);
+    fanouts = N.fanouts_array net;
+    assignment;
+    vals = Assignment.values assignment;
     queue = Worklist.create n;
     matching = Array.make 1 0;
     scope = Array.make n 0;
     cone = Array.make n 0;
+    exhausted = Array.make n 0;
     epoch = 0;
     scope_epoch = no_scope;
     cone_epoch = no_scope;
+    exhausted_epoch = no_scope;
     stack = Vec.create ~dummy:0 ();
     pending_conflict = None;
     implications = 0;
@@ -88,28 +104,8 @@ let table_of t id =
 
 let rows_of t id = (table_of t id).Rows.cubes
 
-let value t id = Assignment.value t.assignment id
-
-(* Row-set words [m.(0 .. w-1)] combined with set [s] of [sets]. *)
-let inter m sets s w =
-  for k = 0 to w - 1 do
-    m.(k) <- m.(k) land sets.((s * w) + k)
-  done
-
-let diff m sets s w =
-  for k = 0 to w - 1 do
-    m.(k) <- m.(k) land lnot sets.((s * w) + k)
-  done
-
-let is_single m w =
-  let bits = ref 0 and k = ref 0 in
-  while !bits < 2 && !k < w do
-    let x = m.(!k) in
-    if x <> 0 then bits := !bits + (if x land (x - 1) = 0 then 1 else 2);
-    incr k
-  done;
-  !bits = 1
-
+(* Row-set tests of the matching rows [m] against set [s] of [sets],
+   [w] words each. *)
 let subset m sets s w =
   let k = ref 0 in
   while !k < w && m.(!k) land lnot sets.((s * w) + !k) = 0 do
@@ -124,30 +120,41 @@ let disjoint m sets s w =
   done;
   !k = w
 
-(* The rows compatible with the current values of the gate's fanins and
-   output, as the first [table.words] words of [t.matching]: every row,
-   minus the rows a value contradicts. *)
-let match_rows t g (table : Rows.table) =
+(* Input [i]'s [T] and [F] sets are sets [t0 + 2i] and [t0 + 2i + 1]
+   (see {!Rows.input_rows}). *)
+let t0 = Rows.input_rows
+
+(* The rows of a gate compatible with the current values of its fanins
+   and output, as the first [table.words] words of [t.matching]: word [k]
+   is every row, minus the rows a value contradicts. Returns how many rows
+   match, counted up to 2. *)
+let match_rows t (table : Rows.table) out_value fanins =
   let w = table.Rows.words and sets = table.Rows.sets in
   if Array.length t.matching < w then t.matching <- Array.make w 0;
-  let m = t.matching in
-  Array.blit sets (Rows.all_rows * w) m 0 w;
-  (match value t g with
-   | Value.One -> inter m sets Rows.on_rows w
-   | Value.Zero -> diff m sets Rows.on_rows w
-   | Value.Unknown -> ());
-  let fanins = N.fanins t.net g in
-  for i = 0 to Array.length fanins - 1 do
-    match value t fanins.(i) with
-    | Value.One -> diff m sets (Rows.f_rows i) w
-    | Value.Zero -> diff m sets (Rows.t_rows i) w
-    | Value.Unknown -> ()
+  let m = t.matching and vals = t.vals and on = Rows.on_rows * w in
+  let rows = ref 0 in
+  for k = 0 to w - 1 do
+    let x = ref sets.((Rows.all_rows * w) + k) in
+    (match out_value with
+     | Value.One -> x := !x land sets.(on + k)
+     | Value.Zero -> x := !x land lnot sets.(on + k)
+     | Value.Unknown -> ());
+    for i = 0 to Array.length fanins - 1 do
+      match vals.(fanins.(i)) with
+      | Value.One -> x := !x land lnot sets.(((t0 + (2 * i) + 1) * w) + k)
+      | Value.Zero -> x := !x land lnot sets.(((t0 + (2 * i)) * w) + k)
+      | Value.Unknown -> ()
+    done;
+    let x = !x in
+    m.(k) <- x;
+    if x <> 0 then rows := !rows + if x land (x - 1) = 0 then 1 else 2
   done;
-  m
+  min !rows 2
 
 let matching_rows t id =
   let table = table_of t id in
-  let m = match_rows t id table in
+  ignore (match_rows t table t.vals.(id) t.fanins.(id) : int);
+  let m = t.matching in
   let rows = ref [] in
   for r = Array.length table.Rows.cubes - 1 downto 0 do
     if m.(r / Rows.bits_per_word) land (1 lsl (r mod Rows.bits_per_word)) <> 0
@@ -175,6 +182,10 @@ let mark_cone t root =
 
 let in_cone t id = t.cone.(id) = t.cone_epoch
 
+let clear_exhausted t = t.exhausted_epoch <- next_epoch t
+let set_exhausted t id = t.exhausted.(id) <- t.exhausted_epoch
+let is_exhausted t id = t.exhausted.(id) = t.exhausted_epoch
+
 let rec push_fanouts t = function
   | [] -> ()
   | fo :: rest ->
@@ -193,61 +204,105 @@ let rec push_fanouts t = function
    exactly the "conflicting assignment at any internal node" detection of
    the reverse-simulation procedure (paper section 1, step 5). *)
 let touch t id =
-  if (not (N.is_pi t.net id)) && in_scope t id then Worklist.push t.queue id;
-  push_fanouts t (N.fanouts t.net id)
+  if in_scope t id && not (N.is_pi t.net id) then Worklist.push t.queue id;
+  push_fanouts t t.fanouts.(id)
 
 let set t id b =
-  match Value.to_bool (value t id) with
-  | Some existing ->
-      if existing <> b && t.pending_conflict = None then
-        t.pending_conflict <- Some id
-  | None ->
+  match t.vals.(id) with
+  | Value.Unknown ->
       Assignment.assign t.assignment id b;
       touch t id
+  | Value.One | Value.Zero as existing ->
+      if (existing = Value.One) <> b && t.pending_conflict = None then
+        t.pending_conflict <- Some id
 
 let set_implied t id b =
   t.implications <- t.implications + 1;
   set t id b
 
-(* Examine one gate: match its rows against current values and apply the
-   configured implication strategy. Returns [Some g] on conflict (no row
-   matches).
+(* Examining a gate matches its rows against the current values and
+   applies the configured implication strategy; it returns [true] on
+   conflict (no row matches).
 
    A position is implied when every matching row agrees on a concrete
    value there: the output when the matching rows lie inside or outside
    the on-set, input [i] when they all carry [T] (or all [F]) at [i].
    With exactly one matching row this assigns the row's concrete values
    (Def. 2.2, both strategies); with several it is advanced implication
-   (Def. 4.1), which simple implication skips. *)
+   (Def. 4.1), which simple implication skips.
+
+   [examine_words] does this for a table of any width. [examine_word] is
+   the same steps for a table of at most 63 rows, nearly every K <= 6
+   function, with the matching rows in one register. It is kept beside
+   [examine_words] because it shortens the guided phase end to end
+   (DESIGN.md section 7, "The examination kernels"). *)
+let examine_words t g (table : Rows.table) out_value fanins =
+  let rows = match_rows t table out_value fanins in
+  if rows = 0 then true
+  else begin
+    if t.cfg.Config.implication = Config.Advanced || rows = 1 then begin
+      let m = t.matching and w = table.Rows.words and sets = table.Rows.sets in
+      if out_value = Value.Unknown then begin
+        if subset m sets Rows.on_rows w then set_implied t g true
+        else if disjoint m sets Rows.on_rows w then set_implied t g false
+      end;
+      for i = 0 to Array.length fanins - 1 do
+        let f = fanins.(i) in
+        if t.vals.(f) = Value.Unknown then begin
+          if subset m sets (t0 + (2 * i)) w then set_implied t f true
+          else if subset m sets (t0 + (2 * i) + 1) w then set_implied t f false
+        end
+      done
+    end;
+    false
+  end
+
+let examine_word t g (table : Rows.table) out_value fanins =
+  let sets = table.Rows.sets and vals = t.vals in
+  let on = sets.(Rows.on_rows) in
+  let m = ref sets.(Rows.all_rows) in
+  (match out_value with
+   | Value.One -> m := !m land on
+   | Value.Zero -> m := !m land lnot on
+   | Value.Unknown -> ());
+  for i = 0 to Array.length fanins - 1 do
+    match vals.(fanins.(i)) with
+    | Value.One -> m := !m land lnot sets.(t0 + (2 * i) + 1)
+    | Value.Zero -> m := !m land lnot sets.(t0 + (2 * i))
+    | Value.Unknown -> ()
+  done;
+  let m = !m in
+  if m = 0 then true
+  else begin
+    if t.cfg.Config.implication = Config.Advanced || m land (m - 1) = 0 then
+    begin
+      if out_value = Value.Unknown then begin
+        if m land lnot on = 0 then set_implied t g true
+        else if m land on = 0 then set_implied t g false
+      end;
+      for i = 0 to Array.length fanins - 1 do
+        let f = fanins.(i) in
+        if vals.(f) = Value.Unknown then begin
+          if m land lnot sets.(t0 + (2 * i)) = 0 then set_implied t f true
+          else if m land lnot sets.(t0 + (2 * i) + 1) = 0 then
+            set_implied t f false
+        end
+      done
+    end;
+    false
+  end
+
 let examine t g =
   t.examinations <- t.examinations + 1;
   (* In backward-only mode implication is triggered by the output value
      alone (reverse simulation never reasons from partial inputs). *)
-  let out_value = value t g in
+  let out_value = t.vals.(g) in
   if t.cfg.Config.direction = Config.Backward_only && out_value = Value.Unknown
-  then None
+  then false
   else begin
-    let table = table_of t g in
-    let w = table.Rows.words and sets = table.Rows.sets in
-    let m = match_rows t g table in
-    if disjoint m sets Rows.all_rows w then Some g
-    else begin
-      if t.cfg.Config.implication = Config.Advanced || is_single m w then begin
-        if not (Value.is_assigned out_value) then begin
-          if subset m sets Rows.on_rows w then set_implied t g true
-          else if disjoint m sets Rows.on_rows w then set_implied t g false
-        end;
-        let fanins = N.fanins t.net g in
-        for i = 0 to Array.length fanins - 1 do
-          if not (Assignment.is_assigned t.assignment fanins.(i)) then begin
-            if subset m sets (Rows.t_rows i) w then set_implied t fanins.(i) true
-            else if subset m sets (Rows.f_rows i) w then
-              set_implied t fanins.(i) false
-          end
-        done
-      end;
-      None
-    end
+    let table = table_of t g and fanins = t.fanins.(g) in
+    if table.Rows.words = 1 then examine_word t g table out_value fanins
+    else examine_words t g table out_value fanins
   end
 
 let propagate t =
@@ -258,14 +313,13 @@ let propagate t =
       Conflict_at g
   | None ->
       let rec drain () =
-        match Worklist.pop t.queue with
-        | None -> Fixpoint
-        | Some g -> (
-            match examine t g with
-            | Some conflict_gate ->
-                Worklist.clear t.queue;
-                Conflict_at conflict_gate
-            | None -> drain ())
+        let g = Worklist.pop t.queue in
+        if g < 0 then Fixpoint
+        else if examine t g then begin
+          Worklist.clear t.queue;
+          Conflict_at g
+        end
+        else drain ()
       in
       drain ()
 

@@ -5,9 +5,13 @@
     gate against the matching rows of its function and applying simple or
     advanced implication (paper §4) until a fixpoint or a conflict. Rows
     are matched as bit sets (see {!Rows}), so an examination is a few
-    word operations per fanin and allocates nothing. In
-    [Backward_only] mode a gate is examined only when its own output value
-    arrives — the reverse-simulation baseline of §1.1. *)
+    word operations per fanin and allocates nothing. A table of at most
+    63 rows — nearly every K <= 6 function — is examined by a one-word
+    kernel that keeps the matching rows in a register; wider tables take
+    a multi-word kernel with the same results. The engine reads each
+    node's fanins and the network's fanout lists once, at {!create}: the
+    network must not change while the engine is in use. In [Backward_only] mode a gate is examined only when its own
+    output value arrives — the reverse-simulation baseline of §1.1. *)
 
 type t
 
@@ -46,6 +50,14 @@ val mark_cone : t -> Simgen_network.Network.node_id -> unit
 val in_cone : t -> Simgen_network.Network.node_id -> bool
 (** Whether the node lies in the cone of the last {!mark_cone}; [false]
     everywhere before the first. *)
+
+val clear_exhausted : t -> unit
+(** Empty the exhausted set: the decision candidates on which a decision
+    made no progress (Algorithm 1's per-target loop). Takes a fresh epoch
+    of a stamp array the engine owns and allocates nothing. *)
+
+val set_exhausted : t -> Simgen_network.Network.node_id -> unit
+val is_exhausted : t -> Simgen_network.Network.node_id -> bool
 
 val set : t -> Simgen_network.Network.node_id -> bool -> unit
 (** Assign a node value and schedule the affected gates. The engine must be

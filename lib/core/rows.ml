@@ -14,8 +14,7 @@ type table = { cubes : Cube.t array; words : int; sets : int array }
 let bits_per_word = 63
 let all_rows = 0
 let on_rows = 1
-let t_rows i = 2 + (2 * i)
-let f_rows i = 3 + (2 * i)
+let input_rows = 2
 
 let table_of f =
   let cubes = Array.of_list (Isop.rows f) in
@@ -32,8 +31,8 @@ let table_of f =
       Array.iteri
         (fun i l ->
           match l with
-          | Cube.T -> add (t_rows i) r
-          | Cube.F -> add (f_rows i) r
+          | Cube.T -> add (input_rows + (2 * i)) r
+          | Cube.F -> add (input_rows + (2 * i) + 1) r
           | Cube.DC -> ())
         c.Cube.lits)
     cubes;

@@ -34,10 +34,10 @@ let process_target engine decision target gold =
       (* Candidates on which a decision already made no progress carry a
          justifying cube whose non-DC inputs are all assigned; they are
          skipped, which also makes the loop terminate. *)
-      let exhausted = Hashtbl.create 8 in
+      Engine.clear_exhausted engine;
       let is_candidate id =
         (not (N.is_pi net id))
-        && (not (Hashtbl.mem exhausted id))
+        && (not (Engine.is_exhausted engine id))
         && has_open_fanin assignment (N.fanins net id)
       in
       Engine.set engine target gold;
@@ -67,7 +67,7 @@ let process_target engine decision target gold =
                     `Conflict
                 | Ok () ->
                     if Engine.checkpoint engine = before then
-                      Hashtbl.replace exhausted candidate ();
+                      Engine.set_exhausted engine candidate;
                     loop ()))
       in
       loop ()

@@ -99,9 +99,10 @@ let build_fanouts t =
   t.fanout_cache <- Some fo;
   fo
 
-let fanouts t id =
-  let fo = match t.fanout_cache with Some fo -> fo | None -> build_fanouts t in
-  fo.(id)
+let fanouts_array t =
+  match t.fanout_cache with Some fo -> fo | None -> build_fanouts t
+
+let fanouts t id = (fanouts_array t).(id)
 
 let num_fanouts t id = List.length (fanouts t id)
 

@@ -33,7 +33,24 @@ let var_pattern = function
   | 3 -> 0xFF00FF00FF00FF00L
   | 4 -> 0xFFFF0000FFFF0000L
   | 5 -> 0xFFFFFFFF00000000L
-  | _ -> assert false
+  | _ -> invalid_arg "Truth_table.var_pattern"
+
+(* Within one word, variable [i < 6] selects between bit blocks
+   [2^i] apart: the [b] half is copied over the other one. *)
+let[@inline] cofactor_word x i b =
+  let p = var_pattern i and s = 1 lsl i in
+  if b then
+    let hi = Int64.logand x p in
+    Int64.logor hi (Int64.shift_right_logical hi s)
+  else
+    let lo = Int64.logand x (Int64.lognot p) in
+    Int64.logor lo (Int64.shift_left lo s)
+
+let[@inline] depends_on_word x i =
+  let p = var_pattern i in
+  not
+    (Int64.equal (Int64.logand x p)
+       (Int64.shift_left (Int64.logand x (Int64.lognot p)) (1 lsl i)))
 
 let var i n =
   check_nvars n;
@@ -102,20 +119,10 @@ let is_const t =
 let cofactor t i b =
   if i < 0 || i >= t.nvars then invalid_arg "Truth_table.cofactor";
   let words = Array.copy t.words in
-  if i < 6 then begin
-    let p = var_pattern i in
-    let shift = 1 lsl i in
+  if i < 6 then
     for w = 0 to Array.length words - 1 do
-      let x = words.(w) in
-      words.(w) <-
-        (if b then
-           let hi = Int64.logand x p in
-           Int64.logor hi (Int64.shift_right_logical hi shift)
-         else
-           let lo = Int64.logand x (Int64.lognot p) in
-           Int64.logor lo (Int64.shift_left lo shift))
+      words.(w) <- cofactor_word words.(w) i b
     done
-  end
   else begin
     (* Copy the selected half of the word array over the other half. *)
     let bit = i - 6 in
@@ -129,7 +136,9 @@ let cofactor t i b =
   normalize { nvars = t.nvars; words }
 
 let depends_on t i =
-  not (equal (cofactor t i true) (cofactor t i false))
+  if i < 0 || i >= t.nvars then invalid_arg "Truth_table.depends_on";
+  if i < 6 then Array.exists (fun x -> depends_on_word x i) t.words
+  else not (equal (cofactor t i true) (cofactor t i false))
 
 let support t =
   List.filter (depends_on t) (List.init t.nvars Fun.id)

@@ -47,6 +47,27 @@ val word : t -> int -> int64
     [2^(n-6)] words when [n > 6] and one otherwise, whose bits from [2^n]
     up are zero. *)
 
+(** {2 One-word tables}
+
+    A table over at most 6 variables is one word (see {!word}). These
+    read and transform such a word directly, for kernels that keep a
+    table in a register; {!cofactor} and {!depends_on} use them on every
+    word of a table for variables below 6. *)
+
+val last_mask : int -> int64
+(** [last_mask n] has the [2^n] low bits set for [n < 6], every bit
+    from [n = 6] up: the bits a one-word table over [n] variables uses. *)
+
+val var_pattern : int -> int64
+(** [var_pattern i], [0 <= i < 6]: the word of variable [i], bit [m] set
+    when bit [i] of minterm [m] is. *)
+
+val cofactor_word : int64 -> int -> bool -> int64
+(** [cofactor_word x i b] is {!cofactor} on one word, for [0 <= i < 6]. *)
+
+val depends_on_word : int64 -> int -> bool
+(** [depends_on_word x i] is {!depends_on} on one word, for [0 <= i < 6]. *)
+
 val is_const : t -> bool option
 (** [Some b] if the table is the constant [b], else [None]. *)
 

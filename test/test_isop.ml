@@ -144,6 +144,53 @@ let test_paper_figure3_table () =
   in
   Alcotest.(check bool) "matching rows exist" true (matching <> [])
 
+(* ------------------------------------------------------------------ *)
+(* One-word path against the reference recursion                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Tables of 1-6 variables take the one-word path; [Isop.reference_cover]
+   is the generic recursion. Both must give the same cubes in the same
+   order, for the on-set and for the rows. *)
+let same_as_reference f =
+  Isop.cover f = Isop.reference_cover f
+  && Isop.rows f
+     = Isop.reference_cover f
+       @ List.map
+           (fun (c : Cube.t) -> Cube.make c.Cube.lits false)
+           (Isop.reference_cover (TT.not_ f))
+
+let check_same name f =
+  if not (same_as_reference f) then
+    Alcotest.failf "%s: one-word cover differs on %s" name (TT.to_string f)
+
+let test_word_all_4_input () =
+  for bits = 0 to 0xFFFF do
+    check_same "4-input" (TT.of_bits 4 (Int64.of_int bits))
+  done
+
+let test_word_constants_and_vars () =
+  for n = 1 to 6 do
+    check_same "const0" (TT.create_const n false);
+    check_same "const1" (TT.create_const n true);
+    for i = 0 to n - 1 do
+      check_same "var" (TT.var i n);
+      check_same "not var" (TT.not_ (TT.var i n))
+    done
+  done
+
+(* Random tables and structured ones (AND/OR/XOR of two random tables,
+   which are sparse, dense and balanced), 1-6 inputs. *)
+let test_word_random_and_structured () =
+  let rng = Rng.create 0x150 in
+  for _ = 1 to 2000 do
+    let n = 1 + Rng.int rng 6 in
+    let a = TT.random rng n and b = TT.random rng n in
+    check_same "random" a;
+    check_same "and" (TT.and_ a b);
+    check_same "or" (TT.or_ a b);
+    check_same "xor" (TT.xor a b)
+  done
+
 let () =
   Alcotest.run "isop"
     [
@@ -166,5 +213,13 @@ let () =
           Alcotest.test_case "nand rows" `Quick test_rows_nand_gate;
           Alcotest.test_case "xor has no DCs" `Quick test_cover_xor_no_dc;
           Alcotest.test_case "figure 3 table" `Quick test_paper_figure3_table;
+        ] );
+      ( "one-word",
+        [
+          Alcotest.test_case "every 4-input table" `Quick test_word_all_4_input;
+          Alcotest.test_case "constants and variables" `Quick
+            test_word_constants_and_vars;
+          Alcotest.test_case "random and structured" `Quick
+            test_word_random_and_structured;
         ] );
     ]

@@ -1,0 +1,89 @@
+(* Golden SAT-sweep behaviour. Each line of golden/sat_counts.txt is one
+   circuit under one strategy and seed: the Table 1 protocol (K = 6
+   mapping, the default random rounds, 20 guided rounds), then one
+   [Sweeper.sat_sweep], recording its calls, proved and disproved pairs,
+   solver conflicts and propagations, and a digest of the final merge
+   partition (every node's representative). The solver's search depends
+   on the clause order of each gate encoding, which follows the ISOP cube
+   order, so a change there shows up as changed conflict or propagation
+   counts even when the verdicts hold.
+
+   Audits are forced off: under SIMGEN_CHECK the session's R005 audit
+   solves once more after every query, which adds learnt clauses and
+   changes the later counts. The file pins the search of an unaudited
+   run, as the CLI and the benchmark make it.
+
+   Regenerate (only when a behaviour change is intended) with
+     dune exec test/test_sat_golden.exe -- --write test/golden/sat_counts.txt *)
+
+module Suite = Simgen_benchgen.Suite
+module Sweeper = Simgen_sweep.Sweeper
+module Sweep_options = Simgen_sweep.Sweep_options
+module Strategy = Simgen_core.Strategy
+module N = Simgen_network.Network
+module Runtime_check = Simgen_base.Runtime_check
+
+let circuits = [ "dec"; "priority"; "apex5"; "alu4"; "square"; "b14_C" ]
+let seeds = [ 3; 7 ]
+let strategies = [ Strategy.RevS; Strategy.AI_DC_MFFC ]
+
+let partition_digest sw net =
+  let buf = Buffer.create 1024 in
+  for id = 0 to N.num_nodes net - 1 do
+    Buffer.add_string buf (string_of_int (Sweeper.representative sw id));
+    Buffer.add_char buf ' '
+  done;
+  String.sub (Digest.to_hex (Digest.string (Buffer.contents buf))) 0 12
+
+let line bench net strategy seed =
+  let o =
+    {
+      Sweep_options.default with
+      Sweep_options.seed;
+      strategy;
+      guided_iterations = 20;
+    }
+  in
+  let sw = Sweeper.create o net in
+  for _ = 1 to o.Sweep_options.random_rounds do
+    Sweeper.random_round sw
+  done;
+  ignore (Sweeper.run_guided o sw : Sweeper.guided_stats);
+  let s = Sweeper.sat_sweep o sw in
+  Printf.sprintf "%s %s seed=%d calls=%d proved=%d disproved=%d conflicts=%d \
+                  propagations=%d partition=%s"
+    bench (Strategy.name strategy) seed s.Sweeper.calls s.Sweeper.proved
+    s.Sweeper.disproved s.Sweeper.conflicts s.Sweeper.propagations
+    (partition_digest sw net)
+
+let lines () =
+  Runtime_check.with_enabled false @@ fun () ->
+  List.concat_map
+    (fun bench ->
+      let net = Suite.lut_network bench in
+      List.concat_map
+        (fun strategy -> List.map (line bench net strategy) seeds)
+        strategies)
+    circuits
+
+let golden_path =
+  if Sys.file_exists "golden/sat_counts.txt" then "golden/sat_counts.txt"
+  else "test/golden/sat_counts.txt"
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let test_counts () =
+  Alcotest.(check (list string))
+    "SAT-sweep counts match the golden file" (read_lines golden_path) (lines ())
+
+let () =
+  match Sys.argv with
+  | [| _; "--write"; path |] ->
+      Out_channel.with_open_text path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) (lines ()))
+  | _ ->
+      Alcotest.run "sat-golden"
+        [ ("sat", [ Alcotest.test_case "sweep counts" `Quick test_counts ]) ]

@@ -102,6 +102,21 @@ let prop_cofactor_independent =
       let n = TT.nvars f in
       n = 0 || not (TT.depends_on (TT.cofactor f 0 true) 0))
 
+let prop_depends_on_cofactors =
+  prop "depends_on = cofactors differ" gen_table (fun f ->
+      (* Fix a hash-chosen subset of the variables, so that some lie
+         outside the support. *)
+      let n = TT.nvars f in
+      let g = ref f in
+      for i = 0 to n - 1 do
+        if (TT.hash f lsr i) land 1 = 1 then g := TT.cofactor !g i true
+      done;
+      List.for_all
+        (fun i ->
+          TT.depends_on !g i
+          = not (TT.equal (TT.cofactor !g i true) (TT.cofactor !g i false)))
+        (List.init n Fun.id))
+
 let prop_count_ones_negation =
   prop "count_ones of negation" gen_table (fun f ->
       TT.count_ones f + TT.count_ones (TT.not_ f) = 1 lsl TT.nvars f)
@@ -193,6 +208,7 @@ let () =
           prop_and_idempotent;
           prop_shannon;
           prop_cofactor_independent;
+          prop_depends_on_cofactors;
           prop_count_ones_negation;
           prop_string_roundtrip;
           prop_permute_identity;
