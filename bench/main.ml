@@ -1,11 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (§6) on the synthetic 42-circuit suite, plus a
-   Bechamel micro-benchmark per table/figure and an ablation study.
+   evaluation section (§6) on the synthetic 42-circuit suite, plus an
+   ablation study. Per-layer timings live in perfbench.
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- table1  -- run one experiment
      (ids: table1 table2 table2s fig5 fig6 fig7 ablation baselines runner
-      micro sat-session sat-session-smoke cert cert-smoke serve
+      sat-session sat-session-smoke cert cert-smoke serve
       serve-smoke race solver-audit soak soak-smoke)
 
    Numbers are not expected to match the paper's testbed; the shapes are:
@@ -1419,82 +1419,6 @@ let soak_smoke () =
     "Soak (smoke): burst overload with faults and sanitizer armed"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  header "Bechamel micro-benchmarks (one per table/figure)";
-  let open Bechamel in
-  let net = Suite.lut_network "apex2" in
-  let guided strategy () =
-    let sw = Sweeper.create (opts_with ()) net in
-    Sweeper.random_round sw;
-    ignore (Sweeper.guided_round sw strategy)
-  in
-  (* table1: one guided iteration per strategy (the simulation-runtime
-     column); table2: one full SAT sweep after simulation (the SAT-time
-     column); fig7: one random round (the RandS curve). *)
-  let test_table1 =
-    Test.make_grouped ~name:"table1_guided_round"
-      (List.map
-         (fun s ->
-           Test.make ~name:(Strategy.name s) (Staged.stage (guided s)))
-         Strategy.all)
-  in
-  let test_table2 =
-    Test.make ~name:"table2_sat_sweep"
-      (Staged.stage (fun () ->
-           let opts = opts_with ~iterations:5 () in
-           let sw = Sweeper.create opts net in
-           Sweeper.random_round sw;
-           ignore (Sweeper.run_guided opts sw);
-           ignore (Sweeper.sat_sweep opts sw)))
-  in
-  let test_fig7 =
-    Test.make ~name:"fig7_random_round"
-      (Staged.stage (fun () ->
-           let sw = Sweeper.create (opts_with ()) net in
-           Sweeper.random_round sw))
-  in
-  let test_fig5 =
-    Test.make ~name:"fig5_vector_generation"
-      (Staged.stage (fun () ->
-           let targets =
-             let all = ref [] in
-             N.iter_gates net (fun id -> all := id :: !all);
-             List.filteri (fun i _ -> i < 8) !all
-           in
-           let outgold = Simgen_core.Outgold.assign targets in
-           ignore
-             (Simgen_core.Vector_gen.generate ~config:Config.default net
-                outgold)))
-  in
-  let tests =
-    Test.make_grouped ~name:"simgen"
-      [ test_table1; test_table2; test_fig5; test_fig7 ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  Printf.printf "%-45s %15s\n" "benchmark" "time/run";
-  List.iter
-    (fun (name, ols) ->
-      let time =
-        match Analyze.OLS.estimates ols with
-        | Some (t :: _) -> Printf.sprintf "%12.3f us" (t /. 1_000.0)
-        | Some [] | None -> "n/a"
-      in
-      Printf.printf "%-45s %15s\n" name time)
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1517,7 +1441,6 @@ let experiments =
     ("solver-audit", solver_audit);
     ("soak", soak);
     ("soak-smoke", soak_smoke);
-    ("micro", micro);
     ("table2", table2);
     ("fig5", fig5);
     ("table2s", table2_stacked);

@@ -46,18 +46,19 @@ let () =
       match cls with
       | a :: b :: _ when !shown < 6 -> (
           incr shown;
-          match Miter.check_pair_certified net a b with
-          | Miter.Equal, proof_ok ->
+          let r = Miter.check_pair_fresh ~certify:true net a b in
+          match r.Miter.verdict with
+          | Miter.Equal ->
               Printf.printf "  n%-4d = n%-4d  EQUAL (DRUP proof %s)\n" a b
-                (if proof_ok then "checked" else "REJECTED")
-          | Miter.Counterexample cex, cex_ok ->
+                (if r.Miter.valid then "checked" else "REJECTED")
+          | Miter.Counterexample cex ->
               let kernel = Minimize.essential_bits net a b cex in
               Printf.printf
                 "  n%-4d ~ n%-4d  DIFFER (cex %s; %d essential bits: %s)\n" a b
-                (if cex_ok then "validated" else "INVALID")
+                (if r.Miter.valid then "validated" else "INVALID")
                 (List.length kernel)
                 (String.concat "," (List.map string_of_int kernel))
-          | Miter.Unknown, _ ->
+          | Miter.Unknown ->
               (* Unreachable: certified checks run without a conflict
                  budget. *)
               Printf.printf "  n%-4d ? n%-4d  UNKNOWN\n" a b)

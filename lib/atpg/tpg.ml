@@ -62,11 +62,12 @@ let generate_sat net fault =
          (N.pos net))
   in
   (* At least one PO must differ. *)
-  Sat.Solver.add_clause (Sat.Tseitin.solver env) diff_lits;
-  match Sat.Solver.solve (Sat.Tseitin.solver env) with
+  let solver = Sat.Tseitin.solver env in
+  Sat.Solver.add_clause solver diff_lits;
+  match Sat.Solver.solve solver with
   | Sat.Solver.Unsat -> Untestable
   | Sat.Solver.Sat ->
-      let vec = Sat.Tseitin.pi_values env net vars_good in
+      let vec = Sat.Tseitin.pi_values solver net vars_good in
       assert (Fault.detects net fault vec);
       Detected vec
 

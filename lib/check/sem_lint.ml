@@ -1,8 +1,7 @@
 module N = Simgen_network.Network
 module TT = Simgen_network.Truth_table
-module Cube = Simgen_network.Cube
-module Isop = Simgen_network.Isop
 module Sat = Simgen_sat
+module Tseitin = Simgen_sat.Tseitin
 module Bdd = Simgen_bdd.Bdd
 module Rng = Simgen_base.Rng
 module Simulator = Simgen_sim.Simulator
@@ -10,102 +9,26 @@ module D = Diagnostic
 
 (* ------------------------- proof plumbing ------------------------- *)
 
-(* One fresh recording solver per query: every clause is kept so an
-   UNSAT answer can be re-checked by reverse unit propagation before it
-   becomes a finding. The lint never trusts the solver's word alone. *)
-type ctx = {
-  solver : Sat.Solver.t;
-  vars : int array;  (* node id -> CNF var, -1 outside the encoding *)
-  recorded : Sat.Literal.t list list ref;
-}
-
-let fresh_ctx net =
-  let solver = Sat.Solver.create () in
-  Sat.Solver.enable_proof solver;
-  { solver; vars = Array.make (N.num_nodes net) (-1); recorded = ref [] }
-
-let addc ctx c =
-  ctx.recorded := c :: !(ctx.recorded);
-  Sat.Solver.add_clause ctx.solver c
-
-let var_of ctx id =
-  if ctx.vars.(id) < 0 then ctx.vars.(id) <- Sat.Solver.new_var ctx.solver;
-  ctx.vars.(id)
-
-(* Clauses of [y <-> tt(inputs)] from the ISOP rows, same shape as the
-   sweep miters use. *)
-let encode_tt ctx y tt inputs =
-  match TT.is_const tt with
-  | Some b -> addc ctx [ Sat.Literal.make y (not b) ]
-  | None ->
-      List.iter
-        (fun (c : Cube.t) ->
-          let clause = ref [ Sat.Literal.make y (not c.Cube.out) ] in
-          Array.iteri
-            (fun i l ->
-              match l with
-              | Cube.DC -> ()
-              | Cube.T -> clause := Sat.Literal.neg inputs.(i) :: !clause
-              | Cube.F -> clause := Sat.Literal.pos inputs.(i) :: !clause)
-            c.Cube.lits;
-          addc ctx !clause)
-        (Isop.rows tt)
-
-(* Encode the fanin cones of [roots] into [ctx] (explicit-stack DFS, ids
-   are topological by construction). *)
-let encode_cones ctx net roots =
-  let visited = Array.make (N.num_nodes net) false in
-  let order = ref [] in
-  let stack = ref roots in
-  let rec walk () =
-    match !stack with
-    | [] -> ()
-    | id :: rest ->
-        stack := rest;
-        if not visited.(id) then begin
-          visited.(id) <- true;
-          order := id :: !order;
-          if not (N.is_pi net id) then
-            Array.iter (fun fi -> stack := fi :: !stack) (N.fanins net id)
-        end;
-        walk ()
-  in
-  walk ();
-  List.iter
-    (fun id ->
-      if N.is_pi net id then ignore (var_of ctx id)
-      else
-        encode_tt ctx (var_of ctx id) (N.func net id)
-          (Array.map (var_of ctx) (N.fanins net id)))
-    !order
-
 type outcome = Proved of string | Refuted | Gave_up
 
-(* Decide a query posed as "these clauses are unsatisfiable". An UNSAT
-   answer only counts once its DRUP proof re-checks; the witness string
-   records the trimmed, verified proof size. *)
-let decide ~budget ctx =
+(* Decide a query posed as "these clauses are unsatisfiable" on a fresh
+   recording env ([Tseitin.create ~record:true]): every clause is kept so
+   an UNSAT answer only counts once its DRUP proof re-checks — the lint
+   never trusts the solver's word alone. The witness string records the
+   trimmed, verified proof size. *)
+let decide ~budget env =
   match
     Sat.Solver.solve_limited
       ~limits:(Sat.Solver.Limits.conflicts budget)
-      ctx.solver
+      (Tseitin.solver env)
   with
   | Sat.Solver.LSat -> Refuted
   | Sat.Solver.LUnknown -> Gave_up
   | Sat.Solver.LUnsat -> (
-      let formula = List.rev !(ctx.recorded) in
-      let proof = Sat.Drup.trim formula (Sat.Solver.proof_events ctx.solver) in
-      match Sat.Drup.check formula proof with
-      | Sat.Drup.Valid ->
+      match Tseitin.checked_proof env with
+      | Some (_, proof) ->
           Proved (Printf.sprintf "drup %d steps, checked" (List.length proof))
-      | Sat.Drup.Invalid_step _ | Sat.Drup.Incomplete -> Gave_up)
-
-(* XOR-difference clauses: y <-> (a <> b). *)
-let encode_xor ctx y a b =
-  addc ctx Sat.Literal.[ neg y; pos a; pos b ];
-  addc ctx Sat.Literal.[ neg y; neg a; neg b ];
-  addc ctx Sat.Literal.[ pos y; neg a; pos b ];
-  addc ctx Sat.Literal.[ pos y; pos a; neg b ]
+      | None -> Gave_up)
 
 (* ------------------------------ run ------------------------------- *)
 
@@ -165,11 +88,11 @@ let run ?(seed = 1) ?(budget = 2000) ?(bdd_nodes = 50_000) ?(rounds = 4) net
         let candidate b = sig_const b id in
         let prove b =
           let loc = D.Node id in
-          let ctx = fresh_ctx net in
-          encode_cones ctx net [ id ];
+          let env = Tseitin.create ~record:true () in
+          let vars = Tseitin.encode_cones env net [ id ] in
           (* UNSAT of [node = not b] proves the node is always [b]. *)
-          addc ctx [ Sat.Literal.make ctx.vars.(id) b ];
-          match decide ~budget ctx with
+          Tseitin.add env [ Sat.Literal.make vars.(id) b ];
+          match decide ~budget env with
           | Proved w ->
               add
                 (D.warn ~loc "S001" "gate is provably constant %b (%s)" b w)
@@ -209,17 +132,15 @@ let run ?(seed = 1) ?(budget = 2000) ?(bdd_nodes = 50_000) ?(rounds = 4) net
               in
               if not sim_differs then begin
                 let loc = D.Node id in
-                let ctx = fresh_ctx net in
-                encode_cones ctx net (Array.to_list fanins);
-                let inputs = Array.map (var_of ctx) fanins in
-                let y0 = Sat.Solver.new_var ctx.solver in
-                let y1 = Sat.Solver.new_var ctx.solver in
-                encode_tt ctx y0 c0 inputs;
-                encode_tt ctx y1 c1 inputs;
-                let d = Sat.Solver.new_var ctx.solver in
-                encode_xor ctx d y0 y1;
-                addc ctx [ Sat.Literal.pos d ];
-                match decide ~budget ctx with
+                let env = Tseitin.create ~record:true () in
+                let vars = Tseitin.encode_cones env net (Array.to_list fanins) in
+                let input i = vars.(fanins.(i)) in
+                let y0 = Sat.Solver.new_var (Tseitin.solver env) in
+                let y1 = Sat.Solver.new_var (Tseitin.solver env) in
+                Tseitin.gate (Tseitin.add env) c0 y0 input;
+                Tseitin.gate (Tseitin.add env) c1 y1 input;
+                Tseitin.add env [ Sat.Literal.pos (Tseitin.xor_var env y0 y1) ];
+                match decide ~budget env with
                 | Proved w ->
                     add
                       (D.warn ~loc "S002"
@@ -236,24 +157,20 @@ let run ?(seed = 1) ?(budget = 2000) ?(bdd_nodes = 50_000) ?(rounds = 4) net
 
   (* Shared prover for node equivalence / complement claims. *)
   let prove_pair ~loc ~code ~severity ~describe a b complement =
-    let ctx = fresh_ctx net in
-    encode_cones ctx net [ a; b ];
-    let va = ctx.vars.(a) and vb = ctx.vars.(b) in
+    let env = Tseitin.create ~record:true () in
+    let vars = Tseitin.encode_cones env net [ a; b ] in
+    let va = vars.(a) and vb = vars.(b) in
     (if complement then begin
        (* UNSAT of [a = b] proves a == not b. *)
-       addc ctx Sat.Literal.[ neg va; pos vb ];
-       addc ctx Sat.Literal.[ pos va; neg vb ]
+       Tseitin.add env Sat.Literal.[ neg va; pos vb ];
+       Tseitin.add env Sat.Literal.[ pos va; neg vb ]
      end
-     else begin
-       let d = Sat.Solver.new_var ctx.solver in
-       encode_xor ctx d va vb;
-       addc ctx [ Sat.Literal.pos d ]
-     end);
+     else Tseitin.add env [ Sat.Literal.pos (Tseitin.xor_var env va vb) ]);
     let report w =
       let mk = if severity = D.Warning then D.warn else D.info in
       add (mk ~loc code "%s (%s)" (describe ()) w)
     in
-    match decide ~budget ctx with
+    match decide ~budget env with
     | Proved w -> report w
     | Refuted -> ()
     | Gave_up -> (
@@ -365,23 +282,25 @@ let run ?(seed = 1) ?(budget = 2000) ?(bdd_nodes = 50_000) ?(rounds = 4) net
           in
           if not sim_observable then begin
             let loc = D.Node g in
-            let ctx = fresh_ctx net in
-            encode_cones ctx net (Array.to_list pos);
-            if ctx.vars.(g) < 0 then
+            let env = Tseitin.create ~record:true () in
+            let vars = Tseitin.encode_cones env net (Array.to_list pos) in
+            if vars.(g) < 0 then
               (* In no PO cone after encoding: dangling, skip. *)
               ()
             else begin
               (* Copy B of the TFO over [g]'s negation. *)
               let vars_b = Array.make nn (-1) in
-              vars_b.(g) <- Sat.Solver.new_var ctx.solver;
-              addc ctx Sat.Literal.[ pos vars_b.(g); pos ctx.vars.(g) ];
-              addc ctx Sat.Literal.[ neg vars_b.(g); neg ctx.vars.(g) ];
-              let var_b id = if vars_b.(id) >= 0 then vars_b.(id) else ctx.vars.(id) in
+              vars_b.(g) <- Sat.Solver.new_var (Tseitin.solver env);
+              Tseitin.add env Sat.Literal.[ pos vars_b.(g); pos vars.(g) ];
+              Tseitin.add env Sat.Literal.[ neg vars_b.(g); neg vars.(g) ];
+              let var_b id = if vars_b.(id) >= 0 then vars_b.(id) else vars.(id) in
               for id = g + 1 to nn - 1 do
-                if tfo.(id) && ctx.vars.(id) >= 0 then begin
-                  vars_b.(id) <- Sat.Solver.new_var ctx.solver;
-                  encode_tt ctx vars_b.(id) (N.func net id)
-                    (Array.map var_b (N.fanins net id))
+                if tfo.(id) && vars.(id) >= 0 then begin
+                  let y = Sat.Solver.new_var (Tseitin.solver env) in
+                  vars_b.(id) <- y;
+                  let fanins = N.fanins net id in
+                  Tseitin.gate (Tseitin.add env) (N.func net id) y (fun i ->
+                      var_b fanins.(i))
                 end
               done;
               (* Some affected PO must differ. *)
@@ -389,15 +308,13 @@ let run ?(seed = 1) ?(budget = 2000) ?(bdd_nodes = 50_000) ?(rounds = 4) net
                 Array.to_list pos
                 |> List.filter (fun p -> vars_b.(p) >= 0)
                 |> List.map (fun p ->
-                       let x = Sat.Solver.new_var ctx.solver in
-                       encode_xor ctx x ctx.vars.(p) vars_b.(p);
-                       Sat.Literal.pos x)
+                       Sat.Literal.pos (Tseitin.xor_var env vars.(p) vars_b.(p)))
               in
               match diff with
               | [] -> () (* flip reaches no PO variable: dangling *)
               | _ -> (
-                  addc ctx diff;
-                  match decide ~budget ctx with
+                  Tseitin.add env diff;
+                  match decide ~budget env with
                   | Proved w ->
                       add
                         (D.warn ~loc "S007"

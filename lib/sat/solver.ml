@@ -1350,3 +1350,43 @@ let stats (s : t) : stats =
     lbd_mid = s.lbd_mid;
     lbd_local = s.lbd_local;
   }
+
+let zero_stats =
+  {
+    conflicts = 0;
+    decisions = 0;
+    propagations = 0;
+    restarts = 0;
+    learned = 0;
+    deleted = 0;
+    removed = 0;
+    reductions = 0;
+    compactions = 0;
+    live_clauses = 0;
+    live_learnts = 0;
+    lbd_core = 0;
+    lbd_mid = 0;
+    lbd_local = 0;
+  }
+
+(* [f] over the nine monotone counters; the gauges come from [later]. *)
+let combine f ~later a b =
+  {
+    conflicts = f a.conflicts b.conflicts;
+    decisions = f a.decisions b.decisions;
+    propagations = f a.propagations b.propagations;
+    restarts = f a.restarts b.restarts;
+    learned = f a.learned b.learned;
+    deleted = f a.deleted b.deleted;
+    removed = f a.removed b.removed;
+    reductions = f a.reductions b.reductions;
+    compactions = f a.compactions b.compactions;
+    live_clauses = later.live_clauses;
+    live_learnts = later.live_learnts;
+    lbd_core = later.lbd_core;
+    lbd_mid = later.lbd_mid;
+    lbd_local = later.lbd_local;
+  }
+
+let add_stats a b = combine ( + ) ~later:b a b
+let diff_stats later earlier = combine ( - ) ~later later earlier

@@ -208,6 +208,17 @@ val stats : t -> stats
     [solve] call, which is how the sweeping telemetry reports per-call
     conflict/propagation deltas. *)
 
+val zero_stats : stats
+(** All counters and gauges zero: the unit of {!add_stats}. *)
+
+val add_stats : stats -> stats -> stats
+(** [add_stats a b] sums the nine counters; the gauges are [b]'s, the
+    later snapshot (summing gauges of different solvers means nothing). *)
+
+val diff_stats : stats -> stats -> stats
+(** [diff_stats later earlier] differences the nine counters — the cost
+    of the work between the two snapshots; the gauges are [later]'s. *)
+
 (** {2 Solver-state sanitizer}
 
     Invariant audits over the live solver state, reported as

@@ -1,158 +1,37 @@
 module N = Simgen_network.Network
-module TT = Simgen_network.Truth_table
-module Cube = Simgen_network.Cube
-module Isop = Simgen_network.Isop
 module Sat = Simgen_sat
-module Rng = Simgen_base.Rng
+module Tseitin = Simgen_sat.Tseitin
 
 type verdict = Sat_session.verdict =
   | Equal
   | Counterexample of bool array
   | Unknown
 
-let resolve subst id =
-  match subst with
-  | None -> id
-  | Some s ->
-      let rec follow id = if s.(id) = id then id else follow s.(id) in
-      let root = follow id in
-      (* Path compression. *)
-      let rec compress id =
-        if s.(id) <> root then begin
-          let next = s.(id) in
-          s.(id) <- root;
-          compress next
-        end
-      in
-      compress id;
-      root
+let check_pair ?subst ?rng net a b =
+  Sat_session.check_pair (Sat_session.create ?subst ?rng net) a b
 
-(* Encode the fanin cone of [roots] (after substitution) into a fresh
-   solver; returns the solver, the node-to-variable map (-1 for nodes
-   outside the cone), and a recorder of the emitted clauses (used by the
-   certified mode; empty unless [record] is set). *)
-let encode_cones ?subst ?(record = false) net roots =
-  let solver = Sat.Solver.create () in
-  (* Proof logging must be armed before the first clause: trivially-unsat
-     additions already contribute proof steps. *)
-  if record then Sat.Solver.enable_proof solver;
-  let recorded = ref [] in
-  let add_clause solver c =
-    if record then recorded := c :: !recorded;
-    Sat.Solver.add_clause solver c
-  in
-  let vars = Array.make (N.num_nodes net) (-1) in
-  let var_of id =
-    if vars.(id) < 0 then vars.(id) <- Sat.Solver.new_var solver;
-    vars.(id)
-  in
-  (* Explicit-stack DFS over substituted fanins. *)
-  let visited = Array.make (N.num_nodes net) false in
-  let order = ref [] in
-  let stack = ref (List.map (resolve subst) roots) in
-  let rec walk () =
-    match !stack with
-    | [] -> ()
-    | id :: rest ->
-        stack := rest;
-        if not visited.(id) then begin
-          visited.(id) <- true;
-          order := id :: !order;
-          if not (N.is_pi net id) then
-            Array.iter
-              (fun fi -> stack := resolve subst fi :: !stack)
-              (N.fanins net id)
-        end;
-        walk ()
-  in
-  walk ();
-  (* Clause generation per gate, from its ISOP rows. *)
-  let encode_gate id =
-    let f = N.func net id in
-    let y = var_of id in
-    match TT.is_const f with
-    | Some b -> add_clause solver [ Sat.Literal.make y (not b) ]
-    | None ->
-        let fanins = Array.map (resolve subst) (N.fanins net id) in
-        List.iter
-          (fun (c : Cube.t) ->
-            let clause = ref [ Sat.Literal.make y (not c.Cube.out) ] in
-            Array.iteri
-              (fun i l ->
-                match l with
-                | Cube.DC -> ()
-                | Cube.T ->
-                    clause := Sat.Literal.neg (var_of fanins.(i)) :: !clause
-                | Cube.F ->
-                    clause := Sat.Literal.pos (var_of fanins.(i)) :: !clause)
-              c.Cube.lits;
-            add_clause solver !clause)
-          (Isop.rows f)
-  in
-  List.iter
-    (fun id -> if not (N.is_pi net id) then encode_gate id)
-    !order;
-  (* Touch PI vars so the model covers them. *)
-  List.iter (fun id -> if N.is_pi net id then ignore (var_of id)) !order;
-  (solver, vars, recorded)
-
-let extract_vector ?rng net vars solver =
-  let rng = match rng with Some r -> r | None -> Rng.create 0xCE8 in
-  let vec = Array.make (N.num_pis net) false in
-  Array.iter
-    (fun id ->
-      let idx = match N.kind net id with N.Pi i -> i | N.Gate _ -> assert false in
-      vec.(idx) <-
-        (if vars.(id) >= 0 then Sat.Solver.value solver vars.(id)
-         else Rng.bool rng))
-    (N.pis net);
-  vec
+type fresh = {
+  verdict : verdict;
+  valid : bool;
+  stats : Sat.Solver.stats;
+  cert : Simgen_check.Certificate.query option;
+}
 
 (* The fresh-solver reference implementation: one solver per query, cone
    union re-encoded every time. Kept as the baseline the incremental
    session is differentially tested and benchmarked against, and as the
-   ladder's certified fallback when a budgeted session query gives up.
-   Returns the verdict, whether the certificate (or counterexample)
-   validated, the solver's counters for this query, and — under [certify],
-   for a validated Equal — the standalone record for the whole-sweep
-   certificate ({!Simgen_check.Certificate}). *)
-let zero_stats =
-  {
-    Sat.Solver.conflicts = 0;
-    decisions = 0;
-    propagations = 0;
-    restarts = 0;
-    learned = 0;
-    deleted = 0;
-    removed = 0;
-    reductions = 0;
-    compactions = 0;
-    live_clauses = 0;
-    live_learnts = 0;
-    lbd_core = 0;
-    lbd_mid = 0;
-    lbd_local = 0;
-  }
-
-let check_pair_general ?subst ?rng ?max_conflicts ?(certify = false) net a b =
-  let ra = resolve subst a and rb = resolve subst b in
-  if ra = rb then (Equal, true, zero_stats, None)
+   ladder's fallback when a budgeted session query gives up. *)
+let check_pair_fresh ?subst ?rng ?max_conflicts ?(certify = false) net a b =
+  let resolve = Sat_session.resolve subst in
+  let ra = resolve a and rb = resolve b in
+  if ra = rb then
+    { verdict = Equal; valid = true; stats = Sat.Solver.zero_stats; cert = None }
   else begin
-    let solver, vars, recorded =
-      encode_cones ?subst ~record:certify net [ ra; rb ]
-    in
+    let env = Tseitin.create ~record:certify () in
+    let vars = Tseitin.encode_cones ~resolve env net [ ra; rb ] in
     (* XOR output must be 1. *)
-    let va = vars.(ra) and vb = vars.(rb) in
-    let y = Sat.Solver.new_var solver in
-    let add c =
-      if certify then recorded := c :: !recorded;
-      Sat.Solver.add_clause solver c
-    in
-    add Sat.Literal.[ neg y; pos va; pos vb ];
-    add Sat.Literal.[ neg y; neg va; neg vb ];
-    add Sat.Literal.[ pos y; neg va; pos vb ];
-    add Sat.Literal.[ pos y; pos va; neg vb ];
-    add [ Sat.Literal.pos y ];
+    Tseitin.add env [ Sat.Literal.pos (Tseitin.xor_var env vars.(ra) vars.(rb)) ];
+    let solver = Tseitin.solver env in
     let limits =
       match max_conflicts with
       | None -> Sat.Solver.Limits.unlimited
@@ -160,74 +39,22 @@ let check_pair_general ?subst ?rng ?max_conflicts ?(certify = false) net a b =
     in
     let result = Sat.Solver.solve_limited ~limits solver in
     let stats = Sat.Solver.stats solver in
+    let answer ?(valid = true) ?cert verdict = { verdict; valid; stats; cert } in
     match result with
-    | Sat.Solver.LUnsat ->
-        if not certify then (Equal, true, stats, None)
-        else begin
-          (* Trim before checking: drop the lemmas the empty-clause
-             derivation never uses, then validate what is left. The
-             trimmed proof is what goes into the certificate record. *)
-          let formula = List.rev !recorded in
-          let proof =
-            Sat.Drup.trim formula (Sat.Solver.proof_events solver)
-          in
-          let valid = Sat.Drup.check formula proof = Sat.Drup.Valid in
-          let cert =
-            if valid then
-              Some
+    | Sat.Solver.LUnsat when not certify -> answer Equal
+    | Sat.Solver.LUnsat -> (
+        (* The trimmed proof is what goes into the certificate record. *)
+        match Tseitin.checked_proof env with
+        | Some (clauses, events) ->
+            answer
+              ~cert:
                 (Simgen_check.Certificate.Fresh
-                   { a = ra; b = rb; clauses = formula; events = proof })
-            else None
-          in
-          (Equal, valid, stats, cert)
-        end
+                   { a = ra; b = rb; clauses; events })
+              Equal
+        | None -> answer ~valid:false Equal)
     | Sat.Solver.LSat ->
-        let vec = extract_vector ?rng net vars solver in
+        let vec = Tseitin.pi_values ?rng solver net vars in
         let vals = N.eval net vec in
-        (Counterexample vec, vals.(ra) <> vals.(rb), stats, None)
-    | Sat.Solver.LUnknown -> (Unknown, true, stats, None)
+        answer ~valid:(vals.(ra) <> vals.(rb)) (Counterexample vec)
+    | Sat.Solver.LUnknown -> answer Unknown
   end
-
-let check_pair_fresh ?subst ?rng net a b =
-  let verdict, _, stats, _ = check_pair_general ?subst ?rng net a b in
-  (verdict, stats)
-
-let check_pair_limited ?subst ?rng ~max_conflicts net a b =
-  let verdict, _, stats, _ =
-    check_pair_general ?subst ?rng ~max_conflicts net a b
-  in
-  (verdict, stats)
-
-let check_pair ?subst ?rng net a b =
-  Sat_session.check_pair (Sat_session.create ?subst ?rng net) a b
-
-let check_pair_certified ?subst ?rng net a b =
-  let verdict, valid, _, _ =
-    check_pair_general ?subst ?rng ~certify:true net a b
-  in
-  (verdict, valid)
-
-let check_pair_fresh_certified ?subst ?rng ?max_conflicts net a b =
-  let verdict, valid, stats, cert =
-    check_pair_general ?subst ?rng ?max_conflicts ~certify:true net a b
-  in
-  (verdict, valid, stats, cert)
-
-let check_po_pair ?rng net1 net2 i =
-  if N.num_pis net1 <> N.num_pis net2 then
-    invalid_arg "Miter.check_po_pair: PI mismatch";
-  (* Join the two networks over shared PIs, then reduce to check_pair. *)
-  let joined = N.create ~name:"miter" () in
-  let pis = Array.init (N.num_pis net1) (fun _ -> N.add_pi joined) in
-  let instantiate net =
-    let map = Array.make (N.num_nodes net) (-1) in
-    N.iter_nodes net (fun id ->
-        match N.kind net id with
-        | N.Pi idx -> map.(id) <- pis.(idx)
-        | N.Gate f ->
-            let fanins = Array.map (fun fi -> map.(fi)) (N.fanins net id) in
-            map.(id) <- N.add_gate joined f fanins);
-    Array.map (fun id -> map.(id)) (N.pos net)
-  in
-  let pos1 = instantiate net1 and pos2 = instantiate net2 in
-  check_pair ?rng joined pos1.(i) pos2.(i)

@@ -5,32 +5,26 @@
     sweeping progressively cheaper) and asks the solver for an input
     assignment on which the nodes differ.
 
-    Choosing an entry point:
+    Two entry points:
     - {!check_pair} — the default for one-shot callers. A thin wrapper
       over a single-query {!Sat_session}; identical verdicts to the
       session-based sweeping path. For {e many} queries against one
       network, create a {!Sat_session} directly (or use
       {!Sweeper.sat_sweep}) so learned clauses survive between them.
     - {!check_pair_fresh} — the fresh-solver reference implementation:
-      one solver per query, nothing shared. Use it as the differential
-      baseline (tests, [bench sat-session]) or when the per-query solver
-      statistics it returns are wanted.
-    - {!check_pair_certified} — fresh-solver route with a DRUP proof
-      checked for every UNSAT answer. Since the session grew its own
-      per-query certificates ({!Sat_session.take_cert_queries}), this is
-      no longer the only certified route — it remains the standalone
-      one-shot variant and the ladder's certified fallback
-      ({!check_pair_fresh_certified}).
-    - {!check_po_pair} — convenience miter between PO [i] of two
-      networks; joins them over shared PIs first. *)
+      one solver per query, nothing shared, the cones encoded by
+      {!Simgen_sat.Tseitin.encode_cones}. It is the differential baseline
+      (tests, [bench sat-session]), the sweep's [incremental = false]
+      route, and the ladder's fresh rung; optionally budgeted and
+      certified, it returns the solver's counters for the query. *)
 
 type verdict = Sat_session.verdict =
   | Equal  (** UNSAT: the nodes are functionally equivalent *)
   | Counterexample of bool array
       (** SAT: a complete PI vector (by PI index) distinguishing them *)
   | Unknown
-      (** a conflict budget ran out first; only {!check_pair_limited}
-          (and budgeted session queries) produce this *)
+      (** a conflict budget ran out first; only budgeted queries produce
+          this *)
 
 val check_pair :
   ?subst:int array ->
@@ -44,61 +38,31 @@ val check_pair :
     PIs outside the encoded cones take random values (from [rng]) in the
     counterexample so it can be simulated network-wide. *)
 
+type fresh = {
+  verdict : verdict;
+  valid : bool;
+      (** the answer checked out: a [Counterexample] distinguishes the
+          pair in simulation; under [certify], an [Equal] carries a DRUP
+          proof that {!Simgen_sat.Drup.check} accepts *)
+  stats : Simgen_sat.Solver.stats;  (** the query's solver counters *)
+  cert : Simgen_check.Certificate.query option;
+      (** under [certify], for a validated [Equal]: the trimmed
+          standalone proof as a {!Simgen_check.Certificate.Fresh} record,
+          which a certifying sweep appends to its certificate *)
+}
+
 val check_pair_fresh :
   ?subst:int array ->
   ?rng:Simgen_base.Rng.t ->
-  Simgen_network.Network.t ->
-  Simgen_network.Network.node_id ->
-  Simgen_network.Network.node_id ->
-  verdict * Simgen_sat.Solver.stats
-(** Like {!check_pair} but on a dedicated fresh solver, whose counters for
-    this single query are returned alongside the verdict. *)
-
-val check_pair_limited :
-  ?subst:int array ->
-  ?rng:Simgen_base.Rng.t ->
-  max_conflicts:int ->
-  Simgen_network.Network.t ->
-  Simgen_network.Network.node_id ->
-  Simgen_network.Network.node_id ->
-  verdict * Simgen_sat.Solver.stats
-(** {!check_pair_fresh} under a conflict budget: answers [Unknown] when
-    the budget runs out. This is the "fresh solver" rung of the
-    degradation ladder — a session query that went [Unknown] may be
-    poisoned by its own accumulated clause database, so the ladder
-    retries the pair on a clean solver before giving up on SAT. *)
-
-val check_pair_certified :
-  ?subst:int array ->
-  ?rng:Simgen_base.Rng.t ->
-  Simgen_network.Network.t ->
-  Simgen_network.Network.node_id ->
-  Simgen_network.Network.node_id ->
-  verdict * bool
-(** Like {!check_pair_fresh}, with the answer independently validated: an
-    [Equal] verdict carries a DRUP proof checked by {!Simgen_sat.Drup}
-    (the boolean reports the check), a [Counterexample] is validated by
-    simulation. Certified sweeping costs roughly the solver time again. *)
-
-val check_pair_fresh_certified :
-  ?subst:int array ->
-  ?rng:Simgen_base.Rng.t ->
   ?max_conflicts:int ->
+  ?certify:bool ->
   Simgen_network.Network.t ->
   Simgen_network.Network.node_id ->
   Simgen_network.Network.node_id ->
-  verdict * bool * Simgen_sat.Solver.stats * Simgen_check.Certificate.query option
-(** {!check_pair_certified} with a conflict budget and, for a validated
-    [Equal], the trimmed standalone proof packaged as a
-    {!Simgen_check.Certificate.Fresh} record — the fresh rung of the
-    degradation ladder under a certifying sweep appends it to the
-    whole-sweep certificate. *)
-
-val check_po_pair :
-  ?rng:Simgen_base.Rng.t ->
-  Simgen_network.Network.t ->
-  Simgen_network.Network.t ->
-  int ->
-  verdict
-(** Miter between PO [i] of two networks sharing PI semantics (equal PI
-    counts required). *)
+  fresh
+(** Like {!check_pair} but on a dedicated fresh solver. [max_conflicts]
+    budgets the solve (past it the verdict is [Unknown]: the ladder's
+    fresh rung retries a pair that a session may have poisoned with its
+    own clause database). [certify] (default [false]) records the clause
+    stream and the DRUP proof so an [Equal] is independently checked;
+    certified sweeping costs roughly the solver time again. *)

@@ -1,7 +1,4 @@
 module N = Simgen_network.Network
-module TT = Simgen_network.Truth_table
-module Cube = Simgen_network.Cube
-module Isop = Simgen_network.Isop
 module Sat = Simgen_sat
 module Rng = Simgen_base.Rng
 module Runtime_check = Simgen_base.Runtime_check
@@ -39,8 +36,6 @@ type t = {
   rng : Rng.t;
   certify : bool;
   audit : bool;  (* sampled solver-state audits (R007..R013) armed *)
-  gc : bool;
-  gc_ratio : float;
   mutable pending_clauses : Sat.Literal.t list list;
       (* problem clauses (cone encodings) added since the last recorded
          query, newest first; guard/retirement/tie clauses are excluded —
@@ -72,56 +67,18 @@ type t = {
   mutable rebuilds : int;
 }
 
-let zero_solver_stats : Sat.Solver.stats =
-  {
-    conflicts = 0;
-    decisions = 0;
-    propagations = 0;
-    restarts = 0;
-    learned = 0;
-    deleted = 0;
-    removed = 0;
-    reductions = 0;
-    compactions = 0;
-    live_clauses = 0;
-    live_learnts = 0;
-    lbd_core = 0;
-    lbd_mid = 0;
-    lbd_local = 0;
-  }
-
-(* Sum the monotone counters; the gauges come from [b] (the live
-   solver) — summing gauges across dead solvers would be meaningless. *)
-let add_counters (a : Sat.Solver.stats) (b : Sat.Solver.stats) :
-    Sat.Solver.stats =
-  {
-    conflicts = a.conflicts + b.conflicts;
-    decisions = a.decisions + b.decisions;
-    propagations = a.propagations + b.propagations;
-    restarts = a.restarts + b.restarts;
-    learned = a.learned + b.learned;
-    deleted = a.deleted + b.deleted;
-    removed = a.removed + b.removed;
-    reductions = a.reductions + b.reductions;
-    compactions = a.compactions + b.compactions;
-    live_clauses = b.live_clauses;
-    live_learnts = b.live_learnts;
-    lbd_core = b.lbd_core;
-    lbd_mid = b.lbd_mid;
-    lbd_local = b.lbd_local;
-  }
-
-(* The clause-growth rebuild trigger only fires past this database size:
-   below it the whole database fits in cache and a rebuild costs more
-   than it saves. *)
+(* The clause-growth rebuild trigger: the database must exceed
+   [gc_min_live] clauses (below it the whole database fits in cache and a
+   rebuild costs more than it saves) and [gc_ratio] times the live
+   encoding. *)
 let gc_min_live = 2000
+let gc_ratio = 3.0
 
 (* Sampled solver-state audit interval: cheap enough for benches, dense
    enough that a corrupted invariant cannot survive a query unnoticed. *)
 let audit_every = 16
 
-let create ?(certify = false) ?(gc = true) ?(gc_ratio = 3.0) ?(audit = false)
-    ?subst ?rng net =
+let create ?(certify = false) ?(audit = false) ?subst ?rng net =
   let n = N.num_nodes net in
   let audit = audit || Runtime_check.enabled () in
   let solver = Sat.Solver.create () in
@@ -134,8 +91,6 @@ let create ?(certify = false) ?(gc = true) ?(gc_ratio = 3.0) ?(audit = false)
     subst;
     rng = (match rng with Some r -> r | None -> Rng.create 0xCE8);
     certify;
-    gc;
-    gc_ratio;
     pending_clauses = [];
     cert_queries = [];
     cert_count = 0;
@@ -145,7 +100,7 @@ let create ?(certify = false) ?(gc = true) ?(gc_ratio = 3.0) ?(audit = false)
     visit = Array.make n 0;
     stamp = 0;
     clauses_live = 0;
-    base_stats = zero_solver_stats;
+    base_stats = Sat.Solver.zero_stats;
     queries = 0;
     proved = 0;
     disproved = 0;
@@ -178,8 +133,8 @@ let add_problem_clause ?group t clause =
   Sat.Solver.add_clause ?group t.solver clause;
   t.clauses_live <- t.clauses_live + (Sat.Solver.num_clauses t.solver - before)
 
-let resolve t id =
-  match t.subst with
+let resolve subst id =
+  match subst with
   | None -> id
   | Some s ->
       let rec follow id = if s.(id) = id then id else follow s.(id) in
@@ -195,39 +150,16 @@ let resolve t id =
       compress id;
       root
 
-(* One gate definition as ISOP-row clauses over the given fanin variables
-   (same clause shape as the fresh-solver Miter encoder). The clauses are
-   grouped under the node's output variable so a later re-encode can
-   physically retract them. *)
-let emit_gate t id fanin_vars =
-  let f = N.func t.net id in
-  let y = t.vars.(id) in
-  match TT.is_const f with
-  | Some b -> add_problem_clause ~group:y t [ Sat.Literal.make y (not b) ]
-  | None ->
-      List.iter
-        (fun (c : Cube.t) ->
-          let clause = ref [ Sat.Literal.make y (not c.Cube.out) ] in
-          Array.iteri
-            (fun i l ->
-              match l with
-              | Cube.DC -> ()
-              | Cube.T -> clause := Sat.Literal.neg fanin_vars.(i) :: !clause
-              | Cube.F -> clause := Sat.Literal.pos fanin_vars.(i) :: !clause)
-            c.Cube.lits;
-          add_problem_clause ~group:y t !clause)
-        (Isop.rows f)
-
 (* Give every node of the (substituted) fanin cones of [roots] a live,
    up-to-date encoding. A node is (re-)encoded when it has no variable
    yet, or when the variables of its substituted fanins changed since its
    clauses were emitted — a merge redirected a fanin to its
-   representative, or the fanin itself was re-encoded. Under GC the stale
+   representative, or the fanin itself was re-encoded. The stale
    definition is physically retracted (its clause group is removed and
-   the watch lists stop carrying it); without GC it stays behind — either
-   way it remains a sound consequence of the network plus the proven
-   merges, so learned clauses over the old variables remain valid. The
-   explicit stack keeps deep cones off the OCaml call stack.
+   the watch lists stop carrying it); it was a sound consequence of the
+   network plus the proven merges, so learned clauses over the old
+   variables remain valid. The explicit stack keeps deep cones off the
+   OCaml call stack.
 
    Returns the variables of every cone node visited — the decision focus
    for the query about to run: the cone encodings are conservative
@@ -244,27 +176,27 @@ let encode_roots t roots =
     let id, children_done = Stack.pop stack in
     if children_done then begin
       (* Post-order: the substituted fanins are final; refresh if stale. *)
-      let fanins = Array.map (resolve t) (N.fanins t.net id) in
+      let fanins = Array.map (resolve t.subst) (N.fanins t.net id) in
       let fvars = Array.map (fun f -> t.vars.(f)) fanins in
       if t.vars.(id) < 0 || t.enc_fanins.(id) <> fvars then begin
         if t.vars.(id) < 0 then t.encoded <- t.encoded + 1
         else begin
           t.reencoded <- t.reencoded + 1;
-          if t.gc then begin
-            (* Physically retract the stale definition. The deletions are
-               kept out of the proof stream: the certificate checker
-               treats recorded problem clauses as immutable, and keeping
-               a deleted clause only strengthens its propagation. *)
-            let n =
-              Sat.Solver.remove_group ~proof:false t.solver t.vars.(id)
-            in
-            t.clauses_live <- t.clauses_live - n;
-            t.retired_clauses <- t.retired_clauses + n
-          end
+          (* Physically retract the stale definition. The deletions are
+             kept out of the proof stream: the certificate checker treats
+             recorded problem clauses as immutable, and keeping a deleted
+             clause only strengthens its propagation. *)
+          let n = Sat.Solver.remove_group ~proof:false t.solver t.vars.(id) in
+          t.clauses_live <- t.clauses_live - n;
+          t.retired_clauses <- t.retired_clauses + n
         end;
-        t.vars.(id) <- Sat.Solver.new_var t.solver;
+        let y = Sat.Solver.new_var t.solver in
+        t.vars.(id) <- y;
         t.enc_fanins.(id) <- fvars;
-        emit_gate t id fvars
+        (* Grouped under the output variable so a later re-encode can
+           physically retract the definition. *)
+        Sat.Tseitin.gate (add_problem_clause ~group:y t) (N.func t.net id) y
+          (fun i -> fvars.(i))
       end;
       cone := t.vars.(id) :: !cone
     end
@@ -280,7 +212,7 @@ let encode_roots t roots =
       else begin
         Stack.push (id, true) stack;
         Array.iter
-          (fun fi -> Stack.push (resolve t fi, false) stack)
+          (fun fi -> Stack.push (resolve t.subst fi, false) stack)
           (N.fanins t.net id)
       end
     end
@@ -297,7 +229,7 @@ let encode_roots t roots =
             Runtime_check.failf
               "R004: node %d visited by encode_roots but left unencoded" id;
           let fvars =
-            Array.map (fun f -> t.vars.(resolve t f)) (N.fanins t.net id)
+            Array.map (fun f -> t.vars.(resolve t.subst f)) (N.fanins t.net id)
           in
           if t.enc_fanins.(id) <> fvars then
             Runtime_check.failf
@@ -311,18 +243,7 @@ let encode_roots t roots =
 (* Read a full PI vector off the model; PIs the session never encoded are
    outside every queried cone and take random values so the vector can be
    simulated network-wide. *)
-let extract t =
-  let vec = Array.make (N.num_pis t.net) false in
-  Array.iter
-    (fun id ->
-      let idx =
-        match N.kind t.net id with N.Pi i -> i | N.Gate _ -> assert false
-      in
-      vec.(idx) <-
-        (if t.vars.(id) >= 0 then Sat.Solver.value t.solver t.vars.(id)
-         else Rng.bool t.rng))
-    (N.pis t.net);
-  vec
+let extract t = Sat.Tseitin.pi_values ~rng:t.rng t.solver t.net t.vars
 
 (* Throw the accumulated solver away and start over on the same shared
    substitution: the next queries re-encode only the cones they touch,
@@ -336,7 +257,7 @@ let rebuild t =
     t.cert_queries <- Certificate.Rebuild :: t.cert_queries;
     t.cert_count <- t.cert_count + 1
   end;
-  t.base_stats <- add_counters t.base_stats (Sat.Solver.stats t.solver);
+  t.base_stats <- Sat.Solver.add_stats t.base_stats (Sat.Solver.stats t.solver);
   let solver = Sat.Solver.create () in
   if t.certify then Sat.Solver.enable_proof solver;
   if t.audit then Sat.Solver.set_audit solver ~every:audit_every;
@@ -354,7 +275,7 @@ let check_pair ?max_conflicts t a b =
   (match t.subst with
    | Some s -> Simgen_check.Audit.substitution s
    | None -> ());
-  let a = resolve t a and b = resolve t b in
+  let a = resolve t.subst a and b = resolve t.subst b in
   if a = b then Equal
   else begin
     t.queries <- t.queries + 1;
@@ -413,14 +334,13 @@ let check_pair ?max_conflicts t a b =
     in
     (* Retire the miter either way — the verdict is final. The unit
        satisfies the guard clauses and silences every learned clause that
-       mentions [act]; under GC the guards are then deleted outright (the
-       unit stays — learned clauses carrying the positive [act] literal
-       are only sound under it). *)
+       mentions [act]; the guards are then deleted outright (the unit
+       stays — learned clauses carrying the positive [act] literal are
+       only sound under it). *)
     Sat.Solver.add_clause solver [ nact ];
     t.retired <- t.retired + 1;
-    if t.gc then
-      t.retired_clauses <-
-        t.retired_clauses + Sat.Solver.remove_group ~proof:false solver act;
+    t.retired_clauses <-
+      t.retired_clauses + Sat.Solver.remove_group ~proof:false solver act;
     (match verdict with
      | Equal ->
          (* Proven equivalent: tie the variables so cones through either
@@ -442,7 +362,7 @@ let check_pair ?max_conflicts t a b =
             re-encodes from scratch instead of trusting clauses that are
             no longer there. Without a substitution there is no merge
             and the pair may be queried again, so the definitions stay. *)
-         if t.gc && t.subst <> None then begin
+         if t.subst <> None then begin
            let loser = max a b in
            if not (N.is_pi t.net loser) then begin
              let n =
@@ -485,16 +405,13 @@ let check_pair ?max_conflicts t a b =
     end;
     (* Clause-growth trigger: when the database dwarfs the live encoding
        despite per-clause GC, re-encode from scratch. *)
-    if t.gc then begin
-      let live =
-        Sat.Solver.num_clauses t.solver + Sat.Solver.num_learnts t.solver
-      in
-      if
-        live > gc_min_live
-        && float_of_int live
-           > t.gc_ratio *. float_of_int (max 1 t.clauses_live)
-      then rebuild t
-    end;
+    let live =
+      Sat.Solver.num_clauses t.solver + Sat.Solver.num_learnts t.solver
+    in
+    if
+      live > gc_min_live
+      && float_of_int live > gc_ratio *. float_of_int (max 1 t.clauses_live)
+    then rebuild t;
     verdict
   end
 
@@ -504,7 +421,7 @@ let solve_targets t outgold =
   | _ ->
       t.vector_calls <- t.vector_calls + 1;
       let targets =
-        List.map (fun (id, gold) -> (resolve t id, gold)) outgold
+        List.map (fun (id, gold) -> (resolve t.subst id, gold)) outgold
       in
       let cone = encode_roots t (List.map fst targets) in
       Sat.Solver.focus_decisions t.solver cone;
@@ -534,4 +451,4 @@ let stats t =
     rebuilds = t.rebuilds;
   }
 
-let solver_stats t = add_counters t.base_stats (Sat.Solver.stats t.solver)
+let solver_stats t = Sat.Solver.add_stats t.base_stats (Sat.Solver.stats t.solver)

@@ -6,7 +6,8 @@
     a sweep makes against the same network:
 
     - {b Lazy, substitution-aware encoding.} Each node's CNF (its ISOP
-      rows, as in the fresh encoder) is emitted at most once, the first
+      rows, from {!Simgen_sat.Tseitin.gate} like every encoder in the
+      repository) is emitted at most once, the first
       time a query's cone reaches it, over the variables of its
       {e substituted} fanins. When a later merge redirects a fanin to its
       representative, the node is re-encoded over the new variables and
@@ -37,7 +38,7 @@
       solver would pay (DESIGN.md §13 has the soundness argument; [bench
       sat-session] gates the ratio).
     - {b Clause-growth rebuild.} When the solver database nonetheless
-      outgrows the live encoding past [gc_ratio] (learned clauses and
+      outgrows the live encoding three times over (learned clauses and
       stale variable space no per-clause GC can reclaim), the session
       discards the solver and re-encodes lazily from the current
       substitution. A certifying session records the discontinuity as a
@@ -53,8 +54,6 @@ type t
 
 val create :
   ?certify:bool ->
-  ?gc:bool ->
-  ?gc_ratio:float ->
   ?audit:bool ->
   ?subst:int array ->
   ?rng:Simgen_base.Rng.t ->
@@ -62,23 +61,27 @@ val create :
   t
 (** A session over [net] with an empty solver. [subst] is the live
     proven-equivalence substitution (identity when absent) — the session
-    reads it before every query and path-compresses it like
-    {!Miter.check_pair}. [rng] randomizes the PIs outside the encoded
+    reads it before every query and path-compresses it ({!resolve}).
+    [rng] randomizes the PIs outside the encoded
     cones in counterexamples. [certify] (default [false]) turns on DRUP
     logging and per-query certificate recording: every problem clause
     and proof event is sliced per query into
     {!Simgen_check.Certificate.query} records, collected with
-    {!take_cert_queries}. [gc] (default [true]) enables physical
-    garbage-collection of retired queries and stale encodings; turning
-    it off reproduces the append-only PR-2 behaviour (the differential
-    tests rely on the verdict stream being semantically identical either
-    way). [gc_ratio] (default 3.0) sets the clause-growth factor past
-    which the session rebuilds its solver from scratch. [audit] (default
+    {!take_cert_queries}. [audit] (default
     [false]) arms the sampled solver-state sanitizer
     ({!Simgen_sat.Solver.set_audit}, R007..R013) on the session's solver
     — and on every solver a rebuild creates; it is also armed implicitly
     whenever {!Simgen_base.Runtime_check.enabled} holds, so the full
     test suite sweeps under the sanitizer. *)
+
+val resolve :
+  int array option ->
+  Simgen_network.Network.node_id ->
+  Simgen_network.Network.node_id
+(** [resolve subst id] follows the substitution from [id] to its
+    representative, path-compressing [subst] on the way ([id] itself
+    when [subst] is [None]). The sweep's one substitution resolver: the
+    session and the fresh-solver {!Miter} both resolve through it. *)
 
 val network : t -> Simgen_network.Network.t
 

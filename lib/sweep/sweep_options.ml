@@ -10,7 +10,6 @@ type t = {
   bdd_fallback_nodes : int;
   one_distance : bool;
   incremental : bool;
-  session_gc : bool;
   certify : bool;
   solver_audit : bool;
   should_stop : unit -> bool;
@@ -31,7 +30,6 @@ let default =
     bdd_fallback_nodes = 10_000;
     one_distance = false;
     incremental = true;
-    session_gc = true;
     certify = false;
     solver_audit = false;
     should_stop = (fun () -> false);

@@ -38,12 +38,6 @@ type t = {
       (** route miters through the per-sweep {!Sat_session} (default);
           [false] restores a fresh solver per pair — the baseline the
           [bench sat-session] experiment measures against *)
-  session_gc : bool;
-      (** physically garbage-collect retired queries and stale gate
-          encodings inside the session (default). [false] reproduces the
-          append-only PR-2 clause database — verdicts and merge
-          partitions are identical either way (the differential tests
-          assert it), only speed and memory differ *)
   certify : bool;
       (** check a DRUP proof for every UNSAT verdict and record the
           whole-sweep certificate ({!Sweeper.certificate}). Composes

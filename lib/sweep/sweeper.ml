@@ -81,7 +81,6 @@ type t = {
   rng : Rng.t;
   check : bool;  (* run invariant audits at refinement/merge boundaries *)
   certify : bool;  (* record a whole-sweep certificate *)
-  gc : bool;  (* session clause garbage-collection (Sweep_options.session_gc) *)
   audit : bool;  (* sampled solver-state sanitizer (Sweep_options.solver_audit) *)
   (* Whole-sweep certificate state: query records flushed out of the
      session (and appended by the certified fresh rung), the merge log
@@ -124,14 +123,12 @@ let create ?check (opts : Sweep_options.t) net =
     match check with Some b -> b | None -> Runtime_check.enabled ()
   in
   let certify = opts.Sweep_options.certify in
-  let gc = opts.Sweep_options.session_gc in
   let audit = opts.Sweep_options.solver_audit in
   {
     net;
     rng;
     check;
     certify;
-    gc;
     audit;
     cert_queries = [];
     cert_count = 0;
@@ -141,7 +138,7 @@ let create ?check (opts : Sweep_options.t) net =
     levels = Level.compute net;
     outgold = opts.Sweep_options.outgold;
     subst;
-    session = Sat_session.create ~certify ~gc ~audit ~subst ~rng net;
+    session = Sat_session.create ~certify ~audit ~subst ~rng net;
     history = [];
     quarantine = Hashtbl.create 8;
     d_stats = empty_degrade;
@@ -197,9 +194,13 @@ let apply_vector t vec =
   Eq.refine_word t.eq node_words;
   record_cost t
 
+let batch_lanes = 64
+
 (* Pack a list of vectors into 64-lane words so [n] vectors cost
-   [ceil (n/64)] simulation passes instead of [n]. Unused lanes replay the
-   chunk's first vector so they cannot split anything. *)
+   [ceil (n/64)] simulation passes instead of [n]; lane [i] of a pass
+   holds the chunk's [i]-th vector. Unused lanes replay the chunk's first
+   vector so they cannot split anything. Every pass refines the classes
+   and records the cost. The guided rounds hand it their one batch. *)
 let apply_vectors t vecs =
   let npis = N.num_pis t.net in
   let rec chunks = function
@@ -207,7 +208,7 @@ let apply_vectors t vecs =
     | first :: _ as vecs ->
         let words = Array.make npis 0L in
         let rec fill lane = function
-          | rest when lane >= 64 -> rest
+          | rest when lane >= batch_lanes -> rest
           | [] ->
               Simulator.vector_word first lane words;
               fill (lane + 1) []
@@ -271,8 +272,6 @@ let note_failure t cls =
    Classes whose generation fails are skipped, as per §3. The batch is
    simulated in one word-parallel pass, mirroring the word-based
    simulation rounds of ABC-style sweeping. *)
-let batch_lanes = 64
-
 let guided_round_config t config =
   let engine, decision = engine_for t config in
   let t0 = Timer.now () in
@@ -318,21 +317,7 @@ let guided_round_config t config =
         fill rest
   in
   fill ordered;
-  (match !vectors with
-   | [] -> ()
-   | vecs ->
-       let words = Array.make (N.num_pis t.net) 0L in
-       List.iteri (fun lane vec -> Simulator.vector_word vec lane words) vecs;
-       (* Unused lanes replay lane 0 so they cannot split anything. *)
-       (match vecs with
-        | first :: _ ->
-            for lane = List.length vecs to batch_lanes - 1 do
-              Simulator.vector_word first lane words
-            done
-        | [] -> ());
-       let node_words = Simulator.simulate_word t.net words in
-       Eq.refine_word t.eq node_words;
-       record_cost t);
+  apply_vectors t !vectors;
   let d =
     {
       iterations = 1;
@@ -394,17 +379,7 @@ let sat_guided_round t =
         fill rest
   in
   fill ordered;
-  (match !vectors with
-   | [] -> ()
-   | first :: _ as vecs ->
-       let words = Array.make (N.num_pis t.net) 0L in
-       List.iteri (fun lane vec -> Simulator.vector_word vec lane words) vecs;
-       for lane = List.length vecs to batch_lanes - 1 do
-         Simulator.vector_word first lane words
-       done;
-       let node_words = Simulator.simulate_word t.net words in
-       Eq.refine_word t.eq node_words;
-       record_cost t);
+  apply_vectors t !vectors;
   let d =
     {
       empty_guided with
@@ -465,63 +440,6 @@ let quarantine_pair t a b =
     t.d_stats <- { t.d_stats with quarantined = key :: t.d_stats.quarantined }
   end
 
-let zero_solver_stats =
-  {
-    Solver.conflicts = 0;
-    decisions = 0;
-    propagations = 0;
-    restarts = 0;
-    learned = 0;
-    deleted = 0;
-    removed = 0;
-    reductions = 0;
-    compactions = 0;
-    live_clauses = 0;
-    live_learnts = 0;
-    lbd_core = 0;
-    lbd_mid = 0;
-    lbd_local = 0;
-  }
-
-(* Counter arithmetic over {!Solver.stats} snapshots: the nine monotone
-   counters difference/sum meaningfully; the gauge fields are carried
-   from [a] so a before/after delta reports the latest database shape. *)
-let stats_sub (a : Solver.stats) (b : Solver.stats) =
-  {
-    Solver.conflicts = a.Solver.conflicts - b.Solver.conflicts;
-    decisions = a.Solver.decisions - b.Solver.decisions;
-    propagations = a.Solver.propagations - b.Solver.propagations;
-    restarts = a.Solver.restarts - b.Solver.restarts;
-    learned = a.Solver.learned - b.Solver.learned;
-    deleted = a.Solver.deleted - b.Solver.deleted;
-    removed = a.Solver.removed - b.Solver.removed;
-    reductions = a.Solver.reductions - b.Solver.reductions;
-    compactions = a.Solver.compactions - b.Solver.compactions;
-    live_clauses = a.Solver.live_clauses;
-    live_learnts = a.Solver.live_learnts;
-    lbd_core = a.Solver.lbd_core;
-    lbd_mid = a.Solver.lbd_mid;
-    lbd_local = a.Solver.lbd_local;
-  }
-
-let stats_add (a : Solver.stats) (b : Solver.stats) =
-  {
-    Solver.conflicts = a.Solver.conflicts + b.Solver.conflicts;
-    decisions = a.Solver.decisions + b.Solver.decisions;
-    propagations = a.Solver.propagations + b.Solver.propagations;
-    restarts = a.Solver.restarts + b.Solver.restarts;
-    learned = a.Solver.learned + b.Solver.learned;
-    deleted = a.Solver.deleted + b.Solver.deleted;
-    removed = a.Solver.removed + b.Solver.removed;
-    reductions = a.Solver.reductions + b.Solver.reductions;
-    compactions = a.Solver.compactions + b.Solver.compactions;
-    live_clauses = b.Solver.live_clauses;
-    live_learnts = b.Solver.live_learnts;
-    lbd_core = b.Solver.lbd_core;
-    lbd_mid = b.Solver.lbd_mid;
-    lbd_local = b.Solver.lbd_local;
-  }
-
 let rebuild_session t =
   (* Salvage the completed query records before the old session (and its
      un-taken buffer) is dropped, then mark the discontinuity: the new
@@ -533,7 +451,7 @@ let rebuild_session t =
     t.cert_count <- t.cert_count + 1
   end;
   t.session <-
-    Sat_session.create ~certify:t.certify ~gc:t.gc ~audit:t.audit
+    Sat_session.create ~certify:t.certify ~audit:t.audit
       ~subst:t.subst ~rng:t.rng t.net;
   t.d_stats <-
     { t.d_stats with session_rebuilds = t.d_stats.session_rebuilds + 1 }
@@ -549,7 +467,9 @@ let session_query ?max_conflicts t a b acc =
     let before = Sat_session.solver_stats t.session in
     Fun.protect
       ~finally:(fun () ->
-        acc := stats_add !acc (stats_sub (Sat_session.solver_stats t.session) before))
+        acc :=
+          Solver.add_stats !acc
+            (Solver.diff_stats (Sat_session.solver_stats t.session) before))
       (fun () -> Sat_session.check_pair ?max_conflicts t.session a b)
   in
   let verdict =
@@ -581,7 +501,7 @@ let session_query ?max_conflicts t a b acc =
    rung. *)
 let verify_pair (opts : Sweep_options.t) t a b =
   let a = representative t a and b = representative t b in
-  let acc = ref zero_solver_stats in
+  let acc = ref Solver.zero_stats in
   if a = b then (Sat_session.Equal, !acc)
   else begin
     let certify = t.certify || opts.Sweep_options.certify in
@@ -623,51 +543,39 @@ let verify_pair (opts : Sweep_options.t) t a b =
           quarantine_pair t a b;
           Sat_session.Unknown
     in
-    let fresh_query ~rung () =
-      let verdict, st =
-        match budget rung with
-        | Some max_conflicts ->
-            Miter.check_pair_limited ~subst:t.subst ~rng:t.rng ~max_conflicts
-              t.net a b
-        | None -> Miter.check_pair_fresh ~subst:t.subst ~rng:t.rng t.net a b
-      in
-      acc := stats_add !acc st;
-      match verdict with
-      | Sat_session.Unknown ->
-          note_unknown ();
-          bdd_rung ()
-      | (Sat_session.Equal | Sat_session.Counterexample _) as v -> v
-    in
-    let fresh_certified_query ~rung () =
-      let verdict, valid, st, cert =
-        Miter.check_pair_fresh_certified ?max_conflicts:(budget rung)
+    (* The fresh solver, certified when asked: a validated Equal's proof
+       record joins the whole-sweep certificate. A budgeted Unknown falls
+       to the BDD rung — except under certification, where a BDD verdict
+       would carry no clausal proof, so the pair is quarantined instead
+       of merged on an uncertifiable answer. *)
+    let fresh_query ~certify ~rung =
+      let r =
+        Miter.check_pair_fresh ?max_conflicts:(budget rung) ~certify
           ~subst:t.subst ~rng:t.rng t.net a b
       in
-      acc := stats_add !acc st;
-      if not valid then
+      acc := Solver.add_stats !acc r.Miter.stats;
+      if certify && not r.Miter.valid then
         failwith "Sweeper.verify_pair: certificate failed to validate";
-      (match cert with
+      (match r.Miter.cert with
        | Some q ->
            t.cert_queries <- q :: t.cert_queries;
            t.cert_count <- t.cert_count + 1;
            t.last_proof <- t.cert_count - 1
        | None -> ());
-      match verdict with
-      | Sat_session.Unknown ->
+      match r.Miter.verdict with
+      | Sat_session.Unknown when certify ->
           note_unknown ();
-          (* No BDD rung under certification: a BDD verdict carries no
-             clausal proof, so the pair is quarantined instead of merged
-             on an uncertifiable answer. *)
           quarantine_pair t a b;
           Sat_session.Unknown
+      | Sat_session.Unknown ->
+          note_unknown ();
+          bdd_rung ()
       | (Sat_session.Equal | Sat_session.Counterexample _) as v -> v
     in
     let fresh_rung () =
       t.d_stats <-
         { t.d_stats with fresh_fallbacks = t.d_stats.fresh_fallbacks + 1 };
-      let rung = opts.Sweep_options.escalations + 1 in
-      if t.certify then fresh_certified_query ~rung ()
-      else fresh_query ~rung ()
+      fresh_query ~certify:t.certify ~rung:(opts.Sweep_options.escalations + 1)
     in
     let rec climb rung =
       match session_query ?max_conflicts:(budget rung) t a b acc with
@@ -682,16 +590,14 @@ let verify_pair (opts : Sweep_options.t) t a b =
       | (Sat_session.Equal | Sat_session.Counterexample _) as v -> v
     in
     let verdict =
-      if certify && not (opts.Sweep_options.incremental
-                         && Sat_session.certifying t.session)
+      if
+        (not opts.Sweep_options.incremental)
+        || (certify && not (Sat_session.certifying t.session))
       then
-        (* Certified but no recording session available (fresh route
-           requested, or the sweeper was created without [~certify]):
-           every query runs on the one-shot certified miter. *)
-        fresh_certified_query ~rung:0 ()
-      else if not opts.Sweep_options.incremental then
-        (* No session to escalate: the fresh solver is the first rung. *)
-        fresh_query ~rung:0 ()
+        (* No session to escalate (fresh route requested), or none that
+           records certificates (the sweeper was created without
+           [~certify]): the fresh solver is the first rung. *)
+        fresh_query ~certify ~rung:0
       else climb 0
     in
     (verdict, !acc)

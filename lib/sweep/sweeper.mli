@@ -73,9 +73,7 @@ val create : ?check:bool -> Sweep_options.t -> Simgen_network.Network.t -> t
     rounds, [certify] records a whole-sweep certificate (the session
     logs per-query clausal proofs, every merge is logged with a
     reference to the query that proved it, and {!certificate} assembles
-    the result for {!Simgen_check.Certificate.check}), and [session_gc]
-    controls physical clause garbage-collection inside the incremental
-    session. [check] (default {!Simgen_base.Runtime_check.enabled},
+    the result for {!Simgen_check.Certificate.check}). [check] (default {!Simgen_base.Runtime_check.enabled},
     i.e. the [SIMGEN_CHECK] environment variable) turns on invariant
     audits at every refinement and merge boundary: eq-class partition
     well-formedness and substitution monotonicity
@@ -186,13 +184,14 @@ val verify_pair :
     route: a session query at [max_conflicts]; on [Unknown], the same
     query at 4x the budget, [escalations] times (the session keeps its
     learned clauses, so each retry resumes paid-for work); then a fresh
-    solver at the next budget; then {!Bdd_backend.check_pair} under
+    solver at the next budget ({!Miter.check_pair_fresh}); then
+    {!Bdd_backend.check_pair} under
     [bdd_fallback_nodes]; and finally quarantine — the pair is recorded
     in {!degrade_stats}, excluded from future candidate picking, and the
     verdict is [Unknown]. Nothing is ever merged on [Unknown].
     [incremental = false] starts at the fresh-solver rung. Under
     [certify] the ladder still climbs, with two changes: the fresh rung
-    runs the one-shot certified miter (its proof joins the certificate),
+    certifies too (its proof joins the certificate),
     and the BDD rung is replaced by quarantine — a BDD verdict carries
     no clausal proof. A [Runtime_check.Violation] mid-query tears the
     session down, rebuilds it over the (consistent) substitution and

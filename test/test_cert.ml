@@ -243,16 +243,17 @@ let test_trim () =
       match cls with
       | a :: b :: _ when !checked < 12 -> (
           incr checked;
-          match
-            Miter.check_pair_fresh_certified ~subst:(Sweeper.substitution sw)
-              net a b
-          with
-          | Miter.Equal, valid, _, Some (Cert.Fresh { clauses; events; _ }) ->
-              Alcotest.(check bool) "trimmed proof valid" true valid;
+          let r =
+            Miter.check_pair_fresh ~certify:true
+              ~subst:(Sweeper.substitution sw) net a b
+          in
+          match (r.Miter.verdict, r.Miter.cert) with
+          | Miter.Equal, Some (Cert.Fresh { clauses; events; _ }) ->
+              Alcotest.(check bool) "trimmed proof valid" true r.Miter.valid;
               Alcotest.(check bool) "trimmed proof still checks" true
                 (Sat.Drup.check clauses events = Sat.Drup.Valid)
-          | Miter.Equal, _, _, _ -> Alcotest.fail "Equal without a record"
-          | (Miter.Counterexample _ | Miter.Unknown), _, _, _ -> ())
+          | Miter.Equal, _ -> Alcotest.fail "Equal without a record"
+          | (Miter.Counterexample _ | Miter.Unknown), _ -> ())
       | _ -> ())
     (Simgen_sim.Eq_classes.classes (Sweeper.classes sw));
   (* Count what the checker trims across a certified sweep: the counter

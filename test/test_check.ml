@@ -227,6 +227,50 @@ let test_tseitin_encoding_lint () =
   Alcotest.(check bool) "only C007 infos beyond that" true
     (List.for_all (fun d -> d.D.code = "C007") diags)
 
+let test_session_stream_lint () =
+  (* The stream a certified sweep really hands its session solver: the
+     problem clauses of every session query record, concatenated until a
+     rebuild restarts the variable space. Each query's activation
+     variable is allocated after its cone encoding, so one past the
+     largest one bounds the segment's variables: an encoding over an
+     unallocated (or missing, -1) variable is a C001 error. *)
+  let module Cert = Simgen_check.Certificate in
+  let lint name segment =
+    let nvars, parts =
+      List.fold_left
+        (fun (n, parts) q ->
+          match q with
+          | Cert.Session { act; clauses; _ } -> (max n (act + 1), clauses :: parts)
+          | Cert.Fresh _ | Cert.Rebuild -> (n, parts))
+        (0, []) segment
+    in
+    let clauses = List.concat (List.rev parts) in
+    let diags = Check.Lint.cnf ~source:name ~nvars clauses in
+    Alcotest.(check int) (name ^ ": no errors") 0 (List.length (errors diags));
+    List.length clauses
+  in
+  List.iter
+    (fun name ->
+      let net = Suite.lut_network name in
+      let o =
+        { Sweep_options.default with Sweep_options.seed = 7; certify = true }
+      in
+      let sw = Sweeper.create o net in
+      Sweeper.random_round sw;
+      ignore (Sweeper.run_guided o sw : Sweeper.guided_stats);
+      ignore (Sweeper.sat_sweep o sw : Sweeper.sat_stats);
+      let rec segments acc cur = function
+        | [] -> List.rev (List.rev cur :: acc)
+        | Cert.Rebuild :: rest -> segments (List.rev cur :: acc) [] rest
+        | q :: rest -> segments acc (q :: cur) rest
+      in
+      let queries = Array.to_list (Sweeper.certificate sw).Cert.queries in
+      let linted =
+        List.fold_left ( + ) 0 (List.map (lint name) (segments [] [] queries))
+      in
+      Alcotest.(check bool) (name ^ ": clauses linted") true (linted > 0))
+    [ "dec"; "priority"; "apex5"; "alu4"; "square"; "b14_C" ]
+
 (* ------------------------------------------------------------------ *)
 (* Parse errors as diagnostics                                         *)
 (* ------------------------------------------------------------------ *)
@@ -871,6 +915,7 @@ let () =
           Alcotest.test_case "all codes" `Quick test_cnf_codes;
           Alcotest.test_case "clean cnf" `Quick test_cnf_clean;
           Alcotest.test_case "tseitin stream" `Quick test_tseitin_encoding_lint;
+          Alcotest.test_case "session stream" `Quick test_session_stream_lint;
           Alcotest.test_case "C007 subsumption" `Quick test_cnf_subsumed;
           Alcotest.test_case "C008 complementary units" `Quick
             test_cnf_complementary_units;

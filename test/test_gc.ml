@@ -1,7 +1,7 @@
 (* Clause-database management: group retraction with Delete proof
    events, root-level simplification, cross-call restart accumulation,
-   and the session GC differential (GC on/off changes clause counts,
-   never verdicts). *)
+   and the session GC differential (the collecting session against the
+   fresh-solver route: clause counts differ, verdicts never). *)
 
 module S = Simgen_sat.Solver
 module L = Simgen_sat.Literal
@@ -211,12 +211,12 @@ let test_restarts_accumulate_across_calls () =
 (* Session GC differential                                             *)
 (* ------------------------------------------------------------------ *)
 
-let opts ~gc ~certify seed =
+let opts ?(incremental = true) ~certify seed =
   {
     Sweep_options.default with
     Sweep_options.seed;
     guided_iterations = 4;
-    session_gc = gc;
+    incremental;
     certify;
   }
 
@@ -233,14 +233,16 @@ let sweep o net =
   (sw, s)
 
 let test_gc_differential_stacked () =
-  (* GC on vs off on a stacked suite benchmark, >= 3 seeds: identical
-     final merge partitions and proved-merge counts; GC actually
-     collected something. *)
+  (* The collecting session vs a fresh solver per pair on a stacked suite
+     benchmark, >= 3 seeds: identical final merge partitions and
+     proved-merge counts; GC actually collected something. *)
   let net = Suite.stacked_lut_network "apex2" in
   List.iter
     (fun seed ->
-      let sw_gc, s_gc = sweep (opts ~gc:true ~certify:false seed) net in
-      let sw_off, s_off = sweep (opts ~gc:false ~certify:false seed) net in
+      let sw_gc, s_gc = sweep (opts ~certify:false seed) net in
+      let sw_off, s_off =
+        sweep (opts ~incremental:false ~certify:false seed) net
+      in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: identical partitions" seed)
         true
@@ -261,7 +263,7 @@ let test_gc_certificate_valid () =
      certificate the independent checker accepts: the deletions the GC
      performs never reach the per-query certificate slices unsoundly. *)
   let net = Suite.stacked_lut_network "apex2" in
-  let sw, s = sweep (opts ~gc:true ~certify:true 7) net in
+  let sw, s = sweep (opts ~certify:true 7) net in
   Alcotest.(check bool) "GC fired during the certified sweep" true
     (s.Sweeper.deleted > 0);
   let report = Cert.check (Sweeper.certificate sw) in

@@ -129,13 +129,14 @@ let test_certified_merges () =
     (fun cls ->
       match cls with
       | a :: b :: _ when !proofs < 8 -> (
-          match Simgen_sweep.Miter.check_pair_certified net a b with
-          | Simgen_sweep.Miter.Equal, valid ->
+          let r = Simgen_sweep.Miter.check_pair_fresh ~certify:true net a b in
+          match r.Simgen_sweep.Miter.verdict with
+          | Simgen_sweep.Miter.Equal ->
               incr proofs;
-              Alcotest.(check bool) "DRUP proof valid" true valid
-          | Simgen_sweep.Miter.Counterexample _, valid ->
-              Alcotest.(check bool) "cex valid" true valid
-          | Simgen_sweep.Miter.Unknown, _ ->
+              Alcotest.(check bool) "DRUP proof valid" true r.valid
+          | Simgen_sweep.Miter.Counterexample _ ->
+              Alcotest.(check bool) "cex valid" true r.valid
+          | Simgen_sweep.Miter.Unknown ->
               Alcotest.fail "unexpected Unknown without a budget")
       | _ -> ())
     (Eq.classes (Sweeper.classes sw));

@@ -358,11 +358,11 @@ let test_tseitin_consistency () =
   let net, x, _ = small_net () in
   let env = Tseitin.create () in
   let vars = Tseitin.encode_network env net in
-  Tseitin.assert_true env (Simgen_sat.Literal.pos vars.(x));
+  Tseitin.add env [ Simgen_sat.Literal.pos vars.(x) ];
   match S.solve (Tseitin.solver env) with
   | S.Unsat -> Alcotest.fail "x=1 must be reachable"
   | S.Sat ->
-      let pis = Tseitin.pi_values env net vars in
+      let pis = Tseitin.pi_values (Tseitin.solver env) net vars in
       let vals = N.eval net pis in
       Alcotest.(check bool) "simulation agrees" true vals.(x)
 
@@ -382,7 +382,7 @@ let test_tseitin_miter_different_nodes () =
   (match S.solve ~assumptions:[ m ] (Tseitin.solver env) with
    | S.Unsat -> Alcotest.fail "AND and XOR differ"
    | S.Sat ->
-       let pis = Tseitin.pi_values env net vars in
+       let pis = Tseitin.pi_values (Tseitin.solver env) net vars in
        let vals = N.eval net pis in
        Alcotest.(check bool) "counterexample distinguishes" true
          (vals.(x) <> vals.(y)))

@@ -13,6 +13,12 @@
    changes the later counts. The file pins the search of an unaudited
    run, as the CLI and the benchmark make it.
 
+   After the session rows come two rows per circuit for the fresh-solver
+   route (seed 7, AI+DC+MFFC): [incremental = false], and the same with
+   [certify = true]. That route re-encodes the query cones on a new
+   solver each call, allocating variables lazily as clauses name them, so
+   these rows pin its variable order as well as its clause order.
+
    Regenerate (only when a behaviour change is intended) with
      dune exec test/test_sat_golden.exe -- --write test/golden/sat_counts.txt *)
 
@@ -35,14 +41,15 @@ let partition_digest sw net =
   done;
   String.sub (Digest.to_hex (Digest.string (Buffer.contents buf))) 0 12
 
-let line bench net strategy seed =
+let line ?(route = "") ?(tweak = Fun.id) bench net strategy seed =
   let o =
-    {
-      Sweep_options.default with
-      Sweep_options.seed;
-      strategy;
-      guided_iterations = 20;
-    }
+    tweak
+      {
+        Sweep_options.default with
+        Sweep_options.seed;
+        strategy;
+        guided_iterations = 20;
+      }
   in
   let sw = Sweeper.create o net in
   for _ = 1 to o.Sweep_options.random_rounds do
@@ -50,21 +57,37 @@ let line bench net strategy seed =
   done;
   ignore (Sweeper.run_guided o sw : Sweeper.guided_stats);
   let s = Sweeper.sat_sweep o sw in
-  Printf.sprintf "%s %s seed=%d calls=%d proved=%d disproved=%d conflicts=%d \
-                  propagations=%d partition=%s"
-    bench (Strategy.name strategy) seed s.Sweeper.calls s.Sweeper.proved
+  Printf.sprintf "%s %s seed=%d%s calls=%d proved=%d disproved=%d \
+                  conflicts=%d propagations=%d partition=%s"
+    bench (Strategy.name strategy) seed route s.Sweeper.calls s.Sweeper.proved
     s.Sweeper.disproved s.Sweeper.conflicts s.Sweeper.propagations
     (partition_digest sw net)
 
+let fresh o = { o with Sweep_options.incremental = false }
+let fresh_certified o = { (fresh o) with Sweep_options.certify = true }
+
 let lines () =
   Runtime_check.with_enabled false @@ fun () ->
-  List.concat_map
-    (fun bench ->
-      let net = Suite.lut_network bench in
-      List.concat_map
-        (fun strategy -> List.map (line bench net strategy) seeds)
-        strategies)
-    circuits
+  let nets = List.map (fun bench -> (bench, Suite.lut_network bench)) circuits in
+  let session =
+    List.concat_map
+      (fun (bench, net) ->
+        List.concat_map
+          (fun strategy -> List.map (line bench net strategy) seeds)
+          strategies)
+      nets
+  in
+  let fresh_route =
+    List.concat_map
+      (fun (bench, net) ->
+        [
+          line ~route:" fresh" ~tweak:fresh bench net Strategy.AI_DC_MFFC 7;
+          line ~route:" fresh-certified" ~tweak:fresh_certified bench net
+            Strategy.AI_DC_MFFC 7;
+        ])
+      nets
+  in
+  session @ fresh_route
 
 let golden_path =
   if Sys.file_exists "golden/sat_counts.txt" then "golden/sat_counts.txt"

@@ -123,21 +123,25 @@ let test_miter_random_verified () =
     end
   done
 
+let certified net a b =
+  let r = Miter.check_pair_fresh ~certify:true net a b in
+  (r.Miter.verdict, r.Miter.valid)
+
 let test_miter_certified () =
   let net, x1, x2, y1, _, z1, z2 = candidates_net () in
   (* Equal pair: UNSAT answer with a checked DRUP proof. *)
-  (match Miter.check_pair_certified net x1 x2 with
+  (match certified net x1 x2 with
    | Miter.Equal, valid -> Alcotest.(check bool) "proof checks" true valid
    | Miter.Counterexample _, _ -> Alcotest.fail "equal pair"
    | Miter.Unknown, _ -> Alcotest.fail "unexpected Unknown without a budget");
   (* Distinct pair: counter-example validated by simulation. *)
-  (match Miter.check_pair_certified net x1 y1 with
+  (match certified net x1 y1 with
    | Miter.Counterexample _, valid ->
        Alcotest.(check bool) "cex validated" true valid
    | Miter.Equal, _ -> Alcotest.fail "distinct pair"
    | Miter.Unknown, _ -> Alcotest.fail "unexpected Unknown without a budget");
   (* Near-miss: both outcomes certified across random nets too. *)
-  match Miter.check_pair_certified net z1 z2 with
+  match certified net z1 z2 with
   | Miter.Counterexample _, valid ->
       Alcotest.(check bool) "near-miss certified" true valid
   | Miter.Equal, _ -> Alcotest.fail "near-miss differs"
@@ -149,7 +153,7 @@ let test_miter_certified_random () =
     let net = random_net rng 5 20 in
     let g1 = N.num_nodes net - 1 and g2 = N.num_nodes net - 2 in
     if (not (N.is_pi net g1)) && not (N.is_pi net g2) then
-      let _, valid = Miter.check_pair_certified net g1 g2 in
+      let _, valid = certified net g1 g2 in
       Alcotest.(check bool) "certificate valid" true valid
   done
 
@@ -157,10 +161,12 @@ let test_po_miter () =
   let rng = Rng.create 307 in
   let net1 = random_net rng 4 15 in
   let net2 = N.copy net1 in
-  for i = 0 to N.num_pos net1 - 1 do
-    Alcotest.(check bool) "identical nets equal" true
-      (Miter.check_po_pair net1 net2 i = Miter.Equal)
-  done
+  let joined, pos1, pos2 = Cec.join net1 net2 in
+  Array.iteri
+    (fun i p1 ->
+      Alcotest.(check bool) "identical nets equal" true
+        (Miter.check_pair joined p1 pos2.(i) = Miter.Equal))
+    pos1
 
 (* ------------------------------------------------------------------ *)
 (* Sweeper                                                             *)
@@ -761,8 +767,9 @@ let check_differential net pairs seed =
   let session = Sat_session.create ~rng:(Rng.create seed) net in
   List.iter
     (fun (a, b) ->
-      let fresh_verdict, _ =
-        Miter.check_pair_fresh ~rng:(Rng.create (seed lxor 0xF)) net a b
+      let fresh_verdict =
+        (Miter.check_pair_fresh ~rng:(Rng.create (seed lxor 0xF)) net a b)
+          .Miter.verdict
       in
       let session_verdict = Sat_session.check_pair session a b in
       match (fresh_verdict, session_verdict) with
@@ -911,16 +918,8 @@ let test_sweep_routes_agree () =
           let cert, _ =
             sweep_partition { (opts seed) with Sweep_options.certify = true } net
           in
-          let nogc, s_nogc =
-            sweep_partition
-              { (opts seed) with Sweep_options.session_gc = false }
-              net
-          in
           Alcotest.(check bool) "incremental = fresh partition" true (inc = fr);
           Alcotest.(check bool) "certified partition too" true (inc = cert);
-          Alcotest.(check bool) "GC-disabled partition too" true (inc = nogc);
-          Alcotest.(check int) "GC never changes verdict counts"
-            s_nogc.Sweeper.proved s_inc.Sweeper.proved;
           (* Counter-example sequences (and so call counts) may differ
              between routes; the number of proved merges cannot — it is
              [gates - true classes] either way. *)
