@@ -241,8 +241,11 @@ let sweep_cmd =
     Printf.printf
       "SAT sweeping: %d calls (%d proved, %d disproved) in %.3fs\n"
       s.Sweeper.calls s.Sweeper.proved s.Sweeper.disproved s.Sweeper.sat_time;
-    Printf.printf "  solver: %d conflicts, %d propagations, %d restarts%s\n"
-      s.Sweeper.conflicts s.Sweeper.propagations s.Sweeper.restarts
+    Printf.printf
+      "  solver: %d conflicts, %d propagations (%d watcher visits, %d \
+       clause reads), %d restarts%s\n"
+      s.Sweeper.conflicts s.Sweeper.propagations s.Sweeper.watch_visits
+      s.Sweeper.clause_reads s.Sweeper.restarts
       (if certify && fresh then " (DRUP-certified, fresh solver per pair)"
        else if certify then " (DRUP-certified incremental session)"
        else if fresh then " (fresh solver per pair)"
@@ -412,8 +415,11 @@ let cec_cmd =
       report.Cec.sat.Sweeper.calls report.Cec.sat.Sweeper.proved
       report.Cec.sat.Sweeper.disproved report.Cec.po_calls
       report.Cec.total_time;
-    Printf.printf "       %d conflicts, %d propagations, %d restarts\n"
+    Printf.printf
+      "       %d conflicts, %d propagations (%d watcher visits, %d clause \
+       reads), %d restarts\n"
       report.Cec.sat.Sweeper.conflicts report.Cec.sat.Sweeper.propagations
+      report.Cec.sat.Sweeper.watch_visits report.Cec.sat.Sweeper.clause_reads
       report.Cec.sat.Sweeper.restarts;
     match report.Cec.outcome with
     | Cec.Equivalent -> ()

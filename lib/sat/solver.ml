@@ -4,6 +4,12 @@
    (2v / 2v+1). Assignment values are +1 (true), -1 (false), 0 (undefined)
    per variable. Watched literals are lits.(0) and lits.(1) of each clause.
 
+   Watch lists are per-literal watcher arrays (MiniSat 2.2; Chu, Harwood
+   and Stuckey 2009): [watches.(p)] holds the clauses watching [~p], each
+   paired with a blocker literal drawn from the clause, which lets
+   [propagate] settle a visit without reading the clause when the
+   blocker is true.
+
    Clause lifetime: learned clauses are tagged with their LBD (literal
    block distance — the number of distinct decision levels among the
    literals, Audemard–Simon) at learn time and re-scored downwards when
@@ -25,6 +31,22 @@ type clause = {
   mutable removed : bool; (* detached, awaiting list compaction *)
 }
 
+(* The watchers of one literal: [cls.(i)] with blocker [blk.(i)], a
+   literal of [cls.(i)], for [i < len]. Slots past [len] hold
+   [no_clause], so the arrays keep no dead clause alive. *)
+type watchers = {
+  mutable cls : clause array;
+  mutable blk : int array;
+  mutable len : int;
+}
+
+(* Filler for unused watcher slots and the "no conflict" answer of
+   [propagate]; never attached. *)
+let no_clause =
+  { lits = [||]; learnt = false; activity = 0.0; lbd = 0; removed = true }
+
+let new_watchers () = { cls = [||]; blk = [||]; len = 0 }
+
 type proof_event = Learn of int array | Delete of int array
 
 module Limits = struct
@@ -39,7 +61,7 @@ type t = {
   mutable ok : bool;
   mutable clauses : clause list;       (* problem clauses *)
   mutable learnts : clause list;
-  mutable watches : clause list array; (* indexed by literal *)
+  mutable watches : watchers array;    (* indexed by literal *)
   mutable assigns : int array;         (* per var: +1 / -1 / 0 *)
   mutable levels : int array;          (* per var *)
   mutable reasons : clause option array;
@@ -96,6 +118,8 @@ type t = {
   mutable conflicts : int;
   mutable decisions : int;
   mutable propagations : int;
+  mutable watch_visits : int;  (* watchers visited by [propagate] *)
+  mutable clause_reads : int;  (* of those, visits that opened the clause *)
   mutable restarts : int;
   mutable learned_total : int;
   mutable deleted_total : int;  (* learnt clauses deleted *)
@@ -119,7 +143,7 @@ let create () =
     ok = true;
     clauses = [];
     learnts = [];
-    watches = Array.make 16 [];
+    watches = Array.init 16 (fun _ -> new_watchers ());
     assigns = Array.make 8 0;
     levels = Array.make 8 0;
     reasons = Array.make 8 None;
@@ -160,6 +184,8 @@ let create () =
     conflicts = 0;
     decisions = 0;
     propagations = 0;
+    watch_visits = 0;
+    clause_reads = 0;
     restarts = 0;
     learned_total = 0;
     deleted_total = 0;
@@ -282,14 +308,23 @@ let new_var s =
   s.seen <- grow s.seen s.nvars false;
   s.focus_flag <- grow s.focus_flag s.nvars false;
   s.trail <- grow s.trail s.nvars 0;
-  s.watches <- grow s.watches (2 * s.nvars) [];
+  if Array.length s.watches < 2 * s.nvars then begin
+    let old = s.watches in
+    s.watches <-
+      Array.init (2 * Array.length old) (fun l ->
+          if l < Array.length old then old.(l) else new_watchers ())
+  end;
   s.lbd_mark <- grow s.lbd_mark (s.nvars + 1) 0;
   heap_insert s v;
   v
 
-let lit_value s l =
-  let v = s.assigns.(Literal.var l) in
-  if v = 0 then 0 else if Literal.sign l then -v else v
+(* [Literal.var] and [Literal.sign] spelled out, here and in
+   [propagate]: the dev profile compiles with -opaque, which keeps
+   cross-module calls out of line, and both sit in the innermost loop
+   (hence also the [@inline]). *)
+let[@inline] lit_value s l =
+  let v = s.assigns.(l lsr 1) in
+  if l land 1 = 1 then -v else v
 
 (* -------------------- trail -------------------- *)
 
@@ -380,11 +415,39 @@ let unfocus_decisions s =
 
 (* -------------------- clause attachment -------------------- *)
 
-let watch s l c = s.watches.(l) <- c :: s.watches.(l)
+(* Append watcher [(c, blocker)] to the watchers of literal [l]. *)
+let watch s l c blocker =
+  let w = s.watches.(l) in
+  if w.len = Array.length w.cls then begin
+    let cap = max 4 (2 * w.len) in
+    let cls = Array.make cap no_clause and blk = Array.make cap 0 in
+    Array.blit w.cls 0 cls 0 w.len;
+    Array.blit w.blk 0 blk 0 w.len;
+    w.cls <- cls;
+    w.blk <- blk
+  end;
+  w.cls.(w.len) <- c;
+  w.blk.(w.len) <- blocker;
+  w.len <- w.len + 1
 
+(* Each watch starts with the other watched literal as its blocker. *)
 let attach s c =
-  watch s (Literal.negate c.lits.(0)) c;
-  watch s (Literal.negate c.lits.(1)) c
+  watch s (Literal.negate c.lits.(0)) c c.lits.(1);
+  watch s (Literal.negate c.lits.(1)) c c.lits.(0)
+
+(* Remove [c] from the watchers of [l], keeping the order of the rest. *)
+let unwatch s l c =
+  let w = s.watches.(l) in
+  let j = ref 0 in
+  for i = 0 to w.len - 1 do
+    if w.cls.(i) != c then begin
+      w.cls.(!j) <- w.cls.(i);
+      w.blk.(!j) <- w.blk.(i);
+      incr j
+    end
+  done;
+  Array.fill w.cls !j (w.len - !j) no_clause;
+  w.len <- !j
 
 (* -------------------- LBD -------------------- *)
 
@@ -455,85 +518,106 @@ let cla_decay s = s.cla_inc <- s.cla_inc /. 0.999
 
 (* -------------------- propagation -------------------- *)
 
-exception Conflict of clause
+(* Unit propagation to a fixpoint; returns the conflict clause, or
+   [no_clause] when there is none.
 
+   The decision-focus fence (see {!focus_decisions}): in a focused call
+   above the root, a clause that becomes unit on an out-of-focus literal
+   does not propagate it. Skipping it freezes the clause for the rest of
+   the call: the variable is never assigned (decisions cannot reach it,
+   and every implication on it is skipped the same way), so the clause
+   cannot be falsified later and no conflict is missed. Root-level
+   implications are always propagated, so nothing permanent is ever
+   lost. This is what keeps a focused query from dragging the whole
+   accumulated variable space of an incremental session through every
+   search pass; exactness is the focus contract: out-of-focus variables
+   are the caller's to guarantee extendable.
+
+   A visit whose blocker is true is settled without reading the clause;
+   an opened clause whose other watch is true is kept, with that watch
+   as its new blocker, before any scan for a replacement watch. *)
 let propagate s =
-  try
-    while s.qhead < s.trail_size do
-      let p = s.trail.(s.qhead) in
-      s.qhead <- s.qhead + 1;
-      s.propagations <- s.propagations + 1;
-      (* Clauses watching ~p: p became true, so ~p became false. *)
-      let watching = s.watches.(p) in
-      s.watches.(p) <- [];
-      let rec process = function
-        | [] -> ()
-        | c :: rest -> (
-            let false_lit = Literal.negate p in
-            (* Make sure the false literal is lits.(1). *)
-            if c.lits.(0) = false_lit then begin
-              c.lits.(0) <- c.lits.(1);
-              c.lits.(1) <- false_lit
-            end;
-            if lit_value s c.lits.(0) = 1 then begin
-              (* Clause already satisfied; keep watching. *)
-              s.watches.(p) <- c :: s.watches.(p);
-              process rest
+  let confl = ref no_clause in
+  let visits = ref 0 and reads = ref 0 in
+  let fenced = s.focus_on && s.trail_lim_size > 0 && not s.fence_off in
+  while s.qhead < s.trail_size do
+    let p = s.trail.(s.qhead) in
+    s.qhead <- s.qhead + 1;
+    s.propagations <- s.propagations + 1;
+    (* Watchers of ~p: p became true, so ~p became false. *)
+    let false_lit = p lxor 1 in
+    let ws = s.watches.(p) in
+    let cls = ws.cls and blk = ws.blk and n = ws.len in
+    (* Watcher [!i] is visited and kept at [!j <= !i]; a kept clause is
+       only stored when it actually moves, sparing the write barrier. *)
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let c = cls.(!i) and b = blk.(!i) in
+      incr visits;
+      if lit_value s b = 1 then begin
+        if !j < !i then cls.(!j) <- c;
+        blk.(!j) <- b;
+        incr j
+      end
+      else begin
+        incr reads;
+        let lits = c.lits in
+        (* Make sure the false literal is lits.(1). *)
+        if lits.(0) = false_lit then begin
+          lits.(0) <- lits.(1);
+          lits.(1) <- false_lit
+        end;
+        let first = lits.(0) in
+        let vf = lit_value s first in
+        if vf = 1 then begin
+          if !j < !i then cls.(!j) <- c;
+          blk.(!j) <- first;
+          incr j
+        end
+        else begin
+          (* Look for a new literal to watch. *)
+          let len = Array.length lits in
+          let k = ref 2 in
+          while !k < len && lit_value s lits.(!k) = -1 do
+            incr k
+          done;
+          if !k < len then begin
+            let l = lits.(!k) in
+            lits.(1) <- l;
+            lits.(!k) <- false_lit;
+            watch s (l lxor 1) c first
+          end
+          else begin
+            if !j < !i then cls.(!j) <- c;
+            blk.(!j) <- first;
+            incr j;
+            if vf = -1 then begin
+              (* Conflict: keep the unvisited watchers and stop. *)
+              let rest = n - !i - 1 in
+              if !j <= !i then begin
+                Array.blit cls (!i + 1) cls !j rest;
+                Array.blit blk (!i + 1) blk !j rest
+              end;
+              j := !j + rest;
+              i := n - 1;
+              s.qhead <- s.trail_size;
+              confl := c
             end
-            else begin
-              (* Look for a new literal to watch. *)
-              let n = Array.length c.lits in
-              let rec find i =
-                if i >= n then -1
-                else if lit_value s c.lits.(i) <> -1 then i
-                else find (i + 1)
-              in
-              let i = find 2 in
-              if i >= 0 then begin
-                c.lits.(1) <- c.lits.(i);
-                c.lits.(i) <- false_lit;
-                watch s (Literal.negate c.lits.(1)) c;
-                process rest
-              end
-              else if lit_value s c.lits.(0) = -1 then begin
-                (* Conflict: restore remaining watches and bail out. *)
-                s.watches.(p) <- c :: s.watches.(p);
-                List.iter (fun c' -> s.watches.(p) <- c' :: s.watches.(p)) rest;
-                s.qhead <- s.trail_size;
-                raise (Conflict c)
-              end
-              else begin
-                s.watches.(p) <- c :: s.watches.(p);
-                (* Unit: propagate lits.(0) — unless the search is focused
-                   and the implied variable is outside the focus, above the
-                   root. Skipping it freezes the clause for the rest of the
-                   call: the variable is never assigned (decisions cannot
-                   reach it, and every implication on it is skipped the same
-                   way), so the clause cannot be falsified later and no
-                   conflict is missed. Root-level implications are always
-                   propagated, so nothing permanent is ever lost. This is
-                   what keeps a focused query from dragging the whole
-                   accumulated variable space of an incremental session
-                   through every search pass; exactness is the focus
-                   contract ({!focus_decisions}): out-of-focus variables
-                   are the caller's to guarantee extendable. *)
-                if
-                  s.focus_on
-                  && s.trail_lim_size > 0
-                  && (not s.fence_off)
-                  && not (s.focus_flag.(Literal.var c.lits.(0)))
-                then process rest
-                else begin
-                  enqueue s c.lits.(0) (Some c);
-                  process rest
-                end
-              end
-            end)
-      in
-      process watching
+            else if not (fenced && not s.focus_flag.(first lsr 1)) then
+              enqueue s first (Some c)
+          end
+        end
+      end;
+      incr i
     done;
-    None
-  with Conflict c -> Some c
+    if !j < n then begin
+      Array.fill cls !j (n - !j) no_clause;
+      ws.len <- !j
+    end
+  done;
+  s.watch_visits <- s.watch_visits + !visits;
+  s.clause_reads <- s.clause_reads + !reads;
+  !confl
 
 (* -------------------- clause addition -------------------- *)
 
@@ -562,7 +646,7 @@ let add_clause ?group s lits =
             s.ok <- false
         | [ l ] ->
             enqueue s l None;
-            if propagate s <> None then begin
+            if propagate s != no_clause then begin
               log_proof s (Learn [||]);
               s.ok <- false
             end
@@ -697,11 +781,8 @@ let locked s c =
   match s.reasons.(v) with Some r -> r == c | None -> false
 
 let detach s c =
-  let remove l =
-    s.watches.(l) <- List.filter (fun c' -> not (c' == c)) s.watches.(l)
-  in
-  remove (Literal.negate c.lits.(0));
-  remove (Literal.negate c.lits.(1))
+  unwatch s (Literal.negate c.lits.(0)) c;
+  unwatch s (Literal.negate c.lits.(1)) c
 
 (* LBD-tiered reduction: sort so deletion candidates come first (high
    LBD, then low activity) and delete half the database. Glue clauses
@@ -796,11 +877,10 @@ let simplify s =
   if decision_level s <> 0 then
     invalid_arg "Solver.simplify: only at decision level 0";
   if s.ok then begin
-    (match propagate s with
-     | Some _ ->
-         log_proof s (Learn [||]);
-         s.ok <- false
-     | None -> ());
+    if propagate s != no_clause then begin
+      log_proof s (Learn [||]);
+      s.ok <- false
+    end;
     if s.ok then begin
       let live_lits = ref 0 in
       let satisfied c =
@@ -834,7 +914,15 @@ let simplify s =
       s.clauses <- List.filter keep s.clauses;
       s.learnts <- List.filter keep s.learnts;
       s.garbage <- 0;
-      Array.fill s.watches 0 (Array.length s.watches) [];
+      (* Drop the old arrays rather than clear them: reattaching regrows
+         each to within 2x of its live size, so no literal keeps the
+         capacity of its busiest moment (peak RSS on stacked sessions). *)
+      Array.iter
+        (fun w ->
+          w.cls <- [||];
+          w.blk <- [||];
+          w.len <- 0)
+        s.watches;
       List.iter (reattach s) s.clauses;
       List.iter (reattach s) s.learnts;
       s.qhead <- s.trail_size;
@@ -924,7 +1012,7 @@ let analyze_final s a =
 (* R007..R013 invariant audits reported through {!Runtime_check}.
    [audit_light] is the sampled subset — O(trail + heap + nvars) — run
    from the conflict branch of [solve_limited] while the trail is still
-   intact (propagation restores every watch before raising [Conflict],
+   intact (propagation keeps every watcher before returning a conflict,
    so the watch invariant holds there too); [audit] is the full
    on-demand pass, adding the O(database) watch-list walk. *)
 
@@ -933,6 +1021,8 @@ let counter_snapshot s =
     s.conflicts;
     s.decisions;
     s.propagations;
+    s.watch_visits;
+    s.clause_reads;
     s.restarts;
     s.learned_total;
     s.deleted_total;
@@ -946,6 +1036,8 @@ let counter_names =
     "conflicts";
     "decisions";
     "propagations";
+    "watch_visits";
+    "clause_reads";
     "restarts";
     "learned";
     "deleted";
@@ -1009,58 +1101,68 @@ let audit_fence s =
       | _ -> ()
     done
 
+(* Index of [c] among the watchers of literal [l], or -1. *)
+let find_watcher s l c =
+  let w = s.watches.(l) in
+  let rec go i =
+    if i >= w.len then -1 else if w.cls.(i) == c then i else go (i + 1)
+  in
+  go 0
+
 (* Watch integrity: every live >= 2-literal clause is watched on the
-   negations of its first two literals and on nothing else; no detached
-   clause lingers on any watch list; at a root fixpoint no watched
-   literal is false at the root unless its partner is true (otherwise
-   the clause should have propagated or conflicted). *)
+   negations of its first two literals and on nothing else, and every
+   watcher's blocker is a literal of its clause (a visit settled on the
+   blocker trusts that); no detached clause lingers on any watcher
+   array; at a root fixpoint a watched literal false at the root has a
+   true blocker (otherwise the clause should have propagated or
+   conflicted). *)
 let audit_watches s =
   Array.iteri
-    (fun l cs ->
-      List.iter
-        (fun c ->
-          if c.removed then
-            Runtime_check.failf
-              "R011: detached clause still on the watch list of literal %d" l
-          else if Array.length c.lits < 2 then
-            Runtime_check.failf
-              "R007: %d-literal clause on the watch list of literal %d"
-              (Array.length c.lits) l
-          else if
-            l <> Literal.negate c.lits.(0) && l <> Literal.negate c.lits.(1)
-          then
-            Runtime_check.failf
-              "R007: clause watched on literal %d which negates neither \
-               watched slot"
-              l)
-        cs)
+    (fun l w ->
+      for i = 0 to w.len - 1 do
+        let c = w.cls.(i) in
+        if c.removed then
+          Runtime_check.failf
+            "R011: detached clause still on the watch list of literal %d" l
+        else if Array.length c.lits < 2 then
+          Runtime_check.failf
+            "R007: %d-literal clause on the watch list of literal %d"
+            (Array.length c.lits) l
+        else if
+          l <> Literal.negate c.lits.(0) && l <> Literal.negate c.lits.(1)
+        then
+          Runtime_check.failf
+            "R007: clause watched on literal %d which negates neither \
+             watched slot"
+            l
+        else if not (Array.mem w.blk.(i) c.lits) then
+          Runtime_check.failf
+            "R007: blocker %d of a clause watched on literal %d is not a \
+             literal of that clause"
+            w.blk.(i) l
+      done)
     s.watches;
   let at_root_fixpoint =
     s.ok && decision_level s = 0 && s.qhead = s.trail_size
   in
   let check_clause c =
     if not c.removed then begin
-      let w0 = Literal.negate c.lits.(0) and w1 = Literal.negate c.lits.(1) in
-      if not (List.memq c s.watches.(w0)) then
-        Runtime_check.failf "R007: clause not watched on lits.(0) = %d"
-          c.lits.(0);
-      if not (List.memq c s.watches.(w1)) then
-        Runtime_check.failf "R007: clause not watched on lits.(1) = %d"
-          c.lits.(1);
-      if at_root_fixpoint then begin
-        let slot k other =
-          if
-            lit_value s c.lits.(k) = -1
-            && s.levels.(Literal.var c.lits.(k)) = 0
-            && lit_value s c.lits.(other) <> 1
-          then
-            Runtime_check.failf
-              "R007: watched literal %d false at root without a true partner"
-              c.lits.(k)
-        in
-        slot 0 1;
-        slot 1 0
-      end
+      let slot k =
+        let l = c.lits.(k) in
+        let i = find_watcher s (Literal.negate l) c in
+        if i < 0 then
+          Runtime_check.failf "R007: clause not watched on lits.(%d) = %d" k l;
+        if
+          at_root_fixpoint
+          && lit_value s l = -1
+          && s.levels.(Literal.var l) = 0
+          && lit_value s s.watches.(Literal.negate l).blk.(i) <> 1
+        then
+          Runtime_check.failf
+            "R007: watched literal %d false at root without a true blocker" l
+      in
+      slot 0;
+      slot 1
     end
   in
   List.iter check_clause s.clauses;
@@ -1106,14 +1208,17 @@ type corruption =
   | Leak_detached
   | Regress_stats
   | Skew_gauge
+  | Foreign_blocker
+
+let live_clause s =
+  match List.find_opt (fun c -> not c.removed) s.clauses with
+  | None -> invalid_arg "Solver.corrupt: no live clause"
+  | Some c -> c
 
 let corrupt s = function
-  | Drop_watch -> (
-      match List.find_opt (fun c -> not c.removed) s.clauses with
-      | None -> invalid_arg "Solver.corrupt: no live clause"
-      | Some c ->
-          let w = Literal.negate c.lits.(0) in
-          s.watches.(w) <- List.filter (fun c' -> c' != c) s.watches.(w))
+  | Drop_watch ->
+      let c = live_clause s in
+      unwatch s (Literal.negate c.lits.(0)) c
   | Scramble_reason ->
       (* Repoint some trail literal's reason at a clause that does not
          imply it. At rest every root-implied literal's reason has been
@@ -1149,12 +1254,15 @@ let corrupt s = function
       s.heap.(0) <- s.heap.(s.heap_size - 1);
       s.heap.(s.heap_size - 1) <- a
   | Break_fence -> s.fence_off <- true
-  | Leak_detached -> (
-      match List.find_opt (fun c -> not c.removed) s.clauses with
-      | None -> invalid_arg "Solver.corrupt: no live clause"
-      | Some c -> c.removed <- true)
+  | Leak_detached -> (live_clause s).removed <- true
   | Regress_stats -> s.conflicts <- s.conflicts - 1
   | Skew_gauge -> s.num_clauses <- s.num_clauses + 1
+  | Foreign_blocker ->
+      (* The negation of a watched literal: never in a (non-tautological)
+         clause. *)
+      let c = live_clause s in
+      let l = Literal.negate c.lits.(0) in
+      s.watches.(l).blk.(find_watcher s l c) <- Literal.negate c.lits.(1)
 
 type limited_result = LSat | LUnsat | LUnknown
 
@@ -1184,7 +1292,7 @@ let solve_limited ?(assumptions = []) ?(limits = Limits.unlimited) s =
          if s.conflicts >= climit || s.propagations >= plimit then
            status := Some LUnknown
          else match propagate s with
-         | Some confl ->
+         | confl when confl != no_clause ->
              s.conflicts <- s.conflicts + 1;
              (* Sampled sanitizer: the trail, reasons and watches are all
                 consistent at a conflict (propagation restores every
@@ -1238,7 +1346,7 @@ let solve_limited ?(assumptions = []) ?(limits = Limits.unlimited) s =
                var_decay s;
                cla_decay s
              end
-         | None ->
+         | _ ->
              if s.restart_budget <= 0 then begin
                (* Restart: continue the cross-call Luby sequence. *)
                s.restart_seq <- s.restart_seq + 1;
@@ -1320,6 +1428,8 @@ type stats = {
   conflicts : int;
   decisions : int;
   propagations : int;
+  watch_visits : int;
+  clause_reads : int;
   restarts : int;
   learned : int;
   deleted : int;
@@ -1338,6 +1448,8 @@ let stats (s : t) : stats =
     conflicts = s.conflicts;
     decisions = s.decisions;
     propagations = s.propagations;
+    watch_visits = s.watch_visits;
+    clause_reads = s.clause_reads;
     restarts = s.restarts;
     learned = s.learned_total;
     deleted = s.deleted_total;
@@ -1356,6 +1468,8 @@ let zero_stats =
     conflicts = 0;
     decisions = 0;
     propagations = 0;
+    watch_visits = 0;
+    clause_reads = 0;
     restarts = 0;
     learned = 0;
     deleted = 0;
@@ -1369,12 +1483,14 @@ let zero_stats =
     lbd_local = 0;
   }
 
-(* [f] over the nine monotone counters; the gauges come from [later]. *)
+(* [f] over the eleven monotone counters; the gauges come from [later]. *)
 let combine f ~later a b =
   {
     conflicts = f a.conflicts b.conflicts;
     decisions = f a.decisions b.decisions;
     propagations = f a.propagations b.propagations;
+    watch_visits = f a.watch_visits b.watch_visits;
+    clause_reads = f a.clause_reads b.clause_reads;
     restarts = f a.restarts b.restarts;
     learned = f a.learned b.learned;
     deleted = f a.deleted b.deleted;

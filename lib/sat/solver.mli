@@ -1,7 +1,10 @@
 (** A CDCL SAT solver.
 
-    Conflict-driven clause learning with two-watched-literal propagation,
-    first-UIP conflict analysis with recursive clause minimisation, EVSIDS
+    Conflict-driven clause learning with two-watched-literal propagation
+    over blocker-literal watcher arrays (MiniSat 2.2; Chu, Harwood and
+    Stuckey 2009): a watcher whose blocker is true is passed over without
+    reading its clause. First-UIP
+    conflict analysis with recursive clause minimisation, EVSIDS
     branching, phase saving, Luby restarts and LBD-tiered learned-clause
     deletion (Audemard–Simon). This is the verification engine behind SAT
     sweeping (paper §2.2, §6.3): each equivalence query becomes one [solve]
@@ -76,6 +79,8 @@ val focus_decisions : t -> Literal.var list -> unit
     the rest of the call (its implied variable can then never be
     assigned within the call, so the clause can never be falsified and
     no conflict is missed). Root-level implications always propagate.
+    Above the root, then, an out-of-focus variable is assigned only as an
+    assumption.
 
     A [Sat] answer under focus means the focused variables have a total
     assignment that propagates to a fixpoint without conflict; variables
@@ -185,6 +190,12 @@ type stats = {
   conflicts : int;
   decisions : int;
   propagations : int;
+  watch_visits : int;
+      (** watchers visited by propagation, one per (clause, false watched
+          literal) pair looked at *)
+  clause_reads : int;
+      (** visits that had to open the clause: the rest were settled on
+          the watcher's blocker literal alone *)
   restarts : int;
   learned : int;  (** learnt clauses ever created *)
   deleted : int;  (** learnt clauses deleted (reduction + simplify) *)
@@ -198,7 +209,7 @@ type stats = {
   lbd_local : int;  (** gauge: live learnts with LBD > 6 (first to go) *)
 }
 (** Lifetime counters plus clause-database gauges in one immutable
-    snapshot. The first nine fields are monotone counters — subtracting
+    snapshot. The first eleven fields are monotone counters — subtracting
     two snapshots prices a single [solve] call, which is how the sweeping
     telemetry reports per-call deltas. The [live_*] / [lbd_*] fields are
     instantaneous gauges; differencing them is meaningless. *)
@@ -212,11 +223,11 @@ val zero_stats : stats
 (** All counters and gauges zero: the unit of {!add_stats}. *)
 
 val add_stats : stats -> stats -> stats
-(** [add_stats a b] sums the nine counters; the gauges are [b]'s, the
+(** [add_stats a b] sums the eleven counters; the gauges are [b]'s, the
     later snapshot (summing gauges of different solvers means nothing). *)
 
 val diff_stats : stats -> stats -> stats
-(** [diff_stats later earlier] differences the nine counters — the cost
+(** [diff_stats later earlier] differences the eleven counters — the cost
     of the work between the two snapshots; the gauges are [later]'s. *)
 
 (** {2 Solver-state sanitizer}
@@ -226,8 +237,9 @@ val diff_stats : stats -> stats -> stats
 
     - [R007] — watch integrity: every live clause with two or more
       literals is watched on the negations of its first two literals and
-      on nothing else; at a root fixpoint no watched literal is false at
-      the root without a true partner.
+      on nothing else; every watcher's blocker is a literal of its
+      clause; at a root fixpoint a watched literal false at the root has
+      a true blocker.
     - [R008] — reason/trail consistency: every implication's reason
       clause has the implied literal first, every other literal false,
       and has not been detached.
@@ -239,7 +251,7 @@ val diff_stats : stats -> stats -> stats
       exempt: they are the caller's).
     - [R011] — no detached clause lingers on a watch list after
       {!remove_group} / clause-database reduction / {!simplify}.
-    - [R012] — the nine monotone {!stats} counters never regress.
+    - [R012] — the eleven monotone {!stats} counters never regress.
     - [R013] — the live-clause gauges agree with the clause database.
 
     [audit] runs everything on demand (O(database)); [set_audit] arms a
@@ -271,6 +283,9 @@ type corruption =
   | Leak_detached  (** mark a clause removed but leave it watched (R011) *)
   | Regress_stats  (** decrement a monotone counter (R012) *)
   | Skew_gauge  (** bump a live-clause gauge (R013) *)
+  | Foreign_blocker
+      (** give a watcher a blocker that is not a literal of its clause
+          (R007) *)
 
 val corrupt : t -> corruption -> unit
 (** Apply one corruption; raises [Invalid_argument] when the solver has

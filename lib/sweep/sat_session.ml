@@ -451,4 +451,6 @@ let stats t =
     rebuilds = t.rebuilds;
   }
 
+let audit t = Sat.Solver.audit t.solver
+
 let solver_stats t = Sat.Solver.add_stats t.base_stats (Sat.Solver.stats t.solver)

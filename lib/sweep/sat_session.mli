@@ -144,6 +144,10 @@ type stats = {
 
 val stats : t -> stats
 
+val audit : t -> unit
+(** The full solver-state audit ({!Simgen_sat.Solver.audit}, watch lists
+    included) of the session's current solver. Call between queries. *)
+
 val solver_stats : t -> Simgen_sat.Solver.stats
 (** Counters of the underlying solver; snapshot around a query for its
     conflict/propagation deltas (the runner telemetry does). Counters

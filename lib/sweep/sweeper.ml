@@ -26,6 +26,8 @@ type sat_stats = {
   disproved : int;
   conflicts : int;
   propagations : int;
+  watch_visits : int;
+  clause_reads : int;
   restarts : int;
   deleted : int;
   sat_time : float;
@@ -50,6 +52,8 @@ let empty_sat =
     disproved = 0;
     conflicts = 0;
     propagations = 0;
+    watch_visits = 0;
+    clause_reads = 0;
     restarts = 0;
     deleted = 0;
     sat_time = 0.0;
@@ -649,6 +653,7 @@ let sat_sweep (opts : Sweep_options.t) t =
   let on_cex = opts.Sweep_options.on_cex in
   let calls = ref 0 and proved = ref 0 and disproved = ref 0 in
   let conflicts = ref 0 and propagations = ref 0 and restarts = ref 0 in
+  let watch_visits = ref 0 and clause_reads = ref 0 in
   let deleted = ref 0 in
   let t0 = Timer.now () in
   (* One candidate query through {!verify_pair}: the configured route
@@ -659,6 +664,8 @@ let sat_sweep (opts : Sweep_options.t) t =
     let verdict, st = verify_pair opts t a b in
     conflicts := !conflicts + st.Solver.conflicts;
     propagations := !propagations + st.Solver.propagations;
+    watch_visits := !watch_visits + st.Solver.watch_visits;
+    clause_reads := !clause_reads + st.Solver.clause_reads;
     restarts := !restarts + st.Solver.restarts;
     deleted := !deleted + st.Solver.deleted + st.Solver.removed;
     verdict
@@ -759,6 +766,8 @@ let sat_sweep (opts : Sweep_options.t) t =
       disproved = !disproved;
       conflicts = !conflicts;
       propagations = !propagations;
+      watch_visits = !watch_visits;
+      clause_reads = !clause_reads;
       restarts = !restarts;
       deleted = !deleted;
       sat_time = Timer.now () -. t0;
@@ -771,6 +780,8 @@ let sat_sweep (opts : Sweep_options.t) t =
       disproved = t.s_stats.disproved + d.disproved;
       conflicts = t.s_stats.conflicts + d.conflicts;
       propagations = t.s_stats.propagations + d.propagations;
+      watch_visits = t.s_stats.watch_visits + d.watch_visits;
+      clause_reads = t.s_stats.clause_reads + d.clause_reads;
       restarts = t.s_stats.restarts + d.restarts;
       deleted = t.s_stats.deleted + d.deleted;
       sat_time = t.s_stats.sat_time +. d.sat_time;

@@ -38,6 +38,9 @@ type sat_stats = {
   disproved : int;  (** SAT answers: counter-examples applied *)
   conflicts : int;  (** solver conflicts attributed to sweeping calls *)
   propagations : int;  (** solver propagations attributed to sweeping calls *)
+  watch_visits : int;  (** watchers those propagations visited *)
+  clause_reads : int;
+      (** of those visits, the ones that had to read the clause *)
   restarts : int;  (** solver restarts attributed to sweeping calls *)
   deleted : int;
       (** clauses physically deleted during sweeping calls: learnt-clause

@@ -118,7 +118,10 @@ let test_stats_snapshot () =
     && after.S.decisions = S.num_decisions s
     && after.S.propagations = S.num_propagations s);
   Alcotest.(check bool) "monotone" true
-    (after.S.propagations >= before.S.propagations)
+    (after.S.propagations >= before.S.propagations
+    && after.S.watch_visits >= before.S.watch_visits);
+  Alcotest.(check bool) "a clause is read only on a visit" true
+    (after.S.clause_reads <= after.S.watch_visits)
 
 let test_failed_assumptions_chain () =
   (* x -> y, assume x and ~y: both assumptions are in the final conflict. *)

@@ -19,8 +19,19 @@
    solver each call, allocating variables lazily as clauses name them, so
    these rows pin its variable order as well as its clause order.
 
-   Regenerate (only when a behaviour change is intended) with
-     dune exec test/test_sat_golden.exe -- --write test/golden/sat_counts.txt *)
+   The columns fall in two kinds. [proved] and [partition] are verdicts:
+   they follow from which pairs are equivalent, so no change to the
+   solver's search may move them. [calls], [disproved], [conflicts] and
+   [propagations] are search: they move whenever the solver explores in
+   a different order (different counterexamples refine the classes
+   differently, so even the call count may move). A failure reports the
+   two kinds separately.
+
+   Regenerate (only when a search change is intended) with
+     dune exec test/test_sat_golden.exe -- --write test/golden/sat_counts.txt
+   Writing refuses when any row's verdict columns differ from the file it
+   would replace; a change that is meant to move verdicts must delete
+   the file first and say why. *)
 
 module Suite = Simgen_benchgen.Suite
 module Sweeper = Simgen_sweep.Sweeper
@@ -98,15 +109,93 @@ let read_lines path =
   |> String.split_on_char '\n'
   |> List.filter (fun l -> l <> "")
 
+let verdict_fields = [ "proved"; "partition" ]
+let search_fields = [ "calls"; "disproved"; "conflicts"; "propagations" ]
+
+(* A row as (key, fields): the key is every token that is not one of the
+   count columns (circuit, strategy, seed, route); the fields are the
+   count columns as (name, token). *)
+let parse line =
+  let field tok =
+    match String.index_opt tok '=' with
+    | Some i when List.mem (String.sub tok 0 i) (verdict_fields @ search_fields)
+      ->
+        Some (String.sub tok 0 i, tok)
+    | _ -> None
+  in
+  let toks = String.split_on_char ' ' line in
+  ( String.concat " " (List.filter (fun t -> field t = None) toks),
+    List.filter_map field toks )
+
+(* Rows of [got] whose [names] columns differ from [expected], as
+   "expected / got" line pairs; a row missing on either side counts as
+   drift whatever [names] is. *)
+let drift names ~expected ~got =
+  let expected = List.map parse expected and got = List.map parse got in
+  let show = function
+    | Some f -> String.concat " " (List.map snd f)
+    | None -> "(missing)"
+  in
+  let added = List.filter (fun (k, _) -> not (List.mem_assoc k expected)) got in
+  List.filter_map
+    (fun key ->
+      let e = List.assoc_opt key expected and g = List.assoc_opt key got in
+      let differs =
+        match (e, g) with
+        | Some e, Some g ->
+            List.exists (fun n -> List.assoc_opt n e <> List.assoc_opt n g) names
+        | _ -> true
+      in
+      if differs then
+        Some
+          (Printf.sprintf "  %s\n    golden: %s\n    now:    %s" key (show e)
+             (show g))
+      else None)
+    (List.map fst (expected @ added))
+
+let report title rows =
+  Printf.sprintf "%s (%d rows):\n%s" title (List.length rows)
+    (String.concat "\n" rows)
+
 let test_counts () =
-  Alcotest.(check (list string))
-    "SAT-sweep counts match the golden file" (read_lines golden_path) (lines ())
+  let expected = read_lines golden_path and got = lines () in
+  let verdicts = drift verdict_fields ~expected ~got in
+  let search = drift search_fields ~expected ~got in
+  if verdicts <> [] then
+    Alcotest.fail
+      (report "VERDICT drift: proved or partition changed" verdicts
+      ^ "\n"
+      ^ report "search drift (calls/disproved/conflicts/propagations)" search)
+  else if search <> [] then
+    Alcotest.fail
+      (report
+         "search drift only (calls/disproved/conflicts/propagations); \
+          verdicts unchanged"
+         search)
+  else
+    (* No column drifted by key; rows may still be reordered or repeated. *)
+    Alcotest.(check (list string))
+      "SAT-sweep counts match the golden file line for line" expected got
 
 let () =
   match Sys.argv with
   | [| _; "--write"; path |] ->
+      let got = lines () in
+      let verdicts =
+        if Sys.file_exists path then
+          drift verdict_fields ~expected:(read_lines path) ~got
+        else []
+      in
+      if verdicts <> [] then begin
+        prerr_endline
+          (report
+             ("refusing to write " ^ path
+            ^ ": proved or partition would change")
+             verdicts);
+        exit 1
+      end;
       Out_channel.with_open_text path (fun oc ->
-          List.iter (fun l -> output_string oc (l ^ "\n")) (lines ()))
+          List.iter (fun l -> output_string oc (l ^ "\n")) got)
   | _ ->
       Alcotest.run "sat-golden"
         [ ("sat", [ Alcotest.test_case "sweep counts" `Quick test_counts ]) ]

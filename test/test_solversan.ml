@@ -246,6 +246,14 @@ let test_r007_drop_watch () =
   S.corrupt s S.Drop_watch;
   expect_violation "R007" (fun () -> S.audit s)
 
+let test_r007_foreign_blocker () =
+  (* A blocker outside its clause could settle a visit on a literal the
+     clause does not contain: the audit must refuse it. *)
+  let s = implication_solver () in
+  S.audit s;
+  S.corrupt s S.Foreign_blocker;
+  expect_violation "R007" (fun () -> S.audit s)
+
 let test_r008_scramble_reason () =
   (* [solve] backtracks to the root before returning, so only root-level
      assignments keep their reasons: imply v1 at level 0 through the
@@ -318,6 +326,9 @@ let test_corrupt_needs_target () =
   let s = S.create () in
   (match S.corrupt s S.Drop_watch with
   | () -> Alcotest.fail "Drop_watch on an empty solver must refuse"
+  | exception Invalid_argument _ -> ());
+  (match S.corrupt s S.Foreign_blocker with
+  | () -> Alcotest.fail "Foreign_blocker on an empty solver must refuse"
   | exception Invalid_argument _ -> ());
   match S.corrupt s S.Break_heap with
   | () -> Alcotest.fail "Break_heap on an empty heap must refuse"
@@ -421,6 +432,8 @@ let () =
       ( "solver-sanitizer",
         [
           Alcotest.test_case "R007 drop watch" `Quick test_r007_drop_watch;
+          Alcotest.test_case "R007 foreign blocker" `Quick
+            test_r007_foreign_blocker;
           Alcotest.test_case "R008 scramble reason" `Quick
             test_r008_scramble_reason;
           Alcotest.test_case "R009 break heap" `Quick test_r009_break_heap;

@@ -879,6 +879,90 @@ let test_session_reencodes_after_merge () =
   Alcotest.(check bool) "the merge forced a re-encoding" true
     (after.Sat_session.reencoded > before.Sat_session.reencoded)
 
+(* Every node's value on all 2^n PI vectors: entry [m] sets PI [i] to
+   bit [i] of [m]. *)
+let exhaustive net =
+  let n = N.num_pis net in
+  Array.init (1 lsl n) (fun m ->
+      N.eval net (Array.init n (fun i -> (m lsr i) land 1 = 1)))
+
+let gate_array net =
+  let gates = ref [] in
+  N.iter_gates net (fun id -> gates := id :: !gates);
+  Array.of_list (List.rev !gates)
+
+let test_session_random_exhaustive () =
+  (* One session per random network, 30 pair queries each, with the
+     solver sanitizer armed and the full audit (watch lists and blockers
+     included) after every query. The session never merges, so every
+     cone it encodes stays in the database and later queries run beside
+     the fenced frontier clauses of earlier cones; each query's
+     activation literal is an out-of-focus assumption. Every verdict is
+     checked against exhaustive evaluation. *)
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      let net = random_net rng (6 + Rng.int rng 5) 40 in
+      let truth = exhaustive net in
+      let gates = gate_array net in
+      let agree a b = Array.for_all (fun v -> v.(a) = v.(b)) truth in
+      let session = Sat_session.create ~audit:true ~rng:(Rng.create seed) net in
+      let equal = ref 0 in
+      for q = 1 to 30 do
+        let a = Rng.choose rng gates in
+        (* Every third query prefers a functionally equal partner. *)
+        let twins =
+          Array.of_list
+            (List.filter (fun b -> b <> a && agree a b) (Array.to_list gates))
+        in
+        let b =
+          if q mod 3 = 0 && twins <> [||] then Rng.choose rng twins
+          else Rng.choose rng gates
+        in
+        (match Sat_session.check_pair session a b with
+        | Sat_session.Equal ->
+            incr equal;
+            if not (agree a b) then
+              Alcotest.failf "seed %d query %d: Equal on distinguishable (%d,%d)"
+                seed q a b
+        | Sat_session.Counterexample vec ->
+            let v = N.eval net vec in
+            if v.(a) = v.(b) then
+              Alcotest.failf
+                "seed %d query %d: counterexample does not split (%d,%d)" seed
+                q a b
+        | Sat_session.Unknown ->
+            Alcotest.failf "seed %d query %d: Unknown without a budget" seed q);
+        Sat_session.audit session
+      done;
+      Alcotest.(check bool) "some queries proved equal" true (!equal > 0))
+    [ 1; 2; 3; 4 ]
+
+module Solver = Simgen_sat.Solver
+
+let test_stacked_reads_below_visits () =
+  (* Focused queries on a stacked circuit: the blocker literals settle
+     part of every query's watcher visits without reading the clause. *)
+  let net = Suite.stacked_lut_network "square" in
+  let session = Sat_session.create ~rng:(Rng.create 3) net in
+  let gates = gate_array net in
+  let searched = ref 0 in
+  for i = 0 to 19 do
+    let before = Sat_session.solver_stats session in
+    ignore
+      (Sat_session.check_pair session gates.(Array.length gates - 1 - i)
+         gates.(Array.length gates - 2 - i)
+        : Sat_session.verdict);
+    let d = Solver.diff_stats (Sat_session.solver_stats session) before in
+    if d.Solver.watch_visits > 0 then begin
+      incr searched;
+      if d.Solver.clause_reads >= d.Solver.watch_visits then
+        Alcotest.failf "query %d read %d clauses in %d visits" i
+          d.Solver.clause_reads d.Solver.watch_visits
+    end
+  done;
+  Alcotest.(check bool) "some queries searched" true (!searched > 0)
+
 let final_partition sw net =
   let parts = ref [] in
   N.iter_gates net (fun id -> parts := Sweeper.representative sw id :: !parts);
@@ -1028,6 +1112,10 @@ let () =
           Alcotest.test_case "retirement" `Quick test_session_retirement;
           Alcotest.test_case "re-encode after merge" `Quick
             test_session_reencodes_after_merge;
+          Alcotest.test_case "random sessions vs exhaustive" `Quick
+            test_session_random_exhaustive;
+          Alcotest.test_case "stacked reads below visits" `Quick
+            test_stacked_reads_below_visits;
           Alcotest.test_case "sweep routes agree" `Quick test_sweep_routes_agree;
           Alcotest.test_case "cut check keeps partitions" `Quick
             test_cut_check_partitions;
