@@ -1,13 +1,17 @@
-module Vec = Simgen_base.Vec
 module Runtime_check = Simgen_base.Runtime_check
 
-type t = { vals : Value.t array; trail : int Vec.t }
+(* A node is assigned at most once between rollbacks, so the trail never
+   holds more than one entry per node and fits a fixed array. *)
+type t = { vals : Value.t array; trail : int array; mutable len : int }
 
-let create n = { vals = Array.make n Value.Unknown; trail = Vec.create ~dummy:(-1) () }
+let create n =
+  { vals = Array.make n Value.Unknown; trail = Array.make n (-1); len = 0 }
 
 let value t id = t.vals.(id)
 
 let values t = t.vals
+
+let trail t = t.trail
 
 let is_assigned t id = Value.is_assigned t.vals.(id)
 
@@ -15,38 +19,30 @@ let assign t id b =
   if Value.is_assigned t.vals.(id) then
     invalid_arg "Assignment.assign: already assigned";
   t.vals.(id) <- Value.of_bool b;
-  Vec.push t.trail id
+  t.trail.(t.len) <- id;
+  t.len <- t.len + 1
 
-let checkpoint t = Vec.length t.trail
+let checkpoint t = t.len
 
 let rollback t mark =
   if Runtime_check.enabled () then begin
     (* Trail marks must be monotone: a rollback target in the future means
        the caller mixed up checkpoints from different engine states. *)
-    if mark < 0 || mark > Vec.length t.trail then
+    if mark < 0 || mark > t.len then
       Runtime_check.failf
         "R006: Assignment.rollback: mark %d outside trail of length %d" mark
-        (Vec.length t.trail)
+        t.len
   end;
-  while Vec.length t.trail > mark do
-    let id = Vec.pop t.trail in
-    t.vals.(id) <- Value.Unknown
+  while t.len > mark do
+    t.len <- t.len - 1;
+    t.vals.(t.trail.(t.len)) <- Value.Unknown
   done
 
-let num_assigned t = Vec.length t.trail
-
-let latest_in ?(since = 0) t ~mask p =
-  let rec go i =
-    if i < since then None
-    else
-      let id = Vec.get t.trail i in
-      if mask id && p id then Some id else go (i - 1)
-  in
-  go (Vec.length t.trail - 1)
+let num_assigned t = t.len
 
 let iter_since t mark f =
-  for i = mark to Vec.length t.trail - 1 do
-    f (Vec.get t.trail i)
+  for i = mark to t.len - 1 do
+    f t.trail.(i)
   done
 
 let to_array t = Array.copy t.vals
@@ -56,8 +52,8 @@ let audit t =
     (* The trail and the value map must agree exactly: every trail entry
        assigned, no duplicates, and nothing assigned off-trail. *)
     let seen = Array.make (Array.length t.vals) false in
-    for i = 0 to Vec.length t.trail - 1 do
-      let id = Vec.get t.trail i in
+    for i = 0 to t.len - 1 do
+      let id = t.trail.(i) in
       if id < 0 || id >= Array.length t.vals then
         Runtime_check.failf "R006: Assignment.audit: trail entry %d out of range" id;
       if seen.(id) then

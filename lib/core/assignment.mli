@@ -3,7 +3,8 @@
     The [nodeVals] of Algorithm 1: a map from node ids to ternary output
     values, plus the assignment trail that (a) implements the
     checkpoint/rollback on conflict (Algorithm 1, lines 4 and 12) and
-    (b) answers [latestUpdated] queries (line 15). *)
+    (b) holds the order that [latestUpdated] queries (line 15) scan, which
+    {!Engine.latest_candidate} does. *)
 
 type t
 
@@ -18,6 +19,12 @@ val values : t -> Value.t array
     for readers on a hot path (the propagation engine). Writing to it
     desynchronises the trail; assign through {!assign}. *)
 
+val trail : t -> int array
+(** The nodes assigned so far, oldest first, in the first {!num_assigned}
+    entries, without copying: for readers on a hot path (the propagation
+    engine's candidate scan). The array has one slot per node and the
+    entries past {!num_assigned} are stale. *)
+
 val assign : t -> int -> bool -> unit
 (** @raise Invalid_argument if the node is already assigned. *)
 
@@ -31,14 +38,6 @@ val rollback : t -> int -> unit
     over- or under-rolling. *)
 
 val num_assigned : t -> int
-
-val latest_in :
-  ?since:int -> t -> mask:(int -> bool) -> (int -> bool) -> int option
-(** [latest_in t ~mask p] scans the trail from the most recent assignment
-    backwards and returns the first node that satisfies both [mask] (the
-    current target's cone, {!Engine.in_cone}) and [p]. [since] (a
-    checkpoint, default 0) bounds the scan: entries older than the mark
-    are not considered. *)
 
 val iter_since : t -> int -> (int -> unit) -> unit
 (** Iterate over the nodes assigned after a checkpoint, oldest first. *)

@@ -1,6 +1,4 @@
 module N = Simgen_network.Network
-module Cone = Simgen_network.Cone
-module Vec = Simgen_base.Vec
 
 type outcome = Fixpoint | Conflict_at of N.node_id
 
@@ -57,7 +55,7 @@ type t = {
   mutable scope_epoch : int;
   mutable cone_epoch : int;
   mutable exhausted_epoch : int;
-  stack : int Vec.t;
+  stack : int array;  (* DFS scratch of the cone walks: a node per slot *)
   mutable pending_conflict : N.node_id option;
   mutable implications : int;
   mutable examinations : int;
@@ -84,7 +82,7 @@ let create ?(config = Config.default) net =
     scope_epoch = no_scope;
     cone_epoch = no_scope;
     exhausted_epoch = no_scope;
-    stack = Vec.create ~dummy:0 ();
+    stack = Array.make n 0;
     pending_conflict = None;
     implications = 0;
     examinations = 0;
@@ -151,16 +149,22 @@ let match_rows t (table : Rows.table) out_value fanins =
   done;
   min !rows 2
 
-let matching_rows t id =
+let matching_rows t id rows =
   let table = table_of t id in
   ignore (match_rows t table t.vals.(id) t.fanins.(id) : int);
-  let m = t.matching in
-  let rows = ref [] in
-  for r = Array.length table.Rows.cubes - 1 downto 0 do
-    if m.(r / Rows.bits_per_word) land (1 lsl (r mod Rows.bits_per_word)) <> 0
-    then rows := table.Rows.cubes.(r) :: !rows
+  let m = t.matching and n = ref 0 in
+  for k = 0 to table.Rows.words - 1 do
+    let x = ref m.(k) and r = ref (k * Rows.bits_per_word) in
+    while !x <> 0 do
+      if !x land 1 <> 0 then begin
+        rows.(!n) <- !r;
+        incr n
+      end;
+      x := !x lsr 1;
+      incr r
+    done
   done;
-  !rows
+  !n
 
 let in_scope t id = t.scope_epoch = no_scope || t.scope.(id) = t.scope_epoch
 
@@ -168,23 +172,70 @@ let next_epoch t =
   t.epoch <- t.epoch + 1;
   t.epoch
 
+(* Cone marking: a depth-first walk over the cached fanin arrays that
+   stamps a node with [epoch] when it is pushed, so no node is pushed
+   twice and the [n]-slot stack cannot overflow. The walk is iterative:
+   stacked networks are too deep for a recursive one. [push] returns the
+   new stack height. *)
+let push t stamp epoch sp id =
+  if stamp.(id) = epoch then sp
+  else begin
+    stamp.(id) <- epoch;
+    t.stack.(sp) <- id;
+    sp + 1
+  end
+
+let rec walk t stamp epoch sp =
+  if sp > 0 then begin
+    let fanins = t.fanins.(t.stack.(sp - 1)) in
+    let sp = ref (sp - 1) in
+    for i = 0 to Array.length fanins - 1 do
+      sp := push t stamp epoch !sp fanins.(i)
+    done;
+    walk t stamp epoch !sp
+  end
+
 let set_scope_cones t roots =
   let epoch = next_epoch t in
-  Cone.mark_fanin_cones t.net ~stamp:t.scope ~epoch ~stack:t.stack roots;
+  walk t t.scope epoch (List.fold_left (push t t.scope epoch) 0 roots);
   t.scope_epoch <- epoch
 
 let clear_scope t = t.scope_epoch <- no_scope
 
 let mark_cone t root =
   let epoch = next_epoch t in
-  Cone.mark_fanin_cones t.net ~stamp:t.cone ~epoch ~stack:t.stack [ root ];
+  walk t t.cone epoch (push t t.cone epoch 0 root);
   t.cone_epoch <- epoch
 
 let in_cone t id = t.cone.(id) = t.cone_epoch
 
 let clear_exhausted t = t.exhausted_epoch <- next_epoch t
 let set_exhausted t id = t.exhausted.(id) <- t.exhausted_epoch
-let is_exhausted t id = t.exhausted.(id) = t.exhausted_epoch
+
+let has_open_fanin vals fanins =
+  let n = Array.length fanins and i = ref 0 in
+  while !i < n && Value.is_assigned vals.(fanins.(!i)) do
+    incr i
+  done;
+  !i < n
+
+(* [latestUpdated] of Algorithm 1: the newest trail entry at or after
+   [since] that lies in the target cone, is not exhausted and has an open
+   fanin. An empty fanin array rules out PIs and constants. *)
+let rec scan t trail since i =
+  if i < since then -1
+  else
+    let id = trail.(i) in
+    if
+      t.cone.(id) = t.cone_epoch
+      && t.exhausted.(id) <> t.exhausted_epoch
+      && has_open_fanin t.vals t.fanins.(id)
+    then id
+    else scan t trail since (i - 1)
+
+let latest_candidate t ~since =
+  scan t (Assignment.trail t.assignment) since
+    (Assignment.num_assigned t.assignment - 1)
 
 let rec push_fanouts t = function
   | [] -> ()
@@ -305,23 +356,22 @@ let examine t g =
     else examine_words t g table out_value fanins
   end
 
+let rec drain t =
+  let g = Worklist.pop t.queue in
+  if g < 0 then Fixpoint
+  else if examine t g then begin
+    Worklist.clear t.queue;
+    Conflict_at g
+  end
+  else drain t
+
 let propagate t =
   match t.pending_conflict with
   | Some g ->
       t.pending_conflict <- None;
       Worklist.clear t.queue;
       Conflict_at g
-  | None ->
-      let rec drain () =
-        let g = Worklist.pop t.queue in
-        if g < 0 then Fixpoint
-        else if examine t g then begin
-          Worklist.clear t.queue;
-          Conflict_at g
-        end
-        else drain ()
-      in
-      drain ()
+  | None -> drain t
 
 let checkpoint t = Assignment.checkpoint t.assignment
 

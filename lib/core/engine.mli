@@ -27,25 +27,32 @@ val rows_of : t -> Simgen_network.Network.node_id -> Simgen_network.Cube.t array
 (** Rows of a gate's function (cached per function). *)
 
 val matching_rows :
-  t -> Simgen_network.Network.node_id -> Simgen_network.Cube.t list
-(** Rows of the gate compatible with the current values of its fanins and
-    output, in row order. *)
+  t -> Simgen_network.Network.node_id -> int array -> int
+(** [matching_rows t g rows] writes the indices into {!rows_of}[ t g] of
+    the gate's rows compatible with the current values of its fanins and
+    output into [rows], ascending, and returns how many there are. [rows]
+    must have a slot for every row of the gate. Allocates nothing. *)
 
 val set_scope_cones : t -> Simgen_network.Network.node_id list -> unit
 (** Restrict propagation to the union of the roots' fanin cones (during
     Algorithm 1, the cones of the class's targets), replacing any earlier
     scope. Values already assigned outside the scope are still read
     during row matching — only gate (re)examination is confined. Marking
-    stamps an array the engine owns and allocates nothing per call. *)
+    stamps an array the engine owns: a depth-first walk over the cached
+    fanin arrays that stamps each node as it is pushed. *)
 
 val clear_scope : t -> unit
 (** Lift the restriction of {!set_scope_cones}: every gate is in scope,
     as after {!create}. *)
 
+val in_scope : t -> Simgen_network.Network.node_id -> bool
+(** Whether gates at the node are (re)examined: it lies in the scope of
+    the last {!set_scope_cones}, or no scope is set. *)
+
 val mark_cone : t -> Simgen_network.Network.node_id -> unit
 (** Mark the fanin cone of one node (Algorithm 1's [listDfs] of the
-    current target), replacing the previous mark. Independent of the
-    scope. *)
+    current target), replacing the previous mark, by the walk of
+    {!set_scope_cones}. Independent of the scope. *)
 
 val in_cone : t -> Simgen_network.Network.node_id -> bool
 (** Whether the node lies in the cone of the last {!mark_cone}; [false]
@@ -57,7 +64,13 @@ val clear_exhausted : t -> unit
     of a stamp array the engine owns and allocates nothing. *)
 
 val set_exhausted : t -> Simgen_network.Network.node_id -> unit
-val is_exhausted : t -> Simgen_network.Network.node_id -> bool
+
+val latest_candidate : t -> since:int -> Simgen_network.Network.node_id
+(** Algorithm 1's [latestUpdated]: the most recently assigned node, among
+    the trail entries from checkpoint [since] on, that lies in the cone
+    of the last {!mark_cone}, is not exhausted and has an unassigned
+    fanin (so is no PI), or [-1] when there is none. Reads the trail in
+    place and allocates nothing. *)
 
 val set : t -> Simgen_network.Network.node_id -> bool -> unit
 (** Assign a node value and schedule the affected gates. The engine must be

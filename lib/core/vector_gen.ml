@@ -11,66 +11,52 @@ type report = {
   useful : bool;
 }
 
-let has_open_fanin assignment fanins =
-  let n = Array.length fanins and i = ref 0 in
-  while !i < n && Assignment.is_assigned assignment fanins.(!i) do
-    incr i
-  done;
-  !i < n
+(* Alternate implication-to-fixpoint and decisions until every assigned
+   cone gate is justified, or a conflict rolls everything back to [init].
+   The target's cone is read only by the candidate scan, so it is marked
+   at the first fixpoint ([marked]): a target whose first propagation
+   conflicts never walks it. *)
+let rec settle engine decision target init ~marked =
+  match Engine.propagate engine with
+  | Engine.Conflict_at _ ->
+      Engine.rollback engine init;
+      `Conflict
+  | Engine.Fixpoint ->
+      if not marked then Engine.mark_cone engine target;
+      (* Success when no assigned cone gate awaits justification: then
+         every assigned value — the target's in particular — holds under
+         any completion of the open PIs, so the final random completion of
+         the vector cannot break it. Nodes assigned before this target's
+         checkpoint were justified by earlier, already-successful targets;
+         only values added for this goal can need justification. *)
+      let candidate = Engine.latest_candidate engine ~since:init in
+      if candidate < 0 then `Satisfied
+      else begin
+        let before = Engine.checkpoint engine in
+        match Decision.decide decision candidate with
+        | Error _ ->
+            Engine.rollback engine init;
+            `Conflict
+        | Ok () ->
+            if Engine.checkpoint engine = before then
+              Engine.set_exhausted engine candidate;
+            settle engine decision target init ~marked:true
+      end
 
-(* One target of Algorithm 1's outer loop: assign OUTgold, then alternate
-   implication-to-fixpoint and decisions until every assigned cone gate is
-   justified, or a conflict rolls everything back to [init]. *)
+(* One target of Algorithm 1's outer loop: assign OUTgold, then settle. *)
 let process_target engine decision target gold =
-  let net = Engine.network engine in
-  let assignment = Engine.assignment engine in
-  let init = Engine.checkpoint engine in
-  match Value.to_bool (Assignment.value assignment target) with
+  match Value.to_bool (Assignment.value (Engine.assignment engine) target) with
   | Some existing ->
       (* Pinned by a previous target's propagation. *)
       if existing = gold then `Satisfied else `Conflict
   | None ->
-      Engine.mark_cone engine target;
+      let init = Engine.checkpoint engine in
       (* Candidates on which a decision already made no progress carry a
          justifying cube whose non-DC inputs are all assigned; they are
          skipped, which also makes the loop terminate. *)
       Engine.clear_exhausted engine;
-      let is_candidate id =
-        (not (N.is_pi net id))
-        && (not (Engine.is_exhausted engine id))
-        && has_open_fanin assignment (N.fanins net id)
-      in
       Engine.set engine target gold;
-      let rec loop () =
-        match Engine.propagate engine with
-        | Engine.Conflict_at _ ->
-            Engine.rollback engine init;
-            `Conflict
-        | Engine.Fixpoint -> (
-            (* Success when no assigned cone gate awaits justification:
-               then every assigned value — the target's in particular —
-               holds under any completion of the open PIs, so the final
-               random completion of the vector cannot break it. *)
-            match
-              (* Nodes assigned before this target's checkpoint were
-                 justified by earlier, already-successful targets; only
-                 values added for this goal can need justification. *)
-              Assignment.latest_in ~since:init assignment
-                ~mask:(Engine.in_cone engine) is_candidate
-            with
-            | None -> `Satisfied
-            | Some candidate -> (
-                let before = Engine.checkpoint engine in
-                match Decision.decide decision candidate with
-                | Error _ ->
-                    Engine.rollback engine init;
-                    `Conflict
-                | Ok () ->
-                    if Engine.checkpoint engine = before then
-                      Engine.set_exhausted engine candidate;
-                    loop ()))
-      in
-      loop ()
+      settle engine decision target init ~marked:false
 
 let generate_with engine decision ~rng ~levels outgold =
   let net = Engine.network engine in

@@ -2,6 +2,8 @@ module N = Simgen_network.Network
 module TT = Simgen_network.Truth_table
 module Cube = Simgen_network.Cube
 module Level = Simgen_network.Level
+module Cone = Simgen_network.Cone
+module Mffc = Simgen_network.Mffc
 module Rng = Simgen_base.Rng
 module Value = Simgen_core.Value
 module Assignment = Simgen_core.Assignment
@@ -37,6 +39,12 @@ let random_net rng npis ngates =
     N.add_po net (Rng.choose rng pool)
   done;
   net
+
+(* The gate's matching rows as cubes, in row order. *)
+let matching_cubes engine g =
+  let rows = Engine.rows_of engine g in
+  let buf = Array.make (Array.length rows) (-1) in
+  List.init (Engine.matching_rows engine g buf) (fun k -> rows.(buf.(k)))
 
 (* ------------------------------------------------------------------ *)
 (* Value                                                               *)
@@ -80,19 +88,6 @@ let test_assignment_double_assign () =
   Alcotest.check_raises "reassign rejected"
     (Invalid_argument "Assignment.assign: already assigned") (fun () ->
       Assignment.assign a 0 false)
-
-let test_assignment_latest_in () =
-  let a = Assignment.create 10 in
-  let mask id = id = 2 || id = 5 in
-  Assignment.assign a 2 true;
-  Assignment.assign a 9 true;
-  Assignment.assign a 5 false;
-  Alcotest.(check (option int)) "latest in mask" (Some 5)
-    (Assignment.latest_in a ~mask (fun _ -> true));
-  Alcotest.(check (option int)) "filtered" (Some 2)
-    (Assignment.latest_in a ~mask (fun id -> id <> 5));
-  Alcotest.(check (option int)) "none" None
-    (Assignment.latest_in a ~mask (fun _ -> false))
 
 let test_assignment_iter_since () =
   let a = Assignment.create 10 in
@@ -368,6 +363,155 @@ let test_scope_confines_propagation () =
   Alcotest.(check bool) "propagates after unscoping" true
     (Assignment.value asg right2 = Value.One)
 
+(* ------------------------------------------------------------------ *)
+(* Scope and cone marks, and the candidate scan                        *)
+(* ------------------------------------------------------------------ *)
+
+let test_latest_candidate () =
+  (* z = AND (AND a b) (OR a b); w = NOT b lies outside z's cone. *)
+  let net = N.create () in
+  let a = N.add_pi net in
+  let b = N.add_pi net in
+  let x = N.add_gate net tt_and2 [| a; b |] in
+  let y = N.add_gate net tt_or2 [| a; b |] in
+  let z = N.add_gate net tt_and2 [| x; y |] in
+  let w = N.add_gate net tt_not [| b |] in
+  N.add_po net z;
+  N.add_po net w;
+  let engine = Engine.create net in
+  let asg = Engine.assignment engine in
+  Engine.mark_cone engine z;
+  Engine.clear_exhausted engine;
+  Assignment.assign asg x true;
+  Assignment.assign asg w true;
+  Assignment.assign asg y false;
+  Alcotest.(check int) "latest in cone" y (Engine.latest_candidate engine ~since:0);
+  Engine.set_exhausted engine y;
+  Alcotest.(check int) "exhausted skipped" x
+    (Engine.latest_candidate engine ~since:0);
+  Alcotest.(check int) "bounded by since" (-1)
+    (Engine.latest_candidate engine ~since:1);
+  Assignment.assign asg a true;
+  Assignment.assign asg b false;
+  Alcotest.(check int) "PIs and justified gates skipped" (-1)
+    (Engine.latest_candidate engine ~since:0);
+  Engine.clear_exhausted engine;
+  Alcotest.(check int) "fresh exhausted set" (-1)
+    (Engine.latest_candidate engine ~since:0);
+  Assignment.rollback asg 3;
+  Alcotest.(check int) "after rollback" y (Engine.latest_candidate engine ~since:0)
+
+(* [copies] random blocks of 4 inputs and 6 gates, each block fed by the
+   last four gates of the one below: a network thousands of levels deep,
+   like the stacked networks of §6.4. *)
+let stacked_net rng copies =
+  let net = N.create () in
+  let inputs = ref (Array.init 4 (fun _ -> N.add_pi net)) in
+  for _ = 1 to copies do
+    let pool = ref (Array.to_list !inputs) in
+    for _ = 1 to 6 do
+      let choices = Array.of_list !pool in
+      let arity = 1 + Rng.int rng 3 in
+      let fanins = Array.init arity (fun _ -> Rng.choose rng choices) in
+      pool := N.add_gate net (TT.random rng arity) fanins :: !pool
+    done;
+    inputs := Array.of_list (List.filteri (fun i _ -> i < 4) !pool)
+  done;
+  Array.iter (N.add_po net) !inputs;
+  net
+
+let check_marks net engine roots =
+  let mask = Cone.member_mask net (Cone.fanin_cone_many net roots) in
+  Engine.set_scope_cones engine roots;
+  let root = List.hd roots in
+  let cone = Cone.member_mask net (Cone.fanin_cone net root) in
+  Engine.mark_cone engine root;
+  let ok = ref true in
+  N.iter_nodes net (fun id ->
+      if Engine.in_scope engine id <> mask.(id) then ok := false;
+      if Engine.in_cone engine id <> cone.(id) then ok := false);
+  !ok
+
+let prop_marks_match_fanin_cones =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"scope and cone marks are the fanin cones"
+       ~count:200 ~print:string_of_int
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Rng.create seed in
+         let net = random_net rng 5 30 in
+         let engine = Engine.create net in
+         let nodes = N.num_nodes net in
+         (* Several markings on one engine: each replaces the last. *)
+         List.for_all
+           (fun k ->
+             check_marks net engine
+               (List.init k (fun _ -> Rng.int rng nodes)))
+           [ 1; 3; 1; 5 ]
+         && begin
+           Engine.clear_scope engine;
+           let all = ref true in
+           N.iter_nodes net (fun id ->
+               if not (Engine.in_scope engine id) then all := false);
+           !all
+         end))
+
+let test_marks_on_deep_network () =
+  let rng = Rng.create 41 in
+  let net = stacked_net rng 20_000 in
+  let engine = Engine.create net in
+  let pos = Array.to_list (N.pos net) in
+  Alcotest.(check bool) "every PO" true (check_marks net engine pos);
+  Alcotest.(check bool) "one PO" true
+    (check_marks net engine [ List.nth pos 2 ])
+
+(* The scan this engine call replaced: [latest_in ~since ~mask p], the
+   newest trail entry from [since] on in [mask] satisfying [p], over the
+   cone as {!Cone.fanin_cone} computes it. *)
+let reference_latest net asg ~since cone exhausted =
+  let is_candidate id =
+    (not (N.is_pi net id))
+    && (not exhausted.(id))
+    && Array.exists
+         (fun f -> not (Assignment.is_assigned asg f))
+         (N.fanins net id)
+  in
+  let trail = ref [] in
+  Assignment.iter_since asg since (fun id -> trail := id :: !trail);
+  match List.find_opt (fun id -> cone.(id) && is_candidate id) !trail with
+  | Some id -> id
+  | None -> -1
+
+let prop_latest_candidate_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"latest_candidate is latest_in over the cone"
+       ~count:300 ~print:string_of_int
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Rng.create seed in
+         let net = random_net rng 5 30 in
+         let nodes = N.num_nodes net in
+         let engine = Engine.create net in
+         let asg = Engine.assignment engine in
+         let root = Rng.int rng nodes in
+         let cone = Cone.member_mask net (Cone.fanin_cone net root) in
+         Engine.mark_cone engine root;
+         Engine.clear_exhausted engine;
+         let exhausted = Array.make nodes false in
+         let order = Array.init nodes Fun.id in
+         Rng.shuffle rng order;
+         Array.iteri
+           (fun k id ->
+             if k < nodes / 2 then Assignment.assign asg id (Rng.bool rng);
+             if Rng.int rng 4 = 0 then begin
+               exhausted.(id) <- true;
+               Engine.set_exhausted engine id
+             end)
+           order;
+         let since = Rng.int rng (Assignment.num_assigned asg + 1) in
+         Engine.latest_candidate engine ~since
+         = reference_latest net asg ~since cone exhausted))
+
 let test_pending_conflict_on_set () =
   let net = N.create () in
   let a = N.add_pi net in
@@ -548,7 +692,7 @@ let prop_row_sets_match_reference =
                && Array.for_all2 Value.compatible ins c.Cube.lits)
              (Array.to_list rows)
          in
-         let matching = Engine.matching_rows engine g in
+         let matching = matching_cubes engine g in
          let asg = Engine.assignment engine in
          (* One gate over distinct PIs: examining it again after its own
             implications finds the same matching rows, so the fixpoint is
@@ -582,7 +726,7 @@ let test_dc_ranking_prefers_dcs () =
   let decision = Decision.create ~rng:(Rng.create 1) engine in
   Engine.set engine x false;
   ignore (Engine.propagate engine);
-  let rows = Engine.matching_rows engine x in
+  let rows = matching_cubes engine x in
   Alcotest.(check int) "two matching rows" 2 (List.length rows);
   List.iter
     (fun r -> Alcotest.(check int) "each off row has one DC" 1 (Cube.dc_size r))
@@ -610,8 +754,13 @@ let test_mffc_rank_figure4c () =
   let decision = Decision.create ~rng:(Rng.create 1) engine in
   (* Rows of AND with out=0: "0-" (non-DC on x, depth 0) and "-0" (non-DC
      on y, depth 2). *)
-  let row_x0 = Cube.make [| Cube.F; Cube.DC |] false in
-  let row_y0 = Cube.make [| Cube.DC; Cube.F |] false in
+  let index row =
+    let rows = Engine.rows_of engine z in
+    let rec find r = if rows.(r) = row then r else find (r + 1) in
+    find 0
+  in
+  let row_x0 = index (Cube.make [| Cube.F; Cube.DC |] false) in
+  let row_y0 = index (Cube.make [| Cube.DC; Cube.F |] false) in
   let rank_x = Decision.mffc_rank decision z row_x0 in
   let rank_y = Decision.mffc_rank decision z row_y0 in
   Alcotest.(check (float 0.001)) "left rank 0" 0.0 rank_x;
@@ -633,7 +782,7 @@ let test_decision_assigns_matching_row () =
       match Engine.propagate engine with
       | Engine.Conflict_at _ -> ()
       | Engine.Fixpoint -> (
-          match Engine.matching_rows engine target with
+          match matching_cubes engine target with
           | [] -> Alcotest.fail "fixpoint with no matching rows"
           | _ :: _ -> (
               match Decision.decide decision target with
@@ -641,11 +790,159 @@ let test_decision_assigns_matching_row () =
               | Ok () -> (
                   (* After the decision the target must still have matching
                      rows (the chosen row itself). *)
-                  match Engine.matching_rows engine target with
+                  match matching_cubes engine target with
                   | [] -> Alcotest.fail "decision created a dead end"
                   | _ -> ())))
     end
   done
+
+(* The list-based row choice that the index-based [Decision.decide]
+   replaced, kept as its reference: Eq. 3 ranks from the fanins' MFFC
+   depths, Eq. 4 priorities with Laplace smoothing, and a
+   stochastic-acceptance roulette, all on freshly built arrays. *)
+let reference_choose_row (cfg : Config.t) rng ~depths = function
+  | [] -> invalid_arg "reference_choose_row: no rows"
+  | [ row ] -> row
+  | rows -> (
+      let arr = Array.of_list rows in
+      let roulette priorities =
+        let max_p = Array.fold_left max 0.0 priorities in
+        if max_p <= 0.0 then arr.(Rng.int rng (Array.length arr))
+        else
+          let rec draw attempts =
+            let i = Rng.int rng (Array.length arr) in
+            if attempts > 1000 || Rng.float rng 1.0 <= priorities.(i) /. max_p
+            then arr.(i)
+            else draw (attempts + 1)
+          in
+          draw 0
+      in
+      let rank (row : Cube.t) =
+        let total = ref 0.0 in
+        Array.iteri
+          (fun i l ->
+            match l with
+            | Cube.DC -> ()
+            | Cube.T | Cube.F -> total := !total +. depths.(i))
+          row.Cube.lits;
+        !total
+      in
+      match cfg.Config.decision with
+      | Config.Random_row -> arr.(Rng.int rng (Array.length arr))
+      | Config.Dc_weighted ->
+          roulette
+            (Array.map (fun r -> 1.0 +. float_of_int (Cube.dc_size r)) arr)
+      | Config.Dc_mffc_weighted ->
+          let ranks = Array.map rank arr in
+          let max_rank = Array.fold_left max 0.0 ranks in
+          roulette
+            (Array.map
+               (fun r ->
+                 let dc = float_of_int (Cube.dc_size r) in
+                 let normalised =
+                   if max_rank > 0.0 then rank r /. max_rank else 0.0
+                 in
+                 1.0 +. ((cfg.Config.alpha *. dc) +. (cfg.Config.beta *. normalised)))
+               arr))
+
+(* Random networks of gates of up to 4 inputs over 8 PIs, with 6- and
+   7-input parity gates (64 and 128 rows, wider than one row-set word)
+   mixed in. *)
+let random_wide_net rng =
+  let net = N.create () in
+  let ids = ref (List.init 8 (fun _ -> N.add_pi net)) in
+  for _ = 1 to 20 do
+    let pool = Array.of_list !ids in
+    let f, arity =
+      match Rng.int rng 8 with
+      | 0 -> (tt_parity 6, 6)
+      | 1 -> (tt_parity 7, 7)
+      | _ ->
+          let arity = 1 + Rng.int rng 4 in
+          (TT.random rng arity, arity)
+    in
+    let fanins = Array.init arity (fun _ -> Rng.choose rng pool) in
+    ids := N.add_gate net f fanins :: !ids
+  done;
+  N.add_po net (List.hd !ids);
+  net
+
+let prop_decision_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"decisions match the list-based reference (3 policies)"
+       ~count:300 ~print:string_of_int
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Rng.create seed in
+         let net = random_wide_net rng in
+         let nodes = N.num_nodes net in
+         let values = Array.init nodes (fun _ -> Rng.int rng 3) in
+         let gates = ref [] in
+         N.iter_gates net (fun id -> gates := id :: !gates);
+         let mffc = Mffc.cache net in
+         List.for_all
+           (fun policy ->
+             let cfg = { Config.default with Config.decision = policy } in
+             let engine = Engine.create ~config:cfg net in
+             let asg = Engine.assignment engine in
+             Array.iteri
+               (fun id v -> if v > 0 then Assignment.assign asg id (v = 2))
+               values;
+             let draws = Rng.split rng in
+             let mine = Rng.copy draws in
+             let decision = Decision.create ~rng:mine engine in
+             (* Several decisions in a row on one decision state, so the
+                per-gate caches and the scratch arrays are reused. *)
+             List.for_all
+               (fun g ->
+                 let before = Assignment.to_array asg in
+                 let rows = Engine.rows_of engine g in
+                 let fanins = N.fanins net g in
+                 let matching =
+                   List.filter
+                     (fun (c : Cube.t) ->
+                       Value.compatible before.(g)
+                         (if c.Cube.out then Cube.T else Cube.F)
+                       && Array.for_all2 Value.compatible
+                            (Array.map (fun f -> before.(f)) fanins)
+                            c.Cube.lits)
+                     (Array.to_list rows)
+                 in
+                 let depths = Array.map (Mffc.cached_depth mffc) fanins in
+                 (* The chosen row shows in the values the decision adds;
+                    the draws it made show in the generator's state. *)
+                 let expected =
+                   match matching with
+                   | [] -> None
+                   | rows ->
+                       let row = reference_choose_row cfg draws ~depths rows in
+                       let after = Array.copy before in
+                       let fill id b =
+                         if after.(id) = Value.Unknown then
+                           after.(id) <- Value.of_bool b
+                       in
+                       fill g row.Cube.out;
+                       Array.iteri
+                         (fun i l ->
+                           match l with
+                           | Cube.DC -> ()
+                           | Cube.T -> fill fanins.(i) true
+                           | Cube.F -> fill fanins.(i) false)
+                         row.Cube.lits;
+                       Some after
+                 in
+                 let mark = Engine.checkpoint engine in
+                 let got =
+                   match Decision.decide decision g with
+                   | Error _ -> None
+                   | Ok () -> Some (Assignment.to_array asg)
+                 in
+                 Engine.rollback engine mark;
+                 got = expected
+                 && Rng.int64 (Rng.copy mine) = Rng.int64 (Rng.copy draws))
+               !gates)
+           [ Config.Random_row; Config.Dc_weighted; Config.Dc_mffc_weighted ]))
 
 (* ------------------------------------------------------------------ *)
 (* Outgold                                                             *)
@@ -816,7 +1113,6 @@ let () =
         [
           Alcotest.test_case "trail" `Quick test_assignment_trail;
           Alcotest.test_case "double assign" `Quick test_assignment_double_assign;
-          Alcotest.test_case "latest_in" `Quick test_assignment_latest_in;
           Alcotest.test_case "iter_since" `Quick test_assignment_iter_since;
         ] );
       ( "rows",
@@ -854,12 +1150,21 @@ let () =
           Alcotest.test_case "pending on set" `Quick test_pending_conflict_on_set;
           prop_engine_forward_soundness;
         ] );
+      ( "engine-scope",
+        [
+          Alcotest.test_case "latest_candidate" `Quick test_latest_candidate;
+          prop_marks_match_fanin_cones;
+          Alcotest.test_case "marks on a deep network" `Quick
+            test_marks_on_deep_network;
+          prop_latest_candidate_matches_reference;
+        ] );
       ( "decision",
         [
           Alcotest.test_case "dc ranking" `Quick test_dc_ranking_prefers_dcs;
           Alcotest.test_case "mffc rank (fig 4c)" `Quick test_mffc_rank_figure4c;
           Alcotest.test_case "assigns matching row" `Quick
             test_decision_assigns_matching_row;
+          prop_decision_matches_reference;
         ] );
       ( "outgold",
         [
