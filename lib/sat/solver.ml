@@ -2,7 +2,16 @@
 
    Conventions: variables are ints from 0; literals follow [Literal]
    (2v / 2v+1). Assignment values are +1 (true), -1 (false), 0 (undefined)
-   per variable. Watched literals are lits.(0) and lits.(1) of each clause.
+   per variable. Watched literals are the first two literals of each
+   clause.
+
+   Clauses live in one flat [int array], the arena (MiniSat's clause
+   allocator, Eén and Sörensson 2003): a clause is the offset of its
+   header word, followed by its literals and, for a learnt clause, an
+   activity slot. Reasons and watchers hold offsets, so an implication
+   allocates nothing and no stored clause reference passes through the
+   write barrier. Removed clauses stay in place until [compact] slides
+   the live ones down.
 
    Watch lists are per-literal watcher arrays (MiniSat 2.2; Chu, Harwood
    and Stuckey 2009): [watches.(p)] holds the clauses watching [~p], each
@@ -19,31 +28,77 @@
    are never deleted. Problem clauses can be registered under a client
    group id and physically retracted with [remove_group]; [simplify]
    removes clauses satisfied at level 0 and rebuilds (compacts) every
-   watch list. All deletions mark the clause [removed] and detach its
-   watches immediately; clause lists drop marked entries lazily at the
-   next [simplify], so retracting a group never pays an O(database) walk. *)
+   watch list. All deletions mark the clause removed and detach its
+   watches immediately; the arena and the clause lists drop marked
+   clauses at the next compaction, so retracting a group never pays an
+   O(database) walk. *)
 
-type clause = {
-  mutable lits : int array;
-  learnt : bool;
-  mutable activity : float;
-  mutable lbd : int;      (* 0 for problem clauses *)
-  mutable removed : bool; (* detached, awaiting list compaction *)
-}
+(* -------------------- clause arena -------------------- *)
+
+(* A clause [c] is an offset into the arena. [arena.(c)] is its header:
+   literal count from bit [size_shift] up, LBD (0 for problem clauses)
+   in bits 2..31, the removed flag in bit 1 and the learnt flag in bit
+   0. The literals follow at [c + 1 .. c + size]; a learnt clause then
+   has one activity slot, a non-negative float stored as its IEEE bits
+   with the (zero) sign bit dropped, which round-trips exactly. *)
+type clause = int
+
+let no_clause = -1 (* "no reason" and "no conflict" *)
+let learnt_bit = 1
+let removed_bit = 2
+let lbd_shift = 2
+let lbd_mask = (1 lsl 30) - 1
+let size_shift = 32
+
+let[@inline] csize a c = a.(c) lsr size_shift
+let[@inline] is_learnt a c = a.(c) land learnt_bit <> 0
+let[@inline] is_removed a c = a.(c) land removed_bit <> 0
+let[@inline] clbd a c = (a.(c) lsr lbd_shift) land lbd_mask
+
+let set_lbd a c l =
+  a.(c) <- a.(c) land lnot (lbd_mask lsl lbd_shift) lor (l lsl lbd_shift)
+
+(* Words the clause at [c] occupies: header, literals, activity slot. *)
+let[@inline] footprint a c =
+  let h = a.(c) in
+  1 + (h lsr size_shift) + (h land learnt_bit)
+
+let[@inline] act_slot a c = c + 1 + csize a c
+
+let[@inline] float_of_slot x =
+  Int64.float_of_bits (Int64.logand (Int64.of_int x) Int64.max_int)
+
+let[@inline] slot_of_float f = Int64.to_int (Int64.bits_of_float f)
+
+(* [Array.blit] between [int array]s outside the minor heap goes through
+   [caml_modify] word by word; plain stores do not. Safe for overlapping
+   ranges when [dst <= src], the only way the arena ever moves. *)
+let copy_ints src so dst d n =
+  for k = 0 to n - 1 do
+    dst.(d + k) <- src.(so + k)
+  done
+
+(* A growable [int] list: [items.(0 .. count - 1)], oldest first. *)
+type vec = { mutable items : int array; mutable count : int }
+
+let new_vec () = { items = Array.make 16 0; count = 0 }
+
+let push v x =
+  if v.count = Array.length v.items then begin
+    let items = Array.make (2 * v.count) 0 in
+    copy_ints v.items 0 items 0 v.count;
+    v.items <- items
+  end;
+  v.items.(v.count) <- x;
+  v.count <- v.count + 1
 
 (* The watchers of one literal: [cls.(i)] with blocker [blk.(i)], a
-   literal of [cls.(i)], for [i < len]. Slots past [len] hold
-   [no_clause], so the arrays keep no dead clause alive. *)
+   literal of [cls.(i)], for [i < len]. *)
 type watchers = {
-  mutable cls : clause array;
+  mutable cls : int array;
   mutable blk : int array;
   mutable len : int;
 }
-
-(* Filler for unused watcher slots and the "no conflict" answer of
-   [propagate]; never attached. *)
-let no_clause =
-  { lits = [||]; learnt = false; activity = 0.0; lbd = 0; removed = true }
 
 let new_watchers () = { cls = [||]; blk = [||]; len = 0 }
 
@@ -59,12 +114,15 @@ end
 
 type t = {
   mutable ok : bool;
-  mutable clauses : clause list;       (* problem clauses *)
-  mutable learnts : clause list;
+  mutable arena : int array;
+  mutable arena_top : int;             (* first free word *)
+  mutable wasted : int;                (* words of removed clauses *)
+  clauses : vec;                       (* problem clauses, oldest first *)
+  learnts : vec;
   mutable watches : watchers array;    (* indexed by literal *)
   mutable assigns : int array;         (* per var: +1 / -1 / 0 *)
   mutable levels : int array;          (* per var *)
-  mutable reasons : clause option array;
+  mutable reasons : int array;         (* per var: clause or [no_clause] *)
   mutable activity : float array;
   mutable phase : bool array;          (* saved phase: last assigned sign *)
   mutable heap : int array;            (* binary max-heap of vars *)
@@ -86,7 +144,7 @@ type t = {
   (* clause-database state *)
   mutable num_clauses : int;   (* live problem clauses on [clauses] *)
   mutable num_learnts : int;   (* live learnt clauses on [learnts] *)
-  mutable garbage : int;       (* removed clauses still on [clauses] *)
+  mutable garbage : int;       (* problem clauses retracted since [simplify] *)
   mutable next_reduce : int;   (* conflict count scheduling [reduce_db] *)
   mutable lbd_mark : int array; (* per level: stamp scratch for LBD *)
   mutable lbd_stamp : int;
@@ -141,12 +199,15 @@ let reduce_step = 300
 let create () =
   {
     ok = true;
-    clauses = [];
-    learnts = [];
+    arena = Array.make 256 0;
+    arena_top = 0;
+    wasted = 0;
+    clauses = new_vec ();
+    learnts = new_vec ();
     watches = Array.init 16 (fun _ -> new_watchers ());
     assigns = Array.make 8 0;
     levels = Array.make 8 0;
-    reasons = Array.make 8 None;
+    reasons = Array.make 8 no_clause;
     activity = Array.make 8 0.0;
     phase = Array.make 8 false;
     heap = Array.make 8 0;
@@ -201,6 +262,10 @@ let num_vars s = s.nvars
 
 let enable_proof s = if s.proof = None then s.proof <- Some []
 
+let logging s = match s.proof with None -> false | Some _ -> true
+
+(* Callers building an event test [logging] first, so an unlogged run
+   never copies or sorts a clause for the proof. *)
 let log_proof s event =
   match s.proof with
   | None -> ()
@@ -208,10 +273,12 @@ let log_proof s event =
       s.proof <- Some (event :: events);
       s.proof_len <- s.proof_len + 1
 
-let proof_clause lits =
-  let c = Array.copy lits in
-  Array.sort compare c;
-  c
+let sorted lits =
+  Array.sort compare lits;
+  lits
+
+let log_delete s c =
+  log_proof s (Delete (sorted (Array.sub s.arena (c + 1) (csize s.arena c))))
 
 let proof_events s =
   match s.proof with None -> [] | Some events -> List.rev events
@@ -301,7 +368,7 @@ let new_var s =
   s.nvars <- v + 1;
   s.assigns <- grow s.assigns s.nvars 0;
   s.levels <- grow s.levels s.nvars 0;
-  s.reasons <- grow s.reasons s.nvars None;
+  s.reasons <- grow s.reasons s.nvars no_clause;
   s.activity <- grow s.activity s.nvars 0.0;
   s.phase <- grow s.phase s.nvars false;
   s.heap_pos <- grow s.heap_pos s.nvars (-1);
@@ -350,7 +417,7 @@ let cancel_until s lvl =
     for i = s.trail_size - 1 downto bound do
       let v = Literal.var s.trail.(i) in
       s.assigns.(v) <- 0;
-      s.reasons.(v) <- None;
+      s.reasons.(v) <- no_clause;
       if (not s.focus_on) || s.focus_flag.(v) then heap_insert s v
     done;
     s.trail_size <- bound;
@@ -420,9 +487,9 @@ let watch s l c blocker =
   let w = s.watches.(l) in
   if w.len = Array.length w.cls then begin
     let cap = max 4 (2 * w.len) in
-    let cls = Array.make cap no_clause and blk = Array.make cap 0 in
-    Array.blit w.cls 0 cls 0 w.len;
-    Array.blit w.blk 0 blk 0 w.len;
+    let cls = Array.make cap 0 and blk = Array.make cap 0 in
+    copy_ints w.cls 0 cls 0 w.len;
+    copy_ints w.blk 0 blk 0 w.len;
     w.cls <- cls;
     w.blk <- blk
   end;
@@ -432,22 +499,124 @@ let watch s l c blocker =
 
 (* Each watch starts with the other watched literal as its blocker. *)
 let attach s c =
-  watch s (Literal.negate c.lits.(0)) c c.lits.(1);
-  watch s (Literal.negate c.lits.(1)) c c.lits.(0)
+  let l0 = s.arena.(c + 1) and l1 = s.arena.(c + 2) in
+  watch s (Literal.negate l0) c l1;
+  watch s (Literal.negate l1) c l0
 
 (* Remove [c] from the watchers of [l], keeping the order of the rest. *)
 let unwatch s l c =
   let w = s.watches.(l) in
   let j = ref 0 in
   for i = 0 to w.len - 1 do
-    if w.cls.(i) != c then begin
+    if w.cls.(i) <> c then begin
       w.cls.(!j) <- w.cls.(i);
       w.blk.(!j) <- w.blk.(i);
       incr j
     end
   done;
-  Array.fill w.cls !j (w.len - !j) no_clause;
   w.len <- !j
+
+let detach s c =
+  unwatch s (Literal.negate s.arena.(c + 1)) c;
+  unwatch s (Literal.negate s.arena.(c + 2)) c
+
+(* -------------------- arena allocation -------------------- *)
+
+(* Store a clause of the [n] literals of [lits], in list order, and
+   return its offset. A full arena grows by half. *)
+let alloc s ~learnt ~lbd n lits =
+  let words = 1 + n + if learnt then 1 else 0 in
+  let top = s.arena_top + words in
+  if top > Array.length s.arena then begin
+    let arena = Array.make (max top (Array.length s.arena * 3 / 2)) 0 in
+    copy_ints s.arena 0 arena 0 s.arena_top;
+    s.arena <- arena
+  end;
+  let a = s.arena and c = s.arena_top in
+  a.(c) <-
+    (n lsl size_shift) lor (lbd lsl lbd_shift)
+    lor if learnt then learnt_bit else 0;
+  List.iteri (fun k l -> a.(c + 1 + k) <- l) lits;
+  if learnt then a.(c + 1 + n) <- slot_of_float 0.0;
+  s.arena_top <- top;
+  c
+
+(* Flag [c] removed; its words are reclaimed by the next [compact]. *)
+let mark_removed s c =
+  s.arena.(c) <- s.arena.(c) lor removed_bit;
+  s.wasted <- s.wasted + footprint s.arena c
+
+(* Slide the live clauses down over the removed ones, in address order
+   and in place, then rewrite every stored offset — clause lists,
+   groups, reasons and watchers — by binary search over the moved
+   clauses. Dead entries leave the clause lists and groups here;
+   everything else keeps its relative order, so the search is
+   unchanged. *)
+let compact s =
+  let a = s.arena in
+  let live = ref 0 and c = ref 0 in
+  while !c < s.arena_top do
+    if not (is_removed a !c) then incr live;
+    c := !c + footprint a !c
+  done;
+  let n = !live in
+  let olds = Array.make n 0 and news = Array.make n 0 in
+  let k = ref 0 and src = ref 0 and dst = ref 0 in
+  while !src < s.arena_top do
+    let words = footprint a !src in
+    if not (is_removed a !src) then begin
+      olds.(!k) <- !src;
+      news.(!k) <- !dst;
+      incr k;
+      if !dst < !src then copy_ints a !src a !dst words;
+      dst := !dst + words
+    end;
+    src := !src + words
+  done;
+  s.arena_top <- !dst;
+  s.wasted <- 0;
+  let remap c =
+    let lo = ref 0 and hi = ref (n - 1) and r = ref no_clause in
+    while !lo <= !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      let o = olds.(mid) in
+      if o < c then lo := mid + 1
+      else if o > c then hi := mid - 1
+      else begin
+        r := news.(mid);
+        lo := !hi + 1
+      end
+    done;
+    !r
+  in
+  let remap_vec v =
+    let j = ref 0 in
+    for i = 0 to v.count - 1 do
+      let c = remap v.items.(i) in
+      if c <> no_clause then begin
+        v.items.(!j) <- c;
+        incr j
+      end
+    done;
+    v.count <- !j
+  in
+  remap_vec s.clauses;
+  remap_vec s.learnts;
+  Hashtbl.filter_map_inplace
+    (fun _ cs ->
+      match List.map remap cs |> List.filter (fun c -> c <> no_clause) with
+      | [] -> None
+      | cs -> Some cs)
+    s.groups;
+  for v = 0 to s.nvars - 1 do
+    if s.reasons.(v) <> no_clause then s.reasons.(v) <- remap s.reasons.(v)
+  done;
+  Array.iter
+    (fun w ->
+      for i = 0 to w.len - 1 do
+        w.cls.(i) <- remap w.cls.(i)
+      done)
+    s.watches
 
 (* -------------------- LBD -------------------- *)
 
@@ -455,32 +624,25 @@ let unwatch s l c =
    Every literal of a learnt clause is assigned when this is called
    (conflict analysis computes it before backjumping; re-scoring happens
    on reason/conflict clauses, whose literals are all assigned). *)
-let lbd_of_array s lits =
+let count_level s l n stamp =
+  let lvl = s.levels.(Literal.var l) in
+  if lvl > 0 && s.lbd_mark.(lvl) <> stamp then begin
+    s.lbd_mark.(lvl) <- stamp;
+    incr n
+  end
+
+let lbd_of_clause s c =
   s.lbd_stamp <- s.lbd_stamp + 1;
-  let stamp = s.lbd_stamp in
-  let n = ref 0 in
-  Array.iter
-    (fun l ->
-      let lvl = s.levels.(Literal.var l) in
-      if lvl > 0 && s.lbd_mark.(lvl) <> stamp then begin
-        s.lbd_mark.(lvl) <- stamp;
-        incr n
-      end)
-    lits;
+  let n = ref 0 and a = s.arena in
+  for k = c + 1 to c + csize a c do
+    count_level s a.(k) n s.lbd_stamp
+  done;
   max 1 !n
 
 let lbd_of_list s lits =
   s.lbd_stamp <- s.lbd_stamp + 1;
-  let stamp = s.lbd_stamp in
   let n = ref 0 in
-  List.iter
-    (fun l ->
-      let lvl = s.levels.(Literal.var l) in
-      if lvl > 0 && s.lbd_mark.(lvl) <> stamp then begin
-        s.lbd_mark.(lvl) <- stamp;
-        incr n
-      end)
-    lits;
+  List.iter (fun l -> count_level s l n s.lbd_stamp) lits;
   max 1 !n
 
 let tier_incr s lbd =
@@ -507,10 +669,19 @@ let var_bump s v =
 
 let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
-let cla_bump s (c : clause) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
-    List.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) s.learnts;
+let[@inline] clause_activity a c = float_of_slot a.(act_slot a c)
+
+let set_clause_activity a c x = a.(act_slot a c) <- slot_of_float x
+
+let cla_bump s c =
+  let a = s.arena in
+  let act = clause_activity a c +. s.cla_inc in
+  set_clause_activity a c act;
+  if act > 1e20 then begin
+    for i = 0 to s.learnts.count - 1 do
+      let c = s.learnts.items.(i) in
+      set_clause_activity a c (clause_activity a c *. 1e-20)
+    done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
@@ -535,11 +706,14 @@ let cla_decay s = s.cla_inc <- s.cla_inc /. 0.999
 
    A visit whose blocker is true is settled without reading the clause;
    an opened clause whose other watch is true is kept, with that watch
-   as its new blocker, before any scan for a replacement watch. *)
+   as its new blocker, before any scan for a replacement watch. The
+   arena does not move here (nothing is allocated), so it is read
+   through one local. *)
 let propagate s =
   let confl = ref no_clause in
   let visits = ref 0 and reads = ref 0 in
   let fenced = s.focus_on && s.trail_lim_size > 0 && not s.fence_off in
+  let a = s.arena in
   while s.qhead < s.trail_size do
     let p = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
@@ -548,55 +722,53 @@ let propagate s =
     let false_lit = p lxor 1 in
     let ws = s.watches.(p) in
     let cls = ws.cls and blk = ws.blk and n = ws.len in
-    (* Watcher [!i] is visited and kept at [!j <= !i]; a kept clause is
-       only stored when it actually moves, sparing the write barrier. *)
+    (* Watcher [!i] is visited and kept at [!j <= !i]. *)
     let i = ref 0 and j = ref 0 in
     while !i < n do
       let c = cls.(!i) and b = blk.(!i) in
       incr visits;
       if lit_value s b = 1 then begin
-        if !j < !i then cls.(!j) <- c;
+        cls.(!j) <- c;
         blk.(!j) <- b;
         incr j
       end
       else begin
         incr reads;
-        let lits = c.lits in
-        (* Make sure the false literal is lits.(1). *)
-        if lits.(0) = false_lit then begin
-          lits.(0) <- lits.(1);
-          lits.(1) <- false_lit
+        (* Make sure the false literal is the second one. *)
+        if a.(c + 1) = false_lit then begin
+          a.(c + 1) <- a.(c + 2);
+          a.(c + 2) <- false_lit
         end;
-        let first = lits.(0) in
+        let first = a.(c + 1) in
         let vf = lit_value s first in
         if vf = 1 then begin
-          if !j < !i then cls.(!j) <- c;
+          cls.(!j) <- c;
           blk.(!j) <- first;
           incr j
         end
         else begin
           (* Look for a new literal to watch. *)
-          let len = Array.length lits in
-          let k = ref 2 in
-          while !k < len && lit_value s lits.(!k) = -1 do
+          let stop = c + 1 + csize a c in
+          let k = ref (c + 3) in
+          while !k < stop && lit_value s a.(!k) = -1 do
             incr k
           done;
-          if !k < len then begin
-            let l = lits.(!k) in
-            lits.(1) <- l;
-            lits.(!k) <- false_lit;
+          if !k < stop then begin
+            let l = a.(!k) in
+            a.(c + 2) <- l;
+            a.(!k) <- false_lit;
             watch s (l lxor 1) c first
           end
           else begin
-            if !j < !i then cls.(!j) <- c;
+            cls.(!j) <- c;
             blk.(!j) <- first;
             incr j;
             if vf = -1 then begin
               (* Conflict: keep the unvisited watchers and stop. *)
               let rest = n - !i - 1 in
               if !j <= !i then begin
-                Array.blit cls (!i + 1) cls !j rest;
-                Array.blit blk (!i + 1) blk !j rest
+                copy_ints cls (!i + 1) cls !j rest;
+                copy_ints blk (!i + 1) blk !j rest
               end;
               j := !j + rest;
               i := n - 1;
@@ -604,16 +776,13 @@ let propagate s =
               confl := c
             end
             else if not (fenced && not s.focus_flag.(first lsr 1)) then
-              enqueue s first (Some c)
+              enqueue s first c
           end
         end
       end;
       incr i
     done;
-    if !j < n then begin
-      Array.fill cls !j (n - !j) no_clause;
-      ws.len <- !j
-    end
+    ws.len <- !j
   done;
   s.watch_visits <- s.watch_visits + !visits;
   s.clause_reads <- s.clause_reads + !reads;
@@ -645,22 +814,14 @@ let add_clause ?group s lits =
             log_proof s (Learn [||]);
             s.ok <- false
         | [ l ] ->
-            enqueue s l None;
-            if propagate s != no_clause then begin
+            enqueue s l no_clause;
+            if propagate s <> no_clause then begin
               log_proof s (Learn [||]);
               s.ok <- false
             end
         | lits ->
-            let c =
-              {
-                lits = Array.of_list lits;
-                learnt = false;
-                activity = 0.0;
-                lbd = 0;
-                removed = false;
-              }
-            in
-            s.clauses <- c :: s.clauses;
+            let c = alloc s ~learnt:false ~lbd:0 (List.length lits) lits in
+            push s.clauses c;
             s.num_clauses <- s.num_clauses + 1;
             (match group with
              | None -> ()
@@ -683,63 +844,65 @@ let add_clause ?group s lits =
 let rec lit_redundant s abstract_levels to_clear l depth =
   if depth > 40 then false
   else
-    match s.reasons.(Literal.var l) with
-    | None -> false
-    | Some c ->
-        let ok = ref true in
-        Array.iter
-          (fun q ->
-            let v = Literal.var q in
-            if !ok && v <> Literal.var l && s.levels.(v) > 0 then
-              if s.seen.(v) then ()
-              else if
-                (abstract_levels lsr (s.levels.(v) land 31)) land 1 = 1
-                && lit_redundant s abstract_levels to_clear q (depth + 1)
-              then begin
-                s.seen.(v) <- true;
-                to_clear := v :: !to_clear
-              end
-              else ok := false)
-          c.lits;
-        !ok
+    let c = s.reasons.(Literal.var l) in
+    if c = no_clause then false
+    else begin
+      let ok = ref true and a = s.arena in
+      for k = c + 1 to c + csize a c do
+        let q = a.(k) in
+        let v = Literal.var q in
+        if !ok && v <> Literal.var l && s.levels.(v) > 0 then
+          if s.seen.(v) then ()
+          else if
+            (abstract_levels lsr (s.levels.(v) land 31)) land 1 = 1
+            && lit_redundant s abstract_levels to_clear q (depth + 1)
+          then begin
+            s.seen.(v) <- true;
+            to_clear := v :: !to_clear
+          end
+          else ok := false
+      done;
+      !ok
+    end
 
 let analyze s confl =
   let learnt = ref [] in
   let path_count = ref 0 in
   let p = ref (-1) in
   let index = ref (s.trail_size - 1) in
-  let confl = ref (Some confl) in
+  let confl = ref confl in
   let to_clear = ref [] in
   let continue = ref true in
+  let a = s.arena in
   while !continue do
-    (match !confl with
-     | None -> assert false
-     | Some c ->
-         if c.learnt then begin
-           cla_bump s c;
-           (* Glucose-style re-scoring: a clause seen in conflict analysis
-              whose current LBD is better than recorded is promoted. *)
-           if c.lbd > 2 then begin
-             let l = lbd_of_array s c.lits in
-             if l < c.lbd then begin
-               tier_decr s c.lbd;
-               tier_incr s l;
-               c.lbd <- l
-             end
-           end
-         end;
-         Array.iter
-           (fun q ->
-             let v = Literal.var q in
-             if (!p < 0 || q <> !p) && (not s.seen.(v)) && s.levels.(v) > 0
-             then begin
-               s.seen.(v) <- true;
-               to_clear := v :: !to_clear;
-               var_bump s v;
-               if s.levels.(v) >= decision_level s then incr path_count
-               else learnt := q :: !learnt
-             end)
-           c.lits);
+    let c = !confl in
+    assert (c <> no_clause);
+    if is_learnt a c then begin
+      cla_bump s c;
+      (* Glucose-style re-scoring: a clause seen in conflict analysis
+         whose current LBD is better than recorded is promoted. *)
+      let lbd = clbd a c in
+      if lbd > 2 then begin
+        let l = lbd_of_clause s c in
+        if l < lbd then begin
+          tier_decr s lbd;
+          tier_incr s l;
+          set_lbd a c l
+        end
+      end
+    end;
+    for k = c + 1 to c + csize a c do
+      let q = a.(k) in
+      let v = Literal.var q in
+      if (!p < 0 || q <> !p) && (not s.seen.(v)) && s.levels.(v) > 0
+      then begin
+        s.seen.(v) <- true;
+        to_clear := v :: !to_clear;
+        var_bump s v;
+        if s.levels.(v) >= decision_level s then incr path_count
+        else learnt := q :: !learnt
+      end
+    done;
     (* Select next literal from the trail. *)
     let rec back i =
       if s.seen.(Literal.var s.trail.(i)) then i else back (i - 1)
@@ -774,55 +937,56 @@ let analyze s confl =
 
 (* -------------------- clause database -------------------- *)
 
-let locked s c =
-  Array.length c.lits > 0
-  &&
-  let v = Literal.var c.lits.(0) in
-  match s.reasons.(v) with Some r -> r == c | None -> false
+let locked s c = s.reasons.(Literal.var s.arena.(c + 1)) = c
 
-let detach s c =
-  unwatch s (Literal.negate c.lits.(0)) c;
-  unwatch s (Literal.negate c.lits.(1)) c
+(* Stop [c] being a reason, before it is removed. *)
+let unlock s c =
+  if locked s c then s.reasons.(Literal.var s.arena.(c + 1)) <- no_clause
 
 (* LBD-tiered reduction: sort so deletion candidates come first (high
    LBD, then low activity) and delete half the database. Glue clauses
    (LBD <= 2), binary clauses and reasons of current assignments always
    survive. Runs on a conflict schedule that lengthens with every
-   reduction, independent of [solve]-call boundaries. *)
+   reduction, independent of [solve]-call boundaries. A reduction that
+   leaves a fifth of the arena dead compacts it; a single long [solve]
+   never reaches [simplify], so without this the arena would keep every
+   clause ever learnt. *)
 let reduce_db s =
   s.reductions <- s.reductions + 1;
-  let arr = Array.of_list s.learnts in
+  let a = s.arena and l = s.learnts in
+  let n = l.count in
+  (* Sorted newest first, as the learnt list always was: [Array.sort]
+     is not stable, so its input order is part of the outcome. *)
+  let arr = Array.init n (fun i -> l.items.(n - 1 - i)) in
   Array.sort
-    (fun (a : clause) (b : clause) ->
-      if a.lbd <> b.lbd then compare b.lbd a.lbd
-      else compare a.activity b.activity)
+    (fun x y ->
+      let lx = clbd a x and ly = clbd a y in
+      if lx <> ly then compare ly lx
+      else compare (clause_activity a x) (clause_activity a y))
     arr;
-  let limit = Array.length arr / 2 in
-  let keep = ref [] in
+  let limit = n / 2 in
+  l.count <- 0;
   Array.iteri
     (fun i c ->
-      if
-        i < limit && c.lbd > 2
-        && Array.length c.lits > 2
-        && not (locked s c)
+      if i < limit && clbd a c > 2 && csize a c > 2 && not (locked s c)
       then begin
-        log_proof s (Delete (proof_clause c.lits));
+        if logging s then log_delete s c;
         detach s c;
-        c.removed <- true;
+        mark_removed s c;
         s.num_learnts <- s.num_learnts - 1;
         s.deleted_total <- s.deleted_total + 1;
-        tier_decr s c.lbd
+        tier_decr s (clbd a c)
       end
-      else keep := c :: !keep)
+      else push l c)
     arr;
-  s.learnts <- !keep
+  if 5 * s.wasted > s.arena_top then compact s
 
 (* Physically retract every clause of group [g]. Only at level 0. The
-   clauses are detached now and dropped from the clause list at the next
-   compaction; a clause acting as the reason for a root-level implication
-   loses the reason pointer (the implication itself stays on the trail —
-   it remains a consequence of the theory the client retracted from).
-   Returns the number of clauses removed. *)
+   clauses are detached now and leave the arena at the next compaction;
+   a clause acting as the reason for a root-level implication loses the
+   reason (the implication itself stays on the trail — it remains a
+   consequence of the theory the client retracted from). Returns the
+   number of clauses removed. *)
 let remove_group ?(proof = true) s g =
   if decision_level s <> 0 then
     invalid_arg "Solver.remove_group: only at decision level 0";
@@ -833,11 +997,11 @@ let remove_group ?(proof = true) s g =
       let n = ref 0 in
       List.iter
         (fun c ->
-          if not c.removed then begin
-            if locked s c then s.reasons.(Literal.var c.lits.(0)) <- None;
+          if not (is_removed s.arena c) then begin
+            unlock s c;
             detach s c;
-            c.removed <- true;
-            if proof then log_proof s (Delete (proof_clause c.lits));
+            mark_removed s c;
+            if proof && logging s then log_delete s c;
             s.num_clauses <- s.num_clauses - 1;
             s.removed_total <- s.removed_total + 1;
             s.garbage <- s.garbage + 1;
@@ -850,69 +1014,69 @@ let remove_group ?(proof = true) s g =
    fixpoint every live, unsatisfied clause has at least two non-false
    literals (one non-false would have propagated and satisfied it). *)
 let reattach s c =
-  let n = Array.length c.lits in
-  let pos = ref 0 in
-  (try
-     for i = 0 to n - 1 do
-       if lit_value s c.lits.(i) <> -1 then begin
-         let tmp = c.lits.(!pos) in
-         c.lits.(!pos) <- c.lits.(i);
-         c.lits.(i) <- tmp;
-         incr pos;
-         if !pos >= 2 then raise Exit
-       end
-     done
-   with Exit -> ());
+  let a = s.arena in
+  let stop = c + 1 + csize a c in
+  let pos = ref (c + 1) and i = ref (c + 1) in
+  while !pos < c + 3 && !i < stop do
+    if lit_value s a.(!i) <> -1 then begin
+      let tmp = a.(!pos) in
+      a.(!pos) <- a.(!i);
+      a.(!i) <- tmp;
+      incr pos
+    end;
+    incr i
+  done;
   attach s c
 
-(* Remove clauses satisfied at level 0 and compact: drop removed-marked
-   clauses from the lists and rebuild every watch list from scratch. The
-   watch rebuild is what makes retirement GC pay — watch lists stop
-   carrying clauses that level-0 units satisfied long ago. Deletions of
-   learnt clauses are recorded in the proof; dropping a *problem* clause
-   from the checker's view is never required for soundness (keeping it
-   only strengthens unit propagation), so problem-clause removals are
-   not logged here. *)
+(* Remove clauses satisfied at level 0 and compact: slide the arena
+   down, drop removed clauses from the lists and rebuild every watch
+   list from scratch. The watch rebuild is what makes retirement GC pay
+   — watch lists stop carrying clauses that level-0 units satisfied long
+   ago (and, since every watcher is rebuilt, a clause removed here is
+   not detached first). Deletions of learnt clauses are recorded in the
+   proof; dropping a *problem* clause from the checker's view is never
+   required for soundness (keeping it only strengthens unit
+   propagation), so problem-clause removals are not logged here. *)
 let simplify s =
   if decision_level s <> 0 then
     invalid_arg "Solver.simplify: only at decision level 0";
   if s.ok then begin
-    if propagate s != no_clause then begin
+    if propagate s <> no_clause then begin
       log_proof s (Learn [||]);
       s.ok <- false
     end;
     if s.ok then begin
-      let live_lits = ref 0 in
+      let live_lits = ref 0 and a = s.arena in
       let satisfied c =
-        let n = Array.length c.lits in
-        let rec go i = i < n && (lit_value s c.lits.(i) = 1 || go (i + 1)) in
-        go 0
+        let stop = c + 1 + csize a c in
+        let rec go k = k < stop && (lit_value s a.(k) = 1 || go (k + 1)) in
+        go (c + 1)
       in
-      let keep c =
-        if c.removed then false
-        else if satisfied c then begin
-          if locked s c then s.reasons.(Literal.var c.lits.(0)) <- None;
-          detach s c;
-          c.removed <- true;
-          if c.learnt then begin
-            log_proof s (Delete (proof_clause c.lits));
-            s.num_learnts <- s.num_learnts - 1;
-            s.deleted_total <- s.deleted_total + 1;
-            tier_decr s c.lbd
-          end
-          else begin
-            s.num_clauses <- s.num_clauses - 1;
-            s.removed_total <- s.removed_total + 1
-          end;
-          false
-        end
-        else begin
-          live_lits := !live_lits + Array.length c.lits;
-          true
-        end
+      (* Newest first, the order the clause lists have always been
+         walked in (it orders the learnt deletions in the proof). *)
+      let sweep v =
+        for i = v.count - 1 downto 0 do
+          let c = v.items.(i) in
+          if not (is_removed a c) then
+            if satisfied c then begin
+              unlock s c;
+              if is_learnt a c then begin
+                if logging s then log_delete s c;
+                s.num_learnts <- s.num_learnts - 1;
+                s.deleted_total <- s.deleted_total + 1;
+                tier_decr s (clbd a c)
+              end
+              else begin
+                s.num_clauses <- s.num_clauses - 1;
+                s.removed_total <- s.removed_total + 1
+              end;
+              mark_removed s c
+            end
+            else live_lits := !live_lits + csize a c
+        done
       in
-      s.clauses <- List.filter keep s.clauses;
-      s.learnts <- List.filter keep s.learnts;
+      sweep s.clauses;
+      sweep s.learnts;
       s.garbage <- 0;
       (* Drop the old arrays rather than clear them: reattaching regrows
          each to within 2x of its live size, so no literal keeps the
@@ -923,8 +1087,14 @@ let simplify s =
           w.blk <- [||];
           w.len <- 0)
         s.watches;
-      List.iter (reattach s) s.clauses;
-      List.iter (reattach s) s.learnts;
+      compact s;
+      let reattach_all v =
+        for i = v.count - 1 downto 0 do
+          reattach s v.items.(i)
+        done
+      in
+      reattach_all s.clauses;
+      reattach_all s.learnts;
       s.qhead <- s.trail_size;
       s.compactions <- s.compactions + 1;
       s.simp_assigns <- s.trail_size;
@@ -991,15 +1161,15 @@ let analyze_final s a =
     for i = s.trail_size - 1 downto s.trail_lim.(0) do
       let v = Literal.var s.trail.(i) in
       if s.seen.(v) then begin
-        (match s.reasons.(v) with
-         | None ->
-             if v <> v0 then failed := s.trail.(i) :: !failed
-         | Some c ->
-             Array.iter
-               (fun q ->
-                 let vq = Literal.var q in
-                 if s.levels.(vq) > 0 then s.seen.(vq) <- true)
-               c.lits);
+        let c = s.reasons.(v) in
+        if c = no_clause then begin
+          if v <> v0 then failed := s.trail.(i) :: !failed
+        end
+        else
+          for k = c + 1 to c + csize s.arena c do
+            let vq = Literal.var s.arena.(k) in
+            if s.levels.(vq) > 0 then s.seen.(vq) <- true
+          done;
         s.seen.(v) <- false
       end
     done;
@@ -1058,31 +1228,34 @@ let audit_stats s =
   s.audit_counters <- now
 
 (* Every trail literal is true; every implication's reason clause is
-   actually unit under its trail prefix: it implies the literal at
-   lits.(0) with every other literal false, and it has not been
-   detached. *)
+   actually unit under its trail prefix: it implies its first literal
+   with every other literal false, and it has not been detached. *)
 let audit_trail s =
   for i = 0 to s.trail_size - 1 do
     let l = s.trail.(i) in
     let v = Literal.var l in
     if lit_value s l <> 1 then
       Runtime_check.failf "R008: trail literal %d is not assigned true" l;
-    match s.reasons.(v) with
-    | None -> ()
-    | Some c ->
-        if c.removed then
+    let c = s.reasons.(v) and a = s.arena in
+    if c <> no_clause then
+      if c < 0 || c >= s.arena_top then
+        Runtime_check.failf
+          "R008: reason of literal %d lies outside the clause arena" l
+      else begin
+        if is_removed a c then
           Runtime_check.failf
             "R008: detached clause is still the reason of literal %d" l;
-        if Array.length c.lits = 0 || c.lits.(0) <> l then
+        if csize a c = 0 || a.(c + 1) <> l then
           Runtime_check.failf
             "R008: reason clause of literal %d does not have it first" l;
-        for j = 1 to Array.length c.lits - 1 do
-          if lit_value s c.lits.(j) <> -1 then
+        for k = c + 2 to c + csize a c do
+          if lit_value s a.(k) <> -1 then
             Runtime_check.failf
               "R008: reason clause of literal %d is not unit (literal %d \
                unfalsified)"
-              l c.lits.(j)
+              l a.(k)
         done
+      end
   done
 
 (* Fence soundness (the PR-7 decision-focus argument, machine-checked):
@@ -1094,20 +1267,22 @@ let audit_fence s =
   if s.focus_on && s.trail_lim_size > 0 then
     for i = s.trail_lim.(0) to s.trail_size - 1 do
       let v = Literal.var s.trail.(i) in
-      match s.reasons.(v) with
-      | Some _ when not s.focus_flag.(v) ->
-          Runtime_check.failf
-            "R010: out-of-focus variable %d implied above the root" v
-      | _ -> ()
+      if s.reasons.(v) <> no_clause && not s.focus_flag.(v) then
+        Runtime_check.failf
+          "R010: out-of-focus variable %d implied above the root" v
     done
 
 (* Index of [c] among the watchers of literal [l], or -1. *)
 let find_watcher s l c =
   let w = s.watches.(l) in
   let rec go i =
-    if i >= w.len then -1 else if w.cls.(i) == c then i else go (i + 1)
+    if i >= w.len then -1 else if w.cls.(i) = c then i else go (i + 1)
   in
   go 0
+
+let has_lit a c l =
+  let rec go k = k <= c + csize a c && (a.(k) = l || go (k + 1)) in
+  go (c + 1)
 
 (* Watch integrity: every live >= 2-literal clause is watched on the
    negations of its first two literals and on nothing else, and every
@@ -1117,25 +1292,29 @@ let find_watcher s l c =
    true blocker (otherwise the clause should have propagated or
    conflicted). *)
 let audit_watches s =
+  let a = s.arena in
   Array.iteri
     (fun l w ->
       for i = 0 to w.len - 1 do
         let c = w.cls.(i) in
-        if c.removed then
+        if c < 0 || c >= s.arena_top then
+          Runtime_check.failf
+            "R007: watcher of literal %d lies outside the clause arena" l
+        else if is_removed a c then
           Runtime_check.failf
             "R011: detached clause still on the watch list of literal %d" l
-        else if Array.length c.lits < 2 then
+        else if csize a c < 2 then
           Runtime_check.failf
             "R007: %d-literal clause on the watch list of literal %d"
-            (Array.length c.lits) l
+            (csize a c) l
         else if
-          l <> Literal.negate c.lits.(0) && l <> Literal.negate c.lits.(1)
+          l <> Literal.negate a.(c + 1) && l <> Literal.negate a.(c + 2)
         then
           Runtime_check.failf
             "R007: clause watched on literal %d which negates neither \
              watched slot"
             l
-        else if not (Array.mem w.blk.(i) c.lits) then
+        else if not (has_lit a c w.blk.(i)) then
           Runtime_check.failf
             "R007: blocker %d of a clause watched on literal %d is not a \
              literal of that clause"
@@ -1146,9 +1325,9 @@ let audit_watches s =
     s.ok && decision_level s = 0 && s.qhead = s.trail_size
   in
   let check_clause c =
-    if not c.removed then begin
+    if not (is_removed a c) then begin
       let slot k =
-        let l = c.lits.(k) in
+        let l = a.(c + 1 + k) in
         let i = find_watcher s (Literal.negate l) c in
         if i < 0 then
           Runtime_check.failf "R007: clause not watched on lits.(%d) = %d" k l;
@@ -1165,23 +1344,68 @@ let audit_watches s =
       slot 1
     end
   in
-  List.iter check_clause s.clauses;
-  List.iter check_clause s.learnts
+  for i = 0 to s.clauses.count - 1 do check_clause s.clauses.items.(i) done;
+  for i = 0 to s.learnts.count - 1 do check_clause s.learnts.items.(i) done
 
-(* Live-clause gauges agree with the clause database. *)
+(* The clause database agrees with itself. The arena parses: its
+   headers, walked from offset 0, land exactly on the top, and every
+   clause has at least two literals. The live-clause gauges and LBD
+   tiers match the live clauses in it, and [wasted] the words of the
+   removed ones. Every live clause sits exactly once on the list of its
+   kind: problem clauses on [clauses], which may also hold removed ones
+   until the next compaction, learnt ones on [learnts], which holds
+   nothing else. *)
 let audit_gauges s =
-  let live = List.fold_left (fun n c -> if c.removed then n else n + 1) 0 in
-  let lc = live s.clauses and ll = live s.learnts in
-  if lc <> s.num_clauses then
+  let a = s.arena in
+  let kind = Bytes.make (s.arena_top + 1) ' ' in
+  let c = ref 0 and lc = ref 0 and ll = ref 0 and dead = ref 0 in
+  while !c < s.arena_top do
+    if csize a !c < 2 then
+      Runtime_check.failf "R013: arena word %d is not a clause header" !c;
+    let k =
+      if is_removed a !c then begin
+        dead := !dead + footprint a !c;
+        'r'
+      end
+      else if is_learnt a !c then (incr ll; 'l')
+      else (incr lc; 'p')
+    in
+    Bytes.set kind !c k;
+    c := !c + footprint a !c
+  done;
+  if !c <> s.arena_top then
+    Runtime_check.failf "R013: the last clause overruns the arena top %d"
+      s.arena_top;
+  if !lc <> s.num_clauses then
     Runtime_check.failf "R013: num_clauses = %d but %d live problem clauses"
-      s.num_clauses lc;
-  if ll <> s.num_learnts then
+      s.num_clauses !lc;
+  if !ll <> s.num_learnts then
     Runtime_check.failf "R013: num_learnts = %d but %d live learnt clauses"
-      s.num_learnts ll;
+      s.num_learnts !ll;
   let tiers = s.lbd_core + s.lbd_mid + s.lbd_local in
   if tiers <> s.num_learnts then
     Runtime_check.failf "R013: LBD tier counts sum to %d, num_learnts = %d"
-      tiers s.num_learnts
+      tiers s.num_learnts;
+  if !dead <> s.wasted then
+    Runtime_check.failf "R013: wasted = %d but removed clauses hold %d words"
+      s.wasted !dead;
+  let listed name v live =
+    for i = 0 to v.count - 1 do
+      let c = v.items.(i) in
+      let k = if c < 0 || c >= s.arena_top then ' ' else Bytes.get kind c in
+      if k = live then Bytes.set kind c '*'
+      else if not (k = 'r' && live = 'p') then
+        Runtime_check.failf "R013: %s entry %d is not a live clause of its kind"
+          name c
+    done
+  in
+  listed "clauses" s.clauses 'p';
+  listed "learnts" s.learnts 'l';
+  Bytes.iteri
+    (fun c k ->
+      if k = 'p' || k = 'l' then
+        Runtime_check.failf "R013: live clause %d is on no clause list" c)
+    kind
 
 let audit_light s =
   audit_trail s;
@@ -1210,15 +1434,25 @@ type corruption =
   | Skew_gauge
   | Foreign_blocker
 
+(* The newest problem clause satisfying [p], or [no_clause]. *)
+let newest_clause s p =
+  let rec go i =
+    if i < 0 then no_clause
+    else
+      let c = s.clauses.items.(i) in
+      if (not (is_removed s.arena c)) && p c then c else go (i - 1)
+  in
+  go (s.clauses.count - 1)
+
 let live_clause s =
-  match List.find_opt (fun c -> not c.removed) s.clauses with
-  | None -> invalid_arg "Solver.corrupt: no live clause"
-  | Some c -> c
+  let c = newest_clause s (fun _ -> true) in
+  if c = no_clause then invalid_arg "Solver.corrupt: no live clause";
+  c
 
 let corrupt s = function
   | Drop_watch ->
       let c = live_clause s in
-      unwatch s (Literal.negate c.lits.(0)) c
+      unwatch s (Literal.negate s.arena.(c + 1)) c
   | Scramble_reason ->
       (* Repoint some trail literal's reason at a clause that does not
          imply it. At rest every root-implied literal's reason has been
@@ -1226,43 +1460,33 @@ let corrupt s = function
          unlocked the reason), so decisions and units are fair game too:
          planting a bogus reason on a reason-free literal is the same
          reason/trail inconsistency. *)
-      let found = ref false in
-      (try
-         for i = 0 to s.trail_size - 1 do
-           let l = s.trail.(i) in
-           let v = Literal.var l in
-           match
-             List.find_opt
-               (fun c ->
-                 (not c.removed)
-                 && Array.length c.lits >= 2
-                 && c.lits.(0) <> l)
-               s.clauses
-           with
-           | Some c' ->
-               s.reasons.(v) <- Some c';
-               found := true;
-               raise Exit
-           | None -> ()
-         done
-       with Exit -> ());
-      if not !found then
-        invalid_arg "Solver.corrupt: no trail literal to scramble"
+      let rec plant i =
+        if i >= s.trail_size then
+          invalid_arg "Solver.corrupt: no trail literal to scramble"
+        else
+          let l = s.trail.(i) in
+          let c = newest_clause s (fun c -> s.arena.(c + 1) <> l) in
+          if c = no_clause then plant (i + 1)
+          else s.reasons.(Literal.var l) <- c
+      in
+      plant 0
   | Break_heap ->
       if s.heap_size < 2 then invalid_arg "Solver.corrupt: heap too small";
       let a = s.heap.(0) in
       s.heap.(0) <- s.heap.(s.heap_size - 1);
       s.heap.(s.heap_size - 1) <- a
   | Break_fence -> s.fence_off <- true
-  | Leak_detached -> (live_clause s).removed <- true
+  | Leak_detached ->
+      let c = live_clause s in
+      s.arena.(c) <- s.arena.(c) lor removed_bit
   | Regress_stats -> s.conflicts <- s.conflicts - 1
   | Skew_gauge -> s.num_clauses <- s.num_clauses + 1
   | Foreign_blocker ->
       (* The negation of a watched literal: never in a (non-tautological)
          clause. *)
       let c = live_clause s in
-      let l = Literal.negate c.lits.(0) in
-      s.watches.(l).blk.(find_watcher s l c) <- Literal.negate c.lits.(1)
+      let l = Literal.negate s.arena.(c + 1) in
+      s.watches.(l).blk.(find_watcher s l c) <- Literal.negate s.arena.(c + 2)
 
 type limited_result = LSat | LUnsat | LUnknown
 
@@ -1291,8 +1515,9 @@ let solve_limited ?(assumptions = []) ?(limits = Limits.unlimited) s =
        while !status = None do
          if s.conflicts >= climit || s.propagations >= plimit then
            status := Some LUnknown
-         else match propagate s with
-         | confl when confl != no_clause ->
+         else
+           let confl = propagate s in
+           if confl <> no_clause then begin
              s.conflicts <- s.conflicts + 1;
              (* Sampled sanitizer: the trail, reasons and watches are all
                 consistent at a conflict (propagation restores every
@@ -1309,44 +1534,39 @@ let solve_limited ?(assumptions = []) ?(limits = Limits.unlimited) s =
              else begin
                let learnt, back_level = analyze s confl in
                let lbd = lbd_of_list s learnt in
-               log_proof s (Learn (proof_clause (Array.of_list learnt)));
+               if logging s then
+                 log_proof s (Learn (sorted (Array.of_list learnt)));
                cancel_until s back_level;
                (match learnt with
                 | [] -> assert false
-                | [ l ] -> enqueue s l None
+                | [ l ] -> enqueue s l no_clause
                 | l :: _ ->
+                    let n = List.length learnt in
+                    let c = alloc s ~learnt:true ~lbd n learnt in
                     (* Watch the UIP and a literal from the backjump level. *)
-                    let arr = Array.of_list learnt in
-                    let best = ref 1 in
-                    for i = 2 to Array.length arr - 1 do
+                    let a = s.arena in
+                    let best = ref (c + 2) in
+                    for k = c + 3 to c + n do
                       if
-                        s.levels.(Literal.var arr.(i))
-                        > s.levels.(Literal.var arr.(!best))
-                      then best := i
+                        s.levels.(Literal.var a.(k))
+                        > s.levels.(Literal.var a.(!best))
+                      then best := k
                     done;
-                    let tmp = arr.(1) in
-                    arr.(1) <- arr.(!best);
-                    arr.(!best) <- tmp;
-                    let c =
-                      {
-                        lits = arr;
-                        learnt = true;
-                        activity = 0.0;
-                        lbd;
-                        removed = false;
-                      }
-                    in
-                    s.learnts <- c :: s.learnts;
+                    let tmp = a.(c + 2) in
+                    a.(c + 2) <- a.(!best);
+                    a.(!best) <- tmp;
+                    push s.learnts c;
                     s.num_learnts <- s.num_learnts + 1;
                     s.learned_total <- s.learned_total + 1;
                     tier_incr s lbd;
                     attach s c;
                     cla_bump s c;
-                    enqueue s l (Some c));
+                    enqueue s l c);
                var_decay s;
                cla_decay s
              end
-         | _ ->
+           end
+           else begin
              if s.restart_budget <= 0 then begin
                (* Restart: continue the cross-call Luby sequence. *)
                s.restart_seq <- s.restart_seq + 1;
@@ -1376,16 +1596,17 @@ let solve_limited ?(assumptions = []) ?(limits = Limits.unlimited) s =
                | `Decide a ->
                    new_decision_level s;
                    s.decisions <- s.decisions + 1;
-                   enqueue s a None
+                   enqueue s a no_clause
                | `Done -> (
                    let v = pick_branch_var s in
                    if v < 0 then status := Some LSat
                    else begin
                      new_decision_level s;
                      s.decisions <- s.decisions + 1;
-                     enqueue s (Literal.make v s.phase.(v)) None
+                     enqueue s (Literal.make v s.phase.(v)) no_clause
                    end)
              end
+           end
        done
      with e ->
        cancel_until s 0;

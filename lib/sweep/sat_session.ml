@@ -49,6 +49,9 @@ type t = {
          emitted; the staleness check compares against the current ones *)
   visit : int array;  (* DFS stamp per node (avoids a per-query array) *)
   mutable stamp : int;
+  mutable stack : int array;
+      (* [encode_roots]'s DFS stack: a node [id] to visit, or [lnot id]
+         once its fanins are done *)
   mutable clauses_live : int;
       (* stored problem clauses belonging to the current (non-stale)
          encoding — the denominator of the clause-growth rebuild trigger *)
@@ -99,6 +102,7 @@ let create ?(certify = false) ?(audit = false) ?subst ?rng net =
     enc_fanins = Array.make n no_fanins;
     visit = Array.make n 0;
     stamp = 0;
+    stack = Array.make 64 0;
     clauses_live = 0;
     base_stats = Sat.Solver.zero_stats;
     queries = 0;
@@ -166,19 +170,44 @@ let resolve subst id =
    extensions, so once those variables reach a conflict-free fixpoint the
    rest of the accumulated network is satisfiable by construction and the
    solver need not assign it. *)
+(* Whether gate [id] needs (re-)encoding: it has no variable yet, or the
+   variable of some substituted fanin differs from the one its clauses
+   were emitted over. *)
+let stale t id fanins =
+  t.vars.(id) < 0
+  ||
+  let enc = t.enc_fanins.(id) in
+  Array.length enc <> Array.length fanins
+  ||
+  let rec differs i =
+    i < Array.length fanins
+    && (enc.(i) <> t.vars.(resolve t.subst fanins.(i)) || differs (i + 1))
+  in
+  differs 0
+
 let encode_roots t roots =
   t.stamp <- t.stamp + 1;
   let stamp = t.stamp in
   let cone = ref [] in
-  let stack = Stack.create () in
-  List.iter (fun r -> Stack.push (r, false) stack) roots;
-  while not (Stack.is_empty stack) do
-    let id, children_done = Stack.pop stack in
-    if children_done then begin
+  let top = ref 0 in
+  let push x =
+    if !top = Array.length t.stack then begin
+      let grown = Array.make (2 * !top) 0 in
+      Array.blit t.stack 0 grown 0 !top;
+      t.stack <- grown
+    end;
+    t.stack.(!top) <- x;
+    incr top
+  in
+  List.iter push roots;
+  while !top > 0 do
+    decr top;
+    let entry = t.stack.(!top) in
+    if entry < 0 then begin
       (* Post-order: the substituted fanins are final; refresh if stale. *)
-      let fanins = Array.map (resolve t.subst) (N.fanins t.net id) in
-      let fvars = Array.map (fun f -> t.vars.(f)) fanins in
-      if t.vars.(id) < 0 || t.enc_fanins.(id) <> fvars then begin
+      let id = lnot entry in
+      let fanins = N.fanins t.net id in
+      if stale t id fanins then begin
         if t.vars.(id) < 0 then t.encoded <- t.encoded + 1
         else begin
           t.reencoded <- t.reencoded + 1;
@@ -190,6 +219,7 @@ let encode_roots t roots =
           t.clauses_live <- t.clauses_live - n;
           t.retired_clauses <- t.retired_clauses + n
         end;
+        let fvars = Array.map (fun f -> t.vars.(resolve t.subst f)) fanins in
         let y = Sat.Solver.new_var t.solver in
         t.vars.(id) <- y;
         t.enc_fanins.(id) <- fvars;
@@ -200,7 +230,8 @@ let encode_roots t roots =
       end;
       cone := t.vars.(id) :: !cone
     end
-    else if t.visit.(id) < stamp then begin
+    else if t.visit.(entry) < stamp then begin
+      let id = entry in
       t.visit.(id) <- stamp;
       if N.is_pi t.net id then begin
         if t.vars.(id) < 0 then begin
@@ -210,10 +241,8 @@ let encode_roots t roots =
         cone := t.vars.(id) :: !cone
       end
       else begin
-        Stack.push (id, true) stack;
-        Array.iter
-          (fun fi -> Stack.push (resolve t.subst fi, false) stack)
-          (N.fanins t.net id)
+        push (lnot id);
+        Array.iter (fun fi -> push (resolve t.subst fi)) (N.fanins t.net id)
       end
     end
   done;

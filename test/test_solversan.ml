@@ -343,6 +343,310 @@ let test_audit_sampling () =
   Alcotest.(check bool) "disarmed" false (S.audit_sampling s)
 
 (* ------------------------------------------------------------------ *)
+(* Clause arena: random incremental churn against brute force          *)
+(* ------------------------------------------------------------------ *)
+
+(* A clause over at most 12 variables as two bit masks: the variables
+   occurring positively and those occurring negatively. *)
+type mclause = { pos : int; neg : int }
+
+let mask_of lits =
+  List.fold_left
+    (fun m l ->
+      if L.sign l then { m with neg = m.neg lor (1 lsl L.var l) }
+      else { m with pos = m.pos lor (1 lsl L.var l) })
+    { pos = 0; neg = 0 } lits
+
+let satisfies x c = x land c.pos <> 0 || lnot x land c.neg <> 0
+
+(* The OR of all models of [cs] over [nv] variables, and of their
+   complements: variable [v] takes both values in some model iff bit
+   [v] is set in both. [None] when [cs] is unsatisfiable. *)
+let model_cover nv cs =
+  let ones = ref 0 and zeros = ref 0 and any = ref false in
+  for x = 0 to (1 lsl nv) - 1 do
+    if List.for_all (satisfies x) cs then begin
+      any := true;
+      ones := !ones lor x;
+      zeros := !zeros lor lnot x
+    end
+  done;
+  if !any then Some (!ones, !zeros) else None
+
+let satisfiable nv cs = model_cover nv cs <> None
+let units lits = List.map (fun l -> mask_of [ l ]) lits
+
+(* Base variables 0..7 carry the random clauses; variables 8..11
+   activate groups 8..11, whose clauses all contain the negated
+   activation literal, as the sweep session guards its retractable
+   clauses. A retracted group's activation literal is never assumed
+   again, so the clauses ever added answer every query exactly: the
+   solver's learnt clauses and root facts follow from them, and the
+   retracted clauses are satisfied by their free activation variable.
+
+   With [~shadow:true] a clause is only added while no variable is
+   forced by the clauses ever added (no backbone), so the root
+   assignment stays empty, [simplify] never deletes a satisfied clause,
+   and [remove_group g] must return exactly the number of clauses added
+   under [g] — the shadow count, checked after every compaction.
+
+   Every step runs the full audit; the sampled audit runs at every
+   conflict. Returns the solver for coverage checks. *)
+let arena_churn ~shadow ~steps seed =
+  let rng = Random.State.make [| seed |] in
+  let nb = 8 and ng = 4 in
+  let nv = nb + ng in
+  let s = S.create () in
+  for _ = 1 to nv do
+    ignore (S.new_var s)
+  done;
+  S.set_audit s ~every:1;
+  let all = ref [] in
+  let stored = Array.make nv 0 in
+  let live = Array.make nv false and next_group = ref nb in
+  let live_groups () = List.filter (fun g -> live.(g)) (List.init nv Fun.id) in
+  let base_lits k =
+    let vars = Array.init nb Fun.id in
+    for i = nb - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = vars.(i) in
+      vars.(i) <- vars.(j);
+      vars.(j) <- t
+    done;
+    List.init k (fun i -> L.make vars.(i) (Random.State.bool rng))
+  in
+  (* Add [lits] (under [group]) unless it would make the clauses ever
+     added unsatisfiable or, in shadow mode, force a variable. *)
+  let add ?group lits =
+    let cs = mask_of lits :: !all in
+    let keep =
+      match model_cover nv cs with
+      | None -> false
+      | Some (ones, zeros) ->
+          let full = (1 lsl nv) - 1 in
+          (not shadow) || (ones = full && zeros land full = full)
+    in
+    if keep then begin
+      all := cs;
+      S.add_clause ?group s lits;
+      Option.iter (fun g -> stored.(g) <- stored.(g) + 1) group
+    end
+  in
+  let retract g =
+    let removed = S.remove_group s g in
+    live.(g) <- false;
+    if shadow then
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: remove_group %d" seed g)
+        stored.(g) removed
+    else if removed > stored.(g) then
+      Alcotest.failf "seed %d: remove_group %d removed %d of %d clauses" seed g
+        removed stored.(g)
+  in
+  let query () =
+    let acts =
+      List.filter (fun _ -> Random.State.int rng 4 > 0) (live_groups ())
+    in
+    let assumptions =
+      List.map L.pos acts @ base_lits (Random.State.int rng 3)
+    in
+    let expect = satisfiable nv (units assumptions @ !all) in
+    match S.solve ~assumptions s with
+    | S.Sat ->
+        if not expect then Alcotest.failf "seed %d: Sat on an unsat query" seed;
+        let x = ref 0 in
+        for v = 0 to nv - 1 do
+          if S.value s v then x := !x lor (1 lsl v)
+        done;
+        (* Clauses of retracted groups left the solver; the model need
+           only satisfy the live ones (each holds its activation). *)
+        List.iter
+          (fun l ->
+            if S.value s (L.var l) = L.sign l then
+              Alcotest.failf "seed %d: model breaks an assumption" seed)
+          assumptions;
+        List.iter
+          (fun c ->
+            let retracted =
+              List.exists (fun g -> c.neg land (1 lsl g) <> 0 && not live.(g))
+                (List.init ng (fun i -> nb + i))
+            in
+            if (not retracted) && not (satisfies !x c) then
+              Alcotest.failf "seed %d: model breaks a live clause" seed)
+          !all
+    | S.Unsat ->
+        if expect then Alcotest.failf "seed %d: Unsat on a sat query" seed;
+        let failed = S.failed_assumptions s in
+        if not (List.for_all (fun l -> List.mem l assumptions) failed) then
+          Alcotest.failf "seed %d: failed assumption not assumed" seed;
+        if satisfiable nv (units failed @ !all) then
+          Alcotest.failf "seed %d: failed assumptions are satisfiable" seed
+  in
+  for _ = 1 to steps do
+    (match Random.State.int rng 100 with
+    | r when r < 30 ->
+        let k =
+          if (not shadow) && r = 0 then 1 else 2 + Random.State.int rng 2
+        in
+        add (base_lits k)
+    | r when r < 50 ->
+        if !next_group < nv && (live_groups () = [] || r < 35) then begin
+          live.(!next_group) <- true;
+          incr next_group
+        end;
+        (match live_groups () with
+        | [] -> ()
+        | gs ->
+            let g = List.nth gs (Random.State.int rng (List.length gs)) in
+            add ~group:g (L.neg g :: base_lits (1 + Random.State.int rng 3)))
+    | r when r < 55 -> (
+        match live_groups () with
+        | [] -> ()
+        | gs -> retract (List.nth gs (Random.State.int rng (List.length gs))))
+    | r when r < 62 ->
+        S.simplify s;
+        if shadow then (
+          match live_groups () with [] -> () | g :: _ -> retract g)
+    | _ -> query ());
+    S.audit s
+  done;
+  s
+
+let sum_stats f solvers =
+  List.fold_left (fun n s -> n + f (S.stats s)) 0 solvers
+
+let test_arena_churn () =
+  let solvers =
+    List.init 40 (fun seed -> arena_churn ~shadow:false ~steps:400 seed)
+  in
+  (* The history must reach compaction and learning. *)
+  Alcotest.(check bool) "simplify compactions" true
+    (sum_stats (fun st -> st.S.compactions) solvers > 0);
+  Alcotest.(check bool) "learnts" true
+    (sum_stats (fun st -> st.S.learned) solvers > 0)
+
+(* The churn above stays far below [reduce_db]'s first conflict
+   threshold: twelve variables run out of fresh conflicts long before.
+   A pigeonhole session reaches it. Pigeon [i]'s clause is guarded by its
+   own activation variable and registered as group [i]; queries assume
+   every live activation under a small conflict budget and resume until
+   they answer, with the full audit after every call, a forced
+   [simplify] after every other one and the sampled audit at every
+   conflict — so each compaction that [reduce_db] runs mid-search, with
+   reasons on the trail, is followed by a check of every reason. No
+   literal is ever forced (each activation can be false), so retracting
+   a pigeon removes exactly its one clause. *)
+let test_arena_reduce () =
+  let holes = 7 in
+  let pigeons = holes + 1 in
+  let s = S.create () in
+  S.set_audit s ~every:1;
+  let act = Array.init pigeons (fun _ -> S.new_var s) in
+  let x =
+    Array.init pigeons (fun _ -> Array.init holes (fun _ -> S.new_var s))
+  in
+  let clauses = ref [] in
+  let add ?group c =
+    clauses := (group, c) :: !clauses;
+    S.add_clause ?group s c
+  in
+  for i = 0 to pigeons - 1 do
+    add ~group:i (n act.(i) :: Array.to_list (Array.map p x.(i)))
+  done;
+  for h = 0 to holes - 1 do
+    for i = 0 to pigeons - 1 do
+      for j = i + 1 to pigeons - 1 do
+        add [ n x.(i).(h); n x.(j).(h) ]
+      done
+    done
+  done;
+  let calls = ref 0 in
+  let rec run assumptions =
+    let r =
+      S.solve_limited ~assumptions ~limits:(S.Limits.conflicts 150) s
+    in
+    incr calls;
+    S.audit s;
+    if !calls mod 2 = 0 then begin
+      S.simplify s;
+      S.audit s
+    end;
+    match r with S.LUnknown -> run assumptions | r -> r
+  in
+  let all = Array.to_list (Array.map p act) in
+  Alcotest.(check bool) "php unsat" true (run all = S.LUnsat);
+  let failed = S.failed_assumptions s in
+  Alcotest.(check bool) "failed assumptions assumed" true
+    (failed <> [] && List.for_all (fun l -> List.mem l all) failed);
+  let st = S.stats s in
+  Alcotest.(check bool) "reductions" true (st.S.reductions > 0);
+  Alcotest.(check bool) "learnts deleted" true (st.S.deleted > 0);
+  Alcotest.(check int) "retract pigeon 0" 1 (S.remove_group s 0);
+  S.audit s;
+  Alcotest.(check bool) "one pigeon fewer is sat" true
+    (run (List.tl all) = S.LSat);
+  List.iter
+    (fun (group, c) ->
+      let holds l = S.value s (L.var l) <> L.sign l in
+      if group <> Some 0 && not (List.exists holds c) then
+        Alcotest.fail "model breaks a live clause")
+    !clauses
+
+let test_arena_shadow_groups () =
+  let solvers =
+    List.init 40 (fun seed -> arena_churn ~shadow:true ~steps:400 (1000 + seed))
+  in
+  Alcotest.(check bool) "groups retracted" true
+    (sum_stats (fun st -> st.S.removed) solvers > 0)
+
+(* The corruption matrix again, on an arena that has been through
+   retraction, compaction and learning: every corruption still trips its
+   code once clauses have moved. *)
+let churned_solver () =
+  let s = S.create () in
+  let v = Array.init 8 (fun _ -> S.new_var s) in
+  S.add_clause ~group:0 s [ p v.(4); p v.(5); p v.(6) ];
+  S.add_clause s [ n v.(0); p v.(1) ];
+  S.add_clause s [ p v.(0) ];
+  S.add_clause ~group:1 s [ p v.(2); p v.(3); n v.(4) ];
+  S.add_clause s [ p v.(2); p v.(5); n v.(7) ];
+  S.add_clause s [ n v.(2); n v.(5) ];
+  S.add_clause s [ n v.(6); p v.(7); p v.(3) ];
+  Alcotest.(check int) "retract group 0" 1 (S.remove_group s 0);
+  S.simplify s;
+  Alcotest.(check bool) "sat" true
+    (S.solve ~assumptions:[ p v.(4); p v.(6) ] s = S.Sat);
+  Alcotest.(check bool) "compacted" true ((S.stats s).S.compactions > 0);
+  S.audit s;
+  s
+
+let test_corruptions_after_compaction () =
+  List.iter
+    (fun (code, kind) ->
+      let s = churned_solver () in
+      S.corrupt s kind;
+      expect_violation code (fun () -> S.audit s))
+    [
+      ("R007", S.Drop_watch);
+      ("R007", S.Foreign_blocker);
+      ("R008", S.Scramble_reason);
+      ("R009", S.Break_heap);
+      ("R011", S.Leak_detached);
+      ("R012", S.Regress_stats);
+      ("R013", S.Skew_gauge);
+    ];
+  (* The fence needs a focused query whose cone does not extend. *)
+  let s = churned_solver () in
+  let f0 = S.new_var s and f1 = S.new_var s and x = S.new_var s in
+  S.add_clause s [ n f0; p x ];
+  S.add_clause s [ n x; p f1 ];
+  S.add_clause s [ n f0; n f1 ];
+  S.focus_decisions s [ f0; f1 ];
+  S.set_audit s ~every:1;
+  S.corrupt s S.Break_fence;
+  expect_violation "R010" (fun () -> S.solve ~assumptions:[ p f0 ] s)
+
+(* ------------------------------------------------------------------ *)
 (* Clean runs: the armed sanitizer must stay silent on real sweeps     *)
 (* ------------------------------------------------------------------ *)
 
@@ -446,6 +750,17 @@ let () =
           Alcotest.test_case "corrupt refuses no-target" `Quick
             test_corrupt_needs_target;
           Alcotest.test_case "sampling toggle" `Quick test_audit_sampling;
+        ] );
+      ( "clause-arena",
+        [
+          Alcotest.test_case "incremental churn vs brute force" `Quick
+            test_arena_churn;
+          Alcotest.test_case "remove_group shadow counts" `Quick
+            test_arena_shadow_groups;
+          Alcotest.test_case "pigeonhole reductions, audited" `Quick
+            test_arena_reduce;
+          Alcotest.test_case "corruptions after compaction" `Quick
+            test_corruptions_after_compaction;
         ] );
       ( "clean-runs",
         [
