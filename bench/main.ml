@@ -4,9 +4,9 @@
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- table1  -- run one experiment
-     (ids: table1 table2 table2s fig5 fig6 fig7 ablation baselines runner
-      sat-session sat-session-smoke cert cert-smoke serve
-      serve-smoke race solver-audit soak soak-smoke)
+     (ids: table1 table2 table2s fig5 fig6 fig7 ablation baselines
+      sat-session sat-session-smoke cert cert-smoke race solver-audit
+      soak soak-smoke)
 
    Numbers are not expected to match the paper's testbed; the shapes are:
    SimGen variants beat RevS on cost at a simulation-time premium, SAT
@@ -688,38 +688,12 @@ let cert_smoke () =
      (smoke subset)"
 
 (* ------------------------------------------------------------------ *)
-(* Serve: warm vs cold requests through the persistent sweep service   *)
+(* Daemon answers (shared by the soak experiment)                      *)
 (* ------------------------------------------------------------------ *)
 
 module Serve_server = Simgen_serve.Server
 module Serve_protocol = Simgen_serve.Protocol
 module Fun_cache = Simgen_sweep.Fun_cache
-
-(* Each bench contributes one sweep and one self-CEC job; the whole list
-   runs twice against one in-process server (cold, then warm). Only the
-   pattern cache carries state from the first pass to the second; the
-   cut-local check stores nothing, so its hit rate is the same in both.
-   Verdicts must agree between the passes. *)
-
-let serve_requests ~stacked benches =
-  let s = if stacked then " stacked=true" else "" in
-  List.concat_map
-    (fun bench ->
-      [
-        ( bench,
-          "sweep",
-          Serve_protocol.Job
-            { cmd = "sweep"; args = bench ^ s; deadline_ms = None } );
-        ( bench,
-          "cec",
-          Serve_protocol.Job
-            {
-              cmd = "cec";
-              args = Printf.sprintf "%s %s%s" bench bench s;
-              deadline_ms = None;
-            } );
-      ])
-    benches
 
 let frame_status = function
   | Serve_protocol.Result fields -> (
@@ -731,202 +705,6 @@ let frame_status = function
   | Serve_protocol.Failed msg -> "failed: " ^ msg
   | Serve_protocol.Overloaded _ -> "overloaded"
   | Serve_protocol.Event _ -> "unexpected-event"
-
-let serve_phase server reqs =
-  List.map
-    (fun (bench, kind, req) ->
-      let t0 = Unix.gettimeofday () in
-      let status = frame_status (Serve_server.handle server req) in
-      (bench, kind, status, Unix.gettimeofday () -. t0))
-    reqs
-
-let percentile latencies p =
-  let sorted = Array.of_list (List.sort compare latencies) in
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let idx = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) idx))
-
-let serve_hit_rate (after : Fun_cache.stats) (before : Fun_cache.stats) =
-  let consults = after.Fun_cache.consults - before.Fun_cache.consults in
-  let hits = after.Fun_cache.hits - before.Fun_cache.hits in
-  if consults = 0 then 0.0 else float_of_int hits /. float_of_int consults
-
-let serve_compare ~benches ~stacked ~out_file title =
-  header title;
-  let fun_cache = Fun_cache.create () in
-  let server =
-    Serve_server.create ~workers:1 ~fun_cache
-      ~pattern_cache:(Simgen_runner.Pattern_cache.create ())
-      ()
-  in
-  let reqs = serve_requests ~stacked benches in
-  let s0 = Fun_cache.stats fun_cache in
-  let cold = serve_phase server reqs in
-  let s1 = Fun_cache.stats fun_cache in
-  let warm = serve_phase server reqs in
-  let s2 = Fun_cache.stats fun_cache in
-  Printf.printf "%-10s %-6s %-14s %9s %9s %8s %6s\n" "bench" "cmd" "status"
-    "cold" "warm" "speedup" "same";
-  let rows =
-    List.map2
-      (fun (bench, kind, st_c, t_c) (_, _, st_w, t_w) ->
-        let speedup = if t_w > 0.0 then t_c /. t_w else 1.0 in
-        let same = st_c = st_w in
-        Printf.printf "%-10s %-6s %-14s %8.3fs %8.3fs %7.2fx %6s\n" bench kind
-          st_c t_c t_w speedup
-          (if same then "yes" else "NO");
-        (bench, kind, st_c, t_c, st_w, t_w, speedup, same))
-      cold warm
-  in
-  let times phase = List.map (fun (_, _, _, t) -> t) phase in
-  let cold_times = times cold and warm_times = times warm in
-  let sum = List.fold_left ( +. ) 0.0 in
-  let warm_speedup =
-    if sum warm_times > 0.0 then sum cold_times /. sum warm_times else 1.0
-  in
-  let cold_rate = serve_hit_rate s1 s0 and warm_rate = serve_hit_rate s2 s1 in
-  let parity = List.for_all (fun (_, _, _, _, _, _, _, s) -> s) rows in
-  Printf.printf
-    "TOTAL: %.3fs cold -> %.3fs warm (%.2fx), fun-cache hit rate %.3f cold \
-     -> %.3f warm, verdicts %s\n"
-    (sum cold_times) (sum warm_times) warm_speedup cold_rate warm_rate
-    (if parity then "identical" else "DIFFER");
-  (* Service-level counters from the daemon's own stats response: all
-     zero in this in-process harness (nothing queues here) but printed so
-     the table matches what a socket deployment reports. *)
-  (match Serve_server.handle server Serve_protocol.Stats with
-   | Serve_protocol.Result fields ->
-       let obj = Serve_protocol.Obj fields in
-       let intf name =
-         match Serve_protocol.int_member name obj with Some i -> i | None -> 0
-       in
-       Printf.printf "service: queue depth %d/%d, shed %d, deadline-expired %d\n"
-         (intf "queue_depth") (intf "max_queue") (intf "shed")
-         (intf "deadline_expired")
-   | Serve_protocol.Failed _ | Serve_protocol.Event _
-   | Serve_protocol.Overloaded _ -> ());
-  (* Hand-rolled JSON, same convention as the other experiments. *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"experiment\":\"serve\",\"seed\":%d,\"requests\":[" seed);
-  List.iteri
-    (fun i (bench, kind, st_c, t_c, st_w, t_w, speedup, same) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"bench\":\"%s\",\"cmd\":\"%s\",\"cold_status\":\"%s\",\"cold_time\":%.6f,\"warm_status\":\"%s\",\"warm_time\":%.6f,\"speedup\":%.4f,\"parity\":%b}"
-           bench kind st_c t_c st_w t_w speedup same))
-    rows;
-  let phase_json name rate ts =
-    Printf.sprintf
-      "\"%s\":{\"hit_rate\":%.4f,\"total_time\":%.6f,\"p50\":%.6f,\"p90\":%.6f,\"max\":%.6f}"
-      name rate (sum ts) (percentile ts 50.0) (percentile ts 90.0)
-      (percentile ts 100.0)
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],%s,%s,\"warm_speedup\":%.4f,\"fun_cache\":{\"consults\":%d,\"hits\":%d,\"local_proofs\":%d,\"local_cexes\":%d},\"parity\":%b}"
-       (phase_json "cold" cold_rate cold_times)
-       (phase_json "warm" warm_rate warm_times)
-       warm_speedup s2.Fun_cache.consults s2.Fun_cache.hits
-       s2.Fun_cache.local_proofs s2.Fun_cache.local_cexes parity);
-  let oc = open_out out_file in
-  output_string oc (Buffer.contents buf);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" out_file;
-  if not parity then begin
-    Printf.eprintf "serve: warm verdicts differ from cold\n";
-    exit 1
-  end
-
-let serve () =
-  serve_compare
-    ~benches:[ "apex2"; "square"; "arbiter" ]
-    ~stacked:true ~out_file:"BENCH_SERVE.json"
-    "Serve: cold vs warm submissions through the persistent daemon (stacked \
-     suite)"
-
-let serve_smoke () =
-  serve_compare
-    ~benches:[ "apex2"; "cps" ]
-    ~stacked:false ~out_file:"BENCH_SERVE.json"
-    "Serve: cold vs warm submissions through the persistent daemon (smoke \
-     subset)"
-
-(* ------------------------------------------------------------------ *)
-(* Runner: parallel batch throughput on stacked suites (§6.4 scale)    *)
-(* ------------------------------------------------------------------ *)
-
-let runner () =
-  header
-    "Runner: batch throughput on stacked benchmarks (putontop), workers vs 1 \
-     domain";
-  let module R = Simgen_runner in
-  (* Two sweep jobs per stacked benchmark (different seeds): the second
-     job of each pair is where the shared pattern cache pays off. A
-     handful of stacked suites with a per-job deadline keeps the whole
-     experiment at interactive scale. *)
-  let benches =
-    List.filteri (fun i _ -> i < 4) (Runs.stacked_benchmarks ())
-  in
-  let specs =
-    List.concat_map
-      (fun (bench, _copies) ->
-        List.map
-          (fun seed ->
-            R.Job.make ~seed ~guided_iterations:10
-              ~limits:{ R.Budget.unlimited with R.Budget.deadline = Some 15.0 }
-              ~label:(Printf.sprintf "%s/s%d" bench seed)
-              ~id:0
-              (R.Job.Sweep (R.Job.Suite_stacked bench)))
-          [ seed; seed + 1 ])
-      benches
-  in
-  let specs = List.mapi (fun id s -> { s with R.Job.id }) specs in
-  let run_with workers =
-    let cache = R.Pattern_cache.create () in
-    let report = R.Pool.run ~workers ~cache specs in
-    (report, cache)
-  in
-  let print_report workers (report, cache) =
-    let jobs = Array.length report.R.Pool.results in
-    let cpu_time =
-      Array.fold_left
-        (fun acc r -> acc +. r.R.Job.time)
-        0.0 report.R.Pool.results
-    in
-    let hits =
-      Array.fold_left
-        (fun acc r -> acc + r.R.Job.cache_hits)
-        0 report.R.Pool.results
-    in
-    Printf.printf
-      "%2d worker(s): %d jobs in %7.3fs wall (%6.2f jobs/s, %7.3fs cpu, \
-       per-worker throughput %6.2f jobs/s), %d cached patterns replayed\n"
-      workers jobs report.R.Pool.wall_time
-      (float_of_int jobs /. report.R.Pool.wall_time)
-      cpu_time
-      (float_of_int jobs /. report.R.Pool.wall_time /. float_of_int workers)
-      hits;
-    ignore cache
-  in
-  let r1 = run_with 1 in
-  print_report 1 r1;
-  let parallel = max 2 (Domain.recommended_domain_count ()) in
-  let rn = run_with parallel in
-  print_report parallel rn;
-  let w1 = (fst r1).R.Pool.wall_time and wn = (fst rn).R.Pool.wall_time in
-  Printf.printf
-    "speedup vs 1 domain: %.2fx on %d domains (recommended domain count %d)\n"
-    (w1 /. wn) parallel
-    (Domain.recommended_domain_count ());
-  Printf.printf
-    "\n(expected shape: near-linear speedup while jobs outnumber domains and \
-     the\n machine has cores to spare; on a single-core container the \
-     speedup is ~1x.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Race: concurrency sanitizer overhead on the stacked batch suite     *)
@@ -953,7 +731,13 @@ let race () =
         (fun bench ->
           List.map
             (fun seed ->
-              R.Job.make ~seed ~guided_iterations:10
+              R.Job.make
+                ~options:
+                  {
+                    Sweep_options.default with
+                    Sweep_options.seed;
+                    guided_iterations = 10;
+                  }
                 ~limits:
                   { R.Budget.unlimited with R.Budget.deadline = Some 30.0 }
                 ~label:(Printf.sprintf "%s/s%d" bench seed)
@@ -1434,9 +1218,6 @@ let experiments =
     ("sat-session-smoke", sat_session_smoke);
     ("cert", cert);
     ("cert-smoke", cert_smoke);
-    ("serve", serve);
-    ("serve-smoke", serve_smoke);
-    ("runner", runner);
     ("race", race);
     ("solver-audit", solver_audit);
     ("soak", soak);
@@ -1460,7 +1241,7 @@ let () =
           (fun (name, _) ->
             if
               name = "sat-session-smoke" || name = "cert-smoke"
-              || name = "serve-smoke" || name = "race"
+              || name = "race"
               || name = "solver-audit" || name = "soak"
               || name = "soak-smoke"
             then None

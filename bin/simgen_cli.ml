@@ -227,17 +227,25 @@ let sweep_cmd =
     let net = load_or_generate spec in
     Format.printf "%a@." N.pp_stats net;
     let sw = Sweeper.create opts net in
-    Sweeper.random_round sw;
-    Printf.printf "cost after random simulation : %d\n" (Sweeper.cost sw);
-    let g = Sweeper.run_guided opts sw in
+    (* The costs the phases leave, caught as the flow reports them. *)
+    let after_random = ref 0 and after_guided = ref 0 in
+    let observe : Sweep_options.observation -> unit = function
+      | Random_round _ ->
+          after_random := Sweeper.cost sw;
+          after_guided := Sweeper.cost sw
+      | Guided_round _ -> after_guided := Sweeper.cost sw
+      | Sat_sweep _ | Po_query _ | Counterexample _ -> ()
+    in
+    let r = Cec.run { opts with Sweep_options.observe } sw [||] [||] in
+    let g = r.Cec.guided and s = r.Cec.sat in
+    Printf.printf "cost after random simulation : %d\n" !after_random;
     Printf.printf "cost after %d guided rounds   : %d (%s)\n" iterations
-      (Sweeper.cost sw) (Strategy.name strategy);
+      !after_guided (Strategy.name strategy);
     Printf.printf
       "  vectors %d, skipped classes %d, conflicts %d, implications %d, \
        decisions %d, %.3fs\n"
       g.Sweeper.vectors g.Sweeper.skipped g.Sweeper.gen_conflicts
       g.Sweeper.implications g.Sweeper.decisions g.Sweeper.guided_time;
-    let s = Sweeper.sat_sweep opts sw in
     Printf.printf
       "SAT sweeping: %d calls (%d proved, %d disproved) in %.3fs\n"
       s.Sweeper.calls s.Sweeper.proved s.Sweeper.disproved s.Sweeper.sat_time;
@@ -275,9 +283,7 @@ let certify_sweep_cmd =
         Sweep_options.certify = true }
     in
     let sw = Sweeper.create opts net in
-    Sweeper.random_round sw;
-    ignore (Sweeper.run_guided opts sw);
-    let s = Sweeper.sat_sweep opts sw in
+    let s = (Cec.run opts sw [||] [||]).Cec.sat in
     let cert = Sweeper.certificate sw in
     let report = Check.Certificate.check cert in
     (match out with
@@ -373,58 +379,70 @@ let cec_cmd =
           exit 2
     end
     else begin
-    let opts =
+    let options =
       {
         (sweep_options strategy iterations seed fresh certify) with
         Sweep_options.max_conflicts;
         solver_audit;
       }
     in
-    (* The same supervisor loop the batch runner uses, inline: a check
-       that dies on an exception is retried with jittered backoff. *)
-    let retry =
-      Runner.Retry_policy.(with_attempts retries default)
+    (* One job through the batch runner's executor: lint pre-flight,
+       the supervisor's retries with jittered backoff, and the
+       certificate check under --certify. *)
+    let spec =
+      Runner.Job.make ~options
+        ~retry:Runner.Retry_policy.(with_attempts retries default)
+        ~id:0
+        (Runner.Job.Cec (Runner.Job.Inline net1, Runner.Job.Inline net2))
     in
-    let retry_rng = Simgen_base.Rng.create seed in
-    let rec attempt n =
-      try Cec.check opts net1 net2
-      with e when n < retry.Runner.Retry_policy.max_attempts ->
-        let delay = Runner.Retry_policy.delay retry retry_rng ~attempt:n in
-        Printf.eprintf "attempt %d failed (%s); retrying in %.3fs\n" n
-          (Printexc.to_string e) delay;
-        if delay > 0.0 then Unix.sleepf delay;
-        attempt (n + 1)
+    let events =
+      Runner.Events.callback (fun e ->
+          match e.Runner.Events.payload with
+          | Runner.Events.Retry { attempt; delay; cause } ->
+              Printf.eprintf "attempt %d failed (%s); retrying in %.3fs\n%!"
+                attempt cause delay
+          | Queued | Started _ | Lint _ | Cache_replay _ | Random_round _
+          | Guided_round _ | Sat_sweep _ | Fault _ | Degrade _ | Quarantine _
+          | Fun_cache_stats _ | Certificate _ | Finished _ ->
+              ())
     in
-    let report = attempt 1 in
-    (match report.Cec.outcome with
-     | Cec.Equivalent -> Printf.printf "EQUIVALENT\n"
-     | Cec.Not_equivalent { po; vector } ->
-         Printf.printf "NOT EQUIVALENT at PO %d\nwitness: %s\n" po
-           (String.concat ""
-              (List.map
-                 (fun b -> if b then "1" else "0")
-                 (Array.to_list vector)))
-     | Cec.Inconclusive { pos } ->
-         Printf.printf
-           "INCONCLUSIVE: PO pair(s) %s quarantined by the degradation \
-            ladder (every other PO pair proved equal)\n"
-           (String.concat "," (List.map string_of_int pos)));
+    let r = Runner.Exec.run ~events ~worker:0 spec in
+    let witness vector =
+      String.concat ""
+        (List.map (fun b -> if b then "1" else "0") (Array.to_list vector))
+    in
+    let code =
+      match r.Runner.Job.status with
+      | Runner.Job.Equivalent ->
+          Printf.printf "EQUIVALENT\n";
+          0
+      | Runner.Job.Not_equivalent { po; vector } ->
+          Printf.printf "NOT EQUIVALENT at PO %d\nwitness: %s\n" po
+            (witness vector);
+          1
+      | Runner.Job.Inconclusive { pos } ->
+          Printf.printf
+            "INCONCLUSIVE: PO pair(s) %s quarantined by the degradation \
+             ladder (every other PO pair proved equal)\n"
+            (String.concat "," (List.map string_of_int pos));
+          3
+      | (Runner.Job.Failed _ | Runner.Job.Budget_exhausted _ | Runner.Job.Swept)
+        as status ->
+          Printf.eprintf "cec: %s\n" (Runner.Job.status_to_string status);
+          exit 2
+    in
+    let sat = r.Runner.Job.sat in
     Printf.printf
       "sweep: %d SAT calls (%d proved, %d disproved), %d PO miters, %.3fs \
        total\n"
-      report.Cec.sat.Sweeper.calls report.Cec.sat.Sweeper.proved
-      report.Cec.sat.Sweeper.disproved report.Cec.po_calls
-      report.Cec.total_time;
+      sat.Sweeper.calls sat.Sweeper.proved sat.Sweeper.disproved
+      r.Runner.Job.po_calls r.Runner.Job.time;
     Printf.printf
       "       %d conflicts, %d propagations (%d watcher visits, %d clause \
        reads), %d restarts\n"
-      report.Cec.sat.Sweeper.conflicts report.Cec.sat.Sweeper.propagations
-      report.Cec.sat.Sweeper.watch_visits report.Cec.sat.Sweeper.clause_reads
-      report.Cec.sat.Sweeper.restarts;
-    match report.Cec.outcome with
-    | Cec.Equivalent -> ()
-    | Cec.Not_equivalent _ -> exit 1
-    | Cec.Inconclusive _ -> exit 3
+      sat.Sweeper.conflicts sat.Sweeper.propagations sat.Sweeper.watch_visits
+      sat.Sweeper.clause_reads sat.Sweeper.restarts;
+    if code <> 0 then exit code
     end
   in
   let bdd_flag =
@@ -436,8 +454,11 @@ let cec_cmd =
   Cmd.v
     (Cmd.info "cec"
        ~doc:
-         "Combinational equivalence check of two circuits. Exit codes: 0 \
-          equivalent, 1 not equivalent, 3 inconclusive (quarantined PO \
+         "Combinational equivalence check of two circuits, run as a \
+          one-job batch: both circuits are linted first, and a lint error \
+          fails the check. Exit codes: 0 equivalent, 1 not equivalent, 2 \
+          the check failed on its last attempt (lint error, PI mismatch, \
+          invalid certificate, crash), 3 inconclusive (quarantined PO \
           pairs under --max-conflicts).")
     Term.(
       const run
@@ -491,19 +512,16 @@ let batch_cmd =
        still override per job. *)
     let defaults =
       let d = Runner.Manifest.default_options in
-      let d =
-        match max_conflicts with
-        | Some _ -> { d with Runner.Manifest.max_conflicts }
-        | None -> d
-      in
-      let d = if certify then { d with Runner.Manifest.certify = true } else d in
-      let d =
-        if solver_audit then { d with Runner.Manifest.solver_audit = true }
-        else d
-      in
       {
         d with
-        Runner.Manifest.retry =
+        Runner.Manifest.sweep =
+          {
+            d.Runner.Manifest.sweep with
+            Sweep_options.max_conflicts;
+            certify;
+            solver_audit;
+          };
+        retry =
           Runner.Retry_policy.with_attempts retries d.Runner.Manifest.retry;
       }
     in
@@ -612,11 +630,10 @@ let batch_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"MANIFEST"
           ~doc:
-            "Job manifest: one \"cec A B [key=value ...]\" or \"sweep C \
-             [key=value ...]\" per line. Keys: seed, strategy, iterations, \
-             random, deadline, watchdog, max-sat, max-guided, \
-             max-conflicts, retries, backoff, stacked, certify, \
-             solver-audit, label.")
+            ("Job manifest: one \"cec A B [key=value ...]\" or \"sweep C \
+              [key=value ...]\" per line. Keys: "
+            ^ String.concat ", " Runner.Manifest.keys
+            ^ "."))
   in
   let workers =
     Arg.(

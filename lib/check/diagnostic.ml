@@ -1,4 +1,5 @@
 module Srcloc = Simgen_base.Srcloc
+module Json = Simgen_base.Json
 
 type severity = Error | Warning | Info
 
@@ -79,47 +80,35 @@ let to_string d =
 
 let pp fmt d = Format.pp_print_string fmt (to_string d)
 
-(* Minimal JSON string escaping: the messages are ASCII printf output, but
-   node names from parsed files can contain anything. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let loc_to_json = function
-  | Node id -> Printf.sprintf {|{"node":%d}|} id
-  | Clause i -> Printf.sprintf {|{"clause":%d}|} i
-  | Named n -> Printf.sprintf {|{"name":"%s"}|} (json_escape n)
-  | Src l -> (
-      match (l.Srcloc.file, l.Srcloc.line) with
-      | Some f, Some n ->
-          Printf.sprintf {|{"file":"%s","line":%d}|} (json_escape f) n
-      | Some f, None -> Printf.sprintf {|{"file":"%s"}|} (json_escape f)
-      | None, Some n -> Printf.sprintf {|{"line":%d}|} n
-      | None, None -> "{}")
-  | Nowhere -> "{}"
+let loc_json : location -> Json.t = function
+  | Node id -> Obj [ ("node", Int id) ]
+  | Clause i -> Obj [ ("clause", Int i) ]
+  | Named n -> Obj [ ("name", String n) ]
+  | Src l ->
+      Obj
+        (List.filter_map Fun.id
+           [
+             Option.map (fun f -> ("file", Json.String f)) l.Srcloc.file;
+             Option.map (fun n -> ("line", Json.Int n)) l.Srcloc.line;
+           ])
+  | Nowhere -> Obj []
 
 (* Bumped whenever the JSONL shape changes; downstream telemetry
    consumers key on it. Guarded by the golden-file test in
    test/test_check.ml — update both together. *)
 let schema_version = 1
 
-let to_json d =
-  Printf.sprintf
-    {|{"schema_version":%d,"code":"%s","severity":"%s","loc":%s,"message":"%s"}|}
-    schema_version (json_escape d.code) (severity_name d.severity)
-    (loc_to_json d.loc) (json_escape d.message)
+let json d =
+  Json.Obj
+    [
+      ("schema_version", Int schema_version);
+      ("code", String d.code);
+      ("severity", String (severity_name d.severity));
+      ("loc", loc_json d.loc);
+      ("message", String d.message);
+    ]
+
+let to_json d = Json.to_string (json d)
 
 let render ?(json = false) fmt ds =
   List.iter

@@ -59,9 +59,12 @@ val schema_version : int
     field change so telemetry consumers can detect format drift. A
     golden-file test pins the rendered form. *)
 
-val to_json : t -> string
-(** One JSON object (no trailing newline):
+val json : t -> Simgen_base.Json.t
+(** One JSON object:
     [{"schema_version":...,"code":...,"severity":...,"loc":{...},"message":...}]. *)
+
+val to_json : t -> string
+(** [json], printed on one line (no trailing newline). *)
 
 val render : ?json:bool -> Format.formatter -> t list -> unit
 (** All diagnostics in {!sort} order, one per line. *)

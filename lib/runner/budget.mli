@@ -1,8 +1,8 @@
 (** Cooperative per-job resource budgets.
 
     A job carries {!limits} (wall-clock deadline, SAT-call cap, guided
-    iteration cap); the executor threads {!should_stop} into the sweeping
-    loops ({!Simgen_sweep.Sweeper.sat_sweep} and the guided rounds) so a
+    iteration cap); the executor passes {!should_stop} to the flow
+    ({!Simgen_sweep.Cec.run}, which polls it between units of work) so a
     job that exceeds its budget returns a partial result instead of
     running to completion. Checks are cooperative: they happen at loop
     boundaries, never by preemption, so a single SAT call always runs to
@@ -47,8 +47,8 @@ val note_sat_calls : t -> int -> unit
 val note_guided_iteration : t -> unit
 
 val remaining_sat_calls : t -> int option
-(** SAT calls left under [max_sat_calls] ([None] if unlimited) — pass as
-    [?max_calls] to {!Simgen_sweep.Sweeper.sat_sweep}. *)
+(** SAT calls left under [max_sat_calls] ([None] if unlimited) — the
+    cap for the SAT sweep's [max_sat_calls]. *)
 
 val sat_calls : t -> int
 val guided_iterations : t -> int

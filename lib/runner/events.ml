@@ -1,5 +1,6 @@
 module Timer = Simgen_base.Timer
 module Shared = Simgen_base.Shared
+module Json = Simgen_base.Json
 
 type payload =
   | Queued
@@ -67,38 +68,8 @@ type payload =
 type event = { job : int; label : string; at : float; payload : payload }
 
 (* ------------------------------------------------------------------ *)
-(* JSON serialization (hand-rolled: the container has no JSON library, *)
-(* and the schema is flat enough that a writer is all we need)         *)
+(* JSON serialization                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_field buf first name value =
-  if not !first then Buffer.add_char buf ',';
-  first := false;
-  Buffer.add_char buf '"';
-  Buffer.add_string buf name;
-  Buffer.add_string buf "\":";
-  Buffer.add_string buf value
-
-let str s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  json_escape buf s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
 
 let phase_name = function
   | Queued -> "queued"
@@ -116,94 +87,96 @@ let phase_name = function
   | Certificate _ -> "certificate"
   | Finished _ -> "finished"
 
-let to_json { job; label; at; payload } =
-  let buf = Buffer.create 128 in
-  let first = ref true in
-  let field name value = add_field buf first name value in
-  let int_field name v = field name (string_of_int v) in
-  let float_field name v = field name (Printf.sprintf "%.6f" v) in
-  Buffer.add_char buf '{';
-  int_field "job" job;
-  field "label" (str label);
-  float_field "at" at;
-  field "phase" (str (phase_name payload));
-  (match payload with
-   | Queued -> ()
-   | Started { worker } -> int_field "worker" worker
-   | Lint { target; errors; warnings; infos } ->
-       field "target" (str target);
-       int_field "errors" errors;
-       int_field "warnings" warnings;
-       int_field "infos" infos
-   | Cache_replay { vectors; cost } ->
-       int_field "vectors" vectors;
-       int_field "cost" cost
-   | Random_round { round; cost } ->
-       int_field "round" round;
-       int_field "cost" cost
-   | Guided_round { round; cost; vectors; conflicts; skipped } ->
-       int_field "round" round;
-       int_field "cost" cost;
-       int_field "vectors" vectors;
-       int_field "conflicts" conflicts;
-       int_field "skipped" skipped
-   | Sat_sweep
-       { calls; proved; disproved; conflicts; propagations; restarts;
-         deleted; cost } ->
-       int_field "calls" calls;
-       int_field "proved" proved;
-       int_field "disproved" disproved;
-       int_field "conflicts" conflicts;
-       int_field "propagations" propagations;
-       int_field "restarts" restarts;
-       int_field "deleted" deleted;
-       int_field "cost" cost
-   | Fault { site; count } ->
-       field "site" (str site);
-       int_field "count" count
-   | Retry { attempt; delay; cause } ->
-       int_field "attempt" attempt;
-       float_field "delay" delay;
-       field "cause" (str cause)
-   | Degrade d ->
-       int_field "unknowns" d.unknowns;
-       int_field "escalations" d.escalations;
-       int_field "fresh_fallbacks" d.fresh_fallbacks;
-       int_field "bdd_fallbacks" d.bdd_fallbacks;
-       int_field "session_rebuilds" d.session_rebuilds
-   | Quarantine { a; b } ->
-       int_field "a" a;
-       int_field "b" b
-   | Fun_cache_stats s ->
-       int_field "consults" s.consults;
-       int_field "hits" s.hits;
-       int_field "misses" s.misses;
-       int_field "local_proofs" s.local_proofs
-   | Certificate c ->
-       int_field "queries" c.queries;
-       int_field "proved" c.proved;
-       int_field "merges" c.merges;
-       int_field "steps_checked" c.steps_checked;
-       int_field "steps_trimmed" c.steps_trimmed;
-       field "valid" (if c.valid then "true" else "false");
-       float_field "time" c.time
-   | Finished f ->
-       field "status" (str f.status);
-       field "budget" (str f.budget);
-       int_field "final_cost" f.final_cost;
-       field "cost_history"
-         (Printf.sprintf "[%s]"
-            (String.concat "," (List.map string_of_int f.cost_history)));
-       int_field "sat_calls" f.sat_calls;
-       int_field "sat_conflicts" f.sat_conflicts;
-       int_field "sat_propagations" f.sat_propagations;
-       int_field "sat_restarts" f.sat_restarts;
-       int_field "cache_hits" f.cache_hits;
-       int_field "cache_added" f.cache_added;
-       int_field "attempts" f.attempts;
-       float_field "time" f.time);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let json { job; label; at; payload } =
+  let open Json in
+  let fields =
+    match payload with
+    | Queued -> []
+    | Started { worker } -> [ ("worker", Int worker) ]
+    | Lint { target; errors; warnings; infos } ->
+        [
+          ("target", String target);
+          ("errors", Int errors);
+          ("warnings", Int warnings);
+          ("infos", Int infos);
+        ]
+    | Cache_replay { vectors; cost } ->
+        [ ("vectors", Int vectors); ("cost", Int cost) ]
+    | Random_round { round; cost } -> [ ("round", Int round); ("cost", Int cost) ]
+    | Guided_round { round; cost; vectors; conflicts; skipped } ->
+        [
+          ("round", Int round);
+          ("cost", Int cost);
+          ("vectors", Int vectors);
+          ("conflicts", Int conflicts);
+          ("skipped", Int skipped);
+        ]
+    | Sat_sweep
+        { calls; proved; disproved; conflicts; propagations; restarts;
+          deleted; cost } ->
+        [
+          ("calls", Int calls);
+          ("proved", Int proved);
+          ("disproved", Int disproved);
+          ("conflicts", Int conflicts);
+          ("propagations", Int propagations);
+          ("restarts", Int restarts);
+          ("deleted", Int deleted);
+          ("cost", Int cost);
+        ]
+    | Fault { site; count } -> [ ("site", String site); ("count", Int count) ]
+    | Retry { attempt; delay; cause } ->
+        [ ("attempt", Int attempt); ("delay", Float delay); ("cause", String cause) ]
+    | Degrade d ->
+        [
+          ("unknowns", Int d.unknowns);
+          ("escalations", Int d.escalations);
+          ("fresh_fallbacks", Int d.fresh_fallbacks);
+          ("bdd_fallbacks", Int d.bdd_fallbacks);
+          ("session_rebuilds", Int d.session_rebuilds);
+        ]
+    | Quarantine { a; b } -> [ ("a", Int a); ("b", Int b) ]
+    | Fun_cache_stats s ->
+        [
+          ("consults", Int s.consults);
+          ("hits", Int s.hits);
+          ("misses", Int s.misses);
+          ("local_proofs", Int s.local_proofs);
+        ]
+    | Certificate c ->
+        [
+          ("queries", Int c.queries);
+          ("proved", Int c.proved);
+          ("merges", Int c.merges);
+          ("steps_checked", Int c.steps_checked);
+          ("steps_trimmed", Int c.steps_trimmed);
+          ("valid", Bool c.valid);
+          ("time", Float c.time);
+        ]
+    | Finished f ->
+        [
+          ("status", String f.status);
+          ("budget", String f.budget);
+          ("final_cost", Int f.final_cost);
+          ("cost_history", List (List.map (fun c -> Int c) f.cost_history));
+          ("sat_calls", Int f.sat_calls);
+          ("sat_conflicts", Int f.sat_conflicts);
+          ("sat_propagations", Int f.sat_propagations);
+          ("sat_restarts", Int f.sat_restarts);
+          ("cache_hits", Int f.cache_hits);
+          ("cache_added", Int f.cache_added);
+          ("attempts", Int f.attempts);
+          ("time", Float f.time);
+        ]
+  in
+  Obj
+    (("job", Int job)
+    :: ("label", String label)
+    :: ("at", Float at)
+    :: ("phase", String (phase_name payload))
+    :: fields)
+
+let to_json e = Json.to_string (json e)
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)

@@ -91,8 +91,11 @@ type payload =
 
 type event = { job : int; label : string; at : float; payload : payload }
 
+val json : event -> Simgen_base.Json.t
+(** The event as one JSON object. *)
+
 val to_json : event -> string
-(** One JSON object, no trailing newline. *)
+(** [json], printed: one line, no trailing newline. *)
 
 type sink
 

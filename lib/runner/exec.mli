@@ -1,18 +1,21 @@
-(** Execute one job: the budgeted CEC/sweep flow with telemetry and the
-    shared pattern cache. Never raises — any exception becomes a
+(** Execute one job: the CEC/sweep flow of {!Simgen_sweep.Cec.run} under
+    the job's budget, with lint pre-flight, telemetry, the shared pattern
+    cache and retry supervision. Never raises — any exception becomes a
     [Job.Failed] result. Used by {!Pool}; exposed for tests and for
     embedding a single budgeted run without a pool. *)
 
 val run :
   ?cache:Pattern_cache.t ->
-  ?fun_cache:Simgen_sweep.Fun_cache.t ->
   ?cancel:bool Simgen_base.Shared.Atomic.t ->
   events:Events.sink ->
   worker:int ->
   Job.spec ->
   Job.result
-(** [fun_cache] turns on the cut-local check
-    ({!Simgen_sweep.Fun_cache}) that
-    {!Simgen_sweep.Sweeper.verify_pair} runs before any SAT query, and
-    emits a [fun-cache] telemetry event with the job's consult and hit
-    counts at finish. The serving layer passes it; batch runs do not. *)
+(** The job's [options] run as given, except that the executor sets
+    [should_stop] (the job's {!Budget}), [observe] (telemetry events,
+    budget counts and cache sharing), at least one random round, and a
+    SAT-call cap no looser than the budget's. A [fun_cache] in the
+    options turns on the cut-local check
+    ({!Simgen_sweep.Fun_cache}) and emits a [fun-cache] telemetry event
+    with the job's consult and hit counts at finish; the serving layer
+    sets it, batch runs do not. *)

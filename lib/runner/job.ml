@@ -5,6 +5,7 @@ module Convert = Simgen_aig.Convert
 module Aiger = Simgen_aig.Aiger
 module Suite = Simgen_benchgen.Suite
 module Sweeper = Simgen_sweep.Sweeper
+module Sweep_options = Simgen_sweep.Sweep_options
 module Fault = Simgen_fault.Fault
 module Srcloc = Simgen_base.Srcloc
 
@@ -20,15 +21,9 @@ type spec = {
   id : int;
   label : string;
   kind : kind;
-  seed : int;
-  strategy : Simgen_core.Strategy.t;
-  random_rounds : int;
-  guided_iterations : int;
+  options : Sweep_options.t;
   limits : Budget.limits;
   retry : Retry_policy.t;
-  max_conflicts : int option;
-  certify : bool;
-  solver_audit : bool;
 }
 
 type status =
@@ -67,25 +62,10 @@ let default_label kind =
       Printf.sprintf "cec %s %s" (circuit_to_string a) (circuit_to_string b)
   | Sweep c -> Printf.sprintf "sweep %s" (circuit_to_string c)
 
-let make ?label ?(seed = 1) ?(strategy = Simgen_core.Strategy.AI_DC_MFFC)
-    ?(random_rounds = 1) ?(guided_iterations = 20)
-    ?(limits = Budget.unlimited) ?(retry = Retry_policy.none) ?max_conflicts
-    ?(certify = false) ?(solver_audit = false) ~id kind =
+let make ?label ?(options = Sweep_options.default) ?(limits = Budget.unlimited)
+    ?(retry = Retry_policy.none) ~id kind =
   let label = match label with Some l -> l | None -> default_label kind in
-  {
-    id;
-    label;
-    kind;
-    seed;
-    strategy;
-    random_rounds;
-    guided_iterations;
-    limits;
-    retry;
-    max_conflicts;
-    certify;
-    solver_audit;
-  }
+  { id; label; kind; options; limits; retry }
 
 let status_to_string = function
   | Equivalent -> "equivalent"

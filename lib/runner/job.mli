@@ -1,7 +1,7 @@
 (** Batch job descriptions and results.
 
     A job is one CEC instance (a pair of circuits) or one sweep instance
-    (a single circuit to simplify), plus its seed, strategy and budget.
+    (a single circuit to simplify), plus its sweep options and budget.
     Circuits are loaded {e inside} the worker that executes the job, so
     jobs share no mutable state and can run on separate domains. *)
 
@@ -18,22 +18,13 @@ type spec = {
   id : int;  (** unique within a batch; keys the telemetry stream *)
   label : string;
   kind : kind;
-  seed : int;  (** per-job RNG seed — results are deterministic in it *)
-  strategy : Simgen_core.Strategy.t;
-  random_rounds : int;
-  guided_iterations : int;
+  options : Simgen_sweep.Sweep_options.t;
+      (** the sweep settings: seed (results are deterministic in it),
+          strategy, rounds, conflict budget, certification, solver
+          audit, and the cut check ([fun_cache]). The executor fills in
+          [should_stop] and [observe] at each attempt *)
   limits : Budget.limits;
   retry : Retry_policy.t;  (** supervisor policy for retryable failures *)
-  max_conflicts : int option;
-      (** base per-query conflict budget for the degradation ladder
-          ({!Simgen_sweep.Sweep_options.t}[.max_conflicts]) *)
-  certify : bool;
-      (** record a whole-sweep certificate and validate it with the
-          independent checker ({!Simgen_check.Certificate}) before the
-          job finishes; an invalid certificate fails the job *)
-  solver_audit : bool;
-      (** arm the sampled solver-state sanitizer on the job's SAT
-          sessions ({!Simgen_sweep.Sweep_options.t}[.solver_audit]) *)
 }
 
 type status =
@@ -71,22 +62,14 @@ type result = {
 
 val make :
   ?label:string ->
-  ?seed:int ->
-  ?strategy:Simgen_core.Strategy.t ->
-  ?random_rounds:int ->
-  ?guided_iterations:int ->
+  ?options:Simgen_sweep.Sweep_options.t ->
   ?limits:Budget.limits ->
   ?retry:Retry_policy.t ->
-  ?max_conflicts:int ->
-  ?certify:bool ->
-  ?solver_audit:bool ->
   id:int ->
   kind ->
   spec
-(** Defaults mirror {!Simgen_sweep.Cec.check}: SimGen strategy
-    (AI+DC+MFFC), 1 random round, 20 guided iterations, no limits, no
-    retries ({!Retry_policy.none}), unlimited conflicts, no
-    certification. *)
+(** Defaults: {!Simgen_sweep.Sweep_options.default}, no limits, no
+    retries ({!Retry_policy.none}). *)
 
 val status_to_string : status -> string
 val circuit_to_string : circuit -> string

@@ -1,4 +1,5 @@
 module Strategy = Simgen_core.Strategy
+module Sweep_options = Simgen_sweep.Sweep_options
 
 (* One job per line:
 
@@ -8,9 +9,7 @@ module Strategy = Simgen_core.Strategy
    '#' starts a comment; blank lines are skipped. A circuit token naming
    an existing file (or carrying a known circuit extension) is loaded
    from disk; anything else must be a built-in suite benchmark name.
-   Keys: seed, strategy, iterations, random, deadline, deadline-ms,
-   watchdog, max-sat, max-guided, max-conflicts, retries, backoff,
-   stacked, certify, label. *)
+   The keys are those of [setters] below. *)
 
 let is_file_token tok =
   Sys.file_exists tok
@@ -30,35 +29,23 @@ let circuit ~line ~stacked tok =
   else Job.Suite tok
 
 type options = {
-  seed : int;
-  strategy : Strategy.t;
-  iterations : int;
-  random : int;
+  sweep : Sweep_options.t;
   stacked : bool;
-  certify : bool;
-  solver_audit : bool;
   label : string option;
   limits : Budget.limits;
   retry : Retry_policy.t;
-  max_conflicts : int option;
 }
 
 let default_options =
   {
-    seed = 1;
-    strategy = Strategy.AI_DC_MFFC;
-    iterations = 20;
-    random = 1;
+    sweep = Sweep_options.default;
     stacked = false;
-    certify = false;
-    solver_audit = false;
     label = None;
     limits = Budget.unlimited;
     (* The default backoff schedule with a single attempt: [retries=N]
        only has to raise the attempt cap, and [backoff]/[retries] compose
        in either order. *)
     retry = Retry_policy.(with_attempts 1 default);
-    max_conflicts = None;
   }
 
 let parse_bool ~line what v =
@@ -77,72 +64,61 @@ let parse_float ~line what v =
   | Some f -> f
   | None -> failwith (Printf.sprintf "line %d: %s: bad number %S" line what v)
 
+(* Every key with how its value updates the options. A setter gets the
+   (line, key, value) triple its error messages cite. *)
+let setters =
+  let int (line, key, v) = parse_int ~line key v
+  and float (line, key, v) = parse_float ~line key v
+  and bool (line, key, v) = parse_bool ~line key v in
+  let sweep f a o = { o with sweep = f o.sweep a }
+  and limits f a o = { o with limits = f o.limits a } in
+  [
+    ("seed", sweep (fun s a -> { s with Sweep_options.seed = int a }));
+    ( "strategy",
+      sweep (fun s (line, _, v) ->
+          match Strategy.of_string v with
+          | Some strategy -> { s with Sweep_options.strategy }
+          | None ->
+              failwith (Printf.sprintf "line %d: unknown strategy %S" line v)) );
+    ( "iterations",
+      sweep (fun s a -> { s with Sweep_options.guided_iterations = int a }) );
+    ("random", sweep (fun s a -> { s with Sweep_options.random_rounds = int a }));
+    ("deadline", limits (fun l a -> { l with Budget.deadline = Some (float a) }));
+    (* The wire format's [deadline_ms] rides the manifest grammar, so a
+       daemon job line can carry its client deadline verbatim. *)
+    ( "deadline-ms",
+      limits (fun l a -> { l with Budget.deadline = Some (float a /. 1000.) }) );
+    ("watchdog", limits (fun l a -> { l with Budget.watchdog = Some (float a) }));
+    ( "max-sat",
+      limits (fun l a -> { l with Budget.max_sat_calls = Some (int a) }) );
+    ( "max-guided",
+      limits (fun l a -> { l with Budget.max_guided_iterations = Some (int a) })
+    );
+    ( "max-conflicts",
+      sweep (fun s a -> { s with Sweep_options.max_conflicts = Some (int a) }) );
+    ( "retries",
+      fun ((line, _, _) as a) o ->
+        let n = int a in
+        if n < 1 then
+          failwith
+            (Printf.sprintf "line %d: retries must be >= 1, got %d" line n);
+        { o with retry = Retry_policy.with_attempts n o.retry } );
+    ( "backoff",
+      fun a o -> { o with retry = { o.retry with Retry_policy.backoff = float a } }
+    );
+    ("stacked", fun a o -> { o with stacked = bool a });
+    ("certify", sweep (fun s a -> { s with Sweep_options.certify = bool a }));
+    ( "solver-audit",
+      sweep (fun s a -> { s with Sweep_options.solver_audit = bool a }) );
+    ("label", fun (_, _, v) o -> { o with label = Some v });
+  ]
+
+let keys = List.map fst setters
+
 let apply_option ~line opts key value =
-  match key with
-  | "seed" -> { opts with seed = parse_int ~line key value }
-  | "strategy" -> (
-      match Strategy.of_string value with
-      | Some s -> { opts with strategy = s }
-      | None ->
-          failwith (Printf.sprintf "line %d: unknown strategy %S" line value))
-  | "iterations" -> { opts with iterations = parse_int ~line key value }
-  | "random" -> { opts with random = parse_int ~line key value }
-  | "stacked" -> { opts with stacked = parse_bool ~line key value }
-  | "certify" -> { opts with certify = parse_bool ~line key value }
-  | "solver-audit" ->
-      { opts with solver_audit = parse_bool ~line key value }
-  | "label" -> { opts with label = Some value }
-  | "deadline" ->
-      {
-        opts with
-        limits =
-          { opts.limits with Budget.deadline = Some (parse_float ~line key value) };
-      }
-  | "deadline-ms" ->
-      (* The wire format's [deadline_ms] rides the manifest grammar, so a
-         daemon job line can carry its client deadline verbatim. *)
-      {
-        opts with
-        limits =
-          {
-            opts.limits with
-            Budget.deadline = Some (parse_float ~line key value /. 1000.);
-          };
-      }
-  | "max-sat" ->
-      {
-        opts with
-        limits =
-          { opts.limits with Budget.max_sat_calls = Some (parse_int ~line key value) };
-      }
-  | "max-guided" ->
-      {
-        opts with
-        limits =
-          {
-            opts.limits with
-            Budget.max_guided_iterations = Some (parse_int ~line key value);
-          };
-      }
-  | "watchdog" ->
-      {
-        opts with
-        limits =
-          { opts.limits with Budget.watchdog = Some (parse_float ~line key value) };
-      }
-  | "max-conflicts" ->
-      { opts with max_conflicts = Some (parse_int ~line key value) }
-  | "retries" ->
-      let n = parse_int ~line key value in
-      if n < 1 then
-        failwith (Printf.sprintf "line %d: retries must be >= 1, got %d" line n);
-      { opts with retry = Retry_policy.with_attempts n opts.retry }
-  | "backoff" ->
-      {
-        opts with
-        retry = { opts.retry with Retry_policy.backoff = parse_float ~line key value };
-      }
-  | _ -> failwith (Printf.sprintf "line %d: unknown option %S" line key)
+  match List.assoc_opt key setters with
+  | Some set -> set (line, key, value) opts
+  | None -> failwith (Printf.sprintf "line %d: unknown option %S" line key)
 
 let parse_options ~line ~defaults tokens =
   List.fold_left
@@ -156,6 +132,10 @@ let parse_options ~line ~defaults tokens =
           failwith
             (Printf.sprintf "line %d: expected key=value, got %S" line tok))
     defaults tokens
+
+let job ~id opts kind =
+  Job.make ?label:opts.label ~options:opts.sweep ~limits:opts.limits
+    ~retry:opts.retry ~id kind
 
 let spec_of_line ~line ~id ~defaults text =
   let text =
@@ -171,26 +151,11 @@ let spec_of_line ~line ~id ~defaults text =
   | [] -> None
   | "cec" :: c1 :: c2 :: rest ->
       let opts = parse_options ~line ~defaults rest in
-      let kind =
-        Job.Cec
-          ( circuit ~line ~stacked:opts.stacked c1,
-            circuit ~line ~stacked:opts.stacked c2 )
-      in
-      Some
-        (Job.make ?label:opts.label ~seed:opts.seed ~strategy:opts.strategy
-           ~random_rounds:opts.random ~guided_iterations:opts.iterations
-           ~limits:opts.limits ~retry:opts.retry
-           ?max_conflicts:opts.max_conflicts ~certify:opts.certify
-           ~solver_audit:opts.solver_audit ~id kind)
+      let circuit = circuit ~line ~stacked:opts.stacked in
+      Some (job ~id opts (Job.Cec (circuit c1, circuit c2)))
   | "sweep" :: c :: rest ->
       let opts = parse_options ~line ~defaults rest in
-      let kind = Job.Sweep (circuit ~line ~stacked:opts.stacked c) in
-      Some
-        (Job.make ?label:opts.label ~seed:opts.seed ~strategy:opts.strategy
-           ~random_rounds:opts.random ~guided_iterations:opts.iterations
-           ~limits:opts.limits ~retry:opts.retry
-           ?max_conflicts:opts.max_conflicts ~certify:opts.certify
-           ~solver_audit:opts.solver_audit ~id kind)
+      Some (job ~id opts (Job.Sweep (circuit ~line ~stacked:opts.stacked c)))
   | directive :: _ ->
       failwith
         (Printf.sprintf

@@ -11,33 +11,35 @@
     A circuit token that names an existing file or carries a circuit
     extension ([.blif]/[.bench]/[.aag]) or a ['/'] is read from disk;
     anything else must be a built-in suite benchmark name
-    ([stacked=true] selects its putontop variant). Options: [seed],
-    [strategy], [iterations] (guided), [random] (random rounds),
-    [deadline] (seconds, float), [watchdog] (seconds per attempt,
-    float), [max-sat], [max-guided], [max-conflicts] (base per-query
-    conflict budget for the degradation ladder), [retries] (supervisor
-    attempts, >= 1; backoff schedule from {!Retry_policy.default}),
-    [backoff] (first retry delay, seconds), [stacked], [certify]
-    (record and validate a whole-sweep certificate), [solver-audit]
-    (arm the sampled solver-state sanitizer), [label]. Job ids number
-    the jobs in file order from 0. *)
+    ([stacked=true] selects its putontop variant). Job ids number the
+    jobs in file order from 0. The option keys are {!keys}:
+
+    - sweep settings: [seed], [strategy], [iterations] (guided),
+      [random] (random rounds), [max-conflicts] (base per-query
+      conflict budget for the degradation ladder), [certify] (record
+      and validate a whole-sweep certificate), [solver-audit] (arm the
+      sampled solver-state sanitizer);
+    - budget: [deadline] (seconds, float), [deadline-ms] (the same in
+      milliseconds, as the daemon protocol carries it), [watchdog]
+      (seconds per attempt, float), [max-sat], [max-guided];
+    - supervision: [retries] (attempts, >= 1; backoff schedule from
+      {!Retry_policy.default}), [backoff] (first retry delay, seconds);
+    - [stacked], [label]. *)
 
 type options = {
-  seed : int;
-  strategy : Simgen_core.Strategy.t;
-  iterations : int;
-  random : int;
+  sweep : Simgen_sweep.Sweep_options.t;
+      (** starts as {!Simgen_sweep.Sweep_options.default} *)
   stacked : bool;
-  certify : bool;
-  solver_audit : bool;
   label : string option;
   limits : Budget.limits;
   retry : Retry_policy.t;
-  max_conflicts : int option;
 }
 (** Per-line options after defaults; [defaults] below lets a caller (the
     CLI's [--retry]/[--max-conflicts] flags) override the baseline that
     per-line [key=value] pairs then refine. *)
+
+val keys : string list
+(** Every option key the parser accepts, in documentation order. *)
 
 val default_options : options
 

@@ -28,12 +28,11 @@
     v}
 
     A request is answered by zero or more [event] frames followed by
-    exactly one [result], [error] or [overloaded] frame. The JSON parser/printer here
-    is hand-rolled like the rest of the repo's JSON surface (the
-    container has no JSON library); it covers the full value grammar at
-    the subset of escapes the repo emits. *)
+    exactly one [result], [error] or [overloaded] frame. Frames print
+    through {!Simgen_base.Json}, the printer of every JSON line the repo
+    writes. *)
 
-type json =
+type json = Simgen_base.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -41,16 +40,14 @@ type json =
   | String of string
   | List of json list
   | Obj of (string * json) list
+(** The JSON values of {!Simgen_base.Json}, re-exported with the
+    functions below so protocol users need one module. *)
 
 val parse : string -> (json, string) result
 val to_string : json -> string
-
 val member : string -> json -> json option
-(** Field lookup on an [Obj]; [None] otherwise. *)
-
 val int_member : string -> json -> int option
 val string_member : string -> json -> string option
-(** Typed field lookups: [None] when absent or of another type. *)
 
 val version : int
 (** 1. Requests with any other [v] are rejected. *)

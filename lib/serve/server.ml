@@ -8,6 +8,7 @@ module Manifest = Simgen_runner.Manifest
 module Pattern_cache = Simgen_runner.Pattern_cache
 module Fun_cache = Simgen_sweep.Fun_cache
 module Sweeper = Simgen_sweep.Sweeper
+module Sweep_options = Simgen_sweep.Sweep_options
 module Lint = Simgen_check.Lint
 module Diagnostic = Simgen_check.Diagnostic
 module Fault = Simgen_fault.Fault
@@ -139,8 +140,8 @@ let job_succeeded (r : Job.result) =
   | Job.Equivalent | Job.Not_equivalent _ | Job.Swept -> true
   | Job.Inconclusive _ | Job.Budget_exhausted _ | Job.Failed _ -> false
 
-(* Run one job spec, mirroring its telemetry to the daemon sink and to
-   the requesting client. *)
+(* Run one job spec with the daemon's cut check, mirroring its telemetry
+   to the daemon sink and to the requesting client. *)
 let run_job t ?on_event ~worker spec =
   let sink =
     Events.callback (fun e ->
@@ -148,14 +149,12 @@ let run_job t ?on_event ~worker spec =
           e.Events.payload;
         match on_event with
         | None -> ()
-        | Some f -> (
-            match Protocol.parse (Events.to_json e) with
-            | Ok j -> f j
-            | Error _ -> ()))
+        | Some f -> f (Events.json e))
   in
+  let options = { spec.Job.options with Sweep_options.fun_cache = t.fun_cache } in
   let r =
-    Exec.run ?cache:t.pattern_cache ?fun_cache:t.fun_cache ~cancel:t.cancel
-      ~events:sink ~worker spec
+    Exec.run ?cache:t.pattern_cache ~cancel:t.cancel ~events:sink ~worker
+      { spec with Job.options }
   in
   if job_succeeded r then Shared.Atomic.incr t.jobs_ok
   else Shared.Atomic.incr t.jobs_err;
@@ -175,17 +174,12 @@ let lint_fields target =
   in
   let errors, warnings, infos = Diagnostic.counts diags in
   let open Protocol in
-  let diag_json d =
-    match parse (Diagnostic.to_json d) with
-    | Ok j -> j
-    | Error _ -> String (Diagnostic.to_string d)
-  in
   [
     ("target", String target);
     ("errors", Int errors);
     ("warnings", Int warnings);
     ("infos", Int infos);
-    ("diagnostics", List (List.map diag_json (Diagnostic.sort diags)));
+    ("diagnostics", List (List.map Diagnostic.json (Diagnostic.sort diags)));
   ]
 
 let stats_fields t =

@@ -18,9 +18,14 @@ type outcome =
 
 type report = {
   outcome : outcome;
+  stopped : bool;
+      (** [should_stop] cut the flow short; [outcome] is then
+          [Inconclusive] over every PO pair not yet decided *)
   guided : Sweeper.guided_stats;
   sat : Sweeper.sat_stats;
   po_calls : int;  (** extra SAT calls for the PO miters *)
+  po_stats : Simgen_sat.Solver.stats;
+      (** solver counters of the PO miters, summed over the queries *)
   final_cost : int;  (** Eq. (5) cost after the whole flow *)
   cost_history : int list;
       (** cost after every refinement event, oldest first — includes the
@@ -28,13 +33,29 @@ type report = {
   total_time : float;
 }
 
+val run : Sweep_options.t -> Sweeper.t -> int array -> int array -> report
+(** [run opts sweeper pos1 pos2] is the whole flow over an existing
+    sweeper: [random_rounds] random rounds, the guided rounds
+    ({!Sweeper.run_guided}), the SAT sweep ({!Sweeper.sat_sweep}), then a
+    miter per PO pair [pos1.(i)], [pos2.(i)] through
+    {!Sweeper.verify_pair}, with counter-examples fed back. With no PO
+    pairs it is a plain sweep whose outcome is [Equivalent].
+
+    [should_stop] is polled before random rounds 2..n, before every
+    guided round, before and after the SAT sweep and before every PO
+    query; once it answers [true] the flow does no more work and reports
+    [stopped]. [observe] sees every random round, every guided round's
+    own stats, the sweep's stats, every PO query and every
+    counter-example, as they happen. *)
+
 val check :
   Sweep_options.t ->
   Simgen_network.Network.t ->
   Simgen_network.Network.t ->
   report
 (** The full CEC flow under one options record ({!Sweep_options.default}
-    is the paper's §6.1 setup). Requires equal PI and PO counts. With
+    is the paper's §6.1 setup): {!join}, {!Sweeper.create}, then {!run}.
+    Requires equal PI and PO counts. With
     [incremental] set (the default) the PO miters run through the same
     {!Sat_session} as the sweep, reusing its cone encodings and learned
     clauses. *)

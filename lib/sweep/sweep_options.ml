@@ -1,3 +1,34 @@
+type guided_stats = {
+  iterations : int;
+  vectors : int;
+  skipped : int;
+  gen_conflicts : int;
+  implications : int;
+  decisions : int;
+  gen_sat_calls : int;
+  guided_time : float;
+}
+
+type sat_stats = {
+  calls : int;
+  proved : int;
+  disproved : int;
+  conflicts : int;
+  propagations : int;
+  watch_visits : int;
+  clause_reads : int;
+  restarts : int;
+  deleted : int;
+  sat_time : float;
+}
+
+type observation =
+  | Random_round of int
+  | Guided_round of { round : int; delta : guided_stats }
+  | Sat_sweep of sat_stats
+  | Po_query of int
+  | Counterexample of bool array
+
 type t = {
   seed : int;
   strategy : Simgen_core.Strategy.t;
@@ -13,7 +44,7 @@ type t = {
   certify : bool;
   solver_audit : bool;
   should_stop : unit -> bool;
-  on_cex : (bool array -> unit) option;
+  observe : observation -> unit;
   fun_cache : Fun_cache.t option;
 }
 
@@ -33,6 +64,6 @@ let default =
     certify = false;
     solver_audit = false;
     should_stop = (fun () -> false);
-    on_cex = None;
+    observe = ignore;
     fun_cache = None;
   }

@@ -14,6 +14,47 @@
     This record is the only spelling: every sweeping entry point takes a
     [Sweep_options.t] (the PR-2 optional-argument wrappers are gone). *)
 
+type guided_stats = {
+  iterations : int;  (** guided iterations executed *)
+  vectors : int;  (** useful vectors simulated *)
+  skipped : int;  (** classes skipped (no useful vector) *)
+  gen_conflicts : int;  (** per-target conflicts inside the generator *)
+  implications : int;
+  decisions : int;
+  gen_sat_calls : int;
+      (** solver calls spent {e generating} vectors — zero for SimGen and
+          reverse simulation, one per class for the SAT-vector baseline *)
+  guided_time : float;  (** wall time spent generating + simulating *)
+}
+(** Guided-phase statistics, re-exported as {!Sweeper.guided_stats}. *)
+
+type sat_stats = {
+  calls : int;
+  proved : int;  (** UNSAT answers: merged pairs *)
+  disproved : int;  (** SAT answers: counter-examples applied *)
+  conflicts : int;  (** solver conflicts attributed to sweeping calls *)
+  propagations : int;  (** solver propagations attributed to sweeping calls *)
+  watch_visits : int;  (** watchers those propagations visited *)
+  clause_reads : int;
+      (** of those visits, the ones that had to read the clause *)
+  restarts : int;  (** solver restarts attributed to sweeping calls *)
+  deleted : int;
+      (** clauses physically deleted during sweeping calls: learnt-clause
+          reductions plus problem-clause retractions (session GC) *)
+  sat_time : float;  (** wall time inside the solver path *)
+}
+(** SAT-sweep statistics, re-exported as {!Sweeper.sat_stats}. *)
+
+(** What the flow reports to {!t.observe}, as it happens. *)
+type observation =
+  | Random_round of int  (** random round [n] (1-based) was simulated *)
+  | Guided_round of { round : int; delta : guided_stats }
+      (** guided round [round] (1-based) ran; [delta] is its own stats *)
+  | Sat_sweep of sat_stats  (** the SAT sweep finished (or stopped) *)
+  | Po_query of int  (** a miter for this PO pair is about to be posed *)
+  | Counterexample of bool array
+      (** a counter-example was found, in the sweep or the PO phase *)
+
 type t = {
   seed : int;  (** master seed for the sweeper's RNG *)
   strategy : Simgen_core.Strategy.t;  (** guided-generation strategy *)
@@ -53,8 +94,8 @@ type t = {
           Also armed implicitly when [SIMGEN_CHECK] is on *)
   should_stop : unit -> bool;
       (** cooperative cancellation, polled between units of work *)
-  on_cex : (bool array -> unit) option;
-      (** observer for every counter-example found *)
+  observe : observation -> unit;
+      (** the flow's observer: called for every {!observation} *)
   fun_cache : Fun_cache.t option;
       (** the cut-local check {!Sweeper.verify_pair} runs before any
           SAT query (see {!Fun_cache}); the serving layer sets it, the
@@ -65,6 +106,6 @@ type t = {
 val default : t
 (** The paper's §6.1 setup: seed 1, AI+DC+MFFC, alternating OUTgold, one
     random round, 20 guided iterations, incremental sessions, no
-    certification, no cap, never stops; unlimited conflict budget with 3
-    escalation steps and a 10k-node BDD fallback should a budget be
-    set. *)
+    certification, no cap, never stops, observes nothing; unlimited
+    conflict budget with 3 escalation steps and a 10k-node BDD fallback
+    should a budget be set. *)

@@ -9,7 +9,7 @@ module Timer = Simgen_base.Timer
 module Runtime_check = Simgen_base.Runtime_check
 module Fault = Simgen_fault.Fault
 
-type guided_stats = {
+type guided_stats = Sweep_options.guided_stats = {
   iterations : int;
   vectors : int;
   skipped : int;
@@ -20,7 +20,7 @@ type guided_stats = {
   guided_time : float;
 }
 
-type sat_stats = {
+type sat_stats = Sweep_options.sat_stats = {
   calls : int;
   proved : int;
   disproved : int;
@@ -340,14 +340,17 @@ let guided_round_config t config =
 let guided_round t strategy =
   guided_round_config t (Core.Strategy.config strategy)
 
-(* Shared driver of both guided loops: [iterations] rounds of [round],
-   abandoned early when [should_stop] answers [true] between rounds. *)
-let run_rounds ~should_stop ~iterations round =
+(* Shared driver of both guided loops: [guided_iterations] rounds of
+   [round], each reported to the observer, abandoned early when
+   [should_stop] answers [true] between rounds. *)
+let run_rounds (opts : Sweep_options.t) round =
   let acc = ref empty_guided in
   (try
-     for _ = 1 to iterations do
-       if should_stop () then raise Exit;
-       acc := sum_guided !acc (round ())
+     for i = 1 to opts.Sweep_options.guided_iterations do
+       if opts.Sweep_options.should_stop () then raise Exit;
+       let delta = round () in
+       opts.Sweep_options.observe (Sweep_options.Guided_round { round = i; delta });
+       acc := sum_guided !acc delta
      done
    with Exit -> ());
   !acc
@@ -397,10 +400,7 @@ let sat_guided_round t =
   add_guided t d;
   d
 
-let run_sat_guided (opts : Sweep_options.t) t =
-  run_rounds ~should_stop:opts.Sweep_options.should_stop
-    ~iterations:opts.Sweep_options.guided_iterations (fun () ->
-      sat_guided_round t)
+let run_sat_guided opts t = run_rounds opts (fun () -> sat_guided_round t)
 
 (* One-distance refinement (Mishchenko et al., paper section 2.3): flip one
    bit of a counter-example per simulation lane. *)
@@ -420,9 +420,7 @@ let apply_one_distance t vec =
 
 let run_guided (opts : Sweep_options.t) t =
   let config = Core.Strategy.config opts.Sweep_options.strategy in
-  run_rounds ~should_stop:opts.Sweep_options.should_stop
-    ~iterations:opts.Sweep_options.guided_iterations (fun () ->
-      guided_round_config t config)
+  run_rounds opts (fun () -> guided_round_config t config)
 
 let guided_stats t = t.g_stats
 
@@ -650,7 +648,6 @@ let sat_sweep (opts : Sweep_options.t) t =
   let max_calls = opts.Sweep_options.max_sat_calls in
   let one_distance = opts.Sweep_options.one_distance in
   let should_stop = opts.Sweep_options.should_stop in
-  let on_cex = opts.Sweep_options.on_cex in
   let calls = ref 0 and proved = ref 0 and disproved = ref 0 in
   let conflicts = ref 0 and propagations = ref 0 and restarts = ref 0 in
   let watch_visits = ref 0 and clause_reads = ref 0 in
@@ -737,7 +734,7 @@ let sat_sweep (opts : Sweep_options.t) t =
                     enqueue cls
                 | Miter.Counterexample vec ->
                     incr disproved;
-                    (match on_cex with Some f -> f vec | None -> ());
+                    opts.Sweep_options.observe (Sweep_options.Counterexample vec);
                     if one_distance then apply_one_distance t vec
                     else apply_vector t vec;
                     (* Continue with the split-off classes of both nodes;
@@ -786,6 +783,7 @@ let sat_sweep (opts : Sweep_options.t) t =
       deleted = t.s_stats.deleted + d.deleted;
       sat_time = t.s_stats.sat_time +. d.sat_time;
     };
+  opts.Sweep_options.observe (Sweep_options.Sat_sweep d);
   d
 
 let sat_stats t = t.s_stats

@@ -19,34 +19,31 @@
 
 type t
 
-type guided_stats = {
-  iterations : int;  (** guided iterations executed *)
-  vectors : int;  (** useful vectors simulated *)
-  skipped : int;  (** classes skipped (no useful vector) *)
-  gen_conflicts : int;  (** per-target conflicts inside the generator *)
+type guided_stats = Sweep_options.guided_stats = {
+  iterations : int;
+  vectors : int;
+  skipped : int;
+  gen_conflicts : int;
   implications : int;
   decisions : int;
   gen_sat_calls : int;
-      (** solver calls spent {e generating} vectors — zero for SimGen and
-          reverse simulation, one per class for the SAT-vector baseline *)
-  guided_time : float;  (** wall time spent generating + simulating *)
+  guided_time : float;
 }
 
-type sat_stats = {
+type sat_stats = Sweep_options.sat_stats = {
   calls : int;
-  proved : int;  (** UNSAT answers: merged pairs *)
-  disproved : int;  (** SAT answers: counter-examples applied *)
-  conflicts : int;  (** solver conflicts attributed to sweeping calls *)
-  propagations : int;  (** solver propagations attributed to sweeping calls *)
-  watch_visits : int;  (** watchers those propagations visited *)
+  proved : int;
+  disproved : int;
+  conflicts : int;
+  propagations : int;
+  watch_visits : int;
   clause_reads : int;
-      (** of those visits, the ones that had to read the clause *)
-  restarts : int;  (** solver restarts attributed to sweeping calls *)
+  restarts : int;
   deleted : int;
-      (** clauses physically deleted during sweeping calls: learnt-clause
-          reductions plus problem-clause retractions (session GC) *)
-  sat_time : float;  (** wall time inside the solver path *)
+  sat_time : float;
 }
+(** The phase statistics, documented at {!Sweep_options.guided_stats} and
+    {!Sweep_options.sat_stats}. *)
 
 val empty_guided : guided_stats
 val empty_sat : sat_stats
@@ -121,7 +118,8 @@ val guided_round :
 val run_guided : Sweep_options.t -> t -> guided_stats
 (** [guided_iterations] rounds of {!guided_round} with strategy and stop
     predicate taken from the options record; returns cumulative stats.
-    [should_stop] is polled between rounds (cooperative
+    Each round's own stats go to [observe] as a [Guided_round].
+    [should_stop] is polled before every round (cooperative
     budget/cancellation check): when it returns [true] the remaining
     rounds are abandoned and the stats accumulated so far are
     returned. *)
@@ -140,8 +138,8 @@ val sat_guided_round : t -> guided_stats
 
 val run_sat_guided : Sweep_options.t -> t -> guided_stats
 (** [guided_iterations] rounds of {!sat_guided_round} with the stop
-    predicate taken from the options record; same early-stop contract as
-    {!run_guided}. *)
+    predicate taken from the options record; same early-stop and
+    reporting contract as {!run_guided}. *)
 
 val apply_one_distance : t -> bool array -> unit
 (** Simulate a counter-example together with its 63 one-bit-flip
@@ -160,8 +158,8 @@ val sat_sweep : Sweep_options.t -> t -> sat_stats
     pairs are merged via substitution. Stops early after [max_sat_calls]
     solver calls, or as soon as [should_stop] (polled before each call)
     returns [true] — either way the stats cover the partial sweep.
-    [on_cex] observes every counter-example found (e.g. to seed a shared
-    pattern cache). Candidate pairs come off a worklist of classes, so a
+    [observe] sees every counter-example found (e.g. to seed a shared
+    pattern cache) and, at the end, the sweep's stats. Candidate pairs come off a worklist of classes, so a
     class is only revisited after a merge or a split changes it.
 
     Queries route through the sweeper's {!Sat_session} by default

@@ -298,7 +298,14 @@ let test_runner_certify () =
   let module Exec = Simgen_runner.Exec in
   let net = Suite.lut_network "dec" in
   let spec =
-    Job.make ~seed:3 ~guided_iterations:5 ~certify:true ~id:0
+    Job.make ~id:0
+      ~options:
+        {
+          Sweep_options.default with
+          Sweep_options.seed = 3;
+          guided_iterations = 5;
+          certify = true;
+        }
       (Job.Sweep (Job.Inline net))
   in
   let sink, drain = Events.memory () in

@@ -32,6 +32,10 @@ let with_faults f =
   Fault.reset ();
   Fun.protect ~finally:Fault.reset f
 
+(* Job options off the defaults: a seed and a guided-round count. *)
+let opts ?(seed = 1) ?(guided_iterations = 20) () =
+  { Sweep_options.default with Sweep_options.seed; guided_iterations }
+
 let tt_and2 = TT.and_ (TT.var 0 2) (TT.var 1 2)
 let tt_or2 = TT.or_ (TT.var 0 2) (TT.var 1 2)
 
@@ -314,7 +318,7 @@ let test_gen_giveup_harmless () =
 (* ------------------------------------------------------------------ *)
 
 let small_sweep_spec ?limits ?retry ~id () =
-  Job.make ?limits ?retry ~id ~seed:5 ~guided_iterations:2
+  Job.make ~options:(opts ~seed:5 ~guided_iterations:2 ()) ?limits ?retry ~id
     (Job.Sweep (Job.Inline (let net, _, _, _ = pair_net () in net)))
 
 let test_violation_surfaces_as_failed () =
@@ -442,7 +446,7 @@ let test_parse_fault_retried () =
   with_faults (fun () ->
       Fault.arm ~times:1 "parse";
       let spec =
-        Job.make ~id:0 ~seed:5 ~guided_iterations:2
+        Job.make ~options:(opts ~seed:5 ~guided_iterations:2 ()) ~id:0
           ~retry:(Retry_policy.with_attempts 2 Retry_policy.default)
           (Job.Sweep (Job.Suite "dec"))
       in
@@ -521,7 +525,7 @@ let test_manifest_fault_keys () =
       Alcotest.(check (option (float 1e-9))) "watchdog" (Some 1.5)
         spec.Job.limits.Budget.watchdog;
       Alcotest.(check (option int)) "max-conflicts" (Some 100)
-        spec.Job.max_conflicts
+        spec.Job.options.Sweep_options.max_conflicts
   | l -> Alcotest.failf "expected one spec, got %d" (List.length l)
 
 let test_manifest_defaults_overridable () =
@@ -529,7 +533,7 @@ let test_manifest_defaults_overridable () =
     {
       Manifest.default_options with
       Manifest.retry = Retry_policy.with_attempts 5 Retry_policy.default;
-      max_conflicts = Some 9;
+      sweep = { Sweep_options.default with Sweep_options.max_conflicts = Some 9 };
     }
   in
   match Manifest.parse_string ~defaults "sweep dec\nsweep dec retries=2\n" with
@@ -537,7 +541,7 @@ let test_manifest_defaults_overridable () =
       Alcotest.(check int) "baseline from defaults" 5
         a.Job.retry.Retry_policy.max_attempts;
       Alcotest.(check (option int)) "conflicts from defaults" (Some 9)
-        a.Job.max_conflicts;
+        a.Job.options.Sweep_options.max_conflicts;
       Alcotest.(check int) "per-line override wins" 2
         b.Job.retry.Retry_policy.max_attempts
   | l -> Alcotest.failf "expected two specs, got %d" (List.length l)
@@ -577,7 +581,7 @@ let test_event_json_fault_phases () =
 (* ------------------------------------------------------------------ *)
 
 let matrix_spec () =
-  Job.make ~id:0 ~seed:3 ~guided_iterations:3
+  Job.make ~options:(opts ~seed:3 ~guided_iterations:3 ()) ~id:0
     ~limits:{ Budget.unlimited with Budget.watchdog = Some 0.25 }
     ~retry:(Retry_policy.with_attempts 3 Retry_policy.default)
     (Job.Cec (Job.Suite_stacked "dec", Job.Suite_stacked "dec"))

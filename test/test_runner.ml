@@ -10,6 +10,11 @@ module Exec = Runner.Exec
 module Pool = Runner.Pool
 module Manifest = Runner.Manifest
 module Sweeper = Simgen_sweep.Sweeper
+module Sweep_options = Simgen_sweep.Sweep_options
+
+(* Job options off the defaults: a seed and a guided-round count. *)
+let opts ?(seed = 1) ?(guided_iterations = 20) () =
+  { Sweep_options.default with Sweep_options.seed; guided_iterations }
 
 let tt_and2 = TT.and_ (TT.var 0 2) (TT.var 1 2)
 let tt_or2 = TT.or_ (TT.var 0 2) (TT.var 1 2)
@@ -190,7 +195,7 @@ let test_cache_key_isolation () =
 let test_deadline_partial_result () =
   let net = random_net 42 8 120 in
   let spec =
-    Job.make ~id:0 ~seed:7 ~guided_iterations:20
+    Job.make ~options:(opts ~seed:7 ~guided_iterations:20 ()) ~id:0
       ~limits:{ Budget.unlimited with Budget.deadline = Some 0.0 }
       (Job.Sweep (Job.Inline net))
   in
@@ -221,7 +226,7 @@ let test_max_sat_calls_budget () =
   let y2 = N.add_gate net tt_or2 [| d; c |] in
   List.iter (N.add_po net) [ x1; x2; y1; y2 ];
   let spec =
-    Job.make ~id:0 ~guided_iterations:0
+    Job.make ~options:(opts ~guided_iterations:0 ()) ~id:0
       ~limits:{ Budget.unlimited with Budget.max_sat_calls = Some 1 }
       (Job.Sweep (Job.Inline net))
   in
@@ -234,7 +239,7 @@ let test_max_sat_calls_budget () =
 let test_max_guided_iterations_budget () =
   let net = random_net 43 8 120 in
   let spec =
-    Job.make ~id:0 ~guided_iterations:10
+    Job.make ~options:(opts ~guided_iterations:10 ()) ~id:0
       ~limits:{ Budget.unlimited with Budget.max_guided_iterations = Some 2 }
       (Job.Sweep (Job.Inline net))
   in
@@ -291,7 +296,7 @@ let test_cancellation () =
   let cancel = Simgen_base.Shared.Atomic.make "test.cancel" true in
   let jobs =
     List.init 4 (fun id ->
-        Job.make ~id ~seed:(id + 1) (Job.Sweep (Job.Inline (random_net id 6 40))))
+        Job.make ~options:(opts ~seed:(id + 1) ()) ~id (Job.Sweep (Job.Inline (random_net id 6 40))))
   in
   let report = Pool.run ~workers:2 ~cancel jobs in
   Array.iter
@@ -305,13 +310,13 @@ let test_cancellation () =
 
 let batch_jobs () =
   [
-    Job.make ~id:0 ~seed:11
+    Job.make ~options:(opts ~seed:11 ()) ~id:0
       (Job.Cec (Job.Inline (and_or_net false), Job.Inline (and_or_net true)));
-    Job.make ~id:1 ~seed:12
+    Job.make ~options:(opts ~seed:12 ()) ~id:1
       (Job.Cec (Job.Inline (and_or_net false), Job.Inline (and_xor_net ())));
-    Job.make ~id:2 ~seed:13 ~guided_iterations:5
+    Job.make ~options:(opts ~seed:13 ~guided_iterations:5 ()) ~id:2
       (Job.Sweep (Job.Inline (random_net 99 8 80)));
-    Job.make ~id:3 ~seed:14 ~guided_iterations:0
+    Job.make ~options:(opts ~seed:14 ~guided_iterations:0 ()) ~id:3
       (Job.Sweep (Job.Inline (near_miss_net 10)));
   ]
 
@@ -345,8 +350,8 @@ let test_cache_hit_accounting () =
   let net = near_miss_net 16 in
   let jobs =
     [
-      Job.make ~id:0 ~seed:5 ~guided_iterations:0 (Job.Sweep (Job.Inline net));
-      Job.make ~id:1 ~seed:5 ~guided_iterations:0 (Job.Sweep (Job.Inline net));
+      Job.make ~options:(opts ~seed:5 ~guided_iterations:0 ()) ~id:0 (Job.Sweep (Job.Inline net));
+      Job.make ~options:(opts ~seed:5 ~guided_iterations:0 ()) ~id:1 (Job.Sweep (Job.Inline net));
     ]
   in
   let cache = Pattern_cache.create () in
@@ -377,7 +382,7 @@ let test_event_stream_shape () =
   let sink, drain = Events.memory () in
   let jobs =
     [
-      Job.make ~id:0 ~label:"first" ~guided_iterations:2
+      Job.make ~options:(opts ~guided_iterations:2 ()) ~id:0 ~label:"first"
         (Job.Sweep (Job.Inline (random_net 7 6 40)));
       Job.make ~id:1 ~label:"second"
         (Job.Cec (Job.Inline (and_or_net false), Job.Inline (and_or_net true)));
@@ -483,7 +488,7 @@ let test_manifest_parse () =
   Alcotest.(check int) "ids in file order" 0 j0.Job.id;
   Alcotest.(check int) "ids in file order" 1 j1.Job.id;
   Alcotest.(check string) "label" "stack" j0.Job.label;
-  Alcotest.(check int) "seed" 7 j0.Job.seed;
+  Alcotest.(check int) "seed" 7 j0.Job.options.Sweep_options.seed;
   (match j0.Job.kind with
    | Job.Cec (Job.Suite_stacked "apex2", Job.Suite_stacked "apex2") -> ()
    | _ -> Alcotest.fail "stacked=true selects the putontop variant");
@@ -493,14 +498,38 @@ let test_manifest_parse () =
   (match j1.Job.kind with
    | Job.Sweep (Job.Suite "alu4") -> ()
    | _ -> Alcotest.fail "sweep of a suite benchmark");
-  Alcotest.(check int) "guided iterations" 3 j1.Job.guided_iterations;
-  Alcotest.(check int) "random rounds" 2 j1.Job.random_rounds;
+  Alcotest.(check int) "guided iterations" 3
+    j1.Job.options.Sweep_options.guided_iterations;
+  Alcotest.(check int) "random rounds" 2
+    j1.Job.options.Sweep_options.random_rounds;
   Alcotest.(check (option int)) "max-sat" (Some 10)
     j1.Job.limits.Budget.max_sat_calls;
   Alcotest.(check (option int)) "max-guided" (Some 4)
     j1.Job.limits.Budget.max_guided_iterations;
   Alcotest.(check string) "strategy" "RevS"
-    (Simgen_core.Strategy.name j1.Job.strategy)
+    (Simgen_core.Strategy.name j1.Job.options.Sweep_options.strategy)
+
+(* Every key [Manifest.keys] lists parses, and nothing else does. *)
+let test_manifest_keys () =
+  let sample = function
+    | "strategy" -> "revs"
+    | "deadline" | "watchdog" | "backoff" -> "1.5"
+    | "stacked" | "certify" | "solver-audit" -> "true"
+    | "label" -> "x"
+    | _ -> "2"
+  in
+  List.iter
+    (fun key ->
+      match Manifest.parse_string (Printf.sprintf "sweep dec %s=%s\n" key (sample key)) with
+      | [ _ ] -> ()
+      | l -> Alcotest.failf "%s: expected one job, got %d" key (List.length l)
+      | exception Failure e -> Alcotest.failf "listed key %s does not parse: %s" key e)
+    Manifest.keys;
+  Alcotest.(check bool) "deadline-ms is listed" true (List.mem "deadline-ms" Manifest.keys);
+  Alcotest.(check bool) "solver-audit is listed" true (List.mem "solver-audit" Manifest.keys);
+  match Manifest.parse_string "sweep dec colour=blue\n" with
+  | _ -> Alcotest.fail "an unlisted key parsed"
+  | exception Failure _ -> ()
 
 let test_manifest_errors () =
   let fails_with_line msg text =
@@ -566,5 +595,6 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_manifest_parse;
           Alcotest.test_case "errors" `Quick test_manifest_errors;
+          Alcotest.test_case "keys" `Quick test_manifest_keys;
         ] );
     ]

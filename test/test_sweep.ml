@@ -391,19 +391,21 @@ let test_sat_sweep_should_stop () =
       Alcotest.(check int) "resolved after resume" 1 (List.length reps))
     (Eq.classes (Sweeper.classes sw))
 
-let test_sat_sweep_on_cex () =
+let test_sat_sweep_observer () =
   let net, _, _, _, _, _, _ = candidates_net () in
   let sw = Sweeper.create (opts 1) net in
   Sweeper.random_round sw;
-  let cexs = ref [] in
-  let stats =
-    Sweeper.sat_sweep
-      { (opts 1) with
-        Sweep_options.on_cex = Some (fun v -> cexs := v :: !cexs) }
-      sw
+  let cexs = ref [] and reported = ref [] in
+  let observe : Sweep_options.observation -> unit = function
+    | Sweep_options.Counterexample v -> cexs := v :: !cexs
+    | Sweep_options.Sat_sweep s -> reported := s :: !reported
+    | _ -> Alcotest.fail "the sweep reports only counter-examples and its stats"
   in
-  Alcotest.(check int) "one callback per disproof" stats.Sweeper.disproved
+  let stats = Sweeper.sat_sweep { (opts 1) with Sweep_options.observe } sw in
+  Alcotest.(check int) "one report per disproof" stats.Sweeper.disproved
     (List.length !cexs);
+  Alcotest.(check bool) "the sweep's stats reported once" true
+    (!reported = [ stats ]);
   List.iter
     (fun vec ->
       Alcotest.(check int) "full PI vectors" (N.num_pis net) (Array.length vec))
@@ -1077,7 +1079,7 @@ let () =
             test_gen_failures_fresh_key_after_split;
           Alcotest.test_case "sat sweep should_stop" `Quick
             test_sat_sweep_should_stop;
-          Alcotest.test_case "sat sweep on_cex" `Quick test_sat_sweep_on_cex;
+          Alcotest.test_case "sat sweep observer" `Quick test_sat_sweep_observer;
           Alcotest.test_case "apply_vectors word-packs" `Quick
             test_apply_vectors_matches_one_by_one;
           Alcotest.test_case "merges are sound" `Quick
