@@ -16,19 +16,21 @@
 module Suite = Simgen_benchgen.Suite
 module Sweeper = Simgen_sweep.Sweeper
 module Sweep_options = Simgen_sweep.Sweep_options
+module Cec = Simgen_sweep.Cec
+module Json = Simgen_base.Json
 module Strategy = Simgen_core.Strategy
 module Config = Simgen_core.Config
-module Stack = Simgen_network.Stack_networks
-module N = Simgen_network.Network
+module Certificate = Simgen_check.Certificate
 
 let seed = 7
 
 (* Local shorthand for the one options record every entry point takes:
    most experiments only vary the strategy, iteration count or a single
-   flag off the defaults. *)
+   flag off the defaults. [max_sat_calls = 0] stops a flow before SAT. *)
 let opts_with ?(seed = seed) ?(strategy = Strategy.AI_DC_MFFC)
     ?(iterations = 20) ?(one_distance = false)
-    ?(outgold = Sweep_options.default.Sweep_options.outgold) () =
+    ?(outgold = Sweep_options.default.Sweep_options.outgold) ?max_sat_calls ()
+    =
   {
     Sweep_options.default with
     Sweep_options.seed;
@@ -36,7 +38,16 @@ let opts_with ?(seed = seed) ?(strategy = Strategy.AI_DC_MFFC)
     guided_iterations = iterations;
     one_distance;
     outgold;
+    max_sat_calls;
   }
+
+(* Every BENCH_*.json file: one JSON object on one line. *)
+let write_json path v =
+  let oc = open_out path in
+  output_string oc (Json.to_string v);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "wrote %s\n" path
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -58,11 +69,15 @@ let table1 () =
       let averaged strategy =
         let rs =
           List.map
-            (fun seed -> Runs.run ~seed ~with_sat:false ~bench net strategy)
+            (fun seed ->
+              Runs.run (opts_with ~seed ~strategy ~max_sat_calls:0 ()) net)
             table1_seeds
         in
         ( Runs.mean (List.map (fun r -> float_of_int r.Runs.cost) rs),
-          Runs.mean (List.map (fun r -> r.Runs.sim_time) rs) )
+          Runs.mean
+            (List.map
+               (fun r -> r.Runs.report.Cec.guided.Sweeper.guided_time)
+               rs) )
       in
       let base_cost, base_time = averaged Strategy.RevS in
       List.iter
@@ -107,21 +122,29 @@ let rows_cache :
     (string, (string * Runs.result * Runs.result) list) Hashtbl.t =
   Hashtbl.create 4
 
-let table2_rows ~cache_key benches net_of =
+(* RevS and SimGen runs per [(label, network)], computed once per key:
+   fig5 and fig6 reuse the runs of table2 and table2s. *)
+let table2_rows ~cache_key benches =
   match Hashtbl.find_opt rows_cache cache_key with
   | Some rows -> rows
   | None ->
       let rows =
         List.map
-          (fun bench ->
-            let net = net_of bench in
-            let revs = Runs.run ~seed ~bench net Strategy.RevS in
-            let sgen = Runs.run ~seed ~bench net Strategy.AI_DC_MFFC in
-            (bench, revs, sgen))
+          (fun (label, net_of) ->
+            let net = net_of () in
+            let revs = Runs.run (opts_with ~strategy:Strategy.RevS ()) net in
+            let sgen = Runs.run (opts_with ()) net in
+            (label, revs, sgen))
           benches
       in
       Hashtbl.replace rows_cache cache_key rows;
       rows
+
+let flat_rows () =
+  table2_rows ~cache_key:"flat"
+    (List.map
+       (fun bench -> (bench, fun () -> Suite.lut_network bench))
+       (Runs.benchmarks ()))
 
 let print_table2 rows ~time_unit =
   let scale = if time_unit = "ms" then 1000.0 else 1.0 in
@@ -131,24 +154,23 @@ let print_table2 rows ~time_unit =
   let tc_r = ref 0 and tc_s = ref 0 and tt_r = ref 0.0 and tt_s = ref 0.0 in
   List.iter
     (fun (bench, revs, sgen) ->
-      tc_r := !tc_r + revs.Runs.sat_calls;
-      tc_s := !tc_s + sgen.Runs.sat_calls;
-      tt_r := !tt_r +. revs.Runs.sat_time;
-      tt_s := !tt_s +. sgen.Runs.sat_time;
+      let revs = revs.Runs.report.Cec.sat
+      and sgen = sgen.Runs.report.Cec.sat in
+      tc_r := !tc_r + revs.Sweeper.calls;
+      tc_s := !tc_s + sgen.Sweeper.calls;
+      tt_r := !tt_r +. revs.Sweeper.sat_time;
+      tt_s := !tt_s +. sgen.Sweeper.sat_time;
       Printf.printf "%-12s %10d %10d %12.2f %12.2f\n" bench
-        revs.Runs.sat_calls sgen.Runs.sat_calls
-        (revs.Runs.sat_time *. scale)
-        (sgen.Runs.sat_time *. scale))
+        revs.Sweeper.calls sgen.Sweeper.calls
+        (revs.Sweeper.sat_time *. scale)
+        (sgen.Sweeper.sat_time *. scale))
     rows;
   Printf.printf "%-12s %10d %10d %12.2f %12.2f   (totals)\n" "TOTAL" !tc_r
     !tc_s (!tt_r *. scale) (!tt_s *. scale)
 
 let table2 () =
   header "Table 2 (upper): SAT calls and SAT time, RevS vs SimGen";
-  let rows =
-    table2_rows ~cache_key:"flat" (Runs.benchmarks ()) Suite.lut_network
-  in
-  print_table2 rows ~time_unit:"ms";
+  print_table2 (flat_rows ()) ~time_unit:"ms";
   Printf.printf
     "\n(expected shape: SimGen needs fewer SAT calls than RevS on most rows,\n\
     \ and total SAT time drops accordingly.)\n"
@@ -158,26 +180,16 @@ let table2 () =
 (* ------------------------------------------------------------------ *)
 
 let stacked_rows () =
-  match Hashtbl.find_opt rows_cache "stacked" with
-  | Some rows -> rows
-  | None ->
-      let rows =
-        List.map
-          (fun (bench, copies) ->
-            let net = Suite.stacked_lut_network bench in
-            let label = Printf.sprintf "%s (%d)" bench copies in
-            let revs = Runs.run ~seed ~bench:label net Strategy.RevS in
-            let sgen = Runs.run ~seed ~bench:label net Strategy.AI_DC_MFFC in
-            (label, revs, sgen))
-          (Runs.stacked_benchmarks ())
-      in
-      Hashtbl.replace rows_cache "stacked" rows;
-      rows
+  table2_rows ~cache_key:"stacked"
+    (List.map
+       (fun (bench, copies) ->
+         ( Printf.sprintf "%s (%d)" bench copies,
+           fun () -> Suite.stacked_lut_network bench ))
+       (Runs.stacked_benchmarks ()))
 
 let table2_stacked () =
   header "Table 2 (lower): stacked benchmarks (putontop)";
-  let rows = stacked_rows () in
-  print_table2 rows ~time_unit:"ms";
+  print_table2 (stacked_rows ()) ~time_unit:"ms";
   Printf.printf
     "\n(same trend as the upper table at larger scale: the copies multiply\n\
     \ the candidate pairs and deepen the miter cones.)\n"
@@ -189,12 +201,12 @@ let table2_stacked () =
 let figure_rows rows =
   List.map
     (fun (bench, revs, sgen) ->
-      let r v b = Runs.ratio v b in
+      let r f = Runs.ratio (f sgen) (f revs) in
       ( bench,
-        r (float_of_int sgen.Runs.cost) (float_of_int revs.Runs.cost),
-        r sgen.Runs.sim_time revs.Runs.sim_time,
-        r (float_of_int sgen.Runs.sat_calls) (float_of_int revs.Runs.sat_calls),
-        r sgen.Runs.sat_time revs.Runs.sat_time ))
+        r (fun x -> float_of_int x.Runs.cost),
+        r (fun x -> x.Runs.report.Cec.guided.Sweeper.guided_time),
+        r (fun x -> float_of_int x.Runs.report.Cec.sat.Sweeper.calls),
+        r (fun x -> x.Runs.report.Cec.sat.Sweeper.sat_time) ))
     rows
 
 let spark v =
@@ -225,9 +237,7 @@ let fig5 () =
   header
     "Figure 5: SimGen/RevS ratios per benchmark (cost, sim runtime, SAT \
      calls, SAT time; 1.0 = RevS)";
-  print_figure
-    (figure_rows
-       (table2_rows ~cache_key:"flat" (Runs.benchmarks ()) Suite.lut_network))
+  print_figure (figure_rows (flat_rows ()))
 
 let fig6 () =
   header "Figure 6: the same ratios on the stacked benchmarks";
@@ -320,10 +330,11 @@ let ablation () =
       List.iter
         (fun bench ->
           let net = Suite.lut_network bench in
-          let r = Runs.run ~seed ~with_sat:false ~bench net strategy in
-          impl := !impl + r.Runs.implications;
-          dec := !dec + r.Runs.decisions;
-          conf := !conf + r.Runs.gen_conflicts)
+          let opts = opts_with ~strategy ~max_sat_calls:0 () in
+          let g = (Runs.run opts net).Runs.report.Cec.guided in
+          impl := !impl + g.Sweeper.implications;
+          dec := !dec + g.Sweeper.decisions;
+          conf := !conf + g.Sweeper.gen_conflicts)
         benches;
       Printf.printf "%-11s %12d %12d %12d\n" (Strategy.name strategy) !impl
         !dec !conf)
@@ -344,19 +355,25 @@ let baselines () =
   List.iter
     (fun bench ->
       let net = Suite.lut_network bench in
-      let flow label guide =
-        let sw = Sweeper.create (opts_with ()) net in
-        Sweeper.random_round sw;
-        let g = guide sw in
-        let cost_after_guided = Sweeper.cost sw in
-        let s = Sweeper.sat_sweep (opts_with ()) sw in
-        Printf.printf "%-8s %-14s %8d %10d %9.3fs %10d\n" bench label
-          cost_after_guided g.Sweeper.gen_sat_calls g.Sweeper.guided_time
-          s.Sweeper.calls
+      let row label cost (g : Sweeper.guided_stats) (s : Sweeper.sat_stats) =
+        Printf.printf "%-8s %-14s %8d %10d %9.3fs %10d\n" bench label cost
+          g.Sweeper.gen_sat_calls g.Sweeper.guided_time s.Sweeper.calls
       in
-      flow "RevS" (Sweeper.run_guided (opts_with ~strategy:Strategy.RevS ()));
-      flow "SimGen" (Sweeper.run_guided (opts_with ()));
-      flow "SAT vectors" (Sweeper.run_sat_guided (opts_with ())))
+      let flow label opts =
+        let r = Runs.run opts net in
+        row label r.Runs.cost r.Runs.report.Cec.guided
+          r.Runs.report.Cec.sat
+      in
+      flow "RevS" (opts_with ~strategy:Strategy.RevS ());
+      flow "SimGen" (opts_with ());
+      (* No options field selects SAT-vector generation, so this flow
+         calls its guided loop by hand. *)
+      let opts = opts_with () in
+      let sw = Sweeper.create opts net in
+      Sweeper.random_round sw;
+      let g = Sweeper.run_sat_guided opts sw in
+      let cost = Sweeper.cost sw in
+      row "SAT vectors" cost g (Sweeper.sat_sweep opts sw))
     benches;
   Printf.printf
     "\n(the SAT-vector generator is exact, so its post-simulation cost is \
@@ -369,10 +386,7 @@ let baselines () =
       let net = Suite.lut_network bench in
       let flow label one_distance =
         let opts = opts_with ~iterations:5 ~one_distance () in
-        let sw = Sweeper.create opts net in
-        Sweeper.random_round sw;
-        ignore (Sweeper.run_guided opts sw);
-        let s = Sweeper.sat_sweep opts sw in
+        let s = (Runs.run opts net).Runs.report.Cec.sat in
         Printf.printf "%-8s %-16s %10d %10d\n" bench label s.Sweeper.calls
           s.Sweeper.disproved
       in
@@ -385,11 +399,7 @@ let baselines () =
     (fun bench ->
       let net = Suite.lut_network bench in
       let cost_with outgold =
-        let opts = opts_with ~outgold () in
-        let sw = Sweeper.create opts net in
-        Sweeper.random_round sw;
-        ignore (Sweeper.run_guided opts sw);
-        Sweeper.cost sw
+        (Runs.run (opts_with ~outgold ~max_sat_calls:0 ()) net).Runs.cost
       in
       Printf.printf "%-8s %12d %12d %12d\n" bench
         (cost_with Simgen_core.Outgold.Alternating)
@@ -401,29 +411,6 @@ let baselines () =
 (* Incremental SAT sessions: fresh-per-pair vs one persistent solver   *)
 (* ------------------------------------------------------------------ *)
 
-(* One full sweep flow (random round + guided rounds + SAT sweep) with
-   the miter route fixed by [incremental]. Returns the sweep stats and
-   the final merge partition (each gate's representative), which must be
-   identical across routes: refinement only separates inequivalent nodes,
-   so the final partition is path-independent. *)
-let session_flow ~incremental ~guided_iterations net =
-  let opts =
-    {
-      Sweep_options.default with
-      Sweep_options.seed;
-      guided_iterations;
-      incremental;
-    }
-  in
-  let sw = Sweeper.create opts net in
-  Sweeper.random_round sw;
-  ignore (Sweeper.run_guided opts sw);
-  let s = Sweeper.sat_sweep opts sw in
-  let partition = ref [] in
-  N.iter_gates net (fun id ->
-      partition := Sweeper.representative sw id :: !partition);
-  (s, List.rev !partition)
-
 (* The gate the incremental session must clear on every suite: no slower
    than fresh solving on wall time, and no more than 1.5x the fresh
    propagation volume (BCP over a garbage-collected clause database). *)
@@ -434,20 +421,25 @@ let sat_session_compare ~benches ~net_of ~guided_iterations ~out_file title =
   Printf.printf "%-14s %9s | %9s %9s %8s | %9s %9s %8s | %7s %5s %5s\n" "bench"
     "calls" "fr confl" "fr props" "fr time" "inc confl" "inc props" "inc time"
     "confl x" "same" "gate";
+  (* One full sweep with the miter route fixed by [incremental]. *)
+  let flow ~incremental net =
+    Runs.run
+      { (opts_with ~iterations:guided_iterations ()) with
+        Sweep_options.incremental }
+      net
+  in
   let rows =
     List.map
       (fun bench ->
         let net = net_of bench in
-        let fresh, part_f =
-          session_flow ~incremental:false ~guided_iterations net
-        in
-        let inc, part_i =
-          session_flow ~incremental:true ~guided_iterations net
-        in
+        let fresh = flow ~incremental:false net in
+        let inc = flow ~incremental:true net in
         (* Verdicts are route-independent, so both routes end at the exact
            functional-equivalence partition; the counter-example sequences
            (and hence call counts) may differ along the way. *)
-        let same = part_f = part_i in
+        let same = fresh.Runs.partition = inc.Runs.partition in
+        let fresh = fresh.Runs.report.Cec.sat
+        and inc = inc.Runs.report.Cec.sat in
         let gate =
           inc.Sweeper.sat_time <= fresh.Sweeper.sat_time
           && float_of_int inc.Sweeper.propagations
@@ -486,38 +478,55 @@ let sat_session_compare ~benches ~net_of ~guided_iterations ~out_file title =
     t_fresh_confl t_inc_confl t_fresh_props t_inc_props t_inc_deleted
     (if all_same then "identical" else "DIFFER")
     (if all_gated then "passed" else "FAILED");
-  (* Hand-rolled JSON (the container has no JSON library), one object per
-     bench plus totals; schema mirrors the console table. *)
-  let buf = Buffer.create 1024 in
+  (* One object per bench plus totals; the schema mirrors the console
+     table. *)
   let stats_json (s : Sweeper.sat_stats) =
-    Printf.sprintf
-      "{\"calls\":%d,\"proved\":%d,\"disproved\":%d,\"conflicts\":%d,\"propagations\":%d,\"restarts\":%d,\"deleted\":%d,\"sat_time\":%.6f}"
-      s.Sweeper.calls s.Sweeper.proved s.Sweeper.disproved s.Sweeper.conflicts
-      s.Sweeper.propagations s.Sweeper.restarts s.Sweeper.deleted
-      s.Sweeper.sat_time
+    Json.(
+      Obj
+        [
+          ("calls", Int s.Sweeper.calls);
+          ("proved", Int s.Sweeper.proved);
+          ("disproved", Int s.Sweeper.disproved);
+          ("conflicts", Int s.Sweeper.conflicts);
+          ("propagations", Int s.Sweeper.propagations);
+          ("restarts", Int s.Sweeper.restarts);
+          ("deleted", Int s.Sweeper.deleted);
+          ("sat_time", Float s.Sweeper.sat_time);
+        ])
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"experiment\":\"sat-session\",\"seed\":%d,\"guided_iterations\":%d,\"props_slack\":%.2f,\"benches\":["
-       seed guided_iterations props_slack);
-  List.iteri
-    (fun i (bench, fresh, inc, same, gate) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"bench\":\"%s\",\"fresh\":%s,\"incremental\":%s,\"identical_merges\":%b,\"gate\":%b}"
-           bench (stats_json fresh) (stats_json inc) same gate))
-    rows;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"total\":{\"fresh_conflicts\":%d,\"incremental_conflicts\":%d,\"fresh_propagations\":%d,\"incremental_propagations\":%d,\"incremental_deleted\":%d,\"identical_merges\":%b,\"gate\":%b}}"
-       t_fresh_confl t_inc_confl t_fresh_props t_inc_props t_inc_deleted
-       all_same all_gated);
-  let oc = open_out out_file in
-  output_string oc (Buffer.contents buf);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" out_file;
+  write_json out_file
+    Json.(
+      Obj
+        [
+          ("experiment", String "sat-session");
+          ("seed", Int seed);
+          ("guided_iterations", Int guided_iterations);
+          ("props_slack", Float props_slack);
+          ( "benches",
+            List
+              (List.map
+                 (fun (bench, fresh, inc, same, gate) ->
+                   Obj
+                     [
+                       ("bench", String bench);
+                       ("fresh", stats_json fresh);
+                       ("incremental", stats_json inc);
+                       ("identical_merges", Bool same);
+                       ("gate", Bool gate);
+                     ])
+                 rows) );
+          ( "total",
+            Obj
+              [
+                ("fresh_conflicts", Int t_fresh_confl);
+                ("incremental_conflicts", Int t_inc_confl);
+                ("fresh_propagations", Int t_fresh_props);
+                ("incremental_propagations", Int t_inc_props);
+                ("incremental_deleted", Int t_inc_deleted);
+                ("identical_merges", Bool all_same);
+                ("gate", Bool all_gated);
+              ] );
+        ]);
   if not all_same then begin
     Printf.eprintf
       "sat-session: merge results differ between fresh and incremental\n";
@@ -555,77 +564,73 @@ let sat_session_smoke () =
 (* Certification overhead: certified session sweep + independent check *)
 (* ------------------------------------------------------------------ *)
 
-(* One full certified-or-not sweep flow; wall time covers the whole flow
-   (simulation + SAT) plus, on the certified side, assembling and
-   independently re-checking the certificate — the honest end-to-end
-   price of not trusting the solver. *)
-let cert_flow ~certify ~guided_iterations net =
-  let opts =
-    {
-      Sweep_options.default with
-      Sweep_options.seed;
-      guided_iterations;
-      certify;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let sw = Sweeper.create opts net in
-  Sweeper.random_round sw;
-  ignore (Sweeper.run_guided opts sw);
-  let s = Sweeper.sat_sweep opts sw in
-  let report =
-    if certify then Some (Simgen_check.Certificate.check (Sweeper.certificate sw))
-    else None
-  in
-  let time = Unix.gettimeofday () -. t0 in
-  let partition = ref [] in
-  N.iter_gates net (fun id ->
-      partition := Sweeper.representative sw id :: !partition);
-  (s, report, time, List.rev !partition)
-
+(* Wall time covers the whole flow (simulation + SAT) plus, on the
+   certified side, assembling and independently re-checking the
+   certificate — the honest end-to-end price of not trusting the
+   solver. *)
 let cert_compare ~benches ~net_of ~guided_iterations ~out_file title =
   header title;
   Printf.printf "%-14s %9s | %8s | %8s %9s %9s %7s | %8s %5s %5s\n" "bench"
     "calls" "plain" "cert" "queries" "steps" "checked" "overhead" "valid"
     "same";
+  let flow ~certify net =
+    Runs.run
+      { (opts_with ~iterations:guided_iterations ()) with
+        Sweep_options.certify }
+      net
+  in
+  (* Per bench: both wall times, the two verdicts the gate reads, and
+     the bench's JSON object. *)
   let rows =
     List.map
       (fun bench ->
         let net = net_of bench in
-        let plain, _, t_plain, part_p =
-          cert_flow ~certify:false ~guided_iterations net
-        in
-        let cert, report, t_cert, part_c =
-          cert_flow ~certify:true ~guided_iterations net
-        in
-        let report = Option.get report in
-        let same = part_p = part_c in
+        let plain = flow ~certify:false net in
+        let cert = flow ~certify:true net in
+        let report = Option.get cert.Runs.cert in
+        let same = plain.Runs.partition = cert.Runs.partition in
+        let t_plain = plain.Runs.time and t_cert = cert.Runs.time in
         let overhead = if t_plain > 0.0 then t_cert /. t_plain else 1.0 in
+        let cert = cert.Runs.report.Cec.sat
+        and valid = report.Certificate.valid in
         Printf.printf
           "%-14s %9d | %7.3fs | %7.3fs %9d %9d %7d | %7.2fx %5s %5s\n" bench
-          cert.Sweeper.calls t_plain t_cert
-          report.Simgen_check.Certificate.queries
-          report.Simgen_check.Certificate.steps
-          report.Simgen_check.Certificate.steps_checked overhead
-          (if report.Simgen_check.Certificate.valid then "yes" else "NO")
+          cert.Sweeper.calls t_plain t_cert report.Certificate.queries
+          report.Certificate.steps report.Certificate.steps_checked overhead
+          (if valid then "yes" else "NO")
           (if same then "yes" else "NO");
-        (bench, plain, cert, report, t_plain, t_cert, overhead, same))
+        ( t_plain,
+          t_cert,
+          valid,
+          same,
+          Json.(
+            Obj
+              [
+                ("bench", String bench);
+                ("calls", Int cert.Sweeper.calls);
+                ("proved", Int cert.Sweeper.proved);
+                ("plain_time", Float t_plain);
+                ("certified_time", Float t_cert);
+                ("overhead", Float overhead);
+                ("queries", Int report.Certificate.queries);
+                ("proof_steps", Int report.Certificate.steps);
+                ("steps_checked", Int report.Certificate.steps_checked);
+                ("steps_trimmed", Int report.Certificate.steps_trimmed);
+                ("certificate_valid", Bool valid);
+                ("identical_merges", Bool same);
+              ]) ))
       benches
   in
   let t_plain_total =
-    List.fold_left (fun acc (_, _, _, _, tp, _, _, _) -> acc +. tp) 0.0 rows
+    List.fold_left (fun acc (tp, _, _, _, _) -> acc +. tp) 0.0 rows
   and t_cert_total =
-    List.fold_left (fun acc (_, _, _, _, _, tc, _, _) -> acc +. tc) 0.0 rows
+    List.fold_left (fun acc (_, tc, _, _, _) -> acc +. tc) 0.0 rows
   in
   let total_overhead =
     if t_plain_total > 0.0 then t_cert_total /. t_plain_total else 1.0
   in
-  let all_same = List.for_all (fun (_, _, _, _, _, _, _, s) -> s) rows in
-  let all_valid =
-    List.for_all
-      (fun (_, _, _, r, _, _, _, _) -> r.Simgen_check.Certificate.valid)
-      rows
-  in
+  let all_valid = List.for_all (fun (_, _, v, _, _) -> v) rows in
+  let all_same = List.for_all (fun (_, _, _, s, _) -> s) rows in
   let within_2x = total_overhead <= 2.0 in
   Printf.printf
     "TOTAL: %.3fs plain -> %.3fs certified (%.2fx, %s), certificates %s, \
@@ -634,35 +639,25 @@ let cert_compare ~benches ~net_of ~guided_iterations ~out_file title =
     (if within_2x then "within 2x" else "OVER 2x")
     (if all_valid then "all valid" else "INVALID")
     (if all_same then "identical" else "DIFFER");
-  (* Hand-rolled JSON, same convention as the sat-session experiment. *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"experiment\":\"cert\",\"seed\":%d,\"guided_iterations\":%d,\"benches\":["
-       seed guided_iterations);
-  List.iteri
-    (fun i (bench, plain, cert, report, tp, tc, overhead, same) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"bench\":\"%s\",\"calls\":%d,\"proved\":%d,\"plain_time\":%.6f,\"certified_time\":%.6f,\"overhead\":%.4f,\"queries\":%d,\"proof_steps\":%d,\"steps_checked\":%d,\"steps_trimmed\":%d,\"certificate_valid\":%b,\"identical_merges\":%b}"
-           bench cert.Sweeper.calls cert.Sweeper.proved tp tc overhead
-           report.Simgen_check.Certificate.queries
-           report.Simgen_check.Certificate.steps
-           report.Simgen_check.Certificate.steps_checked
-           report.Simgen_check.Certificate.steps_trimmed
-           report.Simgen_check.Certificate.valid same);
-      ignore plain)
-    rows;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"total\":{\"plain_time\":%.6f,\"certified_time\":%.6f,\"overhead\":%.4f,\"within_2x\":%b,\"all_valid\":%b,\"identical_merges\":%b}}"
-       t_plain_total t_cert_total total_overhead within_2x all_valid all_same);
-  let oc = open_out out_file in
-  output_string oc (Buffer.contents buf);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" out_file;
+  write_json out_file
+    Json.(
+      Obj
+        [
+          ("experiment", String "cert");
+          ("seed", Int seed);
+          ("guided_iterations", Int guided_iterations);
+          ("benches", List (List.map (fun (_, _, _, _, j) -> j) rows));
+          ( "total",
+            Obj
+              [
+                ("plain_time", Float t_plain_total);
+                ("certified_time", Float t_cert_total);
+                ("overhead", Float total_overhead);
+                ("within_2x", Bool within_2x);
+                ("all_valid", Bool all_valid);
+                ("identical_merges", Bool all_same);
+              ] );
+        ]);
   if not (all_same && all_valid) then begin
     Printf.eprintf
       "cert: %s\n"
@@ -797,15 +792,26 @@ let race () =
     (if armed_ok then "ok" else "OVER")
     events (List.length diags)
     (if race_clean then "clean" else "RACES");
-  let oc = open_out "BENCH_RACE.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"race\",\"seed\":%d,\"workers\":%d,\"jobs\":%d,\"reps\":%d,\"baseline_time\":%.6f,\"disarmed_time\":%.6f,\"armed_time\":%.6f,\"disarmed_overhead\":%.4f,\"armed_overhead\":%.4f,\"events\":%d,\"race_diagnostics\":%d,\"disarmed_within_1_05x\":%b,\"armed_within_3x\":%b,\"race_clean\":%b}\n"
-    seed workers
-    (List.length (specs ()))
-    reps baseline disarmed armed disarmed_overhead armed_overhead events
-    (List.length diags) disarmed_ok armed_ok race_clean;
-  close_out oc;
-  Printf.printf "wrote BENCH_RACE.json\n";
+  write_json "BENCH_RACE.json"
+    Json.(
+      Obj
+        [
+          ("experiment", String "race");
+          ("seed", Int seed);
+          ("workers", Int workers);
+          ("jobs", Int (List.length (specs ())));
+          ("reps", Int reps);
+          ("baseline_time", Float baseline);
+          ("disarmed_time", Float disarmed);
+          ("armed_time", Float armed);
+          ("disarmed_overhead", Float disarmed_overhead);
+          ("armed_overhead", Float armed_overhead);
+          ("events", Int events);
+          ("race_diagnostics", Int (List.length diags));
+          ("disarmed_within_1_05x", Bool disarmed_ok);
+          ("armed_within_3x", Bool armed_ok);
+          ("race_clean", Bool race_clean);
+        ]);
   if not (disarmed_ok && armed_ok && race_clean) then begin
     Printf.eprintf "race: %s\n"
       (if not race_clean then "the armed run found data races"
@@ -832,31 +838,15 @@ let solver_audit () =
      subset (min of 3 reps per series)";
   let benches = [ "apex2"; "square" ] and reps = 3 in
   let flow ~audit bench =
-    let opts =
-      {
-        Sweep_options.default with
-        Sweep_options.seed;
-        guided_iterations = 10;
-        solver_audit = audit;
-      }
-    in
-    let net = Suite.stacked_lut_network bench in
-    let t0 = Unix.gettimeofday () in
-    let sw = Sweeper.create opts net in
-    Sweeper.random_round sw;
-    ignore (Sweeper.run_guided opts sw);
-    let s = Sweeper.sat_sweep opts sw in
-    let t = Unix.gettimeofday () -. t0 in
-    let partition = ref [] in
-    N.iter_gates net (fun id ->
-        partition := Sweeper.representative sw id :: !partition);
-    (t, s, List.rev !partition)
+    Runs.run
+      { (opts_with ~iterations:10 ()) with Sweep_options.solver_audit = audit }
+      (Suite.stacked_lut_network bench)
   in
   let series name ~audit =
     let passes =
       List.init reps (fun _ -> List.map (flow ~audit) benches)
     in
-    let time pass = List.fold_left (fun a (t, _, _) -> a +. t) 0.0 pass in
+    let time pass = List.fold_left (fun a r -> a +. r.Runs.time) 0.0 pass in
     let best = List.fold_left (fun acc p -> min acc (time p)) infinity passes in
     Printf.printf "%-10s min %7.3fs  (reps:%s)\n%!" name best
       (String.concat ""
@@ -868,10 +858,12 @@ let solver_audit () =
   let baseline, rows_b = series "baseline" ~audit:false in
   let disarmed, _ = series "disarmed" ~audit:false in
   let sampled, rows_s = series "sampled" ~audit:true in
-  let part (_, _, p) = p in
+  let part r = r.Runs.partition in
   let same = List.map part rows_b = List.map part rows_s in
   let conflicts rows =
-    List.fold_left (fun a (_, s, _) -> a + s.Sweeper.conflicts) 0 rows
+    List.fold_left
+      (fun a r -> a + r.Runs.report.Cec.sat.Sweeper.conflicts)
+      0 rows
   in
   let disarmed_overhead = disarmed /. baseline in
   let sampled_overhead = sampled /. baseline in
@@ -886,15 +878,25 @@ let solver_audit () =
     (if sampled_ok then "ok" else "OVER")
     (conflicts rows_s)
     (if same then "identical" else "DIFFER");
-  let oc = open_out "BENCH_SOLVERSAN.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"solver-audit\",\"seed\":%d,\"reps\":%d,\"benches\":[%s],\"baseline_time\":%.6f,\"disarmed_time\":%.6f,\"sampled_time\":%.6f,\"disarmed_overhead\":%.4f,\"sampled_overhead\":%.4f,\"baseline_conflicts\":%d,\"sampled_conflicts\":%d,\"disarmed_within_1_05x\":%b,\"sampled_within_1_5x\":%b,\"identical_merges\":%b}\n"
-    seed reps
-    (String.concat "," (List.map (Printf.sprintf "\"%s\"") benches))
-    baseline disarmed sampled disarmed_overhead sampled_overhead
-    (conflicts rows_b) (conflicts rows_s) disarmed_ok sampled_ok same;
-  close_out oc;
-  Printf.printf "wrote BENCH_SOLVERSAN.json\n";
+  write_json "BENCH_SOLVERSAN.json"
+    Json.(
+      Obj
+        [
+          ("experiment", String "solver-audit");
+          ("seed", Int seed);
+          ("reps", Int reps);
+          ("benches", List (List.map (fun b -> String b) benches));
+          ("baseline_time", Float baseline);
+          ("disarmed_time", Float disarmed);
+          ("sampled_time", Float sampled);
+          ("disarmed_overhead", Float disarmed_overhead);
+          ("sampled_overhead", Float sampled_overhead);
+          ("baseline_conflicts", Int (conflicts rows_b));
+          ("sampled_conflicts", Int (conflicts rows_s));
+          ("disarmed_within_1_05x", Bool disarmed_ok);
+          ("sampled_within_1_5x", Bool sampled_ok);
+          ("identical_merges", Bool same);
+        ]);
   if not (disarmed_ok && sampled_ok && same) then begin
     Printf.eprintf "solver-audit: %s\n"
       (if not same then
@@ -916,7 +918,8 @@ module Serve_client = Simgen_serve.Client
    concurrency sanitizer armed. Gates: completion without deadlock, queue
    depth bounded by --max-queue, bounded RSS growth, verdict parity with
    a fault-free baseline, tiny-deadline jobs never answered with a normal
-   verdict, zero race diagnostics. *)
+   verdict, zero race diagnostics. [soak_burst] answers the burst's
+   JSON object; its [ok] field is every gate's verdict. *)
 
 let rm_f path = try Sys.remove path with Sys_error _ -> ()
 
@@ -1155,43 +1158,41 @@ let soak_burst ~benches ~workers ~max_queue ~clients =
       "soak burst FAILED (depth ok %b, parity ok %b, deadline ok %b, races \
        clean %b, rss ok %b)\n"
       depth_ok parity_ok !deadline_ok race_clean rss_ok;
-  ( ok,
-    wall,
-    !max_depth,
-    !shed_answers,
-    !dropped_answers,
-    !parity_checked,
-    !parity_bad,
-    !shed,
-    !deadline_expired,
-    List.length diags,
-    rss_growth_kb )
+  Json.(
+    Obj
+      [
+        ("workers", Int workers);
+        ("max_queue", Int max_queue);
+        ("clients", Int clients);
+        ("wall_time", Float wall);
+        ("max_queue_depth", Int !max_depth);
+        ("overloaded_answers", Int !shed_answers);
+        ("dropped_answers", Int !dropped_answers);
+        ("parity_checked", Int !parity_checked);
+        ("parity_bad", Int !parity_bad);
+        ("shed", Int !shed);
+        ("deadline_expired", Int !deadline_expired);
+        ("race_diagnostics", Int (List.length diags));
+        ( "rss_growth_kb",
+          match rss_growth_kb with Some kb -> Int kb | None -> Null );
+        ("ok", Bool ok);
+      ])
 
 let soak_run ~burst_benches ~clients title =
   header title;
-  let workers = 2 and max_queue = 4 in
-  let ( ok,
-        wall,
-        max_depth,
-        shed_answers,
-        dropped,
-        parity_checked,
-        parity_bad,
-        shed,
-        deadline_expired,
-        races,
-        rss_growth_kb ) =
-    soak_burst ~benches:burst_benches ~workers ~max_queue ~clients
+  let burst =
+    soak_burst ~benches:burst_benches ~workers:2 ~max_queue:4 ~clients
   in
-  let oc = open_out "BENCH_SOAK.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"soak\",\"seed\":%d,\"burst\":{\"workers\":%d,\"max_queue\":%d,\"clients\":%d,\"wall_time\":%.3f,\"max_queue_depth\":%d,\"overloaded_answers\":%d,\"dropped_answers\":%d,\"parity_checked\":%d,\"parity_bad\":%d,\"shed\":%d,\"deadline_expired\":%d,\"race_diagnostics\":%d,\"rss_growth_kb\":%s,\"ok\":%b},\"ok\":%b}\n"
-    seed workers max_queue clients wall max_depth shed_answers dropped
-    parity_checked parity_bad shed deadline_expired races
-    (match rss_growth_kb with Some kb -> string_of_int kb | None -> "null")
-    ok ok;
-  close_out oc;
-  Printf.printf "wrote BENCH_SOAK.json\n";
+  let ok = Json.member "ok" burst = Some (Json.Bool true) in
+  write_json "BENCH_SOAK.json"
+    Json.(
+      Obj
+        [
+          ("experiment", String "soak");
+          ("seed", Int seed);
+          ("burst", burst);
+          ("ok", Bool ok);
+        ]);
   if not ok then exit 1
 
 let soak () =

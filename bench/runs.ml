@@ -1,71 +1,54 @@
 (* Shared experiment machinery for the benchmark harness.
 
-   One [run] executes the paper's §6.1 protocol on one LUT network under
-   one strategy: one round (64 vectors) of random simulation, 20 guided
-   iterations, then SAT sweeping; every metric of Tables 1-2 and
-   Figures 5-7 is read off the result. *)
+   [run] executes the paper's §6.1 protocol on one LUT network: the
+   sweeper's options set the strategy, rounds and SAT route, and the flow
+   is the library's one sweep, [Cec.run] with no PO pairs — random
+   rounds, guided rounds, then SAT sweeping. Every metric of Tables 1-2
+   and Figures 5-7 is read off the result. *)
 
 module Suite = Simgen_benchgen.Suite
 module Sweeper = Simgen_sweep.Sweeper
-module Strategy = Simgen_core.Strategy
+module Sweep_options = Simgen_sweep.Sweep_options
+module Cec = Simgen_sweep.Cec
+module Certificate = Simgen_check.Certificate
 module N = Simgen_network.Network
 
 type result = {
-  bench : string;
-  strategy : Strategy.t;
-  cost0 : int;  (* after random simulation *)
-  cost : int;  (* after guided simulation *)
-  sim_time : float;  (* guided generation + simulation wall time *)
-  vectors : int;
-  skipped : int;
-  gen_conflicts : int;
-  implications : int;
-  decisions : int;
-  sat_calls : int;
-  sat_time : float;
-  sat_proved : int;
-  sat_disproved : int;
+  report : Cec.report;
+  cost0 : int;  (* after the random rounds *)
+  cost : int;  (* after the last guided round *)
+  partition : int array;  (* each node's representative, by id *)
+  cert : Certificate.report option;
+      (* a certifying run's certificate, independently re-checked *)
+  time : float;  (* wall time of the whole flow, certificate check included *)
 }
 
-let random_rounds = 1
-let guided_iterations = 20
-
-let run ?(seed = 7) ?(with_sat = true) ~bench net strategy =
-  let opts =
-    {
-      Simgen_sweep.Sweep_options.default with
-      Simgen_sweep.Sweep_options.seed;
-      strategy;
-      guided_iterations;
-    }
-  in
+(* One flow under [opts]. A flow that stops before SAT sets
+   [max_sat_calls = Some 0]: the sweep then poses no query, and the
+   final cost is the guided one. *)
+let run (opts : Sweep_options.t) net =
+  let t0 = Unix.gettimeofday () in
   let sw = Sweeper.create opts net in
-  for _ = 1 to random_rounds do
-    Sweeper.random_round sw
-  done;
-  let cost0 = Sweeper.cost sw in
-  let g = Sweeper.run_guided opts sw in
-  let cost = Sweeper.cost sw in
-  let s =
-    if with_sat then Sweeper.sat_sweep opts sw
-    else Sweeper.empty_sat
+  let cost0 = ref (Sweeper.cost sw) in
+  let cost = ref !cost0 in
+  let observe = function
+    | Sweep_options.Random_round _ ->
+        cost0 := Sweeper.cost sw;
+        cost := !cost0
+    | Sweep_options.Guided_round _ -> cost := Sweeper.cost sw
+    | Sweep_options.Sat_sweep _ | Sweep_options.Po_query _
+    | Sweep_options.Counterexample _ ->
+        ()
   in
-  {
-    bench;
-    strategy;
-    cost0;
-    cost;
-    sim_time = g.Sweeper.guided_time;
-    vectors = g.Sweeper.vectors;
-    skipped = g.Sweeper.skipped;
-    gen_conflicts = g.Sweeper.gen_conflicts;
-    implications = g.Sweeper.implications;
-    decisions = g.Sweeper.decisions;
-    sat_calls = s.Sweeper.calls;
-    sat_time = s.Sweeper.sat_time;
-    sat_proved = s.Sweeper.proved;
-    sat_disproved = s.Sweeper.disproved;
-  }
+  let report = Cec.run { opts with Sweep_options.observe } sw [||] [||] in
+  let cert =
+    if opts.Sweep_options.certify then
+      Some (Certificate.check (Sweeper.certificate sw))
+    else None
+  in
+  let time = Unix.gettimeofday () -. t0 in
+  let partition = Array.init (N.num_nodes net) (Sweeper.representative sw) in
+  { report; cost0 = !cost0; cost = !cost; partition; cert; time }
 
 (* Normalisation against the RevS baseline, guarding tiny denominators. *)
 let ratio value baseline =

@@ -679,7 +679,10 @@ let batch_cmd =
           per-job budgets, retry supervision, JSONL telemetry and a shared \
           pattern cache. Exit codes: 0 all decided, 1 any job failed, 3 \
           inconclusive/quarantined results, 130 interrupted (SIGINT \
-          drains running jobs and flushes telemetry first).")
+          drains running jobs and flushes telemetry first). Verdicts \
+          appear in the table and the telemetry, not in the exit code: a \
+          not-equivalent job is decided, so it exits 0, where cec and \
+          submit exit 1.")
     Term.(
       const run $ manifest $ workers $ telemetry $ no_cache $ cache_capacity
       $ max_conflicts_arg $ retry_arg $ batch_certify $ solver_audit_arg

@@ -5,12 +5,15 @@
    of random simulation followed by 20 guided iterations under each of
    the five strategies of Table 1, then finishes each run with SAT
    sweeping and prints the resulting cost, runtime and SAT statistics.
+   The flow is [Cec.run] with no PO pairs: the one behind [cec], minus
+   the output miters.
 
    Run with: dune exec examples/sweeping_strategies.exe [-- <benchmark>] *)
 
 module Suite = Simgen_benchgen.Suite
 module Sweeper = Simgen_sweep.Sweeper
 module Sweep_options = Simgen_sweep.Sweep_options
+module Cec = Simgen_sweep.Cec
 module Strategy = Simgen_core.Strategy
 module N = Simgen_network.Network
 
@@ -35,14 +38,23 @@ let () =
           guided_iterations = 20
         }
       in
+      (* The library's sweep flow, with an observer that reads the cost
+         after the random round and after each guided round. *)
       let sw = Sweeper.create opts net in
-      Sweeper.random_round sw;
-      let cost0 = Sweeper.cost sw in
-      let g = Sweeper.run_guided opts sw in
-      let cost1 = Sweeper.cost sw in
-      let s = Sweeper.sat_sweep opts sw in
+      let cost0 = ref 0 and cost1 = ref 0 in
+      let observe = function
+        | Sweep_options.Random_round _ ->
+            cost0 := Sweeper.cost sw;
+            cost1 := !cost0
+        | Sweep_options.Guided_round _ -> cost1 := Sweeper.cost sw
+        | Sweep_options.Sat_sweep _ | Sweep_options.Po_query _
+        | Sweep_options.Counterexample _ ->
+            ()
+      in
+      let r = Cec.run { opts with Sweep_options.observe } sw [||] [||] in
+      let g = r.Cec.guided and s = r.Cec.sat in
       Printf.printf "%-11s %8d %8d %9d %9d %8.3fs %10d %8.3fs\n"
-        (Strategy.name strategy) cost0 cost1 g.Sweeper.vectors
+        (Strategy.name strategy) !cost0 !cost1 g.Sweeper.vectors
         g.Sweeper.gen_conflicts g.Sweeper.guided_time s.Sweeper.calls
         s.Sweeper.sat_time)
     Strategy.all;

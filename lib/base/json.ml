@@ -1,8 +1,8 @@
-(* Hand-rolled JSON values, printer and parser: the container has no
-   JSON library, and the repo's JSON surface (telemetry events,
-   diagnostics, the daemon protocol) is small. Every JSON line the repo
-   writes goes through [to_string], so they share one set of string
-   escapes and one float format (%.6f). *)
+(* JSON values, printer and parser. Every JSON line the repo writes
+   (telemetry events, diagnostics, the daemon protocol, certificates,
+   the bench's result files) goes through [to_string], so they share one
+   set of string escapes and one float format (%.6f), and print
+   compactly: no spaces between tokens. *)
 
 type t =
   | Null

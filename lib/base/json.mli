@@ -1,8 +1,9 @@
 (** JSON values with a printer and a parser.
 
     One printer for every JSON line the repo writes (runner telemetry,
-    diagnostics, the daemon protocol): strings escape quote, backslash
-    and control characters, floats print as [%.6f]. The parser covers
+    diagnostics, the daemon protocol, sweep certificates, the bench's
+    [BENCH_*.json] files): compact, strings escape quote, backslash and
+    control characters, floats print as [%.6f]. The parser covers
     the full value grammar; [\u] escapes outside ASCII decode as ['?']. *)
 
 type t =

@@ -1,6 +1,7 @@
 module Literal = Simgen_sat.Literal
 module Solver = Simgen_sat.Solver
 module Drup = Simgen_sat.Drup
+module Json = Simgen_base.Json
 
 type query =
   | Session of {
@@ -493,93 +494,95 @@ let check (t : t) =
     diags;
   }
 
-(* JSONL rendering: hand-rolled like the runner's telemetry (the repo
-   deliberately carries no JSON dependency). Literals use the DIMACS
+(* JSONL rendering, one [Json.t] per line. Literals use the DIMACS
    convention so external tooling can consume the proofs directly. *)
 let to_jsonl (t : t) report =
+  let lits l =
+    Json.List (List.map (fun l -> Json.Int (Literal.to_dimacs l)) l)
+  in
+  let clauses cs = Json.List (List.map lits cs) in
+  let events es =
+    Json.List
+      (List.map
+         (function
+           | Solver.Learn c -> Json.Obj [ ("l", lits (Array.to_list c)) ]
+           | Solver.Delete c -> Json.Obj [ ("d", lits (Array.to_list c)) ])
+         es)
+  in
+  let query i q =
+    let head kind =
+      [
+        ("type", Json.String "query");
+        ("index", Json.Int i);
+        ("kind", Json.String kind);
+      ]
+    in
+    match q with
+    | Rebuild -> Json.Obj (head "rebuild")
+    | Session { a; b; act; va; vb; equal; clauses = cs; events = es } ->
+        Json.Obj
+          (head "session"
+          @ [
+              ("a", Json.Int a);
+              ("b", Json.Int b);
+              ("act", Json.Int act);
+              ("va", Json.Int va);
+              ("vb", Json.Int vb);
+              ("equal", Json.Bool equal);
+              ("clauses", clauses cs);
+              ("events", events es);
+            ])
+    | Fresh { a; b; clauses = cs; events = es } ->
+        Json.Obj
+          (head "fresh"
+          @ [
+              ("a", Json.Int a);
+              ("b", Json.Int b);
+              ("clauses", clauses cs);
+              ("events", events es);
+            ])
+  in
+  let header =
+    Json.Obj
+      [
+        ("type", Json.String "certificate");
+        ("schema_version", Json.Int Diagnostic.schema_version);
+        ("nodes", Json.Int t.num_nodes);
+        ("queries", Json.Int (Array.length t.queries));
+        ("merges", Json.Int (List.length t.merges));
+      ]
+  in
+  let merge { repr; node; proof } =
+    Json.Obj
+      [
+        ("type", Json.String "merge");
+        ("repr", Json.Int repr);
+        ("node", Json.Int node);
+        ("proof", Json.Int proof);
+      ]
+  in
+  let report_line r =
+    let errors, _, _ = Diagnostic.counts r.diags in
+    Json.Obj
+      [
+        ("type", Json.String "report");
+        ("valid", Json.Bool r.valid);
+        ("queries", Json.Int r.queries);
+        ("proved", Json.Int r.proved);
+        ("merges", Json.Int r.merges);
+        ("steps", Json.Int r.steps);
+        ("steps_checked", Json.Int r.steps_checked);
+        ("steps_trimmed", Json.Int r.steps_trimmed);
+        ("errors", Json.Int errors);
+      ]
+  in
   let buf = Buffer.create 4096 in
-  let add_lits lits =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i l ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int (Literal.to_dimacs l)))
-      lits;
-    Buffer.add_char buf ']'
+  let line v =
+    Buffer.add_string buf (Json.to_string v);
+    Buffer.add_char buf '\n'
   in
-  let add_clauses clauses =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i c ->
-        if i > 0 then Buffer.add_char buf ',';
-        add_lits c)
-      clauses;
-    Buffer.add_char buf ']'
-  in
-  let add_events events =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i e ->
-        if i > 0 then Buffer.add_char buf ',';
-        let tag, lits =
-          match e with
-          | Solver.Learn c -> ("l", c)
-          | Solver.Delete c -> ("d", c)
-        in
-        Buffer.add_string buf (Printf.sprintf {|{"%s":|} tag);
-        add_lits (Array.to_list lits);
-        Buffer.add_char buf '}')
-      events;
-    Buffer.add_char buf ']'
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"type":"certificate","schema_version":%d,"nodes":%d,"queries":%d,"merges":%d}|}
-       Diagnostic.schema_version t.num_nodes (Array.length t.queries)
-       (List.length t.merges));
-  Buffer.add_char buf '\n';
-  Array.iteri
-    (fun i q ->
-      (match q with
-      | Rebuild ->
-          Buffer.add_string buf
-            (Printf.sprintf {|{"type":"query","index":%d,"kind":"rebuild"}|} i)
-      | Session { a; b; act; va; vb; equal; clauses; events } ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               {|{"type":"query","index":%d,"kind":"session","a":%d,"b":%d,"act":%d,"va":%d,"vb":%d,"equal":%b,"clauses":|}
-               i a b act va vb equal);
-          add_clauses clauses;
-          Buffer.add_string buf {|,"events":|};
-          add_events events;
-          Buffer.add_char buf '}'
-      | Fresh { a; b; clauses; events } ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               {|{"type":"query","index":%d,"kind":"fresh","a":%d,"b":%d,"clauses":|}
-               i a b);
-          add_clauses clauses;
-          Buffer.add_string buf {|,"events":|};
-          add_events events;
-          Buffer.add_char buf '}');
-      Buffer.add_char buf '\n')
-    t.queries;
-  List.iter
-    (fun { repr; node; proof } ->
-      Buffer.add_string buf
-        (Printf.sprintf {|{"type":"merge","repr":%d,"node":%d,"proof":%d}|}
-           repr node proof);
-      Buffer.add_char buf '\n')
-    t.merges;
-  (match report with
-  | None -> ()
-  | Some r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           {|{"type":"report","valid":%b,"queries":%d,"proved":%d,"merges":%d,"steps":%d,"steps_checked":%d,"steps_trimmed":%d,"errors":%d}|}
-           r.valid r.queries r.proved r.merges r.steps r.steps_checked
-           r.steps_trimmed
-           (let e, _, _ = Diagnostic.counts r.diags in
-            e));
-      Buffer.add_char buf '\n');
+  line header;
+  Array.iteri (fun i q -> line (query i q)) t.queries;
+  List.iter (fun m -> line (merge m)) t.merges;
+  Option.iter (fun r -> line (report_line r)) report;
   Buffer.contents buf

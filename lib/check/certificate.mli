@@ -88,5 +88,5 @@ val check : t -> report
 
 val to_jsonl : t -> report option -> string
 (** Render the certificate (and optionally its check report) as JSONL:
-    one [meta] line, one line per query (literals in DIMACS convention),
+    one [certificate] header line, one line per query (literals in DIMACS convention),
     one line per merge, and a trailing [report] line when given. *)

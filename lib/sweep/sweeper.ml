@@ -252,6 +252,20 @@ let sum_guided a d =
 
 let add_guided t d = t.g_stats <- sum_guided t.g_stats d
 
+let sum_sat a d =
+  {
+    calls = a.calls + d.calls;
+    proved = a.proved + d.proved;
+    disproved = a.disproved + d.disproved;
+    conflicts = a.conflicts + d.conflicts;
+    propagations = a.propagations + d.propagations;
+    watch_visits = a.watch_visits + d.watch_visits;
+    clause_reads = a.clause_reads + d.clause_reads;
+    restarts = a.restarts + d.restarts;
+    deleted = a.deleted + d.deleted;
+    sat_time = a.sat_time +. d.sat_time;
+  }
+
 let class_outgold t cls =
   Core.Outgold.assign ~strategy:t.outgold ~rng:t.rng ~levels:t.levels cls
 
@@ -270,24 +284,24 @@ let note_failure t cls =
   Hashtbl.replace t.gen_failures key (n + 1)
 
 (* One guided iteration builds one word-sized batch of patterns: classes
-   are visited largest-first, each is handed to the pattern generator, and
-   every useful vector (one realizing opposite OUTgold values on at least
-   a pair of targets) claims a bit lane of the 64-bit simulation word.
-   Classes whose generation fails are skipped, as per §3. The batch is
-   simulated in one word-parallel pass, mirroring the word-based
-   simulation rounds of ABC-style sweeping. *)
-let guided_round_config t config =
-  let engine, decision = engine_for t config in
+   are visited largest-first, each is handed to [generate], and every
+   vector it returns claims a bit lane of the 64-bit simulation word.
+   Classes whose generation fails are skipped, as per §3, and counted
+   toward giving up on them. The batch is simulated in one word-parallel
+   pass, mirroring the word-based simulation rounds of ABC-style
+   sweeping. [generate outgold] answers the class's vector, if any, and
+   the generator's own counters. The class's OUTgold is drawn from the
+   sweeper's RNG before [generate] runs: test/golden/guided_costs.txt
+   pins that draw order. *)
+let guided_batch t generate =
   let t0 = Timer.now () in
   let ordered =
     List.sort
       (fun a b -> compare (List.length b) (List.length a))
       (Eq.classes t.eq)
   in
-  let skipped = ref 0 in
-  let conflicts = ref 0 and implications = ref 0 and decisions_n = ref 0 in
-  let vectors = ref [] in
-  let nvec = ref 0 in
+  let counts = ref empty_guided and skipped = ref 0 in
+  let vectors = ref [] and nvec = ref 0 in
   let rec fill = function
     | [] -> ()
     | _ when !nvec >= batch_lanes -> ()
@@ -296,46 +310,52 @@ let guided_round_config t config =
         fill rest
     | cls :: rest ->
         let outgold = class_outgold t cls in
-        let report =
-          Core.Vector_gen.generate_with engine decision ~rng:t.rng
-            ~levels:t.levels outgold
-        in
-        conflicts := !conflicts + report.Core.Vector_gen.conflicts;
-        implications := !implications + report.Core.Vector_gen.implications;
-        decisions_n := !decisions_n + report.Core.Vector_gen.decisions;
-        (* The gen-giveup fault discards a useful vector: the class takes a
-           generation failure exactly as if the generator came up empty,
-           and the SAT sweep resolves it later. *)
-        let useful =
-          report.Core.Vector_gen.useful
-          && not (Fault.enabled () && Fault.fire "gen-giveup")
-        in
-        if useful then begin
-          vectors := report.Core.Vector_gen.vector :: !vectors;
-          incr nvec
-        end
-        else begin
-          note_failure t cls;
-          incr skipped
-        end;
+        let vector, c = generate outgold in
+        counts := sum_guided !counts c;
+        (match vector with
+         | Some vec ->
+             vectors := vec :: !vectors;
+             incr nvec
+         | None ->
+             note_failure t cls;
+             incr skipped);
         fill rest
   in
   fill ordered;
   apply_vectors t !vectors;
   let d =
     {
+      !counts with
       iterations = 1;
       vectors = !nvec;
       skipped = !skipped;
-      gen_conflicts = !conflicts;
-      implications = !implications;
-      decisions = !decisions_n;
-      gen_sat_calls = 0;
       guided_time = Timer.now () -. t0;
     }
   in
   add_guided t d;
   d
+
+let guided_round_config t config =
+  let engine, decision = engine_for t config in
+  guided_batch t (fun outgold ->
+      let report =
+        Core.Vector_gen.generate_with engine decision ~rng:t.rng
+          ~levels:t.levels outgold
+      in
+      (* The gen-giveup fault discards a useful vector: the class takes a
+         generation failure exactly as if the generator came up empty,
+         and the SAT sweep resolves it later. *)
+      let useful =
+        report.Core.Vector_gen.useful
+        && not (Fault.enabled () && Fault.fire "gen-giveup")
+      in
+      ( (if useful then Some report.Core.Vector_gen.vector else None),
+        {
+          empty_guided with
+          gen_conflicts = report.Core.Vector_gen.conflicts;
+          implications = report.Core.Vector_gen.implications;
+          decisions = report.Core.Vector_gen.decisions;
+        } ))
 
 let guided_round t strategy =
   guided_round_config t (Core.Strategy.config strategy)
@@ -356,49 +376,14 @@ let run_rounds (opts : Sweep_options.t) round =
   !acc
 
 (* The SAT-based vector generation baseline (Lee et al. / Amaru et al.,
-   paper section 2.3): identical batching to [guided_round_config], but the
-   vectors come from SAT models over the class cones. *)
+   paper section 2.3): the same batches as [guided_round_config], but the
+   vectors come from SAT models over the class cones, one solver call per
+   visited class. *)
+let one_sat_call = { empty_guided with gen_sat_calls = 1 }
+
 let sat_guided_round t =
-  let t0 = Timer.now () in
-  let ordered =
-    List.sort
-      (fun a b -> compare (List.length b) (List.length a))
-      (Eq.classes t.eq)
-  in
-  let skipped = ref 0 and calls = ref 0 in
-  let vectors = ref [] and nvec = ref 0 in
-  let rec fill = function
-    | [] -> ()
-    | _ when !nvec >= batch_lanes -> ()
-    | cls :: rest when given_up t cls ->
-        incr skipped;
-        fill rest
-    | cls :: rest ->
-        let outgold = class_outgold t cls in
-        incr calls;
-        (match Sat_vectors.generate_pairwise_in t.session outgold with
-         | Some vec ->
-             vectors := vec :: !vectors;
-             incr nvec
-         | None ->
-             note_failure t cls;
-             incr skipped);
-        fill rest
-  in
-  fill ordered;
-  apply_vectors t !vectors;
-  let d =
-    {
-      empty_guided with
-      iterations = 1;
-      vectors = !nvec;
-      skipped = !skipped;
-      gen_sat_calls = !calls;
-      guided_time = Timer.now () -. t0;
-    }
-  in
-  add_guided t d;
-  d
+  guided_batch t (fun outgold ->
+      (Sat_vectors.generate_pairwise_in t.session outgold, one_sat_call))
 
 let run_sat_guided opts t = run_rounds opts (fun () -> sat_guided_round t)
 
@@ -649,9 +634,7 @@ let sat_sweep (opts : Sweep_options.t) t =
   let one_distance = opts.Sweep_options.one_distance in
   let should_stop = opts.Sweep_options.should_stop in
   let calls = ref 0 and proved = ref 0 and disproved = ref 0 in
-  let conflicts = ref 0 and propagations = ref 0 and restarts = ref 0 in
-  let watch_visits = ref 0 and clause_reads = ref 0 in
-  let deleted = ref 0 in
+  let solver = ref Solver.zero_stats in
   let t0 = Timer.now () in
   (* One candidate query through {!verify_pair}: the configured route
      (incremental session by default, fresh solver or certified DRUP
@@ -659,12 +642,7 @@ let sat_sweep (opts : Sweep_options.t) t =
      accumulate on every route. *)
   let check a b =
     let verdict, st = verify_pair opts t a b in
-    conflicts := !conflicts + st.Solver.conflicts;
-    propagations := !propagations + st.Solver.propagations;
-    watch_visits := !watch_visits + st.Solver.watch_visits;
-    clause_reads := !clause_reads + st.Solver.clause_reads;
-    restarts := !restarts + st.Solver.restarts;
-    deleted := !deleted + st.Solver.deleted + st.Solver.removed;
+    solver := Solver.add_stats !solver st;
     verdict
   in
   let budget_left () =
@@ -756,33 +734,22 @@ let sat_sweep (opts : Sweep_options.t) t =
           loop ()
   in
   loop ();
+  let st = !solver in
   let d =
     {
       calls = !calls;
       proved = !proved;
       disproved = !disproved;
-      conflicts = !conflicts;
-      propagations = !propagations;
-      watch_visits = !watch_visits;
-      clause_reads = !clause_reads;
-      restarts = !restarts;
-      deleted = !deleted;
+      conflicts = st.Solver.conflicts;
+      propagations = st.Solver.propagations;
+      watch_visits = st.Solver.watch_visits;
+      clause_reads = st.Solver.clause_reads;
+      restarts = st.Solver.restarts;
+      deleted = st.Solver.deleted + st.Solver.removed;
       sat_time = Timer.now () -. t0;
     }
   in
-  t.s_stats <-
-    {
-      calls = t.s_stats.calls + d.calls;
-      proved = t.s_stats.proved + d.proved;
-      disproved = t.s_stats.disproved + d.disproved;
-      conflicts = t.s_stats.conflicts + d.conflicts;
-      propagations = t.s_stats.propagations + d.propagations;
-      watch_visits = t.s_stats.watch_visits + d.watch_visits;
-      clause_reads = t.s_stats.clause_reads + d.clause_reads;
-      restarts = t.s_stats.restarts + d.restarts;
-      deleted = t.s_stats.deleted + d.deleted;
-      sat_time = t.s_stats.sat_time +. d.sat_time;
-    };
+  t.s_stats <- sum_sat t.s_stats d;
   opts.Sweep_options.observe (Sweep_options.Sat_sweep d);
   d
 

@@ -264,31 +264,63 @@ let test_trim () =
   Alcotest.(check bool) "trim accounting" true
     (!trims >= 0 && report.Cert.steps_checked <= report.Cert.steps)
 
-(* JSONL rendering round-trips the basic shape (line count and the
-   trailing report line). *)
+(* JSONL rendering: every line parses, and the header, query, merge and
+   report lines carry exactly the certificate's contents, in order. *)
 let test_jsonl () =
+  let module Json = Simgen_base.Json in
   let cert = cert_of_sweep () in
   let report = Cert.check cert in
   let out = Cert.to_jsonl cert (Some report) in
   let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' out)
+    List.filter_map
+      (fun l ->
+        if l = "" then None
+        else
+          match Json.parse l with
+          | Ok v -> Some v
+          | Error e -> Alcotest.failf "line does not parse (%s): %s" e l)
+      (String.split_on_char '\n' out)
   in
-  Alcotest.(check int) "line count"
-    (1 + Array.length cert.Cert.queries + List.length cert.Cert.merges + 1)
-    (List.length lines);
-  let last = List.nth lines (List.length lines - 1) in
-  Alcotest.(check bool) "report line" true
-    (String.length last > 16 && String.sub last 0 16 = {|{"type":"report"|});
+  let nq = Array.length cert.Cert.queries
+  and nm = List.length cert.Cert.merges in
+  Alcotest.(check int) "line count" (1 + nq + nm + 1) (List.length lines);
+  let int name v =
+    match Json.int_member name v with
+    | Some i -> i
+    | None -> Alcotest.failf "missing int %S in %s" name (Json.to_string v)
+  and str name v =
+    Option.value ~default:"<missing>" (Json.string_member name v)
+  in
+  let lines = Array.of_list lines in
+  let header = lines.(0) in
+  Alcotest.(check string) "header type" "certificate" (str "type" header);
+  Alcotest.(check int) "header nodes" cert.Cert.num_nodes (int "nodes" header);
+  Alcotest.(check int) "header queries" nq (int "queries" header);
+  Alcotest.(check int) "header merges" nm (int "merges" header);
+  Array.iteri
+    (fun i q ->
+      let v = lines.(1 + i) in
+      Alcotest.(check string) "query type" "query" (str "type" v);
+      Alcotest.(check int) "query index" i (int "index" v);
+      Alcotest.(check string) "query kind"
+        (match q with
+         | Cert.Rebuild -> "rebuild"
+         | Cert.Session _ -> "session"
+         | Cert.Fresh _ -> "fresh")
+        (str "kind" v))
+    cert.Cert.queries;
+  List.iteri
+    (fun i (m : Cert.merge) ->
+      let v = lines.(1 + nq + i) in
+      Alcotest.(check string) "merge type" "merge" (str "type" v);
+      Alcotest.(check int) "merge repr" m.Cert.repr (int "repr" v);
+      Alcotest.(check int) "merge node" m.Cert.node (int "node" v);
+      Alcotest.(check int) "merge proof" m.Cert.proof (int "proof" v))
+    cert.Cert.merges;
+  let last = lines.(1 + nq + nm) in
+  Alcotest.(check string) "report type" "report" (str "type" last);
   Alcotest.(check bool) "valid in report" true
-    (report.Cert.valid
-    && String.length last > 0
-    &&
-    let contains s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
-    contains last {|"valid":true|})
+    (report.Cert.valid && Json.member "valid" last = Some (Json.Bool true))
 
 (* A certify batch job emits a certificate telemetry phase and stays
    successful; its event reports a valid replay. *)

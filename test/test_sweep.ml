@@ -749,6 +749,35 @@ let test_cec_report_history () =
        (List.length report.Cec.cost_history - 1))
     report.Cec.final_cost
 
+(* A flow capped at zero SAT calls with no PO pairs stops after the
+   guided rounds: no query is posed, and the final cost is the one the
+   last guided round left. *)
+let test_cec_run_without_sat () =
+  let net, _, _, _, _, _, _ = candidates_net () in
+  let base = { (opts 3) with Sweep_options.max_sat_calls = Some 0 } in
+  let sw = Sweeper.create base net in
+  let guided_cost = ref (-1) and rounds = ref 0 in
+  let observe : Sweep_options.observation -> unit = function
+    | Sweep_options.Guided_round _ ->
+        incr rounds;
+        guided_cost := Sweeper.cost sw
+    | Sweep_options.Random_round _ | Sweep_options.Sat_sweep _
+    | Sweep_options.Po_query _ | Sweep_options.Counterexample _ ->
+        ()
+  in
+  let report = Cec.run { base with Sweep_options.observe } sw [||] [||] in
+  Alcotest.(check int) "every guided round observed"
+    base.Sweep_options.guided_iterations !rounds;
+  Alcotest.(check int) "no SAT query" 0 report.Cec.sat.Sweeper.calls;
+  Alcotest.(check int) "no PO query" 0 report.Cec.po_calls;
+  Alcotest.(check bool) "not stopped" false report.Cec.stopped;
+  Alcotest.(check bool) "a plain sweep is Equivalent" true
+    (report.Cec.outcome = Cec.Equivalent);
+  Alcotest.(check int) "final cost is the guided cost" !guided_cost
+    report.Cec.final_cost;
+  Alcotest.(check bool) "the equivalent pairs are left for SAT" true
+    (report.Cec.final_cost > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Incremental SAT sessions                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1131,5 +1160,6 @@ let () =
           Alcotest.test_case "near-miss mutation" `Quick test_cec_near_miss_mutation;
           Alcotest.test_case "join" `Quick test_cec_join;
           Alcotest.test_case "report history" `Quick test_cec_report_history;
+          Alcotest.test_case "run without SAT" `Quick test_cec_run_without_sat;
         ] );
     ]
