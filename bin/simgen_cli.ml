@@ -369,10 +369,7 @@ let cec_cmd =
       | Some None -> Printf.printf "EQUIVALENT (BDD)\n"
       | Some (Some (po, vector)) ->
           Printf.printf "NOT EQUIVALENT at PO %d (BDD)\nwitness: %s\n" po
-            (String.concat ""
-               (List.map
-                  (fun b -> if b then "1" else "0")
-                  (Array.to_list vector)));
+            (Serve.Server.vector_string vector);
           exit 1
       | None ->
           Printf.eprintf "BDD node quota exceeded; rerun without --bdd\n";
@@ -407,10 +404,6 @@ let cec_cmd =
               ())
     in
     let r = Runner.Exec.run ~events ~worker:0 spec in
-    let witness vector =
-      String.concat ""
-        (List.map (fun b -> if b then "1" else "0") (Array.to_list vector))
-    in
     let code =
       match r.Runner.Job.status with
       | Runner.Job.Equivalent ->
@@ -418,7 +411,7 @@ let cec_cmd =
           0
       | Runner.Job.Not_equivalent { po; vector } ->
           Printf.printf "NOT EQUIVALENT at PO %d\nwitness: %s\n" po
-            (witness vector);
+            (Serve.Server.vector_string vector);
           1
       | Runner.Job.Inconclusive { pos } ->
           Printf.printf
@@ -899,6 +892,40 @@ let atpg_cmd =
           activation, then SAT.")
     Term.(const run $ circuit_arg 0 "Circuit file or benchmark name." $ seed_arg)
 
+(* ------------------------------------------------------------------ *)
+(* Diagnostics commands: lint, race-check, proof-lint                  *)
+(* ------------------------------------------------------------------ *)
+
+let json_arg =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:"Emit one JSON object per diagnostic (JSONL) instead of text.")
+
+let diagnostics_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "o"; "output" ] ~docv:"FILE"
+        ~doc:"Write diagnostics to $(docv) instead of stdout.")
+
+(* Render [diags] to [output] (stdout by default); the count line goes to
+   stderr unless stdout carries the JSONL stream. *)
+let write_diagnostics name ~json output diags =
+  let render fmt =
+    Check.Diagnostic.render ~json fmt diags;
+    Format.pp_print_flush fmt ()
+  in
+  (match output with
+   | Some path ->
+       Out_channel.with_open_text path (fun oc ->
+           render (Format.formatter_of_out_channel oc))
+   | None -> render Format.std_formatter);
+  let errors, warnings, infos = Check.Diagnostic.counts diags in
+  if output <> None || not json then
+    Printf.eprintf "%s: %d error(s), %d warning(s), %d info(s)\n" name errors
+      warnings infos
+
 let lint_cmd =
   let run targets json suites tseitin semantic sem_budget =
     (* Each target is a file (routed by extension), or a suite benchmark
@@ -968,12 +995,6 @@ let lint_cmd =
             "Circuit or CNF file (.blif, .bench, .aag, .cnf, .dimacs) or \
              suite benchmark name.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one JSON object per diagnostic (JSONL) instead of text.")
-  in
   let suites =
     Arg.(
       value & flag
@@ -1012,7 +1033,9 @@ let lint_cmd =
        ~doc:
          "Run the static network/AIG/CNF checks; exit 0 on clean or \
           info-only, 1 on warnings, 2 on errors.")
-    Term.(const run $ targets $ json $ suites $ tseitin $ semantic $ sem_budget)
+    Term.(
+      const run $ targets $ json_arg $ suites $ tseitin $ semantic
+      $ sem_budget)
 
 let race_check_cmd =
   let run trace json output =
@@ -1021,20 +1044,7 @@ let race_check_cmd =
         Printf.eprintf "race-check: %s\n" msg;
         exit 2
     | Ok diags ->
-        let fmt, close =
-          match output with
-          | Some path ->
-              let oc = open_out path in
-              (Format.formatter_of_out_channel oc, fun () -> close_out oc)
-          | None -> (Format.std_formatter, fun () -> ())
-        in
-        Check.Diagnostic.render ~json fmt diags;
-        Format.pp_print_flush fmt ();
-        close ();
-        let errors, warnings, infos = Check.Diagnostic.counts diags in
-        if output <> None || not json then
-          Printf.eprintf "race-check: %d error(s), %d warning(s), %d info(s)\n"
-            errors warnings infos;
+        write_diagnostics "race-check" ~json output diags;
         exit (Check.Race_check.exit_code diags)
   in
   let trace =
@@ -1048,19 +1058,6 @@ let race_check_cmd =
             "Event trace recorded by a $(b,--tsan) run (header \
              simgen-tsan 1).")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one JSON object per diagnostic (JSONL) instead of text.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write diagnostics to $(docv) instead of stdout.")
-  in
   Cmd.v
     (Cmd.info "race-check"
        ~doc:
@@ -1069,7 +1066,7 @@ let race_check_cmd =
           trace lines degrade to located P001 warnings). Exit 0 clean or \
           info-only, 1 on any race or parse finding, 2 on usage or an \
           unreadable trace.")
-    Term.(const run $ trace $ json $ output)
+    Term.(const run $ trace $ json_arg $ diagnostics_out_arg)
 
 let proof_lint_cmd =
   let run file formula expect_unsat json output =
@@ -1102,20 +1099,7 @@ let proof_lint_cmd =
           [ Check.Diagnostic.error ~loc:(Check.Diagnostic.Src loc) "P001"
               "parse error: %s" msg ]
     in
-    let fmt, close =
-      match output with
-      | Some path ->
-          let oc = open_out path in
-          (Format.formatter_of_out_channel oc, fun () -> close_out oc)
-      | None -> (Format.std_formatter, fun () -> ())
-    in
-    Check.Diagnostic.render ~json fmt diags;
-    Format.pp_print_flush fmt ();
-    close ();
-    let errors, warnings, infos = Check.Diagnostic.counts diags in
-    if output <> None || not json then
-      Printf.eprintf "proof-lint: %d error(s), %d warning(s), %d info(s)\n"
-        errors warnings infos;
+    write_diagnostics "proof-lint" ~json output diags;
     exit (Check.Diagnostic.exit_code diags)
   in
   let file =
@@ -1149,19 +1133,6 @@ let proof_lint_cmd =
             "Require the proof to derive the empty clause; its absence \
              is a D008 error.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one JSON object per diagnostic (JSONL) instead of text.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write diagnostics to $(docv) instead of stdout.")
-  in
   Cmd.v
     (Cmd.info "proof-lint"
        ~doc:
@@ -1171,7 +1142,8 @@ let proof_lint_cmd =
           defects (delete of a never-added or exhausted clause, \
           delete-then-use). Exit 0 clean or info-only, 1 on warnings, 2 \
           on errors or an unreadable proof.")
-    Term.(const run $ file $ formula $ expect_unsat $ json $ output)
+    Term.(const run $ file $ formula $ expect_unsat $ json_arg
+          $ diagnostics_out_arg)
 
 let info_cmd =
   let run spec =

@@ -13,6 +13,7 @@ module Suite = Simgen_benchgen.Suite
 module N = Simgen_network.Network
 module Sweeper = Simgen_sweep.Sweeper
 module Miter = Simgen_sweep.Miter
+module Sat_session = Simgen_sweep.Sat_session
 module Minimize = Simgen_sweep.Minimize
 module Strategy = Simgen_core.Strategy
 module Eq = Simgen_sim.Eq_classes
@@ -48,17 +49,17 @@ let () =
           incr shown;
           let r = Miter.check_pair_fresh ~certify:true net a b in
           match r.Miter.verdict with
-          | Miter.Equal ->
+          | Sat_session.Equal ->
               Printf.printf "  n%-4d = n%-4d  EQUAL (DRUP proof %s)\n" a b
                 (if r.Miter.valid then "checked" else "REJECTED")
-          | Miter.Counterexample cex ->
+          | Sat_session.Counterexample cex ->
               let kernel = Minimize.essential_bits net a b cex in
               Printf.printf
                 "  n%-4d ~ n%-4d  DIFFER (cex %s; %d essential bits: %s)\n" a b
                 (if r.Miter.valid then "validated" else "INVALID")
                 (List.length kernel)
                 (String.concat "," (List.map string_of_int kernel))
-          | Miter.Unknown ->
+          | Sat_session.Unknown ->
               (* Unreachable: certified checks run without a conflict
                  budget. *)
               Printf.printf "  n%-4d ? n%-4d  UNKNOWN\n" a b)

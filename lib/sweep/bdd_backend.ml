@@ -1,8 +1,6 @@
 module N = Simgen_network.Network
 module Bdd = Simgen_bdd.Bdd
 
-type verdict = Equal | Counterexample of bool array | Quota
-
 let check_pair ?(max_nodes = 200_000) net a b =
   let m = Bdd.manager ~max_nodes (N.num_pis net) in
   match
@@ -33,13 +31,13 @@ let check_pair ?(max_nodes = 200_000) net a b =
     (bdds.(a), bdds.(b))
   with
   | fa, fb ->
-      if Bdd.equal fa fb then Equal
+      if Bdd.equal fa fb then Sat_session.Equal
       else begin
         match Bdd.any_sat m (Bdd.xor m fa fb) with
-        | Some cex -> Counterexample cex
-        | None -> Equal
+        | Some cex -> Sat_session.Counterexample cex
+        | None -> Sat_session.Equal
       end
-  | exception Bdd.Node_limit_exceeded -> Quota
+  | exception Bdd.Node_limit_exceeded -> Sat_session.Unknown
 
 let check_outputs ?(max_nodes = 500_000) net1 net2 =
   if N.num_pis net1 <> N.num_pis net2 || N.num_pos net1 <> N.num_pos net2

@@ -4,21 +4,17 @@
     build BDDs for the candidate nodes' cones and compare roots —
     equality is constant-time, counter-examples come from a satisfying
     path of the XOR. BDD size can blow up, so every entry point takes a
-    node quota and reports [Quota] instead of an answer when it is hit;
-    callers then fall back to the SAT backend. *)
-
-type verdict =
-  | Equal
-  | Counterexample of bool array
-  | Quota  (** node limit exceeded: fall back to SAT *)
+    node quota and gives no answer when it is hit. *)
 
 val check_pair :
   ?max_nodes:int ->
   Simgen_network.Network.t ->
   Simgen_network.Network.node_id ->
   Simgen_network.Network.node_id ->
-  verdict
-(** Compare two nodes of one network (default quota 200_000 nodes). *)
+  Sat_session.verdict
+(** Compare two nodes of one network (default quota 200_000 nodes).
+    [Unknown] means the quota was hit: the ladder's BDD rung then
+    quarantines the pair. *)
 
 val check_outputs :
   ?max_nodes:int ->

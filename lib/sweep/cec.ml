@@ -81,18 +81,18 @@ let run (opts : Sweep_options.t) sweeper pos1 pos2 =
         let verdict, st = Sweeper.verify_pair opts sweeper a b in
         po_stats := Solver.add_stats !po_stats st;
         match verdict with
-        | Miter.Equal ->
+        | Sat_session.Equal ->
             (* Through [Sweeper.merge] so a certifying run logs the PO
                merge against the proof that just established it. *)
             Sweeper.merge sweeper a b;
             check_pos (i + 1)
-        | Miter.Counterexample vector ->
+        | Sat_session.Counterexample vector ->
             (* Feed the witness back like any other counter-example so the
                partial result (classes, cost history) stays consistent. *)
             observe (Sweep_options.Counterexample vector);
             Sweeper.apply_vector sweeper vector;
             Not_equivalent { po = i; vector }
-        | Miter.Unknown ->
+        | Sat_session.Unknown ->
             (* Quarantined by the ladder: no verdict for this PO pair, but
                a definite counter-example on a later PO still wins, so
                keep going. *)

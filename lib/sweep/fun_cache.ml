@@ -130,8 +130,6 @@ let first_differing_minterm tt_a tt_b s =
   in
   go 0
 
-type outcome = Equal | Counterexample of bool array | Miss
-
 let consult t ?(serve_equal = true) ~rng ~subst net a b =
   let a = rep subst a and b = rep subst b in
   Shared.Atomic.incr t.consults;
@@ -143,11 +141,11 @@ let consult t ?(serve_equal = true) ~rng ~subst net a b =
        the merge can cite a DRUP proof *)
     if serve_equal then begin
       Shared.Atomic.incr t.local_proofs;
-      Equal
+      Sat_session.Equal
     end
     else begin
       Shared.Atomic.incr t.misses;
-      Miss
+      Sat_session.Unknown
     end
   else if exact then
     (* the cut is the pair's true PI support: a differing minterm is a
@@ -155,12 +153,12 @@ let consult t ?(serve_equal = true) ~rng ~subst net a b =
     match first_differing_minterm tt_a tt_b s with
     | Some m ->
         Shared.Atomic.incr t.local_cexes;
-        Counterexample (vector_of_minterm ~rng net frontier m)
+        Sat_session.Counterexample (vector_of_minterm ~rng net frontier m)
     | None -> (* unequal tables must differ somewhere *) assert false
   else begin
     (* an inexact cut: the difference may be unreachable, so SAT decides *)
     Shared.Atomic.incr t.misses;
-    Miss
+    Sat_session.Unknown
   end
 
 type stats = {

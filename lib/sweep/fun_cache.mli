@@ -13,8 +13,11 @@
     - {b Counterexample} when they differ over an {e exact} cut (one whose
       nodes are all PIs): the first differing minterm, extended to a full
       PI vector.
-    - {b Miss} otherwise (the tables differ over a cut with internal
+    - {b Unknown} otherwise (the tables differ over a cut with internal
       nodes, where the difference may be unreachable): SAT decides.
+
+    The answer is a {!Sat_session.verdict}, the one pair answer every
+    ladder rung gives.
 
     The module keeps its historical name because the serving layer and
     its benchmark still construct it as [Fun_cache.create ()]. The
@@ -25,11 +28,6 @@ type t
 
 val create : unit -> t
 
-type outcome =
-  | Equal  (** proven locally: both cones equal over the shared cut *)
-  | Counterexample of bool array  (** a full-PI distinguishing vector *)
-  | Miss  (** no sound local answer; run SAT *)
-
 val consult :
   t ->
   ?serve_equal:bool ->
@@ -38,11 +36,11 @@ val consult :
   Simgen_network.Network.t ->
   Simgen_network.Network.node_id ->
   Simgen_network.Network.node_id ->
-  outcome
+  Sat_session.verdict
 (** Check one candidate pair (resolved through [subst] like every
     miter). [serve_equal:false] (used under certification, where every
-    merge must cite a DRUP proof) turns a locally proven [Equal] into a
-    [Miss], so the SAT route still runs and records a proof;
+    merge must cite a DRUP proof) turns a locally proven [Equal] into
+    [Unknown], so the SAT route still runs and records a proof;
     counterexamples are still served, since a disproof carries no
     certificate obligation. [rng] fills the PIs outside an exact cut when
     building a counterexample. *)

@@ -2,16 +2,8 @@ module N = Simgen_network.Network
 module Sat = Simgen_sat
 module Tseitin = Simgen_sat.Tseitin
 
-type verdict = Sat_session.verdict =
-  | Equal
-  | Counterexample of bool array
-  | Unknown
-
-let check_pair ?subst ?rng net a b =
-  Sat_session.check_pair (Sat_session.create ?subst ?rng net) a b
-
 type fresh = {
-  verdict : verdict;
+  verdict : Sat_session.verdict;
   valid : bool;
   stats : Sat.Solver.stats;
   cert : Simgen_check.Certificate.query option;
@@ -25,7 +17,12 @@ let check_pair_fresh ?subst ?rng ?max_conflicts ?(certify = false) net a b =
   let resolve = Sat_session.resolve subst in
   let ra = resolve a and rb = resolve b in
   if ra = rb then
-    { verdict = Equal; valid = true; stats = Sat.Solver.zero_stats; cert = None }
+    {
+      verdict = Sat_session.Equal;
+      valid = true;
+      stats = Sat.Solver.zero_stats;
+      cert = None;
+    }
   else begin
     let env = Tseitin.create ~record:certify () in
     let vars = Tseitin.encode_cones ~resolve env net [ ra; rb ] in
@@ -41,7 +38,7 @@ let check_pair_fresh ?subst ?rng ?max_conflicts ?(certify = false) net a b =
     let stats = Sat.Solver.stats solver in
     let answer ?(valid = true) ?cert verdict = { verdict; valid; stats; cert } in
     match result with
-    | Sat.Solver.LUnsat when not certify -> answer Equal
+    | Sat.Solver.LUnsat when not certify -> answer Sat_session.Equal
     | Sat.Solver.LUnsat -> (
         (* The trimmed proof is what goes into the certificate record. *)
         match Tseitin.checked_proof env with
@@ -50,11 +47,12 @@ let check_pair_fresh ?subst ?rng ?max_conflicts ?(certify = false) net a b =
               ~cert:
                 (Simgen_check.Certificate.Fresh
                    { a = ra; b = rb; clauses; events })
-              Equal
-        | None -> answer ~valid:false Equal)
+              Sat_session.Equal
+        | None -> answer ~valid:false Sat_session.Equal)
     | Sat.Solver.LSat ->
         let vec = Tseitin.pi_values ?rng solver net vars in
         let vals = N.eval net vec in
-        answer ~valid:(vals.(ra) <> vals.(rb)) (Counterexample vec)
-    | Sat.Solver.LUnknown -> answer Unknown
+        answer ~valid:(vals.(ra) <> vals.(rb))
+          (Sat_session.Counterexample vec)
+    | Sat.Solver.LUnknown -> answer Sat_session.Unknown
   end

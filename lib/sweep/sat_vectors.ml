@@ -2,13 +2,9 @@
    the targets' cones are encoded once into the session's solver and the
    OUTgold values become plain assumptions, so repeated generation calls
    against the same network (the SAT-guided baseline loop) share cone
-   encodings and learned clauses. The [?rng]-taking entry points wrap a
-   private one-shot session for standalone use. *)
+   encodings and learned clauses. *)
 
 let generate_in session outgold = Sat_session.solve_targets session outgold
-
-let generate ?rng net outgold =
-  generate_in (Sat_session.create ?rng net) outgold
 
 let generate_pairwise_in session outgold =
   match generate_in session outgold with
@@ -30,6 +26,3 @@ let generate_pairwise_in session outgold =
             inner zeros)
       in
       pairs ones)
-
-let generate_pairwise ?rng net outgold =
-  generate_pairwise_in (Sat_session.create ?rng net) outgold

@@ -6,39 +6,26 @@
     vector costs a SAT call, which is precisely the dependence SimGen is
     designed to remove. The benchmark harness contrasts the two.
 
-    All generation runs through a {!Sat_session}: pass one explicitly
-    ([_in] variants) to share cone encodings and learned clauses across
-    calls — the sweeper's SAT-guided loop does — or use the [?rng]
-    entry points, which wrap a private one-shot session. *)
-
-val generate :
-  ?rng:Simgen_base.Rng.t ->
-  Simgen_network.Network.t ->
-  (Simgen_network.Network.node_id * bool) list ->
-  bool array option
-(** [generate net outgold] encodes the union of the targets' fanin cones
-    and constrains every target to its OUTgold value; [Some vector] from
-    the model (cone-external PIs randomized), [None] if the combination
-    is unsatisfiable. *)
+    All generation runs through a caller-owned {!Sat_session}, so cone
+    encodings and learned clauses are shared across calls — the
+    sweeper's SAT-guided loop does this. For a one-off call, pass
+    [Sat_session.create net]. *)
 
 val generate_in :
   Sat_session.t ->
   (Simgen_network.Network.node_id * bool) list ->
   bool array option
-(** {!generate} against a caller-owned session ({!Sat_session.solve_targets}). *)
+(** [generate_in session outgold] constrains every target to its OUTgold
+    value over the union of the targets' fanin cones
+    ({!Sat_session.solve_targets}): [Some vector] from the model
+    (cone-external PIs randomized), [None] if the combination is
+    unsatisfiable. *)
 
-val generate_pairwise :
-  ?rng:Simgen_base.Rng.t ->
-  Simgen_network.Network.t ->
+val generate_pairwise_in :
+  Sat_session.t ->
   (Simgen_network.Network.node_id * bool) list ->
   bool array option
 (** Weaker but more often satisfiable variant: only requires some pair of
     targets with opposite OUTgold values to be realized (the paper's
     usefulness criterion), dropping the other targets' constraints one by
     one until satisfiable. *)
-
-val generate_pairwise_in :
-  Sat_session.t ->
-  (Simgen_network.Network.node_id * bool) list ->
-  bool array option
-(** {!generate_pairwise} against a caller-owned session. *)

@@ -37,7 +37,6 @@ type t = {
   guided_iterations : int;
   max_sat_calls : int option;
   max_conflicts : int option;
-  escalations : int;
   bdd_fallback_nodes : int;
   one_distance : bool;
   incremental : bool;
@@ -57,7 +56,6 @@ let default =
     guided_iterations = 20;
     max_sat_calls = None;
     max_conflicts = None;
-    escalations = 3;
     bdd_fallback_nodes = 10_000;
     one_distance = false;
     incremental = true;

@@ -67,9 +67,6 @@ type t = {
       (** base per-query conflict budget ([None] = unlimited — queries
           never answer [Unknown] on their own). The first rung of the
           degradation ladder; see {!Sweeper.verify_pair}. *)
-  escalations : int;
-      (** how many times an [Unknown] query's budget is re-tried at 4x
-          the previous budget before falling back to a fresh solver *)
   bdd_fallback_nodes : int;
       (** BDD node quota for the last ladder rung; past it the pair is
           quarantined *)
@@ -107,5 +104,5 @@ val default : t
 (** The paper's §6.1 setup: seed 1, AI+DC+MFFC, alternating OUTgold, one
     random round, 20 guided iterations, incremental sessions, no
     certification, no cap, never stops, observes nothing; unlimited
-    conflict budget with 3 escalation steps and a 10k-node BDD fallback
-    should a budget be set. *)
+    conflict budget and a 10k-node BDD fallback should a budget be
+    set. *)

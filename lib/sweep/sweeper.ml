@@ -473,119 +473,114 @@ let session_query ?max_conflicts t a b acc =
    | Sat_session.Counterexample _ | Sat_session.Unknown -> ());
   verdict
 
-(* Verify one candidate pair, degrading instead of hanging or dying:
-     session query at the base conflict budget
-     -> same query at 4x the budget, [escalations] times
-        (the solver keeps its learned clauses between rungs, so each
-        retry resumes the work already paid for)
-     -> fresh solver at the next budget (a session poisoned by its own
-        clause database cannot poison this rung)
-     -> BDD comparison under [bdd_fallback_nodes]
-     -> quarantine: the pair is recorded, excluded from future picking,
-        and the verdict is [Unknown] — never a wrong merge.
-   With [max_conflicts = None] the budgets are unlimited, so only an
-   injected fault (or a Violation) can push the ladder past its first
-   rung. *)
+(* The fresh solver, certified when asked: a validated Equal's proof
+   record joins the whole-sweep certificate. *)
+let fresh_query ?max_conflicts ~certify t a b acc =
+  let r =
+    Miter.check_pair_fresh ?max_conflicts ~certify ~subst:t.subst ~rng:t.rng
+      t.net a b
+  in
+  acc := Solver.add_stats !acc r.Miter.stats;
+  if certify && not r.Miter.valid then
+    failwith "Sweeper.verify_pair: certificate failed to validate";
+  (match r.Miter.cert with
+   | Some q ->
+       t.cert_queries <- q :: t.cert_queries;
+       t.cert_count <- t.cert_count + 1;
+       t.last_proof <- t.cert_count - 1
+   | None -> ());
+  r.Miter.verdict
+
+(* The rungs of the degradation ladder, walked in list order by
+   {!verify_pair}. [Session k] and [Fresh k] run at the base conflict
+   budget times 4^k. *)
+type rung = Cut_check of Fun_cache.t | Session of int | Fresh of int | Bdd
+
+(* Session steps past the first, each at 4x the previous budget: the
+   solver keeps its learned clauses, so each retry resumes paid-for work. *)
+let escalations = 3
+let session_steps = List.init (escalations + 1) (fun k -> Session k)
+
+(* The rungs of one query: the cut-local check when a [fun_cache] is set,
+   the session steps, a fresh solver at the next budget (a session
+   poisoned by its own clause database cannot poison it), then the BDD
+   backend. Without a session to escalate (the fresh route) or one that
+   records certificates (the sweeper was created without [~certify]),
+   the fresh solver is the first SAT rung, at step 0. Under
+   certification the BDD rung is dropped: its verdict carries no clausal
+   proof, so the pair is quarantined rather than merged on it. *)
+let ladder ~cut ~session ~certify =
+  (match cut with Some fc -> [ Cut_check fc ] | None -> [])
+  @ (if session then session_steps @ [ Fresh (escalations + 1) ]
+     else [ Fresh 0 ])
+  @ if certify then [] else [ Bdd ]
+
+(* Ladder telemetry. Entering session step k >= 1 is an escalation, the
+   fresh solver after a session step a fresh fallback, the BDD rung a
+   BDD fallback; each [Unknown] from a SAT rung is an unknown. *)
+let enter t rung =
+  let d = t.d_stats in
+  match rung with
+  | Session k when k > 0 ->
+      t.d_stats <- { d with escalations = d.escalations + 1 }
+  | Fresh k when k > 0 ->
+      t.d_stats <- { d with fresh_fallbacks = d.fresh_fallbacks + 1 }
+  | Bdd -> t.d_stats <- { d with bdd_fallbacks = d.bdd_fallbacks + 1 }
+  | Cut_check _ | Session _ | Fresh _ -> ()
+
+let gave_up t = function
+  | Session _ | Fresh _ ->
+      t.d_stats <- { t.d_stats with unknowns = t.d_stats.unknowns + 1 }
+  | Cut_check _ | Bdd -> ()
+
+(* Verify one candidate pair by walking its {!ladder} until a rung
+   answers other than [Unknown]. Past the last rung the pair is
+   quarantined: recorded, excluded from future picking, and never
+   merged. With [max_conflicts = None] the budgets are unlimited, so only
+   an injected fault (or a Violation) can push the walk past its first
+   SAT rung. *)
 let verify_pair (opts : Sweep_options.t) t a b =
   let a = representative t a and b = representative t b in
   let acc = ref Solver.zero_stats in
   if a = b then (Sat_session.Equal, !acc)
   else begin
     let certify = t.certify || opts.Sweep_options.certify in
-    (* The cut-local check runs before any SAT work. Equal is proven over
-       a shared cut (and withheld under certification, where the merge
-       must cite a DRUP proof); a counterexample comes from an exact cut. *)
-    let served =
-      match opts.Sweep_options.fun_cache with
+    let budget k =
+      match opts.Sweep_options.max_conflicts with
       | None -> None
-      | Some fc -> (
-          match
-            Fun_cache.consult fc ~serve_equal:(not certify) ~rng:t.rng
-              ~subst:t.subst t.net a b
-          with
-          | Fun_cache.Equal -> Some Sat_session.Equal
-          | Fun_cache.Counterexample vec -> Some (Sat_session.Counterexample vec)
-          | Fun_cache.Miss -> None)
+      | Some b -> Some (b * (1 lsl (2 * k)))
     in
-    match served with
-    | Some v -> (v, !acc)
-    | None ->
-    let base = opts.Sweep_options.max_conflicts in
-    let budget rung =
-      match base with None -> None | Some b -> Some (b * (1 lsl (2 * rung)))
+    let ask = function
+      | Cut_check fc ->
+          (* Equal is proven over a shared cut (and withheld under
+             certification, where the merge must cite a DRUP proof); a
+             counterexample comes from an exact cut. *)
+          Fun_cache.consult fc ~serve_equal:(not certify) ~rng:t.rng
+            ~subst:t.subst t.net a b
+      | Session k -> session_query ?max_conflicts:(budget k) t a b acc
+      | Fresh k -> fresh_query ?max_conflicts:(budget k) ~certify t a b acc
+      | Bdd ->
+          Bdd_backend.check_pair
+            ~max_nodes:opts.Sweep_options.bdd_fallback_nodes t.net a b
     in
-    let note_unknown () =
-      t.d_stats <- { t.d_stats with unknowns = t.d_stats.unknowns + 1 }
-    in
-    let bdd_rung () =
-      t.d_stats <-
-        { t.d_stats with bdd_fallbacks = t.d_stats.bdd_fallbacks + 1 };
-      match
-        Bdd_backend.check_pair
-          ~max_nodes:opts.Sweep_options.bdd_fallback_nodes t.net a b
-      with
-      | Bdd_backend.Equal -> Sat_session.Equal
-      | Bdd_backend.Counterexample vec -> Sat_session.Counterexample vec
-      | Bdd_backend.Quota ->
+    let rec walk = function
+      | [] ->
           quarantine_pair t a b;
           Sat_session.Unknown
+      | rung :: rest -> (
+          enter t rung;
+          match ask rung with
+          | Sat_session.Unknown ->
+              gave_up t rung;
+              walk rest
+          | (Sat_session.Equal | Sat_session.Counterexample _) as v -> v)
     in
-    (* The fresh solver, certified when asked: a validated Equal's proof
-       record joins the whole-sweep certificate. A budgeted Unknown falls
-       to the BDD rung — except under certification, where a BDD verdict
-       would carry no clausal proof, so the pair is quarantined instead
-       of merged on an uncertifiable answer. *)
-    let fresh_query ~certify ~rung =
-      let r =
-        Miter.check_pair_fresh ?max_conflicts:(budget rung) ~certify
-          ~subst:t.subst ~rng:t.rng t.net a b
-      in
-      acc := Solver.add_stats !acc r.Miter.stats;
-      if certify && not r.Miter.valid then
-        failwith "Sweeper.verify_pair: certificate failed to validate";
-      (match r.Miter.cert with
-       | Some q ->
-           t.cert_queries <- q :: t.cert_queries;
-           t.cert_count <- t.cert_count + 1;
-           t.last_proof <- t.cert_count - 1
-       | None -> ());
-      match r.Miter.verdict with
-      | Sat_session.Unknown when certify ->
-          note_unknown ();
-          quarantine_pair t a b;
-          Sat_session.Unknown
-      | Sat_session.Unknown ->
-          note_unknown ();
-          bdd_rung ()
-      | (Sat_session.Equal | Sat_session.Counterexample _) as v -> v
-    in
-    let fresh_rung () =
-      t.d_stats <-
-        { t.d_stats with fresh_fallbacks = t.d_stats.fresh_fallbacks + 1 };
-      fresh_query ~certify:t.certify ~rung:(opts.Sweep_options.escalations + 1)
-    in
-    let rec climb rung =
-      match session_query ?max_conflicts:(budget rung) t a b acc with
-      | Sat_session.Unknown ->
-          note_unknown ();
-          if rung < opts.Sweep_options.escalations then begin
-            t.d_stats <-
-              { t.d_stats with escalations = t.d_stats.escalations + 1 };
-            climb (rung + 1)
-          end
-          else fresh_rung ()
-      | (Sat_session.Equal | Sat_session.Counterexample _) as v -> v
+    let session =
+      opts.Sweep_options.incremental
+      && ((not certify) || Sat_session.certifying t.session)
     in
     let verdict =
-      if
-        (not opts.Sweep_options.incremental)
-        || (certify && not (Sat_session.certifying t.session))
-      then
-        (* No session to escalate (fresh route requested), or none that
-           records certificates (the sweeper was created without
-           [~certify]): the fresh solver is the first rung. *)
-        fresh_query ~certify ~rung:0
-      else climb 0
+      walk (ladder ~cut:opts.Sweep_options.fun_cache ~session ~certify)
     in
     (verdict, !acc)
   end
@@ -702,7 +697,7 @@ let sat_sweep (opts : Sweep_options.t) t =
            | _ :: _ :: _, Some (a, b) ->
                incr calls;
                (match check a b with
-                | Miter.Equal ->
+                | Sat_session.Equal ->
                     incr proved;
                     (* Merge into the smaller id so representatives are
                        stable; the class stays on the worklist until a
@@ -710,7 +705,7 @@ let sat_sweep (opts : Sweep_options.t) t =
                     merge t a b;
                     audit t;
                     enqueue cls
-                | Miter.Counterexample vec ->
+                | Sat_session.Counterexample vec ->
                     incr disproved;
                     opts.Sweep_options.observe (Sweep_options.Counterexample vec);
                     if one_distance then apply_one_distance t vec
@@ -720,7 +715,7 @@ let sat_sweep (opts : Sweep_options.t) t =
                        distinct (possibly singleton) classes now. *)
                     enqueue (Eq.class_of t.eq a);
                     enqueue (Eq.class_of t.eq b)
-                | Miter.Unknown ->
+                | Sat_session.Unknown ->
                     (* Every rung gave up: the pair is quarantined (by
                        verify_pair), never merged. Revisit the class for
                        its other pairs. *)

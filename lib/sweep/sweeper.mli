@@ -50,9 +50,10 @@ val empty_sat : sat_stats
 (** All-zero stats (e.g. for jobs that failed before sweeping). *)
 
 type degrade_stats = {
-  unknowns : int;  (** queries that ran out of a conflict budget *)
+  unknowns : int;  (** SAT rungs that ran out of their conflict budget *)
   escalations : int;  (** budget-escalation retries (4x per step) *)
-  fresh_fallbacks : int;  (** queries retried on a fresh solver *)
+  fresh_fallbacks : int;
+      (** queries retried on a fresh solver after the session gave up *)
   bdd_fallbacks : int;  (** queries retried on the BDD backend *)
   session_rebuilds : int;
       (** sessions torn down after a [Runtime_check.Violation] and rebuilt
@@ -181,20 +182,25 @@ val verify_pair :
   Simgen_network.Network.node_id ->
   Sat_session.verdict * Simgen_sat.Solver.stats
 (** One candidate query through the degradation ladder. The pair is
-    resolved to representatives first; then, on the default incremental
-    route: a session query at [max_conflicts]; on [Unknown], the same
-    query at 4x the budget, [escalations] times (the session keeps its
-    learned clauses, so each retry resumes paid-for work); then a fresh
-    solver at the next budget ({!Miter.check_pair_fresh}); then
-    {!Bdd_backend.check_pair} under
-    [bdd_fallback_nodes]; and finally quarantine — the pair is recorded
-    in {!degrade_stats}, excluded from future candidate picking, and the
+    resolved to representatives first, then walks a fixed list of rungs,
+    each answering a {!Sat_session.verdict}, until one answers other
+    than [Unknown]:
+    - the cut-local check ({!Fun_cache.consult}), when [fun_cache] is
+      set;
+    - a session query at [max_conflicts], then the same query at 4x the
+      previous budget, three times (the session keeps its learned
+      clauses, so each retry resumes paid-for work);
+    - a fresh solver at the next budget ({!Miter.check_pair_fresh});
+    - {!Bdd_backend.check_pair} under [bdd_fallback_nodes].
+
+    Past the last rung the pair is quarantined — recorded in
+    {!degrade_stats}, excluded from future candidate picking — and the
     verdict is [Unknown]. Nothing is ever merged on [Unknown].
-    [incremental = false] starts at the fresh-solver rung. Under
-    [certify] the ladder still climbs, with two changes: the fresh rung
-    certifies too (its proof joins the certificate),
-    and the BDD rung is replaced by quarantine — a BDD verdict carries
-    no clausal proof. A [Runtime_check.Violation] mid-query tears the
+    [incremental = false], or [certify] on a sweeper created without it,
+    skips the session: the fresh solver runs first, at [max_conflicts].
+    Under [certify] the fresh rung certifies too (its proof joins the
+    certificate), and the BDD rung is dropped — a BDD verdict carries no
+    clausal proof. A [Runtime_check.Violation] mid-query tears the
     session down, rebuilds it over the (consistent) substitution and
     retries once; a second Violation propagates. Returns the verdict and
     the solver-counter deltas across every rung tried. With
@@ -227,7 +233,7 @@ val certificate : t -> Simgen_check.Certificate.t
 val substitution : t -> int array
 (** The live proven-equivalence substitution array ([subst.(n)] points
     towards [n]'s representative). Shared with the sweeper — callers may
-    pass it to {!Miter.check_pair} so follow-up miters (e.g. the CEC PO
+    pass it to {!Miter.check_pair_fresh} so follow-up miters (e.g. the CEC PO
     phase) reuse and extend the proven merges; do not write anything that
     is not a proven equivalence. *)
 

@@ -3,6 +3,7 @@ module TT = Simgen_network.Truth_table
 module N = Simgen_network.Network
 module Rng = Simgen_base.Rng
 module Backend = Simgen_sweep.Bdd_backend
+module Sat_session = Simgen_sweep.Sat_session
 
 let random_net rng npis ngates =
   let net = N.create () in
@@ -148,12 +149,14 @@ let test_backend_pair () =
   let x2 = N.add_gate net and2 [| b; a |] in
   let y = N.add_gate net (TT.or_ (TT.var 0 2) (TT.var 1 2)) [| a; b |] in
   List.iter (N.add_po net) [ x1; x2; y ];
-  Alcotest.(check bool) "equal pair" true (Backend.check_pair net x1 x2 = Backend.Equal);
+  Alcotest.(check bool) "equal pair" true
+    (Backend.check_pair net x1 x2 = Sat_session.Equal);
   (match Backend.check_pair net x1 y with
-   | Backend.Counterexample cex ->
+   | Sat_session.Counterexample cex ->
        let vals = N.eval net cex in
        Alcotest.(check bool) "cex valid" true (vals.(x1) <> vals.(y))
-   | Backend.Equal | Backend.Quota -> Alcotest.fail "AND vs OR must differ")
+   | Sat_session.Equal | Sat_session.Unknown ->
+       Alcotest.fail "AND vs OR must differ")
 
 let test_backend_agrees_with_sat () =
   let rng = Rng.create 23 in
@@ -161,24 +164,26 @@ let test_backend_agrees_with_sat () =
     let net = random_net rng 5 20 in
     let g1 = N.num_nodes net - 1 and g2 = N.num_nodes net - 2 in
     if (not (N.is_pi net g1)) && not (N.is_pi net g2) then begin
-      let sat_verdict = Simgen_sweep.Miter.check_pair net g1 g2 in
+      let sat_verdict =
+        Sat_session.check_pair (Sat_session.create net) g1 g2
+      in
       let bdd_verdict = Backend.check_pair net g1 g2 in
       match (sat_verdict, bdd_verdict) with
-      | Simgen_sweep.Miter.Equal, Backend.Equal -> ()
-      | Simgen_sweep.Miter.Counterexample _, Backend.Counterexample _ -> ()
-      | (Simgen_sweep.Miter.Equal | Simgen_sweep.Miter.Counterexample _),
-        Backend.Quota ->
+      | Sat_session.Equal, Sat_session.Equal -> ()
+      | Sat_session.Counterexample _, Sat_session.Counterexample _ -> ()
+      | (Sat_session.Equal | Sat_session.Counterexample _), Sat_session.Unknown
+        ->
           Alcotest.fail "quota on tiny network"
-      | Simgen_sweep.Miter.Equal, Backend.Counterexample _
-      | Simgen_sweep.Miter.Counterexample _, Backend.Equal ->
+      | Sat_session.Equal, Sat_session.Counterexample _
+      | Sat_session.Counterexample _, Sat_session.Equal ->
           Alcotest.fail "SAT and BDD verdicts disagree"
-      | Simgen_sweep.Miter.Unknown, _ ->
+      | Sat_session.Unknown, _ ->
           Alcotest.fail "unexpected Unknown without a budget"
     end
   done
 
 let test_backend_quota_fallback () =
-  (* Deep parity-like network with a tiny quota triggers Quota. *)
+  (* Deep parity-like network: a tiny quota answers Unknown. *)
   let net = N.create () in
   let pis = Array.init 16 (fun _ -> N.add_pi net) in
   let xor2 = TT.xor (TT.var 0 2) (TT.var 1 2) in
@@ -192,7 +197,7 @@ let test_backend_quota_fallback () =
   N.add_po net root;
   N.add_po net other;
   Alcotest.(check bool) "quota hit" true
-    (Backend.check_pair ~max_nodes:4 net root other = Backend.Quota)
+    (Backend.check_pair ~max_nodes:4 net root other = Sat_session.Unknown)
 
 let test_backend_outputs () =
   let rng = Rng.create 29 in

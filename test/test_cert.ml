@@ -248,12 +248,12 @@ let test_trim () =
               ~subst:(Sweeper.substitution sw) net a b
           in
           match (r.Miter.verdict, r.Miter.cert) with
-          | Miter.Equal, Some (Cert.Fresh { clauses; events; _ }) ->
+          | Sat_session.Equal, Some (Cert.Fresh { clauses; events; _ }) ->
               Alcotest.(check bool) "trimmed proof valid" true r.Miter.valid;
               Alcotest.(check bool) "trimmed proof still checks" true
                 (Sat.Drup.check clauses events = Sat.Drup.Valid)
-          | Miter.Equal, _ -> Alcotest.fail "Equal without a record"
-          | (Miter.Counterexample _ | Miter.Unknown), _ -> ())
+          | Sat_session.Equal, _ -> Alcotest.fail "Equal without a record"
+          | (Sat_session.Counterexample _ | Sat_session.Unknown), _ -> ())
       | _ -> ())
     (Simgen_sim.Eq_classes.classes (Sweeper.classes sw));
   (* Count what the checker trims across a certified sweep: the counter

@@ -13,7 +13,6 @@ module Engine = Simgen_core.Engine
 module Decision = Simgen_core.Decision
 module Outgold = Simgen_core.Outgold
 module VG = Simgen_core.Vector_gen
-module RevS = Simgen_core.Reverse_sim
 module Strategy = Simgen_core.Strategy
 
 let tt_not = TT.not_ (TT.var 0 1)
@@ -184,7 +183,10 @@ let test_figure1_revs_sometimes_fails () =
   let failures = ref 0 in
   for seed = 1 to 100 do
     let net, _, _, _, _, _, _, z = figure1 () in
-    let r = RevS.generate ~rng:(Rng.create seed) net [ (z, true) ] in
+    let r =
+      VG.generate ~config:Config.reverse_simulation ~rng:(Rng.create seed) net
+        [ (z, true) ]
+    in
     if r.VG.satisfied = [] then incr failures
     else begin
       (* When reverse simulation claims success the vector must be valid. *)
@@ -1081,7 +1083,9 @@ let test_reverse_sim_entry_point () =
   let rng = Rng.create 227 in
   let net = random_net rng 5 20 in
   let target = N.num_nodes net - 1 in
-  let r = RevS.generate ~rng net [ (target, true) ] in
+  let r =
+    VG.generate ~config:Config.reverse_simulation ~rng net [ (target, true) ]
+  in
   List.iter
     (fun (id, gold) ->
       let vals = N.eval net r.VG.vector in

@@ -216,15 +216,13 @@ let test_ladder_bdd_rescue () =
       let sw = Sweeper.create ladder_opts net in
       (* A zero base budget starves every SAT rung (0 * 4^k = 0), so only
          the BDD rung can decide — and it must, with the right verdict. *)
-      let opts =
-        { ladder_opts with Sweep_options.max_conflicts = Some 0; escalations = 2 }
-      in
+      let opts = { ladder_opts with Sweep_options.max_conflicts = Some 0 } in
       let verdict, _ = Sweeper.verify_pair opts sw x1 x2 in
       Alcotest.(check bool) "BDD rung decides Equal" true
         (verdict = Sat_session.Equal);
       let d = Sweeper.degrade_stats sw in
-      Alcotest.(check int) "session rungs + fresh all refused" 4 d.Sweeper.unknowns;
-      Alcotest.(check int) "escalated twice" 2 d.Sweeper.escalations;
+      Alcotest.(check int) "session rungs + fresh all refused" 5 d.Sweeper.unknowns;
+      Alcotest.(check int) "escalated three times" 3 d.Sweeper.escalations;
       Alcotest.(check int) "fresh fallback" 1 d.Sweeper.fresh_fallbacks;
       Alcotest.(check int) "bdd fallback" 1 d.Sweeper.bdd_fallbacks;
       Alcotest.(check int) "no rebuilds" 0 d.Sweeper.session_rebuilds;
@@ -241,7 +239,6 @@ let test_ladder_quarantine () =
         {
           ladder_opts with
           Sweep_options.max_conflicts = Some 0;
-          escalations = 1;
           bdd_fallback_nodes = 1;
         }
       in
@@ -259,6 +256,63 @@ let test_ladder_quarantine () =
         (List.length (Sweeper.degrade_stats sw).Sweeper.quarantined);
       Alcotest.(check bool) "never merged" true
         (Sweeper.representative sw x2 = x2))
+
+(* Every ladder route, table-driven. A zero base budget starves every
+   SAT rung, so each case walks its route to the end: the cut check
+   answers first when set (Equal withheld under certify); the session
+   steps 0..3 run unless [incremental = false], which starts at the
+   fresh rung; the BDD rung follows unless certifying, where the pair
+   is quarantined instead. Columns: incremental, certify, fun_cache,
+   then the verdict, unknowns, escalations, fresh and BDD fallbacks. *)
+let test_ladder_routes () =
+  let equal = Sat_session.Equal and unknown = Sat_session.Unknown in
+  List.iter
+    (fun (incremental, certify, cut, verdict, unknowns, escalations, fresh, bdd)
+       ->
+      with_faults (fun () ->
+          let net, x1, x2, _ = pair_net () in
+          let opts =
+            {
+              ladder_opts with
+              Sweep_options.max_conflicts = Some 0;
+              incremental;
+              certify;
+              fun_cache =
+                (if cut then Some (Simgen_sweep.Fun_cache.create ()) else None);
+            }
+          in
+          let sw = Sweeper.create opts net in
+          let got, _ = Sweeper.verify_pair opts sw x1 x2 in
+          let tag =
+            Printf.sprintf "incremental=%b certify=%b cut=%b" incremental
+              certify cut
+          in
+          Alcotest.(check bool) (tag ^ ": verdict") true (got = verdict);
+          let d = Sweeper.degrade_stats sw in
+          Alcotest.(check (list int))
+            (tag ^ ": unknowns, escalations, fresh, bdd, rebuilds")
+            [ unknowns; escalations; fresh; bdd; 0 ]
+            [
+              d.Sweeper.unknowns;
+              d.Sweeper.escalations;
+              d.Sweeper.fresh_fallbacks;
+              d.Sweeper.bdd_fallbacks;
+              d.Sweeper.session_rebuilds;
+            ];
+          Alcotest.(check (list (pair int int)))
+            (tag ^ ": quarantine")
+            (if verdict = unknown then [ (min x1 x2, max x1 x2) ] else [])
+            d.Sweeper.quarantined))
+    [
+      (true, false, false, equal, 5, 3, 1, 1);
+      (true, false, true, equal, 0, 0, 0, 0);
+      (true, true, false, unknown, 5, 3, 1, 0);
+      (true, true, true, unknown, 5, 3, 1, 0);
+      (false, false, false, equal, 1, 0, 0, 1);
+      (false, false, true, equal, 0, 0, 0, 0);
+      (false, true, false, unknown, 1, 0, 0, 0);
+      (false, true, true, unknown, 1, 0, 0, 0);
+    ]
 
 let test_sat_budget_fault_escalates () =
   with_faults (fun () ->
@@ -641,6 +695,7 @@ let () =
         [
           Alcotest.test_case "bdd rescue" `Quick test_ladder_bdd_rescue;
           Alcotest.test_case "quarantine" `Quick test_ladder_quarantine;
+          Alcotest.test_case "routes" `Quick test_ladder_routes;
           Alcotest.test_case "sat-budget fault" `Quick
             test_sat_budget_fault_escalates;
           Alcotest.test_case "session rebuild" `Quick test_session_corrupt_rebuild;

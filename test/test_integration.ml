@@ -12,6 +12,7 @@ module Strategy = Simgen_core.Strategy
 module Eq = Simgen_sim.Eq_classes
 module Rng = Simgen_base.Rng
 module Sweep_options = Simgen_sweep.Sweep_options
+module Sat_session = Simgen_sweep.Sat_session
 
 let opts ?(iterations = 10) seed =
   {
@@ -98,21 +99,18 @@ let test_backends_agree () =
       match cls with
       | a :: b :: _ when !checked < 10 ->
           incr checked;
-          let sat = Simgen_sweep.Miter.check_pair net a b in
+          let sat = Sat_session.check_pair (Sat_session.create net) a b in
           let bdd = Simgen_sweep.Bdd_backend.check_pair net a b in
           (match (sat, bdd) with
-           | Simgen_sweep.Miter.Equal, Simgen_sweep.Bdd_backend.Equal -> ()
-           | ( Simgen_sweep.Miter.Counterexample _,
-               Simgen_sweep.Bdd_backend.Counterexample _ ) ->
+           | Sat_session.Equal, Sat_session.Equal -> ()
+           | Sat_session.Counterexample _, Sat_session.Counterexample _ -> ()
+           | ( (Sat_session.Equal | Sat_session.Counterexample _),
+               Sat_session.Unknown ) ->
                ()
-           | ( (Simgen_sweep.Miter.Equal | Simgen_sweep.Miter.Counterexample _),
-               Simgen_sweep.Bdd_backend.Quota ) ->
-               ()
-           | Simgen_sweep.Miter.Equal, Simgen_sweep.Bdd_backend.Counterexample _
-           | Simgen_sweep.Miter.Counterexample _, Simgen_sweep.Bdd_backend.Equal
-             ->
+           | Sat_session.Equal, Sat_session.Counterexample _
+           | Sat_session.Counterexample _, Sat_session.Equal ->
                Alcotest.fail "backends disagree"
-           | Simgen_sweep.Miter.Unknown, _ ->
+           | Sat_session.Unknown, _ ->
                Alcotest.fail "unexpected Unknown without a budget")
       | _ -> ())
     (Eq.classes (Sweeper.classes sw));
@@ -131,12 +129,12 @@ let test_certified_merges () =
       | a :: b :: _ when !proofs < 8 -> (
           let r = Simgen_sweep.Miter.check_pair_fresh ~certify:true net a b in
           match r.Simgen_sweep.Miter.verdict with
-          | Simgen_sweep.Miter.Equal ->
+          | Sat_session.Equal ->
               incr proofs;
               Alcotest.(check bool) "DRUP proof valid" true r.valid
-          | Simgen_sweep.Miter.Counterexample _ ->
+          | Sat_session.Counterexample _ ->
               Alcotest.(check bool) "cex valid" true r.valid
-          | Simgen_sweep.Miter.Unknown ->
+          | Sat_session.Unknown ->
               Alcotest.fail "unexpected Unknown without a budget")
       | _ -> ())
     (Eq.classes (Sweeper.classes sw));

@@ -10,6 +10,7 @@ module Shared = Simgen_base.Shared
 module Fault = Simgen_fault.Fault
 module Retry_policy = Simgen_runner.Retry_policy
 module Fun_cache = Simgen_sweep.Fun_cache
+module Sat_session = Simgen_sweep.Sat_session
 module Protocol = Simgen_serve.Protocol
 module Server = Simgen_serve.Server
 module Client = Simgen_serve.Client
@@ -144,7 +145,7 @@ let test_local_proof () =
   let rng = Rng.create 1 in
   let subst = identity_subst net in
   (match Fun_cache.consult fc ~rng ~subst net x1 x2 with
-   | Fun_cache.Equal -> ()
+   | Sat_session.Equal -> ()
    | _ -> Alcotest.fail "equal cones must be served locally");
   let s = Fun_cache.stats fc in
   Alcotest.(check int) "hits" 1 s.Fun_cache.hits;
@@ -156,7 +157,7 @@ let test_exact_cut_cex () =
   let rng = Rng.create 1 in
   let subst = identity_subst net in
   (match Fun_cache.consult fc ~rng ~subst net x1 y1 with
-   | Fun_cache.Counterexample vec ->
+   | Sat_session.Counterexample vec ->
        Alcotest.(check int) "full PI vector" (N.num_pis net) (Array.length vec);
        Alcotest.(check bool) "distinguishes" true
          (eval net vec x1 <> eval net vec y1)
@@ -170,11 +171,11 @@ let test_certify_never_serves_equal () =
   let rng = Rng.create 1 in
   let subst = identity_subst net in
   (match Fun_cache.consult fc ~serve_equal:false ~rng ~subst net x1 x2 with
-   | Fun_cache.Miss -> ()
-   | _ -> Alcotest.fail "under certification Equal must come back as Miss");
+   | Sat_session.Unknown -> ()
+   | _ -> Alcotest.fail "under certification Equal must come back as Unknown");
   (* outside certification the same pair is proven locally *)
   (match Fun_cache.consult fc ~rng ~subst net x1 x2 with
-   | Fun_cache.Equal -> ()
+   | Sat_session.Equal -> ()
    | _ -> Alcotest.fail "local proof must still serve");
   let s = Fun_cache.stats fc in
   Alcotest.(check int) "one miss" 1 s.Fun_cache.misses;
@@ -256,7 +257,7 @@ let inexact_net ~negate =
 
 (* Pairs the check must not get wrong, each with its group and the answer
    it must give: "counterexample" for inequivalent pairs over an exact
-   cut, "miss" over an inexact one. Whatever the answer, Equal is only
+   cut, "unknown" over an inexact one. Whatever the answer, Equal is only
    ever allowed for an equivalent pair and every counterexample must
    distinguish the pair. Each group is one test case. *)
 let collision_cases () =
@@ -280,8 +281,8 @@ let collision_cases () =
      "counterexample");
     ("xor vs xnor", "xnor vs xor", two_gate_net (TT.not_ xor2) xor2 2,
      "counterexample");
-    ("inexact cut", "equivalent", inexact_net ~negate:false, "miss");
-    ("inexact cut", "inequivalent", inexact_net ~negate:true, "miss");
+    ("inexact cut", "equivalent", inexact_net ~negate:false, "unknown");
+    ("inexact cut", "inequivalent", inexact_net ~negate:true, "unknown");
   ]
   @ variants ~group:"negated/permuted" ~count:80
       ~width:(fun () -> 1 + Rng.int rng 4)
@@ -299,15 +300,15 @@ let test_collisions group ~min_cases () =
       in
       let got =
         match outcome with
-        | Fun_cache.Equal ->
+        | Sat_session.Equal ->
             if not (equivalent net a b) then
               Alcotest.failf "%s: Equal served for an inequivalent pair" what;
             "equal"
-        | Fun_cache.Counterexample vec ->
+        | Sat_session.Counterexample vec ->
             Alcotest.(check bool) (what ^ ": counterexample distinguishes") true
               (eval net vec a <> eval net vec b);
             "counterexample"
-        | Fun_cache.Miss -> "miss"
+        | Sat_session.Unknown -> "unknown"
       in
       Alcotest.(check string) (what ^ ": answer") expect got)
     cases
@@ -355,10 +356,10 @@ let prop_cut_check_sound =
          List.for_all
            (fun (a, b) ->
              match Fun_cache.consult fc ~rng ~subst net a b with
-             | Fun_cache.Equal -> equivalent net a b
-             | Fun_cache.Counterexample vec ->
+             | Sat_session.Equal -> equivalent net a b
+             | Sat_session.Counterexample vec ->
                  Array.length vec = npis && eval net vec a <> eval net vec b
-             | Fun_cache.Miss -> true)
+             | Sat_session.Unknown -> true)
            pairs))
 
 (* ------------------------------------------------------------------ *)

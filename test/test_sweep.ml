@@ -2,6 +2,8 @@ module N = Simgen_network.Network
 module TT = Simgen_network.Truth_table
 module Rng = Simgen_base.Rng
 module Miter = Simgen_sweep.Miter
+module Sat_session = Simgen_sweep.Sat_session
+module Sat_vectors = Simgen_sweep.Sat_vectors
 module Sweeper = Simgen_sweep.Sweeper
 module Cec = Simgen_sweep.Cec
 module Strategy = Simgen_core.Strategy
@@ -60,33 +62,37 @@ let candidates_net () =
 (* Miter                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A one-query session: the one-shot miter. *)
+let check_pair ?subst net a b =
+  Sat_session.check_pair (Sat_session.create ?subst net) a b
+
 let test_miter_equal_pair () =
   let net, x1, x2, _, _, _, _ = candidates_net () in
-  match Miter.check_pair net x1 x2 with
-  | Miter.Equal -> ()
-  | Miter.Counterexample _ -> Alcotest.fail "commuted AND is equivalent"
-  | Miter.Unknown -> Alcotest.fail "unexpected Unknown without a budget"
+  match check_pair net x1 x2 with
+  | Sat_session.Equal -> ()
+  | Sat_session.Counterexample _ -> Alcotest.fail "commuted AND is equivalent"
+  | Sat_session.Unknown -> Alcotest.fail "unexpected Unknown without a budget"
 
 let test_miter_distinct_pair () =
   let net, x1, _, y1, _, _, _ = candidates_net () in
-  match Miter.check_pair net x1 y1 with
-  | Miter.Equal -> Alcotest.fail "AND and OR differ"
-  | Miter.Counterexample vec ->
+  match check_pair net x1 y1 with
+  | Sat_session.Equal -> Alcotest.fail "AND and OR differ"
+  | Sat_session.Counterexample vec ->
       let vals = N.eval net vec in
       Alcotest.(check bool) "cex distinguishes" true (vals.(x1) <> vals.(y1))
-  | Miter.Unknown -> Alcotest.fail "unexpected Unknown without a budget"
+  | Sat_session.Unknown -> Alcotest.fail "unexpected Unknown without a budget"
 
 let test_miter_near_miss () =
   let net, _, _, _, _, z1, z2 = candidates_net () in
-  match Miter.check_pair net z1 z2 with
-  | Miter.Equal -> Alcotest.fail "near-miss pair differs on one minterm"
-  | Miter.Counterexample vec ->
+  match check_pair net z1 z2 with
+  | Sat_session.Equal -> Alcotest.fail "near-miss pair differs on one minterm"
+  | Sat_session.Counterexample vec ->
       Alcotest.(check (array bool)) "the rare minterm" [| true; true; true; true |] vec
-  | Miter.Unknown -> Alcotest.fail "unexpected Unknown without a budget"
+  | Sat_session.Unknown -> Alcotest.fail "unexpected Unknown without a budget"
 
 let test_miter_same_node () =
   let net, x1, _, _, _, _, _ = candidates_net () in
-  Alcotest.(check bool) "node vs itself" true (Miter.check_pair net x1 x1 = Miter.Equal)
+  Alcotest.(check bool) "node vs itself" true (check_pair net x1 x1 = Sat_session.Equal)
 
 let test_miter_with_subst () =
   let net, x1, x2, _, _, z1, _ = candidates_net () in
@@ -94,12 +100,12 @@ let test_miter_with_subst () =
   subst.(x2) <- x1;
   (* After substitution the pair resolves to the same representative. *)
   Alcotest.(check bool) "resolved equal" true
-    (Miter.check_pair ~subst net x1 x2 = Miter.Equal);
+    (check_pair ~subst net x1 x2 = Sat_session.Equal);
   (* And a distinct pair still gets a counter-example. *)
-  (match Miter.check_pair ~subst net x1 z1 with
-   | Miter.Counterexample _ -> ()
-   | Miter.Equal -> Alcotest.fail "x1 and z1 differ"
-   | Miter.Unknown -> Alcotest.fail "unexpected Unknown without a budget")
+  (match check_pair ~subst net x1 z1 with
+   | Sat_session.Counterexample _ -> ()
+   | Sat_session.Equal -> Alcotest.fail "x1 and z1 differ"
+   | Sat_session.Unknown -> Alcotest.fail "unexpected Unknown without a budget")
 
 let test_miter_random_verified () =
   (* Cross-check the miter against exhaustive simulation. *)
@@ -114,12 +120,12 @@ let test_miter_random_verified () =
         let vals = N.eval net vec in
         if vals.(g1) <> vals.(g2) then equal_exhaustive := false
       done;
-      match Miter.check_pair net g1 g2 with
-      | Miter.Equal -> Alcotest.(check bool) "agrees" true !equal_exhaustive
-      | Miter.Counterexample vec ->
+      match check_pair net g1 g2 with
+      | Sat_session.Equal -> Alcotest.(check bool) "agrees" true !equal_exhaustive
+      | Sat_session.Counterexample vec ->
           let vals = N.eval net vec in
           Alcotest.(check bool) "valid cex" true (vals.(g1) <> vals.(g2))
-      | Miter.Unknown -> Alcotest.fail "unexpected Unknown without a budget"
+      | Sat_session.Unknown -> Alcotest.fail "unexpected Unknown without a budget"
     end
   done
 
@@ -131,21 +137,21 @@ let test_miter_certified () =
   let net, x1, x2, y1, _, z1, z2 = candidates_net () in
   (* Equal pair: UNSAT answer with a checked DRUP proof. *)
   (match certified net x1 x2 with
-   | Miter.Equal, valid -> Alcotest.(check bool) "proof checks" true valid
-   | Miter.Counterexample _, _ -> Alcotest.fail "equal pair"
-   | Miter.Unknown, _ -> Alcotest.fail "unexpected Unknown without a budget");
+   | Sat_session.Equal, valid -> Alcotest.(check bool) "proof checks" true valid
+   | Sat_session.Counterexample _, _ -> Alcotest.fail "equal pair"
+   | Sat_session.Unknown, _ -> Alcotest.fail "unexpected Unknown without a budget");
   (* Distinct pair: counter-example validated by simulation. *)
   (match certified net x1 y1 with
-   | Miter.Counterexample _, valid ->
+   | Sat_session.Counterexample _, valid ->
        Alcotest.(check bool) "cex validated" true valid
-   | Miter.Equal, _ -> Alcotest.fail "distinct pair"
-   | Miter.Unknown, _ -> Alcotest.fail "unexpected Unknown without a budget");
+   | Sat_session.Equal, _ -> Alcotest.fail "distinct pair"
+   | Sat_session.Unknown, _ -> Alcotest.fail "unexpected Unknown without a budget");
   (* Near-miss: both outcomes certified across random nets too. *)
   match certified net z1 z2 with
-  | Miter.Counterexample _, valid ->
+  | Sat_session.Counterexample _, valid ->
       Alcotest.(check bool) "near-miss certified" true valid
-  | Miter.Equal, _ -> Alcotest.fail "near-miss differs"
-  | Miter.Unknown, _ -> Alcotest.fail "unexpected Unknown without a budget"
+  | Sat_session.Equal, _ -> Alcotest.fail "near-miss differs"
+  | Sat_session.Unknown, _ -> Alcotest.fail "unexpected Unknown without a budget"
 
 let test_miter_certified_random () =
   let rng = Rng.create 501 in
@@ -165,7 +171,7 @@ let test_po_miter () =
   Array.iteri
     (fun i p1 ->
       Alcotest.(check bool) "identical nets equal" true
-        (Miter.check_pair joined p1 pos2.(i) = Miter.Equal))
+        (check_pair joined p1 pos2.(i) = Sat_session.Equal))
     pos1
 
 (* ------------------------------------------------------------------ *)
@@ -505,7 +511,8 @@ let test_essential_bits () =
 
 let test_sat_vectors_realize_outgold () =
   let net, x1, _, y1, _, z1, z2 = candidates_net () in
-  (match Simgen_sweep.Sat_vectors.generate net [ (x1, false); (y1, true) ] with
+  let session = Sat_session.create net in
+  (match Sat_vectors.generate_in session [ (x1, false); (y1, true) ] with
    | Some vec ->
        let vals = N.eval net vec in
        Alcotest.(check bool) "x1=0" false vals.(x1);
@@ -513,7 +520,7 @@ let test_sat_vectors_realize_outgold () =
    | None -> Alcotest.fail "satisfiable combination rejected");
   (* The near-miss pair: only the rare minterm (where z1 = 1, z2 = 0)
      splits it. *)
-  match Simgen_sweep.Sat_vectors.generate net [ (z1, true); (z2, false) ] with
+  match Sat_vectors.generate_in session [ (z1, true); (z2, false) ] with
   | Some vec ->
       let vals = N.eval net vec in
       Alcotest.(check bool) "split realized" true (vals.(z1) <> vals.(z2))
@@ -523,14 +530,15 @@ let test_sat_vectors_unsat () =
   let net, x1, x2, _, _, _, _ = candidates_net () in
   (* Equivalent nodes cannot take opposite values. *)
   Alcotest.(check bool) "unsat combination" true
-    (Simgen_sweep.Sat_vectors.generate net [ (x1, false); (x2, true) ] = None)
+    (Sat_vectors.generate_in (Sat_session.create net) [ (x1, false); (x2, true) ]
+    = None)
 
 let test_sat_vectors_pairwise_fallback () =
   let net, x1, x2, y1, _, _, _ = candidates_net () in
   (* x1 and x2 equivalent (conflicting golds), but the (x1, y1) pair is
      realizable: pairwise must find it. *)
   match
-    Simgen_sweep.Sat_vectors.generate_pairwise net
+    Sat_vectors.generate_pairwise_in (Sat_session.create net)
       [ (x1, false); (x2, true); (y1, true) ]
   with
   | Some vec ->
@@ -588,7 +596,9 @@ let prop_sat_vectors_sound =
                   Rng.choose rng pool))
          in
          let outgold = List.map (fun id -> (id, Rng.bool rng)) targets in
-         match Simgen_sweep.Sat_vectors.generate ~rng net outgold with
+         match
+           Sat_vectors.generate_in (Sat_session.create ~rng net) outgold
+         with
          | Some vec ->
              let vals = N.eval net vec in
              List.for_all (fun (id, gold) -> vals.(id) = gold) outgold
@@ -782,7 +792,6 @@ let test_cec_run_without_sat () =
 (* Incremental SAT sessions                                            *)
 (* ------------------------------------------------------------------ *)
 
-module Sat_session = Simgen_sweep.Sat_session
 module Suite = Simgen_benchgen.Suite
 
 (* All gate pairs of a small net, in a deterministic order. *)
@@ -804,8 +813,8 @@ let check_differential net pairs seed =
       in
       let session_verdict = Sat_session.check_pair session a b in
       match (fresh_verdict, session_verdict) with
-      | Miter.Equal, Sat_session.Equal -> ()
-      | Miter.Counterexample v1, Sat_session.Counterexample v2 ->
+      | Sat_session.Equal, Sat_session.Equal -> ()
+      | Sat_session.Counterexample v1, Sat_session.Counterexample v2 ->
           (* Counter-example vectors may differ (different models); both
              must actually distinguish the pair. *)
           let d vec =
@@ -814,11 +823,11 @@ let check_differential net pairs seed =
           in
           Alcotest.(check bool) "fresh cex distinguishes" true (d v1);
           Alcotest.(check bool) "session cex distinguishes" true (d v2)
-      | Miter.Equal, Sat_session.Counterexample _ ->
+      | Sat_session.Equal, Sat_session.Counterexample _ ->
           Alcotest.failf "pair (%d,%d): fresh says Equal, session disagrees" a b
-      | Miter.Counterexample _, Sat_session.Equal ->
+      | Sat_session.Counterexample _, Sat_session.Equal ->
           Alcotest.failf "pair (%d,%d): session says Equal, fresh disagrees" a b
-      | Miter.Unknown, _ | _, Sat_session.Unknown ->
+      | Sat_session.Unknown, _ | _, Sat_session.Unknown ->
           Alcotest.failf "pair (%d,%d): unexpected Unknown without a budget" a b)
     pairs
 
