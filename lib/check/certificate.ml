@@ -36,214 +36,7 @@ type report = {
   diags : Diagnostic.t list;
 }
 
-(* An incremental RUP engine, independent of the solver: a persistent
-   clause database with literal-occurrence propagation, a persistent
-   root-level trail (unit consequences survive across queries, which is
-   what makes replaying a whole session affordable), and temporary
-   assumption trails per derivation that are fully undone. Propagation
-   scans each clause containing a newly falsified literal — no watched
-   literals, no per-clause counters — so enabling and disabling clauses
-   (deletions, per-slice backward trimming) is a flag flip with no
-   invariants to repair. *)
-module Engine = struct
-  type cl = {
-    lits : Literal.t array;
-    mutable enabled : bool;
-    mutable verified : bool;
-    mutable needed : bool;
-    mutable slice_mark : int;
-        (* event index when learned in the slice being replayed, -1
-           outside it; doubles as the "learned this slice" flag *)
-    mutable del_mark : bool;  (* deleted within the slice being replayed *)
-  }
-
-  type t = {
-    mutable values : int array;  (* var -> 0 unset / 1 true / -1 false *)
-    mutable seen : bool array;  (* var occurs in some added clause *)
-    mutable occ : cl list array;  (* 2*var + sign -> clauses with that literal *)
-    mutable trail : Literal.t array;
-    mutable trail_len : int;
-    mutable root_len : int;  (* persistent prefix of the trail *)
-    mutable root_conflict : bool;
-    learned : (Literal.t list, cl list ref) Hashtbl.t;  (* deletion lookup *)
-  }
-
-  let create () =
-    {
-      values = Array.make 64 0;
-      seen = Array.make 64 false;
-      occ = Array.make 128 [];
-      trail = Array.make 64 (Literal.pos 0);
-      trail_len = 0;
-      root_len = 0;
-      root_conflict = false;
-      learned = Hashtbl.create 64;
-    }
-
-  let ensure_var t v =
-    let n = Array.length t.values in
-    if v >= n then begin
-      let n' = max (v + 1) (2 * n) in
-      let values = Array.make n' 0 in
-      Array.blit t.values 0 values 0 n;
-      t.values <- values;
-      let seen = Array.make n' false in
-      Array.blit t.seen 0 seen 0 n;
-      t.seen <- seen;
-      let occ = Array.make (2 * n') [] in
-      Array.blit t.occ 0 occ 0 (2 * n);
-      t.occ <- occ
-    end
-
-  let occurs t v = v >= 0 && v < Array.length t.seen && t.seen.(v)
-  let lit_index l = (2 * Literal.var l) + if Literal.sign l then 1 else 0
-
-  let lit_value t l =
-    let v = t.values.(Literal.var l) in
-    if v = 0 then 0 else if Literal.sign l then -v else v
-
-  let push t l =
-    if t.trail_len >= Array.length t.trail then begin
-      let trail = Array.make (2 * Array.length t.trail) t.trail.(0) in
-      Array.blit t.trail 0 trail 0 t.trail_len;
-      t.trail <- trail
-    end;
-    t.trail.(t.trail_len) <- l;
-    t.trail_len <- t.trail_len + 1;
-    t.values.(Literal.var l) <- (if Literal.sign l then -1 else 1)
-
-  let undo_to t mark =
-    for i = mark to t.trail_len - 1 do
-      t.values.(Literal.var t.trail.(i)) <- 0
-    done;
-    t.trail_len <- mark
-
-  (* Propagate trail entries from position [from] to fixpoint. Every
-     clause that produces a unit or the conflict is reported through
-     [on_used] — an over-approximation of the resolution antecedents,
-     which is what the per-slice trimmer marks as needed. *)
-  let propagate t ~on_used from =
-    let conflict = ref false in
-    let head = ref from in
-    while (not !conflict) && !head < t.trail_len do
-      let l = t.trail.(!head) in
-      incr head;
-      let falsified = lit_index (Literal.negate l) in
-      List.iter
-        (fun c ->
-          if (not !conflict) && c.enabled then begin
-            let satisfied = ref false in
-            let unassigned = ref [] in
-            Array.iter
-              (fun x ->
-                match lit_value t x with
-                | 1 -> satisfied := true
-                | 0 -> unassigned := x :: !unassigned
-                | _ -> ())
-              c.lits;
-            if not !satisfied then
-              match List.sort_uniq compare !unassigned with
-              | [] ->
-                  on_used c;
-                  conflict := true
-              | [ u ] ->
-                  on_used c;
-                  push t u
-              | _ -> ()
-          end)
-        t.occ.(falsified)
-    done;
-    !conflict
-
-  (* Examine a clause under the root assignment: root-unit clauses
-     propagate permanently, a root-falsified clause marks the whole
-     database conflicting (everything becomes trivially derivable, which
-     is logically correct — and unreachable for certificates recorded
-     from a real sweep, whose instances are satisfiable). *)
-  let attach t c =
-    if c.enabled && not t.root_conflict then begin
-      let satisfied = ref false in
-      let unassigned = ref [] in
-      Array.iter
-        (fun x ->
-          match lit_value t x with
-          | 1 -> satisfied := true
-          | 0 -> unassigned := x :: !unassigned
-          | _ -> ())
-        c.lits;
-      if not !satisfied then
-        match List.sort_uniq compare !unassigned with
-        | [] -> t.root_conflict <- true
-        | [ u ] ->
-            push t u;
-            if propagate t ~on_used:ignore (t.trail_len - 1) then
-              t.root_conflict <- true;
-            t.root_len <- t.trail_len
-        | _ -> ()
-    end
-
-  let canon lits = List.sort compare lits
-
-  let add ?(learned = false) ?(verified = true) ?(slice_mark = -1) t lits_list
-      =
-    let lits = Array.of_list lits_list in
-    let c =
-      { lits; enabled = true; verified; needed = false; slice_mark;
-        del_mark = false }
-    in
-    Array.iter
-      (fun l ->
-        let v = Literal.var l in
-        ensure_var t v;
-        t.seen.(v) <- true;
-        let i = lit_index l in
-        t.occ.(i) <- c :: t.occ.(i))
-      lits;
-    if learned then begin
-      let key = canon lits_list in
-      match Hashtbl.find_opt t.learned key with
-      | Some r -> r := c :: !r
-      | None -> Hashtbl.add t.learned key (ref [ c ])
-    end;
-    attach t c;
-    c
-
-  let disable c = c.enabled <- false
-
-  let enable t c =
-    if not c.enabled then begin
-      c.enabled <- true;
-      attach t c
-    end
-
-  let find_learned t lits =
-    let key = canon (Array.to_list lits) in
-    match Hashtbl.find_opt t.learned key with
-    | None -> None
-    | Some r -> List.find_opt (fun c -> c.enabled) !r
-
-  (* Reverse unit propagation of [lits]: assume the negation of every
-     literal and propagate to a conflict. Root-satisfied targets and
-     tautologies are trivially entailed. The temporary assignments are
-     undone either way. *)
-  let rup ?(on_used = ignore) t lits =
-    if t.root_conflict then true
-    else begin
-      let mark = t.trail_len in
-      let satisfied = ref false in
-      List.iter
-        (fun l ->
-          ensure_var t (Literal.var l);
-          match lit_value t l with
-          | 1 -> satisfied := true
-          | -1 -> ()
-          | _ -> push t (Literal.negate l))
-        lits;
-      let result = !satisfied || propagate t ~on_used mark in
-      undo_to t mark;
-      result
-    end
-end
+module Engine = Drup.Engine
 
 let check (t : t) =
   let diags = ref [] in
@@ -261,7 +54,6 @@ let check (t : t) =
   let checked = ref 0 in
   let trimmed = ref 0 in
   let eng = ref (Engine.create ()) in
-  let mark_needed (c : Engine.cl) = if c.slice_mark >= 0 then c.needed <- true in
   Array.iteri
     (fun qi query ->
       let loc = Diagnostic.Named (Printf.sprintf "query %d" qi) in
@@ -319,10 +111,27 @@ let check (t : t) =
             ignore (Engine.add eng [ nact; Literal.neg va; Literal.neg vb ]);
             let ev = Array.of_list events in
             let n = Array.length ev in
+            (* A slice lemma is tagged with its global step number, so
+               [tag - base] is its event index within this slice and
+               negative for every older clause. *)
+            let base = !steps in
             steps := !steps + n;
             let recs = Array.make n None in
             let deleted = Array.make n None in
+            let needed = Array.make n false in
+            let deleted_in_slice = Array.make n false in
+            let mark_needed c =
+              let j = Engine.tag c - base in
+              if j >= 0 then needed.(j) <- true
+            in
             let slice_ok = ref true in
+            let verify j lits =
+              incr checked;
+              if not (Engine.rup eng ~on_used:mark_needed lits) then begin
+                fail ~loc "X001" "proof step %d fails RUP" j;
+                slice_ok := false
+              end
+            in
             (* Forward: units (and the empty clause) are verified eagerly
                and root-propagated; longer lemmas are installed
                optimistically and verified by the backward pass, which
@@ -331,27 +140,20 @@ let check (t : t) =
               match ev.(j) with
               | Solver.Learn lits ->
                   let ll = Array.to_list lits in
-                  if Array.length lits <= 1 then begin
-                    incr checked;
-                    if not (Engine.rup eng ~on_used:mark_needed ll) then begin
-                      fail ~loc "X001" "proof step %d fails RUP" j;
-                      slice_ok := false
-                    end;
-                    ignore (Engine.add eng ~learned:true ll)
-                  end
-                  else
-                    recs.(j) <-
-                      Some
-                        (Engine.add eng ~learned:true ~verified:false
-                           ~slice_mark:j ll)
+                  if Array.length lits <= 1 then verify j ll;
+                  recs.(j) <- Some (Engine.add ~tag:(base + j) eng ll, ll)
               | Solver.Delete lits -> (
-                  match Engine.find_learned eng lits with
-                  | Some c ->
-                      Engine.disable c;
-                      if c.Engine.slice_mark >= 0 then
-                        c.Engine.del_mark <- true;
+                  (* Two deletions are sound no-ops: an unknown clause,
+                     and the reason of a root unit. The session's solver
+                     drops root-satisfied clauses but keeps the units
+                     they implied, so later lemmas may rest on them. *)
+                  match Engine.find eng lits with
+                  | Some c when not (Engine.implies_root_unit eng c) ->
+                      Engine.disable eng c;
+                      if Engine.tag c >= base then
+                        deleted_in_slice.(Engine.tag c - base) <- true;
                       deleted.(j) <- Some c
-                  | None -> () (* unknown deletion: sound no-op *))
+                  | Some _ | None -> ())
             done;
             (* Obligation: [not act] must follow — the miter under [act]
                is unsatisfiable. *)
@@ -368,53 +170,39 @@ let check (t : t) =
             in
             (* Lemmas surviving the slice may serve later queries: they
                are always needed. *)
-            Array.iter
-              (function
-                | Some (c : Engine.cl) -> if c.enabled then c.needed <- true
-                | None -> ())
+            Array.iteri
+              (fun j r ->
+                if r <> None && not deleted_in_slice.(j) then
+                  needed.(j) <- true)
               recs;
-            (* Backward: undo the slice while verifying exactly the
-               needed lemmas at their own position (their antecedents get
-               marked needed in turn and verified as the walk reaches
-               them). Unneeded deleted lemmas are the trim. *)
+            (* Backward: undo the slice, disabling every lemma as the walk
+               passes it, so a lemma is checked only against what stood
+               before it — never against a root unit it or a later lemma
+               implied. Needed long lemmas are verified there (their
+               antecedents get marked needed in turn); unneeded ones are
+               the trim. *)
             for j = n - 1 downto 0 do
-              (match deleted.(j) with
-              | Some c -> Engine.enable eng c
-              | None -> ());
+              Option.iter (Engine.enable eng) deleted.(j);
               match recs.(j) with
-              | Some c ->
-                  Engine.disable c;
-                  if c.needed then begin
-                    incr checked;
-                    if
-                      not
-                        (Engine.rup eng ~on_used:mark_needed
-                           (Array.to_list c.lits))
-                    then begin
-                      fail ~loc "X001" "proof step %d fails RUP" j;
-                      slice_ok := false
-                    end;
-                    c.verified <- true
-                  end
-                  else incr trimmed
+              | Some (c, ll) -> (
+                  Engine.disable eng c;
+                  match ll with
+                  | [] | [ _ ] -> ()
+                  | _ -> if needed.(j) then verify j ll else incr trimmed)
               | None -> ()
             done;
-            (* Restore the slice-end state: needed-and-not-deleted lemmas
-               come back, everything else stays out, and deletions of
-               older lemmas are re-applied. *)
+            (* Restore the slice-end state: deletions of older lemmas are
+               re-applied and the surviving lemmas come back. *)
             Array.iter
               (function
-                | Some (c : Engine.cl) ->
-                    if c.Engine.slice_mark < 0 then Engine.disable c
-                | None -> ())
+                | Some c when Engine.tag c < base -> Engine.disable eng c
+                | _ -> ())
               deleted;
-            Array.iter
-              (function
-                | Some (c : Engine.cl) ->
-                    if c.needed && not c.del_mark then Engine.enable eng c;
-                    c.slice_mark <- -1;
-                    c.del_mark <- false
-                | None -> ())
+            Array.iteri
+              (fun j r ->
+                match r with
+                | Some (c, _) when not deleted_in_slice.(j) -> Engine.enable eng c
+                | _ -> ())
               recs;
             (* Retire the query exactly as the session does. [act] is
                fresh, so the unit is satisfiability-preserving whatever

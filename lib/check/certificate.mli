@@ -5,8 +5,9 @@
     or its solver: the CNF problem clauses streamed into the per-sweep
     SAT session, the DRUP proof events of every pair query, and the merge
     log [(repr, node, proof_ref)]. {!check} replays the whole object —
-    it re-derives every learned clause by reverse unit propagation with a
-    propagation engine that shares no code with the solver, reconstructs
+    it re-derives every learned clause by reverse unit propagation on
+    {!Simgen_sat.Drup.Engine}, which shares no code with the solver (this
+    module keeps only the slice policy), reconstructs
     the activation-literal guard clauses itself (verifying the activation
     variable is fresh, which is what makes retiring a query by a negated
     unit and tying proven-equal variables sound), re-proves each query's

@@ -74,30 +74,13 @@ let structural ?(expect_unsat = false) events =
 let semantic formula events =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let nvars =
-    let of_list acc lits =
-      List.fold_left (fun acc l -> max acc (Literal.var l + 1)) acc lits
-    in
-    let n = List.fold_left of_list 1 formula in
-    List.fold_left
-      (fun acc ev -> of_list acc (Array.to_list (event_lits ev)))
-      n events
-  in
-  (* Multiset of available copies per canonical clause, plus the set of
-     clauses ever available (to tell D001 from D002). *)
-  let avail = Hashtbl.create 64 in
-  let seen = Hashtbl.create 64 in
-  let get k = Option.value (Hashtbl.find_opt avail k) ~default:0 in
-  let put k n = if n = 0 then Hashtbl.remove avail k else Hashtbl.replace avail k n in
-  List.iter
-    (fun c ->
-      let k = List.sort compare c in
-      Hashtbl.replace seen k ();
-      put k (get k + 1))
-    formula;
-  (* Active / graveyard clause lists for the RUP-based delete-then-use
-     check, newest first. *)
-  let active = ref (List.map (List.sort compare) formula) in
+  (* The engine holds the available clauses (formula + learns - deletes,
+     as a multiset) enabled, and remembers every clause ever added to
+     tell D001 from D002. *)
+  let engine = Drup.Engine.create () in
+  List.iter (fun c -> ignore (Drup.Engine.add engine c)) formula;
+  (* Deleted clauses, disabled in the engine, for the delete-then-use
+     check. *)
   let graveyard = ref [] in
   let empty_seen = ref false in
   List.iteri
@@ -105,53 +88,37 @@ let semantic formula events =
       match ev with
       | Solver.Learn lits ->
           if not !empty_seen then begin
-            let clause = canon lits in
-            if not (Drup.rup nvars !active clause) then
-              if
-                !graveyard <> []
-                && Drup.rup nvars (List.rev_append !graveyard !active) clause
-              then
+            let clause = Array.to_list lits in
+            if not (Drup.Engine.rup engine clause) && !graveyard <> [] then begin
+              List.iter (Drup.Engine.enable engine) !graveyard;
+              if Drup.Engine.rup engine clause then
                 add
                   (Diagnostic.error ~loc:(Diagnostic.Clause idx) "D006"
                      "step %d only derivable from previously deleted \
                       clauses (delete-then-use)"
                      idx);
+              List.iter (Drup.Engine.disable engine) !graveyard
+            end;
             (* A step that fails RUP even with the graveyard restored is
                the DRUP checker's verdict (Invalid_step), not a stream-
                structure defect: no D code. *)
             if clause = [] then empty_seen := true
-            else begin
-              Hashtbl.replace seen clause ();
-              put clause (get clause + 1);
-              active := clause :: !active
-            end
+            else ignore (Drup.Engine.add engine clause)
           end
-      | Solver.Delete lits ->
-          let clause = canon lits in
-          let n = get clause in
-          if n = 0 then
-            if Hashtbl.mem seen clause then
-              add
-                (Diagnostic.error ~loc:(Diagnostic.Clause idx) "D002"
-                   "step %d deletes a clause already deleted" idx)
-            else
-              add
-                (Diagnostic.error ~loc:(Diagnostic.Clause idx) "D001"
-                   "step %d deletes a clause that was never added" idx)
-          else begin
-            put clause (n - 1);
-            let removed = ref false in
-            active :=
-              List.filter
-                (fun c ->
-                  if (not !removed) && c = clause then begin
-                    removed := true;
-                    false
-                  end
-                  else true)
-                !active;
-            graveyard := clause :: !graveyard
-          end)
+      | Solver.Delete lits -> (
+          match Drup.Engine.find engine lits with
+          | Some c ->
+              Drup.Engine.disable engine c;
+              graveyard := c :: !graveyard
+          | None ->
+              if Drup.Engine.added engine lits then
+                add
+                  (Diagnostic.error ~loc:(Diagnostic.Clause idx) "D002"
+                     "step %d deletes a clause already deleted" idx)
+              else
+                add
+                  (Diagnostic.error ~loc:(Diagnostic.Clause idx) "D001"
+                     "step %d deletes a clause that was never added" idx)))
     events;
   List.rev !diags
 

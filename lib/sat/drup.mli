@@ -4,26 +4,67 @@
     clause must follow from the current formula by {e reverse unit
     propagation} (assuming the clause's negation and propagating units
     must yield a conflict), and the proof must derive the empty clause.
-    The checker shares no code with the solver's propagation engine. *)
+    The checker shares no code with the solver's propagation engine.
+
+    {!Engine} is the one RUP implementation outside the solver: {!check},
+    {!trim}, the proof-stream lint and the whole-sweep certificate
+    checker ([Simgen_check]) all run on it. *)
 
 type verdict =
   | Valid  (** the proof derives the empty clause, every step RUP-checked *)
   | Invalid_step of int  (** 0-based index of the first non-RUP addition *)
   | Incomplete  (** all steps valid but the empty clause never derived *)
 
+(** An incremental RUP engine: a clause database with two watched
+    literals per clause and a root trail, kept between calls as the
+    unit-propagation fixpoint of the enabled clauses. Enabling a clause
+    propagates what it implies; disabling one retracts the root units it
+    implied and everything derived after them, then re-derives what the
+    remaining clauses still imply. A check can therefore never lean on a
+    unit that only a disabled clause supported. *)
+module Engine : sig
+  type t
+  type clause
+
+  val create : unit -> t
+
+  val add : ?tag:int -> t -> Literal.t list -> clause
+  (** Add an enabled clause. [tag] (default [-1]) is the caller's label,
+      returned by {!tag}; the engine never reads it. *)
+
+  val tag : clause -> int
+
+  val find : t -> Literal.t array -> clause option
+  (** The newest enabled clause with exactly these literals (as a
+      multiset, in any order), if any: the target of a deletion. *)
+
+  val added : t -> Literal.t array -> bool
+  (** Was a clause with exactly these literals ever added, enabled or
+      not? *)
+
+  val enable : t -> clause -> unit
+  val disable : t -> clause -> unit
+
+  val implies_root_unit : t -> clause -> bool
+  (** Is the clause, enabled, the reason of a root unit, so that
+      disabling it would retract that unit? *)
+
+  val occurs : t -> int -> bool
+  (** Does the variable occur in some added clause? *)
+
+  val rup : ?on_used:(clause -> unit) -> t -> Literal.t list -> bool
+  (** Does the clause follow from the enabled clauses by reverse unit
+      propagation? A root-inconsistent database entails everything.
+      [on_used] is called on every clause the derivation used: each that
+      propagated a unit or closed the conflict, and the reasons of the
+      root units those rest on (an over-approximation of the resolution
+      antecedents, which is what trimming keeps). *)
+end
+
 val check :
   Literal.t list list -> Solver.proof_event list -> verdict
-(** [check formula proof] where [formula] is the original clause set. *)
-
-val rup : int -> Literal.t list list -> Literal.t list -> bool
-(** [rup nvars clauses clause]: does [clause] follow from [clauses] by
-    reverse unit propagation? The building block of {!check}, exposed for
-    the proof-stream lint ([Simgen_check.Proof_lint]), which must re-run
-    individual steps against varying clause sets. *)
-
-val check_solver :
-  Literal.t list list -> Solver.t -> verdict
-(** Convenience: check a solver's recorded proof against the formula. *)
+(** [check formula proof] where [formula] is the original clause set. A
+    deletion removes one enabled copy of the clause, if any. *)
 
 type trim_anomaly =
   | Non_rup_step of int
@@ -39,7 +80,7 @@ val trim :
   Solver.proof_event list
 (** [trim ?goal ?on_anomaly formula proof] drops deleted and unused
     lemmas. A forward pass re-derives each learned clause recording which
-    earlier steps its unit propagation touched; a backward pass keeps
+    earlier steps its derivation used ({!Engine.rup}'s [on_used]); a backward pass keeps
     only the steps reachable from the goal — the empty clause when the
     proof derives one, else the RUP derivation of [goal]. The result
     contains only [Learn] events (deletions are dropped: RUP is monotone

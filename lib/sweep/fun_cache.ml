@@ -1,7 +1,7 @@
 (* The cut-local check: the rung of [Sweeper.verify_pair] that runs
    before any SAT query. It grows a small cut shared by the pair,
    composes both cone functions over it and compares the tables. Nothing
-   is stored between consults; the only state is four counters. *)
+   is stored between consults; the only state is five counters. *)
 
 module N = Simgen_network.Network
 module TT = Simgen_network.Truth_table
@@ -15,6 +15,7 @@ let max_interior = 48
 
 type t = {
   consults : int Shared.Atomic.t;
+  hits : int Shared.Atomic.t;
   misses : int Shared.Atomic.t;
   local_proofs : int Shared.Atomic.t;
   local_cexes : int Shared.Atomic.t;
@@ -25,6 +26,7 @@ let create () =
   let counter name = Shared.Atomic.make ~loc ("sweep.fun-cache." ^ name) 0 in
   {
     consults = counter "consults";
+    hits = counter "hits";
     misses = counter "misses";
     local_proofs = counter "local-proofs";
     local_cexes = counter "local-cexes";
@@ -135,24 +137,25 @@ let consult t ?(serve_equal = true) ~rng ~subst net a b =
   Shared.Atomic.incr t.consults;
   let frontier, interior, exact = shared_cut ~subst net a b in
   let tt_a, tt_b, s = cut_functions ~subst net frontier interior a b in
-  if TT.equal tt_a tt_b then
+  if TT.equal tt_a tt_b then begin
     (* agreement over the free cut variables implies agreement over every
        PI assignment; under certification the SAT route must still run so
-       the merge can cite a DRUP proof *)
+       the merge can cite a DRUP proof: the proof counts, but the withheld
+       answer is neither a hit nor a miss *)
+    Shared.Atomic.incr t.local_proofs;
     if serve_equal then begin
-      Shared.Atomic.incr t.local_proofs;
+      Shared.Atomic.incr t.hits;
       Sat_session.Equal
     end
-    else begin
-      Shared.Atomic.incr t.misses;
-      Sat_session.Unknown
-    end
+    else Sat_session.Unknown
+  end
   else if exact then
     (* the cut is the pair's true PI support: a differing minterm is a
        genuine counterexample *)
     match first_differing_minterm tt_a tt_b s with
     | Some m ->
         Shared.Atomic.incr t.local_cexes;
+        Shared.Atomic.incr t.hits;
         Sat_session.Counterexample (vector_of_minterm ~rng net frontier m)
     | None -> (* unequal tables must differ somewhere *) assert false
   else begin
@@ -170,12 +173,10 @@ type stats = {
 }
 
 let stats (t : t) =
-  let local_proofs = Shared.Atomic.get t.local_proofs
-  and local_cexes = Shared.Atomic.get t.local_cexes in
   {
     consults = Shared.Atomic.get t.consults;
-    hits = local_proofs + local_cexes;
+    hits = Shared.Atomic.get t.hits;
     misses = Shared.Atomic.get t.misses;
-    local_proofs;
-    local_cexes;
+    local_proofs = Shared.Atomic.get t.local_proofs;
+    local_cexes = Shared.Atomic.get t.local_cexes;
   }

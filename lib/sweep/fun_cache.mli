@@ -48,8 +48,11 @@ val consult :
 type stats = {
   consults : int;
   hits : int;  (** consults answered without SAT *)
-  misses : int;
-  local_proofs : int;  (** Equal answers proven over the shared cut *)
+  misses : int;  (** consults SAT had to decide: the cut was inexact *)
+  local_proofs : int;
+      (** pairs proven equal over the shared cut, served or withheld;
+          a withheld proof ([serve_equal:false]) is neither a hit nor a
+          miss *)
   local_cexes : int;  (** counterexamples from exact-cut minterms *)
 }
 

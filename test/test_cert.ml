@@ -162,6 +162,87 @@ let test_tamper_range () =
         [ { m with Cert.node = cert.Cert.num_nodes + 5 } ];
     }
 
+(* Forged session slices: lemmas nothing entails, over a pair (x1, x2)
+   nothing relates. Each lemma was accepted when a root unit it implied
+   itself, or one that a later lemma implied through it, outlived its
+   retraction in the backward pass. The checker must reject every forged
+   lemma (X001) and so the merge citing the slice (X004). *)
+let forged_cert clauses events =
+  let lit d = Sat.Literal.of_dimacs d in
+  {
+    Cert.num_nodes = 2;
+    queries =
+      [|
+        Cert.Session
+          {
+            a = 0;
+            b = 1;
+            act = 3;
+            va = 1;
+            vb = 2;
+            equal = true;
+            clauses = List.map (List.map lit) clauses;
+            events =
+              List.map
+                (fun c -> Sat.Solver.Learn (Array.of_list (List.map lit c)))
+                events;
+          };
+      |];
+    merges = [ { Cert.repr = 0; node = 1; proof = 0 } ];
+  }
+
+let check_forged ~forged cert =
+  let report = Cert.check cert in
+  Alcotest.(check bool) "invalid" false report.Cert.valid;
+  Alcotest.(check int) "nothing proved" 0 report.Cert.proved;
+  let x001 =
+    List.filter_map
+      (fun d ->
+        match (d.Diagnostic.code, d.Diagnostic.message) with
+        | "X001", m -> Scanf.sscanf_opt m "proof step %d" Fun.id
+        | _ -> None)
+      report.Cert.diags
+  in
+  Alcotest.(check (list int)) "X001 on the forged lemmas" forged
+    (List.sort compare x001);
+  Alcotest.(check bool) "X004 on the merge" true
+    (List.mem "X004" (codes report))
+
+(* (a) With [not x0] at the root each lemma is unit when installed, and
+   its own root unit satisfied it in the backward pass. DIMACS numbering:
+   variable x_i is [i + 1]. *)
+let test_forged_self_unit () =
+  check_forged ~forged:[ 0; 1 ]
+    (forged_cert [ [ -1 ] ] [ [ 1; 2 ]; [ 1; 3 ] ])
+
+(* (b) The unit [x1] is RUP only through the forged [x0 | x1], and its
+   root unit then justified that lemma; likewise [x2] and [x4 | x2]. *)
+let test_forged_later_unit () =
+  check_forged ~forged:[ 0; 2 ]
+    (forged_cert [ [ -1; 2 ]; [ -5; 3 ] ] [ [ 1; 2 ]; [ 2 ]; [ 5; 3 ]; [ 3 ] ])
+
+(* (c) The forged [x0 | x4] implies x4 at the root, so x1 and x2 follow
+   from the problem clauses and the units [x1] and [x2] pass; the slice
+   then deletes the forged lemma. Its root unit must count as used, or
+   the backward pass trims the lemma unchecked. *)
+let test_forged_deleted_after_use () =
+  let cert =
+    forged_cert [ [ -1 ]; [ -5; 2 ]; [ -5; 3 ] ] [ [ 1; 5 ]; [ 2 ]; [ 3 ] ]
+  in
+  let delete =
+    Sat.Solver.Delete (Array.map Sat.Literal.of_dimacs [| 1; 5 |])
+  in
+  check_forged ~forged:[ 0 ]
+    {
+      cert with
+      Cert.queries =
+        Array.map
+          (function
+            | Cert.Session s -> Cert.Session { s with events = s.events @ [ delete ] }
+            | q -> q)
+          cert.Cert.queries;
+    }
+
 (* A Rebuild marker resets the checker's variable space: records taken
    from two separate sessions validate only with the marker between
    them. *)
@@ -382,6 +463,12 @@ let () =
           Alcotest.test_case "double merge (X007)" `Slow
             test_tamper_double_merge;
           Alcotest.test_case "range (X008)" `Slow test_tamper_range;
+          Alcotest.test_case "forged self-unit lemmas (X001)" `Quick
+            test_forged_self_unit;
+          Alcotest.test_case "forged lemma behind a later unit (X001)" `Quick
+            test_forged_later_unit;
+          Alcotest.test_case "forged lemma deleted after use (X001)" `Quick
+            test_forged_deleted_after_use;
         ] );
       ( "runner",
         [ Alcotest.test_case "certify job event" `Slow test_runner_certify ] );

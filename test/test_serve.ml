@@ -178,7 +178,8 @@ let test_certify_never_serves_equal () =
    | Sat_session.Equal -> ()
    | _ -> Alcotest.fail "local proof must still serve");
   let s = Fun_cache.stats fc in
-  Alcotest.(check int) "one miss" 1 s.Fun_cache.misses;
+  Alcotest.(check int) "no miss" 0 s.Fun_cache.misses;
+  Alcotest.(check int) "two local proofs" 2 s.Fun_cache.local_proofs;
   Alcotest.(check int) "one hit" 1 s.Fun_cache.hits
 
 (* Node values of every node under one PI vector; ids are topological. *)
