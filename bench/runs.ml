@@ -36,7 +36,7 @@ let run (opts : Sweep_options.t) net =
         cost0 := Sweeper.cost sw;
         cost := !cost0
     | Sweep_options.Guided_round _ -> cost := Sweeper.cost sw
-    | Sweep_options.Sat_sweep _ | Sweep_options.Po_query _
+    | Sweep_options.Sat_sweep _
     | Sweep_options.Counterexample _ ->
         ()
   in

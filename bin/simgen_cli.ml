@@ -222,8 +222,8 @@ let map_cmd =
     Term.(const run $ circuit_arg 0 "Input circuit file." $ output $ k)
 
 let sweep_cmd =
-  let run spec strategy iterations seed fresh certify =
-    let opts = sweep_options strategy iterations seed fresh certify in
+  let run spec strategy iterations seed fresh =
+    let opts = sweep_options strategy iterations seed fresh false in
     let net = load_or_generate spec in
     Format.printf "%a@." N.pp_stats net;
     let sw = Sweeper.create opts net in
@@ -234,7 +234,7 @@ let sweep_cmd =
           after_random := Sweeper.cost sw;
           after_guided := Sweeper.cost sw
       | Guided_round _ -> after_guided := Sweeper.cost sw
-      | Sat_sweep _ | Po_query _ | Counterexample _ -> ()
+      | Sat_sweep _ | Counterexample _ -> ()
     in
     let r = Cec.run { opts with Sweep_options.observe } sw [||] [||] in
     let g = r.Cec.guided and s = r.Cec.sat in
@@ -254,10 +254,7 @@ let sweep_cmd =
        clause reads), %d restarts%s\n"
       s.Sweeper.conflicts s.Sweeper.propagations s.Sweeper.watch_visits
       s.Sweeper.clause_reads s.Sweeper.restarts
-      (if certify && fresh then " (DRUP-certified, fresh solver per pair)"
-       else if certify then " (DRUP-certified incremental session)"
-       else if fresh then " (fresh solver per pair)"
-       else " (incremental session)");
+      (if fresh then " (fresh solver per pair)" else " (incremental session)");
     Printf.printf "final cost                   : %d\n" (Sweeper.cost sw)
   in
   Cmd.v
@@ -268,7 +265,7 @@ let sweep_cmd =
     Term.(
       const run
       $ circuit_arg 0 "Circuit file or benchmark name."
-      $ strategy_arg $ iterations_arg $ seed_arg $ fresh_arg $ certify_arg)
+      $ strategy_arg $ iterations_arg $ seed_arg $ fresh_arg)
 
 let certify_sweep_cmd =
   let run spec strategy iterations seed fresh out drup_out =
@@ -278,10 +275,7 @@ let certify_sweep_cmd =
         Printf.eprintf "certify-sweep: %s\n" msg;
         exit 2
     in
-    let opts =
-      { (sweep_options strategy iterations seed fresh true) with
-        Sweep_options.certify = true }
-    in
+    let opts = sweep_options strategy iterations seed fresh true in
     let sw = Sweeper.create opts net in
     let s = (Cec.run opts sw [||] [||]).Cec.sat in
     let cert = Sweeper.certificate sw in
@@ -495,8 +489,8 @@ let tsan_trace_arg =
            $(docv) for offline replay with $(b,race-check).")
 
 let batch_cmd =
-  let run manifest workers telemetry no_cache cache_capacity max_conflicts
-      retries certify solver_audit tsan tsan_trace =
+  let run manifest workers telemetry no_cache max_conflicts retries certify
+      solver_audit tsan tsan_trace =
     if retries < 1 then begin
       Printf.eprintf "--retry must be at least 1\n";
       exit 1
@@ -540,7 +534,7 @@ let batch_cmd =
     in
     let cache =
       if no_cache then None
-      else Some (Runner.Pattern_cache.create ~capacity_per_key:cache_capacity ())
+      else Some (Runner.Pattern_cache.create ())
     in
     (* SIGINT drains rather than kills: the cancel flag makes every
        running job return Budget_exhausted Cancelled at its next budget
@@ -649,12 +643,6 @@ let batch_cmd =
             "Disable the cross-job pattern cache (replaying distinguishing \
              patterns between jobs with matching PI counts).")
   in
-  let cache_capacity =
-    Arg.(
-      value & opt int 64
-      & info [ "cache-capacity" ] ~docv:"N"
-          ~doc:"Cached patterns kept per PI count.")
-  in
   let batch_certify =
     Arg.(
       value & flag
@@ -677,9 +665,9 @@ let batch_cmd =
           not-equivalent job is decided, so it exits 0, where cec and \
           submit exit 1.")
     Term.(
-      const run $ manifest $ workers $ telemetry $ no_cache $ cache_capacity
-      $ max_conflicts_arg $ retry_arg $ batch_certify $ solver_audit_arg
-      $ tsan_arg $ tsan_trace_arg)
+      const run $ manifest $ workers $ telemetry $ no_cache $ max_conflicts_arg
+      $ retry_arg $ batch_certify $ solver_audit_arg $ tsan_arg
+      $ tsan_trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Daemon and client                                                   *)

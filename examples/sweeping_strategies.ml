@@ -47,7 +47,7 @@ let () =
             cost0 := Sweeper.cost sw;
             cost1 := !cost0
         | Sweep_options.Guided_round _ -> cost1 := Sweeper.cost sw
-        | Sweep_options.Sat_sweep _ | Sweep_options.Po_query _
+        | Sweep_options.Sat_sweep _
         | Sweep_options.Counterexample _ ->
             ()
       in

@@ -143,17 +143,14 @@ let check (t : t) =
                   if Array.length lits <= 1 then verify j ll;
                   recs.(j) <- Some (Engine.add ~tag:(base + j) eng ll, ll)
               | Solver.Delete lits -> (
-                  (* Two deletions are sound no-ops: an unknown clause,
-                     and the reason of a root unit. The session's solver
-                     drops root-satisfied clauses but keeps the units
-                     they implied, so later lemmas may rest on them. *)
+                  (* The deletion of an unknown clause is a sound no-op. *)
                   match Engine.find eng lits with
-                  | Some c when not (Engine.implies_root_unit eng c) ->
+                  | Some c ->
                       Engine.disable eng c;
                       if Engine.tag c >= base then
                         deleted_in_slice.(Engine.tag c - base) <- true;
                       deleted.(j) <- Some c
-                  | Some _ | None -> ())
+                  | None -> ())
             done;
             (* Obligation: [not act] must follow — the miter under [act]
                is unsatisfiable. *)

@@ -1,36 +1,22 @@
 module Timer = Simgen_base.Timer
 module Shared = Simgen_base.Shared
 
-type limits = {
-  deadline : float option;
-  watchdog : float option;
-  max_sat_calls : int option;
-  max_guided_iterations : int option;
-}
+type limits = { deadline : float option; watchdog : float option }
 
-let unlimited =
-  {
-    deadline = None;
-    watchdog = None;
-    max_sat_calls = None;
-    max_guided_iterations = None;
-  }
+let unlimited = { deadline = None; watchdog = None }
 
-type reason = Deadline | Watchdog | Sat_calls | Guided_iterations | Cancelled
+type reason = Deadline | Watchdog | Sat_calls | Cancelled
 
 let reason_to_string = function
   | Deadline -> "deadline"
   | Watchdog -> "watchdog"
   | Sat_calls -> "sat-calls"
-  | Guided_iterations -> "guided-iterations"
   | Cancelled -> "cancelled"
 
 type t = {
   limits : limits;
   started : float;
   cancel : bool Shared.Atomic.t;
-  mutable sat_calls : int;
-  mutable guided_iterations : int;
   (* First exhaustion reason, sticky: once a budget trips, every later
      check reports the same reason, so a job's exit cause is stable even
      if a second limit would also have tripped meanwhile. *)
@@ -47,38 +33,25 @@ let start ?cancel limits =
       | None ->
           Shared.Atomic.make ~loc:(Shared.here __POS__) "runner.budget.cancel"
             false);
-    sat_calls = 0;
-    guided_iterations = 0;
     verdict = None;
   }
 
 let elapsed t = Timer.now () -. t.started
-let note_sat_calls t n = t.sat_calls <- t.sat_calls + n
-let note_guided_iteration t = t.guided_iterations <- t.guided_iterations + 1
 
 let check t =
   match t.verdict with
   | Some _ as v -> v
   | None ->
-      let over limit value =
-        match limit with Some m -> value >= m | None -> false
+      let over limit =
+        match limit with Some m -> elapsed t >= m | None -> false
       in
       let v =
         if Shared.Atomic.get t.cancel then Some Cancelled
-        else if over t.limits.deadline (elapsed t) then Some Deadline
-        else if over t.limits.watchdog (elapsed t) then Some Watchdog
-        else if over t.limits.max_sat_calls t.sat_calls then Some Sat_calls
-        else if over t.limits.max_guided_iterations t.guided_iterations then
-          Some Guided_iterations
+        else if over t.limits.deadline then Some Deadline
+        else if over t.limits.watchdog then Some Watchdog
         else None
       in
       t.verdict <- v;
       v
 
 let should_stop t () = check t <> None
-
-let remaining_sat_calls t =
-  Option.map (fun m -> max 0 (m - t.sat_calls)) t.limits.max_sat_calls
-
-let sat_calls t = t.sat_calls
-let guided_iterations t = t.guided_iterations

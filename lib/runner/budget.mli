@@ -1,12 +1,15 @@
-(** Cooperative per-job resource budgets.
+(** Cooperative per-job wall-clock budgets.
 
-    A job carries {!limits} (wall-clock deadline, SAT-call cap, guided
-    iteration cap); the executor passes {!should_stop} to the flow
-    ({!Simgen_sweep.Cec.run}, which polls it between units of work) so a
-    job that exceeds its budget returns a partial result instead of
-    running to completion. Checks are cooperative: they happen at loop
-    boundaries, never by preemption, so a single SAT call always runs to
-    its own completion. *)
+    A job carries {!limits} (a deadline for the whole job, a watchdog
+    per attempt); the executor passes {!should_stop} to the flow
+    ({!Simgen_sweep.Cec.run}, which polls it between units of work), and
+    a cancel flag can cut every job short, so a job that runs out of
+    time returns a partial result instead of running to completion.
+    Checks are cooperative: they happen at loop boundaries, never by
+    preemption, so a single SAT call always runs to its own completion.
+    The flow's work caps are not here: the SAT-call cap is
+    {!Simgen_sweep.Sweep_options.t.max_sat_calls} and the guided rounds
+    are {!Simgen_sweep.Sweep_options.t.guided_iterations}. *)
 
 type limits = {
   deadline : float option;  (** wall-clock seconds for the whole job *)
@@ -16,20 +19,21 @@ type limits = {
           carrying over as the remaining time), so a stalled attempt is
           cut off and retried where a [deadline] exhaustion would end the
           job. *)
-  max_sat_calls : int option;  (** sweep + PO miter solver calls *)
-  max_guided_iterations : int option;
 }
 
 val unlimited : limits
 
-type reason = Deadline | Watchdog | Sat_calls | Guided_iterations | Cancelled
+type reason = Deadline | Watchdog | Sat_calls | Cancelled
+(** Why a job stopped short. {!check} answers every reason but
+    [Sat_calls], which the executor reports for a flow that spent its
+    [max_sat_calls]. *)
 
 val reason_to_string : reason -> string
 
 type t
-(** A running budget: limits plus consumption counters. Not thread-safe —
-    one budget belongs to exactly one job on one worker; only the
-    [cancel] flag is shared across domains. *)
+(** A running budget: limits, start time and the sticky verdict. Not
+    thread-safe — one budget belongs to exactly one job on one worker;
+    only the [cancel] flag is shared across domains. *)
 
 val start : ?cancel:bool Simgen_base.Shared.Atomic.t -> limits -> t
 (** Start the wall clock. [cancel] is an external kill switch (typically
@@ -41,14 +45,3 @@ val check : t -> reason option
 
 val should_stop : t -> unit -> bool
 (** Closure form of {!check} for threading into sweeping loops. *)
-
-val elapsed : t -> float
-val note_sat_calls : t -> int -> unit
-val note_guided_iteration : t -> unit
-
-val remaining_sat_calls : t -> int option
-(** SAT calls left under [max_sat_calls] ([None] if unlimited) — the
-    cap for the SAT sweep's [max_sat_calls]. *)
-
-val sat_calls : t -> int
-val guided_iterations : t -> int

@@ -12,11 +12,13 @@ module Solver = Simgen_sat.Solver
 (* A job under a supervisor. One attempt loads and lints the circuits,
    replays the shared pattern cache, and runs the flow of [Cec.run]
    with the job's budget as its stop predicate and an observer that
-   turns the flow's reports into telemetry events, budget counts and
-   pattern-cache contributions; certify jobs then check the whole-sweep
-   certificate. The first random round always runs, so even a job whose
-   deadline has already passed returns a non-empty cost history with
-   its partial result.
+   turns the flow's reports into telemetry events and pattern-cache
+   contributions; certify jobs then check the whole-sweep certificate.
+   The flow enforces its own SAT-call cap ([max_sat_calls]); a flow
+   that the cap cut short ends the job as [Budget_exhausted Sat_calls],
+   unless the budget tripped first. The first random round always runs,
+   so even a job whose deadline has already passed returns a non-empty
+   cost history with its partial result.
 
    The supervisor around it owns the retry policy: an attempt that dies
    on an exception (a parse error, an invariant violation the sweeper
@@ -41,12 +43,6 @@ let fault_delta before after =
       in
       if n > prev then Some (site, n - prev) else None)
     after
-
-(* The tighter of two optional call caps. *)
-let min_calls a b =
-  match (a, b) with
-  | Some x, Some y -> Some (min x y)
-  | (Some _ as c), None | None, c -> c
 
 let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
   let t0 = Timer.now () in
@@ -250,12 +246,11 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
              Sweeper.apply_vectors sweeper vecs;
              emit (Cache_replay { vectors = !cache_hits; cost = Sweeper.cost sweeper }))
      | None -> ());
-    (* The flow's reports become telemetry and budget counts (a PO query
-       is one SAT call); its counter-examples feed the shared cache. *)
+    (* The flow's reports become telemetry; its counter-examples feed the
+       shared cache. *)
     let observe : Sweep_options.observation -> unit = function
       | Random_round round -> emit (Random_round { round; cost = Sweeper.cost sweeper })
       | Guided_round { round; delta = d } ->
-          Budget.note_guided_iteration budget;
           emit
             (Guided_round
                {
@@ -266,7 +261,6 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
                  skipped = d.Sweeper.skipped;
                })
       | Sat_sweep s ->
-          Budget.note_sat_calls budget s.Sweeper.calls;
           emit
             (Sat_sweep
                {
@@ -279,7 +273,6 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
                  deleted = s.Sweeper.deleted;
                  cost = Sweeper.cost sweeper;
                })
-      | Po_query _ -> Budget.note_sat_calls budget 1
       | Counterexample vec -> (
           match cache with
           | Some c -> if Pattern_cache.add c vec then incr cache_added
@@ -290,18 +283,23 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
         {
           opts with
           Sweep_options.random_rounds = max 1 opts.Sweep_options.random_rounds;
-          max_sat_calls =
-            min_calls opts.Sweep_options.max_sat_calls
-              (Budget.remaining_sat_calls budget);
           should_stop = Budget.should_stop budget;
           observe;
         }
         sweeper pos1 pos2
     in
+    (* The SAT-call cap cut the flow short if it stopped it before a PO
+       query or the sweep spent it. *)
+    let capped =
+      match opts.Sweep_options.max_sat_calls with
+      | Some m -> report.Cec.sat.Sweeper.calls >= m
+      | None -> false
+    in
     let status =
-      if report.Cec.stopped then
-        (* Only a tripped budget stops the flow, and its reason sticks. *)
-        Job.Budget_exhausted (Option.get (Budget.check budget))
+      if report.Cec.stopped || capped then
+        (* A tripped budget's reason sticks, and wins over the cap. *)
+        Job.Budget_exhausted
+          (Option.value (Budget.check budget) ~default:Budget.Sat_calls)
       else
         certified
           (match (spec.kind, report.Cec.outcome) with
@@ -356,8 +354,7 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
                retrying would spend the same budget the same way. *)
             retry_or ~cause:"watchdog" (fun () -> finish flow status)
         | Job.Budget_exhausted
-            ( Budget.Deadline | Budget.Sat_calls | Budget.Guided_iterations
-            | Budget.Cancelled )
+            (Budget.Deadline | Budget.Sat_calls | Budget.Cancelled)
         | Job.Equivalent | Job.Not_equivalent _ | Job.Inconclusive _
         | Job.Swept | Job.Failed _ ->
             finish flow status)

@@ -12,9 +12,11 @@ val run :
   Job.spec ->
   Job.result
 (** The job's [options] run as given, except that the executor sets
-    [should_stop] (the job's {!Budget}), [observe] (telemetry events,
-    budget counts and cache sharing), at least one random round, and a
-    SAT-call cap no looser than the budget's. A [fun_cache] in the
+    [should_stop] (the job's {!Budget}), [observe] (telemetry events and
+    cache sharing) and at least one random round. A flow that its
+    [max_sat_calls] cut short — stopped before a PO query, or a sweep
+    that spent the cap — ends as [Budget_exhausted Sat_calls], unless
+    the budget tripped first. A [fun_cache] in the
     options turns on the cut-local check
     ({!Simgen_sweep.Fun_cache}) and emits a [fun-cache] telemetry event
     with the job's consult and hit counts at finish; the serving layer

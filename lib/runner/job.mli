@@ -20,10 +20,11 @@ type spec = {
   kind : kind;
   options : Simgen_sweep.Sweep_options.t;
       (** the sweep settings: seed (results are deterministic in it),
-          strategy, rounds, conflict budget, certification, solver
-          audit, and the cut check ([fun_cache]). The executor fills in
-          [should_stop] and [observe] at each attempt *)
-  limits : Budget.limits;
+          strategy, rounds, SAT-call cap, conflict budget,
+          certification, solver audit, and the cut check
+          ([fun_cache]). The executor fills in [should_stop] and
+          [observe] at each attempt *)
+  limits : Budget.limits;  (** deadline and watchdog *)
   retry : Retry_policy.t;  (** supervisor policy for retryable failures *)
 }
 
@@ -37,7 +38,7 @@ type status =
   | Swept  (** sweep job ran to completion *)
   | Budget_exhausted of Budget.reason
       (** partial result: the stats and cost history cover the work done
-          before the budget tripped *)
+          before the budget tripped or the SAT-call cap was spent *)
   | Failed of { message : string; attempts : int; faults : (string * int) list }
       (** every attempt raised (bad file, PI mismatch, a repeated
           invariant violation, ...): the last message, the attempts

@@ -84,16 +84,9 @@ let setters =
       sweep (fun s a -> { s with Sweep_options.guided_iterations = int a }) );
     ("random", sweep (fun s a -> { s with Sweep_options.random_rounds = int a }));
     ("deadline", limits (fun l a -> { l with Budget.deadline = Some (float a) }));
-    (* The wire format's [deadline_ms] rides the manifest grammar, so a
-       daemon job line can carry its client deadline verbatim. *)
-    ( "deadline-ms",
-      limits (fun l a -> { l with Budget.deadline = Some (float a /. 1000.) }) );
     ("watchdog", limits (fun l a -> { l with Budget.watchdog = Some (float a) }));
     ( "max-sat",
-      limits (fun l a -> { l with Budget.max_sat_calls = Some (int a) }) );
-    ( "max-guided",
-      limits (fun l a -> { l with Budget.max_guided_iterations = Some (int a) })
-    );
+      sweep (fun s a -> { s with Sweep_options.max_sat_calls = Some (int a) }) );
     ( "max-conflicts",
       sweep (fun s a -> { s with Sweep_options.max_conflicts = Some (int a) }) );
     ( "retries",

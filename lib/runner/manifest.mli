@@ -14,14 +14,14 @@
     ([stacked=true] selects its putontop variant). Job ids number the
     jobs in file order from 0. The option keys are {!keys}:
 
-    - sweep settings: [seed], [strategy], [iterations] (guided),
-      [random] (random rounds), [max-conflicts] (base per-query
-      conflict budget for the degradation ladder), [certify] (record
-      and validate a whole-sweep certificate), [solver-audit] (arm the
-      sampled solver-state sanitizer);
-    - budget: [deadline] (seconds, float), [deadline-ms] (the same in
-      milliseconds, as the daemon protocol carries it), [watchdog]
-      (seconds per attempt, float), [max-sat], [max-guided];
+    - sweep settings: [seed], [strategy], [iterations] (guided
+      rounds), [random] (random rounds), [max-sat] (SAT queries of the
+      whole flow, sweep and PO phase together), [max-conflicts] (base
+      per-query conflict budget for the degradation ladder), [certify]
+      (record and validate a whole-sweep certificate), [solver-audit]
+      (arm the sampled solver-state sanitizer);
+    - budget: [deadline] (seconds, float), [watchdog] (seconds per
+      attempt, float);
     - supervision: [retries] (attempts, >= 1; backoff schedule from
       {!Retry_policy.default}), [backoff] (first retry delay, seconds);
     - [stacked], [label]. *)

@@ -14,7 +14,6 @@ type entry = { vec : bool array; sum : int }
    race detector can check that convention instead of us asserting it. *)
 type t = {
   mutex : Shared.Mutex.t;
-  capacity : int;  (* per key *)
   table : (int, entry list) Hashtbl.t;  (* PI count -> newest first *)
   table_shadow : unit Shared.Cell.t;  (* written on mutation, read on lookup *)
   hits : int Shared.Cell.t;
@@ -34,13 +33,13 @@ let checksum vec =
   (* Fold in the length so a truncation cannot preserve the sum. *)
   !h lxor Array.length vec
 
-let create ?(capacity_per_key = 64) () =
-  if capacity_per_key <= 0 then
-    invalid_arg "Pattern_cache.create: capacity_per_key must be positive";
+(* Vectors kept per PI count: one simulation word. *)
+let capacity = 64
+
+let create () =
   let loc = Shared.here __POS__ in
   {
     mutex = Shared.Mutex.create ~loc "runner.pattern-cache.lock";
-    capacity = capacity_per_key;
     table = Hashtbl.create 16;
     table_shadow = Shared.Cell.make ~loc "runner.pattern-cache.table" ();
     hits = Shared.Cell.make ~loc "runner.pattern-cache.hits" 0;
@@ -68,7 +67,7 @@ let add t vec =
       let existing = Option.value ~default:[] (Hashtbl.find_opt t.table key) in
       if List.exists (fun e -> e.vec = vec) existing then false
       else begin
-        let trimmed = take (t.capacity - 1) existing in
+        let trimmed = take (capacity - 1) existing in
         let dropped = List.length existing - List.length trimmed in
         Shared.Cell.set ~at:(Shared.here __POS__) t.table_shadow ();
         Hashtbl.replace t.table key (entry :: trimmed);

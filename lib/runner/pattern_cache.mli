@@ -16,9 +16,9 @@
 
 type t
 
-val create : ?capacity_per_key:int -> unit -> t
-(** Keep at most [capacity_per_key] vectors per PI count (default 64, one
-    simulation word), evicting the oldest. *)
+val create : unit -> t
+(** Keep at most 64 vectors (one simulation word) per PI count, evicting
+    the oldest. *)
 
 val add : t -> bool array -> bool
 (** Store a vector under its PI count. Returns [false] (and stores

@@ -249,8 +249,6 @@ module Engine = struct
     in
     go first_lit
 
-  let implies_root_unit t c = t.conflict = None && implied t c <> None
-
   (* Restore the rule after [c] leaves the enabled set. From an
      inconsistent root the fixpoint is recomputed from scratch. Otherwise
      only the unit [c] implied (if any) and what was pushed after it can

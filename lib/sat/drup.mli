@@ -45,10 +45,6 @@ module Engine : sig
   val enable : t -> clause -> unit
   val disable : t -> clause -> unit
 
-  val implies_root_unit : t -> clause -> bool
-  (** Is the clause, enabled, the reason of a root unit, so that
-      disabling it would retract that unit? *)
-
   val occurs : t -> int -> bool
   (** Does the variable occur in some added clause? *)
 

@@ -939,9 +939,14 @@ let analyze s confl =
 
 let locked s c = s.reasons.(Literal.var s.arena.(c + 1)) = c
 
-(* Stop [c] being a reason, before it is removed. *)
+(* Stop [c] being a reason, before it is removed. The unit it implied
+   stays on the trail, so a proof logs it first: a later deletion of [c]
+   then leaves the unit derived. *)
 let unlock s c =
-  if locked s c then s.reasons.(Literal.var s.arena.(c + 1)) <- no_clause
+  if locked s c then begin
+    if logging s then log_proof s (Learn [| s.arena.(c + 1) |]);
+    s.reasons.(Literal.var s.arena.(c + 1)) <- no_clause
+  end
 
 (* LBD-tiered reduction: sort so deletion candidates come first (high
    LBD, then low activity) and delete half the database. Glue clauses

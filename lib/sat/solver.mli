@@ -68,7 +68,10 @@ val simplify : t -> unit
     {!remove_group} from the clause lists, and rebuild — compact — all
     watch lists. Called automatically at [solve] entry on a
     propagation-volume schedule; exposed for clients that want a
-    deterministic compaction point. *)
+    deterministic compaction point. Here and in {!remove_group}, a
+    removed clause that is the reason of a root unit first records that
+    unit as a {!Learn} event, so the proof keeps deriving the units the
+    trail keeps. *)
 
 val focus_decisions : t -> Literal.var list -> unit
 (** Restrict the search to the given variables for subsequent solves

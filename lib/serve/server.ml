@@ -392,8 +392,7 @@ let worker_loop t q i =
                       if deadline <> None then
                         Shared.Atomic.incr t.deadline_expired
                   | Job.Budget_exhausted
-                      ( Budget.Watchdog | Budget.Sat_calls
-                      | Budget.Guided_iterations | Budget.Cancelled )
+                      (Budget.Watchdog | Budget.Sat_calls | Budget.Cancelled)
                   | Job.Equivalent | Job.Not_equivalent _ | Job.Inconclusive _
                   | Job.Swept | Job.Failed _ -> ());
                  Protocol.Result (result_fields r)

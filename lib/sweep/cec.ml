@@ -48,7 +48,9 @@ exception Stopped
    rounds, the SAT sweep, then one miter per PO pair. [should_stop] is
    polled before random rounds 2..n, before every guided round, before
    and after the SAT sweep and before every PO query; once it answers
-   [true] the flow does no more work. *)
+   [true] the flow does no more work. [max_sat_calls] caps the sweep's
+   queries and the PO queries together: no PO query is posed once the
+   cap is spent. *)
 let run (opts : Sweep_options.t) sweeper pos1 pos2 =
   let t0 = Timer.now () in
   let observe = opts.Sweep_options.observe in
@@ -76,8 +78,10 @@ let run (opts : Sweep_options.t) sweeper pos1 pos2 =
       if a = b then check_pos (i + 1)
       else begin
         poll ();
+        (match opts.Sweep_options.max_sat_calls with
+         | Some m when !sat.Sweeper.calls + !po_calls >= m -> raise Stopped
+         | Some _ | None -> ());
         incr po_calls;
-        observe (Sweep_options.Po_query i);
         let verdict, st = Sweeper.verify_pair opts sweeper a b in
         po_stats := Solver.add_stats !po_stats st;
         match verdict with

@@ -19,8 +19,9 @@ type outcome =
 type report = {
   outcome : outcome;
   stopped : bool;
-      (** [should_stop] cut the flow short; [outcome] is then
-          [Inconclusive] over every PO pair not yet decided *)
+      (** [should_stop] or [max_sat_calls] cut the flow short;
+          [outcome] is then [Inconclusive] over every PO pair not yet
+          decided *)
   guided : Sweeper.guided_stats;
   sat : Sweeper.sat_stats;
   po_calls : int;  (** extra SAT calls for the PO miters *)
@@ -44,9 +45,12 @@ val run : Sweep_options.t -> Sweeper.t -> int array -> int array -> report
     [should_stop] is polled before random rounds 2..n, before every
     guided round, before and after the SAT sweep and before every PO
     query; once it answers [true] the flow does no more work and reports
-    [stopped]. [observe] sees every random round, every guided round's
-    own stats, the sweep's stats, every PO query and every
-    counter-example, as they happen. *)
+    [stopped]. [max_sat_calls] counts the sweep's queries and the PO
+    queries together: the flow also stops, [stopped], before a PO query
+    once [sat.calls + po_calls] has reached the cap. A sweep that spends
+    the cap with no PO query left to pose is not [stopped]. [observe]
+    sees every random round, every guided round's own stats, the
+    sweep's stats and every counter-example, as they happen. *)
 
 val check :
   Sweep_options.t ->

@@ -26,7 +26,6 @@ type observation =
   | Random_round of int
   | Guided_round of { round : int; delta : guided_stats }
   | Sat_sweep of sat_stats
-  | Po_query of int
   | Counterexample of bool array
 
 type t = {
@@ -37,7 +36,6 @@ type t = {
   guided_iterations : int;
   max_sat_calls : int option;
   max_conflicts : int option;
-  bdd_fallback_nodes : int;
   one_distance : bool;
   incremental : bool;
   certify : bool;
@@ -56,7 +54,6 @@ let default =
     guided_iterations = 20;
     max_sat_calls = None;
     max_conflicts = None;
-    bdd_fallback_nodes = 10_000;
     one_distance = false;
     incremental = true;
     certify = false;

@@ -51,7 +51,6 @@ type observation =
   | Guided_round of { round : int; delta : guided_stats }
       (** guided round [round] (1-based) ran; [delta] is its own stats *)
   | Sat_sweep of sat_stats  (** the SAT sweep finished (or stopped) *)
-  | Po_query of int  (** a miter for this PO pair is about to be posed *)
   | Counterexample of bool array
       (** a counter-example was found, in the sweep or the PO phase *)
 
@@ -62,14 +61,14 @@ type t = {
       (** OUTgold assignment for guided rounds *)
   random_rounds : int;  (** 64-vector random batches before guiding *)
   guided_iterations : int;
-  max_sat_calls : int option;  (** sweep call cap ([None] = unlimited) *)
+  max_sat_calls : int option;
+      (** SAT queries of the whole flow, the sweep's and the PO phase's
+          together ([None] = unlimited): the sweep stops at the cap and
+          {!Cec.run} poses no PO query once it is spent *)
   max_conflicts : int option;
       (** base per-query conflict budget ([None] = unlimited — queries
           never answer [Unknown] on their own). The first rung of the
           degradation ladder; see {!Sweeper.verify_pair}. *)
-  bdd_fallback_nodes : int;
-      (** BDD node quota for the last ladder rung; past it the pair is
-          quarantined *)
   one_distance : bool;
       (** expand counter-examples to their 1-distance neighbourhood *)
   incremental : bool;
@@ -104,5 +103,4 @@ val default : t
 (** The paper's §6.1 setup: seed 1, AI+DC+MFFC, alternating OUTgold, one
     random round, 20 guided iterations, incremental sessions, no
     certification, no cap, never stops, observes nothing; unlimited
-    conflict budget and a 10k-node BDD fallback should a budget be
-    set. *)
+    conflict budget. *)

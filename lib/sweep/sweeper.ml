@@ -501,6 +501,9 @@ type rung = Cut_check of Fun_cache.t | Session of int | Fresh of int | Bdd
 let escalations = 3
 let session_steps = List.init (escalations + 1) (fun k -> Session k)
 
+(* The BDD rung's node quota; past it the pair is quarantined. *)
+let bdd_quota = 10_000
+
 (* The rungs of one query: the cut-local check when a [fun_cache] is set,
    the session steps, a fresh solver at the next budget (a session
    poisoned by its own clause database cannot poison it), then the BDD
@@ -560,8 +563,7 @@ let verify_pair (opts : Sweep_options.t) t a b =
       | Session k -> session_query ?max_conflicts:(budget k) t a b acc
       | Fresh k -> fresh_query ?max_conflicts:(budget k) ~certify t a b acc
       | Bdd ->
-          Bdd_backend.check_pair
-            ~max_nodes:opts.Sweep_options.bdd_fallback_nodes t.net a b
+          Bdd_backend.check_pair ~max_nodes:bdd_quota t.net a b
     in
     let rec walk = function
       | [] ->

@@ -157,7 +157,8 @@ val sat_sweep : Sweep_options.t -> t -> sat_stats
     fed back into the simulator (Figure 2's feedback arrow) — expanded to
     their 1-distance neighbourhood when [one_distance] is set; proven
     pairs are merged via substitution. Stops early after [max_sat_calls]
-    solver calls, or as soon as [should_stop] (polled before each call)
+    solver calls (the sweep's own; {!Cec.run} counts its PO queries
+    against the rest), or as soon as [should_stop] (polled before each call)
     returns [true] — either way the stats cover the partial sweep.
     [observe] sees every counter-example found (e.g. to seed a shared
     pattern cache) and, at the end, the sweep's stats. Candidate pairs come off a worklist of classes, so a
@@ -191,7 +192,7 @@ val verify_pair :
       previous budget, three times (the session keeps its learned
       clauses, so each retry resumes paid-for work);
     - a fresh solver at the next budget ({!Miter.check_pair_fresh});
-    - {!Bdd_backend.check_pair} under [bdd_fallback_nodes].
+    - {!Bdd_backend.check_pair} under a quota of 10,000 BDD nodes.
 
     Past the last rung the pair is quarantined — recorded in
     {!degrade_stats}, excluded from future candidate picking — and the

@@ -19,6 +19,7 @@ module Sweeper = Simgen_sweep.Sweeper
 module Sat_session = Simgen_sweep.Sat_session
 module Sweep_options = Simgen_sweep.Sweep_options
 module Cec = Simgen_sweep.Cec
+module Suite = Simgen_benchgen.Suite
 module Job = Simgen_runner.Job
 module Exec = Simgen_runner.Exec
 module Budget = Simgen_runner.Budget
@@ -231,20 +232,21 @@ let test_ladder_bdd_rescue () =
 
 let test_ladder_quarantine () =
   with_faults (fun () ->
-      let net, x1, x2, _ = pair_net () in
-      let sw = Sweeper.create ladder_opts net in
-      (* Starve the SAT rungs and the BDD quota: every rung gives up and
-         the pair is quarantined with verdict Unknown — never merged. *)
-      let opts =
-        {
-          ladder_opts with
-          Sweep_options.max_conflicts = Some 0;
-          bdd_fallback_nodes = 1;
-        }
+      (* The last PO pair of sin mapped into K6 and into K4 LUTs: its BDD
+         outgrows the BDD rung's 10,000-node quota. With the SAT rungs
+         starved too, every rung gives up and the pair is quarantined
+         with verdict Unknown — never merged. *)
+      let net, pos1, pos2 =
+        Cec.join (Suite.lut_network "sin") (Suite.lut_network ~k:4 "sin")
       in
+      let last = Array.length pos1 - 1 in
+      let x1 = pos1.(last) and x2 = pos2.(last) in
+      let sw = Sweeper.create ladder_opts net in
+      let opts = { ladder_opts with Sweep_options.max_conflicts = Some 0 } in
       let verdict, _ = Sweeper.verify_pair opts sw x1 x2 in
       Alcotest.(check bool) "verdict Unknown" true (verdict = Sat_session.Unknown);
       let d = Sweeper.degrade_stats sw in
+      Alcotest.(check int) "bdd fallback" 1 d.Sweeper.bdd_fallbacks;
       Alcotest.(check (list (pair int int)))
         "pair quarantined"
         [ (min x1 x2, max x1 x2) ]

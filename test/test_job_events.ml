@@ -4,8 +4,8 @@
    followed by one [result] line with the job's status, cost history
    and SAT calls. The jobs cover every path through an attempt: CEC of
    an equivalent pair and of a one-row mutant, a sweep, the pattern
-   cache and the cut check, the guided-round, SAT-call, deadline and
-   cancel budgets, certification, and injected faults with retries.
+   cache and the cut check, the SAT-call cap, the deadline and cancel
+   budgets, certification, and injected faults with retries.
    Audits are forced off, as in the SAT golden: they add solver work.
 
    The parity test checks that a CEC job through [Exec.run] reports
@@ -89,9 +89,16 @@ let pis_vs_buffers n =
   (plain, buffered)
 
 let job ?(seed = 1) ?(guided_iterations = 20) ?(certify = false) ?fun_cache
-    ?limits ?retry kind =
+    ?max_sat_calls ?limits ?retry kind =
   let options =
-    { Sweep_options.default with Sweep_options.seed; guided_iterations; certify; fun_cache }
+    {
+      Sweep_options.default with
+      Sweep_options.seed;
+      guided_iterations;
+      certify;
+      fun_cache;
+      max_sat_calls;
+    }
   in
   Job.make ~id:0 ~options ?limits ?retry kind
 
@@ -142,19 +149,11 @@ let cases () =
     ( "cut-check",
       fun () ->
         run (job ~seed:3 ~fun_cache:(Fun_cache.create ()) (inline2 dec6 dec4)) );
-    ( "max-guided",
-      fun () ->
-        run
-          (job ~seed:5
-             ~limits:(limited (fun l -> { l with Budget.max_guided_iterations = Some 2 }))
-             (Job.Sweep (Job.Inline pri6))) );
     ( "max-sat-in-po-phase",
       fun () ->
         let a, b = pis_vs_buffers 4 in
         run
-          (job ~guided_iterations:0
-             ~limits:(limited (fun l -> { l with Budget.max_sat_calls = Some 2 }))
-             (inline2 a b)) );
+          (job ~guided_iterations:0 ~max_sat_calls:2 (inline2 a b)) );
     ( "deadline-0",
       fun () ->
         run

@@ -97,45 +97,19 @@ let check_status msg expected actual =
 
 let test_budget_unlimited () =
   let b = Budget.start Budget.unlimited in
-  Budget.note_sat_calls b 1_000_000;
-  for _ = 1 to 100 do
-    Budget.note_guided_iteration b
-  done;
-  Alcotest.(check bool) "never trips" false (Budget.should_stop b ());
-  Alcotest.(check (option int)) "no call cap" None
-    (Budget.remaining_sat_calls b)
-
-let test_budget_sat_calls () =
-  let b =
-    Budget.start { Budget.unlimited with Budget.max_sat_calls = Some 5 }
-  in
-  Alcotest.(check (option int)) "full allowance" (Some 5)
-    (Budget.remaining_sat_calls b);
-  Budget.note_sat_calls b 3;
-  Alcotest.(check (option int)) "partial allowance" (Some 2)
-    (Budget.remaining_sat_calls b);
-  Alcotest.(check bool) "within budget" false (Budget.should_stop b ());
-  Budget.note_sat_calls b 2;
-  Alcotest.(check bool) "tripped at the cap" true (Budget.should_stop b ());
-  Alcotest.(check (option int)) "nothing left" (Some 0)
-    (Budget.remaining_sat_calls b)
+  Alcotest.(check bool) "never trips" false (Budget.should_stop b ())
 
 let test_budget_sticky_reason () =
+  let cancel = Simgen_base.Shared.Atomic.make "test.sticky.cancel" false in
   let b =
-    Budget.start
-      {
-        Budget.deadline = None;
-        watchdog = None;
-        max_sat_calls = Some 1;
-        max_guided_iterations = Some 1;
-      }
+    Budget.start ~cancel { Budget.unlimited with Budget.watchdog = Some 0.0 }
   in
-  Budget.note_sat_calls b 1;
-  Alcotest.(check (option string)) "first exhaustion" (Some "sat-calls")
+  Alcotest.(check (option string)) "first exhaustion" (Some "watchdog")
     (Option.map Budget.reason_to_string (Budget.check b));
-  (* A second limit tripping later does not change the verdict. *)
-  Budget.note_guided_iteration b;
-  Alcotest.(check (option string)) "reason is sticky" (Some "sat-calls")
+  (* A cancel arriving later (checked first, were the budget fresh) does
+     not change the verdict. *)
+  Simgen_base.Shared.Atomic.set cancel true;
+  Alcotest.(check (option string)) "reason is sticky" (Some "watchdog")
     (Option.map Budget.reason_to_string (Budget.check b))
 
 let test_budget_cancel () =
@@ -161,16 +135,18 @@ let test_cache_dedup () =
   Alcotest.(check int) "two stored" 2 (Pattern_cache.size c)
 
 let test_cache_capacity () =
-  let c = Pattern_cache.create ~capacity_per_key:2 () in
-  ignore (Pattern_cache.add c [| true; true; true |]);
-  ignore (Pattern_cache.add c [| true; false; false |]);
-  ignore (Pattern_cache.add c [| false; true; false |]);
-  Alcotest.(check int) "oldest evicted" 2 (Pattern_cache.size c);
-  let vecs = Pattern_cache.borrow c ~npis:3 in
+  let c = Pattern_cache.create () in
+  (* 65 distinct 7-bit vectors, oldest [0000000], newest [1000000]. *)
+  let vec i = Array.init 7 (fun b -> (i lsr b) land 1 = 1) in
+  for i = 0 to 64 do
+    ignore (Pattern_cache.add c (vec i))
+  done;
+  Alcotest.(check int) "oldest evicted" 64 (Pattern_cache.size c);
+  let vecs = Pattern_cache.borrow c ~npis:7 in
   Alcotest.(check bool) "newest survives" true
-    (List.exists (fun v -> v = [| false; true; false |]) vecs);
+    (List.exists (fun v -> v = vec 64) vecs);
   Alcotest.(check bool) "oldest gone" false
-    (List.exists (fun v -> v = [| true; true; true |]) vecs)
+    (List.exists (fun v -> v = vec 0) vecs)
 
 let test_cache_key_isolation () =
   let c = Pattern_cache.create () in
@@ -226,8 +202,10 @@ let test_max_sat_calls_budget () =
   let y2 = N.add_gate net tt_or2 [| d; c |] in
   List.iter (N.add_po net) [ x1; x2; y1; y2 ];
   let spec =
-    Job.make ~options:(opts ~guided_iterations:0 ()) ~id:0
-      ~limits:{ Budget.unlimited with Budget.max_sat_calls = Some 1 }
+    Job.make
+      ~options:
+        { (opts ~guided_iterations:0 ()) with Sweep_options.max_sat_calls = Some 1 }
+      ~id:0
       (Job.Sweep (Job.Inline net))
   in
   let r = run_job spec in
@@ -235,20 +213,6 @@ let test_max_sat_calls_budget () =
     (Job.Budget_exhausted Budget.Sat_calls)
     r.Job.status;
   Alcotest.(check int) "exactly the budgeted calls ran" 1 r.Job.sat.Sweeper.calls
-
-let test_max_guided_iterations_budget () =
-  let net = random_net 43 8 120 in
-  let spec =
-    Job.make ~options:(opts ~guided_iterations:10 ()) ~id:0
-      ~limits:{ Budget.unlimited with Budget.max_guided_iterations = Some 2 }
-      (Job.Sweep (Job.Inline net))
-  in
-  let r = run_job spec in
-  check_status "iteration budget tripped"
-    (Job.Budget_exhausted Budget.Guided_iterations)
-    r.Job.status;
-  Alcotest.(check int) "exactly the budgeted rounds ran" 2
-    r.Job.guided.Sweeper.iterations
 
 let test_cec_equivalent () =
   let spec =
@@ -481,7 +445,7 @@ let test_manifest_parse () =
     Manifest.parse_string
       "# batch regression\n\n\
        cec apex2 apex2 stacked=true deadline=2.5 seed=7 label=stack\n\
-       sweep alu4 iterations=3 random=2 max-sat=10 max-guided=4 strategy=RevS\n"
+       sweep alu4 iterations=3 random=2 max-sat=10 strategy=RevS\n"
   in
   Alcotest.(check int) "two jobs" 2 (List.length specs);
   let j0 = List.nth specs 0 and j1 = List.nth specs 1 in
@@ -503,9 +467,7 @@ let test_manifest_parse () =
   Alcotest.(check int) "random rounds" 2
     j1.Job.options.Sweep_options.random_rounds;
   Alcotest.(check (option int)) "max-sat" (Some 10)
-    j1.Job.limits.Budget.max_sat_calls;
-  Alcotest.(check (option int)) "max-guided" (Some 4)
-    j1.Job.limits.Budget.max_guided_iterations;
+    j1.Job.options.Sweep_options.max_sat_calls;
   Alcotest.(check string) "strategy" "RevS"
     (Simgen_core.Strategy.name j1.Job.options.Sweep_options.strategy)
 
@@ -525,7 +487,6 @@ let test_manifest_keys () =
       | l -> Alcotest.failf "%s: expected one job, got %d" key (List.length l)
       | exception Failure e -> Alcotest.failf "listed key %s does not parse: %s" key e)
     Manifest.keys;
-  Alcotest.(check bool) "deadline-ms is listed" true (List.mem "deadline-ms" Manifest.keys);
   Alcotest.(check bool) "solver-audit is listed" true (List.mem "solver-audit" Manifest.keys);
   match Manifest.parse_string "sweep dec colour=blue\n" with
   | _ -> Alcotest.fail "an unlisted key parsed"
@@ -545,6 +506,8 @@ let test_manifest_errors () =
   fails_with_line "missing circuit" "cec apex2\n";
   fails_with_line "bad integer" "sweep apex2 seed=abc\n";
   fails_with_line "unknown option" "sweep apex2 colour=blue\n";
+  fails_with_line "removed max-guided" "sweep apex2 max-guided=2\n";
+  fails_with_line "removed deadline-ms" "sweep apex2 deadline-ms=5\n";
   fails_with_line "unknown strategy" "sweep apex2 strategy=magic\n";
   fails_with_line "unknown benchmark" "sweep not_a_benchmark_name\n"
 
@@ -554,7 +517,6 @@ let () =
       ( "budget",
         [
           Alcotest.test_case "unlimited" `Quick test_budget_unlimited;
-          Alcotest.test_case "sat-call cap" `Quick test_budget_sat_calls;
           Alcotest.test_case "sticky reason" `Quick test_budget_sticky_reason;
           Alcotest.test_case "cancel flag" `Quick test_budget_cancel;
         ] );
@@ -569,8 +531,6 @@ let () =
           Alcotest.test_case "deadline yields a partial result" `Quick
             test_deadline_partial_result;
           Alcotest.test_case "sat-call budget" `Quick test_max_sat_calls_budget;
-          Alcotest.test_case "guided-iteration budget" `Quick
-            test_max_guided_iterations_budget;
           Alcotest.test_case "cec equivalent" `Quick test_cec_equivalent;
           Alcotest.test_case "cec counter-example" `Quick
             test_cec_not_equivalent;

@@ -772,7 +772,7 @@ let test_cec_run_without_sat () =
         incr rounds;
         guided_cost := Sweeper.cost sw
     | Sweep_options.Random_round _ | Sweep_options.Sat_sweep _
-    | Sweep_options.Po_query _ | Sweep_options.Counterexample _ ->
+    | Sweep_options.Counterexample _ ->
         ()
   in
   let report = Cec.run { base with Sweep_options.observe } sw [||] [||] in
@@ -787,6 +787,36 @@ let test_cec_run_without_sat () =
     report.Cec.final_cost;
   Alcotest.(check bool) "the equivalent pairs are left for SAT" true
     (report.Cec.final_cost > 0)
+
+(* [max_sat_calls] counts the PO queries with the sweep's. Each PO is a
+   PI on one side and a buffer of it on the other, so the sweep has no
+   gate pair to prove and every one of the six PO pairs costs a PO
+   query: a cap of four stops the flow before the fifth. *)
+let test_cec_cap_counts_po_queries () =
+  let n = 6 in
+  let plain = N.create () and buffered = N.create () in
+  let a = Array.init n (fun _ -> N.add_pi plain)
+  and b = Array.init n (fun _ -> N.add_pi buffered) in
+  Array.iter (N.add_po plain) a;
+  Array.iter
+    (fun x -> N.add_po buffered (N.add_gate buffered (TT.var 0 1) [| x |]))
+    b;
+  let capped = { (opts 3) with Sweep_options.max_sat_calls = Some 4 } in
+  let report = Cec.check capped plain buffered in
+  Alcotest.(check int) "calls stop at the cap" 4
+    (report.Cec.sat.Sweeper.calls + report.Cec.po_calls);
+  Alcotest.(check bool) "stopped" true report.Cec.stopped;
+  (match report.Cec.outcome with
+   | Cec.Inconclusive { pos } ->
+       Alcotest.(check int) "the unposed pairs are undecided" 2
+         (List.length pos)
+   | Cec.Equivalent | Cec.Not_equivalent _ ->
+       Alcotest.fail "a stopped flow is Inconclusive");
+  let free = Cec.check (opts 3) plain buffered in
+  Alcotest.(check int) "uncapped, every pair is queried" n
+    (free.Cec.sat.Sweeper.calls + free.Cec.po_calls);
+  Alcotest.(check bool) "uncapped, equivalent" true
+    (free.Cec.outcome = Cec.Equivalent)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental SAT sessions                                            *)
@@ -1170,5 +1200,7 @@ let () =
           Alcotest.test_case "join" `Quick test_cec_join;
           Alcotest.test_case "report history" `Quick test_cec_report_history;
           Alcotest.test_case "run without SAT" `Quick test_cec_run_without_sat;
+          Alcotest.test_case "SAT-call cap counts PO queries" `Quick
+            test_cec_cap_counts_po_queries;
         ] );
     ]
