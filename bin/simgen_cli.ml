@@ -418,17 +418,22 @@ let cec_cmd =
           Printf.eprintf "cec: %s\n" (Runner.Job.status_to_string status);
           exit 2
     in
-    let sat = r.Runner.Job.sat in
-    Printf.printf
-      "sweep: %d SAT calls (%d proved, %d disproved), %d PO miters, %.3fs \
-       total\n"
-      sat.Sweeper.calls sat.Sweeper.proved sat.Sweeper.disproved
-      r.Runner.Job.po_calls r.Runner.Job.time;
-    Printf.printf
-      "       %d conflicts, %d propagations (%d watcher visits, %d clause \
-       reads), %d restarts\n"
-      sat.Sweeper.conflicts sat.Sweeper.propagations sat.Sweeper.watch_visits
-      sat.Sweeper.clause_reads sat.Sweeper.restarts;
+    (* Every verdict comes from a flow report. *)
+    Option.iter
+      (fun (f : Cec.report) ->
+        let sat = f.Cec.sat in
+        Printf.printf
+          "sweep: %d SAT calls (%d proved, %d disproved), %d PO miters, \
+           %.3fs total\n"
+          sat.Sweeper.calls sat.Sweeper.proved sat.Sweeper.disproved
+          f.Cec.po_calls r.Runner.Job.time;
+        Printf.printf
+          "       %d conflicts, %d propagations (%d watcher visits, %d \
+           clause reads), %d restarts\n"
+          sat.Sweeper.conflicts sat.Sweeper.propagations
+          sat.Sweeper.watch_visits sat.Sweeper.clause_reads
+          sat.Sweeper.restarts)
+      r.Runner.Job.flow;
     if code <> 0 then exit code
     end
   in
@@ -568,15 +573,19 @@ let batch_cmd =
       "att" "quar" "time" "wkr";
     Array.iter
       (fun (r : Runner.Job.result) ->
+        let cost, calls, sat =
+          match r.Runner.Job.flow with
+          | Some f ->
+              (f.Cec.final_cost, f.Cec.sat.Sweeper.calls + f.Cec.po_calls, f.Cec.sat)
+          | None -> (0, 0, Sweeper.empty_sat)
+        in
         Printf.printf
           "%-4d %-32s %-24s %8d %8d %8d %9d %6d %6d %3d %4d %7.3fs %3d\n"
           r.Runner.Job.spec.Runner.Job.id
           r.Runner.Job.spec.Runner.Job.label
           (Runner.Job.status_to_string r.Runner.Job.status)
-          r.Runner.Job.final_cost
-          (r.Runner.Job.sat.Sweeper.calls + r.Runner.Job.po_calls)
-          r.Runner.Job.sat.Sweeper.conflicts
-          r.Runner.Job.sat.Sweeper.propagations r.Runner.Job.cache_hits
+          cost calls sat.Sweeper.conflicts sat.Sweeper.propagations
+          r.Runner.Job.cache_hits
           r.Runner.Job.cache_added r.Runner.Job.attempts
           (List.length r.Runner.Job.quarantined)
           r.Runner.Job.time r.Runner.Job.worker)
@@ -932,7 +941,7 @@ let lint_cmd =
         if tseitin then Check.Lint.tseitin_encoding net else []
       in
       let sem_diags =
-        if semantic then Check.Lint.semantic ~budget:sem_budget net else []
+        if semantic then Check.Sem_lint.run ~budget:sem_budget net else []
       in
       enc_diags @ sem_diags
     in
@@ -957,9 +966,9 @@ let lint_cmd =
             [ Check.Diagnostic.error ~loc:(Check.Diagnostic.Named target)
                 "P002" "neither a file nor a known benchmark" ]
         | Some _ ->
-            let aig_diags = Check.Lint.aig (Suite.aig target) in
+            let aig_diags = Check.Aig_lint.run (Suite.aig target) in
             let net = Suite.lut_network target in
-            let net_diags = Check.Lint.network net in
+            let net_diags = Check.Net_lint.run net in
             aig_diags @ net_diags @ extra_lints net
     in
     let worst = ref 0 in

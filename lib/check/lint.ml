@@ -8,15 +8,6 @@ module Tseitin = Simgen_sat.Tseitin
 module Solver = Simgen_sat.Solver
 module D = Diagnostic
 
-let network ?name:_ net = Net_lint.run net
-
-let aig a = Aig_lint.run a
-
-let cnf ?source ~nvars clauses = Cnf_lint.run ?source ~nvars clauses
-
-let semantic ?seed ?budget ?bdd_nodes ?rounds net =
-  Sem_lint.run ?seed ?budget ?bdd_nodes ?rounds net
-
 let tseitin_encoding net =
   let env = Tseitin.create ~record:true () in
   let _vars = Tseitin.encode_network env net in

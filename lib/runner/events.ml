@@ -1,6 +1,9 @@
 module Timer = Simgen_base.Timer
 module Shared = Simgen_base.Shared
 module Json = Simgen_base.Json
+module Sweeper = Simgen_sweep.Sweeper
+module Fun_cache = Simgen_sweep.Fun_cache
+module Certificate = Simgen_check.Certificate
 
 type payload =
   | Queued
@@ -8,62 +11,15 @@ type payload =
   | Lint of { target : string; errors : int; warnings : int; infos : int }
   | Cache_replay of { vectors : int; cost : int }
   | Random_round of { round : int; cost : int }
-  | Guided_round of {
-      round : int;
-      cost : int;
-      vectors : int;
-      conflicts : int;
-      skipped : int;
-    }
-  | Sat_sweep of {
-      calls : int;
-      proved : int;
-      disproved : int;
-      conflicts : int;
-      propagations : int;
-      restarts : int;
-      deleted : int;
-      cost : int;
-    }
+  | Guided_round of { round : int; cost : int; delta : Sweeper.guided_stats }
+  | Sat_sweep of { stats : Sweeper.sat_stats; cost : int }
   | Fault of { site : string; count : int }
   | Retry of { attempt : int; delay : float; cause : string }
-  | Degrade of {
-      unknowns : int;
-      escalations : int;
-      fresh_fallbacks : int;
-      bdd_fallbacks : int;
-      session_rebuilds : int;
-    }
+  | Degrade of Sweeper.degrade_stats
   | Quarantine of { a : int; b : int }
-  | Fun_cache_stats of {
-      consults : int;
-      hits : int;
-      misses : int;
-      local_proofs : int;
-    }
-  | Certificate of {
-      queries : int;
-      proved : int;
-      merges : int;
-      steps_checked : int;
-      steps_trimmed : int;
-      valid : bool;
-      time : float;
-    }
-  | Finished of {
-      status : string;
-      budget : string;
-      final_cost : int;
-      cost_history : int list;
-      sat_calls : int;
-      sat_conflicts : int;
-      sat_propagations : int;
-      sat_restarts : int;
-      cache_hits : int;
-      cache_added : int;
-      attempts : int;
-      time : float;
-    }
+  | Fun_cache_stats of Fun_cache.stats
+  | Certificate of { report : Certificate.report; time : float }
+  | Finished of Job.result
 
 type event = { job : int; label : string; at : float; payload : payload }
 
@@ -87,6 +43,44 @@ let phase_name = function
   | Certificate _ -> "certificate"
   | Finished _ -> "finished"
 
+(* The job's totals: SAT work sums the sweep and the PO phase; a job
+   whose attempts never reached the flow reports zeros. *)
+let finished_fields (r : Job.result) =
+  let open Json in
+  let budget =
+    match r.status with
+    | Job.Budget_exhausted reason -> Budget.reason_to_string reason
+    | Job.Swept | Job.Equivalent | Job.Not_equivalent _ | Job.Inconclusive _
+    | Job.Failed _ ->
+        "ok"
+  in
+  let cost, history, (calls, conflicts, propagations, restarts) =
+    match r.flow with
+    | None -> (0, [], (0, 0, 0, 0))
+    | Some f ->
+        let s = f.sat and po = f.po_stats in
+        ( f.final_cost,
+          f.cost_history,
+          ( s.calls + f.po_calls,
+            s.conflicts + po.conflicts,
+            s.propagations + po.propagations,
+            s.restarts + po.restarts ) )
+  in
+  [
+    ("status", String (Job.status_to_string r.status));
+    ("budget", String budget);
+    ("final_cost", Int cost);
+    ("cost_history", List (List.map (fun c -> Int c) history));
+    ("sat_calls", Int calls);
+    ("sat_conflicts", Int conflicts);
+    ("sat_propagations", Int propagations);
+    ("sat_restarts", Int restarts);
+    ("cache_hits", Int r.cache_hits);
+    ("cache_added", Int r.cache_added);
+    ("attempts", Int r.attempts);
+    ("time", Float r.time);
+  ]
+
 let json { job; label; at; payload } =
   let open Json in
   let fields =
@@ -103,25 +97,23 @@ let json { job; label; at; payload } =
     | Cache_replay { vectors; cost } ->
         [ ("vectors", Int vectors); ("cost", Int cost) ]
     | Random_round { round; cost } -> [ ("round", Int round); ("cost", Int cost) ]
-    | Guided_round { round; cost; vectors; conflicts; skipped } ->
+    | Guided_round { round; cost; delta = d } ->
         [
           ("round", Int round);
           ("cost", Int cost);
-          ("vectors", Int vectors);
-          ("conflicts", Int conflicts);
-          ("skipped", Int skipped);
+          ("vectors", Int d.vectors);
+          ("conflicts", Int d.gen_conflicts);
+          ("skipped", Int d.skipped);
         ]
-    | Sat_sweep
-        { calls; proved; disproved; conflicts; propagations; restarts;
-          deleted; cost } ->
+    | Sat_sweep { stats = s; cost } ->
         [
-          ("calls", Int calls);
-          ("proved", Int proved);
-          ("disproved", Int disproved);
-          ("conflicts", Int conflicts);
-          ("propagations", Int propagations);
-          ("restarts", Int restarts);
-          ("deleted", Int deleted);
+          ("calls", Int s.calls);
+          ("proved", Int s.proved);
+          ("disproved", Int s.disproved);
+          ("conflicts", Int s.conflicts);
+          ("propagations", Int s.propagations);
+          ("restarts", Int s.restarts);
+          ("deleted", Int s.deleted);
           ("cost", Int cost);
         ]
     | Fault { site; count } -> [ ("site", String site); ("count", Int count) ]
@@ -143,7 +135,7 @@ let json { job; label; at; payload } =
           ("misses", Int s.misses);
           ("local_proofs", Int s.local_proofs);
         ]
-    | Certificate c ->
+    | Certificate { report = c; time } ->
         [
           ("queries", Int c.queries);
           ("proved", Int c.proved);
@@ -151,23 +143,9 @@ let json { job; label; at; payload } =
           ("steps_checked", Int c.steps_checked);
           ("steps_trimmed", Int c.steps_trimmed);
           ("valid", Bool c.valid);
-          ("time", Float c.time);
+          ("time", Float time);
         ]
-    | Finished f ->
-        [
-          ("status", String f.status);
-          ("budget", String f.budget);
-          ("final_cost", Int f.final_cost);
-          ("cost_history", List (List.map (fun c -> Int c) f.cost_history));
-          ("sat_calls", Int f.sat_calls);
-          ("sat_conflicts", Int f.sat_conflicts);
-          ("sat_propagations", Int f.sat_propagations);
-          ("sat_restarts", Int f.sat_restarts);
-          ("cache_hits", Int f.cache_hits);
-          ("cache_added", Int f.cache_added);
-          ("attempts", Int f.attempts);
-          ("time", Float f.time);
-        ]
+    | Finished r -> finished_fields r
   in
   Obj
     (("job", Int job)

@@ -18,76 +18,40 @@ type payload =
   | Guided_round of {
       round : int;
       cost : int;
-      vectors : int;
-      conflicts : int;
-      skipped : int;
+      delta : Simgen_sweep.Sweeper.guided_stats;  (** this round's own stats *)
     }
-  | Sat_sweep of {
-      calls : int;
-      proved : int;
-      disproved : int;
-      conflicts : int;  (** solver conflict delta attributable to the sweep *)
-      propagations : int;  (** solver propagation delta for the sweep *)
-      restarts : int;  (** solver restart delta for the sweep *)
-      deleted : int;
-          (** clauses physically deleted during the sweep: learnt-clause
-              reductions plus session GC retractions *)
-      cost : int;
-    }
+      (** encoded as [vectors], [conflicts] ([gen_conflicts]) and
+          [skipped] *)
+  | Sat_sweep of { stats : Simgen_sweep.Sweeper.sat_stats; cost : int }
+      (** the sweep's solver counters; the encoder leaves out
+          [watch_visits], [clause_reads] and [sat_time] *)
   | Fault of { site : string; count : int }
       (** an armed {!Simgen_fault.Fault} site fired [count] times during
           the attempt just finished *)
   | Retry of { attempt : int; delay : float; cause : string }
       (** attempt [attempt] failed on a retryable [cause]; the supervisor
           sleeps [delay] seconds and re-runs the job *)
-  | Degrade of {
-      unknowns : int;
-      escalations : int;
-      fresh_fallbacks : int;
-      bdd_fallbacks : int;
-      session_rebuilds : int;
-    }
-      (** what the degradation ladder had to do
-          ({!Simgen_sweep.Sweeper.degrade_stats}); emitted only when
-          non-zero *)
+  | Degrade of Simgen_sweep.Sweeper.degrade_stats
+      (** what the degradation ladder had to do; emitted only when a
+          counter is non-zero. Its [quarantined] pairs leave as
+          [Quarantine] events, not in this one *)
   | Quarantine of { a : int; b : int }
       (** a candidate pair every ladder rung gave up on — reported, never
           merged *)
-  | Fun_cache_stats of {
-      consults : int;
-      hits : int;
-      misses : int;
-      local_proofs : int;
-    }
-      (** per-job counters of the cut-local check
-          ({!Simgen_sweep.Fun_cache}); emitted only when the check was
-          attached to the job *)
-  | Certificate of {
-      queries : int;
-      proved : int;
-      merges : int;
-      steps_checked : int;
-      steps_trimmed : int;
-      valid : bool;
-      time : float;
-    }
+  | Fun_cache_stats of Simgen_sweep.Fun_cache.stats
+      (** the job's own counters of the cut-local check (deltas: one
+          check serves every job of a daemon); emitted only when the
+          check was attached to the job. The encoder leaves out
+          [local_cexes] *)
+  | Certificate of { report : Simgen_check.Certificate.report; time : float }
       (** the whole-sweep certificate of a [certify] job was replayed by
-          the independent checker ({!Simgen_check.Certificate.check});
-          [valid = false] fails the job *)
-  | Finished of {
-      status : string;  (** {!Job.status_to_string} *)
-      budget : string;  (** ["ok"] or the exhaustion reason *)
-      final_cost : int;
-      cost_history : int list;
-      sat_calls : int;
-      sat_conflicts : int;  (** sweep + PO-phase solver conflicts *)
-      sat_propagations : int;  (** sweep + PO-phase solver propagations *)
-      sat_restarts : int;  (** sweep + PO-phase solver restarts *)
-      cache_hits : int;
-      cache_added : int;
-      attempts : int;  (** supervisor attempts this result took *)
-      time : float;
-    }
+          the independent checker ({!Simgen_check.Certificate.check}) in
+          [time] seconds; [valid = false] fails the job *)
+  | Finished of Job.result
+      (** the encoder derives [budget] (["ok"] or the exhaustion reason)
+          from the status, and sums the sweep's and the PO phase's SAT
+          calls, conflicts, propagations and restarts; a job with no
+          flow report reports zeros *)
 
 type event = { job : int; label : string; at : float; payload : payload }
 

@@ -7,18 +7,19 @@ module Sweeper = Simgen_sweep.Sweeper
 module Cec = Simgen_sweep.Cec
 module Sweep_options = Simgen_sweep.Sweep_options
 module Fun_cache = Simgen_sweep.Fun_cache
-module Solver = Simgen_sat.Solver
 
 (* A job under a supervisor. One attempt loads and lints the circuits,
    replays the shared pattern cache, and runs the flow of [Cec.run]
    with the job's budget as its stop predicate and an observer that
-   turns the flow's reports into telemetry events and pattern-cache
-   contributions; certify jobs then check the whole-sweep certificate.
+   hands the flow's own stats records to telemetry events and its
+   counter-examples to the pattern cache; certify jobs then check the
+   whole-sweep certificate.
    The flow enforces its own SAT-call cap ([max_sat_calls]); a flow
    that the cap cut short ends the job as [Budget_exhausted Sat_calls],
    unless the budget tripped first. The first random round always runs,
-   so even a job whose deadline has already passed returns a non-empty
-   cost history with its partial result.
+   so even a job whose deadline has already passed returns a flow
+   report with a non-empty cost history. The result keeps that report
+   whole ([Job.result.flow]); the Finished event carries the result.
 
    The supervisor around it owns the retry policy: an attempt that dies
    on an exception (a parse error, an invariant violation the sweeper
@@ -57,13 +58,6 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
   (* [flow] is the last attempt's sweeper and flow report, if it got that
      far. *)
   let finish flow status =
-    let budget_status =
-      match status with
-      | Job.Budget_exhausted reason -> Budget.reason_to_string reason
-      | Job.Swept | Job.Equivalent | Job.Not_equivalent _ | Job.Inconclusive _
-      | Job.Failed _ ->
-          "ok"
-    in
     (* Ladder telemetry: what degradation the attempt needed, and which
        pairs were quarantined rather than decided. *)
     let quarantined =
@@ -71,24 +65,12 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
       | None -> []
       | Some (sw, _) ->
           let d = Sweeper.degrade_stats sw in
-          if
-            d.Sweeper.unknowns > 0 || d.Sweeper.escalations > 0
-            || d.Sweeper.fresh_fallbacks > 0 || d.Sweeper.bdd_fallbacks > 0
-            || d.Sweeper.session_rebuilds > 0
-          then
-            emit
-              (Degrade
-                 {
-                   unknowns = d.Sweeper.unknowns;
-                   escalations = d.Sweeper.escalations;
-                   fresh_fallbacks = d.Sweeper.fresh_fallbacks;
-                   bdd_fallbacks = d.Sweeper.bdd_fallbacks;
-                   session_rebuilds = d.Sweeper.session_rebuilds;
-                 });
+          if { d with quarantined = [] } <> Sweeper.empty_degrade then
+            emit (Degrade d);
           List.iter
             (fun (a, b) -> emit (Quarantine { a; b }))
-            (List.rev d.Sweeper.quarantined);
-          d.Sweeper.quarantined
+            (List.rev d.quarantined);
+          d.quarantined
     in
     (* Cut-check telemetry: this job's deltas. One check value serves
        every job of a daemon, hence the delta. *)
@@ -102,20 +84,14 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
                 hits = s.hits - b.hits;
                 misses = s.misses - b.misses;
                 local_proofs = s.local_proofs - b.local_proofs;
+                local_cexes = s.local_cexes - b.local_cexes;
               })
      | _ -> ());
-    let report = Option.map snd flow in
-    let field f empty = match report with Some r -> f r | None -> empty in
-    let po = field (fun r -> r.Cec.po_stats) Solver.zero_stats in
     let result =
       {
         Job.spec;
         status;
-        final_cost = field (fun r -> r.Cec.final_cost) 0;
-        cost_history = field (fun r -> r.Cec.cost_history) [];
-        guided = field (fun r -> r.Cec.guided) Sweeper.empty_guided;
-        sat = field (fun r -> r.Cec.sat) Sweeper.empty_sat;
-        po_calls = field (fun r -> r.Cec.po_calls) 0;
+        flow = Option.map snd flow;
         cache_hits = !cache_hits;
         cache_added = !cache_added;
         worker;
@@ -124,23 +100,7 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
         time = Timer.now () -. t0;
       }
     in
-    let sat = result.Job.sat in
-    emit
-      (Finished
-         {
-           status = Job.status_to_string status;
-           budget = budget_status;
-           final_cost = result.Job.final_cost;
-           cost_history = result.Job.cost_history;
-           sat_calls = sat.Sweeper.calls + result.Job.po_calls;
-           sat_conflicts = sat.Sweeper.conflicts + po.Solver.conflicts;
-           sat_propagations = sat.Sweeper.propagations + po.Solver.propagations;
-           sat_restarts = sat.Sweeper.restarts + po.Solver.restarts;
-           cache_hits = !cache_hits;
-           cache_added = !cache_added;
-           attempts = result.Job.attempts;
-           time = result.Job.time;
-         });
+    emit (Finished result);
     result
   in
   (* One full attempt. Returns the sweeper and flow report (for partial
@@ -177,7 +137,7 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
        whole budget on garbage (or crash mid-sweep); lint errors fail the
        job here, as a [Failed] result with the first diagnostic. *)
     let lint net =
-      let diags = Simgen_check.Lint.network net in
+      let diags = Simgen_check.Net_lint.run net in
       (* Under runtime checks, also audit the clause stream the Tseitin
          encoder would emit for this network (C001..C008) — catches
          encoder regressions before the sweep trusts the encoding. *)
@@ -211,17 +171,7 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
       else begin
         let t_cert = Timer.now () in
         let report = Simgen_check.Certificate.check (Sweeper.certificate sweeper) in
-        emit
-          (Certificate
-             {
-               queries = report.Simgen_check.Certificate.queries;
-               proved = report.Simgen_check.Certificate.proved;
-               merges = report.Simgen_check.Certificate.merges;
-               steps_checked = report.Simgen_check.Certificate.steps_checked;
-               steps_trimmed = report.Simgen_check.Certificate.steps_trimmed;
-               valid = report.Simgen_check.Certificate.valid;
-               time = Timer.now () -. t_cert;
-             });
+        emit (Certificate { report; time = Timer.now () -. t_cert });
         if report.Simgen_check.Certificate.valid then status
         else
           Job.Failed
@@ -250,29 +200,9 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
        shared cache. *)
     let observe : Sweep_options.observation -> unit = function
       | Random_round round -> emit (Random_round { round; cost = Sweeper.cost sweeper })
-      | Guided_round { round; delta = d } ->
-          emit
-            (Guided_round
-               {
-                 round;
-                 cost = Sweeper.cost sweeper;
-                 vectors = d.Sweeper.vectors;
-                 conflicts = d.Sweeper.gen_conflicts;
-                 skipped = d.Sweeper.skipped;
-               })
-      | Sat_sweep s ->
-          emit
-            (Sat_sweep
-               {
-                 calls = s.Sweeper.calls;
-                 proved = s.Sweeper.proved;
-                 disproved = s.Sweeper.disproved;
-                 conflicts = s.Sweeper.conflicts;
-                 propagations = s.Sweeper.propagations;
-                 restarts = s.Sweeper.restarts;
-                 deleted = s.Sweeper.deleted;
-                 cost = Sweeper.cost sweeper;
-               })
+      | Guided_round { round; delta } ->
+          emit (Guided_round { round; cost = Sweeper.cost sweeper; delta })
+      | Sat_sweep stats -> emit (Sat_sweep { stats; cost = Sweeper.cost sweeper })
       | Counterexample vec -> (
           match cache with
           | Some c -> if Pattern_cache.add c vec then incr cache_added

@@ -4,7 +4,7 @@ module Bench_format = Simgen_network.Bench_format
 module Convert = Simgen_aig.Convert
 module Aiger = Simgen_aig.Aiger
 module Suite = Simgen_benchgen.Suite
-module Sweeper = Simgen_sweep.Sweeper
+module Cec = Simgen_sweep.Cec
 module Sweep_options = Simgen_sweep.Sweep_options
 module Fault = Simgen_fault.Fault
 module Srcloc = Simgen_base.Srcloc
@@ -37,11 +37,7 @@ type status =
 type result = {
   spec : spec;
   status : status;
-  final_cost : int;
-  cost_history : int list;
-  guided : Sweeper.guided_stats;
-  sat : Sweeper.sat_stats;
-  po_calls : int;
+  flow : Cec.report option;
   cache_hits : int;
   cache_added : int;
   worker : int;

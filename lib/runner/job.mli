@@ -37,8 +37,8 @@ type status =
           a wrong one *)
   | Swept  (** sweep job ran to completion *)
   | Budget_exhausted of Budget.reason
-      (** partial result: the stats and cost history cover the work done
-          before the budget tripped or the SAT-call cap was spent *)
+      (** partial result: the flow report covers the work done before
+          the budget tripped or the SAT-call cap was spent *)
   | Failed of { message : string; attempts : int; faults : (string * int) list }
       (** every attempt raised (bad file, PI mismatch, a repeated
           invariant violation, ...): the last message, the attempts
@@ -47,11 +47,10 @@ type status =
 type result = {
   spec : spec;
   status : status;
-  final_cost : int;
-  cost_history : int list;
-  guided : Simgen_sweep.Sweeper.guided_stats;
-  sat : Simgen_sweep.Sweeper.sat_stats;
-  po_calls : int;
+  flow : Simgen_sweep.Cec.report option;
+      (** the last attempt's flow report: costs, guided and SAT stats,
+          PO-phase queries. [None] when no attempt reached the flow (a
+          load or lint failure, a crash, a stalled-out attempt) *)
   cache_hits : int;  (** patterns replayed from the shared cache *)
   cache_added : int;  (** counter-examples contributed to the cache *)
   worker : int;

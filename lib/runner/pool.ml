@@ -45,11 +45,7 @@ let run ?(workers = 1) ?(events = Events.null) ?cache ?cancel jobs =
                         attempts = 1;
                         faults = [];
                       };
-                  final_cost = 0;
-                  cost_history = [];
-                  guided = Simgen_sweep.Sweeper.empty_guided;
-                  sat = Simgen_sweep.Sweeper.empty_sat;
-                  po_calls = 0;
+                  flow = None;
                   cache_hits = 0;
                   cache_added = 0;
                   worker = w;

@@ -9,8 +9,9 @@
 
 type t = {
   max_attempts : int;  (** total attempts, including the first (>= 1) *)
-  backoff : float;  (** seconds before the second attempt *)
-  multiplier : float;  (** backoff growth per further attempt *)
+  backoff : float;
+      (** seconds before the second attempt; each further attempt
+          doubles it *)
   jitter : float;
       (** relative jitter in [0, 1]: each delay is scaled by a uniform
           factor from [1 - jitter, 1 + jitter], decorrelating workers
@@ -30,5 +31,3 @@ val delay : t -> Simgen_base.Rng.t -> attempt:int -> float
 (** Seconds to sleep after failed attempt [attempt] (1-based). The jitter
     scale is drawn from [rng], so the sequence is deterministic per
     seed. *)
-
-val to_string : t -> string

@@ -8,6 +8,7 @@ module Manifest = Simgen_runner.Manifest
 module Pattern_cache = Simgen_runner.Pattern_cache
 module Fun_cache = Simgen_sweep.Fun_cache
 module Sweeper = Simgen_sweep.Sweeper
+module Cec = Simgen_sweep.Cec
 module Sweep_options = Simgen_sweep.Sweep_options
 module Lint = Simgen_check.Lint
 module Diagnostic = Simgen_check.Diagnostic
@@ -123,10 +124,15 @@ let result_fields (r : Job.result) =
         [ ("quarantined_pos", List (List.map (fun p -> Int p) pos)) ]
     | Job.Equivalent | Job.Swept | Job.Budget_exhausted _ | Job.Failed _ -> []
   in
+  let final_cost, sat_calls =
+    match r.Job.flow with
+    | Some f -> (f.Cec.final_cost, f.Cec.sat.Sweeper.calls + f.Cec.po_calls)
+    | None -> (0, 0)
+  in
   [
     ("status", String (Job.status_to_string r.Job.status));
-    ("final_cost", Int r.Job.final_cost);
-    ("sat_calls", Int (r.Job.sat.Sweeper.calls + r.Job.po_calls));
+    ("final_cost", Int final_cost);
+    ("sat_calls", Int sat_calls);
     ("cache_hits", Int r.Job.cache_hits);
     ("cache_added", Int r.Job.cache_added);
     ("attempts", Int r.Job.attempts);
@@ -170,7 +176,7 @@ let lint_fields target =
   in
   let diags =
     if from_file then Lint.file target
-    else Lint.network ~name:target (Job.load (Job.Suite target))
+    else Simgen_check.Net_lint.run (Job.load (Job.Suite target))
   in
   let errors, warnings, infos = Diagnostic.counts diags in
   let open Protocol in

@@ -120,12 +120,10 @@ type t = {
   engines : (Core.Config.t, Core.Engine.t * Core.Decision.t) Hashtbl.t;
 }
 
-let create ?check (opts : Sweep_options.t) net =
+let create (opts : Sweep_options.t) net =
   let rng = Rng.create opts.Sweep_options.seed in
   let subst = Array.init (N.num_nodes net) Fun.id in
-  let check =
-    match check with Some b -> b | None -> Runtime_check.enabled ()
-  in
+  let check = Runtime_check.enabled () in
   let certify = opts.Sweep_options.certify in
   let audit = opts.Sweep_options.solver_audit in
   {
@@ -170,10 +168,9 @@ let network t = t.net
 let classes t = t.eq
 let cost t = Eq.cost t.eq
 
-(* Invariant audits at refinement and merge boundaries. Forcing the flag
-   on makes an explicit [~check:true] work even when SIMGEN_CHECK is
-   unset; forcing it off makes [~check:false] cheap no matter the
-   environment. *)
+(* Invariant audits at refinement and merge boundaries. The flag is read
+   once, at [create]; forcing it on keeps a sweeper created under checks
+   auditing even if the flag is later turned off. *)
 let audit t =
   if t.check then
     Runtime_check.with_enabled true (fun () ->

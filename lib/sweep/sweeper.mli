@@ -67,16 +67,17 @@ type degrade_stats = {
 
 val empty_degrade : degrade_stats
 
-val create : ?check:bool -> Sweep_options.t -> Simgen_network.Network.t -> t
+val create : Sweep_options.t -> Simgen_network.Network.t -> t
 (** A fresh sweeper with one initial class holding all gates and no
     simulation history, configured by the options record: [seed] feeds
     the RNG, [outgold] picks the OUTgold generation strategy for guided
     rounds, [certify] records a whole-sweep certificate (the session
     logs per-query clausal proofs, every merge is logged with a
     reference to the query that proved it, and {!certificate} assembles
-    the result for {!Simgen_check.Certificate.check}). [check] (default {!Simgen_base.Runtime_check.enabled},
-    i.e. the [SIMGEN_CHECK] environment variable) turns on invariant
-    audits at every refinement and merge boundary: eq-class partition
+    the result for {!Simgen_check.Certificate.check}). When
+    {!Simgen_base.Runtime_check.enabled} holds at creation (the
+    [SIMGEN_CHECK] environment variable), the sweeper audits invariants
+    at every refinement and merge boundary: eq-class partition
     well-formedness and substitution monotonicity
     ({!Simgen_check.Audit}). Audits raise
     {!Simgen_base.Runtime_check.Violation} on corruption. *)

@@ -428,7 +428,8 @@ let test_runner_certify () =
     List.filter_map
       (fun e ->
         match e.Events.payload with
-        | Events.Certificate { valid; proved; _ } -> Some (valid, proved)
+        | Events.Certificate { report; _ } ->
+            Some (report.Cert.valid, report.Cert.proved)
         | _ -> None)
       (drain ())
   in

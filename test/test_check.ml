@@ -50,7 +50,7 @@ let clean_net () =
 (* ------------------------------------------------------------------ *)
 
 let test_clean_network () =
-  let diags = Check.Lint.network (clean_net ()) in
+  let diags = Check.Net_lint.run (clean_net ()) in
   Alcotest.(check int) "no errors" 0 (List.length (errors diags));
   Alcotest.(check int) "no warnings" 0 (List.length (warnings diags))
 
@@ -58,19 +58,19 @@ let test_cycle () =
   let net = clean_net () in
   (* g1 (id 2) <- g3 (id 4) closes a loop g3 -> g1 -> g3. *)
   N.Unsafe.set_fanins net 2 [| 4; 1 |];
-  let diags = Check.Lint.network net in
+  let diags = Check.Net_lint.run net in
   check_code "cycle" "N001" diags
 
 let test_arity_mismatch () =
   let net = clean_net () in
   N.Unsafe.set_fanins net 4 [| 2 |];
   (* 2-var table, 1 fanin *)
-  check_code "arity" "N002" (Check.Lint.network net)
+  check_code "arity" "N002" (Check.Net_lint.run net)
 
 let test_forward_and_range () =
   let net = clean_net () in
   N.Unsafe.set_fanins net 2 [| 3; 99 |] (* forward ref + out of range *);
-  let diags = Check.Lint.network net in
+  let diags = Check.Net_lint.run net in
   check_code "forward/range" "N003" diags;
   Alcotest.(check bool)
     "both fanins flagged" true
@@ -80,7 +80,7 @@ let test_unreachable () =
   let net = clean_net () in
   (* Another gate nothing observes. *)
   let _orphan = N.add_gate net (TT.of_bits 2 0b0001L) [| 0; 1 |] in
-  check_code "unreachable" "N004" (Check.Lint.network net)
+  check_code "unreachable" "N004" (Check.Net_lint.run net)
 
 let test_duplicate_names () =
   let net = N.create () in
@@ -89,26 +89,26 @@ let test_duplicate_names () =
   let g2 = N.add_gate ~name:"sig" net (TT.of_bits 2 0b1110L) [| a; b |] in
   N.add_po net g1;
   N.add_po net g2;
-  check_code "duplicate name" "N006" (Check.Lint.network net)
+  check_code "duplicate name" "N006" (Check.Net_lint.run net)
 
 let test_constant_foldable () =
   let net = clean_net () in
   let c = N.add_gate net (TT.create_const 2 true) [| 0; 1 |] in
   N.add_po net c;
-  check_code "const gate" "N008" (Check.Lint.network net)
+  check_code "const gate" "N008" (Check.Net_lint.run net)
 
 let test_buffer () =
   let net = clean_net () in
   let buf = N.add_gate net (TT.var 0 1) [| 2 |] in
   N.add_po net buf;
-  check_code "buffer" "N009" (Check.Lint.network net)
+  check_code "buffer" "N009" (Check.Net_lint.run net)
 
 let test_stale_levels () =
   let net = clean_net () in
   ignore (N.levels net);
   (* Pretend a mutator forgot to invalidate: install garbage. *)
   N.Unsafe.set_level_cache net (Array.make (N.num_nodes net) 7);
-  let diags = Check.Lint.network net in
+  let diags = Check.Net_lint.run net in
   check_code "stale levels" "N010" diags;
   Alcotest.(check bool) "is an error" true (errors diags <> [])
 
@@ -122,7 +122,7 @@ let test_levels_recomputed_after_mutation () =
   Alcotest.(check bool)
     "no N010 after recompute"
     true
-    (not (has_code "N010" (Check.Lint.network net)))
+    (not (has_code "N010" (Check.Net_lint.run net)))
 
 let test_ignored_and_duplicate_fanin () =
   let net = N.create () in
@@ -132,7 +132,7 @@ let test_ignored_and_duplicate_fanin () =
   let g2 = N.add_gate net (TT.of_bits 2 0b1000L) [| a; a |] in
   N.add_po net g1;
   N.add_po net g2;
-  let diags = Check.Lint.network net in
+  let diags = Check.Net_lint.run net in
   check_code "ignored fanin" "N012" diags;
   check_code "duplicate fanin" "N013" diags
 
@@ -149,41 +149,41 @@ let clean_aig () =
 
 let test_aig_clean () =
   let aig, _, _, _ = clean_aig () in
-  Alcotest.(check (list string)) "no diagnostics" [] (codes (Check.Lint.aig aig))
+  Alcotest.(check (list string)) "no diagnostics" [] (codes (Check.Aig_lint.run aig))
 
 let test_aig_non_canonical () =
   let aig, a, b, _ = clean_aig () in
   Aig.add_po aig (Aig.Unsafe.push_and aig b a) (* b > a: wrong order *);
-  check_code "operand order" "A001" (Check.Lint.aig aig)
+  check_code "operand order" "A001" (Check.Aig_lint.run aig)
 
 let test_aig_duplicate () =
   let aig, a, b, _ = clean_aig () in
   Aig.add_po aig (Aig.Unsafe.push_and aig a b) (* same pair again *);
-  check_code "strash duplicate" "A002" (Check.Lint.aig aig)
+  check_code "strash duplicate" "A002" (Check.Aig_lint.run aig)
 
 let test_aig_foldable () =
   let aig, a, _, _ = clean_aig () in
   Aig.add_po aig (Aig.Unsafe.push_and aig Aig.true_ a);
-  check_code "constant operand" "A003" (Check.Lint.aig aig)
+  check_code "constant operand" "A003" (Check.Aig_lint.run aig)
 
 let test_aig_forward_fanin () =
   let aig, a, _, _ = clean_aig () in
   let n = Aig.num_nodes aig in
   (* References itself (node id n = the node being pushed). *)
   Aig.add_po aig (Aig.Unsafe.push_and aig a (Aig.lit_of_node n false));
-  let diags = Check.Lint.aig aig in
+  let diags = Check.Aig_lint.run aig in
   check_code "forward fanin" "A004" diags;
   Alcotest.(check bool) "is an error" true (errors diags <> [])
 
 let test_aig_unreachable () =
   let aig, a, b, _ = clean_aig () in
   ignore (Aig.and_ aig (Aig.not_ a) (Aig.not_ b)) (* never made a PO *);
-  check_code "unreachable AND" "A005" (Check.Lint.aig aig)
+  check_code "unreachable AND" "A005" (Check.Aig_lint.run aig)
 
 let test_aig_po_range () =
   let aig, _, _, _ = clean_aig () in
   Aig.add_po aig (Aig.lit_of_node 500 false);
-  let diags = Check.Lint.aig aig in
+  let diags = Check.Aig_lint.run aig in
   check_code "PO out of range" "A006" diags;
   Alcotest.(check bool) "is an error" true (errors diags <> [])
 
@@ -203,7 +203,7 @@ let test_cnf_codes () =
       (* variable 3 declared but never referenced: C006 *)
     ]
   in
-  let diags = Check.Lint.cnf ~nvars:4 clauses in
+  let diags = Check.Cnf_lint.run ~nvars:4 clauses in
   List.iter
     (fun code -> check_code "cnf" code diags)
     [ "C001"; "C002"; "C003"; "C004"; "C005"; "C006" ];
@@ -213,7 +213,7 @@ let test_cnf_clean () =
   let clauses = [ [ L.pos 0; L.neg 1 ]; [ L.pos 1; L.pos 2 ]; [ L.neg 2 ] ] in
   Alcotest.(check (list string))
     "clean cnf" []
-    (codes (Check.Lint.cnf ~nvars:3 clauses))
+    (codes (Check.Cnf_lint.run ~nvars:3 clauses))
 
 let test_tseitin_encoding_lint () =
   (* The live encoder must emit well-formed CNF for a real benchmark. No
@@ -245,7 +245,7 @@ let test_session_stream_lint () =
         (0, []) segment
     in
     let clauses = List.concat (List.rev parts) in
-    let diags = Check.Lint.cnf ~source:name ~nvars clauses in
+    let diags = Check.Cnf_lint.run ~source:name ~nvars clauses in
     Alcotest.(check int) (name ^ ": no errors") 0 (List.length (errors diags));
     List.length clauses
   in
@@ -322,10 +322,10 @@ let test_file_dispatch_clean () =
 let test_suites_error_free () =
   List.iter
     (fun name ->
-      let aig_errs = errors (Check.Lint.aig (Suite.aig name)) in
+      let aig_errs = errors (Check.Aig_lint.run (Suite.aig name)) in
       Alcotest.(check int) (name ^ " aig errors") 0 (List.length aig_errs);
       let net = Suite.lut_network name in
-      let diags = Check.Lint.network net in
+      let diags = Check.Net_lint.run net in
       Alcotest.(check int) (name ^ " net errors") 0 (List.length (errors diags));
       Alcotest.(check int)
         (name ^ " net warnings")
@@ -339,7 +339,7 @@ let test_stacked_and_seeds_error_free () =
   List.iter
     (fun name ->
       let net = Suite.stacked_lut_network name in
-      let diags = Check.Lint.network net in
+      let diags = Check.Net_lint.run net in
       Alcotest.(check int)
         (name ^ " stacked errors")
         0
@@ -364,7 +364,7 @@ let test_stacked_and_seeds_error_free () =
         ids := N.add_gate net f fanins :: !ids
       done;
       N.add_po net (List.hd !ids);
-      let diags = Check.Lint.network net in
+      let diags = Check.Net_lint.run net in
       Alcotest.(check int)
         (Printf.sprintf "seed %d errors" seed)
         0
@@ -384,7 +384,7 @@ let violation f =
 let test_audit_passes_on_honest_sweep () =
   Runtime_check.with_enabled true (fun () ->
       let net = Suite.lut_network "alu4" in
-      let sw = Sweeper.create ~check:true (opts 5) net in
+      let sw = Sweeper.create (opts 5) net in
       Sweeper.random_round sw;
       let _stats =
         Sweeper.sat_sweep
@@ -396,21 +396,22 @@ let test_audit_passes_on_honest_sweep () =
         (Sweeper.cost sw >= 0))
 
 let test_audit_catches_broken_merge () =
-  let net = Suite.lut_network "alu4" in
-  let sw = Sweeper.create ~check:true (opts 5) net in
-  Sweeper.random_round sw;
-  (* An "upward" merge is never a proven equivalence: representatives must
-     only ever move to smaller ids. *)
-  let subst = Sweeper.substitution sw in
-  let n = Array.length subst in
-  subst.(n - 2) <- n - 1;
-  match violation (fun () -> Sweeper.random_round sw) with
-  | Some msg ->
-      Alcotest.(check bool)
-        ("R003 in: " ^ msg)
-        true
-        (String.length msg >= 4 && String.sub msg 0 4 = "R003")
-  | None -> Alcotest.fail "corrupted substitution went undetected"
+  Runtime_check.with_enabled true (fun () ->
+      let net = Suite.lut_network "alu4" in
+      let sw = Sweeper.create (opts 5) net in
+      Sweeper.random_round sw;
+      (* An "upward" merge is never a proven equivalence: representatives
+         must only ever move to smaller ids. *)
+      let subst = Sweeper.substitution sw in
+      let n = Array.length subst in
+      subst.(n - 2) <- n - 1;
+      match violation (fun () -> Sweeper.random_round sw) with
+      | Some msg ->
+          Alcotest.(check bool)
+            ("R003 in: " ^ msg)
+            true
+            (String.length msg >= 4 && String.sub msg 0 4 = "R003")
+      | None -> Alcotest.fail "corrupted substitution went undetected")
 
 let test_audit_off_by_default () =
   Runtime_check.set_enabled false;
@@ -519,25 +520,25 @@ let test_cnf_subsumed () =
       [ L.neg 1; L.pos 2 ] (* shares ~x1 but is not subsumed *);
     ]
   in
-  let diags = Check.Lint.cnf ~nvars:3 clauses in
+  let diags = Check.Cnf_lint.run ~nvars:3 clauses in
   check_code "subsumption" "C007" diags;
   Alcotest.(check int) "exactly one C007" 1
     (List.length (List.filter (fun d -> d.D.code = "C007") diags));
   (* Exact duplicates stay C005, never C007. *)
   let dup = [ [ L.pos 0; L.neg 1 ]; [ L.neg 1; L.pos 0 ] ] in
-  let diags = Check.Lint.cnf ~nvars:2 dup in
+  let diags = Check.Cnf_lint.run ~nvars:2 dup in
   check_code "duplicate" "C005" diags;
   Alcotest.(check bool) "no C007 on exact duplicate" false
     (has_code "C007" diags)
 
 let test_cnf_complementary_units () =
   let clauses = [ [ L.pos 0; L.pos 1 ]; [ L.pos 2 ]; [ L.neg 2 ] ] in
-  let diags = Check.Lint.cnf ~nvars:3 clauses in
+  let diags = Check.Cnf_lint.run ~nvars:3 clauses in
   check_code "complementary units" "C008" diags;
   (* Repeating the same unit is C005 territory, not C008. *)
   let same = [ [ L.pos 0 ]; [ L.pos 0 ] ] in
   Alcotest.(check bool) "same-polarity units are not C008" false
-    (has_code "C008" (Check.Lint.cnf ~nvars:1 same))
+    (has_code "C008" (Check.Cnf_lint.run ~nvars:1 same))
 
 (* ------------------------------------------------------------------ *)
 (* Semantic lints: seeded corruption -> expected S-code                *)
@@ -646,7 +647,7 @@ let test_sem_corruptions () =
     (fun (what, code, build) ->
       List.iter
         (fun seed ->
-          let diags = Check.Lint.semantic ~seed (build ()) in
+          let diags = Check.Sem_lint.run ~seed (build ()) in
           check_code (Printf.sprintf "%s (seed %d)" what seed) code diags)
         [ 1; 2; 3 ])
     corruptions
@@ -657,7 +658,7 @@ let test_sem_clean () =
   List.iter
     (fun seed ->
       let net, _, _, _, _, _ = sem_base () in
-      let diags = Check.Lint.semantic ~seed net in
+      let diags = Check.Sem_lint.run ~seed net in
       Alcotest.(check (list string))
         (Printf.sprintf "clean scaffold (seed %d)" seed)
         [] (codes diags))
@@ -735,7 +736,7 @@ let test_sem_no_false_positives () =
     | code -> Alcotest.fail (D.to_string d ^ ": unexpected code " ^ code)
   in
   List.iter
-    (fun seed -> List.iter verify (Check.Lint.semantic ~seed net))
+    (fun seed -> List.iter verify (Check.Sem_lint.run ~seed net))
     [ 1; 2; 3 ]
 
 let test_sem_budget_zero () =
@@ -744,7 +745,7 @@ let test_sem_budget_zero () =
      crash, never a finding the engines could not prove, and never a
      nonzero exit code. *)
   let _, _, build = List.nth corruptions 0 in
-  let diags = Check.Lint.semantic ~budget:0 ~bdd_nodes:1 (build ()) in
+  let diags = Check.Sem_lint.run ~budget:0 ~bdd_nodes:1 (build ()) in
   Alcotest.(check bool) "produced at least one unknown" true (diags <> []);
   List.iter
     (fun (d : D.t) ->

@@ -5,7 +5,8 @@
    and SAT calls. The jobs cover every path through an attempt: CEC of
    an equivalent pair and of a one-row mutant, a sweep, the pattern
    cache and the cut check, the SAT-call cap, the deadline and cancel
-   budgets, certification, and injected faults with retries.
+   budgets, certification, the degradation ladder under a zero conflict
+   budget, and injected faults with retries.
    Audits are forced off, as in the SAT golden: they add solver work.
 
    The parity test checks that a CEC job through [Exec.run] reports
@@ -89,7 +90,7 @@ let pis_vs_buffers n =
   (plain, buffered)
 
 let job ?(seed = 1) ?(guided_iterations = 20) ?(certify = false) ?fun_cache
-    ?max_sat_calls ?limits ?retry kind =
+    ?max_sat_calls ?max_conflicts ?limits ?retry kind =
   let options =
     {
       Sweep_options.default with
@@ -98,6 +99,7 @@ let job ?(seed = 1) ?(guided_iterations = 20) ?(certify = false) ?fun_cache
       certify;
       fun_cache;
       max_sat_calls;
+      max_conflicts;
     }
   in
   Job.make ~id:0 ~options ?limits ?retry kind
@@ -117,10 +119,15 @@ let render events (r : Job.result) =
   in
   List.map strip events
   @ [
-      Printf.sprintf "result status=%s history=%s sat_calls=%d"
-        (Job.status_to_string r.Job.status)
-        (String.concat "," (List.map string_of_int r.Job.cost_history))
-        (r.Job.sat.Sweeper.calls + r.Job.po_calls);
+      (let history, sat_calls =
+         match r.Job.flow with
+         | Some f -> (f.Cec.cost_history, f.Cec.sat.Sweeper.calls + f.Cec.po_calls)
+         | None -> ([], 0)
+       in
+       Printf.sprintf "result status=%s history=%s sat_calls=%d"
+         (Job.status_to_string r.Job.status)
+         (String.concat "," (List.map string_of_int history))
+         sat_calls);
     ]
 
 let run ?cache ?cancel spec =
@@ -172,6 +179,10 @@ let cases () =
         with_faults
           (fun () -> Fault.arm ~times:1 "worker-crash")
           (fun () -> run (job ~seed:5 ~retry:(retries 3) (Job.Sweep (Job.Inline pri6)))) );
+    ( "ladder",
+      fun () ->
+        let a, b = pis_vs_buffers 3 in
+        run (job ~guided_iterations:2 ~max_conflicts:0 ~certify:true (inline2 a b)) );
     ( "gen-giveup",
       fun () ->
         with_faults
@@ -199,13 +210,18 @@ let check_parity left right =
   in
   Alcotest.(check string) (what ^ " outcome")
     (Job.status_to_string outcome) (Job.status_to_string r.Job.status);
-  Alcotest.(check (list int)) (what ^ " cost history") c.Cec.cost_history r.Job.cost_history;
+  let f =
+    match r.Job.flow with
+    | Some f -> f
+    | None -> Alcotest.fail (what ^ ": no flow report")
+  in
+  Alcotest.(check (list int)) (what ^ " cost history") c.Cec.cost_history f.Cec.cost_history;
   let counts (s : Sweeper.sat_stats) =
     [ s.Sweeper.calls; s.Sweeper.proved; s.Sweeper.disproved; s.Sweeper.conflicts;
       s.Sweeper.propagations; s.Sweeper.restarts; s.Sweeper.deleted ]
   in
-  Alcotest.(check (list int)) (what ^ " sweep counts") (counts c.Cec.sat) (counts r.Job.sat);
-  Alcotest.(check int) (what ^ " PO calls") c.Cec.po_calls r.Job.po_calls
+  Alcotest.(check (list int)) (what ^ " sweep counts") (counts c.Cec.sat) (counts f.Cec.sat);
+  Alcotest.(check int) (what ^ " PO calls") c.Cec.po_calls f.Cec.po_calls
 
 let test_parity () =
   Runtime_check.with_enabled false @@ fun () ->

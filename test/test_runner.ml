@@ -11,6 +11,8 @@ module Pool = Runner.Pool
 module Manifest = Runner.Manifest
 module Sweeper = Simgen_sweep.Sweeper
 module Sweep_options = Simgen_sweep.Sweep_options
+module Cec = Simgen_sweep.Cec
+module Solver = Simgen_sat.Solver
 
 (* Job options off the defaults: a seed and a guided-round count. *)
 let opts ?(seed = 1) ?(guided_iterations = 20) () =
@@ -85,6 +87,12 @@ let near_miss_net npis =
 
 let run_job ?cache ?cancel ?(events = Events.null) spec =
   Exec.run ?cache ?cancel ~events ~worker:0 spec
+
+(* The flow report of a job whose last attempt reached the flow. *)
+let flow (r : Job.result) =
+  match r.Job.flow with
+  | Some f -> f
+  | None -> Alcotest.fail "no flow report"
 
 let check_status msg expected actual =
   Alcotest.(check string) msg
@@ -179,14 +187,15 @@ let test_deadline_partial_result () =
   check_status "deadline tripped"
     (Job.Budget_exhausted Budget.Deadline)
     r.Job.status;
-  Alcotest.(check bool) "partial cost history" true (r.Job.cost_history <> []);
+  let f = flow r in
+  Alcotest.(check bool) "partial cost history" true (f.Cec.cost_history <> []);
   Alcotest.(check int) "no guided work under an expired deadline" 0
-    r.Job.guided.Sweeper.iterations;
+    f.Cec.guided.Sweeper.iterations;
   Alcotest.(check int) "no solver work under an expired deadline" 0
-    r.Job.sat.Sweeper.calls;
+    f.Cec.sat.Sweeper.calls;
   Alcotest.(check int) "final cost matches the history"
-    (List.nth r.Job.cost_history (List.length r.Job.cost_history - 1))
-    r.Job.final_cost
+    (List.nth f.Cec.cost_history (List.length f.Cec.cost_history - 1))
+    f.Cec.final_cost
 
 let test_max_sat_calls_budget () =
   (* Two equivalent-pair classes survive simulation, so a completed sweep
@@ -212,7 +221,8 @@ let test_max_sat_calls_budget () =
   check_status "call budget tripped"
     (Job.Budget_exhausted Budget.Sat_calls)
     r.Job.status;
-  Alcotest.(check int) "exactly the budgeted calls ran" 1 r.Job.sat.Sweeper.calls
+  Alcotest.(check int) "exactly the budgeted calls ran" 1
+    (flow r).Cec.sat.Sweeper.calls
 
 let test_cec_equivalent () =
   let spec =
@@ -269,7 +279,7 @@ let test_cancellation () =
         (Job.Budget_exhausted Budget.Cancelled)
         r.Job.status;
       Alcotest.(check bool) "even cancelled jobs carry a cost sample" true
-        (r.Job.cost_history <> []))
+        ((flow r).Cec.cost_history <> []))
     report.Pool.results
 
 let batch_jobs () =
@@ -297,13 +307,14 @@ let test_seed_determinism_across_workers () =
       let b = r2.Pool.results.(i) in
       Alcotest.(check int) "results stay in job order" i b.Job.spec.Job.id;
       check_status "same status" a.Job.status b.Job.status;
-      Alcotest.(check int) "same final cost" a.Job.final_cost b.Job.final_cost;
-      Alcotest.(check (list int)) "same cost history" a.Job.cost_history
-        b.Job.cost_history;
-      Alcotest.(check int) "same solver calls" a.Job.sat.Sweeper.calls
-        b.Job.sat.Sweeper.calls;
-      Alcotest.(check int) "same guided rounds" a.Job.guided.Sweeper.iterations
-        b.Job.guided.Sweeper.iterations)
+      let a = flow a and b = flow b in
+      Alcotest.(check int) "same final cost" a.Cec.final_cost b.Cec.final_cost;
+      Alcotest.(check (list int)) "same cost history" a.Cec.cost_history
+        b.Cec.cost_history;
+      Alcotest.(check int) "same solver calls" a.Cec.sat.Sweeper.calls
+        b.Cec.sat.Sweeper.calls;
+      Alcotest.(check int) "same guided rounds" a.Cec.guided.Sweeper.iterations
+        b.Cec.guided.Sweeper.iterations)
     r1.Pool.results
 
 let test_cache_hit_accounting () =
@@ -327,11 +338,11 @@ let test_cache_hit_accounting () =
   Alcotest.(check bool) "first job contributed its counter-examples" true
     (r0.Job.cache_added > 0);
   Alcotest.(check bool) "first job needed the solver" true
-    (r0.Job.sat.Sweeper.disproved > 0);
+    ((flow r0).Cec.sat.Sweeper.disproved > 0);
   Alcotest.(check int) "second job replayed the cached patterns"
     r0.Job.cache_added r1.Job.cache_hits;
   Alcotest.(check int) "replay pre-split the classes: no solver disproofs" 0
-    r1.Job.sat.Sweeper.disproved;
+    (flow r1).Cec.sat.Sweeper.disproved;
   Alcotest.(check int) "one cache hit, one miss recorded" 1
     (Pattern_cache.hits cache);
   Alcotest.(check int) "one miss recorded" 1 (Pattern_cache.misses cache);
@@ -364,14 +375,18 @@ let test_event_stream_shape () =
        | { Events.payload = Events.Queued; _ } :: _ -> ()
        | _ -> Alcotest.failf "job %d: first event is not queued" job);
       (match List.rev mine with
-       | { Events.payload = Events.Finished { budget; cost_history; _ }; _ }
-         :: _ ->
-           Alcotest.(check string)
+       | { Events.payload = Events.Finished r; _ } :: _ ->
+           Alcotest.(check bool)
              (Printf.sprintf "job %d within budget" job)
-             "ok" budget;
+             true
+             (match r.Job.status with
+              | Job.Budget_exhausted _ -> false
+              | Job.Equivalent | Job.Not_equivalent _ | Job.Inconclusive _
+              | Job.Swept | Job.Failed _ ->
+                  true);
            Alcotest.(check bool)
              (Printf.sprintf "job %d history in telemetry" job)
-             true (cost_history <> [])
+             true ((flow r).Cec.cost_history <> [])
        | _ -> Alcotest.failf "job %d: last event is not finished" job);
       Alcotest.(check bool)
         (Printf.sprintf "job %d was started" job)
@@ -404,37 +419,45 @@ let test_event_json () =
   Alcotest.(check string) "escaped JSON"
     "{\"job\":3,\"label\":\"he said \\\"hi\\\"\\\\\\n\",\"at\":0.250000,\"phase\":\"started\",\"worker\":2}"
     json;
-  let f =
+  (* The finished event derives its totals from the job's flow report:
+     SAT work sums the sweep and the PO phase. *)
+  let report =
     {
-      Events.job = 0;
-      label = "j";
-      at = 1.5;
-      payload =
-        Events.Finished
-          {
-            status = "swept";
-            budget = "ok";
-            final_cost = 4;
-            cost_history = [ 9; 4 ];
-            sat_calls = 2;
-            sat_conflicts = 5;
-            sat_propagations = 70;
-            sat_restarts = 1;
-            cache_hits = 0;
-            cache_added = 1;
-            attempts = 1;
-            time = 0.5;
-          };
+      Cec.outcome = Cec.Equivalent;
+      stopped = false;
+      guided = Sweeper.empty_guided;
+      sat =
+        { Sweeper.empty_sat with calls = 2; conflicts = 5; propagations = 70; restarts = 1 };
+      po_calls = 1;
+      po_stats = { Solver.zero_stats with conflicts = 3; propagations = 30 };
+      final_cost = 4;
+      cost_history = [ 9; 4 ];
+      total_time = 0.4;
     }
   in
-  let json = Events.to_json f in
-  Alcotest.(check bool) "history array serialized" true
-    (let sub = "\"cost_history\":[9,4]" in
-     let rec find i =
-       i + String.length sub <= String.length json
-       && (String.sub json i (String.length sub) = sub || find (i + 1))
-     in
-     find 0)
+  let result flow =
+    {
+      Job.spec = Job.make ~id:0 (Job.Sweep (Job.Suite "dec"));
+      status = Job.Swept;
+      flow;
+      cache_hits = 0;
+      cache_added = 1;
+      worker = 0;
+      attempts = 1;
+      quarantined = [];
+      time = 0.5;
+    }
+  in
+  let finished flow =
+    Events.to_json
+      { Events.job = 0; label = "j"; at = 1.5; payload = Events.Finished (result flow) }
+  in
+  Alcotest.(check string) "finished totals"
+    "{\"job\":0,\"label\":\"j\",\"at\":1.500000,\"phase\":\"finished\",\"status\":\"swept\",\"budget\":\"ok\",\"final_cost\":4,\"cost_history\":[9,4],\"sat_calls\":3,\"sat_conflicts\":8,\"sat_propagations\":100,\"sat_restarts\":1,\"cache_hits\":0,\"cache_added\":1,\"attempts\":1,\"time\":0.500000}"
+    (finished (Some report));
+  Alcotest.(check string) "no flow report: zeros"
+    "{\"job\":0,\"label\":\"j\",\"at\":1.500000,\"phase\":\"finished\",\"status\":\"swept\",\"budget\":\"ok\",\"final_cost\":0,\"cost_history\":[],\"sat_calls\":0,\"sat_conflicts\":0,\"sat_propagations\":0,\"sat_restarts\":0,\"cache_hits\":0,\"cache_added\":1,\"attempts\":1,\"time\":0.500000}"
+    (finished None)
 
 (* ------------------------------------------------------------------ *)
 (* Manifest parsing                                                    *)

@@ -575,13 +575,7 @@ let test_client_overload_retry () =
       in
       let res =
         Client.call ~socket:sock ~connect_timeout:2.0 ~read_timeout:5.0
-          ~retry:
-            {
-              Retry_policy.max_attempts = 3;
-              backoff = 0.01;
-              multiplier = 2.0;
-              jitter = 0.0;
-            }
+          ~retry:{ Retry_policy.max_attempts = 3; backoff = 0.01; jitter = 0.0 }
           Protocol.Ping
       in
       Shared.join daemon;
