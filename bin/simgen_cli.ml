@@ -269,6 +269,16 @@ let sweep_cmd =
 
 let certify_sweep_cmd =
   let run spec strategy iterations seed fresh out drup_out =
+    (match drup_out with
+     | Some dir
+       when fresh && Sys.file_exists dir
+            && not (Sys.is_directory dir && Sys.readdir dir = [||]) ->
+         Printf.eprintf
+           "certify-sweep: --drup %s: with --fresh, must be a new or empty \
+            directory\n"
+           dir;
+         exit 2
+     | _ -> ());
     let net =
       try load_or_generate spec
       with Failure msg ->
@@ -287,6 +297,18 @@ let certify_sweep_cmd =
          close_out oc
      | None -> ());
     (match drup_out with
+     | Some dir when fresh ->
+         (* Each fresh query's proof stands alone and ends with its own
+            empty clause: one file per query, so each lints whole. *)
+         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+         Array.iteri
+           (fun k -> function
+             | Check.Certificate.Fresh { events; _ } ->
+                 Out_channel.with_open_text
+                   (Filename.concat dir (Printf.sprintf "q%d.drup" k))
+                   (fun oc -> output_string oc (Drup.to_dimacs_proof events))
+             | Check.Certificate.Session _ | Check.Certificate.Rebuild -> ())
+           cert.Check.Certificate.queries
      | Some path ->
          let oc = open_out path in
          Array.iter
@@ -330,11 +352,14 @@ let certify_sweep_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "drup" ] ~docv:"FILE"
+      & info [ "drup" ] ~docv:"PATH"
           ~doc:
-            "Also write the concatenated DRUP text of every proof slice \
-             to $(docv) — input for $(b,proof-lint) and drat-trim-style \
-             tools.")
+            "Also write the DRUP text of the proofs — input for \
+             $(b,proof-lint) and drat-trim-style tools. On the session \
+             route, $(docv) is one file holding every proof slice in \
+             order. With $(b,--fresh), $(docv) is a new or empty directory \
+             (created if missing) holding one standalone proof per query, \
+             $(i,qK.drup) for the certificate's query $(i,K).")
   in
   Cmd.v
     (Cmd.info "certify-sweep"

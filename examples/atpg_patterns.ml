@@ -22,20 +22,8 @@ let () =
   let faults = Fault.all_gate_faults net in
   Printf.printf "Fault list: %d single stuck-at faults on LUT outputs\n"
     (List.length faults);
-
-  (* A couple of individual faults, narrated. *)
   (match faults with
-   | f1 :: _ ->
-       Printf.printf "\nFault %s:\n" (Fault.to_string net f1);
-       (match Tpg.generate_guided net f1 with
-        | Some vec ->
-            Printf.printf "  guided activation found a test: %s\n"
-              (String.concat ""
-                 (List.map (fun b -> if b then "1" else "0") (Array.to_list vec)))
-        | None -> Printf.printf "  guided activation gave up\n");
-       (match Tpg.generate_sat net f1 with
-        | Tpg.Detected _ -> Printf.printf "  SAT confirms the fault is testable\n"
-        | Tpg.Untestable -> Printf.printf "  SAT proves the fault untestable\n")
+   | f :: _ -> Printf.printf "  e.g. %s\n" (Fault.to_string net f)
    | [] -> ());
 
   (* The full campaign. *)

@@ -35,7 +35,6 @@ let num_pos t = List.length t.po_list
 
 let node t id = Vec.get t.nodes id
 
-let is_pi t id = match node t id with Pi _ -> true | Const | And _ -> false
 let is_const t id =
   id = 0 && (match node t id with Const -> true | Pi _ | And _ -> false)
 let is_and t id = match node t id with And _ -> true | Const | Pi _ -> false
@@ -106,7 +105,6 @@ let rec reduce f t = function
 
 let and_list t = function [] -> true_ | lits -> reduce and_ t lits
 let or_list t = function [] -> false_ | lits -> reduce or_ t lits
-let xor_list t = function [] -> false_ | lits -> reduce xor t lits
 
 let add_po ?name t l = t.po_list <- (l, name) :: t.po_list
 
@@ -194,10 +192,6 @@ let cleanup t =
     (fun (l, po_name) -> add_po ?name:po_name t' (map_lit l))
     (List.rev t.po_list);
   t'
-
-let pp_stats fmt t =
-  Format.fprintf fmt "%s: %d PIs, %d POs, %d ANDs" t.aig_name (num_pis t)
-    (num_pos t) (num_ands t)
 
 module Unsafe = struct
   let push_and t a b =

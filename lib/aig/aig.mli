@@ -22,6 +22,9 @@ val false_ : lit
 val true_ : lit
 val not_ : lit -> lit
 val lit_of_node : int -> bool -> lit
+(** [lit_of_node n c] is node [n]'s literal, complemented when [c].
+    Test seam: the AIG lint tests name nodes by id, valid or not. *)
+
 val node_of_lit : lit -> int
 val is_complemented : lit -> bool
 
@@ -39,7 +42,6 @@ val mux : t -> lit -> lit -> lit -> lit
 
 val and_list : t -> lit list -> lit
 val or_list : t -> lit list -> lit
-val xor_list : t -> lit list -> lit
 
 val add_po : ?name:string -> t -> lit -> unit
 
@@ -52,7 +54,6 @@ val num_pis : t -> int
 val num_pos : t -> int
 val num_ands : t -> int
 
-val is_pi : t -> int -> bool
 val is_const : t -> int -> bool
 val is_and : t -> int -> bool
 val pi_index : t -> int -> int
@@ -72,27 +73,29 @@ val iter_ands : t -> (int -> unit) -> unit
 (** AND nodes in topological (id) order. *)
 
 val level : t -> int array
-(** Longest-path levels (PIs and constant at 0). *)
+(** Longest-path levels (PIs and constant at 0). Test reference: the
+    mapper tests bound LUT depth by it. *)
 
 val eval : t -> bool array -> bool array
-(** Scalar simulation: value of every node given PI values (by PI index). *)
+(** Scalar simulation: value of every node given PI values (by PI
+    index). Test reference: the AIG-level oracle the generator,
+    conversion and mapping tests compare against. *)
 
 val eval_pos : t -> bool array -> bool array
+(** PO values given PI values. Test reference: as {!eval}. *)
+
 val eval_lit : bool array -> lit -> bool
-(** [eval_lit node_values l]. *)
+(** [eval_lit node_values l]. Test reference: as {!eval}. *)
 
 val cleanup : t -> t
 (** Structural copy keeping only nodes reachable from POs. PIs are all kept
     (indices preserved). *)
 
-val pp_stats : Format.formatter -> t -> unit
-
-(** Unchecked construction, for mutation testing and importers of
-    already-built graphs. *)
 module Unsafe : sig
   val push_and : t -> lit -> lit -> lit
   (** Append an AND node verbatim: no operand ordering, constant folding,
       or structural-hash lookup — and no validation of the fanin literals.
       Can produce exactly the non-canonical or ill-formed structures the
-      [simgen_check] AIG lints detect. *)
+      [simgen_check] AIG lints detect. Test seam: the AIG lint tests
+      build their malformed graphs with it. *)
 end

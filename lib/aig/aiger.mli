@@ -6,9 +6,12 @@ exception Parse_error of Simgen_base.Srcloc.t * string
     offending physical line. *)
 
 val parse_string : ?file:string -> string -> Aig.t
-(** [file] only labels {!Parse_error} locations; the string is the input. *)
+(** [file] only labels {!Parse_error} locations; the string is the input.
+    Test seam: the round-trip tests parse without files. *)
 
 val parse_file : string -> Aig.t
 
 val to_string : Aig.t -> string
+(** Test seam: the round-trip tests print without files. *)
+
 val write_file : string -> Aig.t -> unit

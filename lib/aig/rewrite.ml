@@ -1,5 +1,3 @@
-let rebuild = Aig.cleanup
-
 (* Collect the conjunction leaves of the single-fanout AND tree rooted at
    [id]: fanins that are uncomplemented, single-fanout AND nodes are
    flattened recursively. *)
@@ -12,7 +10,11 @@ let conjunction_leaves aig refcounts id =
   in
   List.rev (go (Aig.fanin1 aig id) (go (Aig.fanin0 aig id) []))
 
-let transform ~combine aig =
+(* Rebuild bottom-up, re-associating every single-fanout conjunction tree
+   as a left-leaning chain over its leaves in shuffled order. Interior
+   nodes are built too: they are strashed away if unused and keep [map]
+   total. *)
+let shuffle_rebuild rng aig =
   let refcounts = Aig.fanout_counts aig in
   let aig' = Aig.create ~name:(Aig.name aig) () in
   let map = Array.make (Aig.num_nodes aig) Aig.false_ in
@@ -22,51 +24,15 @@ let transform ~combine aig =
     if Aig.is_complemented l then Aig.not_ m else m
   in
   Aig.iter_ands aig (fun id ->
-      (* Only roots of flattened trees need explicit construction, but
-         building interior nodes too is harmless: they are strashed away if
-         unused and keep [map] total. *)
-      let leaves = conjunction_leaves aig refcounts id in
-      map.(id) <- combine aig' (List.map map_lit leaves));
+      let leaves =
+        Array.of_list (List.map map_lit (conjunction_leaves aig refcounts id))
+      in
+      Simgen_base.Rng.shuffle rng leaves;
+      map.(id) <-
+        (match Array.to_list leaves with
+        | [] -> Aig.true_
+        | first :: rest -> List.fold_left (Aig.and_ aig') first rest));
   Array.iteri
     (fun i l -> Aig.add_po ?name:(Aig.po_name aig i) aig' (map_lit l))
     (Aig.pos aig);
   Aig.cleanup aig'
-
-let shuffle_rebuild rng aig =
-  let combine dst lits =
-    let arr = Array.of_list lits in
-    Simgen_base.Rng.shuffle rng arr;
-    (* Left-leaning chain in shuffled order: different association than the
-       balanced reducer, hence structurally distinct results. *)
-    match Array.to_list arr with
-    | [] -> Aig.true_
-    | first :: rest -> List.fold_left (Aig.and_ dst) first rest
-  in
-  transform ~combine aig
-
-let balance aig =
-  let levels = ref [||] in
-  let combine dst lits =
-    (* Huffman-style: repeatedly join the two shallowest operands. *)
-    let lvl l =
-      let ls = !levels in
-      let n = Aig.node_of_lit l in
-      if n < Array.length ls then ls.(n) else 0
-    in
-    let sorted = List.sort (fun a b -> compare (lvl a) (lvl b)) lits in
-    let rec join = function
-      | [] -> Aig.true_
-      | [ x ] -> x
-      | x :: y :: rest ->
-          let l = Aig.and_ dst x y in
-          levels := Aig.level dst;
-          let rec insert v = function
-            | [] -> [ v ]
-            | h :: t as all ->
-                if lvl v <= lvl h then v :: all else h :: insert v t
-          in
-          join (insert l rest)
-    in
-    join sorted
-  in
-  transform ~combine aig

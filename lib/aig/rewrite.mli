@@ -2,19 +2,10 @@
 
     Used to derive functionally equivalent but structurally different
     variants of a circuit — the "optimized copy" side of a CEC problem —
-    and to shake redundancy into or out of generated benchmarks. All
-    rewrites are local and verified equivalences. *)
-
-val rebuild : Aig.t -> Aig.t
-(** Reconstructs the AIG bottom-up through the strashing constructors,
-    folding any constants and duplicate structure that appeared after
-    construction. *)
+    and to shake redundancy into generated benchmarks. The rewrite is
+    local and a verified equivalence. *)
 
 val shuffle_rebuild : Simgen_base.Rng.t -> Aig.t -> Aig.t
 (** Rebuilds while randomly re-associating chains of conjunctions, yielding
     an equivalent AIG with different structure (useful as the second CEC
     input). *)
-
-val balance : Aig.t -> Aig.t
-(** Depth-oriented re-association of AND trees (a miniature of ABC's
-    [balance]). *)

@@ -16,10 +16,6 @@ val all_gate_faults : Simgen_network.Network.t -> t list
 val to_string : Simgen_network.Network.t -> t -> string
 (** E.g. ["n17/SA0"]. *)
 
-val faulty_eval :
-  Simgen_network.Network.t -> t -> bool array -> bool array
-(** PO values of the faulty circuit under one input vector. *)
-
 val detects : Simgen_network.Network.t -> t -> bool array -> bool
 (** Whether the vector distinguishes faulty from fault-free POs. *)
 

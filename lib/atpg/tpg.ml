@@ -2,7 +2,6 @@ module N = Simgen_network.Network
 module TT = Simgen_network.Truth_table
 module Simulator = Simgen_sim.Simulator
 module VG = Simgen_core.Vector_gen
-module Config = Simgen_core.Config
 module Rng = Simgen_base.Rng
 module Sat = Simgen_sat
 
@@ -18,13 +17,16 @@ type stats = {
   sat_calls : int;
 }
 
-let generate_guided ?(config = Config.default) ?(attempts = 5) ?rng net fault =
-  let rng = match rng with Some r -> r | None -> Rng.create 0xA7B6 in
+(* Activation vectors the pattern generator may try per fault; the first
+   that fault simulation confirms is the fault's test. *)
+let guided_attempts = 5
+
+let generate_guided rng net fault =
   let rec try_once k =
-    if k >= attempts then None
+    if k >= guided_attempts then None
     else begin
       let report =
-        VG.generate ~config ~rng net [ (fault.Fault.node, not fault.Fault.stuck) ]
+        VG.generate ~rng net [ (fault.Fault.node, not fault.Fault.stuck) ]
       in
       if report.VG.satisfied <> [] && Fault.detects net fault report.VG.vector
       then Some report.VG.vector
@@ -71,30 +73,21 @@ let generate_sat net fault =
       assert (Fault.detects net fault vec);
       Detected vec
 
-let campaign ?(random_patterns = 64) ?(guided_attempts = 5)
-    ?(config = Config.default) ?(seed = 1) net =
+let campaign ?(seed = 1) net =
   let rng = Rng.create seed in
   let faults = Fault.all_gate_faults net in
   let total = List.length faults in
-  (* Tier 1: word-parallel random patterns. *)
-  let rounds = (random_patterns + 63) / 64 in
-  let words =
-    List.init rounds (fun _ -> Simulator.random_word rng net)
-  in
+  (* Tier 1: one word of 64 random patterns. *)
+  let word = Simulator.random_word rng net in
   let detected_random, rest =
-    List.partition
-      (fun fault ->
-        List.exists (fun w -> Fault.detects_word net fault w <> 0L) words)
-      faults
+    List.partition (fun fault -> Fault.detects_word net fault word <> 0L) faults
   in
   (* Tier 2: guided activation. *)
   let guided_attempts_count = ref 0 in
   let detected_guided, rest =
     List.partition
       (fun fault ->
-        match
-          generate_guided ~config ~attempts:guided_attempts ~rng net fault
-        with
+        match generate_guided rng net fault with
         | Some _ ->
             guided_attempts_count := !guided_attempts_count + 1;
             true

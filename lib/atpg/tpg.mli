@@ -12,10 +12,6 @@
       decides testability exactly — the fall-back a backtracking
       D-algorithm would otherwise provide. *)
 
-type outcome =
-  | Detected of bool array  (** a test vector (by PI index) *)
-  | Untestable  (** SAT-proved: the fault never changes any PO *)
-
 type stats = {
   total : int;
   by_random : int;
@@ -26,31 +22,13 @@ type stats = {
   sat_calls : int;
 }
 
-val generate_guided :
-  ?config:Simgen_core.Config.t ->
-  ?attempts:int ->
-  ?rng:Simgen_base.Rng.t ->
-  Simgen_network.Network.t ->
-  Fault.t ->
-  bool array option
-(** Up to [attempts] (default 5) activation vectors via the pattern
-    generator; returns the first that fault simulation confirms. *)
-
-val generate_sat :
-  Simgen_network.Network.t -> Fault.t -> outcome
-(** Exact test generation through a good-vs-faulty miter. *)
-
-val campaign :
-  ?random_patterns:int ->
-  ?guided_attempts:int ->
-  ?config:Simgen_core.Config.t ->
-  ?seed:int ->
-  Simgen_network.Network.t ->
-  stats
-(** Full flow over every gate fault: [random_patterns] (default 64)
-    random vectors first, then guided activation, then SAT for the
-    leftovers. The three tiers' detection counts quantify how far the
-    cheap engines carry — the ATPG counterpart of the paper's
-    random-then-guided-then-SAT sweeping story. *)
+val campaign : ?seed:int -> Simgen_network.Network.t -> stats
+(** Full flow over every gate fault: 64 random vectors first, then up to
+    5 guided activation vectors per fault (the first that fault
+    simulation confirms is its test), then a good-vs-faulty SAT miter
+    for the leftovers, which decides testability exactly. The three
+    tiers' detection counts quantify how far the cheap engines carry —
+    the ATPG counterpart of the paper's random-then-guided-then-SAT
+    sweeping story. *)
 
 val pp_stats : Format.formatter -> stats -> unit

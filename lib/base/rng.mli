@@ -25,9 +25,6 @@ val of_string : string -> t
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 
-val bits : t -> int
-(** 62 uniformly random non-negative bits (an OCaml [int] on 64-bit). *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 

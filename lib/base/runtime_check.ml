@@ -21,14 +21,6 @@ let with_enabled b f =
 
 let failf fmt = Printf.ksprintf (fun s -> raise (Violation s)) fmt
 
-(* Audit messages start "R003: ..." (or "F-...:" for injected faults);
-   everything up to the first ':' is the stable code the supervisor
-   reports in structured failures. *)
-let violation_code msg =
-  match String.index_opt msg ':' with
-  | Some i when i > 0 -> String.sub msg 0 i
-  | Some _ | None -> "R000"
-
 let () =
   Printexc.register_printer (function
     | Violation msg -> Some (Printf.sprintf "Runtime_check.Violation(%S)" msg)

@@ -15,16 +15,13 @@
 exception Violation of string
 
 val enabled : unit -> bool
+
 val set_enabled : bool -> unit
+(** Test seam: the check tests switch the audits off for a whole run,
+    whatever [SIMGEN_CHECK] says. *)
 
 val with_enabled : bool -> (unit -> 'a) -> 'a
 (** Run a thunk with the switch forced to a value, restoring it after. *)
 
 val failf : ('a, unit, string, 'b) format4 -> 'a
 (** Raise {!Violation} with a formatted message. *)
-
-val violation_code : string -> string
-(** The stable diagnostic code prefix of a violation message — the text
-    before the first [':'] (e.g. ["R004"]), or ["R000"] when the message
-    carries no code. Job supervisors use this to report which audit
-    tripped without shipping the whole message into structured fields. *)

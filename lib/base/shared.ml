@@ -95,12 +95,6 @@ let reset_trace () =
   Stdlib.Atomic.set seq_ctr 0;
   Stdlib.Mutex.unlock reg_mutex
 
-let events_recorded () =
-  Stdlib.Mutex.lock reg_mutex;
-  let n = List.fold_left (fun acc b -> acc + b.n) 0 !bufs in
-  Stdlib.Mutex.unlock reg_mutex;
-  n
-
 let snapshot () =
   Stdlib.Mutex.lock reg_mutex;
   let objs = List.rev !objects in
@@ -167,23 +161,12 @@ module Atomic = struct
     Stdlib.Atomic.set t.a v;
     if on () then record Atomic_write t.id Srcloc.none
 
-  let exchange t v =
-    let r = Stdlib.Atomic.exchange t.a v in
-    if on () then record Atomic_update t.id Srcloc.none;
-    r
-
-  let compare_and_set t expected desired =
-    let r = Stdlib.Atomic.compare_and_set t.a expected desired in
-    if on () then record Atomic_update t.id Srcloc.none;
-    r
-
   let fetch_and_add t n =
     let r = Stdlib.Atomic.fetch_and_add t.a n in
     if on () then record Atomic_update t.id Srcloc.none;
     r
 
   let incr t = ignore (fetch_and_add t 1)
-  let decr t = ignore (fetch_and_add t (-1))
   let silent_get t = Stdlib.Atomic.get t.a
   let silent_set t v = Stdlib.Atomic.set t.a v
 end

@@ -79,8 +79,6 @@ module Mutex : sig
   type t
 
   val create : ?loc:Srcloc.t -> string -> t
-  val lock : t -> unit
-  val unlock : t -> unit
   val with_lock : t -> (unit -> 'a) -> 'a
 end
 
@@ -104,11 +102,8 @@ module Atomic : sig
   val make : ?loc:Srcloc.t -> string -> 'a -> 'a t
   val get : 'a t -> 'a
   val set : 'a t -> 'a -> unit
-  val exchange : 'a t -> 'a -> 'a
-  val compare_and_set : 'a t -> 'a -> 'a -> bool
   val fetch_and_add : int t -> int -> int
   val incr : int t -> unit
-  val decr : int t -> unit
 
   val silent_get : 'a t -> 'a
   (** Unrecorded access for async-signal contexts: recording appends to
@@ -147,8 +142,6 @@ val reset_trace : unit -> unit
 (** Drop all buffered events and restart the sequence counter. Only call
     on a quiescent trace (no armed domains running). Registered objects
     are kept — they live inside long-lived data structures. *)
-
-val events_recorded : unit -> int
 
 val snapshot : unit -> trace
 (** Merge the per-domain buffers into one seq-ordered trace. Quiescent

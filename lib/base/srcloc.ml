@@ -16,8 +16,3 @@ let to_string t =
   | Some f, None -> Some f
   | Some f, Some l -> Some (Printf.sprintf "%s:%d" f l)
   | None, Some l -> Some (Printf.sprintf "line %d" l)
-
-let pp fmt t =
-  match to_string t with
-  | Some s -> Format.pp_print_string fmt s
-  | None -> Format.pp_print_string fmt "<unknown>"

@@ -16,5 +16,3 @@ val is_none : t -> bool
 
 val to_string : t -> string option
 (** ["file:line"], ["file"] or ["line N"]; [None] when nothing is known. *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,20 +4,3 @@ let time f =
   let t0 = now () in
   let r = f () in
   (r, now () -. t0)
-
-type accum = { mutable total : float; mutable count : int }
-
-let accum () = { total = 0.0; count = 0 }
-
-let record a f =
-  let r, dt = time f in
-  a.total <- a.total +. dt;
-  a.count <- a.count + 1;
-  r
-
-let elapsed a = a.total
-let calls a = a.count
-
-let reset a =
-  a.total <- 0.0;
-  a.count <- 0

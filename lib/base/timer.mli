@@ -7,12 +7,3 @@ val now : unit -> float
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result with the elapsed seconds. *)
-
-type accum
-(** A mutable accumulator of elapsed time and call count. *)
-
-val accum : unit -> accum
-val record : accum -> (unit -> 'a) -> 'a
-val elapsed : accum -> float
-val calls : accum -> int
-val reset : accum -> unit

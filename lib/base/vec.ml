@@ -1,7 +1,6 @@
 type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 
-let create ?(capacity = 8) ~dummy () =
-  { data = Array.make (max capacity 1) dummy; len = 0; dummy }
+let create ~dummy () = { data = Array.make 8 dummy; len = 0; dummy }
 
 let length t = t.len
 
@@ -69,9 +68,3 @@ let exists p t =
 
 let to_array t = Array.sub t.data 0 t.len
 let to_list t = Array.to_list (to_array t)
-
-let of_array ~dummy arr =
-  let len = Array.length arr in
-  let data = Array.make (max len 1) dummy in
-  Array.blit arr 0 data 0 len;
-  { data; len; dummy }

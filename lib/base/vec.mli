@@ -6,8 +6,9 @@
 
 type 'a t
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [dummy] fills unused capacity; it is never observable through the API. *)
+val create : dummy:'a -> unit -> 'a t
+(** An empty vector with room for 8 elements. [dummy] fills unused
+    capacity; it is never observable through the API. *)
 
 val length : 'a t -> int
 val get : 'a t -> int -> 'a
@@ -28,6 +29,4 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val exists : ('a -> bool) -> 'a t -> bool
-val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
-val of_array : dummy:'a -> 'a array -> 'a t

@@ -37,7 +37,6 @@ let manager ?(max_nodes = 1_000_000) nvars =
   m.var_of.(1) <- terminal_var;
   m
 
-let num_vars m = m.nvars
 let num_nodes m = m.next - 2
 
 let zero _ = 0
@@ -137,31 +136,6 @@ let any_sat m f =
     Some assignment
   end
 
-let sat_count m f =
-  let memo = Hashtbl.create 64 in
-  (* count node = minterms over variables [var_of node .. nvars-1],
-     normalised afterwards. *)
-  let rec count node =
-    if node = 0 then 0.0
-    else if node = 1 then 1.0
-    else
-      match Hashtbl.find_opt memo node with
-      | Some c -> c
-      | None ->
-          let v = m.var_of.(node) in
-          let weight child =
-            let cv =
-              if child < 2 then m.nvars else m.var_of.(child)
-            in
-            count child *. (2.0 ** float_of_int (cv - v - 1))
-          in
-          let c = weight m.low.(node) +. weight m.high.(node) in
-          Hashtbl.replace memo node c;
-          c
-  in
-  if f < 2 then if f = 1 then 2.0 ** float_of_int m.nvars else 0.0
-  else count f *. (2.0 ** float_of_int m.var_of.(f))
-
 let size m f =
   let seen = Hashtbl.create 64 in
   let rec go node acc =
@@ -172,22 +146,6 @@ let size m f =
     end
   in
   go f 0
-
-let of_truth_table m tt vars =
-  let n = TT.nvars tt in
-  if Array.length vars <> n then invalid_arg "Bdd.of_truth_table";
-  (* Shannon expansion over the truth-table variables. *)
-  let rec build tt i =
-    match TT.is_const tt with
-    | Some false -> 0
-    | Some true -> 1
-    | None ->
-        assert (i < n);
-        let lo = build (TT.cofactor tt i false) (i + 1) in
-        let hi = build (TT.cofactor tt i true) (i + 1) in
-        ite m (var m vars.(i)) hi lo
-  in
-  build tt 0
 
 let build_network m net =
   if N.num_pis net > m.nvars then invalid_arg "Bdd.build_network";

@@ -22,7 +22,6 @@ val manager : ?max_nodes:int -> int -> manager
 (** [manager nvars] with variables [0 .. nvars-1] ordered by index.
     [max_nodes] (default 1_000_000) bounds the unique table. *)
 
-val num_vars : manager -> int
 val num_nodes : manager -> int
 (** Live unique-table entries (terminals excluded). *)
 
@@ -49,16 +48,8 @@ val any_sat : manager -> t -> bool array option
 (** A satisfying assignment (variables not on the path default to
     [false]), or [None] for the zero BDD. *)
 
-val sat_count : manager -> t -> float
-(** Number of satisfying minterms over all [num_vars] variables. *)
-
 val size : manager -> t -> int
 (** Nodes reachable from the root (terminals excluded). *)
-
-val of_truth_table :
-  manager -> Simgen_network.Truth_table.t -> int array -> t
-(** [of_truth_table m tt vars] builds the function [tt] with input [i]
-    mapped to manager variable [vars.(i)]. *)
 
 val build_network :
   manager -> Simgen_network.Network.t -> t array

@@ -21,27 +21,6 @@ let ripple_adder g a b ~cin =
   done;
   (sums, !carry)
 
-let carry_lookahead_adder g a b ~cin =
-  if Array.length a <> Array.length b then invalid_arg "carry_lookahead_adder";
-  let n = Array.length a in
-  let p = Array.init n (fun i -> Aig.xor g a.(i) b.(i)) in
-  let gen = Array.init n (fun i -> Aig.and_ g a.(i) b.(i)) in
-  (* c.(i+1) = gen.(i) | p.(i) & c.(i), flattened per bit. *)
-  let carries = Array.make (n + 1) cin in
-  for i = 0 to n - 1 do
-    (* Flattened expansion: c_{i+1} = g_i | p_i g_{i-1} | ... | p_i..p_0 cin *)
-    let terms = ref [ gen.(i) ] in
-    let prefix = ref p.(i) in
-    for j = i - 1 downto 0 do
-      terms := Aig.and_ g !prefix gen.(j) :: !terms;
-      prefix := Aig.and_ g !prefix p.(j)
-    done;
-    terms := Aig.and_ g !prefix cin :: !terms;
-    carries.(i + 1) <- Aig.or_list g !terms
-  done;
-  let sums = Array.init n (fun i -> Aig.xor g p.(i) carries.(i)) in
-  (sums, carries.(n))
-
 let subtractor g a b =
   let nb = Array.map (Aig.not_) b in
   ripple_adder g a nb ~cin:Aig.true_

@@ -10,19 +10,9 @@ type aig = Simgen_aig.Aig.t
 val ripple_adder : aig -> lit array -> lit array -> cin:lit -> lit array * lit
 (** Sum bits and carry out; operands must have equal width. *)
 
-val carry_lookahead_adder :
-  aig -> lit array -> lit array -> cin:lit -> lit array * lit
-(** Same function as {!ripple_adder}, different (flatter) structure —
-    useful to create equivalent-but-distinct adder pairs. *)
-
-val subtractor : aig -> lit array -> lit array -> lit array * lit
-(** [a - b]; second component is the borrow-free flag (carry out). *)
-
-val multiplier : aig -> lit array -> lit array -> lit array
-(** Array multiplier; result width is the sum of operand widths. *)
-
 val square : aig -> lit array -> lit array
-(** [multiplier a a] — the EPFL "square" workload shape. *)
+(** [a * a] through an array multiplier (result width twice the operand
+    width) — the EPFL "square" workload shape. *)
 
 val alu : aig -> op:lit array -> lit array -> lit array -> lit array
 (** A small ALU: 2 op-select bits choose among add, subtract, AND, XOR. *)

@@ -46,7 +46,12 @@ let internal_signals rng map src ~count =
       Rng.shuffle rng arr;
       Array.sub arr 0 (min count (Array.length arr))
 
-let build ~mutate ~extra rng aig =
+(* Literals in a rare cube's PI part: the cube is true on at most a
+   2^-10 share of the input space. *)
+let rare_bits = 10
+
+let inject ?(exact_fraction = 0.5) rng aig =
+  let internal_pairs = max 10 (Aig.num_ands aig / 6) in
   let variant = Rewrite.shuffle_rebuild rng aig in
   let dst = Aig.create ~name:(Aig.name aig ^ "_red") () in
   let pis = Array.init (Aig.num_pis aig) (fun _ -> Aig.add_pi dst) in
@@ -55,42 +60,24 @@ let build ~mutate ~extra rng aig =
   let pos2, map2 = instantiate dst variant pis in
   Array.iteri
     (fun i l1 ->
-      let l2 = mutate dst pis map2 variant i pos2.(i) in
+      let l2 =
+        if Rng.float rng 1.0 < exact_fraction then pos2.(i)
+        else
+          let internal = internal_signals rng map2 variant ~count:8 in
+          Aig.xor dst pos2.(i) (rare_cube dst rng ~pis ~internal rare_bits)
+      in
       Aig.add_po ?name:(Aig.po_name aig i) dst (Aig.mux dst sel l1 l2))
     pos1;
-  extra dst pis map1 aig sel;
-  dst
-
-let duplicate_variants rng aig =
-  build
-    ~mutate:(fun _dst _pis _map _src _i l -> l)
-    ~extra:(fun _dst _pis _map _src _sel -> ())
-    rng aig
-
-let inject ?(exact_fraction = 0.5) ?(rare_bits = 10) ?internal_pairs rng aig =
-  let internal_pairs =
-    match internal_pairs with
-    | Some n -> n
-    | None -> max 10 (Aig.num_ands aig / 6)
-  in
-  let mutate dst pis map2 variant _i l =
-    if Rng.float rng 1.0 < exact_fraction then l
-    else
-      let internal = internal_signals rng map2 variant ~count:8 in
-      Aig.xor dst l (rare_cube dst rng ~pis ~internal rare_bits)
-  in
   (* Also plant near-miss pairs at internal points: for a sampled internal
      node n, both n and n XOR rare stay alive behind a fresh PO mux. The
      pair agrees on almost every random vector, so it survives random
      simulation as an equivalence-class member that only guided patterns
      (or a SAT counter-example) can separate. *)
-  let extra dst pis map1 src sel =
-    let picks = internal_signals rng map1 src ~count:internal_pairs in
-    Array.iter
-      (fun n ->
-        let internal = internal_signals rng map1 src ~count:8 in
-        let partner = Aig.xor dst n (rare_cube dst rng ~pis ~internal rare_bits) in
-        Aig.add_po dst (Aig.mux dst sel n partner))
-      picks
-  in
-  build ~mutate ~extra rng aig
+  let picks = internal_signals rng map1 aig ~count:internal_pairs in
+  Array.iter
+    (fun n ->
+      let internal = internal_signals rng map1 aig ~count:8 in
+      let partner = Aig.xor dst n (rare_cube dst rng ~pis ~internal rare_bits) in
+      Aig.add_po dst (Aig.mux dst sel n partner))
+    picks;
+  dst

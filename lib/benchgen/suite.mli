@@ -2,8 +2,8 @@
 
     One named entry per benchmark of the paper's Table 2 (VTR/MCNC, EPFL
     and ITC'99 names). Every circuit is generated deterministically from
-    its name, passed through {!Redundancy.duplicate_variants} so it carries
-    internal equivalences, and LUT-mapped with K = 6 — mirroring the
+    its name, passed through {!Redundancy.inject} so it carries internal
+    equivalences and near-misses, and LUT-mapped with K = 6 — mirroring the
     paper's §6.1 preparation (`if -K 6`).
 
     These are stand-ins, not the original netlists (see DESIGN.md §4): the

@@ -46,9 +46,9 @@ let eq_partition classes net =
         (Eq_classes.num_classes classes) n
   end
 
-let substitution ?nodes subst =
+let substitution subst =
   if Runtime_check.enabled () then begin
-    let n = match nodes with Some n -> n | None -> Array.length subst in
+    let n = Array.length subst in
     Array.iteri
       (fun id target ->
         if target < 0 || target >= n then

@@ -16,11 +16,10 @@ val eq_partition :
     the [class_of] index agrees with the class list. No-op when checking
     is disabled. *)
 
-val substitution : ?nodes:int -> int array -> unit
+val substitution : int array -> unit
 (** [R002]/[R003]: a sweeping substitution must be monotone —
-    [subst.(n) <= n] for all [n], with in-range targets — which also rules
-    out cycles. [nodes] defaults to the array length. No-op when checking
-    is disabled. *)
+    [subst.(n) <= n] for all [n], with targets inside the array — which
+    also rules out cycles. No-op when checking is disabled. *)
 
 val check_exn : what:string -> Diagnostic.t list -> unit
 (** Raise {!Simgen_base.Runtime_check.Violation} when the list contains an

@@ -29,15 +29,6 @@ val error : ?loc:location -> string -> ('a, Format.formatter, unit, t) format4 -
 val warn : ?loc:location -> string -> ('a, Format.formatter, unit, t) format4 -> 'a
 val info : ?loc:location -> string -> ('a, Format.formatter, unit, t) format4 -> 'a
 
-val severity_rank : severity -> int
-(** [Info] = 0, [Warning] = 1, [Error] = 2. *)
-
-val severity_name : severity -> string
-(** ["error"], ["warning"], ["info"]. *)
-
-val max_severity : t list -> severity option
-(** [None] on an empty list. *)
-
 val counts : t list -> int * int * int
 (** (errors, warnings, infos). *)
 
@@ -52,8 +43,6 @@ val sort : t list -> t list
 val to_string : t -> string
 (** One line: [code severity location: message]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val schema_version : int
 (** Version of the JSONL shape emitted by {!to_json}; bumped on any
     field change so telemetry consumers can detect format drift. A
@@ -64,7 +53,8 @@ val json : t -> Simgen_base.Json.t
     [{"schema_version":...,"code":...,"severity":...,"loc":{...},"message":...}]. *)
 
 val to_json : t -> string
-(** [json], printed on one line (no trailing newline). *)
+(** [json], printed on one line (no trailing newline). Test seam: the
+    diagnostic tests check one rendering at a time. *)
 
 val render : ?json:bool -> Format.formatter -> t list -> unit
 (** All diagnostics in {!sort} order, one per line. *)

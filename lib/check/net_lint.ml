@@ -205,12 +205,18 @@ let stale_levels net =
         List.rev !bad
       end
 
-let mffc_containment ~max_roots net =
+(* The MFFC containment audit samples at most this many gate roots, to keep
+   the lint near-linear on big networks. *)
+let max_mffc_roots = 512
+
+let mffc_containment net =
   let gates = ref [] in
   N.iter_gates net (fun id -> gates := id :: !gates);
   let gates = Array.of_list (List.rev !gates) in
   let ng = Array.length gates in
-  let stride = if ng <= max_roots then 1 else (ng + max_roots - 1) / max_roots in
+  let stride =
+    if ng <= max_mffc_roots then 1 else (ng + max_mffc_roots - 1) / max_mffc_roots
+  in
   let is_po = Array.make (N.num_nodes net) false in
   Array.iter (fun po -> is_po.(po) <- true) (N.pos net);
   let diags = ref [] in
@@ -246,7 +252,7 @@ let mffc_containment ~max_roots net =
   done;
   List.rev !diags
 
-let run ?(max_mffc_roots = 512) net =
+let run net =
   let structural_diags = structural net in
   let cycle_diags = find_cycles net in
   let base =
@@ -259,4 +265,4 @@ let run ?(max_mffc_roots = 512) net =
   (* Level recomputation and MFFC traversal assume a well-formed DAG; on a
      corrupted one they would loop or crash rather than diagnose. *)
   if has_structural_error then base
-  else base @ stale_levels net @ mffc_containment ~max_roots:max_mffc_roots net
+  else base @ stale_levels net @ mffc_containment net

@@ -8,6 +8,6 @@
     cache, MFFC containment) are skipped when structural errors are
     present — a cyclic network has no levels to validate. *)
 
-val run : ?max_mffc_roots:int -> Simgen_network.Network.t -> Diagnostic.t list
-(** [max_mffc_roots] caps the MFFC containment audit (default 512 sampled
-    gate roots) to keep the lint linear-ish on big networks. *)
+val run : Simgen_network.Network.t -> Diagnostic.t list
+(** The MFFC containment audit samples at most 512 gate roots, to keep
+    the lint near-linear on big networks. *)

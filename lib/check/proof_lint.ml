@@ -128,43 +128,6 @@ let run ?formula ?expect_unsat events =
   | None -> s
   | Some formula -> Diagnostic.sort (s @ semantic formula events)
 
-let lint_group_removal ~expected events =
-  let diags = ref [] in
-  let tbl = Hashtbl.create 16 in
-  let get k = Option.value (Hashtbl.find_opt tbl k) ~default:0 in
-  List.iter
-    (fun c ->
-      let k = List.sort compare c in
-      Hashtbl.replace tbl k (get k + 1))
-    expected;
-  List.iteri
-    (fun idx ev ->
-      match ev with
-      | Solver.Learn _ -> ()
-      | Solver.Delete lits ->
-          let k = canon lits in
-          let n = get k in
-          if n = 0 then
-            diags :=
-              Diagnostic.error ~loc:(Diagnostic.Clause idx) "D007"
-                "group removal deleted a clause outside the group's \
-                 recorded membership (step %d)"
-                idx
-              :: !diags
-          else if n = 1 then Hashtbl.remove tbl k
-          else Hashtbl.replace tbl k (n - 1))
-    events;
-  Hashtbl.iter
-    (fun _ n ->
-      for _ = 1 to n do
-        diags :=
-          Diagnostic.error "D007"
-            "group member never deleted by the group removal"
-          :: !diags
-      done)
-    tbl;
-  List.rev !diags
-
 let trim_anomaly = function
   | Drup.Non_rup_step i ->
       Diagnostic.warn ~loc:(Diagnostic.Clause i) "D009"

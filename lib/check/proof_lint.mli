@@ -32,18 +32,7 @@ val run :
 (** Lint a stream; see the regime table above. Returns [[]] on a clean
     stream. *)
 
-val lint_group_removal :
-  expected:Simgen_sat.Literal.t list list ->
-  Simgen_sat.Solver.proof_event list ->
-  Diagnostic.t list
-(** [D007]: the [Delete] events of a {!Simgen_sat.Solver.remove_group}
-    slice must match the group's recorded membership as a multiset —
-    [expected] lists the clauses as stored by the solver (sorted,
-    root-false literals already dropped at add time). A delete outside
-    the membership and a member never deleted are each one [D007]
-    error. [Learn] events in the slice are ignored. *)
-
 val trim_anomaly : Simgen_sat.Drup.trim_anomaly -> Diagnostic.t
 (** [D009] (warning): a {!Simgen_sat.Drup.trim} bail-out — the proof was
     returned untrimmed because a forward-pass step failed RUP or the
-    goal was underivable. *)
+    proof derived no empty clause. *)

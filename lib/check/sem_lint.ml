@@ -32,8 +32,10 @@ let decide ~budget env =
 
 (* ------------------------------ run ------------------------------- *)
 
-let run ?(seed = 1) ?(budget = 2000) ?(bdd_nodes = 50_000) ?(rounds = 4) net
-    =
+(* Random 64-vector simulation batches that harvest the candidates. *)
+let rounds = 4
+
+let run ?(seed = 1) ?(budget = 2000) ?(bdd_nodes = 50_000) net =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let unknown ~loc what =
@@ -46,10 +48,9 @@ let run ?(seed = 1) ?(budget = 2000) ?(bdd_nodes = 50_000) ?(rounds = 4) net
   (* Signatures: [rounds] node-word arrays from random 64-vector
      batches. *)
   let node_words =
-    Array.init (max 1 rounds) (fun _ ->
+    Array.init rounds (fun _ ->
         Simulator.simulate_word net (Simulator.random_word rng net))
   in
-  let rounds = Array.length node_words in
   let sim = Simulator.scratch () in
   let signature id = Array.init rounds (fun r -> node_words.(r).(id)) in
   let sig_const b id =

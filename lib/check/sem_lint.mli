@@ -36,7 +36,6 @@ val run :
   ?seed:int ->
   ?budget:int ->
   ?bdd_nodes:int ->
-  ?rounds:int ->
   Simgen_network.Network.t ->
   Diagnostic.t list
 (** [run net] returns the semantic diagnostics, in discovery order
@@ -44,5 +43,6 @@ val run :
     simulation prefilter; [budget] (default 2000) is the per-query
     conflict cap — no single SAT call may exceed it; [bdd_nodes]
     (default 50_000) bounds the fallback BDD manager (past it, unknowns
-    stay unknown); [rounds] (default 4) is the number of 64-vector
-    random simulation batches used to harvest candidates. *)
+    stay unknown). Four batches of 64 random vectors harvest the
+    candidates. Test seam: no command sets [bdd_nodes]; it is the only
+    way a test can make the BDD fallback overflow. *)

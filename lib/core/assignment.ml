@@ -40,11 +40,6 @@ let rollback t mark =
 
 let num_assigned t = t.len
 
-let iter_since t mark f =
-  for i = mark to t.len - 1 do
-    f t.trail.(i)
-  done
-
 let to_array t = Array.copy t.vals
 
 let audit t =

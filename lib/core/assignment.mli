@@ -13,6 +13,8 @@ val create : int -> t
 
 val value : t -> int -> Value.t
 val is_assigned : t -> int -> bool
+(** Test reference: the candidate-scan test rebuilds the engine's scan
+    with it. *)
 
 val values : t -> Value.t array
 (** The live value of every node, indexed by node id, without copying:
@@ -39,11 +41,9 @@ val rollback : t -> int -> unit
 
 val num_assigned : t -> int
 
-val iter_since : t -> int -> (int -> unit) -> unit
-(** Iterate over the nodes assigned after a checkpoint, oldest first. *)
-
 val to_array : t -> Value.t array
-(** Snapshot of all values (copy). *)
+(** Snapshot of all values (copy). Test seam: the engine tests compare
+    values before and after a step. *)
 
 val audit : t -> unit
 (** Invariant audit: the trail and the value map must agree (every trail

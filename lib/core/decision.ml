@@ -80,10 +80,6 @@ let[@inline] priority (cfg : Config.t) ~dc ~rank ~max_rank =
   let normalised = if max_rank > 0.0 then rank /. max_rank else 0.0 in
   (cfg.Config.alpha *. dc) +. (cfg.Config.beta *. normalised)
 
-let row_priority t gate ~max_rank r =
-  priority (Engine.config t.engine) ~dc:(dcs t gate).(r)
-    ~rank:(mffc_rank t gate r) ~max_rank
-
 (* Roulette-wheel selection among the [n] matching rows via stochastic
    acceptance (Lipowski & Lipowska): draw a row uniformly and accept it
    with probability priority / max_priority. *)

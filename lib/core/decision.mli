@@ -17,14 +17,7 @@ val mffc_rank : t -> Simgen_network.Network.node_id -> int -> float
 (** Equation (3) for row [r] of the given gate (an index into
     {!Engine.rows_of}): sum over the row's non-DC inputs of the fanin's
     MFFC depth, in fanin order. Computed once per gate for all its rows
-    and cached. *)
-
-val row_priority :
-  t -> Simgen_network.Network.node_id -> max_rank:float -> int -> float
-(** Equation (4) for row [r] of the gate with the configured alpha/beta,
-    from the cached DC count and MFFC rank of the row; the rank is
-    normalised by [max_rank] so that the DC count dominates
-    (alpha >> beta'). *)
+    and cached. Test seam: the Fig. 4c test reads the ranks. *)
 
 val decide : t -> Simgen_network.Network.node_id -> (unit, Simgen_network.Network.node_id) result
 (** Full decision step on a candidate gate: compute matching rows, choose

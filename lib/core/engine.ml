@@ -58,7 +58,6 @@ type t = {
   stack : int array;  (* DFS scratch of the cone walks: a node per slot *)
   mutable pending_conflict : N.node_id option;
   mutable implications : int;
-  mutable examinations : int;
 }
 
 let create ?(config = Config.default) net =
@@ -85,7 +84,6 @@ let create ?(config = Config.default) net =
     stack = Array.make n 0;
     pending_conflict = None;
     implications = 0;
-    examinations = 0;
   }
 
 let network t = t.net
@@ -344,7 +342,6 @@ let examine_word t g (table : Rows.table) out_value fanins =
   end
 
 let examine t g =
-  t.examinations <- t.examinations + 1;
   (* In backward-only mode implication is triggered by the output value
      alone (reverse simulation never reasons from partial inputs). *)
   let out_value = t.vals.(g) in
@@ -381,4 +378,3 @@ let rollback t mark =
   t.pending_conflict <- None
 
 let num_implications t = t.implications
-let num_examinations t = t.examinations

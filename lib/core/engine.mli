@@ -47,7 +47,8 @@ val clear_scope : t -> unit
 
 val in_scope : t -> Simgen_network.Network.node_id -> bool
 (** Whether gates at the node are (re)examined: it lies in the scope of
-    the last {!set_scope_cones}, or no scope is set. *)
+    the last {!set_scope_cones}, or no scope is set. Test seam: the
+    scope tests compare the marks with {!Simgen_network.Cone}. *)
 
 val mark_cone : t -> Simgen_network.Network.node_id -> unit
 (** Mark the fanin cone of one node (Algorithm 1's [listDfs] of the
@@ -56,7 +57,7 @@ val mark_cone : t -> Simgen_network.Network.node_id -> unit
 
 val in_cone : t -> Simgen_network.Network.node_id -> bool
 (** Whether the node lies in the cone of the last {!mark_cone}; [false]
-    everywhere before the first. *)
+    everywhere before the first. Test seam: as {!in_scope}. *)
 
 val clear_exhausted : t -> unit
 (** Empty the exhausted set: the decision candidates on which a decision
@@ -89,5 +90,3 @@ val rollback : t -> int -> unit
 val num_implications : t -> int
 (** Total values assigned by implication since creation. *)
 
-val num_examinations : t -> int
-(** Gate examinations performed (a work measure for runtime accounting). *)

@@ -8,14 +8,8 @@ let to_bool = function One -> Some true | Zero -> Some false | Unknown -> None
 
 let is_assigned = function Unknown -> false | Zero | One -> true
 
-let equal (a : t) (b : t) = a = b
-
 let compatible v (l : Cube.lit) =
   match (v, l) with
   | Unknown, _ | _, Cube.DC -> true
   | One, Cube.T | Zero, Cube.F -> true
   | One, Cube.F | Zero, Cube.T -> false
-
-let to_char = function Zero -> '0' | One -> '1' | Unknown -> '-'
-
-let pp fmt v = Format.pp_print_char fmt (to_char v)

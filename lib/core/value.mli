@@ -8,13 +8,8 @@ type t = Zero | One | Unknown
 val of_bool : bool -> t
 val to_bool : t -> bool option
 val is_assigned : t -> bool
-val equal : t -> t -> bool
-
 val compatible : t -> Simgen_network.Cube.lit -> bool
 (** Whether a value is consistent with a cube literal: an [Unknown] value is
-    compatible with everything, and a cube [DC] accepts everything. *)
-
-val to_char : t -> char
-(** ['0'], ['1'] or ['-']. *)
-
-val pp : Format.formatter -> t -> unit
+    compatible with everything, and a cube [DC] accepts everything.
+    Test reference: the engine tests match rows against values with
+    it. *)

@@ -73,15 +73,6 @@ let arm ?(times = max_int) ?(prob = 1.0) ?(seed = 0) name =
       s.remaining <- times;
       refresh_active ())
 
-let arm_all ?times ?prob ?seed () =
-  List.iter (fun name -> arm ?times ?prob ?seed name) sites
-
-let disarm name =
-  let s = find name in
-  locked (fun () ->
-      s.armed <- false;
-      refresh_active ())
-
 let reset () =
   locked (fun () ->
       Hashtbl.iter
@@ -136,7 +127,7 @@ let configure spec =
         | Error _ as err -> err
         | Ok (prob, seed) ->
             if name = "all" then begin
-              arm_all ~prob ~seed ();
+              List.iter (arm ~prob ~seed) sites;
               Ok ()
             end
             else if List.mem name sites then begin

@@ -28,7 +28,7 @@ val sites : string list
     ["slow-client"]. The last two are service-level sites exercised by
     the soak harness: ["conn-drop"] severs a daemon client connection
     mid-stream, and ["slow-client"] stalls a response write as a slow
-    reader would. *)
+    reader would. Test seam: the fault tests arm each site in turn. *)
 
 val arm : ?times:int -> ?prob:float -> ?seed:int -> string -> unit
 (** [arm site] arms a site. [prob] (default [1.0]) is the chance each
@@ -37,12 +37,6 @@ val arm : ?times:int -> ?prob:float -> ?seed:int -> string -> unit
     number of firings; [arm ~times:1] gives the "first trigger only"
     injection the fault matrix uses. Unknown names raise
     [Invalid_argument]. Re-arming replaces the previous configuration. *)
-
-val arm_all : ?times:int -> ?prob:float -> ?seed:int -> unit -> unit
-(** Arm every registered site with the same configuration. *)
-
-val disarm : string -> unit
-(** Disarm one site. Unknown names raise [Invalid_argument]. *)
 
 val reset : unit -> unit
 (** Disarm every site and clear firing counters. Tests call this between
@@ -54,7 +48,8 @@ val configure : string -> (unit, string) Stdlib.result
     [Error _] describes the first malformed entry or unknown site; any
     entries before it are already applied. The module applies
     [SIMGEN_FAULT] from the environment at load time (a malformed value
-    warns on stderr rather than aborting the host process). *)
+    warns on stderr rather than aborting the host process). Test seam:
+    the fault tests apply specifications without the environment. *)
 
 val fire : string -> bool
 (** [fire site] is the probe: [true] when the armed site's RNG says this
@@ -75,7 +70,8 @@ val enabled : unit -> bool
     [bool ref] read by worker domains, which was a latent race. *)
 
 val fired : string -> int
-(** How many times a site has fired since the last {!reset}. *)
+(** How many times a site has fired since the last {!reset}. Test seam:
+    the fault tests check that an armed site fired. *)
 
 val log : unit -> (string * int) list
 (** [(site, fired)] for every site that has fired, in {!sites} order. *)

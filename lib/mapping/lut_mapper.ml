@@ -35,7 +35,10 @@ let cut_function aig leaves root =
   in
   table root
 
-let map_with_stats ?(k = 6) ?(cut_limit = 8) aig =
+(* Priority cuts kept per node. *)
+let cut_limit = 8
+
+let map_with_stats ?(k = 6) aig =
   if k < 2 || k > TT.max_vars then invalid_arg "Lut_mapper.map: bad k";
   let n = Aig.num_nodes aig in
   let refcounts = Aig.fanout_counts aig in
@@ -171,4 +174,4 @@ let map_with_stats ?(k = 6) ?(cut_limit = 8) aig =
      returned network exactly. *)
   (net, { luts = N.num_gates net; depth; edges = !edge_count })
 
-let map ?k ?cut_limit aig = fst (map_with_stats ?k ?cut_limit aig)
+let map ?k aig = fst (map_with_stats ?k aig)

@@ -12,10 +12,9 @@ type stats = {
   edges : int;  (** total LUT fanin count *)
 }
 
-val map : ?k:int -> ?cut_limit:int -> Simgen_aig.Aig.t -> Simgen_network.Network.t
+val map : ?k:int -> Simgen_aig.Aig.t -> Simgen_network.Network.t
 (** [map ~k aig] returns a LUT network with [max_fanin_arity <= k]
-    (default [k = 6], [cut_limit = 8] priority cuts per node) that is
-    functionally equivalent to the AIG. *)
+    (default [k = 6], 8 priority cuts per node) that is functionally
+    equivalent to the AIG. *)
 
-val map_with_stats :
-  ?k:int -> ?cut_limit:int -> Simgen_aig.Aig.t -> Simgen_network.Network.t * stats
+val map_with_stats : ?k:int -> Simgen_aig.Aig.t -> Simgen_network.Network.t * stats

@@ -9,9 +9,12 @@ exception Parse_error of Simgen_base.Srcloc.t * string
     [.names] definition. *)
 
 val parse_string : ?file:string -> string -> Network.t
-(** [file] only labels {!Parse_error} locations; the string is the input. *)
+(** [file] only labels {!Parse_error} locations; the string is the input.
+    Test seam: the round-trip tests parse without files. *)
 
 val parse_file : string -> Network.t
 
 val to_string : Network.t -> string
+(** Test seam: the round-trip tests print without files. *)
+
 val write_file : string -> Network.t -> unit

@@ -36,31 +36,7 @@ let fanin_cone_many net targets =
     ~epoch:1 ~stack:(Vec.create ~dummy:0 ()) targets;
   Vec.to_list post
 
-let fanin_cone net target = fanin_cone_many net [ target ]
-
-let cone_pis net target =
-  List.filter (Network.is_pi net) (fanin_cone net target)
-
 let member_mask net ids =
   let mask = Array.make (Network.num_nodes net) false in
   List.iter (fun id -> mask.(id) <- true) ids;
   mask
-
-let fanout_cone net target =
-  let seen = Array.make (Network.num_nodes net) false in
-  let acc = ref [] in
-  let stack = ref [ target ] in
-  let rec loop () =
-    match !stack with
-    | [] -> ()
-    | id :: rest ->
-        stack := rest;
-        if not seen.(id) then begin
-          seen.(id) <- true;
-          acc := id :: !acc;
-          List.iter (fun fo -> stack := fo :: !stack) (Network.fanouts net id)
-        end;
-        loop ()
-  in
-  loop ();
-  List.rev !acc

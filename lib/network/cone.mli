@@ -3,12 +3,10 @@
     The DFS node list of a target's fanin cone is the working set of
     SimGen's Algorithm 1 ([listDfs]). *)
 
-val fanin_cone : Network.t -> Network.node_id -> Network.node_id list
-(** All nodes that can reach the target through fanin edges, including the
-    target itself, in DFS post-order (fanins before the target). *)
-
 val fanin_cone_many : Network.t -> Network.node_id list -> Network.node_id list
-(** Union of fanin cones, each node listed once, fanins first. *)
+(** All nodes that can reach one of the targets through fanin edges,
+    targets included, each listed once in DFS post-order (fanins before
+    the nodes they feed). *)
 
 val mark_fanin_cones :
   ?post:int Simgen_base.Vec.t ->
@@ -25,12 +23,7 @@ val mark_fanin_cones :
     is scratch space. When [post] is given, the newly marked nodes are
     appended to it in the order of {!fanin_cone_many}. *)
 
-val cone_pis : Network.t -> Network.node_id -> Network.node_id list
-(** Primary inputs inside the target's fanin cone. *)
-
 val member_mask : Network.t -> Network.node_id list -> bool array
-(** Characteristic array over all node ids of a node list. *)
-
-val fanout_cone : Network.t -> Network.node_id -> Network.node_id list
-(** All nodes reachable from the target through fanout edges, including the
-    target. *)
+(** Characteristic array over all node ids of a node list.
+    Test reference: the engine-scope tests build the expected marks with
+    it. *)

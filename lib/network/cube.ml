@@ -11,29 +11,6 @@ let dc_size c =
 
 let num_assigned c = ninputs c - dc_size c
 
-let matches_minterm c m =
-  let ok = ref true in
-  Array.iteri
-    (fun i l ->
-      let bit = (m lsr i) land 1 = 1 in
-      match l with
-      | DC -> ()
-      | T -> if not bit then ok := false
-      | F -> if bit then ok := false)
-    c.lits;
-  !ok
-
-let eval_lits inputs c =
-  let ok = ref true in
-  Array.iteri
-    (fun i l ->
-      match l with
-      | DC -> ()
-      | T -> if not inputs.(i) then ok := false
-      | F -> if inputs.(i) then ok := false)
-    c.lits;
-  !ok
-
 let to_truth_table n c =
   let acc = ref (Truth_table.create_const n true) in
   Array.iteri
@@ -51,5 +28,3 @@ let to_string c =
         match c.lits.(i) with T -> '1' | F -> '0' | DC -> '-')
   in
   Printf.sprintf "%s -> %c" body (if c.out then '1' else '0')
-
-let pp fmt c = Format.pp_print_string fmt (to_string c)

@@ -11,24 +11,14 @@ type t = { lits : lit array; out : bool }
 
 val make : lit array -> bool -> t
 
-val ninputs : t -> int
-
 val dc_size : t -> int
 (** Equation (1) of the paper: the number of don't-care inputs. *)
 
 val num_assigned : t -> int
 (** Inputs the cube fixes ([ninputs - dc_size]). *)
 
-val matches_minterm : t -> int -> bool
-(** Whether the minterm (bit [i] = value of input [i]) lies in the cube. *)
-
-val eval_lits : bool array -> t -> bool
-(** Whether a complete input assignment lies in the cube. *)
-
 val to_truth_table : int -> t -> Truth_table.t
 (** Characteristic function of the cube's input set over [n] variables. *)
 
 val to_string : t -> string
 (** E.g. ["1-0 -> 1"]. *)
-
-val pp : Format.formatter -> t -> unit

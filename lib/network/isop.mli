@@ -21,13 +21,13 @@ val cover : Truth_table.t -> Cube.t list
 
 val reference_cover : Truth_table.t -> Cube.t list
 (** {!cover} by the generic recursion for every width: the only path for
-    0 or 7 to 16 variables, and the reference the tests hold the one-word
-    path to. *)
+    0 or 7 to 16 variables. Test reference: the tests hold the one-word
+    path to it. *)
 
 val rows : Truth_table.t -> Cube.t list
 (** On-set cubes (out = true) followed by off-set cubes (out = false): the
     complete row set of the node's "truth table with don't-cares". *)
 
 val cover_to_truth_table : int -> Cube.t list -> Truth_table.t
-(** Union of the given cubes' input sets (ignores [out]); used by tests to
-    verify [cover f] reconstructs [f]. *)
+(** Union of the given cubes' input sets (ignores [out]).
+    Test reference: the cover tests check that [cover f] rebuilds [f]. *)

@@ -104,8 +104,6 @@ let fanouts_array t =
 
 let fanouts t id = (fanouts_array t).(id)
 
-let num_fanouts t id = List.length (fanouts t id)
-
 let iter_nodes t f =
   for id = 0 to num_nodes t - 1 do
     f id

@@ -57,8 +57,6 @@ val fanouts_array : t -> node_id list array
     mutator like the cache, so it is only valid while the network does
     not change. Callers must not mutate it. *)
 
-val num_fanouts : t -> node_id -> int
-
 val iter_nodes : t -> (node_id -> unit) -> unit
 (** All nodes in id (= topological) order. *)
 
@@ -85,6 +83,7 @@ val cached_levels : t -> int array option
     lint compares this against a fresh recomputation. *)
 
 val max_fanin_arity : t -> int
+(** Test reference: the mapper tests bound LUT arity by it. *)
 
 val copy : t -> t
 
@@ -101,9 +100,11 @@ module Unsafe : sig
   (** Replace a node's fanin array without any validation (the arity may
       disagree with the function, ids may be out of range or forward,
       creating combinational cycles). Invalidates the fanout and level
-      caches like every honest mutator. *)
+      caches like every honest mutator. Test seam: the network lint tests
+      corrupt networks with it. *)
 
   val set_level_cache : t -> int array -> unit
   (** Install a level cache verbatim, bypassing recomputation — the
-      corruption vector for the stale-level lint (N010). *)
+      corruption vector for the stale-level lint (N010).
+      Test seam: as {!set_fanins}. *)
 end

@@ -36,5 +36,3 @@ let stack net k =
      from a fresh computation rather than anything stale. *)
   ignore (Network.levels result);
   result
-
-let putontop = stack

@@ -10,6 +10,3 @@ val stack : Network.t -> int -> Network.t
 (** Requires [k >= 1]; [stack net 1] is a plain copy. The result's level
     cache is recomputed before returning, so stacking can never leave a
     stale annotation behind. *)
-
-val putontop : Network.t -> int -> Network.t
-(** ABC-style alias of {!stack}. *)

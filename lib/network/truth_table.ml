@@ -96,7 +96,6 @@ let or_ a b = map2 Int64.logor a b
 let xor a b = map2 Int64.logxor a b
 
 let equal a b = a.nvars = b.nvars && a.words = b.words
-let compare a b = Stdlib.compare (a.nvars, a.words) (b.nvars, b.words)
 
 let hash t =
   Array.fold_left
@@ -167,7 +166,7 @@ let of_minterms n ms =
   normalize { nvars = n; words }
 
 (* Rebuild from the semantic function; simple and adequate for the rare
-   structural operations (swap, permute, expand). *)
+   structural operation [expand]. *)
 let tabulate n f =
   check_nvars n;
   let words = Array.make (nwords n) 0L in
@@ -178,25 +177,6 @@ let tabulate n f =
     end
   done;
   normalize { nvars = n; words }
-
-let swap_adjacent t i =
-  if i < 0 || i + 1 >= t.nvars then invalid_arg "Truth_table.swap_adjacent";
-  tabulate t.nvars (fun m ->
-      let bi = (m lsr i) land 1 and bj = (m lsr (i + 1)) land 1 in
-      let m' = m land lnot ((1 lsl i) lor (1 lsl (i + 1))) in
-      let m' = m' lor (bj lsl i) lor (bi lsl (i + 1)) in
-      get_bit t m')
-
-let permute t p =
-  if Array.length p <> t.nvars then invalid_arg "Truth_table.permute";
-  tabulate t.nvars (fun m ->
-      (* Minterm m assigns value of variable p.(i) from source variable i:
-         build the source minterm whose bit i is bit p.(i) of m. *)
-      let src = ref 0 in
-      for i = 0 to t.nvars - 1 do
-        if (m lsr p.(i)) land 1 = 1 then src := !src lor (1 lsl i)
-      done;
-      get_bit t !src)
 
 let expand t n =
   if n < t.nvars then invalid_arg "Truth_table.expand";
@@ -225,5 +205,3 @@ let of_string s =
       | '1' -> true
       | '0' -> false
       | _ -> invalid_arg "Truth_table.of_string: bad character")
-
-let pp fmt t = Format.fprintf fmt "%d'%s" t.nvars (to_string t)

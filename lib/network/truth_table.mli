@@ -22,7 +22,8 @@ val var : int -> int -> t
 
 val of_bits : int -> int64 -> t
 (** [of_bits n bits] builds a table over [n <= 6] variables from the low
-    [2^n] bits of [bits]. *)
+    [2^n] bits of [bits]. Test seam: tests write small tables as bit
+    literals. *)
 
 val get_bit : t -> int -> bool
 (** [get_bit t m] is the output on minterm [m]. *)
@@ -38,7 +39,6 @@ val or_ : t -> t -> t
 val xor : t -> t -> t
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 
 val word : t -> int -> int64
@@ -82,14 +82,8 @@ val support : t -> int list
 (** Indices of variables the function depends on, ascending. *)
 
 val count_ones : t -> int
-(** Number of satisfied minterms. *)
-
-val swap_adjacent : t -> int -> t
-(** [swap_adjacent t i] exchanges the roles of variables [i] and [i+1]. *)
-
-val permute : t -> int array -> t
-(** [permute t p] renames variable [i] to [p.(i)]; [p] must be a permutation
-    of [0 .. nvars-1]. *)
+(** Number of satisfied minterms. Test reference: the construction and
+    cover tests count on-sets with it. *)
 
 val expand : t -> int -> t
 (** [expand t n] reinterprets [t] over [n >= nvars t] variables (the new
@@ -99,12 +93,13 @@ val of_minterms : int -> int list -> t
 (** Table over [n] variables that is true exactly on the given minterms. *)
 
 val random : Simgen_base.Rng.t -> int -> t
-(** Uniformly random table over [n] variables. *)
+(** Uniformly random table over [n] variables. Test seam: the property
+    tests draw their functions with it. *)
 
 val to_string : t -> string
-(** Bit string, minterm [2^n - 1] first (matching common LUT notation). *)
+(** Bit string, minterm [2^n - 1] first (matching common LUT notation).
+    Test seam: tests print and read tables as bit strings. *)
 
 val of_string : string -> t
-(** Inverse of {!to_string}; the length must be a power of two. *)
-
-val pp : Format.formatter -> t -> unit
+(** Inverse of {!to_string}; the length must be a power of two.
+    Test seam: as {!to_string}. *)

@@ -59,15 +59,17 @@ val json : event -> Simgen_base.Json.t
 (** The event as one JSON object. *)
 
 val to_json : event -> string
-(** [json], printed: one line, no trailing newline. *)
+(** [json], printed: one line, no trailing newline. Test seam: the
+    telemetry tests check one event's rendering. *)
 
 type sink
 
 val null : sink
 
 val memory : unit -> sink * (unit -> event list)
-(** In-memory sink for tests: the second component returns the events
-    emitted so far, oldest first. *)
+(** In-memory sink: the second component returns the events emitted so
+    far, oldest first. Test seam: the telemetry tests read jobs' events
+    back with it. *)
 
 val callback : (event -> unit) -> sink
 (** Route every event to [f] (serialised under the sink's mutex). The

@@ -72,7 +72,6 @@ val make :
     retries ({!Retry_policy.none}). *)
 
 val status_to_string : status -> string
-val circuit_to_string : circuit -> string
 
 val read_network : string -> Simgen_network.Network.t
 (** Parse a circuit file by extension ([.blif]/[.bench]/[.aag]). *)

@@ -47,4 +47,6 @@ val parse_file : ?defaults:options -> string -> Job.spec list
 (** @raise Failure with a [line N:] prefix on malformed input. *)
 
 val parse_string : ?defaults:options -> string -> Job.spec list
+(** Test seam: the manifest tests parse without files. *)
+
 val parse_lines : ?defaults:options -> string list -> Job.spec list

@@ -71,15 +71,3 @@ let to_string nvars clauses =
       Buffer.add_string buf "0\n")
     clauses;
   Buffer.contents buf
-
-let write_file path nvars clauses =
-  let oc = open_out path in
-  output_string oc (to_string nvars clauses);
-  close_out oc
-
-let load_into solver text =
-  let nvars, clauses = parse_string text in
-  for _ = Solver.num_vars solver + 1 to nvars do
-    ignore (Solver.new_var solver)
-  done;
-  List.iter (Solver.add_clause solver) clauses

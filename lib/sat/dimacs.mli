@@ -5,12 +5,10 @@ exception Parse_error of Simgen_base.Srcloc.t * string
 
 val parse_string : ?file:string -> string -> int * Literal.t list list
 (** Returns (number of variables, clauses). [file] only labels
-    {!Parse_error} locations. *)
+    {!Parse_error} locations. Test seam: the round-trip tests parse
+    without files. *)
 
 val parse_file : string -> int * Literal.t list list
 
 val to_string : int -> Literal.t list list -> string
-val write_file : string -> int -> Literal.t list list -> unit
-
-val load_into : Solver.t -> string -> unit
-(** Parse a DIMACS string and add its variables and clauses to a solver. *)
+(** Test seam: the round-trip tests print without files. *)

@@ -386,16 +386,15 @@ let check formula proof =
    recording which steps its derivation used (the clauses that
    propagated a unit or closed the conflict, and the reasons of the root
    units they rest on), then a backward pass marks the steps reachable
-   from the goal — the empty clause if the proof derives one, the
-   caller-supplied [goal] clause otherwise. Only marked [Learn] events
-   survive; deletions are dropped entirely, which is sound because
-   reverse unit propagation is monotone in the clause set. Any anomaly (a
-   step that fails RUP, no derivable goal) returns the proof unchanged so
+   from the empty clause. Only marked [Learn] events survive; deletions
+   are dropped entirely, which is sound because reverse unit propagation
+   is monotone in the clause set. Any anomaly (a step that fails RUP, no
+   empty clause derived) returns the proof unchanged so
    trimming can never turn a checkable proof uncheckable; [on_anomaly] is
    told which anomaly forced the bail-out. *)
 type trim_anomaly = Non_rup_step of int | Underivable_goal
 
-let trim ?goal ?(on_anomaly = fun (_ : trim_anomaly) -> ()) formula proof =
+let trim ?(on_anomaly = fun (_ : trim_anomaly) -> ()) formula proof =
   let e = Engine.create () in
   List.iter (fun c -> ignore (Engine.add e c)) formula;
   let events = Array.of_list proof in
@@ -432,22 +431,15 @@ let trim ?goal ?(on_anomaly = fun (_ : trim_anomaly) -> ()) formula proof =
   | Error i ->
       on_anomaly (Non_rup_step i);
       proof
-  | Ok empty_step -> (
-      let goal_steps =
-        match empty_step with
-        | Some i -> Some (i :: used.(i))
-        | None -> Option.bind goal derive
-      in
-      match goal_steps with
-      | None ->
-          on_anomaly Underivable_goal;
-          proof
-      | Some steps ->
-          seed steps;
-          for j = n - 1 downto 0 do
-            if needed.(j) then seed used.(j)
-          done;
-          List.filteri (fun j _ -> needed.(j)) proof)
+  | Ok None ->
+      on_anomaly Underivable_goal;
+      proof
+  | Ok (Some i) ->
+      seed (i :: used.(i));
+      for j = n - 1 downto 0 do
+        if needed.(j) then seed used.(j)
+      done;
+      List.filteri (fun j _ -> needed.(j)) proof
 
 exception Parse_error of Srcloc.t * string
 

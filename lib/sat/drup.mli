@@ -65,24 +65,21 @@ val check :
 type trim_anomaly =
   | Non_rup_step of int
       (** 0-based index of the forward-pass step that failed RUP *)
-  | Underivable_goal
-      (** neither the empty clause nor the supplied goal was derivable *)
+  | Underivable_goal  (** the proof derives no empty clause *)
 
 val trim :
-  ?goal:Literal.t list ->
   ?on_anomaly:(trim_anomaly -> unit) ->
   Literal.t list list ->
   Solver.proof_event list ->
   Solver.proof_event list
-(** [trim ?goal ?on_anomaly formula proof] drops deleted and unused
-    lemmas. A forward pass re-derives each learned clause recording which
-    earlier steps its derivation used ({!Engine.rup}'s [on_used]); a backward pass keeps
-    only the steps reachable from the goal — the empty clause when the
-    proof derives one, else the RUP derivation of [goal]. The result
+(** [trim ?on_anomaly formula proof] drops deleted and unused lemmas. A
+    forward pass re-derives each learned clause recording which earlier
+    steps its derivation used ({!Engine.rup}'s [on_used]); a backward pass
+    keeps only the steps reachable from the empty clause. The result
     contains only [Learn] events (deletions are dropped: RUP is monotone
     in the clause set, so a proof stays valid without them) and still
     satisfies {!check} whenever the input did. On any anomaly — a non-RUP
-    step, no goal derivable — the input proof is returned unchanged, so
+    step, no empty clause derived — the input proof is returned unchanged, so
     trimming never turns a checkable proof uncheckable; [on_anomaly]
     (default: ignore) is called with the anomaly so callers can surface
     it instead of silently shipping an untrimmed proof. *)
@@ -99,7 +96,8 @@ val parse_string : ?file:string -> string -> Solver.proof_event list
     lines, CRLF endings, clauses spanning lines or sharing one — where a
     leading [d] token turns the next 0-terminated clause into a
     [Delete]. Raises {!Parse_error} (with a line-accurate location) on a
-    malformed token, a [d] inside a clause, or a missing terminator. *)
+    malformed token, a [d] inside a clause, or a missing terminator.
+    Test seam: the parser tests read proofs without files. *)
 
 val parse_file : string -> Solver.proof_event list
 (** {!parse_string} over a file's contents. *)

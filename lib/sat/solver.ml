@@ -159,8 +159,8 @@ type t = {
   (* decision focus: when [focus_on], branching is restricted to the
      variables flagged in [focus_flag] ([focus_vars] lists them so the
      next focus switch clears the flags in O(|focus|)). Variables popped
-     off the order heap while unfocused stay out until a later
-     [focus_decisions] / [unfocus_decisions] re-inserts them. *)
+     off the order heap while out of focus stay out until a later
+     [focus_decisions] brings them into focus and re-inserts them. *)
   mutable focus_on : bool;
   mutable focus_flag : bool array;
   mutable focus_vars : int list;
@@ -467,18 +467,7 @@ let focus_decisions s vars =
   s.focus_on <- true;
   if s.audit_every > 0 then audit_heap s
 
-let unfocus_decisions s =
-  if s.focus_on then begin
-    List.iter (fun v -> s.focus_flag.(v) <- false) s.focus_vars;
-    s.focus_vars <- [];
-    s.focus_on <- false;
-    (* Restore every variable dropped from the order heap while it was
-       out of focus. *)
-    for v = 0 to s.nvars - 1 do
-      if s.assigns.(v) = 0 then heap_insert s v
-    done;
-    if s.audit_every > 0 then audit_heap s
-  end
+
 
 (* -------------------- clause attachment -------------------- *)
 
@@ -1139,8 +1128,8 @@ let luby k =
   1 lsl shrink size seq k
 
 (* Under focus, variables popped here that are out of focus are simply
-   dropped from the heap; [focus_decisions] / [unfocus_decisions] put
-   them back when they become decidable again. *)
+   dropped from the heap; [focus_decisions] puts them back when they
+   come into focus. *)
 let pick_branch_var s =
   let rec go () =
     if s.heap_size = 0 then -1
@@ -1642,11 +1631,6 @@ let model s = Array.init s.nvars (fun v -> not s.phase.(v))
 
 let failed_assumptions s = s.failed
 
-let num_conflicts s = s.conflicts
-let num_decisions s = s.decisions
-let num_propagations s = s.propagations
-let num_restarts s = s.restarts
-let num_learned s = s.learned_total
 let num_clauses s = s.num_clauses
 let num_learnts s = s.num_learnts
 

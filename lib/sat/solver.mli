@@ -67,8 +67,8 @@ val simplify : t -> unit
     proof events for learnt clauses), drop clauses retracted by
     {!remove_group} from the clause lists, and rebuild — compact — all
     watch lists. Called automatically at [solve] entry on a
-    propagation-volume schedule; exposed for clients that want a
-    deterministic compaction point. Here and in {!remove_group}, a
+    propagation-volume schedule. Test seam: the sanitizer tests call it
+    for a deterministic compaction point. Here and in {!remove_group}, a
     removed clause that is the reason of a root unit first records that
     unit as a {!Learn} event, so the proof keeps deriving the units the
     trail keeps. *)
@@ -97,9 +97,6 @@ val focus_decisions : t -> Literal.var list -> unit
     (DESIGN.md §13 spells out the argument). [Unsat] answers are exact
     regardless: conflicts only ever involve genuinely falsified
     clauses. *)
-
-val unfocus_decisions : t -> unit
-(** Lift the focus: branching considers every variable again. *)
 
 val solve : ?assumptions:Literal.t list -> t -> result
 (** Decide satisfiability under optional assumptions. The solver is
@@ -177,12 +174,6 @@ val proof_events_from : t -> int -> proof_event list
 
 (** {2 Statistics} *)
 
-val num_conflicts : t -> int
-val num_decisions : t -> int
-val num_propagations : t -> int
-val num_restarts : t -> int
-val num_learned : t -> int
-
 val num_clauses : t -> int
 (** Live (stored, not removed) problem clauses. *)
 
@@ -248,7 +239,7 @@ val diff_stats : stats -> stats -> stats
       and has not been detached.
     - [R009] — decision-heap consistency: [heap]/[heap_pos] form a
       bijection and the max-heap property holds; re-checked after
-      {!focus_decisions} / {!unfocus_decisions} when sampling is armed.
+      {!focus_decisions} when sampling is armed.
     - [R010] — fence soundness: during a focused call no out-of-focus
       variable is implied above the root (decisions and assumptions are
       exempt: they are the caller's).
@@ -271,7 +262,8 @@ val set_audit : t -> every:int -> unit
 (** Arm ([every > 0]) or disarm ([every <= 0]) the sampled audit. *)
 
 val audit_sampling : t -> bool
-(** Whether the sampled audit is armed. *)
+(** Whether the sampled audit is armed. Test seam: the sanitizer tests
+    check that {!set_audit} arms and disarms it. *)
 
 (** Deliberate state corruptions for exercising the sanitizer — the
     seeded-corruption matrix in the test suite. Each breaks exactly the
@@ -292,4 +284,5 @@ type corruption =
 
 val corrupt : t -> corruption -> unit
 (** Apply one corruption; raises [Invalid_argument] when the solver has
-    no state to corrupt (e.g. no live clause). *)
+    no state to corrupt (e.g. no live clause). Test seam: the
+    seeded-corruption matrix. *)

@@ -117,9 +117,6 @@ let xor_var env a b =
   add env [ Literal.pos y; Literal.pos a; Literal.neg b ];
   y
 
-let node_pair_miter env ~vars a b =
-  Literal.pos (xor_var env vars.(a) vars.(b))
-
 (* Trim before checking: drop the lemmas the empty-clause derivation never
    uses, then validate what is left against the recorded formula. *)
 let checked_proof env =

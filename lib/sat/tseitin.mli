@@ -80,12 +80,6 @@ val encode_cones :
 val xor_var : env -> Literal.var -> Literal.var -> Literal.var
 (** Fresh variable constrained to the XOR of two others. *)
 
-val node_pair_miter :
-  env -> vars:Literal.var array -> Simgen_network.Network.node_id ->
-  Simgen_network.Network.node_id -> Literal.t
-(** Literal that is satisfiable iff the two (already encoded) nodes can
-    differ; solve with it as an assumption. *)
-
 val checked_proof :
   env -> (Literal.t list list * Solver.proof_event list) option
 (** After an UNSAT answer on a recording env: trim the solver's proof

@@ -64,8 +64,6 @@ let refine_with t equal values =
 
 let refine_word t words = refine_with t Int64.equal words
 
-let refine_vector t values = refine_with t Bool.equal values
-
 let classes t = t.groups
 
 let num_classes t = List.length t.groups

@@ -19,9 +19,6 @@ val refine_word : t -> int64 array -> unit
 (** Split classes using a fresh batch of node simulation words (as produced
     by {!Simulator.simulate_word}). *)
 
-val refine_vector : t -> bool array -> unit
-(** Split classes using single-vector node values (by node id). *)
-
 val classes : t -> Simgen_network.Network.node_id list list
 (** Current classes of size >= 2, each sorted by node id, in ascending
     order of their smallest member. Singleton classes are dropped: they

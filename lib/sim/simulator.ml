@@ -87,8 +87,3 @@ let word_of_vector net vec =
   if Array.length vec <> N.num_pis net then
     invalid_arg "Simulator.word_of_vector";
   Array.map (fun v -> if v then -1L else 0L) vec
-
-let node_values_bit words k =
-  Array.map
-    (fun w -> Int64.logand (Int64.shift_right_logical w k) 1L = 1L)
-    words

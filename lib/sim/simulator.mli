@@ -42,6 +42,3 @@ val vector_word : bool array -> int -> int64 array -> unit
 val word_of_vector : Simgen_network.Network.t -> bool array -> int64 array
 (** One-vector batch: bit 0 carries the vector, the remaining 63 bits are
     copies (so any bit position can be used). *)
-
-val node_values_bit : int64 array -> int -> bool array
-(** Extract the single-vector values at bit [k] from a node-word array. *)

@@ -39,10 +39,10 @@ let check_pair ?(max_nodes = 200_000) net a b =
       end
   | exception Bdd.Node_limit_exceeded -> Sat_session.Unknown
 
-let check_outputs ?(max_nodes = 500_000) net1 net2 =
+let check_outputs net1 net2 =
   if N.num_pis net1 <> N.num_pis net2 || N.num_pos net1 <> N.num_pos net2
   then invalid_arg "Bdd_backend.check_outputs";
-  let m = Bdd.manager ~max_nodes (N.num_pis net1) in
+  let m = Bdd.manager ~max_nodes:500_000 (N.num_pis net1) in
   match
     let b1 = Bdd.build_network m net1 in
     let b2 = Bdd.build_network m net2 in

@@ -17,10 +17,9 @@ val check_pair :
     quarantines the pair. *)
 
 val check_outputs :
-  ?max_nodes:int ->
   Simgen_network.Network.t ->
   Simgen_network.Network.t ->
   (int * bool array) option option
-(** Full-output CEC: [Some None] = equivalent, [Some (Some (po, cex))] =
-    differ at [po], [None] = quota exceeded. Networks must agree on PI
-    and PO counts. *)
+(** Full-output CEC under a quota of 500_000 nodes: [Some None] =
+    equivalent, [Some (Some (po, cex))] = differ at [po], [None] = quota
+    exceeded. Networks must agree on PI and PO counts. *)

@@ -41,7 +41,6 @@ type t = {
          query, newest first; guard/retirement/tie clauses are excluded —
          the certificate checker reconstructs those itself *)
   mutable cert_queries : Certificate.query list;  (* newest first, untaken *)
-  mutable cert_count : int;  (* queries recorded over the session's life *)
   mutable proof_mark : int;  (* solver proof events already sliced *)
   vars : int array;  (* node -> current solver variable, -1 if unencoded *)
   enc_fanins : int array array;
@@ -96,7 +95,6 @@ let create ?(certify = false) ?(audit = false) ?subst ?rng net =
     certify;
     pending_clauses = [];
     cert_queries = [];
-    cert_count = 0;
     proof_mark = 0;
     vars = Array.make n (-1);
     enc_fanins = Array.make n no_fanins;
@@ -117,9 +115,7 @@ let create ?(certify = false) ?(audit = false) ?subst ?rng net =
     rebuilds = 0;
   }
 
-let network t = t.net
 let certifying t = t.certify
-let cert_query_count t = t.cert_count
 
 let take_cert_queries t =
   let qs = List.rev t.cert_queries in
@@ -282,10 +278,7 @@ let extract t = Sat.Tseitin.pi_values ~rng:t.rng t.solver t.net t.vars
    per-clause GC can reclaim. A certifying session records the
    discontinuity so the checker resets its clause database too. *)
 let rebuild t =
-  if t.certify then begin
-    t.cert_queries <- Certificate.Rebuild :: t.cert_queries;
-    t.cert_count <- t.cert_count + 1
-  end;
+  if t.certify then t.cert_queries <- Certificate.Rebuild :: t.cert_queries;
   t.base_stats <- Sat.Solver.add_stats t.base_stats (Sat.Solver.stats t.solver);
   let solver = Sat.Solver.create () in
   if t.certify then Sat.Solver.enable_proof solver;
@@ -420,8 +413,7 @@ let check_pair ?max_conflicts t a b =
       t.cert_queries <-
         Certificate.Session
           { a; b; act; va; vb; equal = (verdict = Equal); clauses; events }
-        :: t.cert_queries;
-      t.cert_count <- t.cert_count + 1
+        :: t.cert_queries
     end;
     (* R005: retirement must actually kill the miter — assuming the
        activation literal again must now be a unit conflict. *)

@@ -83,14 +83,8 @@ val resolve :
     when [subst] is [None]). The sweep's one substitution resolver: the
     session and the fresh-solver {!Miter} both resolve through it. *)
 
-val network : t -> Simgen_network.Network.t
-
 val certifying : t -> bool
 (** Whether the session was created with [~certify:true]. *)
-
-val cert_query_count : t -> int
-(** Query records created since creation (including already-taken ones
-    and {!Simgen_check.Certificate.Rebuild} markers). *)
 
 val take_cert_queries : t -> Simgen_check.Certificate.query list
 (** Certificate records of the queries since the last take, oldest

@@ -4,10 +4,8 @@
    against the same network (the SAT-guided baseline loop) share cone
    encodings and learned clauses. *)
 
-let generate_in session outgold = Sat_session.solve_targets session outgold
-
 let generate_pairwise_in session outgold =
-  match generate_in session outgold with
+  match Sat_session.solve_targets session outgold with
   | Some vec -> Some vec
   | None -> (
       (* Keep one 1-target and one 0-target, try every such pair. *)
@@ -19,7 +17,7 @@ let generate_pairwise_in session outgold =
             let rec inner = function
               | [] -> pairs rest
               | zero :: more -> (
-                  match generate_in session [ one; zero ] with
+                  match Sat_session.solve_targets session [ one; zero ] with
                   | Some vec -> Some vec
                   | None -> inner more)
             in

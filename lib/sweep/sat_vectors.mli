@@ -11,21 +11,14 @@
     sweeper's SAT-guided loop does this. For a one-off call, pass
     [Sat_session.create net]. *)
 
-val generate_in :
-  Sat_session.t ->
-  (Simgen_network.Network.node_id * bool) list ->
-  bool array option
-(** [generate_in session outgold] constrains every target to its OUTgold
-    value over the union of the targets' fanin cones
-    ({!Sat_session.solve_targets}): [Some vector] from the model
-    (cone-external PIs randomized), [None] if the combination is
-    unsatisfiable. *)
-
 val generate_pairwise_in :
   Sat_session.t ->
   (Simgen_network.Network.node_id * bool) list ->
   bool array option
-(** Weaker but more often satisfiable variant: only requires some pair of
-    targets with opposite OUTgold values to be realized (the paper's
-    usefulness criterion), dropping the other targets' constraints one by
-    one until satisfiable. *)
+(** [generate_pairwise_in session outgold] first constrains every target
+    to its OUTgold value over the union of the targets' fanin cones
+    ({!Sat_session.solve_targets}). If that is unsatisfiable it falls
+    back to the paper's usefulness criterion: some pair of targets with
+    opposite OUTgold values must be realized, tried one pair at a time.
+    [Some vector] from the first satisfiable model (cone-external PIs
+    randomized), [None] if no pair is realizable. *)

@@ -151,7 +151,6 @@ let create (opts : Sweep_options.t) net =
   }
 
 let session t = t.session
-let certifying t = t.certify
 
 (* Pull the session's per-query records into the sweeper-level stream.
    Called after every session query so [cert_count - 1] always indexes
@@ -754,44 +753,3 @@ let substitution t = t.subst
 let gen_failure_counts t =
   List.sort compare
     (Hashtbl.fold (fun key n acc -> (key, n) :: acc) t.gen_failures [])
-
-(* Rebuild the network with proven-equivalent nodes merged: each gate is
-   re-created over the representatives of its fanins; non-representative
-   gates are skipped entirely (their fanouts now point at the
-   representative). A final copy drops logic no PO reaches. *)
-let merged_network t =
-  let net' = N.create ~name:(N.name t.net ^ "_swept") () in
-  let map = Array.make (N.num_nodes t.net) (-1) in
-  N.iter_nodes t.net (fun id ->
-      match N.kind t.net id with
-      | N.Pi _ -> map.(id) <- N.add_pi net'
-      | N.Gate f ->
-          let rep = representative t id in
-          if rep = id then
-            let fanins =
-              Array.map
-                (fun fi -> map.(representative t fi))
-                (N.fanins t.net id)
-            in
-            map.(id) <- N.add_gate ?name:(N.node_name t.net id) net' f fanins);
-  Array.iter
-    (fun po -> N.add_po net' map.(representative t po))
-    (N.pos t.net);
-  (* Drop unreachable gates by round-tripping through a reachability copy. *)
-  let reachable =
-    Simgen_network.Cone.member_mask net'
-      (Simgen_network.Cone.fanin_cone_many net'
-         (Array.to_list (N.pos net')))
-  in
-  let net'' = N.create ~name:(N.name net') () in
-  let map2 = Array.make (N.num_nodes net') (-1) in
-  N.iter_nodes net' (fun id ->
-      match N.kind net' id with
-      | N.Pi _ -> map2.(id) <- N.add_pi net''
-      | N.Gate f ->
-          if reachable.(id) then
-            map2.(id) <-
-              N.add_gate ?name:(N.node_name net' id) net'' f
-                (Array.map (fun fi -> map2.(fi)) (N.fanins net' id)));
-  Array.iter (fun po -> N.add_po net'' map2.(po)) (N.pos net');
-  net'' 

@@ -82,9 +82,6 @@ val create : Sweep_options.t -> Simgen_network.Network.t -> t
     ({!Simgen_check.Audit}). Audits raise
     {!Simgen_base.Runtime_check.Violation} on corruption. *)
 
-val certifying : t -> bool
-(** Whether the sweeper records a whole-sweep certificate. *)
-
 val session : t -> Sat_session.t
 (** The sweeper's {e current} incremental verification session. It shares
     the sweeper's substitution array and RNG, so miters posed through it
@@ -94,7 +91,11 @@ val session : t -> Sat_session.t
     not cache the returned handle across queries. *)
 
 val network : t -> Simgen_network.Network.t
+(** Test seam: the certificate tests read the swept network back. *)
+
 val classes : t -> Simgen_sim.Eq_classes.t
+(** Test seam: tests inspect the candidate classes. *)
+
 val cost : t -> int
 (** Equation (5) over the current classes. *)
 
@@ -132,21 +133,13 @@ val guided_round_config : t -> Simgen_core.Config.t -> guided_stats
     (alpha/beta of Eq. 4, implication and direction switches). Returns the
     round's own statistics, as {!guided_round} does. *)
 
-val sat_guided_round : t -> guided_stats
-(** One batched iteration of the SAT-based vector-generation baseline
-    (paper §2.3, Lee et al. / Amarù et al.): one solver call per visited
-    class instead of reverse propagation. Exact but SAT-dependent — the
-    comparison point that motivates SimGen. *)
-
 val run_sat_guided : Sweep_options.t -> t -> guided_stats
-(** [guided_iterations] rounds of {!sat_guided_round} with the stop
-    predicate taken from the options record; same early-stop and
-    reporting contract as {!run_guided}. *)
-
-val apply_one_distance : t -> bool array -> unit
-(** Simulate a counter-example together with its 63 one-bit-flip
-    neighbours (Mishchenko et al.'s 1-distance vectors, paper §2.3) and
-    refine. *)
+(** [guided_iterations] rounds of the SAT-based vector-generation
+    baseline (paper §2.3, Lee et al. / Amarù et al.): the batches of
+    {!guided_round}, but one solver call per visited class instead of
+    reverse propagation. Exact but SAT-dependent — the comparison point
+    that motivates SimGen. The stop predicate comes from the options
+    record; same early-stop and reporting contract as {!run_guided}. *)
 
 val guided_stats : t -> guided_stats
 val cost_history : t -> int list
@@ -237,21 +230,18 @@ val substitution : t -> int array
     towards [n]'s representative). Shared with the sweeper — callers may
     pass it to {!Miter.check_pair_fresh} so follow-up miters (e.g. the CEC PO
     phase) reuse and extend the proven merges; do not write anything that
-    is not a proven equivalence. *)
+    is not a proven equivalence. Test seam: the certificate tests pass it
+    to fresh miters, and the audit tests corrupt it. *)
 
 val max_class_failures : int
-(** Consecutive generation failures after which a class is skipped. *)
+(** Consecutive generation failures after which a class is skipped.
+    Test seam: the give-up tests count rounds against it. *)
 
 val gen_failure_counts : t -> (int * int) list
 (** Per-class generation-failure counters as [(class key, failures)]
     pairs sorted by key, where the key is the class's smallest member.
     A class is skipped by guided rounds once its count reaches
     {!max_class_failures}; a split changes the key of every part that
-    loses the smallest member, giving those parts a fresh counter. *)
-
-val merged_network : t -> Simgen_network.Network.t
-(** The simplification sweeping exists for: rebuild the network with every
-    proven-equivalent node replaced by its representative, then drop the
-    logic that became unreachable. Functionally equivalent to the input by
-    construction (every merge was an UNSAT proof); run after
-    {!sat_sweep}. *)
+    loses the smallest member, giving those parts a fresh counter.
+    Test seam: [guided_stats.skipped] counts failed and given-up classes
+    alike, so only these counters show the give-up rule. *)

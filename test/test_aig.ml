@@ -86,7 +86,9 @@ let test_list_gates () =
   let xs = Array.init 5 (fun _ -> Aig.add_pi g) in
   let all = Aig.and_list g (Array.to_list xs) in
   let any = Aig.or_list g (Array.to_list xs) in
-  let parity = Aig.xor_list g (Array.to_list xs) in
+  let parity =
+    Array.fold_left (Aig.xor g) xs.(0) (Array.sub xs 1 (Array.length xs - 1))
+  in
   for m = 0 to 31 do
     let vec = Array.init 5 (fun i -> (m lsr i) land 1 = 1) in
     let vals = Aig.eval g vec in
@@ -95,7 +97,7 @@ let test_list_gates () =
     Alcotest.(check bool) "or_list" (Array.exists Fun.id vec)
       (Aig.eval_lit vals any);
     let p = Array.fold_left (fun acc b -> if b then not acc else acc) false vec in
-    Alcotest.(check bool) "xor_list" p (Aig.eval_lit vals parity)
+    Alcotest.(check bool) "xor chain" p (Aig.eval_lit vals parity)
   done;
   Alcotest.(check int) "empty and" Aig.true_ (Aig.and_list g []);
   Alcotest.(check int) "empty or" Aig.false_ (Aig.or_list g [])
@@ -209,27 +211,6 @@ let test_shuffle_rebuild_equivalent () =
     check_equiv_sampled rng 6 aig Aig.eval_pos shuffled Aig.eval_pos "shuffle"
   done
 
-let test_balance_equivalent_and_shallow () =
-  let g = Aig.create () in
-  let xs = Array.init 8 (fun _ -> Aig.add_pi g) in
-  (* Deliberately left-leaning chain of depth 7. *)
-  let chain =
-    Array.fold_left (fun acc x -> Aig.and_ g acc x) xs.(0)
-      (Array.sub xs 1 7)
-  in
-  Aig.add_po g chain;
-  let balanced = Rewrite.balance g in
-  let rng = Rng.create 53 in
-  check_equiv_sampled rng 8 g Aig.eval_pos balanced Aig.eval_pos "balance";
-  let depth aig =
-    let levels = Aig.level aig in
-    Array.fold_left
-      (fun acc l -> max acc levels.(Aig.node_of_lit l))
-      0 (Aig.pos aig)
-  in
-  Alcotest.(check int) "chain depth" 7 (depth g);
-  Alcotest.(check bool) "balanced is shallower" true (depth balanced <= 4)
-
 let () =
   Alcotest.run "aig"
     [
@@ -264,6 +245,5 @@ let () =
         [
           Alcotest.test_case "shuffle equivalent" `Quick
             test_shuffle_rebuild_equivalent;
-          Alcotest.test_case "balance" `Quick test_balance_equivalent_and_shallow;
         ] );
     ]

@@ -114,57 +114,66 @@ let test_detects_word_wide_gates () =
       (Fault.all_gate_faults net)
   done
 
+(* The faults no input vector detects, by exhaustive simulation. *)
+let undetectable net npis =
+  List.filter
+    (fun fault ->
+      not
+        (List.exists
+           (fun m ->
+             Fault.detects net fault (Array.init npis (fun i -> (m lsr i) land 1 = 1)))
+           (List.init (1 lsl npis) Fun.id)))
+    (Fault.all_gate_faults net)
+
 let test_masked_fault_undetectable () =
-  (* g = x OR (NOT x) is constant 1; a SA1 on it changes nothing. *)
+  (* g = x OR (NOT x) is constant 1: a SA1 on g, and a SA1 on NOT x
+     (which pins g to 1), change nothing. *)
   let net = N.create () in
   let x = N.add_pi net in
   let nx = N.add_gate net (TT.not_ (TT.var 0 1)) [| x |] in
   let g = N.add_gate net tt_or2 [| x; nx |] in
   N.add_po net g;
-  let sa1 = { Fault.node = g; stuck = true } in
-  Alcotest.(check bool) "sa1 on constant-1 node untestable" true
-    (Tpg.generate_sat net sa1 = Tpg.Untestable);
-  (* SA0 on it is testable by any vector. *)
-  match Tpg.generate_sat net { Fault.node = g; stuck = false } with
-  | Tpg.Detected vec ->
-      Alcotest.(check bool) "witness works" true
-        (Fault.detects net { Fault.node = g; stuck = false } vec)
-  | Tpg.Untestable -> Alcotest.fail "sa0 is testable"
+  Alcotest.(check int) "two masked faults" 2 (List.length (undetectable net 1));
+  let stats = Tpg.campaign ~seed:1 net in
+  Alcotest.(check int) "both proved untestable" 2 stats.Tpg.untestable;
+  Alcotest.(check int) "both SAT-decided" 2 stats.Tpg.sat_calls
 
 let test_sat_generation_random () =
-  (* Every SAT answer must be correct: Detected vectors detect; for a few
-     faults cross-check Untestable with exhaustive simulation. *)
+  (* The SAT tier decides exactly: the faults it proves untestable are
+     the ones exhaustive simulation never detects. *)
   let rng = Rng.create 37 in
-  for _ = 1 to 8 do
+  for seed = 1 to 8 do
     let net = random_net rng 4 12 in
-    List.iter
-      (fun fault ->
-        match Tpg.generate_sat net fault with
-        | Tpg.Detected vec ->
-            Alcotest.(check bool) "valid test" true (Fault.detects net fault vec)
-        | Tpg.Untestable ->
-            for m = 0 to 15 do
-              let vec = Array.init 4 (fun i -> (m lsr i) land 1 = 1) in
-              Alcotest.(check bool) "exhaustively untestable" false
-                (Fault.detects net fault vec)
-            done)
-      (Fault.all_gate_faults net)
+    let stats = Tpg.campaign ~seed net in
+    Alcotest.(check int) "untestable = exhaustively undetectable"
+      (List.length (undetectable net 4))
+      stats.Tpg.untestable
   done
 
 let test_guided_generation_valid () =
+  (* Every fault a tier detects is detectable (exhaustively checked) on
+     random networks, where random patterns catch nearly everything ... *)
   let rng = Rng.create 41 in
-  for _ = 1 to 10 do
+  for seed = 1 to 10 do
     let net = random_net rng 5 15 in
-    List.iteri
-      (fun i fault ->
-        if i mod 5 = 0 then
-          match Tpg.generate_guided ~rng net fault with
-          | Some vec ->
-              Alcotest.(check bool) "guided vector detects" true
-                (Fault.detects net fault vec)
-          | None -> ())
-      (Fault.all_gate_faults net)
-  done
+    let stats = Tpg.campaign ~seed net in
+    Alcotest.(check int) "detected = exhaustively detectable"
+      (stats.Tpg.total - List.length (undetectable net 5))
+      (stats.Tpg.by_random + stats.Tpg.by_guided + stats.Tpg.by_sat)
+  done;
+  (* ... and on an AND chain over 12 PIs, whose deep stuck-at-0 faults
+     need the all-ones vector: guided activation finds it. *)
+  let net = N.create () in
+  let pis = List.init 12 (fun _ -> N.add_pi net) in
+  N.add_po net
+    (List.fold_left
+       (fun acc x -> N.add_gate net tt_and2 [| acc; x |])
+       (List.hd pis) (List.tl pis));
+  let stats = Tpg.campaign ~seed:1 net in
+  Alcotest.(check int) "every chain fault detected" stats.Tpg.total
+    (stats.Tpg.by_random + stats.Tpg.by_guided + stats.Tpg.by_sat);
+  Alcotest.(check bool) "the guided tier detects some" true
+    (stats.Tpg.by_guided > 0)
 
 let test_campaign_accounting () =
   let rng = Rng.create 43 in

@@ -136,7 +136,8 @@ let test_vec_shrink_clear () =
   Alcotest.(check int) "cleared" 0 (Vec.length v)
 
 let test_vec_iter_fold () =
-  let v = Vec.of_array ~dummy:0 [| 1; 2; 3; 4 |] in
+  let v = Vec.create ~dummy:0 () in
+  List.iter (Vec.push v) [ 1; 2; 3; 4 ];
   Alcotest.(check int) "fold sum" 10 (Vec.fold_left ( + ) 0 v);
   let acc = ref [] in
   Vec.iteri (fun i x -> acc := (i, x) :: !acc) v;
@@ -147,16 +148,6 @@ let test_vec_iter_fold () =
 (* ------------------------------------------------------------------ *)
 (* Timer                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let test_timer_accum () =
-  let a = Timer.accum () in
-  let r = Timer.record a (fun () -> 41 + 1) in
-  Alcotest.(check int) "result" 42 r;
-  ignore (Timer.record a (fun () -> ()));
-  Alcotest.(check int) "calls" 2 (Timer.calls a);
-  Alcotest.(check bool) "non-negative" true (Timer.elapsed a >= 0.0);
-  Timer.reset a;
-  Alcotest.(check int) "reset" 0 (Timer.calls a)
 
 let test_time_increases () =
   let _, dt = Timer.time (fun () -> Array.init 100000 Fun.id) in
@@ -190,7 +181,6 @@ let () =
         ] );
       ( "timer",
         [
-          Alcotest.test_case "accumulator" `Quick test_timer_accum;
           Alcotest.test_case "time" `Quick test_time_increases;
         ] );
     ]

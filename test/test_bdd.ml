@@ -27,6 +27,14 @@ let random_net rng npis ngates =
 (* Basic algebra                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The BDD of [tt] with input [i] on variable [i]: one gate over as many
+   PIs. *)
+let bdd_of_table m tt =
+  let net = N.create () in
+  let pis = Array.init (TT.nvars tt) (fun _ -> N.add_pi net) in
+  let g = N.add_gate net tt pis in
+  (Bdd.build_network m net).(g)
+
 let test_terminals () =
   let m = Bdd.manager 3 in
   Alcotest.(check bool) "zero is zero" true (Bdd.is_zero m (Bdd.zero m));
@@ -57,11 +65,10 @@ let test_canonicity_random () =
   for _ = 1 to 30 do
     let m = Bdd.manager 5 in
     let tt = TT.random rng 5 in
-    let vars = [| 0; 1; 2; 3; 4 |] in
-    let f = Bdd.of_truth_table m tt vars in
+    let f = bdd_of_table m tt in
     (* Rebuild through Shannon on variable 3 manually. *)
-    let f0 = Bdd.of_truth_table m (TT.cofactor tt 3 false) vars in
-    let f1 = Bdd.of_truth_table m (TT.cofactor tt 3 true) vars in
+    let f0 = bdd_of_table m (TT.cofactor tt 3 false) in
+    let f1 = bdd_of_table m (TT.cofactor tt 3 true) in
     let g = Bdd.ite m (Bdd.var m 3) f1 f0 in
     Alcotest.(check bool) "canonical" true (Bdd.equal f g)
   done
@@ -72,24 +79,12 @@ let test_eval_matches_truth_table () =
     let n = 1 + Rng.int rng 6 in
     let m = Bdd.manager n in
     let tt = TT.random rng n in
-    let f = Bdd.of_truth_table m tt (Array.init n Fun.id) in
+    let f = bdd_of_table m tt in
     for minterm = 0 to (1 lsl n) - 1 do
       let assignment = Array.init n (fun i -> (minterm lsr i) land 1 = 1) in
       Alcotest.(check bool) "eval" (TT.get_bit tt minterm)
         (Bdd.eval m f assignment)
     done
-  done
-
-let test_sat_count () =
-  let rng = Rng.create 13 in
-  for _ = 1 to 30 do
-    let n = 1 + Rng.int rng 6 in
-    let m = Bdd.manager n in
-    let tt = TT.random rng n in
-    let f = Bdd.of_truth_table m tt (Array.init n Fun.id) in
-    Alcotest.(check (float 0.01)) "sat_count"
-      (float_of_int (TT.count_ones tt))
-      (Bdd.sat_count m f)
   done
 
 let test_any_sat () =
@@ -98,7 +93,7 @@ let test_any_sat () =
     let n = 1 + Rng.int rng 6 in
     let m = Bdd.manager n in
     let tt = TT.random rng n in
-    let f = Bdd.of_truth_table m tt (Array.init n Fun.id) in
+    let f = bdd_of_table m tt in
     match Bdd.any_sat m f with
     | None ->
         Alcotest.(check (option bool)) "none only for const0" (Some false)
@@ -237,7 +232,6 @@ let () =
           Alcotest.test_case "hash consing" `Quick test_hash_consing;
           Alcotest.test_case "canonicity" `Quick test_canonicity_random;
           Alcotest.test_case "eval" `Quick test_eval_matches_truth_table;
-          Alcotest.test_case "sat_count" `Quick test_sat_count;
           Alcotest.test_case "any_sat" `Quick test_any_sat;
           Alcotest.test_case "size/quota" `Quick test_size_and_quota;
           Alcotest.test_case "build network" `Quick test_build_network;

@@ -33,26 +33,13 @@ let test_ripple_adder () =
     done
   done
 
-let test_cla_matches_ripple () =
-  let g = Aig.create () in
-  let a = Array.init 5 (fun _ -> Aig.add_pi g) in
-  let b = Array.init 5 (fun _ -> Aig.add_pi g) in
-  let cin = Aig.add_pi g in
-  let s1, c1 = Arith.ripple_adder g a b ~cin in
-  let s2, c2 = Arith.carry_lookahead_adder g a b ~cin in
-  let rng = Rng.create 401 in
-  for _ = 1 to 300 do
-    let vec = Array.init 11 (fun _ -> Rng.bool rng) in
-    let vals = Aig.eval g vec in
-    Alcotest.(check int) "sum equal" (word_value vals s1) (word_value vals s2);
-    Alcotest.(check bool) "carry equal" (Aig.eval_lit vals c1) (Aig.eval_lit vals c2)
-  done
-
 let test_subtractor () =
+  (* The subtractor behind the ALU's op 1. *)
   let g = Aig.create () in
+  let op = [| Aig.true_; Aig.false_ |] in
   let a = Array.init 4 (fun _ -> Aig.add_pi g) in
   let b = Array.init 4 (fun _ -> Aig.add_pi g) in
-  let diff, _ = Arith.subtractor g a b in
+  let diff = Arith.alu g ~op a b in
   for x = 0 to 15 do
     for y = 0 to 15 do
       let vec = Array.init 8 (fun i ->
@@ -65,17 +52,17 @@ let test_subtractor () =
   done
 
 let test_multiplier () =
-  let g = Aig.create () in
-  let a = Array.init 4 (fun _ -> Aig.add_pi g) in
-  let b = Array.init 4 (fun _ -> Aig.add_pi g) in
-  let prod = Arith.multiplier g a b in
-  for x = 0 to 15 do
-    for y = 0 to 15 do
-      let vec = Array.init 8 (fun i ->
-          if i < 4 then (x lsr i) land 1 = 1 else (y lsr (i - 4)) land 1 = 1)
-      in
+  (* The array multiplier behind [square], over several operand widths:
+     result width is twice the operand width, and every product is exact. *)
+  for w = 1 to 6 do
+    let g = Aig.create () in
+    let a = Array.init w (fun _ -> Aig.add_pi g) in
+    let prod = Arith.square g a in
+    Alcotest.(check int) "result width" (2 * w) (Array.length prod);
+    for x = 0 to (1 lsl w) - 1 do
+      let vec = Array.init w (fun i -> (x lsr i) land 1 = 1) in
       let vals = Aig.eval g vec in
-      Alcotest.(check int) (Printf.sprintf "%d*%d" x y) (x * y)
+      Alcotest.(check int) (Printf.sprintf "%d*%d" x x) (x * x)
         (word_value vals prod)
     done
   done
@@ -245,15 +232,20 @@ let test_duplicate_variants_equivalent () =
   let rng = Rng.create 11 in
   let spec = { Pla.inputs = 8; outputs = 4; products = 20; literals = 3; terms_per_output = 4 } in
   let g = Pla.generate rng spec in
-  let dup = Redundancy.duplicate_variants rng g in
+  (* Every PO's duplicate is exact: only the extra POs of the internal
+     near-miss pairs follow the original ones. *)
+  let dup = Redundancy.inject ~exact_fraction:1.0 rng g in
   Alcotest.(check int) "one extra pi" (Aig.num_pis g + 1) (Aig.num_pis dup);
-  (* Whatever the selector, the POs equal the original. *)
+  let npos = Aig.num_pos g in
+  (* Whatever the selector, the original POs are unchanged. *)
   for _ = 1 to 200 do
     let vec = Array.init 8 (fun _ -> Rng.bool rng) in
     let expected = Aig.eval_pos g vec in
     List.iter
       (fun sel ->
-        let got = Aig.eval_pos dup (Array.append vec [| sel |]) in
+        let got =
+          Array.sub (Aig.eval_pos dup (Array.append vec [| sel |])) 0 npos
+        in
         Alcotest.(check (array bool)) "variant equals original" expected got)
       [ false; true ]
   done
@@ -262,7 +254,7 @@ let test_inject_near_miss_rare () =
   let rng = Rng.create 13 in
   let spec = { Pla.inputs = 12; outputs = 6; products = 25; literals = 3; terms_per_output = 4 } in
   let g = Pla.generate rng spec in
-  let inj = Redundancy.inject ~exact_fraction:0.0 ~rare_bits:8 rng g in
+  let inj = Redundancy.inject ~exact_fraction:0.0 rng g in
   (* [inject] adds extra POs for the internal near-miss pairs; the first
      POs correspond to the original outputs. *)
   let npos = Aig.num_pos g in
@@ -351,7 +343,6 @@ let () =
       ( "arith",
         [
           Alcotest.test_case "ripple adder" `Quick test_ripple_adder;
-          Alcotest.test_case "cla = ripple" `Quick test_cla_matches_ripple;
           Alcotest.test_case "subtractor" `Quick test_subtractor;
           Alcotest.test_case "multiplier" `Quick test_multiplier;
           Alcotest.test_case "square" `Quick test_square;

@@ -165,14 +165,14 @@ let test_focus_decisions () =
   S.add_clause s [ L.pos x ];
   Alcotest.(check bool) "failed assumption under focus" true
     (S.solve ~assumptions:[ L.neg x ] s = S.Unsat);
-  (* Lifting the focus restores the variables the focused search popped
+  (* Widening the focus restores the variables the focused search popped
      off the order heap: this instance is unsatisfiable but has no unit,
      so refuting it *requires* branching on y or z — a heap that lost
      them would answer Sat. *)
-  S.unfocus_decisions s;
+  S.focus_decisions s [ x; y; z ];
   S.add_clause s [ L.pos y; L.pos z ];
   S.add_clause s [ L.neg y; L.neg z ];
-  Alcotest.(check bool) "unfocused search reaches every variable" true
+  Alcotest.(check bool) "widened search reaches every focused variable" true
     (S.solve s = S.Unsat)
 
 (* ------------------------------------------------------------------ *)

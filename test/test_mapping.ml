@@ -148,15 +148,6 @@ let test_map_wide_conjunction () =
   all_true.(7) <- false;
   Alcotest.(check (array bool)) "one zero" [| false |] (N.eval_pos net all_true)
 
-let test_cut_limit_tradeoff () =
-  (* More priority cuts can only improve (or preserve) depth. *)
-  let rng = Rng.create 79 in
-  let aig = random_aig rng 8 150 4 in
-  let _, s1 = Mapper.map_with_stats ~k:6 ~cut_limit:1 aig in
-  let _, s8 = Mapper.map_with_stats ~k:6 ~cut_limit:8 aig in
-  Alcotest.(check bool) "depth monotone in cut budget" true
-    (s8.Mapper.depth <= s1.Mapper.depth)
-
 let () =
   Alcotest.run "mapping"
     [
@@ -176,6 +167,5 @@ let () =
           Alcotest.test_case "constant po" `Quick test_map_constant_po;
           Alcotest.test_case "po to pi" `Quick test_map_po_to_pi;
           Alcotest.test_case "wide conjunction" `Quick test_map_wide_conjunction;
-          Alcotest.test_case "cut limit" `Quick test_cut_limit_tradeoff;
         ] );
     ]

@@ -4,6 +4,12 @@ module Sim = Simgen_sim.Simulator
 module Eq = Simgen_sim.Eq_classes
 module Rng = Simgen_base.Rng
 
+(* The single-vector node values at bit [k] of a node-word array. *)
+let values_bit node_words k =
+  Array.map
+    (fun w -> Int64.logand (Int64.shift_right_logical w k) 1L = 1L)
+    node_words
+
 let random_net rng npis ngates =
   let net = N.create () in
   let ids = ref [] in
@@ -63,7 +69,7 @@ let test_word_vs_scalar () =
             Int64.logand (Int64.shift_right_logical words.(i) k) 1L = 1L)
       in
       let scalar = N.eval net vec in
-      let from_word = Sim.node_values_bit node_words k in
+      let from_word = values_bit node_words k in
       N.iter_nodes net (fun id ->
           Alcotest.(check bool) "bit matches scalar" scalar.(id) from_word.(id))
     done
@@ -79,7 +85,7 @@ let test_word_of_vector_broadcast () =
   (* every bit position holds the same vector *)
   List.iter
     (fun k ->
-      let v = Sim.node_values_bit node_words k in
+      let v = values_bit node_words k in
       N.iter_nodes net (fun id ->
           Alcotest.(check bool) "broadcast" scalar.(id) v.(id)))
     [ 0; 17; 63 ]
@@ -118,10 +124,14 @@ let redundant_net () =
   List.iter (N.add_po net) [ x1; x2; y1; y2; n ];
   (net, x1, x2, y1, y2, n)
 
+(* Refine by one input vector, broadcast to every lane of a word. *)
+let refine_vector net eq vec =
+  Eq.refine_word eq (Sim.simulate_word net (Sim.word_of_vector net vec))
+
 let exhaustive_refine net eq =
   for m = 0 to (1 lsl N.num_pis net) - 1 do
     let vec = Array.init (N.num_pis net) (fun i -> (m lsr i) land 1 = 1) in
-    Eq.refine_vector eq (N.eval net vec)
+    refine_vector net eq vec
   done
 
 let test_initial_class () =
@@ -188,7 +198,7 @@ let test_copy_isolated () =
   let eq = Eq.create net in
   let snapshot = Eq.copy eq in
   (* a=1, b=0 splits the ANDs (0) from the ORs and the XOR (1) *)
-  Eq.refine_vector eq (N.eval net [| true; false |]);
+  refine_vector net eq [| true; false |];
   let refined = Eq.copy eq in
   let before = Eq.classes eq and n_class = Eq.class_of eq n in
   exhaustive_refine net eq;
@@ -223,7 +233,7 @@ let prop_refine_matches_history =
             else begin
               let vec = Array.init (N.num_pis net) (fun _ -> Rng.bool rng) in
               let values = N.eval net vec in
-              Eq.refine_vector eq values;
+              refine_vector net eq vec;
               Array.iteri (fun id v -> history.(id) <- `V v :: history.(id)) values
             end);
            let tbl = Hashtbl.create 16 in

@@ -174,16 +174,6 @@ let test_d006_delete_then_use () =
     (Proof_lint.run ~formula:formula2
        [ S.Delete [| n 0; p 1 |]; S.Learn [| p 1 |] ])
 
-let test_d007_group_removal_mismatch () =
-  let expected = [ [ p 0; p 1 ]; [ n 0; p 1 ] ] in
-  (* One delete outside the membership, one member never deleted. *)
-  let diags =
-    Proof_lint.lint_group_removal ~expected
-      [ S.Delete [| p 0; p 1 |]; S.Delete [| p 5 |] ]
-  in
-  expect_codes "D007" [ "D007" ] diags;
-  Alcotest.(check int) "both directions" 2 (List.length diags)
-
 let test_d008_unsat_without_empty () =
   expect_codes "D008" [ "D008" ]
     (Proof_lint.run ~expect_unsat:true [ S.Learn [| p 1 |] ]);
@@ -227,7 +217,7 @@ let expect_violation code f =
       Alcotest.(check string)
         (code ^ " code")
         code
-        (Runtime_check.violation_code msg)
+        (List.hd (String.split_on_char ':' msg))
 
 (* A solver with an implication on the trail: whatever sign v0 is
    decided, v1 is implied through one of the two binary clauses. *)
@@ -726,8 +716,6 @@ let () =
             test_d005_duplicate_literal;
           Alcotest.test_case "D006 delete-then-use" `Quick
             test_d006_delete_then_use;
-          Alcotest.test_case "D007 group mismatch" `Quick
-            test_d007_group_removal_mismatch;
           Alcotest.test_case "D008 unsat unproved" `Quick
             test_d008_unsat_without_empty;
           Alcotest.test_case "D009 trim anomaly" `Quick test_d009_trim_anomaly;

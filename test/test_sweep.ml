@@ -433,77 +433,46 @@ let test_apply_vectors_matches_one_by_one () =
     (List.length (Sweeper.cost_history sw1))
 
 (* ------------------------------------------------------------------ *)
-(* Merged-network extraction and counter-example minimization          *)
+(* Merges                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_merged_network_shrinks_and_preserves () =
-  let net, _, _, _, _, _, _ = candidates_net () in
+let test_merges_on_candidates () =
+  let net, x1, x2, y1, y2, z1, z2 = candidates_net () in
   let sw = Sweeper.create (opts 1) net in
   Sweeper.random_round sw;
   ignore (Sweeper.sat_sweep (opts 1) sw);
-  let merged = Sweeper.merged_network sw in
-  (* The two proven-equivalent pairs disappear. *)
-  Alcotest.(check bool) "fewer gates" true
-    (N.num_gates merged < N.num_gates net);
+  let rep = Sweeper.representative sw in
+  (* The two proven-equivalent pairs merge; the near-miss pair does not. *)
+  Alcotest.(check int) "x2 merged into x1" x1 (rep x2);
+  Alcotest.(check int) "y2 merged into y1" y1 (rep y2);
+  Alcotest.(check bool) "near miss kept apart" true (rep z1 <> rep z2);
   for m = 0 to 15 do
-    let vec = Array.init 4 (fun i -> (m lsr i) land 1 = 1) in
-    Alcotest.(check (array bool)) "functionally equivalent"
-      (N.eval_pos net vec) (N.eval_pos merged vec)
+    let vals = N.eval net (Array.init 4 (fun i -> (m lsr i) land 1 = 1)) in
+    N.iter_gates net (fun id ->
+        Alcotest.(check bool) "gate = its representative" vals.(id)
+          vals.(rep id))
   done
 
+(* On random networks the merge map a swept network would be built from
+   is sound: each proof merges exactly one gate away, and every gate
+   equals its representative on every input. *)
 let test_merged_network_random () =
   let rng = Rng.create 401 in
   for _ = 1 to 8 do
     let net = random_net rng 5 25 in
     let sw = Sweeper.create (opts 9) net in
     Sweeper.random_round sw;
-    ignore (Sweeper.sat_sweep (opts 9) sw);
-    let merged = Sweeper.merged_network sw in
-    Alcotest.(check bool) "no growth" true (N.num_gates merged <= N.num_gates net);
+    let s = Sweeper.sat_sweep (opts 9) sw in
+    let rep = Sweeper.representative sw in
+    let merged = ref 0 in
+    N.iter_gates net (fun id -> if rep id <> id then incr merged);
+    Alcotest.(check int) "one merged gate per proof" s.Sweeper.proved !merged;
     for m = 0 to 31 do
-      let vec = Array.init 5 (fun i -> (m lsr i) land 1 = 1) in
-      Alcotest.(check (array bool)) "equivalent" (N.eval_pos net vec)
-        (N.eval_pos merged vec)
+      let vals = N.eval net (Array.init 5 (fun i -> (m lsr i) land 1 = 1)) in
+      N.iter_gates net (fun id ->
+          Alcotest.(check bool) "equivalent" vals.(id) vals.(rep id))
     done
   done
-
-let test_minimize_counterexample () =
-  let net, _, _, _, _, z1, z2 = candidates_net () in
-  (* Any vector with a=b=c=d=1 distinguishes z1/z2; start from it and
-     check minimization keeps the distinction with a locally minimal
-     vector. *)
-  let cex = [| true; true; true; true |] in
-  let minimized = Simgen_sweep.Minimize.distinguishing net z1 z2 cex in
-  let vals = N.eval net minimized in
-  Alcotest.(check bool) "still distinguishes" true (vals.(z1) <> vals.(z2));
-  (* Local minimality: flipping any remaining 1-bit to 0 loses it. *)
-  Array.iteri
-    (fun i v ->
-      if v then begin
-        let probe = Array.copy minimized in
-        probe.(i) <- false;
-        let vals = N.eval net probe in
-        Alcotest.(check bool) "locally minimal" true (vals.(z1) = vals.(z2))
-      end)
-    minimized
-
-let test_minimize_rejects_non_cex () =
-  let net, x1, _, y1, _, _, _ = candidates_net () in
-  (* 00..0 gives x1 = y1 = 0: not a counter-example. *)
-  Alcotest.check_raises "not a cex"
-    (Invalid_argument "Minimize.distinguishing: not a counter-example")
-    (fun () ->
-      ignore
-        (Simgen_sweep.Minimize.distinguishing net x1 y1
-           (Array.make 4 false)))
-
-let test_essential_bits () =
-  let net, _, _, _, _, z1, z2 = candidates_net () in
-  let bits =
-    Simgen_sweep.Minimize.essential_bits net z1 z2 [| true; true; true; true |]
-  in
-  (* The pair differs only on a=b=c=d=1, so all four bits are essential. *)
-  Alcotest.(check (list int)) "kernel" [ 0; 1; 2; 3 ] bits
 
 (* ------------------------------------------------------------------ *)
 (* SAT-based vector generation and 1-distance baselines                *)
@@ -512,7 +481,7 @@ let test_essential_bits () =
 let test_sat_vectors_realize_outgold () =
   let net, x1, _, y1, _, z1, z2 = candidates_net () in
   let session = Sat_session.create net in
-  (match Sat_vectors.generate_in session [ (x1, false); (y1, true) ] with
+  (match Sat_session.solve_targets session [ (x1, false); (y1, true) ] with
    | Some vec ->
        let vals = N.eval net vec in
        Alcotest.(check bool) "x1=0" false vals.(x1);
@@ -520,7 +489,7 @@ let test_sat_vectors_realize_outgold () =
    | None -> Alcotest.fail "satisfiable combination rejected");
   (* The near-miss pair: only the rare minterm (where z1 = 1, z2 = 0)
      splits it. *)
-  match Sat_vectors.generate_in session [ (z1, true); (z2, false) ] with
+  match Sat_session.solve_targets session [ (z1, true); (z2, false) ] with
   | Some vec ->
       let vals = N.eval net vec in
       Alcotest.(check bool) "split realized" true (vals.(z1) <> vals.(z2))
@@ -530,7 +499,7 @@ let test_sat_vectors_unsat () =
   let net, x1, x2, _, _, _, _ = candidates_net () in
   (* Equivalent nodes cannot take opposite values. *)
   Alcotest.(check bool) "unsat combination" true
-    (Sat_vectors.generate_in (Sat_session.create net) [ (x1, false); (x2, true) ]
+    (Sat_session.solve_targets (Sat_session.create net) [ (x1, false); (x2, true) ]
     = None)
 
 let test_sat_vectors_pairwise_fallback () =
@@ -567,17 +536,41 @@ let test_sat_guided_round_splits () =
   Alcotest.(check bool) "near-miss split by SAT vectors" false same_class
 
 let test_one_distance_refines () =
-  let net, _, _, _, _, z1, z2 = candidates_net () in
-  let sw = Sweeper.create (opts 5) net in
-  (* The rare minterm is 1111; a 1-distance neighbourhood of 0111 contains
-     it, so applying it must split the near-miss pair. *)
-  Sweeper.apply_one_distance sw [| false; true; true; true |];
-  let same_class =
-    match Eq.class_of (Sweeper.classes sw) z1 with
-    | [] -> false
-    | cls -> List.mem z2 cls
-  in
-  Alcotest.(check bool) "split by a 1-distance flip" false same_class
+  (* With [one_distance], the sweep simulates a counter-example together
+     with its one-bit flips. Stopped right after the first one, no class
+     holds two gates that one of those flips tells apart. *)
+  let rng = Rng.create 577 in
+  for _ = 1 to 8 do
+    let net = random_net rng 5 25 in
+    let cex = ref None in
+    let o =
+      {
+        (opts 5) with
+        Sweep_options.one_distance = true;
+        observe =
+          (function Sweep_options.Counterexample v -> cex := Some v | _ -> ());
+        should_stop = (fun () -> !cex <> None);
+      }
+    in
+    let sw = Sweeper.create o net in
+    ignore (Sweeper.sat_sweep o sw);
+    match !cex with
+    | None -> Alcotest.fail "the sweep found no counter-example"
+    | Some cex ->
+        for bit = 0 to N.num_pis net - 1 do
+          let flipped = Array.copy cex in
+          flipped.(bit) <- not flipped.(bit);
+          let vals = N.eval net flipped in
+          List.iter
+            (fun cls ->
+              List.iter
+                (fun id ->
+                  Alcotest.(check bool) "class refined by the 1-distance flip"
+                    vals.(List.hd cls) vals.(id))
+                cls)
+            (Eq.classes (Sweeper.classes sw))
+        done
+  done
 
 let prop_sat_vectors_sound =
   QCheck_alcotest.to_alcotest
@@ -597,7 +590,7 @@ let prop_sat_vectors_sound =
          in
          let outgold = List.map (fun id -> (id, Rng.bool rng)) targets in
          match
-           Sat_vectors.generate_in (Sat_session.create ~rng net) outgold
+           Sat_session.solve_targets (Sat_session.create ~rng net) outgold
          with
          | Some vec ->
              let vals = N.eval net vec in
@@ -679,7 +672,7 @@ let test_cec_detects_mutation () =
   (* Flipping an internal gate that reaches a PO must be caught. *)
   let reaches_po =
     Array.exists
-      (fun po -> List.mem !flipped (Simgen_network.Cone.fanin_cone net1 po))
+      (fun po -> List.mem !flipped (Simgen_network.Cone.fanin_cone_many net1 [ po ]))
       (N.pos net1)
   in
   if reaches_po then begin
@@ -1156,12 +1149,8 @@ let () =
       ( "simplify",
         [
           Alcotest.test_case "merged network" `Quick
-            test_merged_network_shrinks_and_preserves;
+            test_merges_on_candidates;
           Alcotest.test_case "merged random" `Quick test_merged_network_random;
-          Alcotest.test_case "minimize cex" `Quick test_minimize_counterexample;
-          Alcotest.test_case "minimize rejects" `Quick
-            test_minimize_rejects_non_cex;
-          Alcotest.test_case "essential bits" `Quick test_essential_bits;
         ] );
       ( "baselines",
         [

@@ -1,8 +1,6 @@
 module TT = Simgen_network.Truth_table
 module Rng = Simgen_base.Rng
 
-let tt_testable = Alcotest.testable TT.pp TT.equal
-
 let rng = Rng.create 2024
 
 (* qcheck generator over (nvars, table). *)
@@ -125,14 +123,6 @@ let prop_string_roundtrip =
   prop "to_string/of_string roundtrip" gen_table (fun f ->
       TT.equal f (TT.of_string (TT.to_string f)))
 
-let prop_permute_identity =
-  prop "identity permutation" gen_table (fun f ->
-      TT.equal f (TT.permute f (Array.init (TT.nvars f) Fun.id)))
-
-let prop_swap_involution =
-  prop "swap_adjacent involution" gen_table (fun f ->
-      TT.nvars f < 2 || TT.equal f (TT.swap_adjacent (TT.swap_adjacent f 0) 0))
-
 let prop_expand_preserves =
   prop "expand preserves function" gen_table (fun f ->
       let n = TT.nvars f in
@@ -154,13 +144,6 @@ let test_support () =
   (* f = x0 AND x2 over 4 vars: support = [0; 2]. *)
   let f = TT.and_ (TT.var 0 4) (TT.var 2 4) in
   Alcotest.(check (list int)) "support" [ 0; 2 ] (TT.support f)
-
-let test_permute_swap () =
-  (* Swapping x0 and x1 in (x0 AND ~x1) gives (x1 AND ~x0). *)
-  let f = TT.and_ (TT.var 0 2) (TT.not_ (TT.var 1 2)) in
-  let g = TT.permute f [| 1; 0 |] in
-  let expected = TT.and_ (TT.var 1 2) (TT.not_ (TT.var 0 2)) in
-  Alcotest.check tt_testable "permuted" expected g
 
 let test_of_minterms () =
   let f = TT.of_minterms 3 [ 0; 5; 7 ] in
@@ -211,14 +194,11 @@ let () =
           prop_depends_on_cofactors;
           prop_count_ones_negation;
           prop_string_roundtrip;
-          prop_permute_identity;
-          prop_swap_involution;
           prop_expand_preserves;
         ] );
       ( "structure",
         [
           Alcotest.test_case "support" `Quick test_support;
-          Alcotest.test_case "permute swap" `Quick test_permute_swap;
           Alcotest.test_case "multi-word tables" `Quick test_large_tables;
           Alcotest.test_case "hash consistency" `Quick test_hash_consistency;
         ] );
