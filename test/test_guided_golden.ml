@@ -4,7 +4,9 @@
    then 20 guided rounds, followed by the guided phase's totals of useful
    vectors, skipped classes, generation conflicts, implications and
    decisions. A change in a row choice, an implication or an RNG draw of
-   the guided phase shows up as a changed line.
+   the guided phase shows up as a changed line. Beside the flat circuits,
+   square stacked twice (the cec-stacked shape) covers a deep network
+   whose nodes have long fanout lists.
 
    Regenerate (only when a behaviour change is intended) with
      dune exec test/test_guided_golden.exe -- --write test/golden/guided_costs.txt *)
@@ -13,8 +15,16 @@ module Suite = Simgen_benchgen.Suite
 module Sweeper = Simgen_sweep.Sweeper
 module Sweep_options = Simgen_sweep.Sweep_options
 module Strategy = Simgen_core.Strategy
+module Stack_networks = Simgen_network.Stack_networks
 
-let circuits = [ "dec"; "priority"; "apex5"; "alu4"; "square"; "b14_C" ]
+let circuits =
+  List.map
+    (fun c -> (c, fun () -> Suite.lut_network c))
+    [ "dec"; "priority"; "apex5"; "alu4"; "square"; "b14_C" ]
+  @ [
+      ( "square_x2",
+        fun () -> Stack_networks.stack (Suite.lut_network "square") 2 );
+    ]
 let seeds = [ 3; 7 ]
 
 let line bench net strategy seed =
@@ -38,8 +48,8 @@ let line bench net strategy seed =
 
 let lines () =
   List.concat_map
-    (fun bench ->
-      let net = Suite.lut_network bench in
+    (fun (bench, network) ->
+      let net = network () in
       List.concat_map
         (fun strategy -> List.map (line bench net strategy) seeds)
         Strategy.all)
