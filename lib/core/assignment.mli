@@ -49,4 +49,6 @@ val audit : t -> unit
 (** Invariant audit: the trail and the value map must agree (every trail
     entry assigned exactly once, nothing assigned off-trail). No-op unless
     {!Simgen_base.Runtime_check.enabled}; raises
-    {!Simgen_base.Runtime_check.Violation} on failure. O(nodes + trail). *)
+    {!Simgen_base.Runtime_check.Violation} on failure. O(nodes + trail).
+    Vector generation runs it after every class, once the assignment is
+    rolled back. *)

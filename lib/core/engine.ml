@@ -28,6 +28,34 @@ module Worklist = struct
     Queue.clear t.q
 end
 
+(* Fanout chains: one singly linked list per node in flat arrays. The
+   chain of node [id] starts at cell [head.(id)] ([-1]: empty); cell [c]
+   holds the fanout [fanout.(c)] and continues at cell [next.(c)]. A set
+   of chains has a cell per fanin edge of the network, allocated once. *)
+type chains = {
+  head : int array;
+  next : int array;
+  fanout : int array;
+  mutable cells : int;  (* cells in use *)
+}
+
+let chains_create nodes edges =
+  {
+    head = Array.make nodes (-1);
+    next = Array.make edges 0;
+    fanout = Array.make edges 0;
+    cells = 0;
+  }
+
+(* Put gate [g] first on the chain of [f]. Prepending in descending order
+   of [g] leaves a chain in ascending order, as [N.fanouts]. *)
+let prepend ch f g =
+  let c = ch.cells in
+  ch.fanout.(c) <- g;
+  ch.next.(c) <- ch.head.(f);
+  ch.head.(f) <- c;
+  ch.cells <- c + 1
+
 let no_scope = -1
 
 type t = {
@@ -35,10 +63,15 @@ type t = {
   cfg : Config.t;
   rows : Rows.t;
   node_rows : Rows.table option array;  (* per-node view of [rows] *)
-  (* [N.fanins] of every node and the network's fanout lists, read once:
-     the network is fixed for the engine's lifetime. *)
+  (* [N.fanins] of every node, read once: the network is fixed for the
+     engine's lifetime. *)
   fanins : N.node_id array array;
-  fanouts : N.node_id list array;
+  (* The fanouts that [touch] schedules: [all] holds every node's whole
+     fanout list, [scoped] the in-scope fanouts of each node in the scope
+     of the last [set_scope_cones]; [chains] is the one in force. *)
+  all : chains;
+  scoped : chains;
+  mutable chains : chains;
   assignment : Assignment.t;
   vals : Value.t array;  (* [Assignment.values assignment] *)
   queue : Worklist.t;
@@ -63,13 +96,21 @@ type t = {
 let create ?(config = Config.default) net =
   let n = N.num_nodes net in
   let assignment = Assignment.create n in
+  let fanins = Array.init n (N.fanins net) in
+  let edges = Array.fold_left (fun e f -> e + Array.length f) 0 fanins in
+  let all = chains_create n edges in
+  for g = n - 1 downto 0 do
+    Array.iter (fun f -> prepend all f g) fanins.(g)
+  done;
   {
     net;
     cfg = config;
     rows = Rows.create ();
     node_rows = Array.make n None;
-    fanins = Array.init n (N.fanins net);
-    fanouts = N.fanouts_array net;
+    fanins;
+    all;
+    scoped = chains_create n edges;
+    chains = all;
     assignment;
     vals = Assignment.values assignment;
     queue = Worklist.create n;
@@ -170,39 +211,70 @@ let next_epoch t =
   t.epoch <- t.epoch + 1;
   t.epoch
 
+(* Scope marking: one scan in descending id order from the highest root.
+   A stamped gate stamps its fanins and puts itself on each fanin's chain.
+   Fanins precede their gates, so every fanout of a node is scanned before
+   the node: a node in the scope is stamped by the time the scan reaches
+   it, and its chain holds exactly its in-scope fanouts, in ascending
+   order, a duplicated fanin giving a duplicated entry. A node's chain is
+   emptied when it is first stamped. *)
+let stamp_scope t epoch id =
+  if t.scope.(id) <> epoch then begin
+    t.scope.(id) <- epoch;
+    t.scoped.head.(id) <- -1
+  end
+
+let set_scope_cones t roots =
+  let epoch = next_epoch t and ch = t.scoped in
+  ch.cells <- 0;
+  List.iter (stamp_scope t epoch) roots;
+  for g = List.fold_left Int.max (-1) roots downto 0 do
+    if t.scope.(g) = epoch then begin
+      let fanins = t.fanins.(g) in
+      for i = 0 to Array.length fanins - 1 do
+        stamp_scope t epoch fanins.(i);
+        prepend ch fanins.(i) g
+      done
+    end
+  done;
+  t.scope_epoch <- epoch;
+  t.chains <- ch
+
+let clear_scope t =
+  t.scope_epoch <- no_scope;
+  t.chains <- t.all
+
+let scope_chain t id =
+  let ch = t.chains in
+  let rec from c = if c < 0 then [] else ch.fanout.(c) :: from ch.next.(c) in
+  if in_scope t id then from ch.head.(id) else []
+
 (* Cone marking: a depth-first walk over the cached fanin arrays that
    stamps a node with [epoch] when it is pushed, so no node is pushed
    twice and the [n]-slot stack cannot overflow. The walk is iterative:
    stacked networks are too deep for a recursive one. [push] returns the
    new stack height. *)
-let push t stamp epoch sp id =
-  if stamp.(id) = epoch then sp
+let push t epoch sp id =
+  if t.cone.(id) = epoch then sp
   else begin
-    stamp.(id) <- epoch;
+    t.cone.(id) <- epoch;
     t.stack.(sp) <- id;
     sp + 1
   end
 
-let rec walk t stamp epoch sp =
+let rec walk t epoch sp =
   if sp > 0 then begin
     let fanins = t.fanins.(t.stack.(sp - 1)) in
     let sp = ref (sp - 1) in
     for i = 0 to Array.length fanins - 1 do
-      sp := push t stamp epoch !sp fanins.(i)
+      sp := push t epoch !sp fanins.(i)
     done;
-    walk t stamp epoch !sp
+    walk t epoch !sp
   end
-
-let set_scope_cones t roots =
-  let epoch = next_epoch t in
-  walk t t.scope epoch (List.fold_left (push t t.scope epoch) 0 roots);
-  t.scope_epoch <- epoch
-
-let clear_scope t = t.scope_epoch <- no_scope
 
 let mark_cone t root =
   let epoch = next_epoch t in
-  walk t t.cone epoch (push t t.cone epoch 0 root);
+  walk t epoch (push t epoch 0 root);
   t.cone_epoch <- epoch
 
 let in_cone t id = t.cone.(id) = t.cone_epoch
@@ -235,16 +307,18 @@ let latest_candidate t ~since =
   scan t (Assignment.trail t.assignment) since
     (Assignment.num_assigned t.assignment - 1)
 
-let rec push_fanouts t = function
-  | [] -> ()
-  | fo :: rest ->
-      if in_scope t fo then Worklist.push t.queue fo;
-      push_fanouts t rest
+let rec push_chain t (ch : chains) c =
+  if c >= 0 then begin
+    Worklist.push t.queue ch.fanout.(c);
+    push_chain t ch ch.next.(c)
+  end
 
 (* Schedule the gates affected by a new value at [id]. Gates outside the
    current scope (the class's fanin-cone union during Algorithm 1) are not
    examined: the paper's propagation is cone-local, and values outside the
-   scope can never need justification.
+   scope can never need justification. The chain in force holds exactly
+   the in-scope fanouts; a node outside the scope has none, since the
+   scope is closed under fanins.
 
    Fanouts are scheduled in both directions. In [Backward_only] mode the
    examination of a fanout whose own output is still unassigned is a no-op
@@ -253,8 +327,10 @@ let rec push_fanouts t = function
    exactly the "conflicting assignment at any internal node" detection of
    the reverse-simulation procedure (paper section 1, step 5). *)
 let touch t id =
-  if in_scope t id && not (N.is_pi t.net id) then Worklist.push t.queue id;
-  push_fanouts t t.fanouts.(id)
+  if in_scope t id then begin
+    if not (N.is_pi t.net id) then Worklist.push t.queue id;
+    push_chain t t.chains t.chains.head.(id)
+  end
 
 let set t id b =
   match t.vals.(id) with

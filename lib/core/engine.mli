@@ -9,9 +9,10 @@
     63 rows — nearly every K <= 6 function — is examined by a one-word
     kernel that keeps the matching rows in a register; wider tables take
     a multi-word kernel with the same results. The engine reads each
-    node's fanins and the network's fanout lists once, at {!create}: the
-    network must not change while the engine is in use. In [Backward_only] mode a gate is examined only when its own
-    output value arrives — the reverse-simulation baseline of §1.1. *)
+    node's fanins once, at {!create}, and builds from them a chain of
+    every node's fanouts: the network must not change while the engine
+    is in use. In [Backward_only] mode a gate is examined only when its
+    own output value arrives — the reverse-simulation baseline of §1.1. *)
 
 type t
 
@@ -38,22 +39,36 @@ val set_scope_cones : t -> Simgen_network.Network.node_id list -> unit
     Algorithm 1, the cones of the class's targets), replacing any earlier
     scope. Values already assigned outside the scope are still read
     during row matching — only gate (re)examination is confined. Marking
-    stamps an array the engine owns: a depth-first walk over the cached
-    fanin arrays that stamps each node as it is pushed. *)
+    is one scan in descending id order from the highest root over the
+    cached fanin arrays: it stamps the scope in an array the engine owns
+    and links each scope node's in-scope fanouts into a chain, the only
+    fanouts a new value at the node schedules. Costs O(highest root id +
+    scope edges) and allocates nothing: the chain cells are sized at
+    {!create} to the network's fanin edges. *)
 
 val clear_scope : t -> unit
 (** Lift the restriction of {!set_scope_cones}: every gate is in scope,
-    as after {!create}. *)
+    as after {!create}, and a new value schedules all the node's fanouts,
+    by the whole-network chains built at {!create}. *)
 
 val in_scope : t -> Simgen_network.Network.node_id -> bool
 (** Whether gates at the node are (re)examined: it lies in the scope of
     the last {!set_scope_cones}, or no scope is set. Test seam: the
     scope tests compare the marks with {!Simgen_network.Cone}. *)
 
+val scope_chain :
+  t -> Simgen_network.Network.node_id -> Simgen_network.Network.node_id list
+(** The fanouts a new value at the node schedules: its in-scope fanouts
+    in {!Simgen_network.Network.fanouts} order, a gate with a duplicated
+    fanin listed twice; empty outside the scope; every fanout when no
+    scope is set. Test seam: the scope tests compare the chains with the
+    network's fanout lists. *)
+
 val mark_cone : t -> Simgen_network.Network.node_id -> unit
 (** Mark the fanin cone of one node (Algorithm 1's [listDfs] of the
-    current target), replacing the previous mark, by the walk of
-    {!set_scope_cones}. Independent of the scope. *)
+    current target), replacing the previous mark, by a depth-first walk
+    over the cached fanin arrays that stamps each node as it is pushed.
+    Independent of the scope. *)
 
 val in_cone : t -> Simgen_network.Network.node_id -> bool
 (** Whether the node lies in the cone of the last {!mark_cone}; [false]

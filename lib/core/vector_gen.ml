@@ -99,6 +99,9 @@ let generate_with engine decision ~rng ~levels outgold =
   in
   Engine.clear_scope engine;
   Engine.rollback engine 0;
+  (* Under [SIMGEN_CHECK], verify after every class that the trail and
+     the value map agree; [audit] is a no-op otherwise. *)
+  Assignment.audit assignment;
   {
     vector;
     satisfied;

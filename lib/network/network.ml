@@ -99,10 +99,10 @@ let build_fanouts t =
   t.fanout_cache <- Some fo;
   fo
 
-let fanouts_array t =
-  match t.fanout_cache with Some fo -> fo | None -> build_fanouts t
-
-let fanouts t id = (fanouts_array t).(id)
+let fanouts t id =
+  match t.fanout_cache with
+  | Some fo -> fo.(id)
+  | None -> (build_fanouts t).(id)
 
 let iter_nodes t f =
   for id = 0 to num_nodes t - 1 do

@@ -51,12 +51,6 @@ val fanouts : t -> node_id -> node_id list
 (** Gate ids that use the node as a fanin (computed lazily, cached, and
     invalidated on mutation). *)
 
-val fanouts_array : t -> node_id list array
-(** Every node's {!fanouts}, indexed by id: the cache itself, for
-    readers that look fanouts up on a hot path. Invalidated by every
-    mutator like the cache, so it is only valid while the network does
-    not change. Callers must not mutate it. *)
-
 val iter_nodes : t -> (node_id -> unit) -> unit
 (** All nodes in id (= topological) order. *)
 

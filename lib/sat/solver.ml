@@ -979,9 +979,10 @@ let reduce_db s =
    clauses are detached now and leave the arena at the next compaction;
    a clause acting as the reason for a root-level implication loses the
    reason (the implication itself stays on the trail — it remains a
-   consequence of the theory the client retracted from). Returns the
-   number of clauses removed. *)
-let remove_group ?(proof = true) s g =
+   consequence of the theory the client retracted from). No deletion is
+   logged: a proof checker that keeps a retracted clause only gets
+   stronger. Returns the number of clauses removed. *)
+let remove_group s g =
   if decision_level s <> 0 then
     invalid_arg "Solver.remove_group: only at decision level 0";
   match Hashtbl.find_opt s.groups g with
@@ -995,7 +996,6 @@ let remove_group ?(proof = true) s g =
             unlock s c;
             detach s c;
             mark_removed s c;
-            if proof && logging s then log_delete s c;
             s.num_clauses <- s.num_clauses - 1;
             s.removed_total <- s.removed_total + 1;
             s.garbage <- s.garbage + 1;

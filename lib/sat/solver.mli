@@ -44,7 +44,7 @@ val add_clause : ?group:int -> t -> Literal.t list -> unit
     literal (making them at least binary) in the usual incremental-SAT
     style. *)
 
-val remove_group : ?proof:bool -> t -> int -> int
+val remove_group : t -> int -> int
 (** [remove_group s g] physically deletes every clause registered under
     group [g]: the clauses are detached from the watch lists immediately
     and dropped from the clause database at the next compaction. Returns
@@ -55,11 +55,9 @@ val remove_group : ?proof:bool -> t -> int -> int
     trail; removal is only sound when the retracted clauses are
     consequences of (or guarded against) the remaining theory — the
     session discipline of activation literals and conservative-extension
-    gate encodings guarantees exactly that. With [~proof:false] the
-    deletions are not recorded as {!Delete} events; a proof checker that
-    keeps a deleted clause can only get stronger, so suppression is
-    always sound and is used for clauses the certificate checker
-    reconstructs and retires by other means. *)
+    gate encodings guarantees exactly that. The deletions are not
+    recorded as {!Delete} events: a proof checker that keeps a deleted
+    clause can only get stronger, so the omission is always sound. *)
 
 val simplify : t -> unit
 (** Garbage-collect the clause database at decision level 0: remove every
@@ -150,8 +148,8 @@ type proof_event =
   | Learn of Literal.t array  (** clause added by conflict analysis *)
   | Delete of Literal.t array
       (** clause physically removed from the database: learnt-clause
-          reduction ({!simplify} / LBD-tiered reduce) or problem-clause
-          retraction ({!remove_group}) *)
+          reduction ({!simplify} / LBD-tiered reduce); a retraction by
+          {!remove_group} records none *)
 
 val enable_proof : t -> unit
 (** Start recording a DRUP proof (call before adding clauses or solving).

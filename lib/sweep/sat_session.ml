@@ -207,11 +207,11 @@ let encode_roots t roots =
         if t.vars.(id) < 0 then t.encoded <- t.encoded + 1
         else begin
           t.reencoded <- t.reencoded + 1;
-          (* Physically retract the stale definition. The deletions are
-             kept out of the proof stream: the certificate checker treats
+          (* Physically retract the stale definition. The retraction
+             records no proof event: the certificate checker treats
              recorded problem clauses as immutable, and keeping a deleted
              clause only strengthens its propagation. *)
-          let n = Sat.Solver.remove_group ~proof:false t.solver t.vars.(id) in
+          let n = Sat.Solver.remove_group t.solver t.vars.(id) in
           t.clauses_live <- t.clauses_live - n;
           t.retired_clauses <- t.retired_clauses + n
         end;
@@ -362,7 +362,7 @@ let check_pair ?max_conflicts t a b =
     Sat.Solver.add_clause solver [ nact ];
     t.retired <- t.retired + 1;
     t.retired_clauses <-
-      t.retired_clauses + Sat.Solver.remove_group ~proof:false solver act;
+      t.retired_clauses + Sat.Solver.remove_group solver act;
     (match verdict with
      | Equal ->
          (* Proven equivalent: tie the variables so cones through either
@@ -387,9 +387,7 @@ let check_pair ?max_conflicts t a b =
          if t.subst <> None then begin
            let loser = max a b in
            if not (N.is_pi t.net loser) then begin
-             let n =
-               Sat.Solver.remove_group ~proof:false solver t.vars.(loser)
-             in
+             let n = Sat.Solver.remove_group solver t.vars.(loser) in
              t.clauses_live <- t.clauses_live - n;
              t.retired_clauses <- t.retired_clauses + n;
              t.vars.(loser) <- -1;

@@ -422,6 +422,19 @@ let stacked_net rng copies =
   Array.iter (N.add_po net) !inputs;
   net
 
+(* Every node's chain is its in-scope fanouts in [N.fanouts] order,
+   duplicates included, and is empty outside the scope. *)
+let check_chains net engine =
+  let ok = ref true in
+  N.iter_nodes net (fun id ->
+      let expected =
+        if Engine.in_scope engine id then
+          List.filter (Engine.in_scope engine) (N.fanouts net id)
+        else []
+      in
+      if Engine.scope_chain engine id <> expected then ok := false);
+  !ok
+
 let check_marks net engine roots =
   let mask = Cone.member_mask net (Cone.fanin_cone_many net roots) in
   Engine.set_scope_cones engine roots;
@@ -432,7 +445,7 @@ let check_marks net engine roots =
   N.iter_nodes net (fun id ->
       if Engine.in_scope engine id <> mask.(id) then ok := false;
       if Engine.in_cone engine id <> cone.(id) then ok := false);
-  !ok
+  !ok && check_chains net engine
 
 let prop_marks_match_fanin_cones =
   QCheck_alcotest.to_alcotest
@@ -441,7 +454,11 @@ let prop_marks_match_fanin_cones =
        QCheck2.Gen.(int_range 0 1_000_000)
        (fun seed ->
          let rng = Rng.create seed in
-         let net = random_net rng 5 30 in
+         (* Two or three PIs feed 30 gates: long PI fanout lists. A gate
+            reading one PI twice puts it twice on that PI's list. *)
+         let net = random_net rng (2 + Rng.int rng 2) 30 in
+         let pi = (N.pis net).(0) in
+         N.add_po net (N.add_gate net (TT.random rng 2) [| pi; pi |]);
          let engine = Engine.create net in
          let nodes = N.num_nodes net in
          (* Several markings on one engine: each replaces the last. *)
@@ -454,7 +471,9 @@ let prop_marks_match_fanin_cones =
            Engine.clear_scope engine;
            let all = ref true in
            N.iter_nodes net (fun id ->
-               if not (Engine.in_scope engine id) then all := false);
+               if not (Engine.in_scope engine id) then all := false;
+               if Engine.scope_chain engine id <> N.fanouts net id then
+                 all := false);
            !all
          end))
 
