@@ -14,7 +14,8 @@ val all_gate_faults : Simgen_network.Network.t -> t list
 (** Both polarities on every gate output, in node order. *)
 
 val to_string : Simgen_network.Network.t -> t -> string
-(** E.g. ["n17/SA0"]. *)
+(** E.g. ["n17/SA0"]. Test seam: the ATPG example prints a fault with
+    it, and [test_atpg]'s "fault to_string" pins the format. *)
 
 val detects : Simgen_network.Network.t -> t -> bool array -> bool
 (** Whether the vector distinguishes faulty from fault-free POs. *)

@@ -12,7 +12,9 @@ val create : int -> t
     same seed produce identical streams. *)
 
 val copy : t -> t
-(** Independent copy continuing from the current state. *)
+(** Independent copy continuing from the current state. Test seam: the
+    decision reference test in [test_core] compares generator states
+    through it. *)
 
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is

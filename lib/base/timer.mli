@@ -4,6 +4,3 @@ val now : unit -> float
 (** Monotonic-ish wall clock in seconds ([Unix.gettimeofday] equivalent via
     [Sys.time] is CPU time; we use [Unix] when available — here we rely on
     [Unix.gettimeofday] through the [unix] library). *)
-
-val time : (unit -> 'a) -> 'a * float
-(** [time f] runs [f ()] and returns its result with the elapsed seconds. *)

@@ -30,41 +30,16 @@ let pop t =
   t.data.(t.len) <- t.dummy;
   v
 
-let top t =
-  if t.len = 0 then invalid_arg "Vec.top";
-  t.data.(t.len - 1)
-
 let is_empty t = t.len = 0
 
 let clear t =
   Array.fill t.data 0 t.len t.dummy;
   t.len <- 0
 
-let shrink t n =
-  if n < 0 || n > t.len then invalid_arg "Vec.shrink";
-  Array.fill t.data n (t.len - n) t.dummy;
-  t.len <- n
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)
   done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done
-
-let fold_left f init t =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
-let exists p t =
-  let rec go i = i < t.len && (p t.data.(i) || go (i + 1)) in
-  go 0
 
 let to_array t = Array.sub t.data 0 t.len
 let to_list t = Array.to_list (to_array t)

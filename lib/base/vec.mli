@@ -18,15 +18,8 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a
 (** Removes and returns the last element. @raise Invalid_argument if empty. *)
 
-val top : 'a t -> 'a
 val is_empty : 'a t -> bool
 val clear : 'a t -> unit
 
-val shrink : 'a t -> int -> unit
-(** [shrink t n] truncates to the first [n] elements. *)
-
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
-val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list

@@ -103,8 +103,6 @@ let rec ite m f g h =
         r
 
 let not_ m f = ite m f 0 1
-let and_ m f g = ite m f g 0
-let or_ m f g = ite m f 1 g
 let xor m f g = ite m f (not_ m g) g
 
 let equal (a : t) (b : t) = a = b
@@ -135,17 +133,6 @@ let any_sat m f =
     go f;
     Some assignment
   end
-
-let size m f =
-  let seen = Hashtbl.create 64 in
-  let rec go node acc =
-    if node < 2 || Hashtbl.mem seen node then acc
-    else begin
-      Hashtbl.replace seen node ();
-      go m.low.(node) (go m.high.(node) (acc + 1))
-    end
-  in
-  go f 0
 
 let build_network m net =
   if N.num_pis net > m.nvars then invalid_arg "Bdd.build_network";

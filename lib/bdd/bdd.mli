@@ -22,16 +22,11 @@ val manager : ?max_nodes:int -> int -> manager
 (** [manager nvars] with variables [0 .. nvars-1] ordered by index.
     [max_nodes] (default 1_000_000) bounds the unique table. *)
 
-val num_nodes : manager -> int
-(** Live unique-table entries (terminals excluded). *)
-
 val zero : manager -> t
 val one : manager -> t
 val var : manager -> int -> t
 
 val not_ : manager -> t -> t
-val and_ : manager -> t -> t -> t
-val or_ : manager -> t -> t -> t
 val xor : manager -> t -> t -> t
 val ite : manager -> t -> t -> t -> t
 
@@ -42,14 +37,12 @@ val is_zero : manager -> t -> bool
 val is_one : manager -> t -> bool
 
 val eval : manager -> t -> bool array -> bool
-(** Evaluate under a complete variable assignment. *)
+(** Evaluate under a complete variable assignment. Test seam: the BDD
+    tests check every construction against truth tables through it. *)
 
 val any_sat : manager -> t -> bool array option
 (** A satisfying assignment (variables not on the path default to
     [false]), or [None] for the zero BDD. *)
-
-val size : manager -> t -> int
-(** Nodes reachable from the root (terminals excluded). *)
 
 val build_network :
   manager -> Simgen_network.Network.t -> t array

@@ -30,8 +30,8 @@ end
 
 (* Fanout chains: one singly linked list per node in flat arrays. The
    chain of node [id] starts at cell [head.(id)] ([-1]: empty); cell [c]
-   holds the fanout [fanout.(c)] and continues at cell [next.(c)]. A set
-   of chains has a cell per fanin edge of the network, allocated once. *)
+   holds the fanout [fanout.(c)] and continues at cell [next.(c)]. There
+   is a cell per fanin edge of the network, allocated once. *)
 type chains = {
   head : int array;
   next : int array;
@@ -56,7 +56,9 @@ let prepend ch f g =
   ch.head.(f) <- c;
   ch.cells <- c + 1
 
-let no_scope = -1
+(* The epoch of no marking: an engine starts with an empty scope, an
+   empty cone and an empty exhausted set. *)
+let unmarked = -1
 
 type t = {
   net : N.t;
@@ -66,21 +68,18 @@ type t = {
   (* [N.fanins] of every node, read once: the network is fixed for the
      engine's lifetime. *)
   fanins : N.node_id array array;
-  (* The fanouts that [touch] schedules: [all] holds every node's whole
-     fanout list, [scoped] the in-scope fanouts of each node in the scope
-     of the last [set_scope_cones]; [chains] is the one in force. *)
-  all : chains;
-  scoped : chains;
-  mutable chains : chains;
+  (* The fanouts that [touch] schedules: the in-scope fanouts of each
+     node in the scope of the last [set_scope_cones]. *)
+  chains : chains;
   assignment : Assignment.t;
   vals : Value.t array;  (* [Assignment.values assignment] *)
   queue : Worklist.t;
   mutable matching : int array;  (* row-set scratch of [examine] *)
   (* Epoch stamps: a node is in the class scope when [scope.(id)] holds
-     [scope_epoch] ([no_scope]: everything is), in the target cone when
-     [cone.(id)] holds [cone_epoch], and exhausted when [exhausted.(id)]
-     holds [exhausted_epoch]. Each marking takes a fresh epoch, so no
-     array is ever cleared. *)
+     [scope_epoch], in the target cone when [cone.(id)] holds
+     [cone_epoch], and exhausted when [exhausted.(id)] holds
+     [exhausted_epoch]. Each marking takes a fresh epoch, so no array is
+     ever cleared. *)
   scope : int array;
   cone : int array;
   exhausted : int array;
@@ -98,19 +97,13 @@ let create ?(config = Config.default) net =
   let assignment = Assignment.create n in
   let fanins = Array.init n (N.fanins net) in
   let edges = Array.fold_left (fun e f -> e + Array.length f) 0 fanins in
-  let all = chains_create n edges in
-  for g = n - 1 downto 0 do
-    Array.iter (fun f -> prepend all f g) fanins.(g)
-  done;
   {
     net;
     cfg = config;
     rows = Rows.create ();
     node_rows = Array.make n None;
     fanins;
-    all;
-    scoped = chains_create n edges;
-    chains = all;
+    chains = chains_create n edges;
     assignment;
     vals = Assignment.values assignment;
     queue = Worklist.create n;
@@ -119,9 +112,9 @@ let create ?(config = Config.default) net =
     cone = Array.make n 0;
     exhausted = Array.make n 0;
     epoch = 0;
-    scope_epoch = no_scope;
-    cone_epoch = no_scope;
-    exhausted_epoch = no_scope;
+    scope_epoch = unmarked;
+    cone_epoch = unmarked;
+    exhausted_epoch = unmarked;
     stack = Array.make n 0;
     pending_conflict = None;
     implications = 0;
@@ -205,7 +198,7 @@ let matching_rows t id rows =
   done;
   !n
 
-let in_scope t id = t.scope_epoch = no_scope || t.scope.(id) = t.scope_epoch
+let in_scope t id = t.scope.(id) = t.scope_epoch
 
 let next_epoch t =
   t.epoch <- t.epoch + 1;
@@ -221,11 +214,11 @@ let next_epoch t =
 let stamp_scope t epoch id =
   if t.scope.(id) <> epoch then begin
     t.scope.(id) <- epoch;
-    t.scoped.head.(id) <- -1
+    t.chains.head.(id) <- -1
   end
 
 let set_scope_cones t roots =
-  let epoch = next_epoch t and ch = t.scoped in
+  let epoch = next_epoch t and ch = t.chains in
   ch.cells <- 0;
   List.iter (stamp_scope t epoch) roots;
   for g = List.fold_left Int.max (-1) roots downto 0 do
@@ -237,12 +230,7 @@ let set_scope_cones t roots =
       done
     end
   done;
-  t.scope_epoch <- epoch;
-  t.chains <- ch
-
-let clear_scope t =
-  t.scope_epoch <- no_scope;
-  t.chains <- t.all
+  t.scope_epoch <- epoch
 
 let scope_chain t id =
   let ch = t.chains in
@@ -316,9 +304,10 @@ let rec push_chain t (ch : chains) c =
 (* Schedule the gates affected by a new value at [id]. Gates outside the
    current scope (the class's fanin-cone union during Algorithm 1) are not
    examined: the paper's propagation is cone-local, and values outside the
-   scope can never need justification. The chain in force holds exactly
-   the in-scope fanouts; a node outside the scope has none, since the
-   scope is closed under fanins.
+   scope can never need justification. A node's chain holds exactly its
+   in-scope fanouts; a node outside the scope has none, since the scope
+   is closed under fanins. Before the first [set_scope_cones] the scope
+   is empty and nothing is scheduled.
 
    Fanouts are scheduled in both directions. In [Backward_only] mode the
    examination of a fanout whose own output is still unassigned is a no-op

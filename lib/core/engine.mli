@@ -9,9 +9,11 @@
     63 rows — nearly every K <= 6 function — is examined by a one-word
     kernel that keeps the matching rows in a register; wider tables take
     a multi-word kernel with the same results. The engine reads each
-    node's fanins once, at {!create}, and builds from them a chain of
-    every node's fanouts: the network must not change while the engine
-    is in use. In [Backward_only] mode a gate is examined only when its
+    node's fanins once, at {!create}: the network must not change while
+    the engine is in use. Propagation is confined to the scope of the
+    last {!set_scope_cones}; an engine starts with an empty scope, so a
+    value assigned before the first {!set_scope_cones} schedules
+    nothing. In [Backward_only] mode a gate is examined only when its
     own output value arrives — the reverse-simulation baseline of §1.1. *)
 
 type t
@@ -36,33 +38,27 @@ val matching_rows :
 
 val set_scope_cones : t -> Simgen_network.Network.node_id list -> unit
 (** Restrict propagation to the union of the roots' fanin cones (during
-    Algorithm 1, the cones of the class's targets), replacing any earlier
-    scope. Values already assigned outside the scope are still read
-    during row matching — only gate (re)examination is confined. Marking
-    is one scan in descending id order from the highest root over the
-    cached fanin arrays: it stamps the scope in an array the engine owns
-    and links each scope node's in-scope fanouts into a chain, the only
-    fanouts a new value at the node schedules. Costs O(highest root id +
-    scope edges) and allocates nothing: the chain cells are sized at
-    {!create} to the network's fanin edges. *)
-
-val clear_scope : t -> unit
-(** Lift the restriction of {!set_scope_cones}: every gate is in scope,
-    as after {!create}, and a new value schedules all the node's fanouts,
-    by the whole-network chains built at {!create}. *)
+    Algorithm 1, the cones of the class's targets), replacing the earlier
+    scope (empty at {!create}). Values already assigned outside the scope
+    are still read during row matching — only gate (re)examination is
+    confined. Marking is one scan in descending id order from the
+    highest root over the cached fanin arrays: it stamps the scope in an
+    array the engine owns and links each scope node's in-scope fanouts
+    into a chain, the only fanouts a new value at the node schedules.
+    Costs O(highest root id + scope edges) and allocates nothing: the
+    chain cells are sized at {!create} to the network's fanin edges. *)
 
 val in_scope : t -> Simgen_network.Network.node_id -> bool
 (** Whether gates at the node are (re)examined: it lies in the scope of
-    the last {!set_scope_cones}, or no scope is set. Test seam: the
-    scope tests compare the marks with {!Simgen_network.Cone}. *)
+    the last {!set_scope_cones}. Test seam: the scope tests compare the
+    marks with {!Simgen_network.Cone}. *)
 
 val scope_chain :
   t -> Simgen_network.Network.node_id -> Simgen_network.Network.node_id list
 (** The fanouts a new value at the node schedules: its in-scope fanouts
     in {!Simgen_network.Network.fanouts} order, a gate with a duplicated
-    fanin listed twice; empty outside the scope; every fanout when no
-    scope is set. Test seam: the scope tests compare the chains with the
-    network's fanout lists. *)
+    fanin listed twice; empty outside the scope. Test seam: the scope
+    tests compare the chains with the network's fanout lists. *)
 
 val mark_cone : t -> Simgen_network.Network.node_id -> unit
 (** Mark the fanin cone of one node (Algorithm 1's [listDfs] of the

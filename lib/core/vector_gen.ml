@@ -97,7 +97,6 @@ let generate_with engine decision ~rng ~levels outgold =
     List.exists (fun (_, g) -> g) satisfied
     && List.exists (fun (_, g) -> not g) satisfied
   in
-  Engine.clear_scope engine;
   Engine.rollback engine 0;
   (* Under [SIMGEN_CHECK], verify after every class that the trail and
      the value map agree; [audit] is a no-op otherwise. *)

@@ -4,12 +4,8 @@ type t = { lits : lit array; out : bool }
 
 let make lits out = { lits; out }
 
-let ninputs c = Array.length c.lits
-
 let dc_size c =
   Array.fold_left (fun acc l -> if l = DC then acc + 1 else acc) 0 c.lits
-
-let num_assigned c = ninputs c - dc_size c
 
 let to_truth_table n c =
   let acc = ref (Truth_table.create_const n true) in
@@ -21,10 +17,3 @@ let to_truth_table n c =
       | F -> acc := Truth_table.and_ !acc (Truth_table.not_ (Truth_table.var i n)))
     c.lits;
   !acc
-
-let to_string c =
-  let body =
-    String.init (ninputs c) (fun i ->
-        match c.lits.(i) with T -> '1' | F -> '0' | DC -> '-')
-  in
-  Printf.sprintf "%s -> %c" body (if c.out then '1' else '0')

@@ -14,11 +14,5 @@ val make : lit array -> bool -> t
 val dc_size : t -> int
 (** Equation (1) of the paper: the number of don't-care inputs. *)
 
-val num_assigned : t -> int
-(** Inputs the cube fixes ([ninputs - dc_size]). *)
-
 val to_truth_table : int -> t -> Truth_table.t
 (** Characteristic function of the cube's input set over [n] variables. *)
-
-val to_string : t -> string
-(** E.g. ["1-0 -> 1"]. *)

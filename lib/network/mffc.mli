@@ -15,7 +15,8 @@ val compute : Network.t -> Network.node_id -> Network.node_id list
 val depth : Network.t -> int array -> Network.node_id -> float
 (** Equation (2): average over the MFFC's leaves — members with no fanin
     inside the MFFC — of [level(root) - level(leaf)], given precomputed
-    levels. A PI (empty MFFC) has depth [0.]. *)
+    levels. A PI (empty MFFC) has depth [0.]. Test seam: the MFFC cache
+    test checks {!cached_depth} against it. *)
 
 type cache
 

@@ -80,6 +80,8 @@ val max_fanin_arity : t -> int
 (** Test reference: the mapper tests bound LUT arity by it. *)
 
 val copy : t -> t
+(** An independent copy. Test seam: the CEC and sweep tests check a
+    network against its copy. *)
 
 val pp_stats : Format.formatter -> t -> unit
 

@@ -109,7 +109,6 @@ module Limits = struct
 
   let unlimited = { conflicts = None; propagations = None }
   let conflicts n = { unlimited with conflicts = Some n }
-  let propagations n = { unlimited with propagations = Some n }
 end
 
 type t = {
@@ -1626,8 +1625,6 @@ let solve ?assumptions s =
 
 let value s v =
   if s.assigns.(v) <> 0 then s.assigns.(v) > 0 else not s.phase.(v)
-
-let model s = Array.init s.nvars (fun v -> not s.phase.(v))
 
 let failed_assumptions s = s.failed
 

@@ -105,14 +105,13 @@ val solve : ?assumptions:Literal.t list -> t -> result
     literal assumed, then retire it with a unit clause). *)
 
 (** Per-call search budgets for {!solve_limited}, consolidated in one
-    record. [unlimited] bounds nothing; [conflicts n] / [propagations n]
-    build single-budget limits. *)
+    record. [unlimited] bounds nothing; [conflicts n] builds a
+    conflict-only budget. *)
 module Limits : sig
   type t = { conflicts : int option; propagations : int option }
 
   val unlimited : t
   val conflicts : int -> t
-  val propagations : int -> t
 end
 
 type limited_result = LSat | LUnsat | LUnknown
@@ -139,8 +138,6 @@ val failed_assumptions : t -> Literal.t list
 val value : t -> Literal.var -> bool
 (** Model value after a [Sat] answer. Unconstrained variables report their
     saved phase. *)
-
-val model : t -> bool array
 
 (** {2 DRUP proof logging} *)
 

@@ -247,7 +247,7 @@ let handle t ?on_event req =
           [
             ("status", String "ok");
             ("pid", Int (Unix.getpid ()));
-            ("protocol", Int version);
+            ("protocol", Int Protocol.version);
           ]
     | Stats -> Result (stats_fields t)
     | Shutdown ->

@@ -73,4 +73,3 @@ let cost t =
 
 let class_of t id = t.by_node.(id)
 
-let copy t = { t with by_node = Array.copy t.by_node }

@@ -35,5 +35,3 @@ val class_of : t -> Simgen_network.Network.node_id -> Simgen_network.Network.nod
 (** The class containing a node ([] if the node is a singleton/PI).
     Constant-time lookup: a per-node index kept up to date by each
     refinement. *)
-
-val copy : t -> t

@@ -34,8 +34,6 @@ let create () =
 
 module IS = Set.Make (Int)
 
-let rec rep subst i = if subst.(i) = i then i else rep subst subst.(i)
-
 (* Grow a shared cut for {a, b}: starting from the two representatives,
    repeatedly expand the largest frontier gate whose (substitution
    resolved) fanins keep the frontier within [max_support]. Expanded
@@ -53,7 +51,7 @@ let shared_cut ~subst net a b =
         let fresh =
           Array.fold_left
             (fun acc f ->
-              let f = rep subst f in
+              let f = Sat_session.resolve subst f in
               if IS.mem f !frontier || IS.mem f !interior then acc
               else IS.add f acc)
             IS.empty (N.fanins net id)
@@ -106,7 +104,9 @@ let cut_functions ~subst net frontier interior a b =
     (fun id ->
       let f = N.func net id in
       let fanin_tts =
-        Array.map (fun fi -> Hashtbl.find tts (rep subst fi)) (N.fanins net id)
+        Array.map
+          (fun fi -> Hashtbl.find tts (Sat_session.resolve subst fi))
+          (N.fanins net id)
       in
       Hashtbl.replace tts id (compose s f fanin_tts 0))
     interior;
@@ -133,7 +133,7 @@ let first_differing_minterm tt_a tt_b s =
   go 0
 
 let consult t ?(serve_equal = true) ~rng ~subst net a b =
-  let a = rep subst a and b = rep subst b in
+  let a = Sat_session.resolve subst a and b = Sat_session.resolve subst b in
   Shared.Atomic.incr t.consults;
   let frontier, interior, exact = shared_cut ~subst net a b in
   let tt_a, tt_b, s = cut_functions ~subst net frontier interior a b in

@@ -14,7 +14,9 @@ type fresh = {
    session is differentially tested and benchmarked against, and as the
    ladder's fallback when a budgeted session query gives up. *)
 let check_pair_fresh ?subst ?rng ?max_conflicts ?(certify = false) net a b =
-  let resolve = Sat_session.resolve subst in
+  let resolve =
+    match subst with Some s -> Sat_session.resolve s | None -> Fun.id
+  in
   let ra = resolve a and rb = resolve b in
   if ra = rb then
     {

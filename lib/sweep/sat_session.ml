@@ -32,7 +32,7 @@ module Certificate = Simgen_check.Certificate
 type t = {
   net : N.t;
   mutable solver : Sat.Solver.t;
-  subst : int array option;
+  subst : int array;  (* the proven-equivalence substitution, shared *)
   rng : Rng.t;
   certify : bool;
   audit : bool;  (* sampled solver-state audits (R007..R013) armed *)
@@ -90,7 +90,7 @@ let create ?(certify = false) ?(audit = false) ?subst ?rng net =
     net;
     solver;
     audit;
-    subst;
+    subst = (match subst with Some s -> s | None -> Array.init n Fun.id);
     rng = (match rng with Some r -> r | None -> Rng.create 0xCE8);
     certify;
     pending_clauses = [];
@@ -115,8 +115,6 @@ let create ?(certify = false) ?(audit = false) ?subst ?rng net =
     rebuilds = 0;
   }
 
-let certifying t = t.certify
-
 let take_cert_queries t =
   let qs = List.rev t.cert_queries in
   t.cert_queries <- [];
@@ -133,22 +131,19 @@ let add_problem_clause ?group t clause =
   Sat.Solver.add_clause ?group t.solver clause;
   t.clauses_live <- t.clauses_live + (Sat.Solver.num_clauses t.solver - before)
 
-let resolve subst id =
-  match subst with
-  | None -> id
-  | Some s ->
-      let rec follow id = if s.(id) = id then id else follow s.(id) in
-      let root = follow id in
-      (* Path compression. *)
-      let rec compress id =
-        if s.(id) <> root then begin
-          let next = s.(id) in
-          s.(id) <- root;
-          compress next
-        end
-      in
-      compress id;
-      root
+let resolve s id =
+  let rec follow id = if s.(id) = id then id else follow s.(id) in
+  let root = follow id in
+  (* Path compression. *)
+  let rec compress id =
+    if s.(id) <> root then begin
+      let next = s.(id) in
+      s.(id) <- root;
+      compress next
+    end
+  in
+  compress id;
+  root
 
 (* Give every node of the (substituted) fanin cones of [roots] a live,
    up-to-date encoding. A node is (re-)encoded when it has no variable
@@ -294,9 +289,7 @@ let rebuild t =
 let check_pair ?max_conflicts t a b =
   (* R002/R003: the shared substitution must stay monotone and in range —
      the sweeper only ever merges upward ids into lower ones. *)
-  (match t.subst with
-   | Some s -> Simgen_check.Audit.substitution s
-   | None -> ());
+  Simgen_check.Audit.substitution t.subst;
   let a = resolve t.subst a and b = resolve t.subst b in
   if a = b then Equal
   else begin
@@ -371,28 +364,24 @@ let check_pair ?max_conflicts t a b =
            [ Sat.Literal.neg va; Sat.Literal.pos vb ];
          Sat.Solver.add_clause solver
            [ Sat.Literal.pos va; Sat.Literal.neg vb ];
-         (* Under a shared substitution the caller merges the higher
-            node into the lower one (the R002 monotone-substitution
-            contract), so the loser's gate definition is dead: no future
-            cone resolves to it. Retract it — the tie keeps every
-            learned clause over its variable sound, and without the
-            definition a search pass no longer cascades assignments into
-            the retired variable space (on stacked suites each class
-            would otherwise drag one dead cone per level through every
-            propagation). Clearing the encoding record keeps the session
-            honest even if a caller declines the merge: the next visit
-            re-encodes from scratch instead of trusting clauses that are
-            no longer there. Without a substitution there is no merge
-            and the pair may be queried again, so the definitions stay. *)
-         if t.subst <> None then begin
-           let loser = max a b in
-           if not (N.is_pi t.net loser) then begin
-             let n = Sat.Solver.remove_group solver t.vars.(loser) in
-             t.clauses_live <- t.clauses_live - n;
-             t.retired_clauses <- t.retired_clauses + n;
-             t.vars.(loser) <- -1;
-             t.enc_fanins.(loser) <- no_fanins
-           end
+         (* The caller merges the higher node into the lower one (the
+            R002 monotone-substitution contract), so the loser's gate
+            definition is dead: no future cone resolves to it. Retract
+            it — the tie keeps every learned clause over its variable
+            sound, and without the definition a search pass no longer
+            cascades assignments into the retired variable space (on
+            stacked suites each class would otherwise drag one dead cone
+            per level through every propagation). Clearing the encoding
+            record keeps the session honest when a caller declines the
+            merge: the next visit re-encodes from scratch instead of
+            trusting clauses that are no longer there. *)
+         let loser = max a b in
+         if not (N.is_pi t.net loser) then begin
+           let n = Sat.Solver.remove_group solver t.vars.(loser) in
+           t.clauses_live <- t.clauses_live - n;
+           t.retired_clauses <- t.retired_clauses + n;
+           t.vars.(loser) <- -1;
+           t.enc_fanins.(loser) <- no_fanins
          end
      | Counterexample _ | Unknown -> ());
     (* Under certification, cut the proof-event stream here: everything

@@ -25,9 +25,10 @@
       passes, which also rebuild — compact — the watch lists, so BCP
       stops paying for dead queries. A proven pair additionally ties its
       two variables together so either cone benefits from the other's
-      clauses; under a shared substitution the losing node's definition
-      group is retracted on the spot (the merge makes it unreachable,
-      the tie keeps learned clauses over its variable sound).
+      clauses, and the losing node's definition group is retracted on
+      the spot (the merge makes it unreachable, the tie keeps learned
+      clauses over its variable sound; a pair queried again without the
+      merge re-encodes the loser).
     - {b Cone-focused search.} Every query runs under
       {!Simgen_sat.Solver.focus_decisions} on the variables of its two
       substituted cones: branching never leaves the cones, and
@@ -60,8 +61,9 @@ val create :
   Simgen_network.Network.t ->
   t
 (** A session over [net] with an empty solver. [subst] is the live
-    proven-equivalence substitution (identity when absent) — the session
-    reads it before every query and path-compresses it ({!resolve}).
+    proven-equivalence substitution — the session reads it before every
+    query and path-compresses it ({!resolve}); a sweep passes its own,
+    and the default is a fresh identity array.
     [rng] randomizes the PIs outside the encoded
     cones in counterexamples. [certify] (default [false]) turns on DRUP
     logging and per-query certificate recording: every problem clause
@@ -75,16 +77,14 @@ val create :
     test suite sweeps under the sanitizer. *)
 
 val resolve :
-  int array option ->
-  Simgen_network.Network.node_id ->
-  Simgen_network.Network.node_id
+  int array -> Simgen_network.Network.node_id -> Simgen_network.Network.node_id
 (** [resolve subst id] follows the substitution from [id] to its
-    representative, path-compressing [subst] on the way ([id] itself
-    when [subst] is [None]). The sweep's one substitution resolver: the
-    session and the fresh-solver {!Miter} both resolve through it. *)
-
-val certifying : t -> bool
-(** Whether the session was created with [~certify:true]. *)
+    representative, path-compressing [subst] on the way. Compression only
+    points a node at a lower root, so the substitution stays monotone and
+    the partition it describes does not move. The sweep's one
+    substitution resolver: the session, the fresh-solver {!Miter},
+    {!Sweeper.representative} and the cut-local check all resolve through
+    it. *)
 
 val take_cert_queries : t -> Simgen_check.Certificate.query list
 (** Certificate records of the queries since the last take, oldest

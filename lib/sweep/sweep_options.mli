@@ -80,7 +80,9 @@ type t = {
           whole-sweep certificate ({!Sweeper.certificate}). Composes
           with [incremental]: the session route logs per-query proof
           slices, so certification no longer forces the fresh-solver
-          route *)
+          route. Read once, by {!Sweeper.create}: the options later
+          passed to {!Sweeper.sat_sweep} or {!Sweeper.verify_pair} do
+          not turn it on or off *)
   solver_audit : bool;
       (** arm the sampled solver-state sanitizer
           ({!Simgen_sat.Solver.set_audit}, R007..R013) on every session

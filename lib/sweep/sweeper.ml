@@ -156,7 +156,7 @@ let session t = t.session
    Called after every session query so [cert_count - 1] always indexes
    the record of the query that just ran. *)
 let flush_cert_queries t =
-  if Sat_session.certifying t.session then
+  if t.certify then
     List.iter
       (fun q ->
         t.cert_queries <- q :: t.cert_queries;
@@ -405,9 +405,7 @@ let run_guided (opts : Sweep_options.t) t =
 
 let guided_stats t = t.g_stats
 
-let representative t id =
-  let rec follow id = if t.subst.(id) = id then id else follow t.subst.(id) in
-  follow id
+let representative t id = Sat_session.resolve t.subst id
 
 (* ------------------- the degradation ladder ------------------- *)
 
@@ -469,15 +467,15 @@ let session_query ?max_conflicts t a b acc =
    | Sat_session.Counterexample _ | Sat_session.Unknown -> ());
   verdict
 
-(* The fresh solver, certified when asked: a validated Equal's proof
-   record joins the whole-sweep certificate. *)
-let fresh_query ?max_conflicts ~certify t a b acc =
+(* The fresh solver, certified on a certifying sweeper: a validated
+   Equal's proof record joins the whole-sweep certificate. *)
+let fresh_query ?max_conflicts t a b acc =
   let r =
-    Miter.check_pair_fresh ?max_conflicts ~certify ~subst:t.subst ~rng:t.rng
-      t.net a b
+    Miter.check_pair_fresh ?max_conflicts ~certify:t.certify ~subst:t.subst
+      ~rng:t.rng t.net a b
   in
   acc := Solver.add_stats !acc r.Miter.stats;
-  if certify && not r.Miter.valid then
+  if t.certify && not r.Miter.valid then
     failwith "Sweeper.verify_pair: certificate failed to validate";
   (match r.Miter.cert with
    | Some q ->
@@ -503,11 +501,11 @@ let bdd_quota = 10_000
 (* The rungs of one query: the cut-local check when a [fun_cache] is set,
    the session steps, a fresh solver at the next budget (a session
    poisoned by its own clause database cannot poison it), then the BDD
-   backend. Without a session to escalate (the fresh route) or one that
-   records certificates (the sweeper was created without [~certify]),
-   the fresh solver is the first SAT rung, at step 0. Under
-   certification the BDD rung is dropped: its verdict carries no clausal
-   proof, so the pair is quarantined rather than merged on it. *)
+   backend. On the fresh route ([incremental = false]) there is no
+   session to escalate, and the fresh solver is the first SAT rung, at
+   step 0. Under certification the BDD rung is dropped: its verdict
+   carries no clausal proof, so the pair is quarantined rather than
+   merged on it. *)
 let ladder ~cut ~session ~certify =
   (match cut with Some fc -> [ Cut_check fc ] | None -> [])
   @ (if session then session_steps @ [ Fresh (escalations + 1) ]
@@ -543,7 +541,6 @@ let verify_pair (opts : Sweep_options.t) t a b =
   let acc = ref Solver.zero_stats in
   if a = b then (Sat_session.Equal, !acc)
   else begin
-    let certify = t.certify || opts.Sweep_options.certify in
     let budget k =
       match opts.Sweep_options.max_conflicts with
       | None -> None
@@ -554,10 +551,10 @@ let verify_pair (opts : Sweep_options.t) t a b =
           (* Equal is proven over a shared cut (and withheld under
              certification, where the merge must cite a DRUP proof); a
              counterexample comes from an exact cut. *)
-          Fun_cache.consult fc ~serve_equal:(not certify) ~rng:t.rng
+          Fun_cache.consult fc ~serve_equal:(not t.certify) ~rng:t.rng
             ~subst:t.subst t.net a b
       | Session k -> session_query ?max_conflicts:(budget k) t a b acc
-      | Fresh k -> fresh_query ?max_conflicts:(budget k) ~certify t a b acc
+      | Fresh k -> fresh_query ?max_conflicts:(budget k) t a b acc
       | Bdd ->
           Bdd_backend.check_pair ~max_nodes:bdd_quota t.net a b
     in
@@ -573,12 +570,10 @@ let verify_pair (opts : Sweep_options.t) t a b =
               walk rest
           | (Sat_session.Equal | Sat_session.Counterexample _) as v -> v)
     in
-    let session =
-      opts.Sweep_options.incremental
-      && ((not certify) || Sat_session.certifying t.session)
-    in
     let verdict =
-      walk (ladder ~cut:opts.Sweep_options.fun_cache ~session ~certify)
+      walk
+        (ladder ~cut:opts.Sweep_options.fun_cache
+           ~session:opts.Sweep_options.incremental ~certify:t.certify)
     in
     (verdict, !acc)
   end
@@ -727,6 +722,9 @@ let sat_sweep (opts : Sweep_options.t) t =
           loop ()
   in
   loop ();
+  (* Under audits, check the session's whole solver state once, watch
+     lists included: the per-query audits only sample it. *)
+  if t.check then Sat_session.audit t.session;
   let st = !solver in
   let d =
     {

@@ -79,7 +79,8 @@ val create : Sweep_options.t -> Simgen_network.Network.t -> t
     [SIMGEN_CHECK] environment variable), the sweeper audits invariants
     at every refinement and merge boundary: eq-class partition
     well-formedness and substitution monotonicity
-    ({!Simgen_check.Audit}). Audits raise
+    ({!Simgen_check.Audit}); and every {!sat_sweep} ends with the full
+    solver-state audit of its session ({!Sat_session.audit}). Audits raise
     {!Simgen_base.Runtime_check.Violation} on corruption. *)
 
 val session : t -> Sat_session.t
@@ -160,10 +161,10 @@ val sat_sweep : Sweep_options.t -> t -> sat_stats
 
     Queries route through the sweeper's {!Sat_session} by default
     ([incremental = true]); [incremental = false] restores a fresh solver
-    per pair. [certify] validates a DRUP proof for every UNSAT answer
-    (raising [Failure] if one fails to check) — on the session route the
-    proofs are recorded per query and the whole sweep is additionally
-    checkable after the fact via {!certificate}. The returned stats
+    per pair. A sweeper created with [certify] validates a DRUP proof
+    for every UNSAT answer (raising [Failure] if one fails to check) — on
+    the session route the proofs are recorded per query and the whole
+    sweep is additionally checkable after the fact via {!certificate}. The returned stats
     include the solver conflict/propagation/restart/deletion deltas
     attributable to this sweep. Verdicts — and therefore the final merge
     partition — are identical across all routes. *)
@@ -191,11 +192,12 @@ val verify_pair :
     Past the last rung the pair is quarantined — recorded in
     {!degrade_stats}, excluded from future candidate picking — and the
     verdict is [Unknown]. Nothing is ever merged on [Unknown].
-    [incremental = false], or [certify] on a sweeper created without it,
-    skips the session: the fresh solver runs first, at [max_conflicts].
-    Under [certify] the fresh rung certifies too (its proof joins the
-    certificate), and the BDD rung is dropped — a BDD verdict carries no
-    clausal proof. A [Runtime_check.Violation] mid-query tears the
+    [incremental = false] skips the session: the fresh solver runs
+    first, at [max_conflicts]. On a sweeper created with [certify] (the
+    options passed here do not change it) the fresh rung certifies too
+    (its proof joins the certificate), the cut check withholds [Equal],
+    and the BDD rung is dropped — a BDD verdict carries no clausal
+    proof. A [Runtime_check.Violation] mid-query tears the
     session down, rebuilds it over the (consistent) substitution and
     retries once; a second Violation propagates. Returns the verdict and
     the solver-counter deltas across every rung tried. With

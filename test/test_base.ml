@@ -1,6 +1,5 @@
 module Rng = Simgen_base.Rng
 module Vec = Simgen_base.Vec
-module Timer = Simgen_base.Timer
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -107,7 +106,6 @@ let test_vec_pop_lifo () =
   let v = Vec.create ~dummy:(-1) () in
   List.iter (Vec.push v) [ 1; 2; 3 ];
   Alcotest.(check int) "pop" 3 (Vec.pop v);
-  Alcotest.(check int) "top" 2 (Vec.top v);
   Alcotest.(check int) "pop" 2 (Vec.pop v);
   Alcotest.(check int) "pop" 1 (Vec.pop v);
   Alcotest.(check bool) "empty" true (Vec.is_empty v)
@@ -125,33 +123,16 @@ let test_vec_set_bounds () =
   Alcotest.check_raises "set out of range" (Invalid_argument "Vec.set")
     (fun () -> Vec.set v 1 0)
 
-let test_vec_shrink_clear () =
+let test_vec_clear () =
   let v = Vec.create ~dummy:0 () in
   for i = 1 to 10 do
     Vec.push v i
   done;
-  Vec.shrink v 4;
-  Alcotest.(check (list int)) "shrunk" [ 1; 2; 3; 4 ] (Vec.to_list v);
+  Alcotest.(check (list int)) "pushed" (List.init 10 succ) (Vec.to_list v);
   Vec.clear v;
-  Alcotest.(check int) "cleared" 0 (Vec.length v)
-
-let test_vec_iter_fold () =
-  let v = Vec.create ~dummy:0 () in
-  List.iter (Vec.push v) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "fold sum" 10 (Vec.fold_left ( + ) 0 v);
-  let acc = ref [] in
-  Vec.iteri (fun i x -> acc := (i, x) :: !acc) v;
-  Alcotest.(check int) "iteri count" 4 (List.length !acc);
-  Alcotest.(check bool) "exists" true (Vec.exists (fun x -> x = 3) v);
-  Alcotest.(check bool) "not exists" false (Vec.exists (fun x -> x = 9) v)
-
-(* ------------------------------------------------------------------ *)
-(* Timer                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_time_increases () =
-  let _, dt = Timer.time (fun () -> Array.init 100000 Fun.id) in
-  Alcotest.(check bool) "positive elapsed" true (dt >= 0.0)
+  Alcotest.(check int) "cleared" 0 (Vec.length v);
+  Vec.push v 7;
+  Alcotest.(check (list int)) "reused" [ 7 ] (Vec.to_list v)
 
 let () =
   Alcotest.run "base"
@@ -176,11 +157,6 @@ let () =
           Alcotest.test_case "pop lifo" `Quick test_vec_pop_lifo;
           Alcotest.test_case "pop empty" `Quick test_vec_pop_empty;
           Alcotest.test_case "set bounds" `Quick test_vec_set_bounds;
-          Alcotest.test_case "shrink/clear" `Quick test_vec_shrink_clear;
-          Alcotest.test_case "iter/fold" `Quick test_vec_iter_fold;
-        ] );
-      ( "timer",
-        [
-          Alcotest.test_case "time" `Quick test_time_increases;
+          Alcotest.test_case "clear" `Quick test_vec_clear;
         ] );
     ]

@@ -45,6 +45,14 @@ let matching_cubes engine g =
   let buf = Array.make (Array.length rows) (-1) in
   List.init (Engine.matching_rows engine g buf) (fun k -> rows.(buf.(k)))
 
+(* An engine whose scope is the whole network: every node is a root.
+   An engine schedules nothing outside its scope, which is empty until
+   the first [Engine.set_scope_cones]. *)
+let scoped_engine ?config net =
+  let engine = Engine.create ?config net in
+  Engine.set_scope_cones engine (List.init (N.num_nodes net) Fun.id);
+  engine
+
 (* ------------------------------------------------------------------ *)
 (* Value                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -142,7 +150,7 @@ let test_figure1_simgen_all_implied () =
   (* With forward implication the whole Figure 1 example resolves by
      implication alone: no decisions, no conflicts, vector A=1 B=0 C=0. *)
   let net, a, b, c, _, _, _, z = figure1 () in
-  let engine = Engine.create ~config:Config.default net in
+  let engine = scoped_engine ~config:Config.default net in
   Engine.set engine z true;
   (match Engine.propagate engine with
    | Engine.Fixpoint -> ()
@@ -156,7 +164,7 @@ let test_figure1_backward_cannot_finish () =
   (* Reverse simulation stops after x's cone: y's inputs stay open
      because NAND with output 1 has two rows. *)
   let net, a, b, c, _, _, _, z = figure1 () in
-  let engine = Engine.create ~config:Config.reverse_simulation net in
+  let engine = scoped_engine ~config:Config.reverse_simulation net in
   Engine.set engine z true;
   (match Engine.propagate engine with
    | Engine.Fixpoint -> ()
@@ -219,7 +227,7 @@ let test_advanced_implication_output_only () =
   in
   let o = N.add_gate net f [| b; c; e |] in
   N.add_po net o;
-  let engine = Engine.create ~config:Config.default net in
+  let engine = scoped_engine ~config:Config.default net in
   Engine.set engine b true;
   Engine.set engine c true;
   (match Engine.propagate engine with
@@ -245,7 +253,7 @@ let test_simple_implication_misses_it () =
   let o = N.add_gate net f [| b; c; e |] in
   N.add_po net o;
   let config = { Config.default with Config.implication = Config.Simple } in
-  let engine = Engine.create ~config net in
+  let engine = scoped_engine ~config net in
   Engine.set engine b true;
   Engine.set engine c true;
   ignore (Engine.propagate engine);
@@ -271,7 +279,7 @@ let test_figure3_cascade () =
   let o = N.add_gate net f [| b; c; e |] in
   let g2 = N.add_gate net tt_and2 [| o; d |] in
   N.add_po net g2;
-  let engine = Engine.create ~config:Config.default net in
+  let engine = scoped_engine ~config:Config.default net in
   Engine.set engine b true;
   Engine.set engine c true;
   Engine.set engine d true;
@@ -293,7 +301,7 @@ let test_conflict_detection () =
   let y = N.add_gate net (TT.not_ tt_or2) [| a; b |] in
   N.add_po net x;
   N.add_po net y;
-  let engine = Engine.create ~config:Config.default net in
+  let engine = scoped_engine ~config:Config.default net in
   let mark = Engine.checkpoint engine in
   Engine.set engine x true;
   (match Engine.propagate engine with
@@ -321,7 +329,7 @@ let test_backward_consistency_check () =
   N.add_po net g;
   N.add_po net na;
   N.add_po net nb;
-  let engine = Engine.create ~config:Config.reverse_simulation net in
+  let engine = scoped_engine ~config:Config.reverse_simulation net in
   Engine.set engine g true;
   (match Engine.propagate engine with
    | Engine.Fixpoint -> ()
@@ -358,12 +366,36 @@ let test_scope_confines_propagation () =
     (Assignment.value asg left = Value.Zero);
   Alcotest.(check bool) "out-of-scope gate untouched" true
     (Assignment.value asg right = Value.Unknown);
-  (* Lifting the scope and re-seeding resumes propagation everywhere. *)
-  Engine.clear_scope engine;
+  (* Widening the scope to the right half and re-seeding resumes
+     propagation there. *)
+  Engine.set_scope_cones engine [ left; right2 ];
   Engine.set engine right false;
   ignore (Engine.propagate engine);
-  Alcotest.(check bool) "propagates after unscoping" true
+  Alcotest.(check bool) "propagates after widening" true
     (Assignment.value asg right2 = Value.One)
+
+let test_fresh_engine_has_empty_scope () =
+  (* An engine starts with an empty scope: a value set before the first
+     [set_scope_cones] schedules nothing. *)
+  let net, a, b, c, _, _, _, z = figure1 () in
+  let engine = Engine.create ~config:Config.default net in
+  let asg = Engine.assignment engine in
+  Engine.set engine z true;
+  (match Engine.propagate engine with
+   | Engine.Fixpoint -> ()
+   | Engine.Conflict_at _ -> Alcotest.fail "nothing scheduled, no conflict");
+  Alcotest.(check int) "only the seed assigned" 1 (Assignment.num_assigned asg);
+  Alcotest.(check bool) "z out of scope" false (Engine.in_scope engine z);
+  (* Scoped to z's cone, the same seed implies the whole Figure 1 vector. *)
+  Engine.rollback engine 0;
+  Engine.set_scope_cones engine [ z ];
+  Engine.set engine z true;
+  (match Engine.propagate engine with
+   | Engine.Fixpoint -> ()
+   | Engine.Conflict_at g -> Alcotest.fail (Printf.sprintf "conflict at %d" g));
+  Alcotest.(check bool) "A=1" true (Assignment.value asg a = Value.One);
+  Alcotest.(check bool) "B=0" true (Assignment.value asg b = Value.Zero);
+  Alcotest.(check bool) "C=0" true (Assignment.value asg c = Value.Zero)
 
 (* ------------------------------------------------------------------ *)
 (* Scope and cone marks, and the candidate scan                        *)
@@ -466,16 +498,7 @@ let prop_marks_match_fanin_cones =
            (fun k ->
              check_marks net engine
                (List.init k (fun _ -> Rng.int rng nodes)))
-           [ 1; 3; 1; 5 ]
-         && begin
-           Engine.clear_scope engine;
-           let all = ref true in
-           N.iter_nodes net (fun id ->
-               if not (Engine.in_scope engine id) then all := false;
-               if Engine.scope_chain engine id <> N.fanouts net id then
-                 all := false);
-           !all
-         end))
+           [ 1; 3; 1; 5 ]))
 
 let test_marks_on_deep_network () =
   let rng = Rng.create 41 in
@@ -541,7 +564,7 @@ let test_pending_conflict_on_set () =
   let net = N.create () in
   let a = N.add_pi net in
   N.add_po net a;
-  let engine = Engine.create net in
+  let engine = scoped_engine net in
   Engine.set engine a true;
   Engine.set engine a true;
   (* same value: no-op *)
@@ -564,7 +587,7 @@ let prop_engine_forward_soundness =
        (fun seed ->
          let rng = Rng.create seed in
          let net = random_net rng 5 20 in
-         let engine = Engine.create ~config:Config.default net in
+         let engine = scoped_engine ~config:Config.default net in
          let pis = N.pis net in
          (* Seed a random subset of PI values. *)
          Array.iter
@@ -695,7 +718,7 @@ let prop_row_sets_match_reference =
                 else Config.Bidirectional);
            }
          in
-         let engine = Engine.create ~config:cfg net in
+         let engine = scoped_engine ~config:cfg net in
          let ins = Array.init n (fun _ -> random_value ()) in
          (* A gate is examined when one of its values arrives. *)
          let out =
@@ -744,7 +767,7 @@ let test_dc_ranking_prefers_dcs () =
   let x = N.add_gate net tt_and2 [| a; b |] in
   N.add_po net x;
   let engine =
-    Engine.create
+    scoped_engine
       ~config:{ Config.default with Config.decision = Config.Dc_weighted }
       net
   in
@@ -795,7 +818,7 @@ let test_decision_assigns_matching_row () =
   let rng = Rng.create 211 in
   for _ = 1 to 30 do
     let net = random_net rng 4 15 in
-    let engine = Engine.create ~config:Config.default net in
+    let engine = scoped_engine ~config:Config.default net in
     let decision = Decision.create ~rng:(Rng.split rng) engine in
     let target = N.num_nodes net - 1 in
     if not (N.is_pi net target) then begin
@@ -1170,6 +1193,8 @@ let () =
           Alcotest.test_case "backward consistency" `Quick
             test_backward_consistency_check;
           Alcotest.test_case "scope" `Quick test_scope_confines_propagation;
+          Alcotest.test_case "empty scope at create" `Quick
+            test_fresh_engine_has_empty_scope;
           Alcotest.test_case "pending on set" `Quick test_pending_conflict_on_set;
           prop_engine_forward_soundness;
         ] );

@@ -19,8 +19,7 @@ let prop name gen f =
 
 let test_cube_dc_size () =
   let c = Cube.make [| Cube.T; Cube.DC; Cube.F; Cube.DC |] true in
-  Alcotest.(check int) "dc_size" 2 (Cube.dc_size c);
-  Alcotest.(check int) "assigned" 2 (Cube.num_assigned c)
+  Alcotest.(check int) "dc_size" 2 (Cube.dc_size c)
 
 (* Whether minterm [m] (bit [i] = input [i]) lies in the cube. *)
 let matches (c : Cube.t) m =
@@ -46,10 +45,6 @@ let test_cube_to_truth_table () =
   Alcotest.(check int) "two minterms" 2 (TT.count_ones t);
   Alcotest.(check bool) "m1" true (TT.get_bit t 1);
   Alcotest.(check bool) "m3" true (TT.get_bit t 3)
-
-let test_cube_to_string () =
-  let c = Cube.make [| Cube.T; Cube.F; Cube.DC |] true in
-  Alcotest.(check string) "render" "10- -> 1" (Cube.to_string c)
 
 (* ------------------------------------------------------------------ *)
 (* ISOP cover properties                                               *)
@@ -107,7 +102,8 @@ let test_cover_and_gate () =
   let f = TT.and_ (TT.var 0 2) (TT.var 1 2) in
   match Isop.cover f with
   | [ c ] ->
-      Alcotest.(check string) "single product" "11 -> 1" (Cube.to_string c)
+      Alcotest.(check bool) "single product" true
+        (c = Cube.make [| Cube.T; Cube.T |] true)
   | l -> Alcotest.fail (Printf.sprintf "expected 1 cube, got %d" (List.length l))
 
 let test_rows_nand_gate () =
@@ -204,7 +200,6 @@ let () =
           Alcotest.test_case "matches" `Quick test_cube_matches;
           Alcotest.test_case "eval_lits" `Quick test_cube_eval_lits;
           Alcotest.test_case "to_truth_table" `Quick test_cube_to_truth_table;
-          Alcotest.test_case "to_string" `Quick test_cube_to_string;
         ] );
       ( "cover",
         [

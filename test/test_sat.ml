@@ -218,12 +218,12 @@ let prop_solver_correct =
          | S.Unsat -> not (brute_force nvars clauses)
          | S.Sat ->
              (* The model must satisfy every clause. *)
-             let m = S.model s in
              List.for_all
                (fun c ->
                  List.exists
                    (fun l ->
-                     if L.sign l then not m.(L.var l) else m.(L.var l))
+                     let v = S.value s (L.var l) in
+                     if L.sign l then not v else v)
                    c)
                clauses))
 

@@ -193,23 +193,6 @@ let test_singletons_dropped () =
   exhaustive_refine net eq;
   Alcotest.(check (list int)) "xor gate is singleton" [] (Eq.class_of eq n)
 
-let test_copy_isolated () =
-  let net, _, _, _, _, n = redundant_net () in
-  let eq = Eq.create net in
-  let snapshot = Eq.copy eq in
-  (* a=1, b=0 splits the ANDs (0) from the ORs and the XOR (1) *)
-  refine_vector net eq [| true; false |];
-  let refined = Eq.copy eq in
-  let before = Eq.classes eq and n_class = Eq.class_of eq n in
-  exhaustive_refine net eq;
-  Alcotest.(check int) "copy untouched" 1 (Eq.num_classes snapshot);
-  Alcotest.(check (list (list int))) "refined copy untouched" before
-    (Eq.classes refined);
-  Alcotest.(check (list int)) "refined copy index untouched" n_class
-    (Eq.class_of refined n);
-  Alcotest.(check (list int)) "original split the XOR off" [] (Eq.class_of eq n);
-  Alcotest.(check bool) "original refined" true (Eq.num_classes eq > 1)
-
 (* After every step of a random sequence of word and vector refinements,
    the classes are exactly the groups of gates with equal value
    histories, and [class_of] names each gate's group. *)
@@ -289,7 +272,6 @@ let () =
           Alcotest.test_case "never merges" `Quick test_refinement_never_merges;
           Alcotest.test_case "signatures" `Quick test_classes_respect_signatures;
           Alcotest.test_case "singletons dropped" `Quick test_singletons_dropped;
-          Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
           Alcotest.test_case "PIs excluded" `Quick test_pis_excluded;
           prop_refine_matches_history;
         ] );

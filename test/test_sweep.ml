@@ -876,8 +876,8 @@ let test_session_vs_fresh_differential () =
 
 let test_session_retirement () =
   (* Every solver-backed query retires its miter, and retired miters do
-     not leak constraints: a disproved pair stays provable as different,
-     an equal pair stays equal, and nothing is re-encoded in between. *)
+     not leak constraints: a disproved pair stays provable as different
+     and an equal pair stays equal. *)
   let net, x1, x2, _, _, z1, _ = candidates_net () in
   let session = Sat_session.create ~rng:(Rng.create 5) net in
   (match Sat_session.check_pair session x1 z1 with
@@ -893,7 +893,7 @@ let test_session_retirement () =
     s1.Sat_session.retired;
   Alcotest.(check int) "one proved" 1 s1.Sat_session.proved;
   Alcotest.(check int) "one disproved" 1 s1.Sat_session.disproved;
-  (* Repeat the queries: same verdicts, no new encodings. *)
+  (* Repeat the queries: same verdicts. *)
   (match Sat_session.check_pair session x1 z1 with
    | Sat_session.Counterexample _ -> ()
    | Sat_session.Equal -> Alcotest.fail "retired miter leaked a constraint"
@@ -903,10 +903,29 @@ let test_session_retirement () =
    | Sat_session.Counterexample _ -> Alcotest.fail "equality clause lost"
    | Sat_session.Unknown -> Alcotest.fail "unexpected Unknown without a budget");
   let s2 = Sat_session.stats session in
-  Alcotest.(check int) "cones encoded once" s1.Sat_session.encoded
-    s2.Sat_session.encoded;
   Alcotest.(check int) "still fully retired" s2.Sat_session.queries
     s2.Sat_session.retired
+
+let test_session_requery_proven_pair () =
+  (* A proof retracts the loser's definition, ready for the merge. When
+     the caller declines it and asks again, the loser is encoded afresh
+     and the pair is proved again: the second [Equal] comes from the
+     re-encoded cone, not from clauses left behind. *)
+  let net, x1, x2, _, _, _, _ = candidates_net () in
+  let session = Sat_session.create ~rng:(Rng.create 5) net in
+  let ask () =
+    match Sat_session.check_pair session x1 x2 with
+    | Sat_session.Equal -> Sat_session.stats session
+    | Sat_session.Counterexample _ -> Alcotest.fail "commuted AND is equivalent"
+    | Sat_session.Unknown -> Alcotest.fail "unexpected Unknown without a budget"
+  in
+  let s1 = ask () in
+  let s2 = ask () in
+  Alcotest.(check int) "both queries reached the solver" 2
+    s2.Sat_session.queries;
+  Alcotest.(check int) "proved twice" 2 s2.Sat_session.proved;
+  Alcotest.(check int) "the loser alone encoded again"
+    (s1.Sat_session.encoded + 1) s2.Sat_session.encoded
 
 let test_session_reencodes_after_merge () =
   (* h1 = OR(g1,a) and h2 = OR(g2,a) become structurally identical once
@@ -958,9 +977,11 @@ let test_session_random_exhaustive () =
   (* One session per random network, 30 pair queries each, with the
      solver sanitizer armed and the full audit (watch lists and blockers
      included) after every query. The session never merges, so every
-     cone it encodes stays in the database and later queries run beside
-     the fenced frontier clauses of earlier cones; each query's
-     activation literal is an out-of-focus assumption. Every verdict is
+     cone it encodes stays in the database, bar the definition of a
+     proven pair's loser, which the next query through it encodes again;
+     later queries run beside the fenced frontier clauses of earlier
+     cones, and each query's activation literal is an out-of-focus
+     assumption. Every verdict is
      checked against exhaustive evaluation. *)
   List.iter
     (fun seed ->
@@ -1169,6 +1190,8 @@ let () =
           Alcotest.test_case "differential vs fresh" `Quick
             test_session_vs_fresh_differential;
           Alcotest.test_case "retirement" `Quick test_session_retirement;
+          Alcotest.test_case "proven pair asked twice" `Quick
+            test_session_requery_proven_pair;
           Alcotest.test_case "re-encode after merge" `Quick
             test_session_reencodes_after_merge;
           Alcotest.test_case "random sessions vs exhaustive" `Quick
