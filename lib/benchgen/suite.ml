@@ -161,12 +161,7 @@ let aig name =
   match List.find_opt (fun (n, _, _, _) -> n = name) builders with
   | None -> raise Not_found
   | Some (_, _, _, build) ->
-      let rng = Rng.of_string name in
-      let g = build rng in
-      (* Rename for traceability. *)
-      let g' = Aig.cleanup g in
-      ignore g';
-      g
+      build (Rng.of_string name)
 
 let lut_network ?(k = 6) name =
   let net = Simgen_mapping.Lut_mapper.map ~k (aig name) in

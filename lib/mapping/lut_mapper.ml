@@ -38,10 +38,44 @@ let cut_function aig leaves root =
 (* Priority cuts kept per node. *)
 let cut_limit = 8
 
+(* Depth and area flow of the cut over [leaves], from the best cuts of
+   its leaves. The area flow adds in leaf order. *)
+let cut_of_leaves ~best_depth ~best_area ~refcounts leaves =
+  let depth = ref 0 and area_flow = ref 1.0 in
+  for i = 0 to Array.length leaves - 1 do
+    let l = leaves.(i) in
+    depth := Int.max !depth (best_depth.(l) + 1);
+    area_flow :=
+      !area_flow +. (best_area.(l) /. float_of_int (Int.max 1 refcounts.(l)))
+  done;
+  Cut.make leaves ~depth:!depth ~area_flow:!area_flow
+
+(* The first [cut_limit] cuts of [sorted] that no earlier kept cut
+   dominates. A cut's fate depends only on the cuts kept before it, so
+   stopping at the limit keeps the same cuts as filtering the whole list
+   and truncating. *)
+let priority_cuts sorted =
+  let rec go kept n = function
+    | [] -> List.rev kept
+    | _ when n = cut_limit -> List.rev kept
+    | c :: rest ->
+        if List.exists (fun c' -> Cut.dominates c' c) kept then go kept n rest
+        else go (c :: kept) (n + 1) rest
+  in
+  go [] 0 sorted
+
 let map_with_stats ?(k = 6) aig =
   if k < 2 || k > TT.max_vars then invalid_arg "Lut_mapper.map: bad k";
   let n = Aig.num_nodes aig in
   let refcounts = Aig.fanout_counts aig in
+  (* AND fanouts not yet enumerated: a node's cut list is dropped when its
+     count reaches zero. *)
+  let pending = Array.make n 0 in
+  Aig.iter_ands aig (fun id ->
+      let f0 = Aig.node_of_lit (Aig.fanin0 aig id)
+      and f1 = Aig.node_of_lit (Aig.fanin1 aig id) in
+      pending.(f0) <- pending.(f0) + 1;
+      pending.(f1) <- pending.(f1) + 1);
   let cuts : Cut.t list array = Array.make n [] in
   let best : Cut.t array = Array.make n (Cut.trivial 0) in
   let best_depth = Array.make n 0 in
@@ -54,9 +88,14 @@ let map_with_stats ?(k = 6) aig =
   in
   init_leaf 0;
   Array.iter init_leaf (Aig.pis aig);
+  let release f =
+    pending.(f) <- pending.(f) - 1;
+    if pending.(f) = 0 then cuts.(f) <- []
+  in
   Aig.iter_ands aig (fun id ->
       let f0 = Aig.node_of_lit (Aig.fanin0 aig id)
       and f1 = Aig.node_of_lit (Aig.fanin1 aig id) in
+      (* Newest candidate first: the sort below breaks ties by this order. *)
       let merged = ref [] in
       List.iter
         (fun c0 ->
@@ -65,41 +104,14 @@ let map_with_stats ?(k = 6) aig =
               match Cut.merge k c0 c1 with
               | None -> ()
               | Some leaves ->
-                  let depth =
-                    Array.fold_left
-                      (fun acc l -> max acc (best_depth.(l) + 1))
-                      0 leaves
-                  in
-                  let area_flow =
-                    Array.fold_left
-                      (fun acc l ->
-                        acc +. (best_area.(l) /. float_of_int (max 1 refcounts.(l))))
-                      1.0 leaves
-                  in
                   merged :=
-                    { Cut.leaves; depth; area_flow } :: !merged)
+                    cut_of_leaves ~best_depth ~best_area ~refcounts leaves
+                    :: !merged)
             cuts.(f1))
         cuts.(f0);
-      (* Deduplicate, remove dominated cuts, keep the best few. *)
-      let sorted = List.sort Cut.compare_quality !merged in
-      let kept =
-        List.fold_left
-          (fun kept c ->
-            if
-              List.exists
-                (fun c' -> Cut.equal_leaves c' c || Cut.dominates c' c)
-                kept
-            then kept
-            else c :: kept)
-          [] sorted
-        |> List.rev
-      in
-      let rec take n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: rest -> x :: take (n - 1) rest
-      in
-      let kept = take cut_limit kept in
+      release f0;
+      release f1;
+      let kept = priority_cuts (List.sort Cut.compare_quality !merged) in
       (match kept with
        | [] -> assert false (* the pairwise trivial-cut merge always fits *)
        | b :: _ ->
@@ -108,7 +120,7 @@ let map_with_stats ?(k = 6) aig =
            best_area.(id) <- b.Cut.area_flow);
       (* The trivial cut enables larger cuts upstream but is never chosen
          for covering (it has no LUT semantics of its own). *)
-      cuts.(id) <- kept @ [ Cut.trivial id ]);
+      if pending.(id) > 0 then cuts.(id) <- kept @ [ Cut.trivial id ]);
   (* Backward cover extraction. *)
   let required = Array.make n false in
   Array.iter
@@ -128,7 +140,7 @@ let map_with_stats ?(k = 6) aig =
   let net = N.create ~name:(Aig.name aig) () in
   let node_map = Array.make n (-1) in
   Array.iter (fun id -> node_map.(id) <- N.add_pi net) (Aig.pis aig);
-  let lut_count = ref 0 and edge_count = ref 0 in
+  let edge_count = ref 0 in
   Aig.iter_ands aig (fun id ->
       if required.(id) then begin
         let leaves = best.(id).Cut.leaves in
@@ -146,7 +158,6 @@ let map_with_stats ?(k = 6) aig =
               end)
             leaves
         in
-        incr lut_count;
         edge_count := !edge_count + Array.length fanins;
         node_map.(id) <- N.add_gate net f fanins
       end);
@@ -160,7 +171,6 @@ let map_with_stats ?(k = 6) aig =
       let driver =
         if Aig.is_const aig node then N.add_const net (Aig.is_complemented l)
         else if Aig.is_complemented l then begin
-          incr lut_count;
           incr edge_count;
           N.add_gate net not_table [| node_map.(node) |]
         end
@@ -168,7 +178,6 @@ let map_with_stats ?(k = 6) aig =
       in
       N.add_po ?name:po_name net driver)
     (Aig.pos aig);
-  ignore !lut_count;
   let depth = Simgen_network.Level.depth net in
   (* Count every gate (constant LUTs included) so the stats match the
      returned network exactly. *)

@@ -13,10 +13,8 @@ type fresh = {
    union re-encoded every time. Kept as the baseline the incremental
    session is differentially tested and benchmarked against, and as the
    ladder's fallback when a budgeted session query gives up. *)
-let check_pair_fresh ?subst ?rng ?max_conflicts ?(certify = false) net a b =
-  let resolve =
-    match subst with Some s -> Sat_session.resolve s | None -> Fun.id
-  in
+let check_pair_fresh ~subst ?rng ?max_conflicts ?(certify = false) net a b =
+  let resolve = Sat_session.resolve subst in
   let ra = resolve a and rb = resolve b in
   if ra = rb then
     {

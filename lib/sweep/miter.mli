@@ -28,7 +28,7 @@ type fresh = {
 }
 
 val check_pair_fresh :
-  ?subst:int array ->
+  subst:int array ->
   ?rng:Simgen_base.Rng.t ->
   ?max_conflicts:int ->
   ?certify:bool ->
@@ -36,9 +36,9 @@ val check_pair_fresh :
   Simgen_network.Network.node_id ->
   Simgen_network.Network.node_id ->
   fresh
-(** [check_pair_fresh net a b] on a dedicated fresh solver. [subst.(n)]
-    redirects node [n] to its proven representative (identity by
-    default). PIs outside the encoded cones take random values (from
+(** [check_pair_fresh ~subst net a b] on a dedicated fresh solver.
+    [subst.(n)] redirects node [n] to its proven representative (an
+    identity array checks the nodes as they are). PIs outside the encoded cones take random values (from
     [rng]) in a counterexample so it can be simulated network-wide.
     [max_conflicts] budgets the solve (past it the verdict is [Unknown]:
     the ladder's fresh rung retries a pair that a session may have

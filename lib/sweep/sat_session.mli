@@ -125,7 +125,10 @@ type stats = {
   disproved : int;
   unknown : int;  (** budgeted queries that ran out of conflicts *)
   vector_calls : int;  (** {!solve_targets} calls *)
-  encoded : int;  (** nodes encoded for the first time *)
+  encoded : int;
+      (** encodes of a node with no live variable: a node's first
+          encode, and also a retracted loser asked again and every node
+          encoded anew after a clause-growth rebuild *)
   reencoded : int;  (** re-encodings after a fanin representative moved *)
   retired : int;  (** miters killed by asserting the negated activation *)
   live_clauses : int;  (** gauge: live problem clauses in the solver *)

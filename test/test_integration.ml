@@ -127,7 +127,9 @@ let test_certified_merges () =
     (fun cls ->
       match cls with
       | a :: b :: _ when !proofs < 8 -> (
-          let r = Simgen_sweep.Miter.check_pair_fresh ~certify:true net a b in
+          let r = Simgen_sweep.Miter.check_pair_fresh ~certify:true
+              ~subst:(Array.init (N.num_nodes net) Fun.id)
+              net a b in
           match r.Simgen_sweep.Miter.verdict with
           | Sat_session.Equal ->
               incr proofs;

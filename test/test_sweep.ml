@@ -130,7 +130,11 @@ let test_miter_random_verified () =
   done
 
 let certified net a b =
-  let r = Miter.check_pair_fresh ~certify:true net a b in
+  let r =
+    Miter.check_pair_fresh ~certify:true
+      ~subst:(Array.init (N.num_nodes net) Fun.id)
+      net a b
+  in
   (r.Miter.verdict, r.Miter.valid)
 
 let test_miter_certified () =
@@ -831,7 +835,9 @@ let check_differential net pairs seed =
   List.iter
     (fun (a, b) ->
       let fresh_verdict =
-        (Miter.check_pair_fresh ~rng:(Rng.create (seed lxor 0xF)) net a b)
+        (Miter.check_pair_fresh ~rng:(Rng.create (seed lxor 0xF))
+           ~subst:(Array.init (N.num_nodes net) Fun.id)
+           net a b)
           .Miter.verdict
       in
       let session_verdict = Sat_session.check_pair session a b in
