@@ -688,7 +688,6 @@ let cert_smoke () =
 
 module Serve_server = Simgen_serve.Server
 module Serve_protocol = Simgen_serve.Protocol
-module Fun_cache = Simgen_sweep.Fun_cache
 
 let frame_status = function
   | Serve_protocol.Result fields -> (
@@ -1016,9 +1015,8 @@ let soak_burst ~benches ~workers ~max_queue ~clients =
   Shared.arm ();
   Fault.arm ~prob:0.01 ~seed "conn-drop";
   Fault.arm ~prob:0.02 ~seed "slow-client";
-  let fun_cache = Fun_cache.create () in
   let server =
-    Serve_server.create ~workers ~max_queue ~fun_cache
+    Serve_server.create ~workers ~max_queue
       ~pattern_cache:(Simgen_runner.Pattern_cache.create ())
       ()
   in

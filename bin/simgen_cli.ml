@@ -33,7 +33,6 @@ module Runner = Simgen_runner
 module Shared = Simgen_base.Shared
 module Check = Simgen_check
 module Serve = Simgen_serve
-module Fun_cache = Simgen_sweep.Fun_cache
 module Drup = Simgen_sat.Drup
 
 (* ------------------------------------------------------------------ *)
@@ -723,8 +722,8 @@ let serve_cmd =
     in
     let pattern_cache = Runner.Pattern_cache.create () in
     let server =
-      Serve.Server.create ?workers ~max_queue ~fun_cache:(Fun_cache.create ())
-        ~pattern_cache ~telemetry:events ()
+      Serve.Server.create ?workers ~max_queue ~pattern_cache
+        ~telemetry:events ()
     in
     Printf.printf "simgen daemon: listening on %s (pid %d)\n%!" socket
       (Unix.getpid ());

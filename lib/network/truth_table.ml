@@ -139,9 +139,6 @@ let depends_on t i =
   if i < 6 then Array.exists (fun x -> depends_on_word x i) t.words
   else not (equal (cofactor t i true) (cofactor t i false))
 
-let support t =
-  List.filter (depends_on t) (List.init t.nvars Fun.id)
-
 let count_ones t =
   let popcount x =
     let c = ref 0 in
@@ -165,8 +162,7 @@ let of_minterms n ms =
     ms;
   normalize { nvars = n; words }
 
-(* Rebuild from the semantic function; simple and adequate for the rare
-   structural operation [expand]. *)
+(* Rebuild from the semantic function. *)
 let tabulate n f =
   check_nvars n;
   let words = Array.make (nwords n) 0L in
@@ -177,11 +173,6 @@ let tabulate n f =
     end
   done;
   normalize { nvars = n; words }
-
-let expand t n =
-  if n < t.nvars then invalid_arg "Truth_table.expand";
-  if n = t.nvars then t
-  else tabulate n (fun m -> get_bit t (m land (nbits t.nvars - 1)))
 
 let random rng n =
   check_nvars n;

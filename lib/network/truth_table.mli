@@ -78,18 +78,9 @@ val cofactor : t -> int -> bool -> t
 val depends_on : t -> int -> bool
 (** Whether the function actually depends on variable [i]. *)
 
-val support : t -> int list
-(** Indices of variables the function depends on, ascending.
-    Test seam: only [test_truth_table]'s structure tests call it. *)
-
 val count_ones : t -> int
 (** Number of satisfied minterms. Test reference: the construction and
     cover tests count on-sets with it. *)
-
-val expand : t -> int -> t
-(** [expand t n] reinterprets [t] over [n >= nvars t] variables (the new
-    high variables are don't-cares). Test seam: only
-    [test_truth_table]'s "expand preserves function" calls it. *)
 
 val of_minterms : int -> int list -> t
 (** Table over [n] variables that is true exactly on the given minterms. *)

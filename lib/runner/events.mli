@@ -39,10 +39,10 @@ type payload =
       (** a candidate pair every ladder rung gave up on — reported, never
           merged *)
   | Fun_cache_stats of Simgen_sweep.Fun_cache.stats
-      (** the job's own counters of the cut-local check (deltas: one
-          check serves every job of a daemon); emitted only when the
-          check was attached to the job. The encoder leaves out
-          [local_cexes] *)
+      (** the counters of the cut-local check of the job's last
+          attempt ({!Simgen_sweep.Sweeper.fun_cache_stats}); emitted
+          only when the check was consulted at least once. The encoder
+          leaves out [local_cexes] *)
   | Certificate of { report : Simgen_check.Certificate.report; time : float }
       (** the whole-sweep certificate of a [certify] job was replayed by
           the independent checker ({!Simgen_check.Certificate.check}) in

@@ -50,7 +50,6 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
   let emit payload = Events.emit events ~job:spec.id ~label:spec.label payload in
   emit (Started { worker });
   let opts = spec.options in
-  let fc_before = Option.map Fun_cache.stats opts.Sweep_options.fun_cache in
   let cache_hits = ref 0 and cache_added = ref 0 in
   let attempts = ref 0 in
   let retry_rng = Rng.create (opts.Sweep_options.seed lxor 0x7e7a) in
@@ -70,23 +69,12 @@ let run ?cache ?cancel ~events ~worker (spec : Job.spec) : Job.result =
           List.iter
             (fun (a, b) -> emit (Quarantine { a; b }))
             (List.rev d.quarantined);
+          (* Cut-check telemetry: the sweeper's own counters, so the
+             job's counts alone. *)
+          let fc = Sweeper.fun_cache_stats sw in
+          if fc.Fun_cache.consults > 0 then emit (Fun_cache_stats fc);
           d.quarantined
     in
-    (* Cut-check telemetry: this job's deltas. One check value serves
-       every job of a daemon, hence the delta. *)
-    (match (opts.Sweep_options.fun_cache, fc_before) with
-     | Some fc, Some (b : Fun_cache.stats) ->
-         let s = Fun_cache.stats fc in
-         emit
-           (Fun_cache_stats
-              {
-                consults = s.consults - b.consults;
-                hits = s.hits - b.hits;
-                misses = s.misses - b.misses;
-                local_proofs = s.local_proofs - b.local_proofs;
-                local_cexes = s.local_cexes - b.local_cexes;
-              })
-     | _ -> ());
     let result =
       {
         Job.spec;

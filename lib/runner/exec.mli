@@ -16,8 +16,6 @@ val run :
     cache sharing) and at least one random round. A flow that its
     [max_sat_calls] cut short — stopped before a PO query, or a sweep
     that spent the cap — ends as [Budget_exhausted Sat_calls], unless
-    the budget tripped first. A [fun_cache] in the
-    options turns on the cut-local check
-    ({!Simgen_sweep.Fun_cache}) and emits a [fun-cache] telemetry event
-    with the job's consult and hit counts at finish; the serving layer
-    sets it, batch runs do not. *)
+    the budget tripped first. A job whose last attempt consulted the
+    cut-local check ({!Simgen_sweep.Fun_cache}) emits a [fun-cache]
+    telemetry event with that sweeper's counts at finish. *)

@@ -21,9 +21,8 @@ type spec = {
   options : Simgen_sweep.Sweep_options.t;
       (** the sweep settings: seed (results are deterministic in it),
           strategy, rounds, SAT-call cap, conflict budget,
-          certification, solver audit, and the cut check
-          ([fun_cache]). The executor fills in [should_stop] and
-          [observe] at each attempt *)
+          certification and solver audit. The executor fills in
+          [should_stop] and [observe] at each attempt *)
   limits : Budget.limits;  (** deadline and watchdog *)
   retry : Retry_policy.t;  (** supervisor policy for retryable failures *)
 }

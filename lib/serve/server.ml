@@ -9,7 +9,6 @@ module Pattern_cache = Simgen_runner.Pattern_cache
 module Fun_cache = Simgen_sweep.Fun_cache
 module Sweeper = Simgen_sweep.Sweeper
 module Cec = Simgen_sweep.Cec
-module Sweep_options = Simgen_sweep.Sweep_options
 module Lint = Simgen_check.Lint
 module Diagnostic = Simgen_check.Diagnostic
 module Fault = Simgen_fault.Fault
@@ -17,7 +16,7 @@ module Fault = Simgen_fault.Fault
 type t = {
   workers : int;
   max_queue : int;  (* admission bound on queued (not in-flight) jobs *)
-  fun_cache : Fun_cache.t option;
+  fun_cache : Fun_cache.t;  (* the sum of every job's cut-check counts *)
   pattern_cache : Pattern_cache.t option;
   telemetry : Events.sink;
   started : float;
@@ -32,8 +31,12 @@ type t = {
       (* jobs whose deadline passed: shed before dispatch or cut short *)
 }
 
-let create ?workers ?(max_queue = 64) ?fun_cache ?pattern_cache
-    ?(telemetry = Events.null) () =
+(* [fun_cache] receives the sum of the jobs' cut-check counts, which the
+   [stats] frame reports. The argument remains only because the serving
+   benchmark (perfbench/serve_repeat.ml) passes it; it goes once that
+   benchmark stops pinning it. *)
+let create ?workers ?(max_queue = 64) ?(fun_cache = Fun_cache.create ())
+    ?pattern_cache ?(telemetry = Events.null) () =
   let workers =
     match workers with
     | Some w -> max 1 w
@@ -146,21 +149,26 @@ let job_succeeded (r : Job.result) =
   | Job.Equivalent | Job.Not_equivalent _ | Job.Swept -> true
   | Job.Inconclusive _ | Job.Budget_exhausted _ | Job.Failed _ -> false
 
-(* Run one job spec with the daemon's cut check, mirroring its telemetry
-   to the daemon sink and to the requesting client. *)
+(* Run one job spec, mirroring its telemetry to the daemon sink and to
+   the requesting client, and adding its cut-check counts to the
+   daemon's. *)
 let run_job t ?on_event ~worker spec =
   let sink =
     Events.callback (fun e ->
+        (match e.Events.payload with
+         | Events.Fun_cache_stats s -> Fun_cache.add t.fun_cache s
+         | Queued | Started _ | Lint _ | Cache_replay _ | Random_round _
+         | Guided_round _ | Sat_sweep _ | Fault _ | Retry _ | Degrade _
+         | Quarantine _ | Certificate _ | Finished _ ->
+             ());
         Events.emit t.telemetry ~job:e.Events.job ~label:e.Events.label
           e.Events.payload;
         match on_event with
         | None -> ()
         | Some f -> f (Events.json e))
   in
-  let options = { spec.Job.options with Sweep_options.fun_cache = t.fun_cache } in
   let r =
-    Exec.run ?cache:t.pattern_cache ~cancel:t.cancel ~events:sink ~worker
-      { spec with Job.options }
+    Exec.run ?cache:t.pattern_cache ~cancel:t.cancel ~events:sink ~worker spec
   in
   if job_succeeded r then Shared.Atomic.incr t.jobs_ok
   else Shared.Atomic.incr t.jobs_err;
@@ -218,24 +226,19 @@ let stats_fields t =
               ] );
         ]
   in
+  let fc = Fun_cache.stats t.fun_cache in
   let fun_cache =
-    match t.fun_cache with
-    | None -> []
-    | Some fc ->
-        let s = Fun_cache.stats fc in
+    ( "fun_cache",
+      Obj
         [
-          ( "fun_cache",
-            Obj
-              [
-                ("consults", Int s.Fun_cache.consults);
-                ("hits", Int s.Fun_cache.hits);
-                ("misses", Int s.Fun_cache.misses);
-                ("local_proofs", Int s.Fun_cache.local_proofs);
-                ("local_cexes", Int s.Fun_cache.local_cexes);
-              ] );
-        ]
+          ("consults", Int fc.Fun_cache.consults);
+          ("hits", Int fc.Fun_cache.hits);
+          ("misses", Int fc.Fun_cache.misses);
+          ("local_proofs", Int fc.Fun_cache.local_proofs);
+          ("local_cexes", Int fc.Fun_cache.local_cexes);
+        ] )
   in
-  base @ patterns @ fun_cache
+  base @ patterns @ [ fun_cache ]
 
 let handle t ?on_event req =
   Shared.Atomic.incr t.requests;

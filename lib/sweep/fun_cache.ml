@@ -1,4 +1,4 @@
-(* The cut-local check: the rung of [Sweeper.verify_pair] that runs
+(* The cut-local check: the first rung of [Sweeper.verify_pair], run
    before any SAT query. It grows a small cut shared by the pair,
    composes both cone functions over it and compares the tables. Nothing
    is stored between consults; the only state is five counters. *)
@@ -132,7 +132,7 @@ let first_differing_minterm tt_a tt_b s =
   in
   go 0
 
-let consult t ?(serve_equal = true) ~rng ~subst net a b =
+let consult t ~serve_equal ~rng ~subst net a b =
   let a = Sat_session.resolve subst a and b = Sat_session.resolve subst b in
   Shared.Atomic.incr t.consults;
   let frontier, interior, exact = shared_cut ~subst net a b in
@@ -180,3 +180,11 @@ let stats (t : t) =
     local_proofs = Shared.Atomic.get t.local_proofs;
     local_cexes = Shared.Atomic.get t.local_cexes;
   }
+
+let add (t : t) (s : stats) =
+  let bump counter n = ignore (Shared.Atomic.fetch_and_add counter n) in
+  bump t.consults s.consults;
+  bump t.hits s.hits;
+  bump t.misses s.misses;
+  bump t.local_proofs s.local_proofs;
+  bump t.local_cexes s.local_cexes

@@ -1,5 +1,5 @@
-(** The cut-local check: the rung {!Sweeper.verify_pair} tries before
-    any SAT query.
+(** The cut-local check: the first rung of every ladder
+    {!Sweeper.verify_pair} walks.
 
     For one candidate pair it grows a small cut shared by both nodes (at
     most 8 cut nodes, at most 48 gate expansions), composes both cone
@@ -19,10 +19,12 @@
     The answer is a {!Sat_session.verdict}, the one pair answer every
     ladder rung gives.
 
-    The module keeps its historical name because the serving layer and
-    its benchmark still construct it as [Fun_cache.create ()]. The
-    counters are atomics, so one value may be shared across runner
-    Domains. *)
+    A value of [t] is a set of counters. Every sweeper owns one
+    ({!Sweeper.fun_cache_stats} reads it), and the daemon keeps one that
+    sums its jobs' counts ({!add}). The module keeps its historical name
+    because the serving benchmark still constructs it as
+    [Fun_cache.create ()]. The counters are atomics, so one value may be
+    shared across runner Domains. *)
 
 type t
 
@@ -30,7 +32,7 @@ val create : unit -> t
 
 val consult :
   t ->
-  ?serve_equal:bool ->
+  serve_equal:bool ->
   rng:Simgen_base.Rng.t ->
   subst:int array ->
   Simgen_network.Network.t ->
@@ -38,7 +40,7 @@ val consult :
   Simgen_network.Network.node_id ->
   Sat_session.verdict
 (** Check one candidate pair (resolved through [subst] like every
-    miter). [serve_equal:false] (used under certification, where every
+    miter). [serve_equal:false] (under certification, where every
     merge must cite a DRUP proof) turns a locally proven [Equal] into
     [Unknown], so the SAT route still runs and records a proof;
     counterexamples are still served, since a disproof carries no
@@ -57,3 +59,6 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val add : t -> stats -> unit
+(** Add a consult count, such as one job's, into the counters. *)

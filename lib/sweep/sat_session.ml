@@ -270,8 +270,10 @@ let extract t = Sat.Tseitin.pi_values ~rng:t.rng t.solver t.net t.vars
    over the current representatives. Triggered when the clause database
    outgrows the live encoding past [gc_ratio] — the growth is then
    dominated by learned clauses and stale variable space that no
-   per-clause GC can reclaim. A certifying session records the
-   discontinuity so the checker resets its clause database too. *)
+   per-clause GC can reclaim — and by the sweeper after a Violation
+   mid-query, since the substitution is the last consistent state. A
+   certifying session records the discontinuity so the checker resets
+   its clause database too. *)
 let rebuild t =
   if t.certify then t.cert_queries <- Certificate.Rebuild :: t.cert_queries;
   t.base_stats <- Sat.Solver.add_stats t.base_stats (Sat.Solver.stats t.solver);

@@ -110,6 +110,18 @@ val check_pair :
     ({!Sweeper.verify_pair}). Unbudgeted queries never answer
     [Unknown]. *)
 
+val rebuild : t -> unit
+(** Drop the solver and start over on the same shared substitution: the
+    next queries re-encode only the cones they touch, over the current
+    representatives. Proof logging and the audit are re-armed as at
+    {!create}, and a certifying session records a
+    {!Simgen_check.Certificate.Rebuild} marker after the queries still
+    untaken, so the checker resets its clause database at the same
+    point. {!check_pair} calls it when the clause database outgrows the
+    live encoding; {!Sweeper.verify_pair} calls it to recover from a
+    [Runtime_check.Violation] mid-query. Counters, {!stats} and
+    {!solver_stats} alike, carry over. *)
+
 val solve_targets :
   t ->
   (Simgen_network.Network.node_id * bool) list ->
@@ -136,7 +148,9 @@ type stats = {
   retired_clauses : int;
       (** clauses physically deleted by session GC: guard clauses at
           retirement plus stale gate encodings at re-encode *)
-  rebuilds : int;  (** clause-growth solver rebuilds *)
+  rebuilds : int;
+      (** solver rebuilds of either kind: clause growth, and recovery
+          from a [Runtime_check.Violation] ({!rebuild}) *)
 }
 
 val stats : t -> stats

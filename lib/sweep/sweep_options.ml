@@ -42,7 +42,6 @@ type t = {
   solver_audit : bool;
   should_stop : unit -> bool;
   observe : observation -> unit;
-  fun_cache : Fun_cache.t option;
 }
 
 let default =
@@ -60,5 +59,4 @@ let default =
     solver_audit = false;
     should_stop = (fun () -> false);
     observe = ignore;
-    fun_cache = None;
   }

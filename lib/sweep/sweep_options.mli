@@ -94,11 +94,6 @@ type t = {
       (** cooperative cancellation, polled between units of work *)
   observe : observation -> unit;
       (** the flow's observer: called for every {!observation} *)
-  fun_cache : Fun_cache.t option;
-      (** the cut-local check {!Sweeper.verify_pair} runs before any
-          SAT query (see {!Fun_cache}); the serving layer sets it, the
-          one-shot [cec] and [batch] flows leave it unset. [None] (the
-          default) skips the check entirely *)
 }
 
 val default : t

@@ -85,7 +85,6 @@ type t = {
   rng : Rng.t;
   check : bool;  (* run invariant audits at refinement/merge boundaries *)
   certify : bool;  (* record a whole-sweep certificate *)
-  audit : bool;  (* sampled solver-state sanitizer (Sweep_options.solver_audit) *)
   (* Whole-sweep certificate state: query records flushed out of the
      session (and appended by the certified fresh rung), the merge log
      (repr, node, proof_ref) in merge order — both newest first — and
@@ -98,10 +97,9 @@ type t = {
   levels : int array;
   outgold : Core.Outgold.strategy;
   subst : int array;  (* proven-equivalence representative *)
-  mutable session : Sat_session.t;
-      (* the per-sweep incremental solver; shares [subst] and [rng].
-         Mutable: a Violation mid-query tears the session down and a
-         fresh one is rebuilt over the same (consistent) substitution. *)
+  session : Sat_session.t;
+      (* the per-sweep incremental solver; shares [subst] and [rng] *)
+  fun_cache : Fun_cache.t;  (* the cut check's counters, this sweep's own *)
   mutable history : int list;  (* costs, newest first *)
   (* Pairs (lo, hi) of representatives every ladder rung gave up on:
      skipped by candidate picking until a merge changes one side's
@@ -131,7 +129,6 @@ let create (opts : Sweep_options.t) net =
     rng;
     check;
     certify;
-    audit;
     cert_queries = [];
     cert_count = 0;
     merges = [];
@@ -141,6 +138,7 @@ let create (opts : Sweep_options.t) net =
     outgold = opts.Sweep_options.outgold;
     subst;
     session = Sat_session.create ~certify ~audit ~subst ~rng net;
+    fun_cache = Fun_cache.create ();
     history = [];
     quarantine = Hashtbl.create 8;
     d_stats = empty_degrade;
@@ -151,6 +149,7 @@ let create (opts : Sweep_options.t) net =
   }
 
 let session t = t.session
+let fun_cache_stats t = Fun_cache.stats t.fun_cache
 
 (* Pull the session's per-query records into the sweeper-level stream.
    Called after every session query so [cert_count - 1] always indexes
@@ -421,28 +420,13 @@ let quarantine_pair t a b =
     t.d_stats <- { t.d_stats with quarantined = key :: t.d_stats.quarantined }
   end
 
-let rebuild_session t =
-  (* Salvage the completed query records before the old session (and its
-     un-taken buffer) is dropped, then mark the discontinuity: the new
-     session restarts the solver's variable space, so the checker must
-     restart its replay engine too. *)
-  flush_cert_queries t;
-  if t.certify then begin
-    t.cert_queries <- Certificate.Rebuild :: t.cert_queries;
-    t.cert_count <- t.cert_count + 1
-  end;
-  t.session <-
-    Sat_session.create ~certify:t.certify ~audit:t.audit
-      ~subst:t.subst ~rng:t.rng t.net;
-  t.d_stats <-
-    { t.d_stats with session_rebuilds = t.d_stats.session_rebuilds + 1 }
-
 (* One session query with Violation recovery: a corrupted session (a
-   tripped audit, an injected corruption) is torn down and rebuilt from
-   the substitution — the last consistent state, since only proven merges
-   ever enter it — and the query retried once. A second Violation is
-   genuine corruption outside the session and propagates. Solver-counter
-   deltas accumulate into [acc] even when the query dies mid-way. *)
+   tripped audit, an injected corruption) is rebuilt from the
+   substitution ({!Sat_session.rebuild}) — the last consistent state,
+   since only proven merges ever enter it — and the query retried once.
+   A second Violation is genuine corruption outside the session and
+   propagates. Solver-counter deltas accumulate into [acc] even when the
+   query dies mid-way. *)
 let session_query ?max_conflicts t a b acc =
   let attempt () =
     let before = Sat_session.solver_stats t.session in
@@ -456,7 +440,9 @@ let session_query ?max_conflicts t a b acc =
   let verdict =
     try attempt ()
     with Runtime_check.Violation _ ->
-      rebuild_session t;
+      Sat_session.rebuild t.session;
+      t.d_stats <-
+        { t.d_stats with session_rebuilds = t.d_stats.session_rebuilds + 1 };
       attempt ()
   in
   (* Flush after every query so [cert_count - 1] is this query's record;
@@ -488,7 +474,7 @@ let fresh_query ?max_conflicts t a b acc =
 (* The rungs of the degradation ladder, walked in list order by
    {!verify_pair}. [Session k] and [Fresh k] run at the base conflict
    budget times 4^k. *)
-type rung = Cut_check of Fun_cache.t | Session of int | Fresh of int | Bdd
+type rung = Cut_check | Session of int | Fresh of int | Bdd
 
 (* Session steps past the first, each at 4x the previous budget: the
    solver keeps its learned clauses, so each retry resumes paid-for work. *)
@@ -498,19 +484,18 @@ let session_steps = List.init (escalations + 1) (fun k -> Session k)
 (* The BDD rung's node quota; past it the pair is quarantined. *)
 let bdd_quota = 10_000
 
-(* The rungs of one query: the cut-local check when a [fun_cache] is set,
-   the session steps, a fresh solver at the next budget (a session
-   poisoned by its own clause database cannot poison it), then the BDD
-   backend. On the fresh route ([incremental = false]) there is no
-   session to escalate, and the fresh solver is the first SAT rung, at
-   step 0. Under certification the BDD rung is dropped: its verdict
-   carries no clausal proof, so the pair is quarantined rather than
-   merged on it. *)
-let ladder ~cut ~session ~certify =
-  (match cut with Some fc -> [ Cut_check fc ] | None -> [])
-  @ (if session then session_steps @ [ Fresh (escalations + 1) ]
-     else [ Fresh 0 ])
-  @ if certify then [] else [ Bdd ]
+(* The rungs of one query: the cut-local check, the session steps, a
+   fresh solver at the next budget (a session poisoned by its own clause
+   database cannot poison it), then the BDD backend. On the fresh route
+   ([incremental = false]) there is no session to escalate, and the
+   fresh solver is the first SAT rung, at step 0. Under certification
+   the BDD rung is dropped: its verdict carries no clausal proof, so the
+   pair is quarantined rather than merged on it. *)
+let ladder ~session ~certify =
+  let sat =
+    if session then session_steps @ [ Fresh (escalations + 1) ] else [ Fresh 0 ]
+  in
+  (Cut_check :: sat) @ if certify then [] else [ Bdd ]
 
 (* Ladder telemetry. Entering session step k >= 1 is an escalation, the
    fresh solver after a session step a fresh fallback, the BDD rung a
@@ -523,12 +508,12 @@ let enter t rung =
   | Fresh k when k > 0 ->
       t.d_stats <- { d with fresh_fallbacks = d.fresh_fallbacks + 1 }
   | Bdd -> t.d_stats <- { d with bdd_fallbacks = d.bdd_fallbacks + 1 }
-  | Cut_check _ | Session _ | Fresh _ -> ()
+  | Cut_check | Session _ | Fresh _ -> ()
 
 let gave_up t = function
   | Session _ | Fresh _ ->
       t.d_stats <- { t.d_stats with unknowns = t.d_stats.unknowns + 1 }
-  | Cut_check _ | Bdd -> ()
+  | Cut_check | Bdd -> ()
 
 (* Verify one candidate pair by walking its {!ladder} until a rung
    answers other than [Unknown]. Past the last rung the pair is
@@ -547,12 +532,12 @@ let verify_pair (opts : Sweep_options.t) t a b =
       | Some b -> Some (b * (1 lsl (2 * k)))
     in
     let ask = function
-      | Cut_check fc ->
+      | Cut_check ->
           (* Equal is proven over a shared cut (and withheld under
              certification, where the merge must cite a DRUP proof); a
              counterexample comes from an exact cut. *)
-          Fun_cache.consult fc ~serve_equal:(not t.certify) ~rng:t.rng
-            ~subst:t.subst t.net a b
+          Fun_cache.consult t.fun_cache ~serve_equal:(not t.certify)
+            ~rng:t.rng ~subst:t.subst t.net a b
       | Session k -> session_query ?max_conflicts:(budget k) t a b acc
       | Fresh k -> fresh_query ?max_conflicts:(budget k) t a b acc
       | Bdd ->
@@ -571,9 +556,7 @@ let verify_pair (opts : Sweep_options.t) t a b =
           | (Sat_session.Equal | Sat_session.Counterexample _) as v -> v)
     in
     let verdict =
-      walk
-        (ladder ~cut:opts.Sweep_options.fun_cache
-           ~session:opts.Sweep_options.incremental ~certify:t.certify)
+      walk (ladder ~session:opts.Sweep_options.incremental ~certify:t.certify)
     in
     (verdict, !acc)
   end

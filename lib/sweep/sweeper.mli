@@ -56,8 +56,8 @@ type degrade_stats = {
       (** queries retried on a fresh solver after the session gave up *)
   bdd_fallbacks : int;  (** queries retried on the BDD backend *)
   session_rebuilds : int;
-      (** sessions torn down after a [Runtime_check.Violation] and rebuilt
-          from the substitution *)
+      (** session solvers rebuilt from the substitution after a
+          [Runtime_check.Violation] *)
   quarantined : (int * int) list;
       (** representative pairs every rung gave up on, newest first — never
           merged, excluded from further candidate picking *)
@@ -84,12 +84,16 @@ val create : Sweep_options.t -> Simgen_network.Network.t -> t
     {!Simgen_base.Runtime_check.Violation} on corruption. *)
 
 val session : t -> Sat_session.t
-(** The sweeper's {e current} incremental verification session. It shares
-    the sweeper's substitution array and RNG, so miters posed through it
-    (the CEC PO phase does this) see — and their merges extend — the
-    proven equivalences of the sweep. A [Runtime_check.Violation] inside
-    a {!verify_pair} query replaces the session with a fresh one, so do
-    not cache the returned handle across queries. *)
+(** The sweeper's incremental verification session. It shares the
+    sweeper's substitution array and RNG, so miters posed through it (the
+    CEC PO phase does this) see — and their merges extend — the proven
+    equivalences of the sweep. A [Runtime_check.Violation] inside a
+    {!verify_pair} query rebuilds its solver ({!Sat_session.rebuild});
+    the handle stays the same. *)
+
+val fun_cache_stats : t -> Fun_cache.stats
+(** The counters of this sweeper's cut-local check, the first rung of
+    {!verify_pair}: sweep and PO phases alike, this sweeper only. *)
 
 val network : t -> Simgen_network.Network.t
 (** Test seam: the certificate tests read the swept network back. *)
@@ -181,8 +185,8 @@ val verify_pair :
     resolved to representatives first, then walks a fixed list of rungs,
     each answering a {!Sat_session.verdict}, until one answers other
     than [Unknown]:
-    - the cut-local check ({!Fun_cache.consult}), when [fun_cache] is
-      set;
+    - the cut-local check ({!Fun_cache.consult}), counted in
+      {!fun_cache_stats};
     - a session query at [max_conflicts], then the same query at 4x the
       previous budget, three times (the session keeps its learned
       clauses, so each retry resumes paid-for work);
@@ -192,14 +196,13 @@ val verify_pair :
     Past the last rung the pair is quarantined — recorded in
     {!degrade_stats}, excluded from future candidate picking — and the
     verdict is [Unknown]. Nothing is ever merged on [Unknown].
-    [incremental = false] skips the session: the fresh solver runs
-    first, at [max_conflicts]. On a sweeper created with [certify] (the
+    [incremental = false] skips the session: the fresh solver is the
+    first SAT rung, at [max_conflicts]. On a sweeper created with [certify] (the
     options passed here do not change it) the fresh rung certifies too
     (its proof joins the certificate), the cut check withholds [Equal],
     and the BDD rung is dropped — a BDD verdict carries no clausal
-    proof. A [Runtime_check.Violation] mid-query tears the
-    session down, rebuilds it over the (consistent) substitution and
-    retries once; a second Violation propagates. Returns the verdict and
+    proof. A [Runtime_check.Violation] mid-query rebuilds the session's
+    solver over the (consistent) substitution and retries once; a second Violation propagates. Returns the verdict and
     the solver-counter deltas across every rung tried. With
     [max_conflicts = None] (the default) budgets are unlimited and the
     ladder is only ever climbed under injected faults. *)

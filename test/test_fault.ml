@@ -17,6 +17,7 @@ module Rng = Simgen_base.Rng
 module Runtime_check = Simgen_base.Runtime_check
 module Sweeper = Simgen_sweep.Sweeper
 module Sat_session = Simgen_sweep.Sat_session
+module Fun_cache = Simgen_sweep.Fun_cache
 module Sweep_options = Simgen_sweep.Sweep_options
 module Cec = Simgen_sweep.Cec
 module Suite = Simgen_benchgen.Suite
@@ -38,18 +39,41 @@ let opts ?(seed = 1) ?(guided_iterations = 20) () =
   { Sweep_options.default with Sweep_options.seed; guided_iterations }
 
 let tt_and2 = TT.and_ (TT.var 0 2) (TT.var 1 2)
-let tt_or2 = TT.or_ (TT.var 0 2) (TT.var 1 2)
 
-(* A net with an equal pair (x1,x2) and a distinct pair (x1,y1). *)
+(* An equal pair (x1, x2) the cut-local check cannot decide, so the SAT
+   rungs behind it run: both are the AND of 9 PIs, x1 a left-deep chain
+   and x2 a right-deep one. They share no interior gate, and no cut of
+   at most 8 nodes is all PIs, so the check answers Unknown. *)
 let pair_net () =
+  let net = N.create () in
+  let pis = List.init 9 (fun _ -> N.add_pi net) in
+  let and2 a b = N.add_gate net tt_and2 [| a; b |] in
+  let x1 = List.fold_left and2 (List.hd pis) (List.tl pis) in
+  let x2 =
+    match List.rev pis with
+    | last :: rest -> List.fold_left (fun acc p -> and2 p acc) last rest
+    | [] -> assert false
+  in
+  List.iter (N.add_po net) [ x1; x2 ];
+  (net, x1, x2)
+
+(* A small equal pair the check proves: AND(a,b) against AND(b,a). *)
+let small_pair_net () =
   let net = N.create () in
   let a = N.add_pi net in
   let b = N.add_pi net in
   let x1 = N.add_gate net tt_and2 [| a; b |] in
   let x2 = N.add_gate net tt_and2 [| b; a |] in
-  let y1 = N.add_gate net tt_or2 [| a; b |] in
-  List.iter (N.add_po net) [ x1; x2; y1 ];
-  (net, x1, x2, y1)
+  List.iter (N.add_po net) [ x1; x2 ];
+  (net, x1, x2)
+
+(* The check answered the sweeper's one consult with Unknown. *)
+let check_cut_unknown what sw =
+  let s = Sweeper.fun_cache_stats sw in
+  Alcotest.(check (list int))
+    (what ^ ": cut check consults, hits")
+    [ 1; 0 ]
+    [ s.Fun_cache.consults; s.Fun_cache.hits ]
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
@@ -213,7 +237,7 @@ let ladder_opts =
 
 let test_ladder_bdd_rescue () =
   with_faults (fun () ->
-      let net, x1, x2, _ = pair_net () in
+      let net, x1, x2 = pair_net () in
       let sw = Sweeper.create ladder_opts net in
       (* A zero base budget starves every SAT rung (0 * 4^k = 0), so only
          the BDD rung can decide — and it must, with the right verdict. *)
@@ -221,6 +245,7 @@ let test_ladder_bdd_rescue () =
       let verdict, _ = Sweeper.verify_pair opts sw x1 x2 in
       Alcotest.(check bool) "BDD rung decides Equal" true
         (verdict = Sat_session.Equal);
+      check_cut_unknown "bdd rescue" sw;
       let d = Sweeper.degrade_stats sw in
       Alcotest.(check int) "session rungs + fresh all refused" 5 d.Sweeper.unknowns;
       Alcotest.(check int) "escalated three times" 3 d.Sweeper.escalations;
@@ -261,35 +286,32 @@ let test_ladder_quarantine () =
 
 (* Every ladder route, table-driven. A zero base budget starves every
    SAT rung, so each case walks its route to the end: the cut check
-   answers first when set (Equal withheld under certify); the session
-   steps 0..3 run unless [incremental = false], which starts at the
-   fresh rung; the BDD rung follows unless certifying, where the pair
-   is quarantined instead. Columns: incremental, certify, fun_cache,
-   then the verdict, unknowns, escalations, fresh and BDD fallbacks. *)
+   answers Unknown first; the session steps 0..3 run unless
+   [incremental = false], which starts at the fresh rung; the BDD rung
+   follows unless certifying, where the pair is quarantined instead.
+   Columns: incremental, certify, then the verdict, unknowns,
+   escalations, fresh and BDD fallbacks. *)
 let test_ladder_routes () =
   let equal = Sat_session.Equal and unknown = Sat_session.Unknown in
   List.iter
-    (fun (incremental, certify, cut, verdict, unknowns, escalations, fresh, bdd)
-       ->
+    (fun (incremental, certify, verdict, unknowns, escalations, fresh, bdd) ->
       with_faults (fun () ->
-          let net, x1, x2, _ = pair_net () in
+          let net, x1, x2 = pair_net () in
           let opts =
             {
               ladder_opts with
               Sweep_options.max_conflicts = Some 0;
               incremental;
               certify;
-              fun_cache =
-                (if cut then Some (Simgen_sweep.Fun_cache.create ()) else None);
             }
           in
           let sw = Sweeper.create opts net in
           let got, _ = Sweeper.verify_pair opts sw x1 x2 in
           let tag =
-            Printf.sprintf "incremental=%b certify=%b cut=%b" incremental
-              certify cut
+            Printf.sprintf "incremental=%b certify=%b" incremental certify
           in
           Alcotest.(check bool) (tag ^ ": verdict") true (got = verdict);
+          check_cut_unknown tag sw;
           let d = Sweeper.degrade_stats sw in
           Alcotest.(check (list int))
             (tag ^ ": unknowns, escalations, fresh, bdd, rebuilds")
@@ -306,19 +328,40 @@ let test_ladder_routes () =
             (if verdict = unknown then [ (min x1 x2, max x1 x2) ] else [])
             d.Sweeper.quarantined))
     [
-      (true, false, false, equal, 5, 3, 1, 1);
-      (true, false, true, equal, 0, 0, 0, 0);
-      (true, true, false, unknown, 5, 3, 1, 0);
-      (true, true, true, unknown, 5, 3, 1, 0);
-      (false, false, false, equal, 1, 0, 0, 1);
-      (false, false, true, equal, 0, 0, 0, 0);
-      (false, true, false, unknown, 1, 0, 0, 0);
-      (false, true, true, unknown, 1, 0, 0, 0);
+      (true, false, equal, 5, 3, 1, 1);
+      (true, true, unknown, 5, 3, 1, 0);
+      (false, false, equal, 1, 0, 0, 1);
+      (false, true, unknown, 1, 0, 0, 0);
     ]
+
+(* The cut check answers first: on a pair it proves, no SAT rung runs
+   even with every budget at zero; under certify it withholds the Equal
+   (the merge must cite a DRUP proof), so the starved SAT rungs all run
+   and the pair is quarantined. Columns: certify, then the verdict, cut
+   check hits and ladder unknowns. *)
+let test_cut_check_first () =
+  List.iter
+    (fun (certify, verdict, hits, unknowns) ->
+      let net, x1, x2 = small_pair_net () in
+      let opts =
+        { ladder_opts with Sweep_options.max_conflicts = Some 0; certify }
+      in
+      let sw = Sweeper.create opts net in
+      let got, _ = Sweeper.verify_pair opts sw x1 x2 in
+      let tag = Printf.sprintf "certify=%b" certify in
+      Alcotest.(check bool) (tag ^ ": verdict") true (got = verdict);
+      let s = Sweeper.fun_cache_stats sw in
+      Alcotest.(check (list int))
+        (tag ^ ": consults, local proofs, hits")
+        [ 1; 1; hits ]
+        [ s.Fun_cache.consults; s.Fun_cache.local_proofs; s.Fun_cache.hits ];
+      Alcotest.(check int) (tag ^ ": unknowns") unknowns
+        (Sweeper.degrade_stats sw).Sweeper.unknowns)
+    [ (false, Sat_session.Equal, 1, 0); (true, Sat_session.Unknown, 0, 5) ]
 
 let test_sat_budget_fault_escalates () =
   with_faults (fun () ->
-      let net, x1, x2, _ = pair_net () in
+      let net, x1, x2 = pair_net () in
       let sw = Sweeper.create ladder_opts net in
       Fault.arm ~times:1 "sat-budget";
       (* The injected zero budget refuses the first session query; the
@@ -326,6 +369,7 @@ let test_sat_budget_fault_escalates () =
       let verdict, _ = Sweeper.verify_pair ladder_opts sw x1 x2 in
       Alcotest.(check bool) "escalation recovers Equal" true
         (verdict = Sat_session.Equal);
+      check_cut_unknown "sat-budget" sw;
       let d = Sweeper.degrade_stats sw in
       Alcotest.(check int) "one refusal" 1 d.Sweeper.unknowns;
       Alcotest.(check int) "one escalation" 1 d.Sweeper.escalations;
@@ -334,18 +378,21 @@ let test_sat_budget_fault_escalates () =
 
 let test_session_corrupt_rebuild () =
   with_faults (fun () ->
-      let net, x1, x2, _ = pair_net () in
+      let net, x1, x2 = pair_net () in
       let sw = Sweeper.create ladder_opts net in
       Fault.arm ~times:1 "session-corrupt";
       let verdict, _ = Sweeper.verify_pair ladder_opts sw x1 x2 in
       Alcotest.(check bool) "rebuilt session proves Equal" true
         (verdict = Sat_session.Equal);
+      check_cut_unknown "session-corrupt" sw;
+      Alcotest.(check int) "the session counts the rebuild" 1
+        (Sat_session.stats (Sweeper.session sw)).Sat_session.rebuilds;
       Alcotest.(check int) "one rebuild" 1
         (Sweeper.degrade_stats sw).Sweeper.session_rebuilds)
 
 let test_session_corrupt_repeated_violation_propagates () =
   with_faults (fun () ->
-      let net, x1, x2, _ = pair_net () in
+      let net, x1, x2 = pair_net () in
       let sw = Sweeper.create ladder_opts net in
       (* Both the query and its rebuild-retry hit the fault: the second
          Violation must propagate — no infinite rebuild loop. *)
@@ -362,7 +409,7 @@ let test_gen_giveup_harmless () =
       (* Guided generation giving up on every round only loses pattern
          quality; the CEC verdict must be unaffected. *)
       Fault.arm "gen-giveup";
-      let net, _, _, _ = pair_net () in
+      let net, _, _ = pair_net () in
       let report = Cec.check
         { ladder_opts with Sweep_options.guided_iterations = 4 }
         net (N.copy net) in
@@ -375,7 +422,7 @@ let test_gen_giveup_harmless () =
 
 let small_sweep_spec ?limits ?retry ~id () =
   Job.make ~options:(opts ~seed:5 ~guided_iterations:2 ()) ?limits ?retry ~id
-    (Job.Sweep (Job.Inline (let net, _, _, _ = pair_net () in net)))
+    (Job.Sweep (Job.Inline (let net, _, _ = pair_net () in net)))
 
 let test_violation_surfaces_as_failed () =
   (* Satellite: Exec's "never raises" contract. A Violation the sweeper
@@ -695,6 +742,7 @@ let () =
           Alcotest.test_case "bdd rescue" `Quick test_ladder_bdd_rescue;
           Alcotest.test_case "quarantine" `Quick test_ladder_quarantine;
           Alcotest.test_case "routes" `Quick test_ladder_routes;
+          Alcotest.test_case "cut check first" `Quick test_cut_check_first;
           Alcotest.test_case "sat-budget fault" `Quick
             test_sat_budget_fault_escalates;
           Alcotest.test_case "session rebuild" `Quick test_session_corrupt_rebuild;

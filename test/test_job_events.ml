@@ -25,7 +25,6 @@ module Fault = Simgen_fault.Fault
 module Cec = Simgen_sweep.Cec
 module Sweeper = Simgen_sweep.Sweeper
 module Sweep_options = Simgen_sweep.Sweep_options
-module Fun_cache = Simgen_sweep.Fun_cache
 module Runner = Simgen_runner
 module Budget = Runner.Budget
 module Job = Runner.Job
@@ -89,7 +88,7 @@ let pis_vs_buffers n =
   Array.iter (fun x -> N.add_po buffered (N.add_gate buffered (TT.var 0 1) [| x |])) b;
   (plain, buffered)
 
-let job ?(seed = 1) ?(guided_iterations = 20) ?(certify = false) ?fun_cache
+let job ?(seed = 1) ?(guided_iterations = 20) ?(certify = false)
     ?max_sat_calls ?max_conflicts ?limits ?retry kind =
   let options =
     {
@@ -97,7 +96,6 @@ let job ?(seed = 1) ?(guided_iterations = 20) ?(certify = false) ?fun_cache
       Sweep_options.seed;
       guided_iterations;
       certify;
-      fun_cache;
       max_sat_calls;
       max_conflicts;
     }
@@ -155,7 +153,7 @@ let cases () =
         first @ run ~cache (job ~seed:4 (Job.Sweep (Job.Inline dec4))) );
     ( "cut-check",
       fun () ->
-        run (job ~seed:3 ~fun_cache:(Fun_cache.create ()) (inline2 dec6 dec4)) );
+        run (job ~seed:3 (inline2 dec6 dec4)) );
     ( "max-sat-in-po-phase",
       fun () ->
         let a, b = pis_vs_buffers 4 in

@@ -19,7 +19,6 @@ module Pool = Runner.Pool
 module Events = Runner.Events
 module Manifest = Runner.Manifest
 module Pattern_cache = Runner.Pattern_cache
-module Fun_cache = Simgen_sweep.Fun_cache
 module Protocol = Simgen_serve.Protocol
 module Server = Simgen_serve.Server
 
@@ -414,8 +413,7 @@ let test_stacked_batch_race_clean () =
 
 let test_serve_race_clean () =
   let server =
-    Server.create ~workers:1 ~fun_cache:(Fun_cache.create ())
-      ~pattern_cache:(Pattern_cache.create ()) ()
+    Server.create ~workers:1 ~pattern_cache:(Pattern_cache.create ()) ()
   in
   let trace =
     recorded (fun () ->

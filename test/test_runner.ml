@@ -12,6 +12,8 @@ module Manifest = Runner.Manifest
 module Sweeper = Simgen_sweep.Sweeper
 module Sweep_options = Simgen_sweep.Sweep_options
 module Cec = Simgen_sweep.Cec
+module Fun_cache = Simgen_sweep.Fun_cache
+module Suite = Simgen_benchgen.Suite
 module Solver = Simgen_sat.Solver
 
 (* Job options off the defaults: a seed and a guided-round count. *)
@@ -406,6 +408,37 @@ let test_event_stream_shape () =
   in
   monotone events
 
+(* Each job's [fun-cache] event counts that job's consults alone, even
+   when two jobs run at once: every sweeper owns its counters. *)
+let test_fun_cache_event_per_job () =
+  let dec6 = Suite.lut_network "dec" and dec4 = Suite.lut_network ~k:4 "dec" in
+  let job id =
+    Job.make ~options:(opts ~seed:3 ()) ~id
+      (Job.Cec (Job.Inline dec6, Job.Inline dec4))
+  in
+  let consults events =
+    List.filter_map
+      (fun e ->
+        match e.Events.payload with
+        | Events.Fun_cache_stats s -> Some (e.Events.job, s.Fun_cache.consults)
+        | _ -> None)
+      events
+  in
+  let sink, drain = Events.memory () in
+  ignore (Exec.run ~events:sink ~worker:0 (job 0));
+  let alone =
+    match consults (drain ()) with
+    | [ (_, n) ] -> n
+    | _ -> Alcotest.fail "expected one fun-cache event"
+  in
+  Alcotest.(check bool) "the job consults the check" true (alone > 0);
+  let sink, drain = Events.memory () in
+  ignore (Pool.run ~workers:2 ~events:sink [ job 0; job 1 ]);
+  Alcotest.(check (list (pair int int)))
+    "each job's own count"
+    [ (0, alone); (1, alone) ]
+    (List.sort compare (consults (drain ())))
+
 let test_event_json () =
   let e =
     {
@@ -573,6 +606,8 @@ let () =
           Alcotest.test_case "event stream shape" `Quick
             test_event_stream_shape;
           Alcotest.test_case "json serialization" `Quick test_event_json;
+          Alcotest.test_case "fun-cache event per job" `Quick
+            test_fun_cache_event_per_job;
         ] );
       ( "manifest",
         [

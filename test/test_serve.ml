@@ -144,7 +144,7 @@ let test_local_proof () =
   let net, x1, x2, _ = pair_net () in
   let rng = Rng.create 1 in
   let subst = identity_subst net in
-  (match Fun_cache.consult fc ~rng ~subst net x1 x2 with
+  (match Fun_cache.consult fc ~serve_equal:true ~rng ~subst net x1 x2 with
    | Sat_session.Equal -> ()
    | _ -> Alcotest.fail "equal cones must be served locally");
   let s = Fun_cache.stats fc in
@@ -156,7 +156,7 @@ let test_exact_cut_cex () =
   let net, x1, _, y1 = pair_net () in
   let rng = Rng.create 1 in
   let subst = identity_subst net in
-  (match Fun_cache.consult fc ~rng ~subst net x1 y1 with
+  (match Fun_cache.consult fc ~serve_equal:true ~rng ~subst net x1 y1 with
    | Sat_session.Counterexample vec ->
        Alcotest.(check int) "full PI vector" (N.num_pis net) (Array.length vec);
        Alcotest.(check bool) "distinguishes" true
@@ -174,7 +174,7 @@ let test_certify_never_serves_equal () =
    | Sat_session.Unknown -> ()
    | _ -> Alcotest.fail "under certification Equal must come back as Unknown");
   (* outside certification the same pair is proven locally *)
-  (match Fun_cache.consult fc ~rng ~subst net x1 x2 with
+  (match Fun_cache.consult fc ~serve_equal:true ~rng ~subst net x1 x2 with
    | Sat_session.Equal -> ()
    | _ -> Alcotest.fail "local proof must still serve");
   let s = Fun_cache.stats fc in
@@ -296,8 +296,8 @@ let test_collisions group ~min_cases () =
   List.iter
     (fun (_, what, (net, a, b), expect) ->
       let outcome =
-        Fun_cache.consult fc ~rng:(Rng.create 3) ~subst:(identity_subst net) net
-          a b
+        Fun_cache.consult fc ~serve_equal:true ~rng:(Rng.create 3)
+          ~subst:(identity_subst net) net a b
       in
       let got =
         match outcome with
@@ -356,7 +356,7 @@ let prop_cut_check_sound =
          let subst = identity_subst net in
          List.for_all
            (fun (a, b) ->
-             match Fun_cache.consult fc ~rng ~subst net a b with
+             match Fun_cache.consult fc ~serve_equal:true ~rng ~subst net a b with
              | Sat_session.Equal -> equivalent net a b
              | Sat_session.Counterexample vec ->
                  Array.length vec = npis && eval net vec a <> eval net vec b
@@ -402,7 +402,7 @@ let result_status = function
   | Protocol.Overloaded _ -> Alcotest.fail "unexpected overload answer"
 
 let test_handle_ping_stats () =
-  let server = Server.create ~workers:1 ~fun_cache:(Fun_cache.create ()) () in
+  let server = Server.create ~workers:1 () in
   Alcotest.(check string) "ping" "ok"
     (result_status (Server.handle server Protocol.Ping));
   match Server.handle server Protocol.Stats with
@@ -413,10 +413,37 @@ let test_handle_ping_stats () =
         [ "uptime"; "requests"; "jobs_ok"; "fun_cache" ]
   | _ -> Alcotest.fail "stats must answer with a result"
 
+(* The stats frame's [fun_cache] object sums the [fun-cache] events of
+   the jobs the daemon ran. *)
+let test_stats_sum_job_counts () =
+  with_two_circuits (fun a b ->
+      let server = Server.create ~workers:1 () in
+      let events = ref 0 in
+      let on_event j =
+        match Protocol.string_member "phase" j with
+        | Some "fun-cache" ->
+            events :=
+              !events + Option.get (Protocol.int_member "consults" j)
+        | _ -> ()
+      in
+      List.iter
+        (fun args ->
+          ignore
+            (Server.handle server ~on_event
+               (Protocol.Job { cmd = "cec"; args; deadline_ms = None })))
+        [ a ^ " " ^ a; a ^ " " ^ b ];
+      Alcotest.(check bool) "the jobs consulted the check" true (!events > 0);
+      match Server.handle server Protocol.Stats with
+      | Protocol.Result fields ->
+          let fc = Option.get (List.assoc_opt "fun_cache" fields) in
+          Alcotest.(check (option int)) "consults summed" (Some !events)
+            (Protocol.int_member "consults" fc)
+      | _ -> Alcotest.fail "stats must answer with a result")
+
 let test_handle_jobs_and_parity () =
   with_two_circuits (fun a b ->
-      let cached = Server.create ~workers:1 ~fun_cache:(Fun_cache.create ()) () in
-      let bare = Server.create ~workers:1 () in
+      let server = Server.create ~workers:1 () in
+      let fresh = Server.create ~workers:1 () in
       let spec c1 c2 = Printf.sprintf "%s %s seed=5" c1 c2 in
       let run server args =
         result_status
@@ -424,19 +451,19 @@ let test_handle_jobs_and_parity () =
              (Protocol.Job { cmd = "cec"; args; deadline_ms = None }))
       in
       (* same circuit twice: equivalent, and the warm re-run agrees *)
-      let eq = run cached (spec a a) in
+      let eq = run server (spec a a) in
       Alcotest.(check string) "equivalent" "equivalent" eq;
-      Alcotest.(check string) "warm parity" eq (run cached (spec a a));
-      Alcotest.(check string) "cache on/off parity" eq (run bare (spec a a));
-      (* distinct circuits: not equivalent everywhere, cache or not *)
-      let ne = run cached (spec a b) in
+      Alcotest.(check string) "warm parity" eq (run server (spec a a));
+      Alcotest.(check string) "fresh daemon parity" eq (run fresh (spec a a));
+      (* distinct circuits: not equivalent, warm or fresh *)
+      let ne = run server (spec a b) in
       Alcotest.(check string) "not equivalent" "not-equivalent@po0" ne;
-      Alcotest.(check string) "warm parity" ne (run cached (spec a b));
-      Alcotest.(check string) "cache on/off parity" ne (run bare (spec a b)))
+      Alcotest.(check string) "warm parity" ne (run server (spec a b));
+      Alcotest.(check string) "fresh daemon parity" ne (run fresh (spec a b)))
 
 let test_handle_streams_events () =
   with_two_circuits (fun a _ ->
-      let server = Server.create ~workers:1 ~fun_cache:(Fun_cache.create ()) () in
+      let server = Server.create ~workers:1 () in
       let phases = ref [] in
       let on_event j =
         match Protocol.string_member "phase" j with
@@ -454,7 +481,7 @@ let test_handle_streams_events () =
 
 let test_handle_certify_forced () =
   with_two_circuits (fun a _ ->
-      let server = Server.create ~workers:1 ~fun_cache:(Fun_cache.create ()) () in
+      let server = Server.create ~workers:1 () in
       let phases = ref [] in
       let on_event j =
         match Protocol.string_member "phase" j with
@@ -494,7 +521,7 @@ let test_handle_lint () =
       | _ -> Alcotest.fail "lint must answer with a result")
 
 let test_shutdown_drains () =
-  let server = Server.create ~workers:1 ~fun_cache:(Fun_cache.create ()) () in
+  let server = Server.create ~workers:1 () in
   Alcotest.(check bool) "running" false (Server.shutting_down server);
   Alcotest.(check string) "shutdown ack" "shutting-down"
     (result_status (Server.handle server Protocol.Shutdown));
@@ -598,8 +625,7 @@ let test_drain_under_load () =
         ~finally:(fun () -> rm_f sock)
         (fun () ->
           let server =
-            Server.create ~workers:1 ~max_queue:4
-              ~fun_cache:(Fun_cache.create ()) ()
+            Server.create ~workers:1 ~max_queue:4 ()
           in
           let d = Shared.spawn (fun () -> Server.serve server ~socket:sock) in
           let rec await n =
@@ -729,6 +755,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "ping and stats" `Quick test_handle_ping_stats;
+          Alcotest.test_case "stats sum the jobs' cut-check counts" `Quick
+            test_stats_sum_job_counts;
           Alcotest.test_case "jobs and verdict parity" `Quick
             test_handle_jobs_and_parity;
           Alcotest.test_case "event streaming" `Quick

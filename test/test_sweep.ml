@@ -9,7 +9,6 @@ module Cec = Simgen_sweep.Cec
 module Strategy = Simgen_core.Strategy
 module Eq = Simgen_sim.Eq_classes
 module Sweep_options = Simgen_sweep.Sweep_options
-module Fun_cache = Simgen_sweep.Fun_cache
 
 (* Default sweep options with just the seed overridden — the one spelling
    every Sweeper/Cec entry point takes. *)
@@ -1102,28 +1101,6 @@ let test_sweep_routes_agree () =
         [ 1; 7; 19 ])
     nets
 
-let test_cut_check_partitions () =
-  (* The cut-local check changes which route decides a pair, never the
-     outcome: with and without it, the same final merge partitions on the
-     circuits of the guided goldens. *)
-  let fc = Fun_cache.create () in
-  List.iter
-    (fun bench ->
-      let net = Suite.lut_network bench in
-      let o = { Sweep_options.default with Sweep_options.seed = 7;
-                guided_iterations = 5 } in
-      let plain, s_plain = sweep_partition o net in
-      let checked, s_checked =
-        sweep_partition { o with Sweep_options.fun_cache = Some fc } net
-      in
-      Alcotest.(check bool) (bench ^ ": same partition") true (plain = checked);
-      Alcotest.(check int) (bench ^ ": same proved merges")
-        s_plain.Sweeper.proved s_checked.Sweeper.proved)
-    [ "dec"; "priority"; "apex5"; "alu4"; "square"; "b14_C" ];
-  let s = Fun_cache.stats fc in
-  Alcotest.(check bool) "the check answered some pairs" true
-    (s.Fun_cache.local_proofs > 0 && s.Fun_cache.local_cexes > 0)
-
 let test_cec_with_fresh_route () =
   (* Cec.check agrees across routes on an equivalent copy. *)
   let rng = Rng.create 777 in
@@ -1205,8 +1182,6 @@ let () =
           Alcotest.test_case "stacked reads below visits" `Quick
             test_stacked_reads_below_visits;
           Alcotest.test_case "sweep routes agree" `Quick test_sweep_routes_agree;
-          Alcotest.test_case "cut check keeps partitions" `Quick
-            test_cut_check_partitions;
           Alcotest.test_case "cec routes agree" `Quick test_cec_with_fresh_route;
         ] );
       ( "cec",

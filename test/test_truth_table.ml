@@ -123,27 +123,9 @@ let prop_string_roundtrip =
   prop "to_string/of_string roundtrip" gen_table (fun f ->
       TT.equal f (TT.of_string (TT.to_string f)))
 
-let prop_expand_preserves =
-  prop "expand preserves function" gen_table (fun f ->
-      let n = TT.nvars f in
-      if n >= 8 then true
-      else
-        let g = TT.expand f (n + 2) in
-        let ok = ref true in
-        for m = 0 to (1 lsl (n + 2)) - 1 do
-          if TT.get_bit g m <> TT.get_bit f (m land ((1 lsl n) - 1)) then
-            ok := false
-        done;
-        !ok)
-
 (* ------------------------------------------------------------------ *)
-(* Support & structure                                                 *)
+(* Structure                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let test_support () =
-  (* f = x0 AND x2 over 4 vars: support = [0; 2]. *)
-  let f = TT.and_ (TT.var 0 4) (TT.var 2 4) in
-  Alcotest.(check (list int)) "support" [ 0; 2 ] (TT.support f)
 
 let test_of_minterms () =
   let f = TT.of_minterms 3 [ 0; 5; 7 ] in
@@ -158,7 +140,6 @@ let test_large_tables () =
   Alcotest.(check bool) "high var set" true (TT.get_bit f (1 lsl 9));
   let g = TT.and_ f (TT.var 0 10) in
   Alcotest.(check int) "count" (1 lsl 8) (TT.count_ones g);
-  Alcotest.(check (list int)) "support" [ 0; 9 ] (TT.support g);
   (* Cofactor on a word-boundary variable. *)
   let h = TT.cofactor f 9 true in
   Alcotest.(check (option bool)) "cofactor const" (Some true) (TT.is_const h)
@@ -194,11 +175,9 @@ let () =
           prop_depends_on_cofactors;
           prop_count_ones_negation;
           prop_string_roundtrip;
-          prop_expand_preserves;
         ] );
       ( "structure",
         [
-          Alcotest.test_case "support" `Quick test_support;
           Alcotest.test_case "multi-word tables" `Quick test_large_tables;
           Alcotest.test_case "hash consistency" `Quick test_hash_consistency;
         ] );
