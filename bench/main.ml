@@ -98,11 +98,8 @@ let table1 () =
   Printf.printf "%-22s" "";
   List.iter (fun s -> Printf.printf "%12s" (Strategy.name s)) Strategy.all;
   Printf.printf "\n%-22s" "Cost";
-  List.iter
-    (fun s ->
-      let rs = Hashtbl.find per_strategy s in
-      Printf.printf "%12.3f" (Runs.mean (List.map fst rs)))
-    Strategy.all;
+  let cost s = Runs.mean (List.map fst (Hashtbl.find per_strategy s)) in
+  List.iter (fun s -> Printf.printf "%12.3f" (cost s)) Strategy.all;
   Printf.printf "\n%-22s" "Simulation Runtime";
   List.iter
     (fun s ->
@@ -112,7 +109,17 @@ let table1 () =
   Printf.printf
     "\n\n(paper: 1.000 / 0.814 / 0.812 / 0.810 / 0.807 cost; runtime rises \
      mildly.\n\
-    \ Expected shape: every SimGen variant < 1.000 cost, runtime > 1.000.)\n"
+    \ Expected shape: every SimGen variant < 1.000 cost, runtime > 1.000.)\n";
+  (* The gate: the paper's headline shape, every SimGen variant's mean
+     cost below RevS's. *)
+  match
+    List.filter (fun s -> s <> Strategy.RevS && cost s >= 1.0) Strategy.all
+  with
+  | [] -> ()
+  | worse ->
+      Printf.eprintf "table1: cost ratio not below 1.000 for %s\n"
+        (String.concat ", " (List.map Strategy.name worse));
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Table 2 (upper): SAT calls and SAT time per benchmark               *)
@@ -166,14 +173,21 @@ let print_table2 rows ~time_unit =
         (sgen.Sweeper.sat_time *. scale))
     rows;
   Printf.printf "%-12s %10d %10d %12.2f %12.2f   (totals)\n" "TOTAL" !tc_r
-    !tc_s (!tt_r *. scale) (!tt_s *. scale)
+    !tc_s (!tt_r *. scale) (!tt_s *. scale);
+  (!tc_r, !tc_s)
 
 let table2 () =
   header "Table 2 (upper): SAT calls and SAT time, RevS vs SimGen";
-  print_table2 (flat_rows ()) ~time_unit:"ms";
+  let revs_calls, simgen_calls = print_table2 (flat_rows ()) ~time_unit:"ms" in
   Printf.printf
     "\n(expected shape: SimGen needs fewer SAT calls than RevS on most rows,\n\
-    \ and total SAT time drops accordingly.)\n"
+    \ and total SAT time drops accordingly.)\n";
+  (* The gate: the paper's headline shape, fewer SAT calls in total. *)
+  if simgen_calls >= revs_calls then begin
+    Printf.eprintf "table2: SimGen's %d SAT calls are not below RevS's %d\n"
+      simgen_calls revs_calls;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Table 2 (lower): stacked benchmarks (&putontop, §6.4)               *)
@@ -189,7 +203,7 @@ let stacked_rows () =
 
 let table2_stacked () =
   header "Table 2 (lower): stacked benchmarks (putontop)";
-  print_table2 (stacked_rows ()) ~time_unit:"ms";
+  ignore (print_table2 (stacked_rows ()) ~time_unit:"ms");
   Printf.printf
     "\n(same trend as the upper table at larger scale: the copies multiply\n\
     \ the candidate pairs and deepen the miter cones.)\n"
@@ -588,8 +602,14 @@ let cert_compare ~benches ~net_of ~guided_iterations ~out_file title =
         let plain = flow ~certify:false net in
         let cert = flow ~certify:true net in
         let report = Option.get cert.Runs.cert in
-        let same = plain.Runs.partition = cert.Runs.partition in
+        (* one answer in every mode: the same merges, and the cut check
+           answering the same pairs *)
+        let same =
+          plain.Runs.partition = cert.Runs.partition
+          && plain.Runs.cut_hits = cert.Runs.cut_hits
+        in
         let t_plain = plain.Runs.time and t_cert = cert.Runs.time in
+        let cut_hits = cert.Runs.cut_hits in
         let overhead = if t_plain > 0.0 then t_cert /. t_plain else 1.0 in
         let cert = cert.Runs.report.Cec.sat
         and valid = report.Certificate.valid in
@@ -616,6 +636,7 @@ let cert_compare ~benches ~net_of ~guided_iterations ~out_file title =
                 ("proof_steps", Int report.Certificate.steps);
                 ("steps_checked", Int report.Certificate.steps_checked);
                 ("steps_trimmed", Int report.Certificate.steps_trimmed);
+                ("cut_hits", Int cut_hits);
                 ("certificate_valid", Bool valid);
                 ("identical_merges", Bool same);
               ]) ))
@@ -662,7 +683,9 @@ let cert_compare ~benches ~net_of ~guided_iterations ~out_file title =
     Printf.eprintf
       "cert: %s\n"
       (if not all_valid then "a certificate failed its independent check"
-       else "merge results differ between plain and certified sweeps");
+       else
+         "merge results or cut-check answers differ between plain and \
+          certified sweeps");
     exit 1
   end
 

@@ -20,6 +20,7 @@ type result = {
   partition : int array;  (* each node's representative, by id *)
   cert : Certificate.report option;
       (* a certifying run's certificate, independently re-checked *)
+  cut_hits : int;  (* pairs the cut-local check answered *)
   time : float;  (* wall time of the whole flow, certificate check included *)
 }
 
@@ -48,7 +49,8 @@ let run (opts : Sweep_options.t) net =
   in
   let time = Unix.gettimeofday () -. t0 in
   let partition = Array.init (N.num_nodes net) (Sweeper.representative sw) in
-  { report; cost0 = !cost0; cost = !cost; partition; cert; time }
+  let cut_hits = (Sweeper.fun_cache_stats sw).Simgen_sweep.Fun_cache.hits in
+  { report; cost0 = !cost0; cost = !cost; partition; cert; cut_hits; time }
 
 (* Normalisation against the RevS baseline, guarding tiny denominators. *)
 let ratio value baseline =

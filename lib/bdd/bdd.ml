@@ -134,26 +134,32 @@ let any_sat m f =
     Some assignment
   end
 
-let build_network m net =
-  if N.num_pis net > m.nvars then invalid_arg "Bdd.build_network";
+(* Shannon expansion on the function's variables, substituting the
+   fanin BDDs for them. *)
+let compose m f fanins =
+  let rec go tt i =
+    match TT.is_const tt with
+    | Some false -> 0
+    | Some true -> 1
+    | None ->
+        let lo = go (TT.cofactor tt i false) (i + 1) in
+        let hi = go (TT.cofactor tt i true) (i + 1) in
+        ite m fanins.(i) hi lo
+  in
+  go f 0
+
+(* The BDDs of [nodes], fanins first, indexed by node id. *)
+let build m net nodes =
+  if N.num_pis net > m.nvars then invalid_arg "Bdd.build";
   let bdds = Array.make (N.num_nodes net) 0 in
-  N.iter_nodes net (fun id ->
+  List.iter
+    (fun id ->
       match N.kind net id with
       | N.Pi idx -> bdds.(id) <- var m idx
       | N.Gate f ->
-          let fanins = N.fanins net id in
-          (* Express the gate over fresh temporaries? Not needed: compose
-             directly by building the table over the fanin BDDs via
-             Shannon expansion on the *function*, substituting fanin
-             BDDs for its variables. *)
-          let rec compose tt i =
-            match TT.is_const tt with
-            | Some false -> 0
-            | Some true -> 1
-            | None ->
-                let lo = compose (TT.cofactor tt i false) (i + 1) in
-                let hi = compose (TT.cofactor tt i true) (i + 1) in
-                ite m bdds.(fanins.(i)) hi lo
-          in
-          bdds.(id) <- compose f 0);
+          let fanins = Array.map (Array.get bdds) (N.fanins net id) in
+          bdds.(id) <- compose m f fanins)
+    nodes;
   bdds
+
+let build_network m net = build m net (List.init (N.num_nodes net) Fun.id)

@@ -23,12 +23,21 @@ val manager : ?max_nodes:int -> int -> manager
     [max_nodes] (default 1_000_000) bounds the unique table. *)
 
 val zero : manager -> t
+(** Test seam: the BDD tests build constants and connectives from it. *)
+
 val one : manager -> t
+(** Test seam: as {!zero}. *)
+
 val var : manager -> int -> t
+(** Test seam: as {!zero}. *)
 
 val not_ : manager -> t -> t
 val xor : manager -> t -> t -> t
+
 val ite : manager -> t -> t -> t -> t
+(** [ite m f g h]: if [f] then [g] else [h], the operator every other
+    connective and {!build}'s composer reduce to. Test seam: the BDD
+    tests build conjunction and disjunction from it. *)
 
 val equal : t -> t -> bool
 (** Functional equality (constant time). *)
@@ -44,8 +53,19 @@ val any_sat : manager -> t -> bool array option
 (** A satisfying assignment (variables not on the path default to
     [false]), or [None] for the zero BDD. *)
 
+val build :
+  manager ->
+  Simgen_network.Network.t ->
+  Simgen_network.Network.node_id list ->
+  t array
+(** [build m net nodes]: the BDD of each of [nodes], listed fanins first
+    (a fanin cone, say), indexed by node id; other entries are the zero
+    BDD. Each LUT is composed over its fanin BDDs by Shannon expansion
+    on its function. PIs map to variables by PI index (requires
+    [num_pis <= num_vars]).
+    @raise Node_limit_exceeded when the quota is hit. *)
+
 val build_network :
   manager -> Simgen_network.Network.t -> t array
-(** BDD of every node of a network, PIs mapped to variables by PI index
-    (requires [num_pis <= num_vars]).
+(** {!build} over every node of a network.
     @raise Node_limit_exceeded when the quota is hit. *)

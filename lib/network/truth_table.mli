@@ -26,7 +26,8 @@ val of_bits : int -> int64 -> t
     literals. *)
 
 val get_bit : t -> int -> bool
-(** [get_bit t m] is the output on minterm [m]. *)
+(** [get_bit t m] is the output on minterm [m]. Test seam: tests read
+    tables minterm by minterm. *)
 
 val eval : t -> bool array -> bool
 (** [eval t inputs] with [Array.length inputs = nvars t]. *)

@@ -72,11 +72,12 @@ let encode_shared_pis env net1 net2 =
   (encode_with_pis env net1 pi_vars, encode_with_pis env net2 pi_vars)
 
 (* The fanin cones of [roots] (after [resolve]), found by an explicit-stack
-   DFS, then encoded gate by gate in reverse visiting order. Variables are
-   allocated on first use: a gate's output first, then its fanins as its
-   clauses name them; PIs no clause names are touched last so the model
-   covers every cone PI. *)
-let encode_cones ?(resolve = Fun.id) env net roots =
+   DFS that does not enter a [stop] node, then encoded gate by gate in
+   reverse visiting order. Variables are allocated on first use: a gate's
+   output first, then its fanins as its clauses name them; stop nodes no
+   clause names are touched last so the model covers every cone input. *)
+let encode_cones ?(resolve = Fun.id) ?stop env net roots =
+  let stop = match stop with Some f -> f | None -> N.is_pi net in
   let vars = Array.make (N.num_nodes net) (-1) in
   let var_of id =
     if vars.(id) < 0 then vars.(id) <- Solver.new_var env.s;
@@ -90,7 +91,7 @@ let encode_cones ?(resolve = Fun.id) env net roots =
     | id :: rest ->
         visited.(id) <- true;
         order := id :: !order;
-        if N.is_pi net id then walk rest
+        if stop id then walk rest
         else
           walk
             (Array.fold_left (fun st fi -> resolve fi :: st) rest
@@ -99,13 +100,13 @@ let encode_cones ?(resolve = Fun.id) env net roots =
   walk (List.map resolve roots);
   List.iter
     (fun id ->
-      if not (N.is_pi net id) then begin
+      if not (stop id) then begin
         let y = var_of id in
         let fanins = Array.map resolve (N.fanins net id) in
         gate (add env) (N.func net id) y (fun i -> var_of fanins.(i))
       end)
     !order;
-  List.iter (fun id -> if N.is_pi net id then ignore (var_of id)) !order;
+  List.iter (fun id -> if stop id then ignore (var_of id)) !order;
   vars
 
 let xor_var env a b =

@@ -65,6 +65,7 @@ val encode_shared_pis :
 
 val encode_cones :
   ?resolve:(Simgen_network.Network.node_id -> Simgen_network.Network.node_id) ->
+  ?stop:(Simgen_network.Network.node_id -> bool) ->
   env ->
   Simgen_network.Network.t ->
   Simgen_network.Network.node_id list ->
@@ -72,10 +73,13 @@ val encode_cones :
 (** Encode the fanin cones of [roots] only: the result maps node id to
     solver variable, [-1] outside the cones. [resolve] (identity by
     default) redirects every root and fanin to its representative first —
-    a sweep's proven-equivalence substitution. Variables are allocated on
-    first use (a gate's output, then its fanins as its clauses name
-    them, then the remaining cone PIs), which fixes the solver's variable
-    order and so its search. *)
+    a sweep's proven-equivalence substitution. [stop] (default: the
+    network's PIs) marks the nodes the cones end at: a stop node is a
+    free variable and its own fanins are not encoded, so a window miter
+    passes its cut. Variables are allocated on first use (a gate's
+    output, then its fanins as its clauses name them, then the remaining
+    stop nodes), which fixes the solver's variable order and so its
+    search. *)
 
 val xor_var : env -> Literal.var -> Literal.var -> Literal.var
 (** Fresh variable constrained to the XOR of two others. *)

@@ -1,33 +1,15 @@
 module N = Simgen_network.Network
 module Bdd = Simgen_bdd.Bdd
 
-let check_pair ?(max_nodes = 200_000) net a b =
-  let m = Bdd.manager ~max_nodes (N.num_pis net) in
+(* The node quota of the ladder's BDD rung: past it the pair is
+   quarantined. *)
+let quota = 10_000
+
+let check_pair net a b =
+  let m = Bdd.manager ~max_nodes:quota (N.num_pis net) in
   match
     let cone = Simgen_network.Cone.fanin_cone_many net [ a; b ] in
-    let bdds = Array.make (N.num_nodes net) (Bdd.zero m) in
-    List.iter
-      (fun id ->
-        match N.kind net id with
-        | N.Pi idx -> bdds.(id) <- Bdd.var m idx
-        | N.Gate f ->
-            let fanin_bdds =
-              Array.map (fun fi -> bdds.(fi)) (N.fanins net id)
-            in
-            (* Compose the gate function over the fanin BDDs by Shannon
-               expansion over the function's variables. *)
-            let module TT = Simgen_network.Truth_table in
-            let rec compose tt i =
-              match TT.is_const tt with
-              | Some false -> Bdd.zero m
-              | Some true -> Bdd.one m
-              | None ->
-                  let lo = compose (TT.cofactor tt i false) (i + 1) in
-                  let hi = compose (TT.cofactor tt i true) (i + 1) in
-                  Bdd.ite m fanin_bdds.(i) hi lo
-            in
-            bdds.(id) <- compose f 0)
-      cone;
+    let bdds = Bdd.build m net cone in
     (bdds.(a), bdds.(b))
   with
   | fa, fb ->

@@ -7,14 +7,13 @@
     node quota and gives no answer when it is hit. *)
 
 val check_pair :
-  ?max_nodes:int ->
   Simgen_network.Network.t ->
   Simgen_network.Network.node_id ->
   Simgen_network.Network.node_id ->
   Sat_session.verdict
-(** Compare two nodes of one network (default quota 200_000 nodes).
-    [Unknown] means the quota was hit: the ladder's BDD rung then
-    quarantines the pair. *)
+(** Compare two nodes of one network under a quota of 10,000 BDD nodes,
+    the ladder's BDD rung. [Unknown] means the quota was hit: the rung
+    then quarantines the pair. *)
 
 val check_outputs :
   Simgen_network.Network.t ->

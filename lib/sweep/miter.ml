@@ -12,8 +12,10 @@ type fresh = {
 (* The fresh-solver reference implementation: one solver per query, cone
    union re-encoded every time. Kept as the baseline the incremental
    session is differentially tested and benchmarked against, and as the
-   ladder's fallback when a budgeted session query gives up. *)
-let check_pair_fresh ~subst ?rng ?max_conflicts ?(certify = false) net a b =
+   ladder's fallback when a budgeted session query gives up; with [stop],
+   the window miter of a pair the cut check proved. *)
+let check_pair_fresh ~subst ?rng ?max_conflicts ?(certify = false) ?stop net a
+    b =
   let resolve = Sat_session.resolve subst in
   let ra = resolve a and rb = resolve b in
   if ra = rb then
@@ -25,7 +27,7 @@ let check_pair_fresh ~subst ?rng ?max_conflicts ?(certify = false) net a b =
     }
   else begin
     let env = Tseitin.create ~record:certify () in
-    let vars = Tseitin.encode_cones ~resolve env net [ ra; rb ] in
+    let vars = Tseitin.encode_cones ~resolve ?stop env net [ ra; rb ] in
     (* XOR output must be 1. *)
     Tseitin.add env [ Sat.Literal.pos (Tseitin.xor_var env vars.(ra) vars.(rb)) ];
     let solver = Tseitin.solver env in

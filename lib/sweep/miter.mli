@@ -32,6 +32,7 @@ val check_pair_fresh :
   ?rng:Simgen_base.Rng.t ->
   ?max_conflicts:int ->
   ?certify:bool ->
+  ?stop:(Simgen_network.Network.node_id -> bool) ->
   Simgen_network.Network.t ->
   Simgen_network.Network.node_id ->
   Simgen_network.Network.node_id ->
@@ -44,4 +45,8 @@ val check_pair_fresh :
     the ladder's fresh rung retries a pair that a session may have
     poisoned with its own clause database). [certify] (default [false]) records the clause
     stream and the DRUP proof so an [Equal] is independently checked;
-    certified sweeping costs roughly the solver time again. *)
+    certified sweeping costs roughly the solver time again. [stop]
+    (default: the PIs) ends the encoded cones at other nodes, which
+    become free variables ({!Simgen_sat.Tseitin.encode_cones}): with a
+    cut, the query is the pair's window miter, and UNSAT over free cut
+    nodes proves the pair equal over every input. *)

@@ -100,6 +100,7 @@ type t = {
   session : Sat_session.t;
       (* the per-sweep incremental solver; shares [subst] and [rng] *)
   fun_cache : Fun_cache.t;  (* the cut check's counters, this sweep's own *)
+  window : Fun_cache.scratch;  (* the cut check's working space *)
   mutable history : int list;  (* costs, newest first *)
   (* Pairs (lo, hi) of representatives every ladder rung gave up on:
      skipped by candidate picking until a merge changes one side's
@@ -139,6 +140,7 @@ let create (opts : Sweep_options.t) net =
     subst;
     session = Sat_session.create ~certify ~audit ~subst ~rng net;
     fun_cache = Fun_cache.create ();
+    window = Fun_cache.scratch net;
     history = [];
     quarantine = Hashtbl.create 8;
     d_stats = empty_degrade;
@@ -454,11 +456,12 @@ let session_query ?max_conflicts t a b acc =
   verdict
 
 (* The fresh solver, certified on a certifying sweeper: a validated
-   Equal's proof record joins the whole-sweep certificate. *)
-let fresh_query ?max_conflicts t a b acc =
+   Equal's proof record joins the whole-sweep certificate. [stop] ends
+   the cones at a window's cut. *)
+let fresh_query ?max_conflicts ?stop t a b acc =
   let r =
-    Miter.check_pair_fresh ?max_conflicts ~certify:t.certify ~subst:t.subst
-      ~rng:t.rng t.net a b
+    Miter.check_pair_fresh ?max_conflicts ~certify:t.certify ?stop
+      ~subst:t.subst ~rng:t.rng t.net a b
   in
   acc := Solver.add_stats !acc r.Miter.stats;
   if t.certify && not r.Miter.valid then
@@ -471,6 +474,21 @@ let fresh_query ?max_conflicts t a b acc =
    | None -> ());
   r.Miter.verdict
 
+(* The cut-local check. On a certifying sweeper an Equal is proven again
+   by the pair's window miter, its cut nodes free, and the merge cites
+   that proof. The window is bounded (8 free nodes, 48 gates), so no
+   conflict budget applies; a model would contradict the equal tables. *)
+let cut_check t a b acc =
+  let verdict =
+    Fun_cache.consult t.fun_cache t.window ~rng:t.rng ~subst:t.subst t.net a b
+  in
+  if
+    t.certify && verdict = Sat_session.Equal
+    && fresh_query ~stop:(Fun_cache.cut_node t.window) t a b acc
+       <> Sat_session.Equal
+  then failwith "Sweeper.verify_pair: window miter refutes the cut check";
+  verdict
+
 (* The rungs of the degradation ladder, walked in list order by
    {!verify_pair}. [Session k] and [Fresh k] run at the base conflict
    budget times 4^k. *)
@@ -480,9 +498,6 @@ type rung = Cut_check | Session of int | Fresh of int | Bdd
    solver keeps its learned clauses, so each retry resumes paid-for work. *)
 let escalations = 3
 let session_steps = List.init (escalations + 1) (fun k -> Session k)
-
-(* The BDD rung's node quota; past it the pair is quarantined. *)
-let bdd_quota = 10_000
 
 (* The rungs of one query: the cut-local check, the session steps, a
    fresh solver at the next budget (a session poisoned by its own clause
@@ -532,16 +547,10 @@ let verify_pair (opts : Sweep_options.t) t a b =
       | Some b -> Some (b * (1 lsl (2 * k)))
     in
     let ask = function
-      | Cut_check ->
-          (* Equal is proven over a shared cut (and withheld under
-             certification, where the merge must cite a DRUP proof); a
-             counterexample comes from an exact cut. *)
-          Fun_cache.consult t.fun_cache ~serve_equal:(not t.certify)
-            ~rng:t.rng ~subst:t.subst t.net a b
+      | Cut_check -> cut_check t a b acc
       | Session k -> session_query ?max_conflicts:(budget k) t a b acc
       | Fresh k -> fresh_query ?max_conflicts:(budget k) t a b acc
-      | Bdd ->
-          Bdd_backend.check_pair ~max_nodes:bdd_quota t.net a b
+      | Bdd -> Bdd_backend.check_pair t.net a b
     in
     let rec walk = function
       | [] ->

@@ -191,7 +191,7 @@ val verify_pair :
       previous budget, three times (the session keeps its learned
       clauses, so each retry resumes paid-for work);
     - a fresh solver at the next budget ({!Miter.check_pair_fresh});
-    - {!Bdd_backend.check_pair} under a quota of 10,000 BDD nodes.
+    - {!Bdd_backend.check_pair} under its node quota.
 
     Past the last rung the pair is quarantined — recorded in
     {!degrade_stats}, excluded from future candidate picking — and the
@@ -199,9 +199,11 @@ val verify_pair :
     [incremental = false] skips the session: the fresh solver is the
     first SAT rung, at [max_conflicts]. On a sweeper created with [certify] (the
     options passed here do not change it) the fresh rung certifies too
-    (its proof joins the certificate), the cut check withholds [Equal],
-    and the BDD rung is dropped — a BDD verdict carries no clausal
-    proof. A [Runtime_check.Violation] mid-query rebuilds the session's
+    (its proof joins the certificate), the cut check's [Equal] is proven
+    again by the pair's window miter (its cut nodes free, no conflict
+    budget; the proof joins the certificate), and the BDD rung is
+    dropped — a BDD verdict carries no clausal proof.
+    A [Runtime_check.Violation] mid-query rebuilds the session's
     solver over the (consistent) substitution and retries once; a second Violation propagates. Returns the verdict and
     the solver-counter deltas across every rung tried. With
     [max_conflicts = None] (the default) budgets are unlimited and the

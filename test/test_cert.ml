@@ -8,6 +8,7 @@ module Sweeper = Simgen_sweep.Sweeper
 module Sweep_options = Simgen_sweep.Sweep_options
 module Sat_session = Simgen_sweep.Sat_session
 module Miter = Simgen_sweep.Miter
+module Fun_cache = Simgen_sweep.Fun_cache
 module Cert = Simgen_check.Certificate
 module Diagnostic = Simgen_check.Diagnostic
 module Sat = Simgen_sat
@@ -17,8 +18,8 @@ let opts certify =
 
 (* Full sweep (random -> guided -> SAT) under the given options; returns
    the sweeper for inspection. *)
-let sweep ?(name = "dec") certify =
-  let net = Suite.lut_network name in
+let sweep ?(name = "dec") ?(net = Suite.lut_network) certify =
+  let net = net name in
   let o = opts certify in
   let sw = Sweeper.create o net in
   Sweeper.random_round sw;
@@ -46,19 +47,30 @@ let test_valid_certificate () =
     (report.Cert.steps_checked <= report.Cert.steps)
 
 (* Certification must not change verdicts: the final merge partition of a
-   certified sweep is identical to the uncertified one. *)
+   certified sweep is identical to the uncertified one, and the cut check
+   answers the same pairs in both modes (a certified sweep proves its
+   Equal answers again by window miters and cites them). *)
 let test_merge_parity () =
   List.iter
-    (fun name ->
-      let sw_plain = sweep ~name false and sw_cert = sweep ~name true in
+    (fun (name, net) ->
+      let sw_plain = sweep ~name ~net false and sw_cert = sweep ~name ~net true in
       let net = Sweeper.network sw_plain in
       for id = 0 to N.num_nodes net - 1 do
         Alcotest.(check int)
           (Printf.sprintf "%s: representative of %d" name id)
           (Sweeper.representative sw_plain id)
           (Sweeper.representative sw_cert id)
-      done)
-    [ "dec"; "apex5" ]
+      done;
+      Alcotest.(check int) (name ^ ": cut check hits")
+        (Sweeper.fun_cache_stats sw_plain).Fun_cache.hits
+        (Sweeper.fun_cache_stats sw_cert).Fun_cache.hits;
+      Alcotest.(check bool) (name ^ ": certificate valid") true
+        (Cert.check (Sweeper.certificate sw_cert)).Cert.valid)
+    [
+      ("dec", Suite.lut_network);
+      ("apex5", Suite.lut_network);
+      ("apex2", Suite.stacked_lut_network);
+    ]
 
 (* An uncertified sweeper records nothing. *)
 let test_uncertified_empty () =

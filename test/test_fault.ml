@@ -18,6 +18,7 @@ module Runtime_check = Simgen_base.Runtime_check
 module Sweeper = Simgen_sweep.Sweeper
 module Sat_session = Simgen_sweep.Sat_session
 module Fun_cache = Simgen_sweep.Fun_cache
+module Certificate = Simgen_check.Certificate
 module Sweep_options = Simgen_sweep.Sweep_options
 module Cec = Simgen_sweep.Cec
 module Suite = Simgen_benchgen.Suite
@@ -335,10 +336,11 @@ let test_ladder_routes () =
     ]
 
 (* The cut check answers first: on a pair it proves, no SAT rung runs
-   even with every budget at zero; under certify it withholds the Equal
-   (the merge must cite a DRUP proof), so the starved SAT rungs all run
-   and the pair is quarantined. Columns: certify, then the verdict, cut
-   check hits and ladder unknowns. *)
+   even with every budget at zero, in every mode. Under certify the pair
+   is proven again by its window miter, which no budget limits, and the
+   merge cites that proof as a [Fresh] record of the certificate.
+   Columns: certify, then the verdict, cut check hits and ladder
+   unknowns. *)
 let test_cut_check_first () =
   List.iter
     (fun (certify, verdict, hits, unknowns) ->
@@ -356,8 +358,21 @@ let test_cut_check_first () =
         [ 1; 1; hits ]
         [ s.Fun_cache.consults; s.Fun_cache.local_proofs; s.Fun_cache.hits ];
       Alcotest.(check int) (tag ^ ": unknowns") unknowns
-        (Sweeper.degrade_stats sw).Sweeper.unknowns)
-    [ (false, Sat_session.Equal, 1, 0); (true, Sat_session.Unknown, 0, 5) ]
+        (Sweeper.degrade_stats sw).Sweeper.unknowns;
+      if certify then begin
+        Sweeper.merge sw x1 x2;
+        let cert = Sweeper.certificate sw in
+        Alcotest.(check bool) (tag ^ ": certificate valid") true
+          (Certificate.check cert).Certificate.valid;
+        match cert.Certificate.merges with
+        | [ { Certificate.proof; _ } ] -> (
+            match cert.Certificate.queries.(proof) with
+            | Certificate.Fresh _ -> ()
+            | Certificate.Session _ | Certificate.Rebuild ->
+                Alcotest.fail (tag ^ ": the merge must cite a Fresh record"))
+        | _ -> Alcotest.fail (tag ^ ": one merge")
+      end)
+    [ (false, Sat_session.Equal, 1, 0); (true, Sat_session.Equal, 1, 0) ]
 
 let test_sat_budget_fault_escalates () =
   with_faults (fun () ->

@@ -144,7 +144,7 @@ let test_local_proof () =
   let net, x1, x2, _ = pair_net () in
   let rng = Rng.create 1 in
   let subst = identity_subst net in
-  (match Fun_cache.consult fc ~serve_equal:true ~rng ~subst net x1 x2 with
+  (match Fun_cache.consult fc (Fun_cache.scratch net) ~rng ~subst net x1 x2 with
    | Sat_session.Equal -> ()
    | _ -> Alcotest.fail "equal cones must be served locally");
   let s = Fun_cache.stats fc in
@@ -156,7 +156,7 @@ let test_exact_cut_cex () =
   let net, x1, _, y1 = pair_net () in
   let rng = Rng.create 1 in
   let subst = identity_subst net in
-  (match Fun_cache.consult fc ~serve_equal:true ~rng ~subst net x1 y1 with
+  (match Fun_cache.consult fc (Fun_cache.scratch net) ~rng ~subst net x1 y1 with
    | Sat_session.Counterexample vec ->
        Alcotest.(check int) "full PI vector" (N.num_pis net) (Array.length vec);
        Alcotest.(check bool) "distinguishes" true
@@ -164,23 +164,6 @@ let test_exact_cut_cex () =
    | _ -> Alcotest.fail "exact-cut difference must yield a counterexample");
   let s = Fun_cache.stats fc in
   Alcotest.(check int) "local cexes" 1 s.Fun_cache.local_cexes
-
-let test_certify_never_serves_equal () =
-  let fc = Fun_cache.create () in
-  let net, x1, x2, _ = pair_net () in
-  let rng = Rng.create 1 in
-  let subst = identity_subst net in
-  (match Fun_cache.consult fc ~serve_equal:false ~rng ~subst net x1 x2 with
-   | Sat_session.Unknown -> ()
-   | _ -> Alcotest.fail "under certification Equal must come back as Unknown");
-  (* outside certification the same pair is proven locally *)
-  (match Fun_cache.consult fc ~serve_equal:true ~rng ~subst net x1 x2 with
-   | Sat_session.Equal -> ()
-   | _ -> Alcotest.fail "local proof must still serve");
-  let s = Fun_cache.stats fc in
-  Alcotest.(check int) "no miss" 0 s.Fun_cache.misses;
-  Alcotest.(check int) "two local proofs" 2 s.Fun_cache.local_proofs;
-  Alcotest.(check int) "one hit" 1 s.Fun_cache.hits
 
 (* Node values of every node under one PI vector; ids are topological. *)
 let node_values net vec =
@@ -296,7 +279,7 @@ let test_collisions group ~min_cases () =
   List.iter
     (fun (_, what, (net, a, b), expect) ->
       let outcome =
-        Fun_cache.consult fc ~serve_equal:true ~rng:(Rng.create 3)
+        Fun_cache.consult fc (Fun_cache.scratch net) ~rng:(Rng.create 3)
           ~subst:(identity_subst net) net a b
       in
       let got =
@@ -356,7 +339,7 @@ let prop_cut_check_sound =
          let subst = identity_subst net in
          List.for_all
            (fun (a, b) ->
-             match Fun_cache.consult fc ~serve_equal:true ~rng ~subst net a b with
+             match Fun_cache.consult fc (Fun_cache.scratch net) ~rng ~subst net a b with
              | Sat_session.Equal -> equivalent net a b
              | Sat_session.Counterexample vec ->
                  Array.length vec = npis && eval net vec a <> eval net vec b
@@ -736,8 +719,6 @@ let () =
         [
           Alcotest.test_case "local proof" `Quick test_local_proof;
           Alcotest.test_case "exact-cut cex" `Quick test_exact_cut_cex;
-          Alcotest.test_case "certify never serves equal" `Quick
-            test_certify_never_serves_equal;
           prop_cut_check_sound;
         ] );
       ( "collisions",
