@@ -74,6 +74,25 @@ let mutant net =
   in
   search !gates
 
+(* An AND of [n] PIs folded from the left against the same AND folded
+   from the right. Past 8 PIs the cut-local check's cut is inexact and
+   the pair shares no gate, so the check leaves the PO pair to the SAT
+   rungs. *)
+let and_chains n =
+  let chain fold =
+    let net = N.create () in
+    let pis = List.init n (fun _ -> N.add_pi net) in
+    let and2 a b = N.add_gate net (TT.and_ (TT.var 0 2) (TT.var 1 2)) [| a; b |] in
+    N.add_po net (fold and2 pis);
+    net
+  in
+  let left and2 pis = List.fold_left and2 (List.hd pis) (List.tl pis) in
+  let right and2 pis =
+    let rev = List.rev pis in
+    List.fold_left (fun acc p -> and2 p acc) (List.hd rev) (List.tl rev)
+  in
+  (chain left, chain right)
+
 (* POs that are PIs on one side and buffers of them on the other: the
    sweep has no gate pair to prove, so every PO pair costs a PO-phase
    query. *)
@@ -180,6 +199,10 @@ let cases () =
     ( "ladder",
       fun () ->
         let a, b = pis_vs_buffers 3 in
+        run (job ~guided_iterations:2 ~max_conflicts:0 ~certify:true (inline2 a b)) );
+    ( "ladder-inexact-cut",
+      fun () ->
+        let a, b = and_chains 10 in
         run (job ~guided_iterations:2 ~max_conflicts:0 ~certify:true (inline2 a b)) );
     ( "gen-giveup",
       fun () ->
